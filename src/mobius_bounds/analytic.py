@@ -285,11 +285,6 @@ def zeta_prime(s: "complex | ComplexParameter", tol: float = 1e-13) -> Approx:
     return Approx(val, err + 8.0 * EPS * (1.0 + abs(val)))
 
 
-def zeta_real(sigma: float, tol: float = 1e-13) -> float:
-    """Convenience scalar for real arguments away from 1."""
-    return float(zeta(complex(sigma), tol).value.real)
-
-
 def inv_zeta(s: complex, tol: float = 1e-13) -> Approx:
     """1/zeta(s), analytic through s=1 (value 0 there)."""
     s = complex(s)

@@ -22,10 +22,8 @@ s = 1 path bit-identical to the plain harmonic-weighted sum.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from math import fsum, isqrt
-from pathlib import Path
 
 import numpy as np
 
@@ -33,9 +31,6 @@ from .util import CapacityError, floor_int
 
 SEGMENT = 1 << 20
 DEFAULT_LIMIT_BUDGET = 200_000_000  # ~18 bytes/entry across the four arrays
-
-_CACHE_MAGIC = b"MUT1"
-_CACHE_VERSION = 1
 
 
 # ----------------------------------------------------------------------
@@ -113,9 +108,6 @@ class Modulus:
             if p <= n:
                 mask[p::p] = False
         return mask
-
-    def is_coprime(self, n: int) -> bool:
-        return math.gcd(n, self.kernel) == 1
 
 
 ONE = Modulus(q=1, primes=(), kernel=1)
@@ -252,52 +244,6 @@ def _sieve_segment(
     if prime_here.any():
         idx = np.nonzero(prime_here)[0]
         mangoldt[lo + idx] = np.log(nvals[idx].astype(np.float64))
-
-
-# ----------------------------------------------------------------------
-# Binary cache of the packed mu table
-
-_HEADER = struct.Struct("<4sIQ")
-
-
-def save_mu_cache(path: str | Path, table: ArithmeticTable) -> None:
-    """Write the mu array as 2-bit codes (mu+1 in {0,1,2}), 4 values/byte."""
-    codes = (table.mu.astype(np.int16) + 1).astype(np.uint8)
-    pad = (-len(codes)) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    packed = (
-        codes[0::4] | (codes[1::4] << 2) | (codes[2::4] << 4) | (codes[3::4] << 6)
-    )
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, table.limit))
-        fh.write(packed.tobytes())
-
-
-def load_mu_cache(path: str | Path) -> tuple[int, np.ndarray]:
-    """Read a packed mu cache; returns (limit, mu) with an exact round-trip."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("mu cache: truncated header")
-        magic, version, limit = _HEADER.unpack(head)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"mu cache: bad magic {magic!r}")
-        if version != _CACHE_VERSION:
-            raise ValueError(f"mu cache: unsupported version {version}")
-        payload = np.frombuffer(fh.read(), dtype=np.uint8)
-    need = (limit + 1 + 3) // 4
-    if len(payload) != need:
-        raise ValueError(
-            f"mu cache: payload has {len(payload)} bytes, expected {need}"
-        )
-    codes = np.empty(4 * len(payload), dtype=np.uint8)
-    codes[0::4] = payload & 3
-    codes[1::4] = (payload >> 2) & 3
-    codes[2::4] = (payload >> 4) & 3
-    codes[3::4] = (payload >> 6) & 3
-    mu = codes[: limit + 1].astype(np.int8) - 1
-    return limit, mu
 
 
 # ----------------------------------------------------------------------
@@ -452,45 +398,6 @@ def prefix_log_moment(
     if j:
         vals[1:] *= (-logs[1:]) ** j
     return np.cumsum(vals)
-
-
-# ----------------------------------------------------------------------
-# q^infty divisors and the dyadic tail window
-
-
-def q_inf_divisors(q: Modulus | int, x: float) -> list[int]:
-    """All integers <= x whose prime factors all divide q, sorted.
-
-    q = 1 gives [1].  The enumeration is a DFS over prime exponents, so the
-    cost is proportional to the output size (O((log x)^omega(q)) entries).
-    """
-    q = Modulus.coerce(q)
-    if x < 1:
-        return []
-    bound = x
-    out: list[int] = []
-    primes = q.primes
-
-    def rec(i: int, val: int) -> None:
-        if i == len(primes):
-            out.append(val)
-            return
-        p = primes[i]
-        while val <= bound:
-            rec(i + 1, val)
-            val *= p
-
-    rec(0, 1)
-    out.sort()
-    return out
-
-
-def g1_window(q: Modulus | int, x: float) -> float:
-    """sum of 1/l over q^infty-divisors l with x/2 < l <= x."""
-    q = Modulus.coerce(q)
-    half = x / 2.0
-    ells = [ell for ell in q_inf_divisors(q, x) if ell > half]
-    return fsum(1.0 / ell for ell in ells)
 
 
 # ----------------------------------------------------------------------

@@ -1,30 +1,31 @@
 """Checkers for the explicit estimates on restricted Mobius sums.
 
-Each verify_* function evaluates an exact left side from the sieve tables
-and the closed-form right side of one published inequality, then renders a
-three-way verdict through the certified comparison in util: pass only when
-the margin clears the accumulated evaluation error, fail only when the
-violation does.  Indicator terms that switch on at 1e12 or 1e14 stay in
-the formulas with their published constants; at desk scale they are 0.
+Each estimate's envelope, main term and domain guard is written once and
+serves two evaluators of its left side.  verify_* sums exactly with fsum
+at one point and renders a three-way verdict through the certified
+comparison in util: pass only when the margin clears the accumulated
+evaluation error, fail only when the violation does.  The *_scan sweeps
+cover a whole range from cumsum prefix arrays; they trade exactness for
+speed, so callers re-verify any margin thinner than ~1e-4 point-wise.
 
-The *_scan functions are vectorized companions used for full-range grids
-(every integer X up to some limit).  They trade fsum exactness for cumsum
-speed, so callers re-verify any margin thinner than ~1e-4 with the exact
-point-wise checker before trusting it.
+Envelopes take log X from their caller, as math.log at a point and np.log
+in a scan (the two differ in the last bit on some inputs).  Indicator
+terms that switch on at 1e12 or 1e14 keep their published constants; at
+desk scale they are 0.  THEOREMS maps each --theorem name to its checker,
+grid axes and suite grid; the command line and SUITES derive from it.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import expi
 
-from .analytic import eps_zeta, inv_zeta, phi_ratio, phi_s, zp_over_z2
+from .analytic import ComplexParameter, eps_zeta, inv_zeta, phi_ratio, phi_s, zp_over_z2
 from .arith import (
+    ONE,
     ArithmeticTable,
     Modulus,
     log_moment_sum,
@@ -34,6 +35,7 @@ from .arith import (
     prefix_log_moment,
     prefix_m_q,
 )
+from .delta_sign import defect, interval_weights
 from .reports import BoundRow, bound_row
 from .util import (
     EPS,
@@ -75,41 +77,63 @@ def _log_p_sum(q: Modulus, s: complex) -> complex:
     return out
 
 
+def _exp(z):
+    """math.exp for a point check, np.exp for a scan (see the module docstring)."""
+    return np.exp(z) if isinstance(z, np.ndarray) else math.exp(z)
+
+
+def _plus_beyond(base, X, threshold: float, term):
+    """base + term(log X) where X >= threshold.  Such terms switch on at 1e12
+    or 1e14, past every sieve table, so a scan never adds one."""
+    if np.max(X) < threshold:
+        return base
+    return base + term(math.log(X))
+
+
+def _row(theorem_id, X, q, param, lhs, bound, lhs_err) -> BoundRow:
+    """A row whose closed-form envelope carries a few roundings of its own."""
+    return bound_row(
+        theorem_id,
+        X,
+        q,
+        param,
+        lhs=lhs,
+        bound=bound,
+        lhs_err=lhs_err,
+        bound_err=8.0 * EPS * abs(bound),
+    )
+
+
 # ----------------------------------------------------------------------
 # Nonnegative log-weighted sums.
 
 
-def easy_bound(q: Modulus | int, k: int, sigma: float, X: float) -> float:
-    """Upper envelope const*(q/phi(q))*(k + (sigma-1) log X)*(log X)^(k-1)."""
-    qm = Modulus.coerce(q)
-    const = 1.00303 if k == 1 else 1.0
-    lw = math.log(X)
-    return const * qm.q_over_phi * (k + (sigma - 1.0) * lw) * lw ** (k - 1)
-
-
-def verify_easy(
-    table: ArithmeticTable, X: float, q: Modulus | int, k: int, sigma: float
-) -> BoundRow:
-    """0 <= sum_{n<=X,(n,q)=1} mu(n) log^k(X/n)/n^sigma <= easy_bound."""
+def _easy_domain(X: float, k: int, sigma: float) -> None:
     if X < 1.0:
         raise ValueError("X must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     if sigma < 1.0:
         raise ValueError("sigma must be >= 1")
+
+
+def easy_bound(q: Modulus | int, k: int, sigma: float, lx):
+    """Upper envelope const*(q/phi(q))*(k + (sigma-1) log X)*(log X)^(k-1)
+    with lx = log X."""
+    const = 1.00303 if k == 1 else 1.0
+    q_over_phi = Modulus.coerce(q).q_over_phi
+    return const * q_over_phi * (k + (sigma - 1.0) * lx) * lx ** (k - 1)
+
+
+def verify_easy(
+    table: ArithmeticTable, X: float, q: Modulus | int, k: int, sigma: float
+) -> BoundRow:
+    """0 <= sum_{n<=X,(n,q)=1} mu(n) log^k(X/n)/n^sigma <= easy_bound."""
+    _easy_domain(X, k, sigma)
     qm = Modulus.coerce(q)
     lhs, err = log_moment_sum(table, X, qm, sigma, k)
-    bound = easy_bound(qm, k, sigma, X)
-    row = bound_row(
-        "easy",
-        X,
-        qm.q,
-        f"k={k},sigma={sigma:g}",
-        lhs=lhs,
-        bound=bound,
-        lhs_err=err,
-        bound_err=8.0 * EPS * abs(bound),
-    )
+    bound = easy_bound(qm, k, sigma, math.log(X))
+    row = _row("easy", X, qm.q, f"k={k},sigma={sigma:g}", lhs, bound, err)
     lower = cert_le(as_approx(0.0), as_approx(lhs, err))
     return replace(row, verdict=combine_verdicts(row.verdict, lower))
 
@@ -122,6 +146,7 @@ def easy_scan(
     lhs(X) expands binomially: log^k(X/n) = sum_j C(k,j) (log X)^j (-log n)^{k-j},
     so one cumsum per power j gives every X at once.
     """
+    _easy_domain(float(n_max), k, sigma)
     qm = Modulus.coerce(q)
     moments = [prefix_log_moment(table, n_max, qm, sigma, j) for j in range(k + 1)]
     xs = np.arange(1, n_max + 1, dtype=np.float64)
@@ -129,53 +154,10 @@ def easy_scan(
     lhs = np.zeros(n_max, dtype=np.float64)
     for j in range(k + 1):
         lhs += math.comb(k, j) * lx**j * moments[k - j][1:]
-    bound = (
-        (1.00303 if k == 1 else 1.0)
-        * qm.q_over_phi
-        * (k + (sigma - 1.0) * lx)
-        * lx ** (k - 1)
-    )
-    margin = bound - lhs
+    margin = easy_bound(qm, k, sigma, lx) - lhs
     i_lhs = int(np.argmin(lhs))
     i_mar = int(np.argmin(margin))
     return float(lhs[i_lhs]), i_lhs + 1, float(margin[i_mar]), i_mar + 1
-
-
-def taylor_split(
-    table: ArithmeticTable,
-    X: float,
-    q: Modulus | int,
-    eps: float,
-    terms: int = 12,
-) -> tuple[float, float, float]:
-    """Compare X^eps m_q(X;1+eps) with its log-moment Taylor truncation.
-
-    Returns (direct, truncated, tail_bound) where tail_bound is the rigorous
-    remainder envelope sum_{l>=terms} eps^l/l! * easy_bound(l): the identity
-    X^eps m_q(X;1+eps) = sum_l eps^l/l! sum mu(n) log^l(X/n)/n is exact, so
-    |direct - truncated| <= tail_bound always.
-    """
-    qm = Modulus.coerce(q)
-    direct = math.exp(eps * math.log(X)) * m_q_s(table, X, qm, 1.0 + eps).real
-    parts = [m_q(table, X, qm)]
-    for ell in range(1, terms):
-        val, _ = log_moment_sum(table, X, qm, 1.0, ell)
-        parts.append(eps**ell / math.factorial(ell) * val)
-    truncated = math.fsum(parts)
-    z = eps * math.log(X)
-    tail = 0.0
-    if z > 0.0:
-        # sum_{l>=terms} eps^l/l! * 1.00303 (q/phi) l (log X)^(l-1)
-        #   = 1.00303 (q/phi) eps sum_{j>=terms-1} z^j/j!
-        term = z ** (terms - 1) / math.factorial(terms - 1)
-        acc = 0.0
-        for j in range(terms - 1, terms + 200):
-            acc += term
-            term *= z / (j + 1)
-            if term < 1e-18 * acc:
-                break
-        tail = 1.00303 * qm.q_over_phi * eps * acc
-    return direct, truncated, tail
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +172,13 @@ class DeltaValue:
     value: float
 
 
+def _defect_domain(X: float, eps: float) -> None:
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
+    if X < 1.0:
+        raise ValueError("X must be >= 1")
+
+
 def delta_q(
     table: ArithmeticTable, X: float, q: Modulus | int, eps: float
 ) -> DeltaValue:
@@ -199,42 +188,25 @@ def delta_q(
     at s = 1+eps, assembled term-wise through expm1 so nothing cancels;
     eps = 0: the limit m_check_q([X]) - q/phi(q) + m_q([X]) log(X/[X]).
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
+    _defect_domain(X, eps)
     qm = Modulus.coerce(q)
-    n = floor_int(X)
-    table._check_range(n)
-    mu = table.mu[: n + 1].astype(np.float64)
-    if qm.primes:
-        mu[~qm.coprime_mask(n)] = 0.0
-    nn = np.arange(n + 1, dtype=np.float64)
-    nn[0] = 1.0
-    lx = math.log(X)
-    if eps == 0.0:
-        w = mu[1:] / nn[1:] * (lx - np.log(nn[1:]))
-        val = math.fsum(w.tolist()) - qm.q_over_phi
-    else:
-        ratio = (np.expm1(-eps * np.log(nn[1:])) - math.expm1(-eps * lx)) / eps
-        w = mu[1:] / nn[1:] * ratio
-        val = math.fsum(w.tolist()) - phi_ratio(qm, 1.0 + eps) / eps_zeta(eps)
-    return DeltaValue(X=X, q=qm.q, eps=eps, value=val)
+    w, ln = interval_weights(table, floor_int(X), qm)
+    return DeltaValue(X=X, q=qm.q, eps=eps, value=defect(w, ln, qm, eps, math.log(X)))
 
 
-def mqeps_bound(X: float, q: Modulus | int, eps: float) -> float:
+def mqeps_bound(X, q: Modulus | int, eps: float):
+    """Envelope of |Delta_q(X,eps)/X^eps|; X is a point or an array."""
     qm = Modulus.coerce(q)
-    first = 0.0
-    if X >= 1e12:
-        first = 0.03 * g1(qm) * phi_ratio(qm, XI) / math.log(X)
     two_eps = 2.0**eps
-    second = (
+    main = (
         (4.1 * g0(qm) + (5.0 + eps * two_eps) / 2.0)
         * phi_ratio(qm, 0.5)
         * two_eps
-        / math.sqrt(X)
+        / np.sqrt(X)
     )
-    return first + second
+    return _plus_beyond(
+        main, X, 1e12, lambda lx: 0.03 * g1(qm) * phi_ratio(qm, XI) / lx
+    )
 
 
 def verify_mqeps(
@@ -244,19 +216,9 @@ def verify_mqeps(
     lower bound m_q(X;sigma) >= m_q(X)/X^(sigma-1) folded into the verdict."""
     qm = Modulus.coerce(q)
     dv = delta_q(table, X, qm, eps)
-    lhs = abs(dv.value)
     lhs_err = 64.0 * EPS * (1.0 + math.log(X)) * (1.0 + qm.q_over_phi)
     bound = mqeps_bound(X, qm, eps)
-    row = bound_row(
-        "mqeps",
-        X,
-        qm.q,
-        f"eps={eps:g}",
-        lhs=lhs,
-        bound=bound,
-        lhs_err=lhs_err,
-        bound_err=8.0 * EPS * bound,
-    )
+    row = _row("mqeps", X, qm.q, f"eps={eps:g}", abs(dv.value), bound, lhs_err)
     m_plain = m_q(table, X, qm)
     m_shift = m_q_s(table, X, qm, 1.0 + eps).real
     if eps == 0.0:
@@ -272,57 +234,182 @@ def verify_mqeps(
     return replace(row, verdict=combine_verdicts(row.verdict, lower))
 
 
-def mcheckqeps_bound(X: float, q: Modulus | int, eps: float) -> float:
+def mqeps_scan(
+    table: ArithmeticTable,
+    n_max: int,
+    q: Modulus | int,
+    eps: float,
+    points: int = 200,
+) -> tuple[float, float, float]:
+    """(min envelope margin, argmin X, min slack of value >= -q/phi(q))
+    over a log grid of X in [2, n_max]."""
+    _defect_domain(float(n_max), eps)
+    qm = Modulus.coerce(q)
+    xs = np.exp(np.linspace(math.log(2.0), math.log(float(n_max)), points))
+    idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
+    p1 = prefix_m_q(table, n_max, qm, 1.0)
+    lxs = np.log(xs)
+    if eps == 0.0:
+        l1 = prefix_log_moment(table, n_max, qm, 1.0, 1)
+        delta = lxs * p1[idx] + l1[idx] - qm.q_over_phi
+    else:
+        ps = prefix_m_q(table, n_max, qm, 1.0 + eps)
+        delta = (ps[idx] - p1[idx] * np.exp(-eps * lxs)) / eps - phi_ratio(
+            qm, 1.0 + eps
+        ) / eps_zeta(eps)
+    margin = mqeps_bound(xs, qm, eps) - np.abs(delta)
+    i = int(np.argmin(margin))
+    floor_slack = float(np.min(delta + qm.q_over_phi))
+    return float(margin[i]), float(xs[i]), floor_slack
+
+
+# ----------------------------------------------------------------------
+# The log-weighted sum m_check_q(X; sigma) for real sigma.
+
+
+def _mcheck_main(qm: Modulus, sigma: float):
+    """Main term of m_check_q(X; sigma) and its error, as functions of
+    lx = log X, plus q^sigma/phi_sigma(q):
+
+        (q^sigma/phi_sigma(q)) (log X/zeta - zeta'/zeta^2
+                                - (1/zeta) sum_{p|q} log p/(p^sigma - 1)).
+    """
+    invz = inv_zeta(complex(sigma))
+    zz2 = zp_over_z2(complex(sigma))
+    pr = phi_ratio(qm, sigma)
+    lps = _log_p_sum(qm, sigma).real
+    a, b = invz.value.real, zz2.value.real
+
+    def value(lx):
+        v = lx * a - b
+        # q = 1 has pr = 1 and lps = 0, so the full form is bit-identical
+        return v if not qm.primes else pr * (v - a * lps)
+
+    def err(lx):
+        return pr * ((lx + lps) * invz.err + zz2.err)
+
+    return value, err, pr
+
+
+def _mcheckqeps_domain(X: float, eps: float) -> None:
+    if X < 15.0:
+        raise ValueError("the estimate starts at X = 15")
+    if not 0.0 <= eps <= 0.1:
+        raise ValueError("eps must lie in [0, 1/10]")
+
+
+def mcheckqeps_bound(X, q: Modulus | int, eps: float, lx):
+    """Envelope of X^eps |m_check_q(X;1+eps) - main| with lx = log X."""
     qm = Modulus.coerce(q)
     two_eps = 2.0**eps
-    first = 0.0
-    if X >= 1e12:
-        first = 0.0336 * g1(qm) * two_eps * phi_ratio(qm, XI) / math.log(X)
-    second = (
-        (4.86 * g0(qm) + 2.93 + 2.83 * eps * math.log(X) + 5.17 * eps)
+    main = (
+        (4.86 * g0(qm) + 2.93 + 2.83 * eps * lx + 5.17 * eps)
         * phi_ratio(qm, 0.5)
         * two_eps
-        / math.sqrt(X)
+        / np.sqrt(X)
     )
-    return first + second
+    return _plus_beyond(
+        main, X, 1e12, lambda l: 0.0336 * g1(qm) * two_eps * phi_ratio(qm, XI) / l
+    )
 
 
 def verify_mcheckqeps(
     table: ArithmeticTable, X: float, q: Modulus | int, eps: float
 ) -> BoundRow:
     """X^eps |m_check_q(X;1+eps) - main| against the explicit envelope."""
-    if X < 15.0:
-        raise ValueError("the estimate starts at X = 15")
-    if not 0.0 <= eps <= 0.1:
-        raise ValueError("eps must lie in [0, 1/10]")
+    _mcheckqeps_domain(X, eps)
     qm = Modulus.coerce(q)
     sigma = 1.0 + eps
-    invz = inv_zeta(complex(sigma))
-    zz2 = zp_over_z2(complex(sigma))
-    pr = phi_ratio(qm, sigma)
-    lps = _log_p_sum(qm, sigma).real
+    main, main_err, pr = _mcheck_main(qm, sigma)
     lx = math.log(X)
-    main = pr * (lx * invz.value.real - zz2.value.real - invz.value.real * lps)
-    main_err = pr * ((lx + lps) * invz.err + zz2.err)
     mc = m_check_q_s(table, X, qm, sigma).real
     scale = math.exp(eps * lx)
-    lhs = scale * abs(mc - main)
-    lhs_err = scale * (main_err + 64.0 * EPS * (1.0 + lx) * (1.0 + pr))
-    bound = mcheckqeps_bound(X, qm, eps)
-    return bound_row(
-        "mcheckqeps",
-        X,
-        qm.q,
-        f"eps={eps:g}",
-        lhs=lhs,
-        bound=bound,
-        lhs_err=lhs_err,
-        bound_err=8.0 * EPS * bound,
-    )
+    lhs = scale * abs(mc - main(lx))
+    lhs_err = scale * (main_err(lx) + 64.0 * EPS * (1.0 + lx) * (1.0 + pr))
+    bound = mcheckqeps_bound(X, qm, eps, lx)
+    return _row("mcheckqeps", X, qm.q, f"eps={eps:g}", lhs, bound, lhs_err)
+
+
+def mcheckqeps_scan(
+    table: ArithmeticTable,
+    n_max: int,
+    q: Modulus | int,
+    eps: float,
+    points: int = 200,
+) -> tuple[float, float]:
+    """(min margin, argmin X) for the log-weighted envelope on [15, n_max]."""
+    _mcheckqeps_domain(float(n_max), eps)
+    qm = Modulus.coerce(q)
+    sigma = 1.0 + eps
+    xs = np.exp(np.linspace(math.log(15.0), math.log(float(n_max)), points))
+    idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
+    ps = prefix_m_q(table, n_max, qm, sigma)
+    l1 = prefix_log_moment(table, n_max, qm, sigma, 1)
+    lxs = np.log(xs)
+    mc = lxs * ps[idx] + l1[idx]
+    main, _, _ = _mcheck_main(qm, sigma)
+    lhs = np.exp(eps * lxs) * np.abs(mc - main(lxs))
+    margin = mcheckqeps_bound(xs, qm, eps, lxs) - lhs
+    i = int(np.argmin(margin))
+    return float(margin[i]), float(xs[i])
 
 
 # ----------------------------------------------------------------------
-# Complex-parameter estimates.
+# The real-sigma specialization with numeric constants.
+
+
+def _special_domain(X: float, sigma: float) -> None:
+    if not 15.0 <= X <= 1e8:
+        raise ValueError("X must lie in [15, 1e8]")
+    if not 1.0 <= sigma <= 1.04:
+        raise ValueError("sigma must lie in [1, 1.04]")
+
+
+def special_bound(sigma: float, lx):
+    """(15.5 + 3.11 (sigma-1) log X) / X^(sigma-1/2) with lx = log X."""
+    return (15.5 + 3.11 * (sigma - 1.0) * lx) / _exp((sigma - 0.5) * lx)
+
+
+def verify_special(table: ArithmeticTable, X: float, sigma: float) -> BoundRow:
+    """|m_check(X;sigma) - (log X / zeta - zeta'/zeta^2)| vs special_bound."""
+    _special_domain(X, sigma)
+    main, main_err, _ = _mcheck_main(ONE, sigma)
+    lx = math.log(X)
+    mc = m_check_q_s(table, X, 1, sigma).real
+    lhs = abs(mc - main(lx))
+    lhs_err = main_err(lx) + 64.0 * EPS * (1.0 + lx)
+    bound = special_bound(sigma, lx)
+    return _row("special", X, 1, f"sigma={sigma:g}", lhs, bound, lhs_err)
+
+
+def special_scan(
+    table: ArithmeticTable, n_max: int, sigma: float
+) -> tuple[float, float]:
+    """Conservative whole-interval check of the real-sigma estimate.
+
+    On [n, n+1) the defect D(log X) is linear in log X, so |D| peaks at an
+    endpoint, while the envelope decreases in X; the interval is certified
+    by bound(n+1) - max(|D(n)|, |D(n+1-)|) >= 0.  Returns (min margin,
+    argmin X); a nonnegative result covers every real X in [15, n_max].
+    """
+    _special_domain(float(n_max), sigma)
+    main, _, _ = _mcheck_main(ONE, sigma)
+    p = prefix_m_q(table, n_max, 1, sigma)[1:]
+    l1 = prefix_log_moment(table, n_max, 1, sigma, 1)[1:]
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    lo_log = np.log(ns[14:-1])  # intervals [n, n+1), n = 15 .. n_max-1
+    hi_log = np.log(ns[15:])
+    pp = p[14:-1]
+    ll = l1[14:-1]
+    d_left = np.abs(lo_log * pp + ll - main(lo_log))
+    d_right = np.abs(hi_log * pp + ll - main(hi_log))
+    margin = special_bound(sigma, hi_log) - np.maximum(d_left, d_right)
+    i = int(np.argmin(margin))
+    return float(margin[i]), float(ns[15 + i])
+
+
+# ----------------------------------------------------------------------
+# The |m_q| integral, and the complex-parameter estimates built on it.
 
 
 def integral_abs_mq(table: ArithmeticTable, X: float, q: Modulus | int = 1) -> float:
@@ -341,10 +428,26 @@ def integral_abs_mq_bound(X: float, q: Modulus | int = 1) -> float:
     """Envelope 0.010333 g1 q^xi/phi_xi * X 1_{X>=1e12}/log X + g0 sqrt(q)/
     phi_{1/2} sqrt(8X)."""
     qm = Modulus.coerce(q)
-    first = 0.0
-    if X >= 1e12:
-        first = 0.010333 * g1(qm) * phi_ratio(qm, XI) * X / math.log(X)
-    return first + g0(qm) * phi_ratio(qm, 0.5) * math.sqrt(8.0 * X)
+    base = g0(qm) * phi_ratio(qm, 0.5) * math.sqrt(8.0 * X)
+    return _plus_beyond(
+        base, X, 1e12, lambda lx: 0.010333 * g1(qm) * phi_ratio(qm, XI) * X / lx
+    )
+
+
+def verify_integral(table: ArithmeticTable, X: float, q: Modulus | int) -> BoundRow:
+    """int_1^X |m_q(t)| dt against integral_abs_mq_bound."""
+    qm = Modulus.coerce(q)
+    val = integral_abs_mq(table, X, qm)
+    return bound_row(
+        "integral-abs-mq",
+        X,
+        qm.q,
+        "",
+        lhs=val,
+        bound=integral_abs_mq_bound(X, qm),
+        lhs_err=32.0 * EPS * (1.0 + val),
+        bound_err=0.0,
+    )
 
 
 def verify_dex(
@@ -419,76 +522,6 @@ def verify_dex(
 
 
 # ----------------------------------------------------------------------
-# The real-sigma specialization with numeric constants.
-
-
-def special_bound(X: float, sigma: float) -> float:
-    if X >= 1e14:
-        return 0.043 / (math.exp((sigma - 1.0) * math.log(X)) * math.log(X))
-    return (15.5 + 3.11 * (sigma - 1.0) * math.log(X)) / math.exp(
-        (sigma - 0.5) * math.log(X)
-    )
-
-
-def verify_special(table: ArithmeticTable, X: float, sigma: float) -> BoundRow:
-    """|m_check(X;sigma) - (log X / zeta - zeta'/zeta^2)| vs special_bound."""
-    if not 15.0 <= X <= 1e8:
-        raise ValueError("X must lie in [15, 1e8]")
-    if not 1.0 <= sigma <= 1.04:
-        raise ValueError("sigma must lie in [1, 1.04]")
-    invz = inv_zeta(complex(sigma))
-    zz2 = zp_over_z2(complex(sigma))
-    lx = math.log(X)
-    main = lx * invz.value.real - zz2.value.real
-    mc = m_check_q_s(table, X, 1, sigma).real
-    lhs = abs(mc - main)
-    lhs_err = lx * invz.err + zz2.err + 64.0 * EPS * (1.0 + lx)
-    bound = special_bound(X, sigma)
-    return bound_row(
-        "special",
-        X,
-        1,
-        f"sigma={sigma:g}",
-        lhs=lhs,
-        bound=bound,
-        lhs_err=lhs_err,
-        bound_err=8.0 * EPS * bound,
-    )
-
-
-def special_scan(
-    table: ArithmeticTable, n_max: int, sigma: float
-) -> tuple[float, float]:
-    """Conservative whole-interval check of the real-sigma estimate.
-
-    On [n, n+1) the defect D(log X) is linear in log X, so |D| peaks at an
-    endpoint, while the envelope decreases in X; the interval is certified
-    by bound(n+1) - max(|D(n)|, |D(n+1-)|) >= 0.  Returns (min margin,
-    argmin X); a nonnegative result covers every real X in [15, n_max].
-    """
-    invz = inv_zeta(complex(sigma))
-    zz2 = zp_over_z2(complex(sigma))
-    p = prefix_m_q(table, n_max, 1, sigma)[1:]
-    l1 = prefix_log_moment(table, n_max, 1, sigma, 1)[1:]
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    lo_log = np.log(ns[14:-1])  # intervals [n, n+1), n = 15 .. n_max-1
-    hi_log = np.log(ns[15:])
-    pp = p[14:-1]
-    ll = l1[14:-1]
-    a = invz.value.real
-    b = zz2.value.real
-    d_left = np.abs(lo_log * pp + ll - (lo_log * a - b))
-    d_right = np.abs(hi_log * pp + ll - (hi_log * a - b))
-    xs_hi = ns[15:]
-    bound = (15.5 + 3.11 * (sigma - 1.0) * hi_log) * np.exp(
-        -(sigma - 0.5) * hi_log
-    )
-    margin = bound - np.maximum(d_left, d_right)
-    i = int(np.argmin(margin))
-    return float(margin[i]), float(xs_hi[i])
-
-
-# ----------------------------------------------------------------------
 # The logarithmic-integral equation for the |m_q| integral envelope.
 
 
@@ -500,6 +533,8 @@ class Y0Result:
 
 def t_of(y: float, A: float) -> float:
     """T(y) = (log y / y) * int_A^y dt/log t."""
+    from scipy.special import expi
+
     return math.log(y) / y * float(expi(math.log(y)) - expi(math.log(A)))
 
 
@@ -510,6 +545,10 @@ def solve_y0(A: float) -> Y0Result:
     is confirmed against adaptive quadrature; disagreement beyond 1e-8
     relative raises rather than returning a silently wrong root.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+    from scipy.special import expi
+
     if A <= math.e:
         raise ValueError("need A > e")
     liA = float(expi(math.log(A)))
@@ -540,6 +579,43 @@ def solve_y0(A: float) -> Y0Result:
 # Pointwise |m_q| envelopes.
 
 
+def _m_update(qm: Modulus, X, lx):
+    return (0.010032 * lx - 0.0568) / lx**2
+
+
+def _m2_sqrt(qm: Modulus, X, lx):
+    return np.sqrt(3.0 / X)
+
+
+def _m2_log(qm: Modulus, X, lx):
+    return 0.0296 / lx
+
+
+def _m_coprimality(qm: Modulus, X, lx):
+    base = math.sqrt(2.0) * phi_ratio(qm, 0.5) / np.sqrt(X)
+    return _plus_beyond(base, X, 1e14, lambda l: 0.010032 * phi_ratio(qm, THETA) / l)
+
+
+def _m_basemq(qm: Modulus, X, lx):
+    base = g0(qm) * phi_ratio(qm, 0.5) * math.sqrt(2.0) / np.sqrt(X)
+    return _plus_beyond(
+        base, X, 1e12, lambda l: 0.010032 * g1(qm) * phi_ratio(qm, XI) / l
+    )
+
+
+# The published |m_q(X)| envelopes: (theorem_id, the one q it covers or None
+# for all, lowest X, highest X, envelope(qm, X, log X), swept by
+# small_m_scan).  The coprimality envelope is not swept: below 1e12 it is the
+# basemq envelope with g0 <= 1 raised to 1.
+SMALL_M = (
+    ("small-m-update", 1, 617990.0, math.inf, _m_update, True),
+    ("small-m2-sqrt", 2, 1.0, 1e12, _m2_sqrt, True),
+    ("small-m2-log", 2, 5379.0, math.inf, _m2_log, True),
+    ("small-m-coprimality", None, 1.0, math.inf, _m_coprimality, False),
+    ("small-m-basemq", None, 1.0, math.inf, _m_basemq, True),
+)
+
+
 def small_m_bounds(
     table: ArithmeticTable, X: float, q: Modulus | int
 ) -> list[BoundRow]:
@@ -548,40 +624,13 @@ def small_m_bounds(
         raise ValueError("X must be >= 1")
     qm = Modulus.coerce(q)
     val = abs(m_q(table, X, qm))
-    verr = 32.0 * EPS * (1.0 + math.log(X))
     lx = math.log(X)
-    rows: list[BoundRow] = []
-
-    def add(theorem_id: str, bound: float) -> None:
-        rows.append(
-            bound_row(
-                theorem_id,
-                X,
-                qm.q,
-                "",
-                lhs=val,
-                bound=bound,
-                lhs_err=verr,
-                bound_err=8.0 * EPS * abs(bound),
-            )
-        )
-
-    if qm.q == 1 and X >= 617990.0:
-        add("small-m-update", (0.010032 * lx - 0.0568) / lx**2)
-    if qm.q == 2:
-        if X <= 1e12:
-            add("small-m2-sqrt", math.sqrt(3.0 / X))
-        if X >= 5379.0:
-            add("small-m2-log", 0.0296 / lx)
-    cop = math.sqrt(2.0) * phi_ratio(qm, 0.5) / math.sqrt(X)
-    if X >= 1e14:
-        cop += 0.010032 * phi_ratio(qm, THETA) / lx
-    add("small-m-coprimality", cop)
-    base = g0(qm) * phi_ratio(qm, 0.5) * math.sqrt(2.0) / math.sqrt(X)
-    if X >= 1e12:
-        base += 0.010032 * g1(qm) * phi_ratio(qm, XI) / lx
-    add("small-m-basemq", base)
-    return rows
+    verr = 32.0 * EPS * (1.0 + lx)
+    return [
+        _row(name, X, qm.q, "", val, envelope(qm, X, lx), verr)
+        for name, only, x_lo, x_hi, envelope, _ in SMALL_M
+        if only in (None, qm.q) and x_lo <= X <= x_hi
+    ]
 
 
 def small_m_scan(
@@ -593,149 +642,85 @@ def small_m_scan(
     """
     qm = Modulus.coerce(q)
     vals = np.abs(prefix_m_q(table, n_max, qm))[1:]
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    rights = ns + 1.0
+    rights = np.arange(2, n_max + 2, dtype=np.float64)
     lr = np.log(rights)
     out: dict[str, tuple[float, int]] = {}
-
-    def put(name: str, bound: np.ndarray, lo_n: int) -> None:
-        sel = slice(lo_n - 1, None)
-        margin = bound[sel] - vals[sel]
-        i = int(np.argmin(margin))
-        out[name] = (float(margin[i]), lo_n + i)
-
-    if qm.q == 1 and n_max >= 617990:
-        put("small-m-update", (0.010032 * lr - 0.0568) / lr**2, 617990)
-    if qm.q == 2:
-        put("small-m2-sqrt", np.sqrt(3.0 / rights), 1)
-        if n_max >= 5379:
-            put("small-m2-log", 0.0296 / lr, 5379)
-    put(
-        "small-m-basemq",
-        g0(qm) * phi_ratio(qm, 0.5) * np.sqrt(2.0 / rights),
-        1,
-    )
+    for name, only, x_lo, _, envelope, swept in SMALL_M:
+        if swept and only in (None, qm.q) and n_max >= x_lo:
+            lo = int(x_lo)
+            margin = envelope(qm, rights, lr)[lo - 1 :] - vals[lo - 1 :]
+            i = int(np.argmin(margin))
+            out[name] = (float(margin[i]), lo + i)
     return out
 
 
 # ----------------------------------------------------------------------
-# Grid scans for the eps-family (vectorized; see module docstring).
+# The theorem table, and the command-line suites derived from it.
 
 
-def mqeps_scan(
-    table: ArithmeticTable,
-    n_max: int,
-    q: Modulus | int,
-    eps: float,
-    points: int = 200,
-) -> tuple[float, float, float]:
-    """(min envelope margin, argmin X, min slack of value >= -q/phi(q))
-    over a log grid of X in [2, n_max]."""
-    qm = Modulus.coerce(q)
-    xs = np.exp(np.linspace(math.log(2.0), math.log(float(n_max)), points))
-    idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
-    p1 = prefix_m_q(table, n_max, qm, 1.0)
-    lxs = np.log(xs)
-    if eps == 0.0:
-        l1 = prefix_log_moment(table, n_max, qm, 1.0, 1)
-        delta = lxs * p1[idx] + l1[idx] - qm.q_over_phi
-    else:
-        ps = prefix_m_q(table, n_max, qm, 1.0 + eps)
-        delta = (ps[idx] - p1[idx] * np.exp(-eps * lxs)) / eps - phi_ratio(
-            qm, 1.0 + eps
-        ) / eps_zeta(eps)
-    two_eps = 2.0**eps
-    bound = (
-        (4.1 * g0(qm) + (5.0 + eps * two_eps) / 2.0)
-        * phi_ratio(qm, 0.5)
-        * two_eps
-        / np.sqrt(xs)
-    )
-    margin = bound - np.abs(delta)
-    i = int(np.argmin(margin))
-    floor_slack = float(np.min(delta + qm.q_over_phi))
-    return float(margin[i]), float(xs[i]), floor_slack
+def _dex_checker(which: str):
+    def check(table: ArithmeticTable, X: float, q: int, s: complex, sigma0: float):
+        return verify_dex(table, X, q, ComplexParameter(s, sigma0), which)
+
+    return check
 
 
-def mcheckqeps_scan(
-    table: ArithmeticTable,
-    n_max: int,
-    q: Modulus | int,
-    eps: float,
-    points: int = 200,
-) -> tuple[float, float]:
-    """(min margin, argmin X) for the log-weighted envelope on [15, n_max]."""
-    qm = Modulus.coerce(q)
-    sigma = 1.0 + eps
-    xs = np.exp(np.linspace(math.log(15.0), math.log(float(n_max)), points))
-    idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
-    ps = prefix_m_q(table, n_max, qm, sigma)
-    l1 = prefix_log_moment(table, n_max, qm, sigma, 1)
-    lxs = np.log(xs)
-    mc = lxs * ps[idx] + l1[idx]
-    invz = inv_zeta(complex(sigma)).value.real
-    zz2 = zp_over_z2(complex(sigma)).value.real
-    pr = phi_ratio(qm, sigma)
-    lps = _log_p_sum(qm, sigma).real
-    main = pr * (lxs * invz - zz2 - invz * lps)
-    lhs = np.exp(eps * lxs) * np.abs(mc - main)
-    two_eps = 2.0**eps
-    bound = (
-        (4.86 * g0(qm) + 2.93 + 2.83 * eps * lxs + 5.17 * eps)
-        * phi_ratio(qm, 0.5)
-        * two_eps
-        / np.sqrt(xs)
-    )
-    margin = bound - lhs
-    i = int(np.argmin(margin))
-    return float(margin[i]), float(xs[i])
+# --theorem name -> (checker, the grid axes it iterates, suite grid or None).
+# Axes are named by their command-line flags and every grid starts with X;
+# the checker takes the table and then one value per axis.
+THEOREMS = {
+    "easy": (
+        verify_easy,
+        ("X", "q", "k", "sigma"),
+        ((1.0, 10.0, 100.0, 1e3, 1e4), (1, 2, 6, 30), (1, 2, 3), (1.0, 1.5)),
+    ),
+    "mqeps": (
+        verify_mqeps,
+        ("X", "q", "eps"),
+        ((1.0, 10.0, 100.0, 5e3, 1e5), (1, 2, 3, 6, 30), (0.0, 0.01, 0.1, 0.5, 1.0)),
+    ),
+    "mcheckqeps": (
+        verify_mcheckqeps,
+        ("X", "q", "eps"),
+        ((15.0, 100.0, 5e3, 1e5), (1, 2, 6, 30), (0.0, 0.02, 0.05, 0.1)),
+    ),
+    "mqdex": (_dex_checker("mqdex"), ("X", "q", "s", "sigma0"), None),
+    "mcheckqdex": (_dex_checker("mcheckqdex"), ("X", "q", "s", "sigma0"), None),
+    "special": (
+        verify_special,
+        ("X", "sigma"),
+        ((15.0, 100.0, 1e3, 1e5, 1e6), (1.0, 1.01, 1.04)),
+    ),
+    "small-m": (
+        small_m_bounds,
+        ("X", "q"),
+        ((1.0, 100.0, 1e4, 617990.0, 1e6), (1, 2, 6)),
+    ),
+    "integral": (verify_integral, ("X", "q"), ((1.0, 4.0, 10.0, 1e3, 1e5), (1, 2, 6))),
+}
 
 
-# ----------------------------------------------------------------------
-# Named suites for the command-line runner.
-
-
-def _suite_easy(table: ArithmeticTable) -> list[BoundRow]:
-    lim = table.limit
-    rows = []
-    for X in (1.0, 10.0, 100.0, 1e3, 1e4):
-        if X > lim:
-            continue
-        for qv in (1, 2, 6, 30):
-            for k in (1, 2, 3):
-                for sigma in (1.0, 1.5):
-                    rows.append(verify_easy(table, X, qv, k, sigma))
+def grid_rows(table: ArithmeticTable, theorem: str, grids) -> list[BoundRow]:
+    """Rows of one theorem over the product of its axis grids, in axis order."""
+    check = THEOREMS[theorem][0]
+    rows: list[BoundRow] = []
+    for point in itertools.product(*grids):
+        out = check(table, *point)
+        rows.extend([out] if isinstance(out, BoundRow) else out)
     return rows
 
 
-def _suite_mqeps(table: ArithmeticTable) -> list[BoundRow]:
-    lim = table.limit
-    rows = []
-    for X in (1.0, 10.0, 100.0, 5e3, 1e5):
-        if X > lim:
-            continue
-        for qv in (1, 2, 3, 6, 30):
-            for eps in (0.0, 0.01, 0.1, 0.5, 1.0):
-                rows.append(verify_mqeps(table, X, qv, eps))
-    return rows
+def _grid_suite(theorem: str):
+    xs, *rest = THEOREMS[theorem][2]
 
+    def suite(table: ArithmeticTable) -> list[BoundRow]:
+        return grid_rows(table, theorem, [[X for X in xs if X <= table.limit], *rest])
 
-def _suite_mcheckqeps(table: ArithmeticTable) -> list[BoundRow]:
-    lim = table.limit
-    rows = []
-    for X in (15.0, 100.0, 5e3, 1e5):
-        if X > lim:
-            continue
-        for qv in (1, 2, 6, 30):
-            for eps in (0.0, 0.02, 0.05, 0.1):
-                rows.append(verify_mcheckqeps(table, X, qv, eps))
-    return rows
+    return suite
 
 
 def _suite_dex(table: ArithmeticTable) -> list[BoundRow]:
-    from .analytic import ComplexParameter
-
-    lim = table.limit
+    # explicit: the two estimates interleave per grid point
     rows = []
     points = [
         (complex(1.5, 0.0), 0.5),
@@ -745,7 +730,7 @@ def _suite_dex(table: ArithmeticTable) -> list[BoundRow]:
         (complex(1.0, 0.0), 0.5),
     ]
     for X in (1.0, 50.0, 1e3, 1e4):
-        if X > lim:
+        if X > table.limit:
             continue
         for s, s0 in points:
             p = ComplexParameter(s, s0)
@@ -756,57 +741,5 @@ def _suite_dex(table: ArithmeticTable) -> list[BoundRow]:
     return rows
 
 
-def _suite_special(table: ArithmeticTable) -> list[BoundRow]:
-    lim = table.limit
-    rows = []
-    for X in (15.0, 100.0, 1e3, 1e5, 1e6):
-        if X > lim:
-            continue
-        for sigma in (1.0, 1.01, 1.04):
-            rows.append(verify_special(table, X, sigma))
-    return rows
-
-
-def _suite_small_m(table: ArithmeticTable) -> list[BoundRow]:
-    lim = table.limit
-    rows = []
-    for X in (1.0, 100.0, 1e4, 617990.0, 1e6):
-        if X > lim:
-            continue
-        for qv in (1, 2, 6):
-            rows.extend(small_m_bounds(table, X, qv))
-    return rows
-
-
-def _suite_integral(table: ArithmeticTable) -> list[BoundRow]:
-    lim = table.limit
-    rows = []
-    for X in (1.0, 4.0, 10.0, 1e3, 1e5):
-        if X > lim:
-            continue
-        for qv in (1, 2, 6):
-            val = integral_abs_mq(table, X, qv)
-            rows.append(
-                bound_row(
-                    "integral-abs-mq",
-                    X,
-                    Modulus.coerce(qv).q,
-                    "",
-                    lhs=val,
-                    bound=integral_abs_mq_bound(X, qv),
-                    lhs_err=32.0 * EPS * (1.0 + val),
-                    bound_err=0.0,
-                )
-            )
-    return rows
-
-
-SUITES = {
-    "easy": _suite_easy,
-    "mqeps": _suite_mqeps,
-    "mcheckqeps": _suite_mcheckqeps,
-    "dex": _suite_dex,
-    "special": _suite_special,
-    "small-m": _suite_small_m,
-    "integral": _suite_integral,
-}
+SUITES = {name: _grid_suite(name) for name, (_, _, grid) in THEOREMS.items() if grid}
+SUITES["dex"] = _suite_dex

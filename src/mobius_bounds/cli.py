@@ -17,27 +17,16 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import bounds
 from .util import FAIL, INCONCLUSIVE, CapacityError
 from .reports import BoundRow, bound_row, rows_to_csv, rows_to_jsonl, verdict_counts
 
-CACHE_ENV = "MOBIUS_BOUNDS_CACHE"
-
-_THEOREMS = (
-    "easy",
-    "mqeps",
-    "mcheckqeps",
-    "mqdex",
-    "mcheckqdex",
-    "special",
-    "small-m",
-    "integral",
-)
+_THEOREMS = tuple(bounds.THEOREMS)
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +56,6 @@ class RunConfig:
     out: str = "-"
     fmt: str = "csv"
     no_timestamp: bool = False
-    cache_dir: str | None = None
     argv: tuple[str, ...] = ()
 
 
@@ -119,10 +107,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--no-timestamp", action="store_true")
-
-    p = sub.add_parser("sieve", help="build a sieve table and cache it")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--cache-dir", default=None, help=f"defaults to ${CACHE_ENV}")
 
     p = sub.add_parser("sum", help="evaluate restricted Mobius partial sums")
     common(p)
@@ -238,28 +222,28 @@ def _rows_identity(cfg: RunConfig, table) -> list[BoundRow]:
         rep = catalog_check(table, cfg.name, X, h_spec=h_spec)
         rows.append(
             bound_row(
-                "identity-ofd", X, 1, cfg.name, lhs=abs(rep.ofd_residual), bound=1e-9
+                "identity-ofd",
+                X,
+                1,
+                cfg.name,
+                lhs=abs(rep.ofd_residual),
+                bound=1e-9,
+                lhs_err=rep.ofd_err,
             )
         )
-        if cfg.name == "liouville":
-            # the printed closed form does not hold; its residual is
-            # reported without being asserted against a tolerance
-            rows.append(
-                bound_row(
-                    "identity-printed",
-                    X,
-                    1,
-                    f"{cfg.name} reported only",
-                    lhs=abs(rep.residual),
-                    bound=float("inf"),
-                )
+        # the printed liouville form does not hold; its residual is
+        # reported without being asserted against a tolerance
+        printed_only = cfg.name == "liouville"
+        rows.append(
+            bound_row(
+                "identity-printed",
+                X,
+                1,
+                f"{cfg.name} reported only" if printed_only else cfg.name,
+                lhs=abs(rep.residual),
+                bound=float("inf") if printed_only else 1e-9,
             )
-        else:
-            rows.append(
-                bound_row(
-                    "identity-printed", X, 1, cfg.name, lhs=abs(rep.residual), bound=1e-9
-                )
-            )
+        )
         if rep.alt_residual is not None:
             rows.append(
                 bound_row(
@@ -275,55 +259,13 @@ def _rows_identity(cfg: RunConfig, table) -> list[BoundRow]:
 
 
 def _rows_verify(cfg: RunConfig, table) -> list[BoundRow]:
-    from . import bounds
-    from .analytic import ComplexParameter
-
     if not cfg.x_values:
         raise ValueError("--theorem verification needs a non-empty --X grid")
-    rows: list[BoundRow] = []
-    if cfg.theorem == "easy":
-        for X in cfg.x_values:
-            for q in cfg.q_values:
-                for k in cfg.k_values:
-                    for sg in cfg.sigma_values:
-                        rows.append(bounds.verify_easy(table, X, q, k, sg))
-    elif cfg.theorem in ("mqeps", "mcheckqeps"):
-        fn = bounds.verify_mqeps if cfg.theorem == "mqeps" else bounds.verify_mcheckqeps
-        for X in cfg.x_values:
-            for q in cfg.q_values:
-                for eps in cfg.eps_values:
-                    rows.append(fn(table, X, q, eps))
-    elif cfg.theorem in ("mqdex", "mcheckqdex"):
-        for X in cfg.x_values:
-            for q in cfg.q_values:
-                for s in cfg.s_values:
-                    for s0 in cfg.sigma0_values:
-                        p = ComplexParameter(s, s0)
-                        rows.append(bounds.verify_dex(table, X, q, p, cfg.theorem))
-    elif cfg.theorem == "special":
-        for X in cfg.x_values:
-            for sg in cfg.sigma_values:
-                rows.append(bounds.verify_special(table, X, sg))
-    elif cfg.theorem == "small-m":
-        for X in cfg.x_values:
-            for q in cfg.q_values:
-                rows.extend(bounds.small_m_bounds(table, X, q))
-    elif cfg.theorem == "integral":
-        for X in cfg.x_values:
-            for q in cfg.q_values:
-                rows.append(
-                    bound_row(
-                        "integral-abs-mq",
-                        X,
-                        q,
-                        "",
-                        lhs=bounds.integral_abs_mq(table, X, q),
-                        bound=bounds.integral_abs_mq_bound(X, q),
-                    )
-                )
-    else:
+    if cfg.theorem not in bounds.THEOREMS:
         raise ValueError("verify needs --theorem, --suite, or --list")
-    return rows
+    axes = bounds.THEOREMS[cfg.theorem][1]
+    grids = [getattr(cfg, f"{axis.lower()}_values") for axis in axes]
+    return bounds.grid_rows(table, cfg.theorem, grids)
 
 
 def _rows_caps(cfg: RunConfig, table) -> list[BoundRow]:
@@ -334,17 +276,8 @@ def _rows_caps(cfg: RunConfig, table) -> list[BoundRow]:
         scan = delta_sign.caps_scan(table, q, cfg.x0, eps_max=cfg.eps_max)
         # ad-hoc scans report the grid maximum; the certified caps with
         # their published thresholds live in the delta-sign:caps suite
-        rows.append(
-            bound_row(
-                "delta-caps",
-                cfg.x0,
-                q,
-                f"eps_step={scan.eps_step:g} arg=({scan.arg_n},{scan.arg_eps:g}) "
-                f"rigorous_cap={scan.rigorous_cap!r}",
-                lhs=scan.grid_max,
-                bound=float("inf"),
-            )
-        )
+        detail = f" rigorous_cap={scan.rigorous_cap!r}"
+        rows.append(delta_sign.caps_row(scan, float("inf"), detail))
     return rows
 
 
@@ -373,12 +306,6 @@ def _run_delta_certs(cfg: RunConfig, table) -> int:
     return 0
 
 
-def _rows_harmonic(cfg: RunConfig, table) -> list[BoundRow]:
-    from .harmonic import verify_harmonic
-
-    return verify_harmonic(table, cfg.x0)
-
-
 # ----------------------------------------------------------------------
 # Driver.
 
@@ -399,17 +326,6 @@ def _emit(cfg: RunConfig, rows: list[BoundRow]) -> None:
 
 
 def run(cfg: RunConfig) -> int:
-    if cfg.command == "sieve":
-        from .arith import build_table, save_mu_cache
-
-        table = build_table(cfg.limit)
-        cache = Path(cfg.cache_dir or os.environ.get(CACHE_ENV) or ".")
-        cache.mkdir(parents=True, exist_ok=True)
-        path = cache / f"mu-{cfg.limit}.bin"
-        save_mu_cache(path, table)
-        print(f"sieved up to {cfg.limit}: {path}")
-        return 0
-
     if cfg.command == "verify" and cfg.list_suites:
         for name in sorted(suite_registry()):
             print(name)
@@ -441,8 +357,10 @@ def run(cfg: RunConfig) -> int:
             return _run_delta_certs(cfg, table)
         rows = _rows_caps(cfg, table)
     elif cfg.command == "harmonic":
+        from .harmonic import verify_harmonic
+
         table = build_table(_require_limit(cfg, cfg.x0))
-        rows = _rows_harmonic(cfg, table)
+        rows = verify_harmonic(table, cfg.x0)
     else:
         raise ValueError(f"unknown command {cfg.command!r}")
 

@@ -24,7 +24,6 @@ noted here, not implemented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +33,8 @@ from .util import GAMMA, LOG_2PI_HALF, CapacityError, floor_int
 
 LOG3 = math.log(3.0)
 
-# limits of the alpha mass integrals int_1^inf ... dx/x
+# limit of the negative alpha mass int_1^inf |alpha|_- dx/x
 ALPHA_NEG_MASS = (1.0 - GAMMA) / 2.0
-ALPHA_TOTAL_MASS = GAMMA - 0.5
 
 _PIECE_CAP = 4_000_000
 
@@ -62,40 +60,6 @@ def beta(t: float) -> float:
     return (u - u * u) / t
 
 
-@dataclass(frozen=True)
-class SawtoothPiece:
-    """Closed form of alpha and beta on [k, k+1).
-
-    x^2 alpha(x) = top - x^2 with top = k(k+1), so alpha changes sign
-    exactly once on the piece, at x = sqrt(top) = k + t_k with
-    0 < t_k < 1/2: positive before, negative after.
-    """
-
-    k: int
-    t_k: float
-    top: int
-
-    @classmethod
-    def at(cls, k: int) -> "SawtoothPiece":
-        if k < 1:
-            raise ValueError("piece index must be >= 1")
-        top = k * (k + 1)
-        return cls(k=k, t_k=math.sqrt(top) - k, top=top)
-
-    def _check(self, x: float) -> None:
-        if not self.k <= x < self.k + 1:
-            raise ValueError(f"x={x} outside [{self.k}, {self.k + 1})")
-
-    def alpha(self, x: float) -> float:
-        self._check(x)
-        return self.top / (x * x) - 1.0
-
-    def beta(self, x: float) -> float:
-        self._check(x)
-        u = x - self.k
-        return (u - u * u) / x
-
-
 def neg_alpha_integral(K: int) -> float:
     """Mass of the negative part: sum_{k<=K} int over {alpha < 0} of
     |alpha(x)| dx/x on [k, k+1).
@@ -110,18 +74,6 @@ def neg_alpha_integral(K: int) -> float:
         return 0.0
     k = np.arange(1, K + 1, dtype=np.float64)
     terms = 0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))
-    return math.fsum(terms.tolist())
-
-
-def signed_alpha_integral(K: int) -> float:
-    """sum_{k<=K} int_k^{k+1} alpha(x) dx/x; increases to gamma - 1/2
-    like 1/(12 K^2)."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if K == 0:
-        return 0.0
-    k = np.arange(1, K + 1, dtype=np.float64)
-    terms = (2.0 * k + 1.0) / (2.0 * k * (k + 1.0)) - np.log1p(1.0 / k)
     return math.fsum(terms.tolist())
 
 
@@ -338,14 +290,6 @@ def g_of(X: float) -> float:
             math.log(X) / (4.0 * X * X),
         ]
     )
-
-
-def g_slope(X: float) -> float:
-    """g'(X) = -log(2 pi)/X^2 + 1/(4 X^3) - log(X)/(2 X^3); < 0 for X >= 1."""
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
-    x2 = X * X
-    return -2.0 * LOG_2PI_HALF / x2 + 0.25 / (x2 * X) - math.log(X) / (2.0 * x2 * X)
 
 
 # ----------------------------------------------------------------------

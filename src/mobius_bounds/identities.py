@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import ArithmeticTable, Modulus, m_check_q, m_q
-from .util import EPS, GAMMA, CapacityError, expm1c, floor_int, frac
+from .util import EPS, GAMMA, CapacityError, expm1c, floor_int
 
 F_IDS = (
     "mobius",
@@ -76,10 +76,21 @@ class OfdResult:
     i2: complex
     residual: float
     pieces: int
+    mass: float  # sum of |x| over every real x passed to fsum
 
     @property
     def rhs(self) -> complex:
         return self.i1 + self.i2
+
+    @property
+    def residual_err(self) -> float:
+        """Rounding estimate for the residual: each value passed to fsum
+        comes out of at most eight rounded operations (cut point X/m, log,
+        exp or expm1, a difference of H values, three products), each off
+        by at most EPS of its size; doubling that covers the fsums and the
+        final difference.  An estimate, not an enclosure: a cancelling
+        difference H(hi) - H(lo) can lose more."""
+        return 16.0 * EPS * self.mass
 
 
 # ----------------------------------------------------------------------
@@ -301,16 +312,19 @@ def evaluate_ofd(
         im2.append(part.imag)
         pieces += 1
     i2 = complex(math.fsum(re2), math.fsum(im2))
+    summed = [terms.real, terms.imag, re1, im1, re2, im2]
     if dirac:
         # the point mass at n/t = 1 contributes g(n) S_f(X/n) for each n <= X
         gd = _g_values(spec.g_id, n)
         idx = _floor_array(X / nn)
         sub = gd[1:] * sf[idx.clip(0, n)]
         i2 -= complex(math.fsum(sub.tolist()))
+        summed.append(sub)
 
     rhs = i1 + i2
+    mass = math.fsum(np.abs(np.concatenate(summed)).tolist())
     return OfdResult(
-        lhs=lhs, i1=i1, i2=i2, residual=abs(lhs - rhs), pieces=pieces
+        lhs=lhs, i1=i1, i2=i2, residual=abs(lhs - rhs), pieces=pieces, mass=mass
     )
 
 
@@ -326,6 +340,7 @@ class CatalogReport:
     rhs: float
     residual: float
     ofd_residual: float
+    ofd_err: float
     alt_residual: float | None = None
     note: str = ""
 
@@ -462,6 +477,7 @@ def catalog_check(
             rhs=abs(ofd.rhs),
             residual=ofd.residual,
             ofd_residual=ofd.residual,
+            ofd_err=ofd.residual_err,
             note="generic weight: printed and raw forms coincide",
         )
 
@@ -524,38 +540,8 @@ def catalog_check(
         rhs=float(rhs),
         residual=abs(float(lhs) - float(rhs)),
         ofd_residual=ofd.residual,
+        ofd_err=ofd.residual_err,
         alt_residual=alt,
         note=note,
     )
 
-
-def meissel_scan(table: ArithmeticTable, n_max: int) -> float:
-    """Max residual of the Dirac instance against the direct fractional sum
-    over all integer X <= n_max.  Vectorized; the right side is assembled
-    from the same piece decomposition evaluate_ofd uses, reduced to a
-    cumulative sum (the pieces are (X/(m+1), X/m] with constant level)."""
-    table._check_range(n_max)
-    mu = table.mu[: n_max + 1].astype(np.float64)
-    mert = table.mertens_prefix[: n_max + 1].astype(np.float64)
-    m_over = np.concatenate(([0.0], mu[1:] / np.arange(1, n_max + 1)))
-    m_pref = np.cumsum(m_over)  # m(X) at integers
-
-    # int_1^X M(X/t) dt = X * sum_{m<X} M(m)/(m(m+1)); build the prefix once
-    marr = np.arange(1, n_max + 1, dtype=np.float64)
-    level = mert[1:] / (marr * (marr + 1.0))
-    cs = np.concatenate(([0.0], np.cumsum(level)))  # cs[j] = sum_{m<=j}
-
-    worst = 0.0
-    for X in range(1, n_max + 1):
-        nn = np.arange(1, X + 1)
-        direct = float(np.sum(mu[1 : X + 1] * (np.mod(X, nn) / nn)))
-        lhs_direct = direct  # sum mu(n){X/n}
-        # raw identity right side: S_{mu*1}(X) + int - sum M(X/n), then
-        # shifted to the printed normal form -1 + X m(X)
-        integral = X * float(cs[X - 1]) if X >= 2 else 0.0
-        msum = float(np.sum(mert[X // nn]))
-        rhs_raw = 1.0 + integral - msum  # equals X m(X) - M(X)
-        resid = abs((X * float(m_pref[X]) - float(mert[X])) - rhs_raw)
-        resid = max(resid, abs(lhs_direct - (-1.0 + X * float(m_pref[X]))))
-        worst = max(worst, resid)
-    return worst

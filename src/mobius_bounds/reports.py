@@ -31,9 +31,6 @@ class BoundRow:
     margin: float
     verdict: str
 
-    def key(self) -> tuple:
-        return (self.theorem_id, self.X, self.q, self.param)
-
 
 def bound_row(
     theorem_id: str,
@@ -87,25 +84,9 @@ def rows_to_jsonl(rows: Sequence[BoundRow]) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def write_rows(path: str, rows: Sequence[BoundRow], fmt: str = "csv",
-               header_lines: Sequence[str] = ()) -> None:
-    if fmt == "csv":
-        text = rows_to_csv(rows, header_lines)
-    elif fmt == "jsonl":
-        text = rows_to_jsonl(rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def verdict_counts(rows: Iterable[BoundRow]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for r in rows:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
     return counts
 
-
-def worst_margin(rows: Iterable[BoundRow]) -> float:
-    margins = [r.margin for r in rows]
-    return min(margins) if margins else float("inf")

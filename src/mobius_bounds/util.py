@@ -59,11 +59,6 @@ def floor_int(x: float) -> int:
     return math.floor(x)
 
 
-def frac(x: float) -> float:
-    """Fractional part {x} = x - floor(x), in [0, 1)."""
-    return x - math.floor(x)
-
-
 def expm1c(z: complex | float) -> complex | float:
     """exp(z) - 1, stable for small z; accepts real or complex arguments."""
     if isinstance(z, complex):
@@ -79,16 +74,6 @@ def expm1c(z: complex | float) -> complex | float:
 def one_minus_two_pow(w: complex | float) -> complex | float:
     """1 - 2^(-w), stable near w = 0.  Equals (s-1)*c(s) with w = s-1."""
     return -expm1c(-w * LOG2)
-
-
-def powm1_over(w: float, lny: float) -> float:
-    """(1 - y^(-w))/w for y = exp(lny), with the w -> 0 limit lny.
-
-    Used for interval suprema where the naive quotient cancels badly.
-    """
-    if w == 0.0:
-        return lny
-    return -math.expm1(-w * lny) / w
 
 
 # ----------------------------------------------------------------------
@@ -112,12 +97,6 @@ class Approx:
     @property
     def real(self) -> float:
         return self.value.real if isinstance(self.value, complex) else self.value
-
-    def __abs__(self) -> "Approx":
-        return Approx(abs(self.value), self.err)
-
-    def scale(self, factor: float) -> "Approx":
-        return Approx(self.value * factor, self.err * abs(factor))
 
 
 def as_approx(x: "Approx | float", err: float = 0.0) -> Approx:

@@ -3,21 +3,16 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from mobius_bounds.arith import (
     Modulus,
     build_table,
     chebyshev_psi,
-    g1_window,
-    load_mu_cache,
     m_check_q,
     m_check_q_s,
     m_q,
     m_q_s,
-    q_inf_divisors,
-    save_mu_cache,
 )
 from mobius_bounds.util import CapacityError
 
@@ -146,28 +141,6 @@ def test_modulus_structure():
         Modulus.from_int(0)
 
 
-def test_q_inf_divisors():
-    assert q_inf_divisors(6, 20.0) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
-    assert q_inf_divisors(1, 100.0) == [1]
-    vals = q_inf_divisors(10, 1000.0)
-    assert vals == sorted(vals)
-    for d in vals:
-        rem = d
-        for p in (2, 5):
-            while rem % p == 0:
-                rem //= p
-        assert rem == 1
-
-
-def test_g1_window_matches_direct(table_small):
-    # sum of 1/l over q^inf-divisors in the dyadic window (x/2, x]
-    x = 50.0
-    direct = math.fsum(1.0 / d for d in q_inf_divisors(6, x) if d > x / 2)
-    assert g1_window(6, x) == pytest.approx(direct, abs=1e-16)
-    assert g1_window(1, 1.0) == 1.0
-    assert g1_window(1, 10.0) == 0.0
-
-
 def test_capacity_guards(table_small):
     with pytest.raises(CapacityError):
         build_table(0)
@@ -176,10 +149,3 @@ def test_capacity_guards(table_small):
     with pytest.raises(CapacityError):
         m_q(table_small, 2e4)
 
-
-def test_cache_round_trip(tmp_path, table_small):
-    path = tmp_path / "mu.bin"
-    save_mu_cache(path, table_small)
-    limit, mu = load_mu_cache(path)
-    assert limit == table_small.limit
-    assert np.array_equal(mu, table_small.mu)

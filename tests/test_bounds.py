@@ -37,13 +37,6 @@ def test_easy_scan_nonnegative_and_bounded(table_small):
                     assert margin > 0.0, (q, k, sigma, arg)
 
 
-def test_taylor_split_tail_is_rigorous(table_small):
-    for eps in (0.01, 0.1, 0.5):
-        for X in (100.0, 2718.28):
-            direct, truncated, tail = bounds.taylor_split(table_small, X, 1, eps)
-            assert abs(direct - truncated) <= tail + 1e-12
-
-
 def test_delta_q_frozen_and_floor(table_small):
     d = bounds.delta_q(table_small, 11.0, 1, 0.0)
     assert d.value == pytest.approx(0.0007197750798366709, abs=1e-16)

@@ -17,7 +17,6 @@ from mobius_bounds.delta_sign import (
     certificate_to_json,
     certify_sign,
     derivative_bound,
-    divisor_q_values,
     interval_max,
     replay_certificate,
 )
@@ -149,6 +148,21 @@ def test_replay_rejects_understated_slope(table_small):
     assert replay_certificate(table_small, bad) != []
 
 
+def test_replay_rejects_forged_understated_slope(table_small, monkeypatch):
+    # certified with half the proven slope bound, the chain is consistent
+    # with its own M: only M itself can give the forgery away
+    true_bound = delta_sign.derivative_bound
+    monkeypatch.setattr(
+        delta_sign, "derivative_bound", lambda q, N: 0.5 * true_bound(q, N)
+    )
+    forged = certify_sign(table_small, 1, 6.0)
+    monkeypatch.setattr(delta_sign, "derivative_bound", true_bound)
+    assert forged.status == CERTIFIED
+    problems = replay_certificate(table_small, forged)
+    assert len(problems) == len(forged.records)
+    assert all("is below" in p for p in problems)
+
+
 def test_certify_q2_to_41(table_small):
     cert = certify_sign(table_small, 2, 41.0)
     assert cert.status == CERTIFIED
@@ -163,17 +177,6 @@ def test_caps_scan_frozen(table_small):
     for q in (11, 13, 17):
         s = caps_scan(table_small, q, 46.999)
         assert s.grid_max <= 5e-5, (q, s.grid_max)
-
-
-def test_divisor_q_values():
-    vals = divisor_q_values(41.0)
-    # 13 primes up to 41, squarefree products of them
-    assert len(vals) == 2**13
-    assert vals[0] == 1
-    assert {2, 6, 30, 2310} <= set(vals)
-    assert vals == sorted(vals)
-    small = divisor_q_values(3.0)
-    assert small == [1, 2, 3, 6]
 
 
 def test_mean_value_soundness(table_small):

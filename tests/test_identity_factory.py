@@ -10,7 +10,6 @@ from mobius_bounds.identities import (
     IdentitySpec,
     catalog_check,
     evaluate_ofd,
-    meissel_scan,
 )
 
 X_GRID = (1.0, 1.5, 2.0, math.e, 10.0, 100.0, 1000.0)
@@ -74,10 +73,6 @@ def test_daval_general_default(table_small):
     rep = catalog_check(table_small, "daval_general", 50.0)
     assert abs(rep.ofd_residual) <= 1e-9
     assert rep.name in CATALOG_NAMES
-
-
-def test_meissel_scan_sweep(table_small):
-    assert meissel_scan(table_small, 10_000) <= 1e-9
 
 
 def test_catalog_guards(table_small):

@@ -7,18 +7,15 @@ from scipy.integrate import quad
 
 from mobius_bounds import harmonic
 from mobius_bounds.harmonic import (
-    SawtoothPiece,
     alpha,
     beta,
     f_of,
     g_of,
-    g_slope,
     hanson_scan,
     kernel_identity_check,
     lambda_harmonic_sum,
     neg_alpha_integral,
     sawtooth_log_integral,
-    signed_alpha_integral,
     stirling_eps,
     verify_harmonic,
 )
@@ -47,14 +44,14 @@ def test_alpha_beta_triangular_relation():
 
 
 def test_sawtooth_piece_invariants():
+    # on [k, k+1) alpha changes sign once, at k + t_k = sqrt(k(k+1)); the
+    # kernel integrals cut their pieces there
     for k in (1, 2, 10, 999):
-        piece = SawtoothPiece.at(k)
-        assert 0.0 < piece.t_k < 0.5
-        assert abs(piece.alpha(k + piece.t_k)) < 1e-12
-        assert piece.alpha(k + piece.t_k - 1e-6) > 0.0
-        assert piece.alpha(k + piece.t_k + 1e-6) < 0.0
-        with pytest.raises(ValueError):
-            piece.alpha(k + 1.5)
+        t_k = math.sqrt(k * (k + 1.0)) - k
+        assert 0.0 < t_k < 0.5
+        assert abs(alpha(k + t_k)) < 1e-12
+        assert alpha(k + t_k - 1e-6) > 0.0
+        assert alpha(k + t_k + 1e-6) < 0.0
 
 
 def test_neg_alpha_integral_values():
@@ -73,14 +70,6 @@ def test_neg_alpha_integral_limit():
     # remainder lies in (0, 1/(2(K+1)))
     assert 0.0 < diff < 0.5 / (K + 1)
     assert diff < 1e-6
-
-
-def test_signed_alpha_integral_limit():
-    K = 10**4
-    val = signed_alpha_integral(K)
-    lim = GAMMA - 0.5
-    diff = lim - val
-    assert 0.0 < diff < 1.0 / (11.0 * K * K)
 
 
 def test_stirling_eps():
@@ -146,7 +135,7 @@ def test_g_envelope(table_small):
     assert g_of(12.0) == pytest.approx(-0.011679, abs=1e-6)
     for X in (1.0, 12.0, 50.0, 1e3, 1e4):
         assert f_of(table_small, X) <= g_of(X), X
-        assert g_slope(X) < 0.0, X
+        assert g_of(X) > g_of(2.0 * X), X
     # envelope decreases toward its limit value
     assert g_of(1e9) > math.log(3) - 1.5 + (1 - GAMMA) * math.log(3) / 2
 
