@@ -44,7 +44,8 @@ def _envelope_extrema() -> tuple[float, float]:
     # a(e) = 1/(2 e (1+e)^2 zeta(1+e)) and b(e) = (1+2e)/(e (1+e) zeta(1+e))
     # extended by a(0) = 1/2, b(0) = 1; the grid extrema get a one-sided
     # slope pad (|a'|, |b'| < 4 on [0,1]) so a_min is below the true inf
-    # and b_max above the true sup.
+    # and b_max above the true sup.  The slopes stay below 1.3; the spare 2.7
+    # steps (2.7e-5) cover eps_zeta_grid's proven error, below 1e-12.
     grid = np.linspace(0.0, 1.0, 100_001)
     ez = eps_zeta_grid(grid)
     a = 1.0 / (2.0 * (1.0 + grid) ** 2 * ez)
@@ -106,10 +107,18 @@ def defect(
     return math.fsum((w * ratio).tolist()) - main
 
 
-def _peak_log(w: np.ndarray, N: int, x_hi: float) -> float:
-    """log of the endpoint of [N, x_hi] where the defect peaks: within the
-    interval only -m_q(N) X^(-eps)/eps varies with X."""
-    return math.log(x_hi if math.fsum(w.tolist()) >= 0.0 else float(N))
+def _interval_invariants(
+    table: ArithmeticTable, N: int, qm: Modulus, x_hi: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(w, ln, log y) for N <= X <= x_hi: the interval_weights and the log
+    of the endpoint y where the defect peaks, since within the interval only
+    -m_q(N) X^(-eps)/eps varies with X."""
+    if N < 1:
+        raise ValueError("interval index must be >= 1")
+    if not N < x_hi <= N + 1.0:
+        raise ValueError("x_hi must lie in (N, N+1]")
+    w, ln = interval_weights(table, N, qm)
+    return w, ln, math.log(x_hi if math.fsum(w.tolist()) >= 0.0 else float(N))
 
 
 def interval_max(
@@ -126,17 +135,13 @@ def interval_max(
     when m_q(N) >= 0 and y = N otherwise, where it equals defect(..., log y).
     Exact in X: nothing here discretises the interval.
     """
-    if N < 1:
-        raise ValueError("interval index must be >= 1")
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    if x_hi is None:
-        x_hi = N + 1.0
-    if not N < x_hi <= N + 1.0:
-        raise ValueError("x_hi must lie in (N, N+1]")
     qm = Modulus.coerce(q)
-    w, ln = interval_weights(table, N, qm)
-    return defect(w, ln, qm, eps, _peak_log(w, N, x_hi))
+    w, ln, log_y = _interval_invariants(
+        table, N, qm, N + 1.0 if x_hi is None else x_hi
+    )
+    return defect(w, ln, qm, eps, log_y)
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +217,7 @@ def certify_sign(
     status, failure, reason = CERTIFIED, None, ""
     for N, x_hi in _interval_schedule(x0):
         M = derivative_bound(qm, N)
-        w, ln = interval_weights(table, N, qm)
-        log_y = _peak_log(w, N, x_hi)
+        w, ln, log_y = _interval_invariants(table, N, qm, x_hi)
         steps: list[tuple[float, float]] = []
         eps = 0.0
         while eps < eps_max:
@@ -310,10 +314,12 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     and checks the chaining invariants directly -- eps_0 = 0, each
     eps_{k+1} = eps_k - t_k / M, every certified t_k <= -error_budget,
     coverage reaching eps_max on full intervals, and the interval list
-    tiling [1, x0].  Recomputed values must agree within error_budget.
+    tiling [1, x0].  Recomputed values must agree within error_budget.  A
+    step or witness outside the certified range is a problem, not an error.
     """
     problems: list[str] = []
     budget = cert.error_budget
+    qm = Modulus.coerce(cert.q)
     schedule = _interval_schedule(cert.x_range[1])
     if cert.status == CERTIFIED and [r.N for r in cert.records] != [
         n for n, _ in schedule
@@ -336,9 +342,11 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
         if rec.steps[0][0] != 0.0:
             problems.append(f"N={rec.N}: chain does not start at eps = 0")
         is_last_bad = cert.status != CERTIFIED and rec.N == cert.records[-1].N
+        w, ln, log_y = _interval_invariants(table, rec.N, qm, x_hi)
         for k, (eps, t) in enumerate(rec.steps):
-            t_new = interval_max(table, rec.N, cert.q, eps, x_hi=x_hi)
-            if abs(t_new - t) > budget:
+            if not 0.0 <= eps <= 1.0:
+                problems.append(f"N={rec.N}: step {k} has eps={eps!r} outside [0, 1]")
+            elif abs((t_new := defect(w, ln, qm, eps, log_y)) - t) > budget:
                 problems.append(
                     f"N={rec.N}, eps={eps!r}: recorded {t!r} vs replay {t_new!r}"
                 )
@@ -358,11 +366,14 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
             problems.append("fail status without a witness")
         else:
             n_w, eps_w, val_w = cert.failure
-            t_new = interval_max(table, n_w, cert.q, eps_w, x_hi=lookup.get(n_w))
-            if abs(t_new - val_w) > budget:
-                problems.append(f"witness value {val_w!r} vs replay {t_new!r}")
-            if not t_new >= -2.0 * budget:
-                problems.append("witness does not reproduce a positive-side value")
+            if n_w not in lookup or not 0.0 <= eps_w <= 1.0:
+                problems.append(f"witness (N={n_w}, eps={eps_w!r}) outside the range")
+            else:
+                t_new = interval_max(table, n_w, cert.q, eps_w, x_hi=lookup[n_w])
+                if abs(t_new - val_w) > budget:
+                    problems.append(f"witness value {val_w!r} vs replay {t_new!r}")
+                if not t_new >= -2.0 * budget:
+                    problems.append("witness does not reproduce a positive-side value")
     return problems
 
 
@@ -409,8 +420,7 @@ def caps_scan(
     best_pad = -math.inf
     arg_n, arg_eps = 0, 0.0
     for N, x_hi in _interval_schedule(x_max):
-        w, ln = interval_weights(table, N, qm)
-        log_y = _peak_log(w, N, x_hi)
+        w, ln, log_y = _interval_invariants(table, N, qm, x_hi)
         kernel = np.expm1(-np.outer(ln, pos)) - np.expm1(-pos * log_y)
         t_pos = (w @ kernel) / pos - main
         t0 = defect(w, ln, qm, 0.0, log_y)

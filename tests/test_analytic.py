@@ -4,6 +4,7 @@ Oracle: mpmath at 50 digits, frozen where a single float suffices.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -88,6 +89,42 @@ def test_eps_zeta_values_and_continuity():
     gv = eps_zeta_grid(grid)
     for e, g in zip(grid, gv):
         assert g == pytest.approx(eps_zeta(float(e)), abs=5e-14)
+
+
+def test_eps_zeta_is_the_deeper_eta_sum_bit_for_bit():
+    # the fixed-depth sum is the float sequence eta's two-depth route returns
+    rng = random.Random(2024)
+    points = np.linspace(0.0, 1.0, 10_001)[1:].tolist()
+    points += [rng.random() for _ in range(2000)]
+    points += [rng.uniform(1e-8, 1e-6) for _ in range(200)]
+    points += [rng.uniform(1.0, 64.0) for _ in range(200)] + [2.0, 10.0, 64.0]
+    for e in points:
+        want = eta(complex(1.0 + e)).value.real * (e / -math.expm1(-e * math.log(2)))
+        assert eps_zeta(e) == want, e
+
+
+def test_eps_zeta_against_mpmath():
+    for e in np.geomspace(1e-8, 1.0, 40).tolist():
+        want = mpmath.mpf(e) * mpmath.zeta(1 + mpmath.mpf(e))
+        assert abs(eps_zeta(e) - float(want)) <= 1e-14, e
+
+
+def test_eps_zeta_grid_at_envelope_extrema():
+    # the grid points where _envelope_extrema takes a_min and b_max
+    grid = np.linspace(0.0, 1.0, 100_001)
+    ez = eps_zeta_grid(grid)
+    a = 1.0 / (2.0 * (1.0 + grid) ** 2 * ez)
+    b = (1.0 + 2.0 * grid) / ((1.0 + grid) * ez)
+    for i in (int(a.argmin()), int(b.argmax())):
+        e = mpmath.mpf(float(grid[i]))
+        want = e * mpmath.zeta(1 + e) if e > 0 else mpmath.mpf(1)
+        assert abs(float(ez[i]) - float(want)) <= 1e-14, grid[i]
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
+def test_eps_zeta_rejects_negative_and_non_finite(bad):
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        eps_zeta(bad)
 
 
 def test_eps_zeta_monotone_small():

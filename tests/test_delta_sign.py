@@ -140,6 +140,25 @@ def test_replay_rejects_tampering(table_small):
     assert replay_certificate(table_small, bad) != []
 
 
+@pytest.mark.parametrize("eps", [1.5, -0.5, math.nan])
+def test_replay_reports_out_of_range_steps(table_small, eps):
+    cert = certify_sign(table_small, 1, 4.0)
+    rec = cert.records[-1]
+    bad_rec = dataclasses.replace(rec, steps=rec.steps + ((eps, -0.1),))
+    bad = dataclasses.replace(cert, records=cert.records[:-1] + (bad_rec,))
+    problems = replay_certificate(table_small, bad)
+    assert any("outside [0, 1]" in p for p in problems), problems
+
+
+@pytest.mark.parametrize("eps", [1.5, math.nan])
+def test_replay_reports_out_of_range_witness(table_small, eps):
+    cert = certify_sign(table_small, 1, 11.0)
+    n, _, t = cert.failure
+    bad = dataclasses.replace(cert, failure=(n, eps, t))
+    problems = replay_certificate(table_small, bad)
+    assert any("outside the range" in p for p in problems), problems
+
+
 def test_replay_rejects_understated_slope(table_small):
     cert = certify_sign(table_small, 1, 10.8)
     rec = cert.records[0]
