@@ -1,19 +1,29 @@
-"""Same behaviour across refactors: suite CSVs byte for byte, certificates
-bit for bit.
+"""Same behaviour across refactors: suite and identity CSVs byte for byte,
+certificates and identity evaluations bit for bit.
 
 The golden files were captured with
-``main(["verify", "--suite", name, "--no-timestamp"])`` written to stdout;
+``main(["verify", "--suite", name, "--no-timestamp"])`` and
+``main(["identity", *args, "--no-timestamp"])`` written to stdout;
 ``delta-sign:certify`` is pinned through its certificates instead, since
 its rows follow from them.
 """
 
 import hashlib
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from mobius_bounds import delta_sign
 from mobius_bounds.cli import main
+from mobius_bounds.identities import (
+    F_IDS,
+    G_IDS,
+    H_BIG_IDS,
+    H_SMALL_IDS,
+    IdentitySpec,
+    evaluate_ofd,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,3 +65,52 @@ def test_certificates_match_golden(table_mid):
         cert = delta_sign.certify_sign(table_mid, q, x0)
         text = delta_sign.certificate_to_json(cert)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (q, x0)
+
+
+IDENTITY_GRID = "1,2.5,2.718281828459045,10,100,1000,12345.678"
+
+# golden file stem -> (arguments after "identity", exit code)
+IDENTITY_RUNS = {
+    "identity_meissel": (["--name", "meissel", "--X", IDENTITY_GRID], 0),
+    "identity_elmarraki": (["--name", "elmarraki", "--X", IDENTITY_GRID], 0),
+    "identity_macleod": (["--name", "macleod", "--X", IDENTITY_GRID], 0),
+    "identity_euler_gamma": (["--name", "euler_gamma", "--X", IDENTITY_GRID], 2),
+    "identity_liouville": (["--name", "liouville", "--X", IDENTITY_GRID], 2),
+    "identity_daval_general": (["--name", "daval_general", "--X", IDENTITY_GRID], 0),
+    "identity_euler_gamma_X100000": (["--name", "euler_gamma", "--X", "100000"], 2),
+    "identity_daval_general_s2+1j": (
+        ["--name", "daval_general", "--X", "100,1000", "--s", "2+1j"],
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", IDENTITY_RUNS)
+def test_identity_csv_matches_golden(stem, capsys):
+    args, code = IDENTITY_RUNS[stem]
+    assert main(["identity", *args, "--no-timestamp"]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}.csv").read_text()
+
+
+# sha256 of the newline-joined repr(evaluate_ofd(table, spec, X)) over
+# _ofd_spec_grid() x (7.3, 2000.0): pins i1, i2 and mass, which rows omit
+OFD_GRID = "7d5908a2c281e9446a92f6dcf7537cc47ab7024af47dd69398d9007f5d663947"
+
+
+def _ofd_spec_grid():
+    """Every (h, H) pair with a real and a complex s; f and g rotate."""
+    specs = []
+    for i, (h, H) in enumerate(product(H_SMALL_IDS, H_BIG_IDS)):
+        f, g = F_IDS[i % len(F_IDS)], G_IDS[(i // len(F_IDS)) % len(G_IDS)]
+        for s in (1.5, 0.5 + 14j):
+            specs.append(IdentitySpec(f, g, h, H, s=s, q=6))
+    return specs
+
+
+def test_ofd_spec_grid_matches_golden(table_small):
+    text = "\n".join(
+        repr(evaluate_ofd(table_small, spec, X))
+        for spec in _ofd_spec_grid()
+        for X in (7.3, 2000.0)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == OFD_GRID
