@@ -386,10 +386,10 @@ def eps_zeta(eps: float) -> float:
 
 
 def eps_zeta_grid(eps: np.ndarray) -> np.ndarray:
-    """Vectorized eps * zeta(1+eps) on a nonnegative grid."""
+    """Vectorized eps * zeta(1+eps) on a finite nonnegative grid."""
     eps = np.asarray(eps, dtype=np.float64)
-    if np.any(eps < 0.0):
-        raise ValueError("eps must be >= 0")
+    if not np.all((eps >= 0.0) & (eps < math.inf)):
+        raise ValueError("eps must be finite and >= 0")
     tiny = eps < 1e-8
     safe = np.where(tiny, 1.0, eps)
     et = _alt_grid(1.0 + safe, 44)

@@ -14,13 +14,20 @@ times log t from H).  We therefore split [1, X] at every jump and integrate
 each piece in closed form -- no quadrature anywhere, so a residual measures
 the identity itself, not the integrator.
 
+The pieces are evaluated as arrays over one grid (_grid: cut points, their
+logs, and [X/t], [t] on each piece).  Per-piece log, exp and expm1 are libm's,
+taken element by element, and complex products and quotients are formed from
+real and imaginary parts as CPython forms them.  numpy's SIMD float64
+log/exp/expm1 and its complex multiply can differ from those in the last bit;
+this way every piece value is the scalar closed form's, bit for bit.
+
 The shipped catalog covers the classical fractional-part identities plus a
 log-weighted variant and one Liouville instance whose published closed form
 disagrees with the raw identity; catalog_check reports, never asserts.
 """
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,38 +148,18 @@ def _h_coeff_exponent(spec: IdentitySpec) -> tuple[complex, complex]:
     raise AssertionError(spec.h_id)
 
 
-def _H_eval(spec: IdentitySpec, t: float) -> complex:
+def _H(spec: IdentitySpec, t, lt):
+    """H(t) given lt = log t, for a scalar or an array t.  The left side
+    passes np.log, the pieces pass libm logs of the cut points."""
     if spec.H_id == "id":
         return t
     if spec.H_id == "power":
-        return cmath.exp(complex(spec.s) * math.log(t))
-    if spec.H_id == "id_log_variant":
-        lt = math.log(t)
-        return t * lt - lt + GAMMA * t
-    if spec.H_id == "power_log":
-        return cmath.exp(complex(spec.s) * math.log(t)) * math.log(t)
-    raise AssertionError(spec.H_id)
-
-
-def _H_eval_array(spec: IdentitySpec, t: np.ndarray) -> np.ndarray:
-    lt = np.log(t)
-    if spec.H_id == "id":
-        return t.astype(np.complex128)
-    if spec.H_id == "power":
         return np.exp(complex(spec.s) * lt)
     if spec.H_id == "id_log_variant":
-        return (t * lt - lt + GAMMA * t).astype(np.complex128)
+        return t * lt - lt + GAMMA * t
     if spec.H_id == "power_log":
         return np.exp(complex(spec.s) * lt) * lt
     raise AssertionError(spec.H_id)
-
-
-def _H_at_one(spec: IdentitySpec) -> complex:
-    if spec.H_id in ("id", "power"):
-        return 1.0
-    if spec.H_id == "id_log_variant":
-        return GAMMA
-    return 0.0  # power_log
 
 
 def convolution_prefix(
@@ -202,20 +189,58 @@ def convolution_prefix(
 
 
 def _floor_array(v: np.ndarray) -> np.ndarray:
-    """Vector companion of floor_int: snap values a hair below an integer."""
-    return np.floor(v + 32.0 * EPS * np.abs(v)).astype(np.int64)
+    """floor_int element by element: values within 32 EPS (relative above
+    1) of an integer snap to it, the rest floor."""
+    r = np.rint(v)
+    snap = np.abs(v - r) <= 32.0 * EPS * np.maximum(1.0, np.abs(v))
+    return np.where(snap, r, np.floor(v)).astype(np.int64)
 
 
-def _int_pow(c: complex, lo: float, hi: float) -> complex:
-    """integral of t^c over [lo, hi], stable when c is near -1."""
-    if lo == hi:
-        return 0.0
-    lr = math.log(hi / lo)
+def _libm(fn, a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The scalar (libm-backed) function fn applied element by element."""
+    return np.fromiter(map(fn, a.tolist()), dtype, len(a))
+
+
+def _cpx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(re.shape, np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _csum(z: np.ndarray) -> complex:
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+
+
+def _cmul(a, b):
+    """a*b; two complex arrays are multiplied by parts, as CPython's complex
+    product does (numpy's complex multiply may fuse multiply-adds)."""
+    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+        return a * b
+    return _cpx(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cdiv(a: np.ndarray, b: complex) -> np.ndarray:
+    """a/b by CPython's complex quotient (Smith's method), b a nonzero scalar."""
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        denom = b.real + b.imag * ratio
+        return _cpx((a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom)
+    ratio = b.real / b.imag
+    denom = b.real * ratio + b.imag
+    return _cpx((a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom)
+
+
+def _int_pow(c: complex, llo: np.ndarray, lr: np.ndarray) -> np.ndarray:
+    """Integral of t^c over each [lo, hi] from llo = log lo and lr =
+    log(hi/lo): lo^(c+1) expm1((c+1) lr) / (c+1), stable when c is near -1."""
     cp1 = c + 1.0
     if cp1 == 0.0:
         return lr
-    # lo^(c+1) * (exp(cp1*lr) - 1) / cp1
-    return cmath.exp(cp1 * math.log(lo)) * expm1c(cp1 * lr) / cp1
+    if isinstance(cp1, complex):
+        em = _libm(expm1c, cp1 * lr, np.complex128)
+        return _cdiv(_cmul(np.exp(cp1 * llo), em), cp1)
+    return _libm(math.exp, cp1 * llo) * _libm(math.expm1, cp1 * lr) / cp1
 
 
 def _breakpoints(X: float, n: int) -> np.ndarray:
@@ -237,9 +262,47 @@ def _breakpoints(X: float, n: int) -> np.ndarray:
     return allpts[keep]
 
 
-def evaluate_ofd(
-    table: ArithmeticTable, spec: IdentitySpec, X: float, tol: float = 1e-9
-) -> OfdResult:
+@dataclass(frozen=True)
+class _Grid:
+    """The pieces [lo, hi] between consecutive cut points of [1, X]; on the
+    interior of each, [X/t] = m and [t] = k are constant."""
+
+    cuts: np.ndarray
+    lt: np.ndarray  # log of each cut point
+    lr: np.ndarray  # log(hi/lo) of each piece
+    m: np.ndarray
+    k: np.ndarray
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.cuts[:-1]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.cuts[1:]
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(X: float) -> _Grid:
+    """The piece grid of [1, X], read-only.  The last one is kept, so that
+    evaluate_ofd and the catalog integrals of one catalog_check share it."""
+    n = floor_int(X)
+    cuts = _breakpoints(X, n)
+    lo, hi = cuts[:-1], cuts[1:]
+    tm = 0.5 * (lo + hi)
+    grid = _Grid(
+        cuts=cuts,
+        lt=_libm(math.log, cuts),
+        lr=_libm(math.log, hi / lo),
+        m=np.minimum(_floor_array(X / tm), n),
+        k=np.minimum(_floor_array(tm), n),
+    )
+    for arr in (grid.cuts, grid.lt, grid.lr, grid.m, grid.k):
+        arr.flags.writeable = False
+    return grid
+
+
+def evaluate_ofd(table: ArithmeticTable, spec: IdentitySpec, X: float) -> OfdResult:
     """Evaluate both sides of the master identity; residual = |lhs - rhs|."""
     if X < 1.0:
         raise ValueError("X must be >= 1")
@@ -254,38 +317,34 @@ def evaluate_ofd(
 
     # left side
     nn = np.arange(1, n + 1, dtype=np.float64)
-    hvals = _H_eval_array(spec, X / nn)
-    terms = f[1:] * hvals
-    lhs = complex(
-        math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
-    ) - _H_at_one(spec) * complex(sf[n])
+    t = X / nn
+    terms = f[1:] * _H(spec, t, np.log(t))
+    lhs = _csum(terms) - complex(_H(spec, 1.0, 0.0)) * complex(sf[n])
 
     dirac = spec.h_id == "dirac_at_1"
-    re1: list[float] = []
-    im1: list[float] = []
     if dirac:
         i1 = complex(sfg[n])
+        val = np.zeros(0)
     else:
         coeff, a = _h_coeff_exponent(spec)
-        # h(1/t)/t = coeff * t^(-a-1); S_{f*g}(X/t) = sfg[m] on (X/(m+1), X/m]
-        for m in range(1, n + 1):
-            lo = max(1.0, X / (m + 1))
-            hi = X / m
-            if hi <= lo:
-                continue
-            val = coeff * sfg[m] * _int_pow(-a - 1.0, lo, hi)
-            val = complex(val)
-            re1.append(val.real)
-            im1.append(val.imag)
-        i1 = complex(math.fsum(re1), math.fsum(im1))
+        c = -a - 1.0
+        # h(1/t)/t = coeff * t^c; S_{f*g}(X/t) = sfg[m] on (X/(m+1), X/m]
+        x_m = X / np.arange(1.0, n + 2.0)
+        hi, lo = x_m[:-1], np.maximum(1.0, x_m[1:])
+        on = hi > lo
+        lo = lo[on]
+        ip = _int_pow(c, _libm(math.log, lo), _libm(math.log, hi[on] / lo))
+        val = (coeff * sfg[1:][on]) * ip
+        i1 = _csum(val)
 
-    # right-side second integral, piece by piece
-    cuts = _breakpoints(X, n)
-    re2: list[float] = []
-    im2: list[float] = []
-    pieces = 0
+    # right-side second integral over the pieces where S_f(X/t) != 0
+    grid = _grid(X)
+    Hc = _H(spec, grid.cuts, grid.lt)
+    s_f = sf[grid.m]
+    live = s_f != 0.0
+    s_f = s_f[live]
+    part = s_f * (Hc[1:] - Hc[:-1])[live]
     if not dirac:
-        coeff, a = _h_coeff_exponent(spec)
         g = _g_values(spec.g_id, n)
         # prefix sums of g(k) k^a (complex when a is)
         karr = np.arange(n + 1, dtype=np.float64)
@@ -294,25 +353,11 @@ def evaluate_ofd(
             ga = np.cumsum(g * np.exp(a * np.log(karr)))
         else:
             ga = np.cumsum(g * karr ** float(a.real if isinstance(a, complex) else a))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        tm = 0.5 * (lo + hi)
-        m = floor_int(X / tm)
-        k = floor_int(tm)
-        s_here = sf[min(m, n)]
-        if s_here == 0.0:
-            pieces += 1
-            continue
-        part = s_here * (_H_eval(spec, hi) - _H_eval(spec, lo))
-        if not dirac:
-            gsum = ga[min(k, n)]
-            if gsum != 0.0:
-                part -= s_here * coeff * gsum * _int_pow(-a - 1.0, lo, hi)
-        part = complex(part)
-        re2.append(part.real)
-        im2.append(part.imag)
-        pieces += 1
-    i2 = complex(math.fsum(re2), math.fsum(im2))
-    summed = [terms.real, terms.imag, re1, im1, re2, im2]
+        gsum = ga[grid.k[live]]
+        ip = _int_pow(c, grid.lt[:-1][live], grid.lr[live])
+        part = np.where(gsum != 0.0, part - _cmul((s_f * coeff) * gsum, ip), part)
+    i2 = _csum(part)
+    summed = [terms.real, terms.imag, val.real, val.imag, part.real, part.imag]
     if dirac:
         # the point mass at n/t = 1 contributes g(n) S_f(X/n) for each n <= X
         gd = _g_values(spec.g_id, n)
@@ -324,7 +369,12 @@ def evaluate_ofd(
     rhs = i1 + i2
     mass = math.fsum(np.abs(np.concatenate(summed)).tolist())
     return OfdResult(
-        lhs=lhs, i1=i1, i2=i2, residual=abs(lhs - rhs), pieces=pieces, mass=mass
+        lhs=lhs,
+        i1=i1,
+        i2=i2,
+        residual=abs(lhs - rhs),
+        pieces=len(grid.cuts) - 1,
+        mass=mass,
     )
 
 
@@ -368,83 +418,59 @@ def _mertens_weighted_integral(
     """
     n = floor_int(X)
     table._check_range(n)
-    cuts = _breakpoints(X, n)
-    mert = table.mertens_prefix
-    acc: list[float] = []
-    # harmonic numbers up to n
-    harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n + 1))))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        tm = 0.5 * (lo + hi)
-        k = floor_int(tm)  # [t]
-        m = floor_int(X / tm)  # [X/t]
-        if kind == "floor_over_t":
-            # integrand m * M([t]) / t after the substitution t -> X/t:
-            # original variable u = X/t runs the same pieces mirrored
-            val = m * float(mert[min(k, n)]) * math.log(hi / lo)
+    grid = _grid(X)
+    mert = table.mertens_prefix.astype(np.float64)
+    lo, hi, lt = grid.lo, grid.hi, grid.lt
+    if kind == "floor_over_t":
+        # integrand m * M([t]) / t after the substitution t -> X/t:
+        # original variable u = X/t runs the same pieces mirrored
+        vals = grid.m * mert[grid.k] * grid.lr
+    else:
+        # harmonic numbers up to n
+        harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n + 1))))
+        tlt = grid.cuts * lt - grid.cuts  # t log t - t at each cut point
+        base = (tlt[1:] - tlt[:-1]) + GAMMA * (hi - lo)
+        base -= harm[grid.k] * (hi - lo)
+        if kind == "gamma_bracket":
+            base += lt[1:] - lt[:-1]  # the printed 1/t term
+        elif kind == "gamma_bracket_fixed":
+            base += hi - lo  # the corrected constant term
         else:
-            mv = float(mert[min(m, n)])
-            if mv == 0.0:
-                acc.append(0.0)
-                continue
-            lhi, llo = math.log(hi), math.log(lo)
-            base = (hi * lhi - hi) - (lo * llo - lo) + GAMMA * (hi - lo)
-            base -= harm[min(k, n)] * (hi - lo)
-            if kind == "gamma_bracket":
-                base += lhi - llo  # the printed 1/t term
-            elif kind == "gamma_bracket_fixed":
-                base += hi - lo  # the corrected constant term
-            else:
-                raise AssertionError(kind)
-            val = mv * base
-        acc.append(val)
-    return math.fsum(acc)
+            raise AssertionError(kind)
+        vals = mert[grid.m] * base
+    return math.fsum(vals.tolist())
 
 
 def _liouville_printed_rhs(table: ArithmeticTable, X: float) -> float:
     """2/sqrt(X) - 1/X - (1/X) int {X/t} dt/t + (1/X) int S_lam(X/t) {t} dt/t."""
     n = floor_int(X)
-    cuts = _breakpoints(X, n)
+    grid = _grid(X)
+    lo, hi, lr = grid.lo, grid.hi, grid.lr
     lam_prefix = np.concatenate(
         ([0], np.cumsum(table.liouville[1 : n + 1], dtype=np.int64))
     )
-    acc_frac: list[float] = []
-    acc_lam: list[float] = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        tm = 0.5 * (lo + hi)
-        k = floor_int(tm)
-        m = floor_int(X / tm)
-        lr = math.log(hi / lo)
-        # {X/t}/t = X/t^2 - [X/t]/t on the piece
-        acc_frac.append(X * (1.0 / lo - 1.0 / hi) - m * lr)
-        sl = float(lam_prefix[min(m, n)])
-        if sl != 0.0:
-            # S_lam(X/t) {t} / t with {t} = t - k
-            acc_lam.append(sl * ((hi - lo) - k * lr))
+    # {X/t}/t = X/t^2 - [X/t]/t on the piece
+    frac = X * (1.0 / lo - 1.0 / hi) - grid.m * lr
+    # S_lam(X/t) {t} / t with {t} = t - k
+    lam = lam_prefix[grid.m].astype(np.float64) * ((hi - lo) - grid.k * lr)
     return (
         2.0 / math.sqrt(X)
         - 1.0 / X
-        - math.fsum(acc_frac) / X
-        + math.fsum(acc_lam) / X
+        - math.fsum(frac.tolist()) / X
+        + math.fsum(lam.tolist()) / X
     )
 
 
 def _liouville_floor_reading_rhs(table: ArithmeticTable, X: float) -> float:
     """Raw right side with S_{lam*1}(X/t) replaced by [X/t], as published."""
     n = floor_int(X)
-    cuts = _breakpoints(X, n)
-    gvals = _g_values("one", n)
-    ga = np.cumsum(gvals)
-    lam = table.liouville[: n + 1].astype(np.float64)
-    sf = np.cumsum(lam)
-    acc: list[float] = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        tm = 0.5 * (lo + hi)
-        k = floor_int(tm)
-        m = floor_int(X / tm)
-        lr = math.log(hi / lo)
-        acc.append(m * lr)  # I1 with the [X/t] reading, h = 1
-        acc.append(float(sf[min(m, n)]) * ((hi - lo) - float(ga[min(k, n)]) * lr))
-    return math.fsum(acc)
+    grid = _grid(X)
+    ga = np.cumsum(_g_values("one", n))
+    sf = np.cumsum(table.liouville[: n + 1].astype(np.float64))
+    lr = grid.lr
+    i1 = grid.m * lr  # I1 with the [X/t] reading, h = 1
+    i2 = sf[grid.m] * ((grid.hi - grid.lo) - ga[grid.k] * lr)
+    return math.fsum(np.concatenate((i1, i2)).tolist())
 
 
 def catalog_check(

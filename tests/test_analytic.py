@@ -125,6 +125,8 @@ def test_eps_zeta_grid_at_envelope_extrema():
 def test_eps_zeta_rejects_negative_and_non_finite(bad):
     with pytest.raises(ValueError, match="eps must be finite and >= 0"):
         eps_zeta(bad)
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        eps_zeta_grid(np.array([0.5, bad]))
 
 
 def test_eps_zeta_monotone_small():

@@ -2,15 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mobius_bounds.identities import (
     CATALOG_NAMES,
     CATALOG_SPECS,
     IdentitySpec,
+    _floor_array,
     catalog_check,
     evaluate_ofd,
 )
+from mobius_bounds.util import floor_int
 
 X_GRID = (1.0, 1.5, 2.0, math.e, 10.0, 100.0, 1000.0)
 
@@ -80,3 +83,20 @@ def test_catalog_guards(table_small):
         catalog_check(table_small, "nope", 10.0)
     with pytest.raises(ValueError):
         catalog_check(table_small, "meissel", 0.5)
+
+
+def test_floor_array_is_floor_int_elementwise():
+    # the snap threshold 32 EPS max(1, |r|) lies between 32 and 64 ulp of r,
+    # so r +- j ulp for j < 80 crosses it on both sides
+    rng = np.random.default_rng(7)
+    ints = np.concatenate(
+        (np.arange(-3.0, 21.0), [1e3, 12345.0, 65536.0, 1e5, 2e6],
+         rng.integers(2, 2_000_000, 200).astype(np.float64))
+    )
+    steps = np.arange(-80, 81)
+    near = (ints[:, None] + steps[None, :] * np.spacing(np.abs(ints))[:, None]).ravel()
+    X = 1e5
+    v = np.concatenate(
+        ([0.1 * 30, 2.999, 0.5, 2.5, -0.5], near, X / np.arange(1.0, X + 1.0))
+    )
+    assert _floor_array(v).tolist() == [floor_int(x) for x in v.tolist()]
