@@ -1,5 +1,5 @@
 """Same behaviour across refactors: suite and identity CSVs byte for byte,
-certificates and identity evaluations bit for bit.
+certificates, identity evaluations, scans and prefix arrays bit for bit.
 
 The golden files were captured with
 ``main(["verify", "--suite", name, "--no-timestamp"])`` and
@@ -114,3 +114,66 @@ def test_ofd_spec_grid_matches_golden(table_small):
         for X in (7.3, 2000.0)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == OFD_GRID
+
+
+# The scans and prefix builders at n = 1e5 and on either side of a 2^15-entry
+# block, so every sweep crosses block edges (the suites stop below 1e4).
+SCAN_SIZES = (100_000, (1 << 15) - 1, 1 << 15, (1 << 15) + 1)
+SCAN_QS = (1, 2, 6, 30, 2310, 30030)
+EPS_QS = (2, 30030)
+
+
+def _divisors_30030():
+    out = [1]
+    for p in (2, 3, 5, 7, 11, 13):
+        out += [d * p for d in out]
+    return sorted(out)
+
+
+def _scan_outputs(group, table):
+    """The outputs of one group of sweeps, one item per call."""
+    from mobius_bounds import arith, bounds, harmonic
+
+    for n in SCAN_SIZES:
+        if group == "easy":
+            for q, k, sigma in product(SCAN_QS, (1, 2, 3), (1.0, 1.2, 1.5, 2.0)):
+                yield bounds.easy_scan(table, n, q, k, sigma)
+        elif group == "small_m":
+            for q in _divisors_30030():
+                yield bounds.small_m_scan(table, n, q)
+        elif group == "eps":
+            for q in EPS_QS:
+                for eps in (0.0, 0.01, 0.1, 0.5, 1.0):
+                    yield bounds.mqeps_scan(table, n, q, eps)
+                for eps in (0.0, 0.02, 0.05, 0.1):
+                    yield bounds.mcheckqeps_scan(table, n, q, eps)
+        elif group == "special":
+            for sigma in (1.0, 1.01, 1.04):
+                yield bounds.special_scan(table, n, sigma)
+        elif group == "harmonic":
+            yield harmonic.hanson_scan(table, n)
+            yield harmonic.verify_harmonic(table, float(n))
+        elif group == "prefix":
+            for q, sigma in product((1, 2, 30030), (1.0, 1.5)):
+                arrays = [arith.prefix_m_q(table, n, q, sigma)] + [
+                    arith.prefix_log_moment(table, n, q, sigma, j) for j in (0, 1, 2)
+                ]
+                for arr in arrays:
+                    yield hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+# sha256 of the newline-joined repr of _scan_outputs(group, table_mid)
+SCAN_PINS = {
+    "easy": "414661b3ddd388b6dee7dc2ed2626bcf353a683f78accc3517de0848eb249638",
+    "small_m": "54684de3cb3fc51586146fda5e1938b8c414f9820fcafe18b56c5d03b9487477",
+    "eps": "72fb5f1ba1f69c7d7129954207607184f94a541c8df0671802054d17f6ac9f47",
+    "special": "08f96211aebe3bc0bffc8c0ac68c0446f45cd4ff5855ea1ce2774bb8314c9c4b",
+    "harmonic": "9500f8022f649a4d2278445396537e350b72d59a236b9b68f38e61fc3f17a653",
+    "prefix": "66d369481cdd0b6d8ba2cc0cbaa5e2edf4c14fc96c23feb73be12467782948e5",
+}
+
+
+@pytest.mark.parametrize("group", SCAN_PINS)
+def test_scan_outputs_match_pin(group, table_mid):
+    text = "\n".join(repr(out) for out in _scan_outputs(group, table_mid))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_PINS[group]
