@@ -30,6 +30,8 @@ import numpy as np
 from .util import CapacityError, floor_int
 
 SEGMENT = 1 << 20
+# entries per block of a prefix sweep: 256 KiB of float64, well inside L2
+BLOCK = 1 << 15
 DEFAULT_LIMIT_BUDGET = 200_000_000  # ~18 bytes/entry across the four arrays
 
 
@@ -355,26 +357,14 @@ def log_moment_sum(
 
 
 # ----------------------------------------------------------------------
-# Prefix-sum builders for vectorized scans
+# Prefix-sum builders and block sweeps for vectorized scans
 
 
 def prefix_m_q(
     table: ArithmeticTable, n: int, q: Modulus | int = ONE, sigma: float = 1.0
 ) -> np.ndarray:
     """Array P with P[k] = m_q(k; sigma) for 0 <= k <= n (float64 cumsum)."""
-    q = Modulus.coerce(q)
-    table._check_range(n)
-    vals = table.mu[: n + 1].astype(np.float64)
-    if q.primes:
-        vals[~q.coprime_mask(n)] = 0.0
-    vals[0] = 0.0
-    kk = np.arange(n + 1, dtype=np.float64)
-    kk[0] = 1.0
-    if sigma == 1.0:
-        vals[1:] /= kk[1:]
-    else:
-        vals[1:] *= kk[1:] ** (-sigma)
-    return np.cumsum(vals)
+    return prefix_log_moment(table, n, q, sigma, 0)
 
 
 def prefix_log_moment(
@@ -384,20 +374,52 @@ def prefix_log_moment(
     sigma: float,
     j: int,
 ) -> np.ndarray:
-    """Cumsum of mu(k) (-log k)^j / k^sigma over coprime k <= n."""
+    """Cumsum of mu(k) (-log k)^j / k^sigma over coprime k <= n.
+
+    Built BLOCK entries at a time: each block's carried sum is added into
+    its first entry before the block's cumsum, so every prefix is the same
+    left-to-right sum as one cumsum over [0, n], bit for bit.
+    """
     q = Modulus.coerce(q)
     table._check_range(n)
-    vals = table.mu[: n + 1].astype(np.float64)
-    if q.primes:
-        vals[~q.coprime_mask(n)] = 0.0
-    vals[0] = 0.0
-    kk = np.arange(n + 1, dtype=np.float64)
-    kk[0] = 1.0
-    logs = np.log(kk)
-    vals[1:] *= kk[1:] ** (-sigma)
-    if j:
-        vals[1:] *= (-logs[1:]) ** j
-    return np.cumsum(vals)
+    out = np.empty(n + 1, dtype=np.float64)
+    out[0] = carry = 0.0
+    for lo in range(1, n + 1, BLOCK):
+        hi = min(lo + BLOCK, n + 1)
+        vals = table.mu[lo:hi].astype(np.float64)
+        for p in q.primes:
+            vals[(-lo) % p :: p] = 0.0
+        kk = np.arange(lo, hi, dtype=np.float64)
+        vals *= kk ** (-sigma)
+        if j:
+            # (-1)^j log^j k: numpy's pow takes a slow path on negative bases
+            vals *= (-1) ** j * np.log(kk) ** j
+        vals[0] += carry
+        np.cumsum(vals, out=out[lo:hi])
+        carry = out[hi - 1]
+    return out
+
+
+def sweep_min(n: int, margins_of) -> list[tuple[float, int]]:
+    """(min, argmin) over [0, n) of each array margins_of(lo, hi) returns.
+
+    margins_of is called once per block [lo, hi) of at most BLOCK entries,
+    in increasing order, and returns arrays of length hi - lo.  The result
+    is what np.argmin gives on each concatenated array: the first minimum,
+    or the first NaN if there is one.
+    """
+    if n < 1:
+        raise ValueError("sweep over an empty range")
+    best: list[tuple[float, int]] = []
+    for lo in range(0, n, BLOCK):
+        for b, arr in enumerate(margins_of(lo, min(lo + BLOCK, n))):
+            i = int(np.argmin(arr))
+            v = arr[i]
+            if b == len(best):
+                best.append((v, lo + i))
+            elif not math.isnan(best[b][0]) and (math.isnan(v) or v < best[b][0]):
+                best[b] = (v, lo + i)
+    return best
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,10 @@ serves two evaluators of its left side.  verify_* sums exactly with fsum
 at one point and renders a three-way verdict through the certified
 comparison in util: pass only when the margin clears the accumulated
 evaluation error, fail only when the violation does.  The *_scan sweeps
-cover a whole range from cumsum prefix arrays; they trade exactness for
-speed, so callers re-verify any margin thinner than ~1e-4 point-wise.
+evaluate the left side from cumsum prefix arrays, at every integer of a
+range or, for the eps families, on a 200-point log grid.  Their margins are
+uncertified floats: they carry no error radius and no caller re-verifies
+them (ROADMAP item 5).
 
 Envelopes take log X from their caller, as math.log at a point and np.log
 in a scan (the two differ in the last bit on some inputs).  Indicator
@@ -34,6 +36,7 @@ from .arith import (
     m_q_s,
     prefix_log_moment,
     prefix_m_q,
+    sweep_min,
 )
 from .delta_sign import defect, interval_weights
 from .reports import BoundRow, bound_row
@@ -149,15 +152,16 @@ def easy_scan(
     _easy_domain(float(n_max), k, sigma)
     qm = Modulus.coerce(q)
     moments = [prefix_log_moment(table, n_max, qm, sigma, j) for j in range(k + 1)]
-    xs = np.arange(1, n_max + 1, dtype=np.float64)
-    lx = np.log(xs)
-    lhs = np.zeros(n_max, dtype=np.float64)
-    for j in range(k + 1):
-        lhs += math.comb(k, j) * lx**j * moments[k - j][1:]
-    margin = easy_bound(qm, k, sigma, lx) - lhs
-    i_lhs = int(np.argmin(lhs))
-    i_mar = int(np.argmin(margin))
-    return float(lhs[i_lhs]), i_lhs + 1, float(margin[i_mar]), i_mar + 1
+
+    def margins(lo: int, hi: int):  # X = lo+1 .. hi
+        lx = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+        lhs = np.zeros(hi - lo, dtype=np.float64)
+        for j in range(k + 1):
+            lhs += math.comb(k, j) * lx**j * moments[k - j][lo + 1 : hi + 1]
+        return lhs, easy_bound(qm, k, sigma, lx) - lhs
+
+    (lhs_min, i_lhs), (margin_min, i_mar) = sweep_min(n_max, margins)
+    return float(lhs_min), i_lhs + 1, float(margin_min), i_mar + 1
 
 
 # ----------------------------------------------------------------------
@@ -394,18 +398,20 @@ def special_scan(
     """
     _special_domain(float(n_max), sigma)
     main, _, _ = _mcheck_main(ONE, sigma)
-    p = prefix_m_q(table, n_max, 1, sigma)[1:]
-    l1 = prefix_log_moment(table, n_max, 1, sigma, 1)[1:]
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    lo_log = np.log(ns[14:-1])  # intervals [n, n+1), n = 15 .. n_max-1
-    hi_log = np.log(ns[15:])
-    pp = p[14:-1]
-    ll = l1[14:-1]
-    d_left = np.abs(lo_log * pp + ll - main(lo_log))
-    d_right = np.abs(hi_log * pp + ll - main(hi_log))
-    margin = special_bound(sigma, hi_log) - np.maximum(d_left, d_right)
-    i = int(np.argmin(margin))
-    return float(margin[i]), float(ns[15 + i])
+    p = prefix_m_q(table, n_max, 1, sigma)
+    l1 = prefix_log_moment(table, n_max, 1, sigma, 1)
+
+    def margins(lo: int, hi: int):  # intervals [n, n+1), n = 15+lo .. 14+hi
+        logs = np.log(np.arange(15 + lo, 16 + hi, dtype=np.float64))
+        lo_log, hi_log = logs[:-1], logs[1:]
+        pp = p[15 + lo : 15 + hi]
+        ll = l1[15 + lo : 15 + hi]
+        d_left = np.abs(lo_log * pp + ll - main(lo_log))
+        d_right = np.abs(hi_log * pp + ll - main(hi_log))
+        return (special_bound(sigma, hi_log) - np.maximum(d_left, d_right),)
+
+    ((margin, i),) = sweep_min(n_max - 15, margins)
+    return float(margin), float(16 + i)
 
 
 # ----------------------------------------------------------------------
@@ -641,17 +647,28 @@ def small_m_scan(
     Returns {theorem_id: (min margin, argmin n)}.
     """
     qm = Modulus.coerce(q)
-    vals = np.abs(prefix_m_q(table, n_max, qm))[1:]
-    rights = np.arange(2, n_max + 2, dtype=np.float64)
-    lr = np.log(rights)
-    out: dict[str, tuple[float, int]] = {}
-    for name, only, x_lo, _, envelope, swept in SMALL_M:
-        if swept and only in (None, qm.q) and n_max >= x_lo:
-            lo = int(x_lo)
-            margin = envelope(qm, rights, lr)[lo - 1 :] - vals[lo - 1 :]
-            i = int(np.argmin(margin))
-            out[name] = (float(margin[i]), lo + i)
-    return out
+    p = prefix_m_q(table, n_max, qm)
+    checks = [
+        (name, int(x_lo), envelope)
+        for name, only, x_lo, _, envelope, swept in SMALL_M
+        if swept and only in (None, qm.q) and n_max >= x_lo
+    ]
+    if not checks:
+        return {}
+
+    def margins(lo: int, hi: int):  # steps n = lo+1 .. hi
+        rights = np.arange(lo + 2, hi + 2, dtype=np.float64)
+        lr = np.log(rights)
+        vals = np.abs(p[lo + 1 : hi + 1])
+        out = []
+        for _, first, envelope in checks:
+            margin = envelope(qm, rights, lr) - vals
+            margin[: max(first - 1 - lo, 0)] = np.inf  # steps before X = first
+            out.append(margin)
+        return out
+
+    mins = sweep_min(n_max, margins)
+    return {name: (float(m), i + 1) for (name, _, _), (m, i) in zip(checks, mins)}
 
 
 # ----------------------------------------------------------------------

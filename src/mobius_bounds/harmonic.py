@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .arith import ArithmeticTable, chebyshev_psi
+from .arith import ArithmeticTable, chebyshev_psi, sweep_min
 from .reports import BoundRow, bound_row
 from .util import GAMMA, LOG_2PI_HALF, CapacityError, floor_int
 
@@ -308,9 +308,6 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
     if n < 1:
         raise ValueError("x_max must be >= 1")
     table._check_range(n)
-    nn = np.arange(n + 1, dtype=np.float64)
-    nn[0] = 1.0
-    csum = np.cumsum(table.mangoldt_log[: n + 1] / nn)
     rows = []
     for small in (1, 2, 3, 4, 5, 7, 8, 9, 11):
         if small > n:
@@ -320,8 +317,18 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
             bound_row("harmonic", float(small), 1, "", lhs=lhs, bound=math.log(small))
         )
     if n >= 2:
-        margins = np.log(nn[2:]) - csum[2:]
-        worst = int(margins.argmin()) + 2
+        carry = 0.0  # Lambda(n)/n summed over n < 2 is exactly 0
+
+        def margins(lo: int, hi: int):  # N = lo+2 .. hi+1
+            nonlocal carry
+            nn = np.arange(lo + 2, hi + 2, dtype=np.float64)
+            csum = table.mangoldt_log[lo + 2 : hi + 2] / nn
+            csum[0] += carry
+            np.cumsum(csum, out=csum)
+            carry = csum[-1]
+            return (np.log(nn) - csum,)
+
+        worst = sweep_min(n - 1, margins)[0][1] + 2
         lhs = lambda_harmonic_sum(table, float(worst))
         rows.append(
             bound_row(
@@ -342,10 +349,14 @@ def hanson_scan(table: ArithmeticTable, n_max: int | None = None) -> tuple[float
     linear psi envelope with slope log 3 holds on the range."""
     n = table.limit if n_max is None else int(n_max)
     table._check_range(n)
-    nn = np.arange(n + 1, dtype=np.float64)
-    margins = nn[1:] * LOG3 - table.psi_prefix[1 : n + 1]
-    k = int(margins.argmin())
-    return float(margins[k]), k + 1
+    psi = table.psi_prefix
+
+    def margins(lo: int, hi: int):  # X = lo+1 .. hi
+        xs = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        return (xs * LOG3 - psi[lo + 1 : hi + 1],)
+
+    ((margin, k),) = sweep_min(n, margins)
+    return float(margin), k + 1
 
 
 # ----------------------------------------------------------------------

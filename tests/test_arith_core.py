@@ -1,11 +1,15 @@
 """Sieve tables and restricted partial sums against independent oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from mobius_bounds import bounds, harmonic
 from mobius_bounds.arith import (
+    BLOCK,
     Modulus,
     build_table,
     chebyshev_psi,
@@ -13,8 +17,11 @@ from mobius_bounds.arith import (
     m_check_q_s,
     m_q,
     m_q_s,
+    prefix_log_moment,
+    prefix_m_q,
+    sweep_min,
 )
-from mobius_bounds.util import CapacityError
+from mobius_bounds.util import EPS, CapacityError
 
 
 def _factorize(n):
@@ -149,3 +156,92 @@ def test_capacity_guards(table_small):
     with pytest.raises(CapacityError):
         m_q(table_small, 2e4)
 
+
+
+def _sweep_reference(arrays):
+    """np.argmin on each whole array, as (value, index)."""
+    return [(arr[int(np.argmin(arr))], int(np.argmin(arr))) for arr in arrays]
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_sweep_min_matches_argmin_across_block_edges(n):
+    rng = np.random.default_rng(n)
+    plain = rng.standard_normal(n)
+    ties = rng.uniform(1.0, 2.0, n)  # equal minima on both sides of an edge
+    ties[[max(n - 2, 0), n - 1, min(BLOCK - 1, n - 1), min(BLOCK, n - 1)]] = 0.5
+    zeros = rng.uniform(1.0, 2.0, n)  # -0.0 first, then 0.0 in a later block
+    zeros[n // 3] = -0.0
+    zeros[n - 1] = 0.0
+    nans = rng.uniform(1.0, 2.0, n)  # finite minimum early, NaN later
+    nans[0] = -5.0
+    nans[n - 1] = math.nan
+    nans[max(n - 2, 0)] = math.nan
+    arrays = (plain, ties, zeros, nans)
+    blocks = []
+
+    def margins_of(lo, hi):
+        blocks.append((lo, hi))
+        return [arr[lo:hi].copy() for arr in arrays]
+
+    got = sweep_min(n, margins_of)
+    assert repr(got) == repr(_sweep_reference(arrays))
+    assert blocks == [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
+
+
+def test_sweep_min_rejects_empty_range():
+    with pytest.raises(ValueError):
+        sweep_min(0, lambda lo, hi: ())
+
+
+def _gamma(k):
+    u = EPS / 2.0
+    return k * u / (1.0 - k * u)
+
+
+@pytest.mark.parametrize("q,sigma", [(1, 1.0), (1, 1.5), (30030, 1.0), (30030, 1.5)])
+def test_third_log_moment_within_summation_bound(table_mid, q, sigma):
+    """The j = 3 prefix forms -(log^3 k), not numpy's pow on -log k; both
+    it and the old form stay within the recursive-summation bound."""
+    n = 100_000
+    got = prefix_log_moment(table_mid, n, q, sigma, 3)
+    kk = np.arange(n + 1, dtype=np.float64)
+    kk[0] = 1.0
+    mu = table_mid.mu[: n + 1].astype(np.float64)
+    mu[~Modulus.coerce(q).coprime_mask(n)] = 0.0
+    base = mu * kk ** (-sigma)
+    logs = np.log(kk)
+    terms = base * -(logs**3)
+    old = np.cumsum(base * (-logs) ** 3)
+    for k in [*range(BLOCK, n + 1, BLOCK), n]:
+        mass = math.fsum(np.abs(terms[: k + 1]).tolist())
+        exact = math.fsum(terms[: k + 1].tolist())
+        assert abs(got[k] - exact) <= _gamma(k) * mass, k
+        assert abs(got[k] - old[k]) <= (2.0 * _gamma(k) + 2.0 * EPS) * mass, k
+
+
+def test_prefix_sweeps_hold_no_full_length_temporaries(table_big):
+    """Peak traced memory of each sweep at n = 1e6 stays within the full
+    arrays it keeps, plus half of one."""
+    n = 1_000_000
+    table_big.psi_prefix  # noqa: B018 -- the cached psi is read, not built
+    calls = [
+        (1, lambda: prefix_m_q(table_big, n, 6, 1.2)),
+        (1, lambda: prefix_log_moment(table_big, n, 6, 1.2, 3)),
+        (1, lambda: bounds.small_m_scan(table_big, n, 2)),
+        (4, lambda: bounds.easy_scan(table_big, n, 6, 3, 1.2)),
+        (2, lambda: bounds.special_scan(table_big, n, 1.01)),
+        (2, lambda: bounds.mqeps_scan(table_big, n, 6, 0.5)),
+        (2, lambda: bounds.mcheckqeps_scan(table_big, n, 6, 0.05)),
+        (0, lambda: harmonic.hanson_scan(table_big, n)),
+        (0, lambda: harmonic.verify_harmonic(table_big, float(n))),
+    ]
+    tracemalloc.start()
+    try:
+        for i, (kept, call) in enumerate(calls):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - start
+            assert peak <= (kept + 0.5) * 8 * (n + 1), (i, peak / (8 * (n + 1)))
+    finally:
+        tracemalloc.stop()
