@@ -663,7 +663,7 @@ def small_m_scan(
         out = []
         for _, first, envelope in checks:
             margin = envelope(qm, rights, lr) - vals
-            margin[: max(first - 1 - lo, 0)] = np.inf  # steps before X = first
+            margin[: max(first - 1 - lo, 0)] = np.inf  # steps n < first: out of range
             out.append(margin)
         return out
 

@@ -172,11 +172,12 @@ def test_sweep_min_matches_argmin_across_block_edges(n):
     zeros = rng.uniform(1.0, 2.0, n)  # -0.0 first, then 0.0 in a later block
     zeros[n // 3] = -0.0
     zeros[n - 1] = 0.0
+    flipped = np.where(zeros == 0.0, -zeros, zeros)  # 0.0 first, then -0.0
     nans = rng.uniform(1.0, 2.0, n)  # finite minimum early, NaN later
     nans[0] = -5.0
     nans[n - 1] = math.nan
     nans[max(n - 2, 0)] = math.nan
-    arrays = (plain, ties, zeros, nans)
+    arrays = (plain, ties, zeros, flipped, nans)
     blocks = []
 
     def margins_of(lo, hi):
