@@ -14,7 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from mobius_bounds import delta_sign
+from mobius_bounds import bounds, delta_sign
+from mobius_bounds.analytic import (
+    ComplexParameter,
+    constants,
+    eta,
+    eta_prime,
+    inv_zeta,
+    zeta,
+    zeta_inequalities,
+    zeta_prime,
+    zp_over_z2,
+)
 from mobius_bounds.cli import main
 from mobius_bounds.identities import (
     F_IDS,
@@ -177,3 +188,63 @@ SCAN_PINS = {
 def test_scan_outputs_match_pin(group, table_mid):
     text = "\n".join(repr(out) for out in _scan_outputs(group, table_mid))
     assert hashlib.sha256(text.encode()).hexdigest() == SCAN_PINS[group]
+
+
+# The analytic layer at the s of the dex suite, of acceptances 5 and 6 and of
+# tests/test_analytic.py.  Within 1e-6 of s = 1 (the Taylor-series disc) only
+# values are pinned; the radii there may grow.
+ANALYTIC_S = tuple(
+    dict.fromkeys(
+        complex(s)
+        for s in (
+            1.5, 2.0, 1 + 2j, 0.8 + 5j, 1.0,
+            *(1.0 + eps for eps in (1e-3, 1e-2, 0.1, 0.5, 1.0)),
+            1.2 + 1j,
+            0.5, 1.3, 1 + 1j, 2 + 3j, 0.8 + 10j, 3.7, 1.001, 1.2 + 0.5j, 2 + 1j,
+        )
+    )
+)
+# (s, sigma0) of the dex suite and of acceptance 6
+DEX_POINTS = (
+    (1.5, 0.5), (2.0, 1.0), (1 + 2j, 0.5), (0.8 + 5j, 0.4), (1.0, 0.5),
+    (1.2 + 1j, 0.5),
+)
+CONSTANT_FIELDS = (
+    "s", "sigma0", "X", "C", "c", "e", "K2", "Xi1", "Xi1_real", "Xi2",
+    "delta_flag", "err_budget",
+)
+
+
+def _on_series_disc(s):
+    return abs(complex(s) - 1.0) < 1e-6
+
+
+def _analytic_outputs(table):
+    for s in ANALYTIC_S:
+        for fn in (eta, eta_prime, zeta, zeta_prime, inv_zeta, zp_over_z2):
+            try:
+                out = fn(s)
+            except (ValueError, ArithmeticError) as exc:
+                yield type(exc).__name__
+                continue
+            yield out.value if _on_series_disc(s) else out
+    for eps in (1e-3, 1e-2, 0.1, 0.5, 1.0):
+        yield zeta_inequalities(eps)
+    for (s, sigma0), X in product(DEX_POINTS, (1.0, 15.0, 50.0, 1e3, 1e4, 1e6)):
+        cst = constants(ComplexParameter(s, sigma0), X)
+        fields = CONSTANT_FIELDS[:-1] if _on_series_disc(s) else CONSTANT_FIELDS
+        yield tuple(getattr(cst, name) for name in fields)
+    # acceptance 6's dex grid below X = 1e6, where the rows' sums get costly
+    for s, X, q, which in product(
+        (1.5, 1.2 + 1j, 1 + 2j), (15.0, 1e2, 1e4), (1, 6, 30), ("mqdex", "mcheckqdex")
+    ):
+        yield bounds.verify_dex(table, X, q, ComplexParameter(s, 0.5), which)
+
+
+# sha256 of the newline-joined repr of _analytic_outputs(table_mid)
+ANALYTIC_PIN = "96b731ca32ce1e90bc9d6a21ba6dcc13dc042829dcd91c2809cc1a4a79fe53c0"
+
+
+def test_analytic_outputs_match_pin(table_mid):
+    text = "\n".join(repr(out) for out in _analytic_outputs(table_mid))
+    assert hashlib.sha256(text.encode()).hexdigest() == ANALYTIC_PIN
