@@ -16,14 +16,16 @@ For real s >= 1 the terms (k+1)^(-s) are moments of a positive measure on
 ("Convergence acceleration of alternating series", Exp. Math. 9, 2000)
 bounds the depth-n truncation by 2|C(s)|/(3+sqrt 8)^n.  eps_zeta (n = 38)
 and eps_zeta_grid (n = 44) sum once at a fixed depth: truncation is below
-1e-28 and rounding below (n+2)·EPS·Σ|c_k|/d_n <= 3.2e-13.  Complex s and the
-log-weighted C' have no such bound; they take the drift between two depths
-as their error.
+1e-28 and rounding below (n+2)·EPS·Σ|c_k|/d_n <= 3.2e-13.  These two are the
+only proven radii here.  eta and eta_prime sum once at depths fixed by s
+(30 + ceil|Im s| and 8 deeper) and carry 16 times the drift between the two,
+plus rounding, as their radius: an estimate, not an enclosure.  No caller
+requests a tolerance.
 
-Removable singularities at s = 1 are evaluated from Taylor series in
-w = s - 1 once |w| < SERIES_RADIUS; the series carry enough terms that the
-two evaluation paths agree to well below the advertised tolerance at the
-switch-over radius.
+_zeta_family is the one place that turns that eta pair into 1/zeta and
+zeta'/zeta^2; inv_zeta, zp_over_z2, constants and zeta_inequalities read it.
+Removable singularities at s = 1 are evaluated there from Taylor series in
+w = s - 1 once |w| < SERIES_RADIUS.
 """
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ from .util import (
     GAMMA3,
     LOG2,
     Approx,
+    CapacityError,
     NearZeroError,
-    PrecisionError,
     approx_add,
     approx_div,
     approx_mul,
@@ -56,8 +58,12 @@ from .util import (
 
 SERIES_RADIUS = 1e-6
 
-# Acceleration iteration cap; (3+sqrt 8)^n must stay below float overflow.
+# Acceleration depth cap, so |Im s| <= 310; (3+sqrt 8)^(n+8) stays finite.
 _N_CAP = 340
+
+# Rejection distance from the zeros of 1 - 2^(1-s) off the real axis.
+_GUARD = 1e-12
+_PARAM_GUARD = 1e-11  # ComplexParameter, stricter
 
 _EXCLUDED_SPACING = 2.0 * math.pi / LOG2  # imaginary gap between excluded points
 
@@ -108,38 +114,29 @@ def _alt_grid(sigma: np.ndarray, n: int) -> np.ndarray:
     return total / d
 
 
-def _accelerated(s: complex, tol: float, log_weight: bool) -> Approx:
-    """Run the acceleration at two depths; the drift gives the error bound."""
+def _accelerated(s: complex, log_weight: bool) -> Approx:
+    """The sum at depth 30 + ceil|Im s| + 8, with 16 times its drift from
+    the sum 8 shallower, plus rounding, as the radius."""
+    s = complex(s)
+    if not (cmath.isfinite(s) and s.real > 0.0):
+        raise ValueError(f"alternating series needs finite s with Re s > 0, got {s!r}")
     n = 30 + int(math.ceil(abs(s.imag)))
     if n > _N_CAP:
-        raise PrecisionError(f"imaginary part {s.imag:g} beyond acceleration cap")
-    while True:
-        r1 = _alt_accel(s, n, log_weight)
-        r2 = _alt_accel(s, n + 8, log_weight)
-        err = 16.0 * abs(r1 - r2) + 64.0 * EPS * (1.0 + abs(r2))
-        if err <= tol:
-            return Approx(r2, err)
-        if n >= _N_CAP:
-            raise PrecisionError(
-                f"alternating-series tolerance {tol:g} unreachable (err {err:g})"
-            )
-        n = min(2 * n, _N_CAP)
+        cap = f"the acceleration cap |Im s| <= {_N_CAP - 30}"
+        raise CapacityError(f"|Im s| = {abs(s.imag):g} is beyond {cap}")
+    r1 = _alt_accel(s, n, log_weight)
+    r2 = _alt_accel(s, n + 8, log_weight)
+    return Approx(r2, 16.0 * abs(r1 - r2) + 64.0 * EPS * (1.0 + abs(r2)))
 
 
-def eta(s: complex, tol: float = 1e-13) -> Approx:
-    """C(s) = Σ (-1)^(n+1) n^(-s) for Re s > 0, certified to ±tol."""
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError(f"alternating series needs Re s > 0, got {s!r}")
-    return _accelerated(s, tol, log_weight=False)
+def eta(s: complex) -> Approx:
+    """C(s) = Σ (-1)^(n+1) n^(-s) for finite s with Re s > 0."""
+    return _accelerated(s, log_weight=False)
 
 
-def eta_prime(s: complex, tol: float = 1e-13) -> Approx:
-    """C'(s) = -Σ (-1)^(n+1) (log n) n^(-s) for Re s > 0."""
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError(f"alternating series needs Re s > 0, got {s!r}")
-    a = _accelerated(s, tol, log_weight=True)
+def eta_prime(s: complex) -> Approx:
+    """C'(s) = -Σ (-1)^(n+1) (log n) n^(-s) for finite s with Re s > 0."""
+    a = _accelerated(s, log_weight=True)
     return Approx(-a.value, a.err)
 
 
@@ -215,10 +212,8 @@ _V5 = [1.0, GAMMA, -GAMMA1, GAMMA2 / 2.0, -GAMMA3 / 6.0]
 _C_SER = [_L * x for x in _pmul(_U5, _V5, 5)]  # C(1+w)
 _CP_SER = _pderiv(_C_SER)  # C'(1+w)
 _c_SER = [_L, -(_L**2) / 2.0, _L**3 / 6.0, -(_L**4) / 24.0, _L**5 / 120.0]
-_cp_SER = [-(_L**2) / 2.0, _L**3 / 3.0, -(_L**4) / 8.0, _L**5 / 30.0]
 _R_SER = [0.0] + _pinv(_V5, 4)  # 1/zeta(1+w)
 _ZPZ2_SER = [-x for x in _pderiv(_R_SER)]  # zeta'/zeta^2 at 1+w
-_K1_SER = [0.0] + [-x for x in _pinv(_C_SER, 4)]  # -(s-1)/C
 _K2_SER = _pmul(
     [(k + 1) * ck for k, ck in enumerate(_C_SER)],  # C + w C'
     _pinv(_pmul(_C_SER, _C_SER, 5), 5),
@@ -242,104 +237,89 @@ def excluded_distance(s: complex) -> float:
     return best
 
 
-def _guard_plain(s: complex, tol: float) -> None:
-    if excluded_distance(s) <= 10.0 * tol:
+def _guard_plain(s: complex) -> None:
+    if excluded_distance(s) <= _GUARD:
         raise ValueError(f"s={s!r} too close to a zero of 1-2^(1-s)")
 
 
-def zeta(s: "complex | ComplexParameter", tol: float = 1e-13) -> Approx:
+def zeta(s: complex) -> Approx:
     """zeta(s) = C(s)/(1 - 2^(1-s)); pole error at s=1."""
-    if isinstance(s, ComplexParameter):
-        tol = s.tolerance
-        s = s.s
     s = complex(s)
     if s == 1.0:
         raise ValueError("zeta has a pole at s=1")
-    _guard_plain(s, tol)
+    _guard_plain(s)
     factor = one_minus_two_pow(s - 1.0)
-    # contract: absolute error <= tol*(1+|zeta|); since zeta = eta/factor,
-    # an eta error of tol*(|factor|+|eta|) suffices.  Two-stage request.
-    et = eta(s, max(tol, 5e-13))
-    need = tol * (abs(factor) + abs(et.value))
-    if et.err > need:
-        et = eta(s, need)
+    et = eta(s)
     val = et.value / factor
     err = et.err / abs(factor) + 8.0 * EPS * (1.0 + abs(val))
     return Approx(val, err)
 
 
-def zeta_prime(s: "complex | ComplexParameter", tol: float = 1e-13) -> Approx:
+def zeta_prime(s: complex) -> Approx:
     """zeta'(s) from C' by the product rule; needs s != 1 and s not excluded."""
-    if isinstance(s, ComplexParameter):
-        tol = s.tolerance
-        s = s.s
     s = complex(s)
     if s == 1.0:
         raise ValueError("zeta' has a double pole at s=1")
-    _guard_plain(s, tol)
+    _guard_plain(s)
     w = s - 1.0
     if abs(w) < SERIES_RADIUS:
         # -1/w^2 - gamma1 + gamma2 w - (gamma3/2) w^2, next term ~1e-25
         val = -1.0 / (w * w) - GAMMA1 + GAMMA2 * w - 0.5 * GAMMA3 * w * w
         return Approx(val, 64.0 * EPS * abs(val))
     factor = one_minus_two_pow(w)
-    et = eta(s, max(tol, 5e-13))
-    ep = eta_prime(s, max(tol, 5e-13))
+    et = eta(s)
+    ep = eta_prime(s)
     two1s = cmath.exp(-w * LOG2)  # 2^(1-s)
     zet = et.value / factor
     num = ep.value - LOG2 * two1s * zet
-    # same contract as zeta: error <= tol*(1+|value|), value = num/factor
-    need = tol * (abs(factor) + abs(num)) / (1.0 + LOG2 * abs(two1s) / abs(factor))
-    if ep.err + LOG2 * abs(two1s) * et.err / abs(factor) > tol * (
-        abs(factor) + abs(num)
-    ):
-        et = eta(s, need)
-        ep = eta_prime(s, need)
-        zet = et.value / factor
-        num = ep.value - LOG2 * two1s * zet
     val = num / factor
     err = (ep.err + LOG2 * abs(two1s) * (et.err / abs(factor))) / abs(factor)
     return Approx(val, err + 8.0 * EPS * (1.0 + abs(val)))
 
 
-def inv_zeta(s: complex, tol: float = 1e-13) -> Approx:
-    """1/zeta(s), analytic through s=1 (value 0 there)."""
-    s = complex(s)
-    w = s - 1.0
-    if abs(w) < SERIES_RADIUS:
-        val = _peval(_R_SER, w)
-        return Approx(val, abs(w) ** 4 + 16.0 * EPS * (1.0 + abs(val)))
-    _guard_plain(s, tol)
-    factor = one_minus_two_pow(w)
-    et = eta(s, tol)
-    if abs(et.value) <= 4.0 * et.err:
-        raise NearZeroError(f"zeta evaluation at {s!r} not separated from zero")
-    return approx_div(Approx(factor, 4.0 * EPS * abs(factor)), et)
+def _zeta_family(s: complex) -> tuple[Approx, Approx, Approx, Approx]:
+    """(C, C', 1/zeta, zeta'/zeta^2) at s, from one eta pair.
 
-
-def zp_over_z2(s: complex, tol: float = 1e-13) -> Approx:
-    """zeta'(s)/zeta(s)^2, analytic through s=1 (value -1 there).
-
-    Computed as (C'·(1-2^(1-s)) - log2·2^(1-s)·C)/C², which stays
-    cancellation-free down to the series switch-over.
+    Inside |s - 1| < SERIES_RADIUS all four come from their Taylor series;
+    there the radii of 1/zeta and zeta'/zeta^2 cover both the truncation
+    |w|^4 (8|w|^4) and 32·EPS·(1 + |value|) of rounding.  Outside, zeta'/zeta^2
+    is (C'·(1-2^(1-s)) - log2·2^(1-s)·C)/C², cancellation-free down to the
+    series switch-over.
     """
-    s = complex(s)
     w = s - 1.0
     if abs(w) < SERIES_RADIUS:
-        val = _peval(_ZPZ2_SER, w)
-        return Approx(val, 8.0 * abs(w) ** 4 + 16.0 * EPS * (1.0 + abs(val)))
-    _guard_plain(s, tol)
-    factor = one_minus_two_pow(w)
-    two1s = cmath.exp(-w * LOG2)
-    et = eta(s, tol)
-    ep = eta_prime(s, tol)
+        r = _peval(_R_SER, w)
+        zz = _peval(_ZPZ2_SER, w)
+        aw4 = abs(w) ** 4
+        return (
+            Approx(_peval(_C_SER, w), 32.0 * EPS),
+            Approx(_peval(_CP_SER, w), 32.0 * EPS),
+            Approx(r, aw4 + 32.0 * EPS * (1.0 + abs(r))),
+            Approx(zz, 8.0 * aw4 + 32.0 * EPS * (1.0 + abs(zz))),
+        )
+    _guard_plain(s)
+    et = eta(s)
+    ep = eta_prime(s)
     if abs(et.value) <= 4.0 * et.err:
         raise NearZeroError(f"zeta evaluation at {s!r} not separated from zero")
+    f = one_minus_two_pow(w)
+    factor = Approx(f, 4.0 * EPS * abs(f))
+    two1s = cmath.exp(-w * LOG2)
     num = approx_add(
-        approx_mul(ep, Approx(factor, 4.0 * EPS * abs(factor))),
+        approx_mul(ep, factor),
         approx_mul(et, Approx(-LOG2 * two1s, 4.0 * EPS * LOG2 * abs(two1s))),
     )
-    return approx_div(num, approx_mul(et, et))
+    return et, ep, approx_div(factor, et), approx_div(num, approx_mul(et, et))
+
+
+def inv_zeta(s: complex) -> Approx:
+    """1/zeta(s), analytic through s=1 (value 0 there)."""
+    return _zeta_family(complex(s))[2]
+
+
+def zp_over_z2(s: complex) -> Approx:
+    """zeta'(s)/zeta(s)^2, analytic through s=1 (value -1 there)."""
+    return _zeta_family(complex(s))[3]
 
 
 def g_alt(w: complex) -> complex:
@@ -431,26 +411,26 @@ def phi_ratio(q: "Modulus | int", w: float) -> float:
 
 @dataclass(frozen=True)
 class ComplexParameter:
-    """Evaluation point s with its reference abscissa sigma0 and tolerance.
+    """Evaluation point s with its reference abscissa sigma0.
 
-    Rejects points within 10*tolerance of the zeros of 1 - 2^(1-s) off the
-    real axis, where the eta-to-zeta conversion degenerates.
+    Rejects non-finite s, and points within 1e-11 of the zeros of
+    1 - 2^(1-s) off the real axis, where the eta-to-zeta conversion
+    degenerates.
     """
 
     s: complex
     sigma0: float
-    tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", complex(self.s))
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive")
+        if not cmath.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s!r}")
         if not (self.s.real >= self.sigma0 > 0.0):
             raise ValueError(
                 f"need Re s >= sigma0 > 0, got Re s={self.s.real:g}, "
                 f"sigma0={self.sigma0:g}"
             )
-        if excluded_distance(self.s) <= 10.0 * self.tolerance:
+        if excluded_distance(self.s) <= _PARAM_GUARD:
             raise ValueError(f"s={self.s!r} within guard distance of excluded points")
 
     @property
@@ -464,27 +444,28 @@ class AnalyticConstants:
 
     Field names follow the module contract: C is the alternating zeta factor,
     c its pole-compensated cousin (1-2^(1-s))/(s-1), e the exponential weight,
-    K1/K2 the two kernel coefficients, Xi1/Xi2 the envelope totals, and
-    delta_flag the small-X indicator (1 or 2).  Xi1_real is the sharpened
-    variant valid when s is real.  err_budget is a conservative absolute
-    error radius valid for every float field.
+    K2 the kernel coefficient (C + (s-1)C')/C², Xi1/Xi2 the envelope totals,
+    and delta_flag the small-X indicator (1 or 2).  Xi1_real is the sharpened
+    variant valid when s is real.  invz and zpz2 are 1/zeta(s) and
+    zeta'(s)/zeta(s)^2 with their radii, as _zeta_family returns them.
+    err_budget is a conservative absolute error radius for every float
+    field, built on those radii and on eta's drift estimate.
     """
 
     s: complex
     sigma0: float
     X: float
     C: complex
-    Cprime: complex
     c: complex
-    cprime: complex
     e: float
-    K1: complex
     K2: complex
     Xi1: float
     Xi1_real: float
     Xi2: float
     delta_flag: int
     err_budget: float
+    invz: Approx
+    zpz2: Approx
 
 
 def delta_indicator(y: float, sigma0: float) -> int:
@@ -500,38 +481,15 @@ def constants(p: ComplexParameter, X: float) -> AnalyticConstants:
     w = s - 1.0
     sigma = s.real
     sigma0 = p.sigma0
-    tol = p.tolerance
 
+    et, ep, invz, zpz2 = _zeta_family(s)
+    C, Cp = et.value, ep.value
     if abs(w) < SERIES_RADIUS:
-        C = _peval(_C_SER, w)
-        Cp = _peval(_CP_SER, w)
         cw = _peval(_c_SER, w)
-        cpw = _peval(_cp_SER, w)
-        K1 = _peval(_K1_SER, w)
         K2 = _peval(_K2_SER, w)
-        invz = Approx(_peval(_R_SER, w), abs(w) ** 4 + 32.0 * EPS)
-        zpz2 = Approx(_peval(_ZPZ2_SER, w), 8.0 * abs(w) ** 4 + 32.0 * EPS)
-        eta_err = 64.0 * EPS
     else:
-        et = eta(s, tol)
-        ep = eta_prime(s, tol)
-        if abs(et.value) <= 4.0 * et.err:
-            raise NearZeroError(f"zeta at {s!r} not separated from zero")
-        C = et.value
-        Cp = ep.value
-        factor = one_minus_two_pow(w)
-        cw = factor / w
-        two1s = cmath.exp(-w * LOG2)
-        cpw = (LOG2 * two1s - cw) / w
-        K1 = -w / C
+        cw = one_minus_two_pow(w) / w
         K2 = (C + w * Cp) / (C * C)
-        invz = approx_div(Approx(factor, 4.0 * EPS * abs(factor)), et)
-        num = approx_add(
-            approx_mul(ep, Approx(factor, 4.0 * EPS * abs(factor))),
-            approx_mul(et, Approx(-LOG2 * two1s, 4.0 * EPS * LOG2 * abs(two1s))),
-        )
-        zpz2 = approx_div(num, approx_mul(et, et))
-        eta_err = et.err + ep.err
 
     absC = abs(C)
     absCp = abs(Cp)
@@ -558,26 +516,24 @@ def constants(p: ComplexParameter, X: float) -> AnalyticConstants:
     Xi2 = t1 + t2 + t3 + t4 + t5
 
     scale = pref * (math.log(max(X, 2.0)) + 1.0 / sigma0 + 4.0)
-    err_budget = scale * (invz.err + zpz2.err) + 8.0 * eta_err + 512.0 * EPS * (
-        1.0 + Xi1 + Xi2
-    )
+    err_budget = scale * (invz.err + zpz2.err) + 8.0 * (et.err + ep.err)
+    err_budget += 512.0 * EPS * (1.0 + Xi1 + Xi2)
 
     return AnalyticConstants(
         s=s,
         sigma0=sigma0,
         X=float(X),
         C=C,
-        Cprime=Cp,
         c=cw,
-        cprime=cpw,
         e=e_val,
-        K1=K1,
         K2=K2,
         Xi1=Xi1,
         Xi1_real=Xi1_real,
         Xi2=Xi2,
         delta_flag=dflag,
         err_budget=float(err_budget),
+        invz=invz,
+        zpz2=zpz2,
     )
 
 
@@ -620,7 +576,7 @@ def _chain(
     )
 
 
-def zeta_inequalities(eps: float, tol: float = 1e-13) -> list[ChainCheck]:
+def zeta_inequalities(eps: float) -> list[ChainCheck]:
     """Check the six two-sided chains bounding zeta-type values at 1+eps.
 
     Chains: zeta itself, 1/c, the alternating tail log2/(2^eps - 1), the
@@ -644,14 +600,14 @@ def zeta_inequalities(eps: float, tol: float = 1e-13) -> list[ChainCheck]:
         num = -1.0 - GAMMA1 * e2 + GAMMA2 * e3  # eps^2 * zeta'(1+eps)
         den = eps * (1.0 + GAMMA * eps - GAMMA1 * e2 + 0.5 * GAMMA2 * e3)
         ratio_zeta = Approx(num / den, 0.1 * e2 + 8.0 * EPS / eps)
+        # eta itself: on the series disc the family's Taylor C moves last bits
+        et, ep = eta(s), eta_prime(s)
     else:
-        zet = zeta(s, tol)
+        et, ep, _, zz = _zeta_family(s)
+        zet = zeta(s)
         zet_r = Approx(zet.value.real, zet.err)
         # zeta'/zeta = (zeta'/zeta^2) * zeta: both factors stable through s=1
-        zz = zp_over_z2(s, tol)
         ratio_zeta = approx_mul(Approx(zz.value.real, zz.err), zet_r)
-    et = eta(s, tol)
-    ep = eta_prime(s, tol)
     ratio_eta = approx_div(Approx(ep.value.real, ep.err), Approx(et.value.real, et.err))
     inv_c = Approx(eps / d, 8.0 * EPS * eps / d)
     inv_C = approx_div(Approx(1.0, 0.0), Approx(et.value.real, et.err))

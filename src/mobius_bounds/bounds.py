@@ -481,7 +481,7 @@ def verify_dex(
     s = cst.s
     sigma, sigma0 = s.real, cst.sigma0
     lx = math.log(X)
-    invz = inv_zeta(s)
+    invz = cst.invz
     pr = _phi_main(qm, s)
     intval = integral_abs_mq(table, X, qm)
     w = sigma - sigma0
@@ -502,10 +502,10 @@ def verify_dex(
     else:
         amc = m_check_q_s(table, X, qm, s)
         lps = _log_p_sum(qm, s)
-        main = pr * (lx * invz.value - zp_over_z2(s).value - invz.value * lps)
+        main = pr * (lx * invz.value - cst.zpz2.value - invz.value * lps)
         lhs = abs(amc - main)
         lhs_err = abs(pr) * (
-            (lx + abs(lps)) * invz.err + zp_over_z2(s).err
+            (lx + abs(lps)) * invz.err + cst.zpz2.err
         ) + 64.0 * EPS * (1.0 + lx) * (1.0 + abs(amc))
         xi1 = cst.Xi1_real if s.imag == 0.0 else cst.Xi1
         rhs = xi1 * intval * math.exp(-sigma * lx) + cst.Xi2 * ratio * math.exp(

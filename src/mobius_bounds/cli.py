@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import bounds
-from .util import FAIL, INCONCLUSIVE, CapacityError
+from .util import FAIL, INCONCLUSIVE, CapacityError, NearZeroError
 from .reports import BoundRow, bound_row, rows_to_csv, rows_to_jsonl, verdict_counts
 
 _THEOREMS = tuple(bounds.THEOREMS)
@@ -391,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 65
-    except ValueError as exc:
+    except (ValueError, NearZeroError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
 

@@ -33,7 +33,7 @@ class CapacityError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """A requested tolerance could not be reached within the iteration cap."""
+    """Two evaluation routes disagree beyond their stated tolerance."""
 
 
 class BracketError(RuntimeError):

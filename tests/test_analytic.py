@@ -25,7 +25,7 @@ from mobius_bounds.analytic import (
     zeta_prime,
     zp_over_z2,
 )
-from mobius_bounds.util import PASS
+from mobius_bounds.util import EPS, PASS, CapacityError
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 50
@@ -59,6 +59,71 @@ def test_zeta_prime_frozen():
     want = complex(mpmath.zeta(2 + 3j, derivative=1))
     got2 = zeta_prime(2 + 3j)
     assert abs(got2.value - want) <= got2.err + 1e-11
+
+
+# Off the suites' points: here the drift between eta's two depths exceeds
+# 1e-13, and each value must still lie within its radius of mpmath.
+_NOISY_S = (0.3 + 30j, 0.1 + 50j, 0.5 + 200j, 0.5 + 14j, 0.05 + 5j)
+
+
+@pytest.mark.parametrize("s", _NOISY_S)
+def test_eta_family_within_radius_off_the_test_traffic(s):
+    with mpmath.workdps(40):
+        z = mpmath.zeta(s)
+        zp = mpmath.zeta(s, derivative=1)
+        two1s = mpmath.power(2, 1 - s)
+        want = {
+            eta: mpmath.altzeta(s),
+            eta_prime: two1s * mpmath.log(2) * z + (1 - two1s) * zp,
+            zeta: z,
+            inv_zeta: 1 / z,
+            zp_over_z2: zp / z**2,
+        }
+        for fn, w in want.items():
+            got = fn(s)
+            assert abs(got.value - complex(w)) <= got.err, (fn.__name__, s)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 1.0)],
+)
+def test_non_finite_s_is_rejected(bad):
+    for fn in (eta, eta_prime):
+        with pytest.raises(ValueError, match="finite"):
+            fn(bad)
+    with pytest.raises(ValueError, match="finite"):
+        ComplexParameter(bad, 0.5)
+
+
+def test_imaginary_part_cap_is_a_capacity_error():
+    assert eta(1.0 + 310j).err < 1e-12
+    with pytest.raises(CapacityError, match=r"\|Im s\| <= 310"):
+        eta(1.0 + 310.5j)
+
+
+# constants(ComplexParameter(s, 0.5), X).err_budget for X = 1 and 1e4 under
+# the smaller of the two earlier series radii for 1/zeta and zeta'/zeta^2
+_OLD_SERIES_BUDGETS = {
+    1.0: (1.0114728918594559e-12, 1.1826444860865974e-12),
+    1 + 1e-7: (1.0114729920627457e-12, 1.182644806997694e-12),
+    1 + 1e-7j: (1.0114730237613036e-12, 1.1826448386962644e-12),
+}
+
+
+@pytest.mark.parametrize("s", _OLD_SERIES_BUDGETS)
+def test_series_disc_radii_never_shrink(s):
+    # the two earlier radius formulas on |s - 1| < 1e-6: 16·EPS·(1 + |v|)
+    # in inv_zeta/zp_over_z2, 32·EPS in constants
+    w4 = abs(s - 1.0) ** 4
+    for fn, trunc in ((inv_zeta, w4), (zp_over_z2, 8.0 * w4)):
+        got = fn(s)
+        assert got.err >= trunc + 16.0 * EPS * (1.0 + abs(got.value)), fn.__name__
+        assert got.err >= trunc + 32.0 * EPS, fn.__name__
+    for X, old in zip((1.0, 1e4), _OLD_SERIES_BUDGETS[s]):
+        cst = constants(ComplexParameter(s, 0.5), X)
+        assert cst.err_budget >= old
+        assert cst.invz == inv_zeta(s) and cst.zpz2 == zp_over_z2(s)
 
 
 def test_eta_prime_against_reference():

@@ -39,6 +39,31 @@ def test_capacity_exit():
     assert main(["sum", "--X", "1e9", "--limit", "1000000000"]) == 65
 
 
+_DEX_AT = ["verify", "--theorem", "mcheckqdex", "--X", "100", "--no-timestamp", "--s"]
+
+
+@pytest.mark.parametrize(
+    "s, sigma0, code, message",
+    [
+        ("inf", "0.5", 64, "error: s must be finite"),
+        ("1+infj", "0.5", 64, "error: s must be finite"),
+        ("0.5+14.134725141734693j", "0.1", 64, "error: zeta evaluation"),  # a zeta zero
+        ("0.5+400j", "0.1", 65, "|Im s| <= 310"),
+    ],
+)
+def test_dex_domain_errors_exit_without_traceback(s, sigma0, code, message, capsys):
+    assert main([*_DEX_AT, s, "--sigma0", sigma0]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and not _rows(captured.out)
+
+
+def test_dex_row_where_the_eta_drift_exceeds_1e_13(capsys):
+    assert main([*_DEX_AT, "0.3+30j", "--sigma0", "0.1"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 1 and rows[0]["verdict"] == "pass"
+
+
 def test_easy_example_grid(tmp_path):
     out = tmp_path / "easy.csv"
     rc = main([
