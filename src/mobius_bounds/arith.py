@@ -32,7 +32,7 @@ from .util import CapacityError, floor_int
 SEGMENT = 1 << 20
 # entries per block of a prefix sweep: 256 KiB of float64, well inside L2
 BLOCK = 1 << 15
-DEFAULT_LIMIT_BUDGET = 200_000_000  # ~18 bytes/entry across the four arrays
+LIMIT_BUDGET = 200_000_000  # ~18 bytes/entry across the four arrays
 
 
 # ----------------------------------------------------------------------
@@ -174,12 +174,12 @@ class ArithmeticTable:
             )
 
 
-def build_table(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> ArithmeticTable:
+def build_table(limit: int) -> ArithmeticTable:
     """Sieve mu, liouville, mangoldt_log and the Mertens prefix up to limit."""
     if limit < 1:
         raise CapacityError(f"table limit must be >= 1, got {limit}")
-    if limit > budget:
-        raise CapacityError(f"table limit {limit} exceeds budget {budget}")
+    if limit > LIMIT_BUDGET:
+        raise CapacityError(f"table limit {limit} exceeds budget {LIMIT_BUDGET}")
 
     n = limit + 1
     mu = np.zeros(n, dtype=np.int8)

@@ -33,6 +33,8 @@ FAILED = "fail"
 UNDECIDED = "inconclusive"
 
 _STEP_CAP = 200_000
+# eps grid spacing of caps_scan; the caps rows print it as eps_step=0.001
+CAPS_EPS_STEP = 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +210,8 @@ def certify_sign(
     """
     if x0 <= 1.0:
         raise ValueError("x0 must exceed 1")
-    if error_budget < 1e-9:
-        raise ValueError("error_budget below 1e-9 is not supported")
+    if not error_budget >= 1e-9:  # NaN too: no step value compares with it
+        raise ValueError(f"error_budget must be at least 1e-9, got {error_budget!r}")
     if not 0.0 < eps_max <= 1.0:
         raise ValueError("eps_max must lie in (0, 1]")
     qm = Modulus.coerce(q)
@@ -398,17 +400,16 @@ def caps_scan(
     q: Modulus | int,
     x_max: float,
     eps_max: float = 1.0,
-    eps_step: float = 1e-3,
 ) -> CapsScan:
     """sup over X <= x_max, eps on a step grid, of Delta_q(X,eps)/X^eps.
 
     X is never discretised: each unit interval contributes its closed-form
     supremum (see interval_max) on the eps grid.  grid_max is the scan
-    value; rigorous_cap adds M * eps_step / 2 per interval so the true
+    value; rigorous_cap adds M * CAPS_EPS_STEP / 2 per interval so the true
     supremum over all eps is provably below it.
     """
     qm = Modulus.coerce(q)
-    grid = np.arange(0.0, eps_max + eps_step / 2.0, eps_step)
+    grid = np.arange(0.0, eps_max + CAPS_EPS_STEP / 2.0, CAPS_EPS_STEP)
     grid[-1] = min(grid[-1], eps_max)
     pos = grid[1:]
     ez = eps_zeta_grid(pos)
@@ -431,13 +432,13 @@ def caps_scan(
             arg_n = N
             arg_eps = 0.0 if t0 >= t_top else float(pos[int(t_pos.argmax())])
         best_pad = max(
-            best_pad, here + derivative_bound(qm, N) * eps_step / 2.0
+            best_pad, here + derivative_bound(qm, N) * CAPS_EPS_STEP / 2.0
         )
     return CapsScan(
         q=qm.q,
         x_max=x_max,
         eps_max=eps_max,
-        eps_step=eps_step,
+        eps_step=CAPS_EPS_STEP,
         grid_max=best,
         arg_n=arg_n,
         arg_eps=arg_eps,

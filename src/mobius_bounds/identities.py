@@ -27,6 +27,7 @@ disagrees with the raw identity; catalog_check reports, never asserts.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -74,6 +75,8 @@ class IdentitySpec:
         needs_s = self.h_id == "power" or self.H_id in ("power", "power_log")
         if needs_s and self.s is None:
             raise ValueError("power-type choices need the exponent s")
+        if self.s is not None and not cmath.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s!r}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from mobius_bounds.analytic import (
     zeta_prime,
     zp_over_z2,
 )
-from mobius_bounds.util import EPS, PASS, CapacityError
+from mobius_bounds.util import EPS, FAIL, PASS, CapacityError
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 50
@@ -219,12 +219,25 @@ def test_phi_ratio():
         phi_ratio(6, -1.0)
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0])
 def test_zeta_inequality_chains(eps):
     checks = zeta_inequalities(eps)
     assert len(checks) == 6
     for c in checks:
         assert c.verdict == PASS, (eps, c.chain, c.lower, c.value, c.upper)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4])
+def test_zeta_chain_on_the_pole_expansion_within_radius(eps):
+    # below 1e-3 the zeta chain reads the Laurent expansion at s = 1; its
+    # radius must cover the truth, and where the radius straddles the
+    # chain's bound (1e-8) the verdict is inconclusive, never fail
+    zeta_chain = zeta_inequalities(eps)[0]
+    assert zeta_chain.chain == "zeta"
+    with mpmath.workdps(40):
+        want = mpmath.zeta(1 + mpmath.mpf(eps))
+    assert abs(zeta_chain.value - want) <= zeta_chain.err
+    assert zeta_chain.verdict != FAIL
 
 
 def test_zeta_inequalities_guard():

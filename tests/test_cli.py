@@ -35,6 +35,52 @@ def test_usage_errors():
     assert main(["sum", "--X", ""]) == 64
 
 
+def test_modes_and_names_are_checked_before_any_sieve(monkeypatch, capsys):
+    from mobius_bounds import arith
+
+    def no_sieve(limit):
+        raise AssertionError(f"a sieve of {limit} was built")
+
+    monkeypatch.setattr(arith, "build_table", no_sieve)
+    assert main(["verify", "--suite", "bounds:easy", "--theorem", "easy"]) == 64
+    assert main(["verify", "--list", "--suite", "bounds:easy"]) == 64
+    assert main(["verify", "--X", "10"]) == 64
+    assert main(["identity", "--name", "bogus"]) == 64
+    err = capsys.readouterr().err
+    assert "argument --theorem: not allowed with argument --suite" in err
+    assert "one of the arguments --theorem --suite --list is required" in err
+    assert "argument --name: invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta-sign", "--q", "1", "--X0", "10.8", "--budget", "nan"],
+        ["delta-sign", "--q", "1", "--X0", "11", "--budget", "nan"],
+        ["delta-sign", "--q", "1", "--X0", "inf"],
+        ["delta-sign", "--q", "1", "--X0", "10.8", "--eps-max", "nan"],
+        ["delta-sign", "--q", "inf", "--X0", "10.8"],
+        ["harmonic", "--x-max", "inf"],
+        ["sum", "--X", "inf"],
+        ["sum", "--X", "10,1e400"],
+        ["identity", "--name", "meissel", "--X", "inf"],
+        ["identity", "--name", "daval_general", "--X", "10", "--s", "nan"],
+        ["verify", "--theorem", "easy", "--X", "inf"],
+        ["verify", "--theorem", "easy", "--X", "nan"],
+        ["verify", "--theorem", "easy", "--X", "10", "--q", "inf"],
+        ["verify", "--theorem", "easy", "--X", "10", "--q", "6.5"],
+        ["verify", "--theorem", "easy", "--X", "10", "--k", "inf"],
+        ["verify", "--theorem", "easy", "--X", "10", "--k", "1.9"],
+        ["verify", "--theorem", "easy", "--X", "10", "--sigma", "inf"],
+    ],
+)
+def test_non_finite_and_fractional_numbers_are_usage_errors(argv, capsys):
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_capacity_exit():
     assert main(["sum", "--X", "1e9", "--limit", "1000000000"]) == 65
 

@@ -99,6 +99,8 @@ def test_certify_guards(table_small):
         certify_sign(table_small, 1, 1.0)
     with pytest.raises(ValueError):
         certify_sign(table_small, 1, 10.0, error_budget=1e-12)
+    with pytest.raises(ValueError):  # no step value compares with NaN
+        certify_sign(table_small, 1, 10.8, error_budget=math.nan)
     with pytest.raises(ValueError):
         certify_sign(table_small, 1, 10.0, eps_max=1.5)
 

@@ -3,9 +3,9 @@ certificates, identity evaluations, scans and prefix arrays bit for bit.
 
 The golden files were captured with
 ``main(["verify", "--suite", name, "--no-timestamp"])`` and
-``main(["identity", *args, "--no-timestamp"])`` written to stdout;
-``delta-sign:certify`` is pinned through its certificates instead, since
-its rows follow from them.
+``main(["identity", *args, "--no-timestamp"])`` written to stdout.
+``delta-sign:certify`` is pinned both ways: its rows as CSV and its
+certificates by hash.
 """
 
 import hashlib
@@ -47,6 +47,7 @@ SUITES = (
     "bounds:small-m",
     "bounds:special",
     "delta-sign:caps",
+    "delta-sign:certify",
     "harmonic:defect",
     "harmonic:harmonic",
 )
