@@ -89,6 +89,23 @@ def _complexes(text: str) -> list[complex]:
     return out
 
 
+# verify's grid flags with their defaults, which apply to --theorem only:
+# a suite runs on its own fixed grids
+_VERIFY_GRIDS = (
+    ("--X", _reals, None),
+    ("--q", _ints, [1]),
+    ("--k", _ints, [1]),
+    ("--sigma", _reals, [1.0]),
+    ("--sigma0", _reals, [0.5]),
+    ("--eps", _reals, [0.0, 0.5]),
+    ("--s", _complexes, [complex(1.5)]),
+)
+
+
+def _grid_dest(flag: str) -> str:
+    return f"{flag[2:].lower()}_values"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mobius-bounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,13 +135,8 @@ def build_parser() -> _Parser:
     mode.add_argument("--theorem", choices=_THEOREMS)
     mode.add_argument("--suite", help="canned suite, e.g. bounds:easy")
     mode.add_argument("--list", dest="list_suites", action="store_true")
-    p.add_argument("--X", dest="x_values", type=_reals)
-    p.add_argument("--q", dest="q_values", type=_ints, default=[1])
-    p.add_argument("--k", dest="k_values", type=_ints, default=[1])
-    p.add_argument("--sigma", dest="sigma_values", type=_reals, default=[1.0])
-    p.add_argument("--sigma0", dest="sigma0_values", type=_reals, default=[0.5])
-    p.add_argument("--eps", dest="eps_values", type=_reals, default=[0.0, 0.5])
-    p.add_argument("--s", dest="s_values", type=_complexes, default=[complex(1.5)])
+    for flag, kind, _ in _VERIFY_GRIDS:
+        p.add_argument(flag, dest=_grid_dest(flag), type=kind)
 
     p = command("delta-sign", _delta_sign, "certify nonpositivity of the defect")
     p.add_argument("--q", dest="q_values", type=_ints, default=[1])
@@ -196,55 +208,51 @@ def _sum(args: argparse.Namespace) -> list[BoundRow]:
 def _identity(args: argparse.Namespace) -> list[BoundRow]:
     from .identities import IdentitySpec, catalog_check
 
-    table = _table(args, max(max(args.x_values), 100))
     name = args.name
+    if args.s_values is not None and name != "daval_general":
+        raise ValueError(f"--s applies to --name daval_general only, not {name!r}")
+    table = _table(args, max(max(args.x_values), 100))
+    # (suffix of param, h spec) per exponent; no --s keeps the catalog's own
+    variants = [("", None)]
+    if args.s_values is not None:
+        variants = [
+            (f" s={s}", IdentitySpec("mobius", "one", "power", "power", s=s))
+            for s in args.s_values
+        ]
+    # the printed liouville form does not hold; its residual is reported
+    # without being asserted against a tolerance
+    printed_only = name == "liouville"
     rows = []
     for X in args.x_values:
-        h_spec = None
-        if name == "daval_general" and args.s_values:
-            h_spec = IdentitySpec(
-                f_id="mobius", g_id="one", h_id="power", H_id="power", s=args.s_values[0]
-            )
-        rep = catalog_check(table, name, X, h_spec=h_spec)
-        rows.append(
-            bound_row(
-                "identity-ofd",
-                X,
-                1,
-                name,
-                lhs=abs(rep.ofd_residual),
-                bound=1e-9,
-                lhs_err=rep.ofd_err,
-            )
-        )
-        # the printed liouville form does not hold; its residual is
-        # reported without being asserted against a tolerance
-        printed_only = name == "liouville"
-        rows.append(
-            bound_row(
-                "identity-printed",
-                X,
-                1,
-                f"{name} reported only" if printed_only else name,
-                lhs=abs(rep.residual),
-                bound=float("inf") if printed_only else 1e-9,
-            )
-        )
-        if rep.alt_residual is not None:
-            rows.append(
-                bound_row(
-                    "identity-alt",
-                    X,
-                    1,
-                    f"{name} {rep.note}".strip(),
-                    lhs=abs(rep.alt_residual),
-                    bound=1e-9,
-                )
-            )
+        for tag, h_spec in variants:
+            rep = catalog_check(table, name, X, h_spec=h_spec)
+            # (theorem_id, param, residual, tolerance, radius) per row
+            checks = [
+                ("identity-ofd", name + tag, rep.ofd_residual, 1e-9, rep.ofd_err),
+                (
+                    "identity-printed",
+                    f"{name} reported only" if printed_only else name + tag,
+                    rep.residual,
+                    float("inf") if printed_only else 1e-9,
+                    0.0,
+                ),
+            ]
+            if rep.alt_residual is not None:
+                alt = f"{name} {rep.note}".strip() + tag
+                checks.append(("identity-alt", alt, rep.alt_residual, 1e-9, 0.0))
+            rows += [
+                bound_row(tid, X, 1, param, lhs=abs(res), bound=tol, lhs_err=err)
+                for tid, param, res, tol, err in checks
+            ]
     return rows
 
 
 def _verify(args: argparse.Namespace) -> list[BoundRow] | int:
+    given = {flag: getattr(args, _grid_dest(flag)) for flag, _, _ in _VERIFY_GRIDS}
+    if args.theorem is None:
+        for flag, value in given.items():
+            if value is not None:
+                raise ValueError(f"{flag} applies to --theorem only, not to --suite or --list")
     if args.list_suites:
         for name in sorted(suite_registry()):
             print(name)
@@ -254,12 +262,15 @@ def _verify(args: argparse.Namespace) -> list[BoundRow] | int:
         if args.suite not in registry:
             raise ValueError(f"unknown suite {args.suite!r}; try `verify --list`")
         return registry[args.suite](_table(args, 0, 100_000))
-    if not args.x_values:
+    grid = {
+        flag[2:].lower(): default if given[flag] is None else given[flag]
+        for flag, _, default in _VERIFY_GRIDS
+    }
+    if not grid["x"]:
         raise ValueError("--theorem verification needs a non-empty --X grid")
-    table = _table(args, max(args.x_values))
+    table = _table(args, max(grid["x"]))
     axes = bounds.THEOREMS[args.theorem][1]
-    grids = [getattr(args, f"{axis.lower()}_values") for axis in axes]
-    return bounds.grid_rows(table, args.theorem, grids)
+    return bounds.grid_rows(table, args.theorem, [grid[axis.lower()] for axis in axes])
 
 
 def _delta_sign(args: argparse.Namespace) -> list[BoundRow] | int:
@@ -272,8 +283,7 @@ def _delta_sign(args: argparse.Namespace) -> list[BoundRow] | int:
         rows = []
         for q in args.q_values:
             scan = delta_sign.caps_scan(table, q, args.x0, eps_max=args.eps_max)
-            # ad-hoc scans report the grid maximum; the certified caps with
-            # their published thresholds live in the delta-sign:caps suite
+            # an uncertified grid maximum asserts nothing: bound inf
             detail = f" rigorous_cap={scan.rigorous_cap!r}"
             rows.append(delta_sign.caps_row(scan, float("inf"), detail))
         return rows

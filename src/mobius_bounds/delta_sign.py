@@ -2,16 +2,20 @@
 
 The certifier walks unit intervals [N, N+1) in X.  Inside one interval the
 counting sums freeze at N, so the supremum over X has a closed form and
-only eps needs to be swept.  A uniform bound M on the eps-derivative turns
-pointwise evaluations into interval statements: a value t_k < 0 at eps_k
-keeps the defect nonpositive up to eps_{k+1} = eps_k - t_k / M.
+only eps needs to be swept.  A uniform bound M2 on the second
+eps-derivative turns pointwise values into interval statements: on a step
+[eps_k, eps_{k+1}] of length h the defect stays below its chord plus
+M2 h^2 / 8, so below max(t_k, t_{k+1}) + M2 h^2 / 8 (the pair bound).  A
+chain from eps = 0 to eps_max whose pair bounds all stay at or below
+cap - error_budget proves Delta_q(X, eps)/X^eps <= cap on the interval;
+cap = 0 is the sign claim.
 
 No interval arithmetic is used.  Rounding is absorbed by an explicit
-error_budget: a value at or above -error_budget is a failure witness, and
-one within ten budgets of zero aborts as inconclusive rather than
+error_budget: a value at or above cap - error_budget is a failure witness,
+and one within ten budgets of the cap aborts as inconclusive rather than
 certifying on noise.  Certificates serialize to JSON with floats written
-as repr strings, so a round trip is bit-for-bit and an independent checker
-can replay every step.
+as repr strings, so a round trip is bit-for-bit and a checker can
+re-derive every step.
 """
 
 from __future__ import annotations
@@ -32,13 +36,24 @@ CERTIFIED = "certified_nonpositive"
 FAILED = "fail"
 UNDECIDED = "inconclusive"
 
+CERT_VERSION = 2
 _STEP_CAP = 200_000
+# share of the room below cap - budget that a proposed step's pair bound
+# may use if the far value comes out as its slope predicts
+_STEP_SHARE = 0.5
 # eps grid spacing of caps_scan; the caps rows print it as eps_step=0.001
 CAPS_EPS_STEP = 1e-3
 
 
 # ----------------------------------------------------------------------
-# Derivative envelope in eps.
+# Derivative envelopes in eps.
+
+
+@lru_cache(maxsize=1)
+def _envelope_grid() -> tuple[np.ndarray, np.ndarray]:
+    """eps on [0, 1] in steps of 1e-5, and eps * zeta(1+eps) there."""
+    grid = np.linspace(0.0, 1.0, 100_001)
+    return grid, eps_zeta_grid(grid)
 
 
 @lru_cache(maxsize=1)
@@ -48,8 +63,7 @@ def _envelope_extrema() -> tuple[float, float]:
     # slope pad (|a'|, |b'| < 4 on [0,1]) so a_min is below the true inf
     # and b_max above the true sup.  The slopes stay below 1.3; the spare 2.7
     # steps (2.7e-5) cover eps_zeta_grid's proven error, below 1e-12.
-    grid = np.linspace(0.0, 1.0, 100_001)
-    ez = eps_zeta_grid(grid)
+    grid, ez = _envelope_grid()
     a = 1.0 / (2.0 * (1.0 + grid) ** 2 * ez)
     b = (1.0 + 2.0 * grid) / ((1.0 + grid) * ez)
     pad = 4.0 * (grid[1] - grid[0])
@@ -70,6 +84,67 @@ def derivative_bound(q: Modulus | int, N: int) -> float:
     a_min, b_max = _envelope_extrema()
     s_q = math.fsum(math.log(p) / (p - 1.0) for p in qm.primes)
     return qm.q_over_phi * (math.log(N + 1.0) + max(s_q - a_min, b_max))
+
+
+def _main_third_derivative(qm: Modulus) -> float:
+    """G3 >= sup |g'''| on [0, 1] for the main term g = R h of the defect:
+    R(eps) = phi_ratio(q, 1+eps) and h = 1/F with F(eps) = eps zeta(1+eps).
+
+    zeta(s) = s/(s-1) - s int_1^inf {x} x^(-s-1) dx gives F = (1+eps) P with
+    P = 1 - eps I and I(eps) = int_1^inf {x} x^(-2-eps) dx.  I^(k) has the
+    sign (-1)^k and |I^(k)| <= int_1^inf log^k(x) x^(-2) dx = k!, so P lies
+    in (0, 1] with |P'| <= 1, |P''| <= 2, |P'''| <= 6.  Hence F >= 1,
+    |F'| <= 3, |F''| <= 6, |F'''| <= 18, and h <= 1, |h'| <= 3,
+    |h''| <= 6 + 2*3^2 = 24, |h'''| <= 18 + 6*3*6 + 6*3^3 = 288.
+    R <= q/phi(q), and log R = sum_{p|q} sum_m p^(-m(1+eps))/m has
+    |(log R)^(k)| <= l_k = sum_p log^k(p) Li_{1-k}(1/p), so R'/R, R''/R and
+    R'''/R are at most l1, l2 + l1^2 and l3 + 3 l1 l2 + l1^3.  Leibniz on
+    (R h)''' gives the sum returned.
+    """
+    l1 = l2 = l3 = 0.0
+    for p in qm.primes:
+        lp = math.log(p)
+        l1 += lp / (p - 1.0)
+        l2 += lp**2 * p / (p - 1.0) ** 2
+        l3 += lp**3 * p * (p + 1.0) / (p - 1.0) ** 3
+    r1, r2, r3 = l1, l2 + l1**2, l3 + 3.0 * l1 * l2 + l1**3
+    return qm.q_over_phi * (r3 + 3.0 * r2 * 3.0 + 3.0 * r1 * 24.0 + 288.0)
+
+
+@lru_cache(maxsize=None)
+def _main_curvature(q: int) -> float:
+    """G2 >= sup |g''| on [0, 1] for g(eps) = phi_ratio(q, 1+eps)/eps_zeta(eps).
+
+    On the envelope grid (step d = 1e-5) each second difference D2_i is a
+    weighted mean of g'' over [eps_{i-1}, eps_{i+1}], so it equals g'' at a
+    point there, and every eps in [0, 1] lies within 2d of such a point:
+    sup |g''| <= max |D2_i| + 2 d G3.  Each grid value of g is within
+    (q/phi) 2e-12 of g at its node (eps_zeta_grid's proven 1e-12, plus 1e-12
+    for the ulps of forming g and its differences and the nodes' offsets
+    from i d), which moves D2_i by at most 4 (q/phi) 2e-12 / d^2.
+    """
+    qm = Modulus.coerce(q)
+    grid, ez = _envelope_grid()
+    g = 1.0 / ez
+    for p in qm.primes:
+        g /= -np.expm1(-(1.0 + grid) * math.log(p))
+    d = float(grid[1] - grid[0])
+    d2 = float(np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]).max()) / d**2
+    pad = 2.0 * d * _main_third_derivative(qm) + 8e-12 * qm.q_over_phi / d**2
+    return d2 + pad
+
+
+def curvature_bound(
+    w: np.ndarray, ln: np.ndarray, q: Modulus | int, log_y: float
+) -> float:
+    """Uniform M2 >= |t''(eps)| on [0, 1] for t = defect(w, ln, q, ., log_y).
+
+    The kernel (n^(-eps) - y^(-eps))/eps = int_{log n}^{log y} e^(-eps u) du
+    has second derivative int u^2 e^(-eps u) du in [0, (log^3 y - log^3 n)/3];
+    the main term adds _main_curvature(q).
+    """
+    kernel = np.abs(w) * (log_y**3 - ln**3) / 3.0
+    return math.fsum(kernel.tolist()) + _main_curvature(Modulus.coerce(q).q)
 
 
 # ----------------------------------------------------------------------
@@ -99,8 +174,8 @@ def defect(
     s = 1+eps, w and ln as from interval_weights, assembled through expm1
     so the 1/eps pieces never cancel in floats.  At eps = 0 the kernel
     degenerates to log(y/n) and the main term to q/phi(q); small eps > 0
-    stays on the expm1 route, since substituting the eps = 0 value would
-    cancel the certifier's step size and stall its chain.
+    stays on the expm1 route, so each step value is the defect at its own
+    eps rather than a copy of the eps = 0 value.
     """
     if eps == 0.0:
         return math.fsum((w * (log_y - ln)).tolist()) - qm.q_over_phi
@@ -153,7 +228,8 @@ def interval_max(
 @dataclass(frozen=True)
 class IntervalRecord:
     N: int
-    M: float
+    M: float  # first-order slope bound, derivative_bound(q, N)
+    M2: float  # curvature bound, curvature_bound on the interval
     steps: tuple[tuple[float, float], ...]  # (eps_k, t_k) in step order
 
 
@@ -167,18 +243,27 @@ class DeltaCertificate:
     records: tuple[IntervalRecord, ...]
     failure: tuple[int, float, float] | None = None  # (N, eps, value)
     reason: str = ""
+    cap: float = 0.0
 
     @property
     def certified(self) -> bool:
         return self.status == CERTIFIED
 
-    def worst_value(self) -> float:
-        """Largest t_k across all recorded steps (-inf if empty)."""
+    def proven_bound(self) -> float:
+        """Largest pair bound max(t_k, t_{k+1}) + M2 h_k^2 / 8 over all
+        recorded steps (-inf if none): on a certified range the defect
+        stays below it, up to the rounding the budget absorbs."""
         worst = -math.inf
         for rec in self.records:
-            for _, t in rec.steps:
-                worst = max(worst, t)
+            for (e0, t0), (e1, t1) in zip(rec.steps, rec.steps[1:]):
+                worst = max(worst, pair_bound(t0, t1, e1 - e0, rec.M2))
         return worst
+
+
+def pair_bound(t0: float, t1: float, h: float, m2: float) -> float:
+    """Upper bound over a step of length h with end values t0, t1 for a
+    function with |t''| <= m2: the chord plus its error m2 h^2 / 8."""
+    return max(t0, t1) + m2 * h * h / 8.0
 
 
 def _interval_schedule(x0: float) -> list[tuple[int, float]]:
@@ -191,22 +276,44 @@ def _interval_schedule(x0: float) -> list[tuple[int, float]]:
     return [(N, min(N + 1.0, x0)) for N in range(1, n_last + 1)]
 
 
+def _value_status(t: float, cap: float, budget: float, N: int, eps: float):
+    """(status, reason) of one step value against the cap's budget rules."""
+    margin = cap - t
+    if margin <= budget:
+        return FAILED, f"value {t!r} within budget of cap {cap!r} at N={N}, eps={eps!r}"
+    if margin < 10.0 * budget:
+        return UNDECIDED, f"margin {margin!r} within 10x budget at N={N}, eps={eps!r}"
+    return CERTIFIED, ""
+
+
+def _step_length(room: float, slope: float, m2: float) -> float:
+    """Largest h with max(slope, 0) h + m2 h^2 / 8 <= room."""
+    s = max(slope, 0.0)
+    return 2.0 * room / (s + math.sqrt(s * s + m2 * room / 2.0))
+
+
 def certify_sign(
     table: ArithmeticTable,
     q: Modulus | int,
     x0: float,
     error_budget: float = 1e-9,
     eps_max: float = 1.0,
+    cap: float = 0.0,
 ) -> DeltaCertificate:
-    """Certify Delta_q(X, eps) <= 0 for all X in [1, x0], eps in [0, eps_max].
+    """Certify Delta_q(X, eps)/X^eps <= cap for all X in [1, x0] and eps in
+    [0, eps_max]; cap = 0 is the sign claim Delta_q <= 0.
 
-    Per interval: evaluate t_0 at eps = 0, then chain
-    eps_{k+1} = eps_k - t_k / M with M = derivative_bound(q, N) until
-    eps_max is covered; the mean value theorem makes each hop sound.
-    A value t_k >= -error_budget ends the run with status "fail" and the
-    witness (a failure is a result, not an error); a negative t_k within
-    ten budgets of zero aborts as "inconclusive" instead of certifying a
-    margin thinner than the arithmetic deserves.
+    Per interval: evaluate t at eps = 0, then step towards eps_max, ending
+    exactly there.  A step to eps' with value t' is kept when
+    pair_bound(t, t', eps' - eps, M2) <= cap - error_budget, with M2 =
+    curvature_bound; its length is sized from the slope of the previous
+    step, and halved at least (refitting the slope) until it is kept.
+    Every value evaluated, kept or not, meets the budget rules: one at or
+    above cap - error_budget ends the run with status "fail" and the
+    witness (a failure is a result, not an error); one within ten budgets
+    of the cap aborts as "inconclusive" instead of certifying a margin
+    thinner than the arithmetic deserves.  Each record also carries the
+    first-order slope bound M = derivative_bound(q, N).
     """
     if x0 <= 1.0:
         raise ValueError("x0 must exceed 1")
@@ -214,30 +321,42 @@ def certify_sign(
         raise ValueError(f"error_budget must be at least 1e-9, got {error_budget!r}")
     if not 0.0 < eps_max <= 1.0:
         raise ValueError("eps_max must lie in (0, 1]")
+    if not math.isfinite(cap):
+        raise ValueError(f"cap must be finite, got {cap!r}")
     qm = Modulus.coerce(q)
     records: list[IntervalRecord] = []
     status, failure, reason = CERTIFIED, None, ""
     for N, x_hi in _interval_schedule(x0):
-        M = derivative_bound(qm, N)
         w, ln, log_y = _interval_invariants(table, N, qm, x_hi)
-        steps: list[tuple[float, float]] = []
-        eps = 0.0
-        while eps < eps_max:
-            t = defect(w, ln, qm, eps, log_y)
-            steps.append((eps, t))
-            if t >= -error_budget:
-                status, failure = FAILED, (N, eps, t)
-                reason = f"positive-side value {t!r} at N={N}, eps={eps!r}"
-            elif -t < 10.0 * error_budget:
-                status = UNDECIDED
-                reason = f"margin {-t!r} within 10x budget at N={N}, eps={eps!r}"
-            elif len(steps) >= _STEP_CAP:
-                status = UNDECIDED
-                reason = f"step cap {_STEP_CAP} reached at N={N}"
-            if status != CERTIFIED:
+        m2 = curvature_bound(w, ln, qm, log_y)
+        eps, slope = 0.0, 0.0
+        t = defect(w, ln, qm, eps, log_y)
+        steps = [(eps, t)]
+        status, reason = _value_status(t, cap, error_budget, N, eps)
+        while status == CERTIFIED and eps < eps_max:
+            if len(steps) >= _STEP_CAP:
+                status, reason = UNDECIDED, f"step cap {_STEP_CAP} reached at N={N}"
                 break
-            eps = eps - t / M
-        records.append(IntervalRecord(N=N, M=M, steps=tuple(steps)))
+            room = _STEP_SHARE * (cap - error_budget - t)
+            h = _step_length(room, slope, m2)
+            while True:
+                nxt = min(eps + h, eps_max)
+                t_nxt = defect(w, ln, qm, nxt, log_y)
+                status, reason = _value_status(t_nxt, cap, error_budget, N, nxt)
+                if status != CERTIFIED:
+                    break
+                if cap - pair_bound(t, t_nxt, nxt - eps, m2) >= error_budget:
+                    break
+                slope = (t_nxt - t) / (nxt - eps)
+                h = min(0.5 * (nxt - eps), _step_length(room, slope, m2))
+            steps.append((nxt, t_nxt))
+            slope = (t_nxt - t) / (nxt - eps)
+            eps, t = nxt, t_nxt
+        if status == FAILED:
+            failure = (N, eps, t)
+        records.append(
+            IntervalRecord(N=N, M=derivative_bound(qm, N), M2=m2, steps=tuple(steps))
+        )
         if status != CERTIFIED:
             break
     return DeltaCertificate(
@@ -249,6 +368,7 @@ def certify_sign(
         records=tuple(records),
         failure=failure,
         reason=reason,
+        cap=cap,
     )
 
 
@@ -258,15 +378,18 @@ def certify_sign(
 
 def certificate_to_json(cert: DeltaCertificate) -> str:
     obj = {
+        "version": CERT_VERSION,
         "q": cert.q,
         "x_range": [repr(cert.x_range[0]), repr(cert.x_range[1])],
         "eps_max": repr(cert.eps_max),
         "error_budget": repr(cert.error_budget),
+        "cap": repr(cert.cap),
         "status": cert.status,
         "records": [
             {
                 "N": rec.N,
                 "M": repr(rec.M),
+                "M2": repr(rec.M2),
                 "steps": [[repr(e), repr(t)] for e, t in rec.steps],
             }
             for rec in cert.records
@@ -285,10 +408,13 @@ def certificate_to_json(cert: DeltaCertificate) -> str:
 
 def certificate_from_json(text: str) -> DeltaCertificate:
     obj = json.loads(text)
+    if not isinstance(obj, dict) or obj.get("version") != CERT_VERSION:
+        raise ValueError(f"not a version {CERT_VERSION} delta-sign certificate")
     records = tuple(
         IntervalRecord(
             N=int(rec["N"]),
             M=float(rec["M"]),
+            M2=float(rec["M2"]),
             steps=tuple((float(e), float(t)) for e, t in rec["steps"]),
         )
         for rec in obj["records"]
@@ -306,21 +432,26 @@ def certificate_from_json(text: str) -> DeltaCertificate:
         records=records,
         failure=failure,
         reason=str(obj.get("reason", "")),
+        cap=float(obj["cap"]),
     )
 
 
 def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[str]:
     """Re-derive every recorded quantity; returns problems (empty = verified).
 
-    Independent of certify_sign's control flow: recomputes each M and t_k,
-    and checks the chaining invariants directly -- eps_0 = 0, each
-    eps_{k+1} = eps_k - t_k / M, every certified t_k <= -error_budget,
-    coverage reaching eps_max on full intervals, and the interval list
-    tiling [1, x0].  Recomputed values must agree within error_budget.  A
-    step or witness outside the certified range is a problem, not an error.
+    Independent of certify_sign's control flow, though it shares its kernel:
+    recomputes M and M2 per interval and requires each recorded value to be
+    at least its bound, re-derives every t_k within error_budget, and checks
+    the chain directly -- eps_0 = 0, every step in [0, 1], every certified
+    t_k at or below cap - error_budget, every consecutive pair's
+    pair_bound at or below cap - error_budget, the last step reaching
+    eps_max on full intervals, and the interval list tiling [1, x0].  The
+    final step of a certificate that is not certified (its witness or the
+    value that stopped it) is exempt from the value and pair rules.  A step
+    or witness outside the certified range is a problem, not an error.
     """
     problems: list[str] = []
-    budget = cert.error_budget
+    budget, cap = cert.error_budget, cert.cap
     qm = Modulus.coerce(cert.q)
     schedule = _interval_schedule(cert.x_range[1])
     if cert.status == CERTIFIED and [r.N for r in cert.records] != [
@@ -333,18 +464,21 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
         if x_hi is None:
             problems.append(f"N={rec.N}: interval outside the X range")
             continue
-        m_true = derivative_bound(cert.q, rec.N)
-        # an understated slope bound lengthens every hop past what the mean
-        # value theorem covers
-        if not rec.M >= m_true:
-            problems.append(f"N={rec.N}: recorded M={rec.M!r} is below {m_true!r}")
+        w, ln, log_y = _interval_invariants(table, rec.N, qm, x_hi)
+        # an understated bound widens every step past what it covers
+        for name, recorded, true in (
+            ("M", rec.M, derivative_bound(qm, rec.N)),
+            ("M2", rec.M2, curvature_bound(w, ln, qm, log_y)),
+        ):
+            if not recorded >= true:
+                problems.append(
+                    f"N={rec.N}: recorded {name}={recorded!r} is below {true!r}"
+                )
         if not rec.steps:
             problems.append(f"N={rec.N}: no steps recorded")
             continue
         if rec.steps[0][0] != 0.0:
             problems.append(f"N={rec.N}: chain does not start at eps = 0")
-        is_last_bad = cert.status != CERTIFIED and rec.N == cert.records[-1].N
-        w, ln, log_y = _interval_invariants(table, rec.N, qm, x_hi)
         for k, (eps, t) in enumerate(rec.steps):
             if not 0.0 <= eps <= 1.0:
                 problems.append(f"N={rec.N}: step {k} has eps={eps!r} outside [0, 1]")
@@ -352,17 +486,17 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
                 problems.append(
                     f"N={rec.N}, eps={eps!r}: recorded {t!r} vs replay {t_new!r}"
                 )
-            final_witness = is_last_bad and k == len(rec.steps) - 1
-            if not final_witness and not t <= -budget:
-                problems.append(f"N={rec.N}, eps={eps!r}: value {t!r} above -budget")
-            if k + 1 < len(rec.steps):
-                # same floats, same expression: the chain must replay exactly
-                if rec.steps[k + 1][0] != eps - t / rec.M:
-                    problems.append(f"N={rec.N}: step {k + 1} breaks the chain")
-        if cert.status == CERTIFIED or not is_last_bad:
-            eps_l, t_l = rec.steps[-1]
-            if not eps_l - t_l / rec.M >= cert.eps_max:
-                problems.append(f"N={rec.N}: coverage stops short of eps_max")
+        is_last_bad = cert.status != CERTIFIED and rec.N == cert.records[-1].N
+        # the step that stopped a run (its witness, say) meets no rule
+        kept = rec.steps[:-1] if is_last_bad else rec.steps
+        for eps, t in kept:
+            if not cap - t >= budget:
+                problems.append(f"N={rec.N}, eps={eps!r}: value {t!r} above cap - budget")
+        for k, ((e0, t0), (e1, t1)) in enumerate(zip(kept, kept[1:])):
+            if not cap - pair_bound(t0, t1, e1 - e0, rec.M2) >= budget:
+                problems.append(f"N={rec.N}: steps {k}, {k + 1} break the pair rule")
+        if not is_last_bad and not rec.steps[-1][0] >= cert.eps_max:
+            problems.append(f"N={rec.N}: coverage stops short of eps_max")
     if cert.status == FAILED:
         if cert.failure is None:
             problems.append("fail status without a witness")
@@ -374,8 +508,8 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
                 t_new = interval_max(table, n_w, cert.q, eps_w, x_hi=lookup[n_w])
                 if abs(t_new - val_w) > budget:
                     problems.append(f"witness value {val_w!r} vs replay {t_new!r}")
-                if not t_new >= -2.0 * budget:
-                    problems.append("witness does not reproduce a positive-side value")
+                if not cap - t_new <= 2.0 * budget:
+                    problems.append("witness does not reproduce a value at the cap")
     return problems
 
 
@@ -460,7 +594,7 @@ def _certify_row(
         param = f"X0={x0:g} expect=fail got={cert.status}"
     else:
         ok = cert.certified
-        lhs = cert.worst_value() if ok else math.inf
+        lhs = cert.proven_bound() if ok else math.inf
         param = f"X0={x0:g} eps<={cert.eps_max:g} got={cert.status}"
     return bound_row("delta-sign", x0, qv, param, lhs=lhs, bound=0.0, strict=True)
 
@@ -488,9 +622,18 @@ def caps_row(scan: CapsScan, bound: float, detail: str = "") -> BoundRow:
     )
 
 
+def _cap_row(table: ArithmeticTable, qv: int, x0: float, cap: float) -> BoundRow:
+    """A cap certificate's proven bound against a published cap; without a
+    certificate there is no bound (NaN), and the row is inconclusive."""
+    cert = certify_sign(table, qv, x0, cap=cap)
+    lhs = cert.proven_bound() if cert.certified else math.nan
+    param = f"X0={x0:g} eps<={cert.eps_max:g} got={cert.status}"
+    return bound_row("delta-caps", x0, qv, param, lhs=lhs, bound=cap)
+
+
 def _suite_caps(table: ArithmeticTable) -> list[BoundRow]:
     caps = [(1, 47.0, 0.014)] + [(qv, 46.999, 0.00005) for qv in (11, 13, 17)]
-    return [caps_row(caps_scan(table, qv, x), cap) for qv, x, cap in caps]
+    return [_cap_row(table, qv, x, cap) for qv, x, cap in caps]
 
 
 SUITES = {

@@ -1,0 +1,30 @@
+"""The benchmark's certify workload runs clean on the current certificates.
+
+perfbench/run.py certifies, writes, parses back and replays each claim, and
+judges the round trip by equality and the replay by its problems.  Running
+its tiny traced pass here makes a certificate change that breaks either
+fail the tests instead of the benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _run_module(monkeypatch):
+    # run.py imports its siblings (expected, workloads, probe, tracer) by name
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_certify_pass_is_clean(monkeypatch):
+    run = _run_module(monkeypatch)
+    metrics, details, log = run.per_layer("certify", 5, 0.5, tiny=True)
+    assert log.attempted > 0
+    assert log.failed == 0, dict(log.failures)
+    assert details["unmeasured"] == []
+    assert metrics["delta_sign.steps"]["value"] > 0

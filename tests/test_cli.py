@@ -53,6 +53,47 @@ def test_modes_and_names_are_checked_before_any_sieve(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--suite", "bounds:integral", "--X", "10", "--q", "7"], "--X"),
+        (["verify", "--suite", "bounds:easy", "--sigma", "1.5"], "--sigma"),
+        (["verify", "--suite", "bounds:dex", "--s", "2"], "--s"),
+        (["verify", "--list", "--eps", "0"], "--eps"),
+        (["identity", "--name", "meissel", "--X", "100", "--s", "3"], "--s"),
+    ],
+)
+def test_flags_outside_their_mode_are_usage_errors(argv, flag, monkeypatch, capsys):
+    # a suite runs on its own grid and only daval_general takes --s: a flag
+    # that would be ignored is refused before any sieve is built
+    from mobius_bounds import arith
+
+    def no_sieve(limit):
+        raise AssertionError(f"a sieve of {limit} was built")
+
+    monkeypatch.setattr(arith, "build_table", no_sieve)
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} applies to ")
+
+
+def test_identity_checks_every_s(capsys):
+    rc = main(
+        ["identity", "--name", "daval_general", "--X", "100", "--s", "2+1j,3",
+         "--no-timestamp"]
+    )
+    assert rc in (0, 3)
+    rows = _rows(capsys.readouterr().out)
+    assert [(r["theorem_id"], r["param"]) for r in rows] == [
+        ("identity-ofd", "daval_general s=(2+1j)"),
+        ("identity-printed", "daval_general s=(2+1j)"),
+        ("identity-ofd", "daval_general s=(3+0j)"),
+        ("identity-printed", "daval_general s=(3+0j)"),
+    ]
+    assert all(r["verdict"] != "fail" for r in rows)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["delta-sign", "--q", "1", "--X0", "10.8", "--budget", "nan"],

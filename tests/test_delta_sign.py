@@ -1,12 +1,16 @@
 """Sign certification of the scaled defect: walking, certificates, replay."""
 
 import dataclasses
+import json
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
 from mobius_bounds import delta_sign
+from mobius_bounds.arith import Modulus
 from mobius_bounds.bounds import delta_q
 from mobius_bounds.delta_sign import (
     CERTIFIED,
@@ -16,8 +20,11 @@ from mobius_bounds.delta_sign import (
     certificate_from_json,
     certificate_to_json,
     certify_sign,
+    curvature_bound,
     derivative_bound,
     interval_max,
+    interval_weights,
+    pair_bound,
     replay_certificate,
 )
 
@@ -69,10 +76,11 @@ def test_certify_low_range(table_small):
     assert cert.status == CERTIFIED
     assert cert.certified
     assert len(cert.records) == 10
-    assert cert.worst_value() < 0.0
-    # every step value recorded along the way is within budget of negative
+    assert cert.proven_bound() <= -cert.error_budget
+    # every chain runs from eps = 0 exactly to eps_max through negative values
     for rec in cert.records:
         assert rec.steps[0][0] == 0.0
+        assert rec.steps[-1][0] == cert.eps_max
         for _, t in rec.steps:
             assert t < 0.0
 
@@ -139,7 +147,33 @@ def test_replay_rejects_tampering(table_small):
     bad = dataclasses.replace(
         cert, records=cert.records[:3] + (bad_rec,) + cert.records[4:]
     )
-    assert replay_certificate(table_small, bad) != []
+    problems = replay_certificate(table_small, bad)
+    assert any("vs replay" in p for p in problems), problems
+
+
+def _with_record(cert, i, rec):
+    records = list(cert.records)
+    records[i] = rec
+    return dataclasses.replace(cert, records=tuple(records))
+
+
+def test_replay_rejects_a_gap_in_the_chain(table_small):
+    cert = certify_sign(table_small, 1, 10.8)
+    rec = cert.records[9]
+    # dropping a middle step leaves a pair too long for the curvature bound
+    steps = rec.steps[:5] + rec.steps[6:]
+    problems = replay_certificate(
+        table_small, _with_record(cert, 9, dataclasses.replace(rec, steps=steps))
+    )
+    assert problems == ["N=10: steps 4, 5 break the pair rule"]
+
+
+def test_replay_rejects_short_coverage(table_small):
+    cert = certify_sign(table_small, 1, 10.8)
+    rec = cert.records[2]
+    short = dataclasses.replace(rec, steps=rec.steps[:-1])
+    problems = replay_certificate(table_small, _with_record(cert, 2, short))
+    assert problems == ["N=3: coverage stops short of eps_max"]
 
 
 @pytest.mark.parametrize("eps", [1.5, -0.5, math.nan])
@@ -166,7 +200,16 @@ def test_replay_rejects_understated_slope(table_small):
     rec = cert.records[0]
     bad_rec = dataclasses.replace(rec, M=rec.M * 0.5)
     bad = dataclasses.replace(cert, records=(bad_rec,) + cert.records[1:])
-    assert replay_certificate(table_small, bad) != []
+    problems = replay_certificate(table_small, bad)
+    assert len(problems) == 1 and "recorded M=" in problems[0], problems
+
+
+def test_replay_rejects_understated_curvature(table_small):
+    cert = certify_sign(table_small, 1, 10.8)
+    rec = cert.records[4]
+    bad = _with_record(cert, 4, dataclasses.replace(rec, M2=rec.M2 * 0.5))
+    problems = replay_certificate(table_small, bad)
+    assert any("recorded M2=" in p and "is below" in p for p in problems), problems
 
 
 def test_replay_rejects_forged_understated_slope(table_small, monkeypatch):
@@ -182,6 +225,51 @@ def test_replay_rejects_forged_understated_slope(table_small, monkeypatch):
     problems = replay_certificate(table_small, forged)
     assert len(problems) == len(forged.records)
     assert all("is below" in p for p in problems)
+
+
+def test_replay_rejects_forged_understated_curvature(table_small, monkeypatch):
+    # certified with half the curvature bound, every pair meets the rule
+    # with its own M2: only M2 itself can give the forgery away
+    true_bound = delta_sign.curvature_bound
+    monkeypatch.setattr(
+        delta_sign, "curvature_bound", lambda *a: 0.5 * true_bound(*a)
+    )
+    forged = certify_sign(table_small, 1, 6.0)
+    monkeypatch.setattr(delta_sign, "curvature_bound", true_bound)
+    assert forged.status == CERTIFIED
+    problems = replay_certificate(table_small, forged)
+    assert len(problems) == len(forged.records)
+    assert all("recorded M2=" in p and "is below" in p for p in problems)
+
+
+@pytest.mark.parametrize("q, x0, cap", [(1, 47.0, 0.014), (11, 46.999, 5e-5)])
+def test_replay_accepts_cap_certificates(table_small, q, x0, cap):
+    cert = certify_sign(table_small, q, x0, cap=cap)
+    assert cert.certified
+    assert cert.proven_bound() <= cap - cert.error_budget
+    assert replay_certificate(table_small, cert) == []
+    back = certificate_from_json(certificate_to_json(cert))
+    assert back == cert and back.cap == cap
+
+
+def test_replay_rejects_a_raised_cap(table_small):
+    # the defect reaches 0.003 below X = 47: the 0.014 chain proves no sign
+    cert = certify_sign(table_small, 1, 47.0, cap=0.014)
+    problems = replay_certificate(table_small, dataclasses.replace(cert, cap=0.0))
+    assert any("above cap - budget" in p for p in problems)
+    assert any("break the pair rule" in p for p in problems)
+
+
+def test_certificate_from_json_requires_version_2(table_small):
+    doc = json.loads(certificate_to_json(certify_sign(table_small, 1, 4.0)))
+    assert doc["version"] == 2
+    for version in (None, 1, "2"):
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        with pytest.raises(ValueError, match="version 2"):
+            certificate_from_json(json.dumps(doc))
 
 
 def test_certify_q2_to_41(table_small):
@@ -217,6 +305,67 @@ def test_mean_value_soundness(table_small):
             x_hi = min(float(rec.N + 1), 10.8)
             t_star = interval_max(table_small, rec.N, 1, star, x_hi=x_hi)
             assert t_star <= t + rec.M * (star - eps) + 1e-12
+
+
+@pytest.mark.parametrize("q, x0, cap", [(1, 10.8, 0.0), (6, 30.5, 0.0), (13, 46.999, 5e-5)])
+def test_majorant_soundness(table_small, q, x0, cap):
+    # between recorded steps the defect stays below the pair bound
+    cert = certify_sign(table_small, q, x0, cap=cap)
+    assert cert.certified
+    rng = random.Random(13)
+    for rec in rng.sample(cert.records, 8):
+        x_hi = min(float(rec.N + 1), x0)
+        for _ in range(6):
+            i = rng.randrange(len(rec.steps) - 1)
+            (e0, t0), (e1, t1) = rec.steps[i], rec.steps[i + 1]
+            star = e0 + rng.random() * (e1 - e0)
+            t_star = interval_max(table_small, rec.N, q, star, x_hi=x_hi)
+            assert t_star <= pair_bound(t0, t1, e1 - e0, rec.M2) + 1e-12
+
+
+def _second_derivative_oracle(w, ln, q, log_y, eps):
+    """t''(eps) of the defect at 30 digits, t analytic through eps = 0."""
+    primes = Modulus.coerce(q).primes
+    with mpmath.workdps(30):
+        b = mpmath.mpf(log_y)
+        terms = [(mpmath.mpf(x), mpmath.mpf(a)) for x, a in zip(w, ln) if x != 0.0]
+
+        def t(e):
+            main = mpmath.mpf(1)
+            for p in primes:
+                main /= 1 - mpmath.power(p, -1 - e)
+            if e == 0:
+                return mpmath.fsum(x * (b - a) for x, a in terms) - main
+            kernel = mpmath.fsum(
+                x * (mpmath.exp(-e * a) - mpmath.exp(-e * b)) for x, a in terms
+            )
+            return kernel / e - main / (e * mpmath.zeta(1 + e))
+
+        return float(mpmath.diff(t, mpmath.mpf(eps), 2))
+
+
+def test_curvature_bound_against_mpmath(table_small):
+    rng = random.Random(17)
+    # N = 1 at eps = 0 is where the bound is tightest (within 2% for q = 2310)
+    points = [(2310, 1, 0.0), (30, 1, 0.0), (1, 10, 1.0), (2310, 46, 1.0)]
+    while len(points) < 40:
+        eps = rng.choice((0.0, 1.0, rng.random(), rng.random() * 1e-3))
+        points.append((rng.choice((1, 2, 6, 11, 30, 2310)), rng.randint(1, 46), eps))
+    for q, N, eps in points:
+        w, ln = interval_weights(table_small, N, Modulus.coerce(q))
+        for x_hi in (N + 1.0, N + 0.5):
+            _, _, log_y = delta_sign._interval_invariants(
+                table_small, N, Modulus.coerce(q), x_hi
+            )
+            t2 = _second_derivative_oracle(w.tolist(), ln.tolist(), q, log_y, eps)
+            assert curvature_bound(w, ln, q, log_y) >= abs(t2), (q, N, eps, x_hi)
+    # mu cancels within table weights; a lone negative weight adds its kernel
+    # curvature to the main term's, so both parts of the bound are tight here
+    w, ln = np.array([-1.0]), np.array([0.0])
+    for y in (2.0, 47.0):
+        t2 = _second_derivative_oracle([-1.0], [0.0], 1, math.log(y), 0.0)
+        m2 = curvature_bound(w, ln, 1, math.log(y))
+        assert abs(t2) <= m2 <= 1.2 * abs(t2), (y, m2, t2)
 
 
 def test_suites(table_small):

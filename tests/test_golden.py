@@ -54,13 +54,13 @@ SUITES = (
 
 # sha256 of certificate_to_json(certify_sign(table_1e5, q, X0))
 CERTIFICATES = {
-    (1, 10.8): "bcb54cc7864759768894e7a3d9a1c9df29cee567dbcc8649fa9d710769b73edb",
-    (1, 11.0): "b0e9066fafedf29096e28880899a746950c565b0899365a0d147bc383bd98a38",
-    (2, 41.0): "624eb131faaf3ed0bfb8f18c23cc9bee96cd44015d502e531e8b7b40e6610e82",
-    (6, 41.0): "6a6176018248c9594d5c9cdbb555f766fdcd4ae5318c065320063f6134253ad6",
-    (15, 41.0): "e32144992a56a53eb24251e193ced6af2138cb41a144df2873c5fe45a0b77468",
-    (30, 41.0): "2cf92978e92dd7a35f0304d79bdf2ba19328f4e2fc668cb57c0901f5e22bb5f4",
-    (2310, 41.0): "870d428a2b417a4aebddc26dacfb0838b5adc83962793a7a09ec2b0b0930f8e3",
+    (1, 10.8): "9207dd3359649cd6fb34fc5e9b639430ac871d61bace683d96897d158b1c8e1a",
+    (1, 11.0): "63995e2d4352826d19eb17107e290df3dd2741f63bb3e4ce2554e47a23121124",
+    (2, 41.0): "784a866fa335725b2ec04173545d8bc9f40b25e347898bf494a3bacc69fc3e6c",
+    (6, 41.0): "60a414ad0955bda2c33d33963dd02df49605ed7af271c12d5faf6207ef45294e",
+    (15, 41.0): "c138e48bc03eae64634b2a5dff77415fdeba6cd41958d6e86ac1acf24a2f31ee",
+    (30, 41.0): "618a51d75a2b20164b15bf7e18da17bcabcb750b14752afa2fcfc4ddaaaef2a7",
+    (2310, 41.0): "735498dc88b0ebd4360ec89078b295f899818189078257efecff0b31ef396fa5",
 }
 
 
