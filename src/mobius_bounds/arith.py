@@ -18,6 +18,14 @@ Scalar evaluations accumulate with math.fsum (exactly rounded), so the
 relative error budget of 2^-40 is met with a wide margin on the supported
 domain.  Complex powers use n^-s = exp(-(s-1) log n)/n, which makes the
 s = 1 path bit-identical to the plain harmonic-weighted sum.
+
+The scans read prefix sums instead, from one kernel, prefix_log_moment:
+the cumsum of mu(k) (-log k)^j / k^sigma over coprime k.  One call builds
+several (sigma, j) columns, sharing each block's mu slice, coprime zeroing,
+powers and logs.  With at= it sums only the support of mu and returns the
+prefixes at the given indices: the terms it skips are +-0.0, and adding
++-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged, so the
+values are those of the full cumsum, bit for bit.
 """
 from __future__ import annotations
 
@@ -367,37 +375,95 @@ def prefix_m_q(
     return prefix_log_moment(table, n, q, sigma, 0)
 
 
+def _columns(sigma, j) -> list[tuple[float, int]]:
+    """(sigma, j) per column; a scalar pairs with every entry of a tuple."""
+    widths = {len(v) for v in (sigma, j) if isinstance(v, tuple)}
+    if len(widths) > 1:
+        raise ValueError(f"sigma and j tuples differ in length: {sigma!r}, {j!r}")
+    width = widths.pop() if widths else 1
+    if width == 0:
+        raise ValueError("no columns requested")
+    sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * width
+    js = j if isinstance(j, tuple) else (j,) * width
+    return list(zip(sigmas, js))
+
+
+def _sample_points(at, n: int) -> np.ndarray:
+    """at as a sorted int64 array of indices in [0, n]."""
+    pts = np.asarray(at)
+    if pts.ndim != 1 or (pts.size and pts.dtype.kind not in "iu"):
+        raise ValueError("at must be a one-dimensional array of integers")
+    pts = pts.astype(np.int64)
+    if pts.size and (pts[0] < 0 or pts[-1] > n):
+        raise ValueError(f"at must lie in [0, {n}]")
+    if np.any(pts[1:] < pts[:-1]):
+        raise ValueError("at must be sorted")
+    return pts
+
+
 def prefix_log_moment(
     table: ArithmeticTable,
     n: int,
     q: Modulus | int,
-    sigma: float,
-    j: int,
-) -> np.ndarray:
-    """Cumsum of mu(k) (-log k)^j / k^sigma over coprime k <= n.
+    sigma: float | tuple[float, ...],
+    j: int | tuple[int, ...],
+    at=None,
+) -> np.ndarray | list[np.ndarray]:
+    """Cumsum P with P[k] = sum over coprime i <= k of mu(i) (-log i)^j / i^sigma.
 
-    Built BLOCK entries at a time: each block's carried sum is added into
-    its first entry before the block's cumsum, so every prefix is the same
-    left-to-right sum as one cumsum over [0, n], bit for bit.
+    Columns: sigma and j may each be a tuple (a scalar pairs with every
+    entry); the call then returns one array per column.  Per BLOCK entries
+    the mu slice, the coprime zeroing and each distinct i^-sigma and log i
+    are formed once and shared by the columns; each column keeps its own
+    sequential cumsum, carried from block to block, so every prefix is the
+    same left-to-right sum as one np.cumsum over [0, n], bit for bit.
+
+    at: sorted indices in [0, n], duplicates allowed.  Only the support (i
+    with mu(i) != 0 and gcd(i, q) = 1) is evaluated and summed, each at[m]
+    is read by searchsorted, and the arrays returned have len(at) entries:
+    no array of length n is built.  Off the support the full cumsum adds
+    +0.0 or -0.0 to a running sum that is nonzero or +0.0 (it starts at
+    +0.0 and x + y is -0.0 only for two -0.0), which returns that sum
+    unchanged, so each value equals P[at[m]] bit for bit.
     """
     q = Modulus.coerce(q)
     table._check_range(n)
-    out = np.empty(n + 1, dtype=np.float64)
-    out[0] = carry = 0.0
-    for lo in range(1, n + 1, BLOCK):
-        hi = min(lo + BLOCK, n + 1)
+    cols = _columns(sigma, j)
+    pts = None if at is None else _sample_points(at, n)
+    stop = n if pts is None else int(pts.max(initial=0))
+    # zeros: P[0] is the empty sum, and so is every at[m] = 0
+    outs = [np.zeros(n + 1 if pts is None else pts.size) for _ in cols]
+    carries = [0.0] * len(cols)
+    for lo in range(1, stop + 1, BLOCK):
+        hi = min(lo + BLOCK, stop + 1)
         vals = table.mu[lo:hi].astype(np.float64)
         for p in q.primes:
             vals[(-lo) % p :: p] = 0.0
-        kk = np.arange(lo, hi, dtype=np.float64)
-        vals *= kk ** (-sigma)
-        if j:
-            # (-1)^j log^j k: numpy's pow takes a slow path on negative bases
-            vals *= (-1) ** j * np.log(kk) ** j
-        vals[0] += carry
-        np.cumsum(vals, out=out[lo:hi])
-        carry = out[hi - 1]
-    return out
+        if pts is None:
+            kk = np.arange(lo, hi, dtype=np.float64)
+        else:
+            support = np.flatnonzero(vals != 0.0)
+            vals = vals[support]
+            support += lo
+            kk = support.astype(np.float64)
+        powers = {s: kk ** (-s) for s in {s for s, _ in cols}}
+        logs = np.log(kk) if any(jj for _, jj in cols) else None
+        # (-1)^j log^j k: numpy's pow takes a slow path on negative bases
+        signed = {jj: (-1) ** jj * logs**jj for jj in {jj for _, jj in cols if jj}}
+        for c, (s, jj) in enumerate(cols):
+            # run[0] is the sum carried into the block and run[1:] its terms,
+            # so one cumsum continues the sum
+            run = outs[c][lo - 1 : hi] if pts is None else np.empty(kk.size + 1)
+            run[0] = carries[c]
+            np.multiply(vals, powers[s], out=run[1:])
+            if jj:
+                run[1:] *= signed[jj]
+            np.cumsum(run, out=run)
+            carries[c] = run[-1]
+            if pts is not None:
+                a0, a1 = np.searchsorted(pts, (lo, hi))
+                outs[c][a0:a1] = run[np.searchsorted(support, pts[a0:a1], "right")]
+    return outs if isinstance(sigma, tuple) or isinstance(j, tuple) else outs[0]
 
 
 def sweep_min(n: int, margins_of) -> list[tuple[float, int]]:

@@ -5,10 +5,12 @@ serves two evaluators of its left side.  verify_* sums exactly with fsum
 at one point and renders a three-way verdict through the certified
 comparison in util: pass only when the margin clears the accumulated
 evaluation error, fail only when the violation does.  The *_scan sweeps
-evaluate the left side from cumsum prefix arrays, at every integer of a
-range or, for the eps families, on a 200-point log grid.  Their margins are
-uncertified floats: they carry no error radius and no caller re-verifies
-them (ROADMAP item 5).
+evaluate the left side from cumsum prefixes, at every integer of a range
+or, for the eps families, on a 200-point log grid.  The eps families read
+the prefixes at the grid's floors only (prefix_log_moment with at=), so
+they build no array of length n_max; the values are those of the full
+prefix arrays, bit for bit.  Scan margins are uncertified floats: they
+carry no error radius and no caller re-verifies them (ROADMAP item 4).
 
 Envelopes take log X from their caller, as math.log at a point and np.log
 in a scan (the two differ in the last bit on some inputs).  Indicator
@@ -151,7 +153,7 @@ def easy_scan(
     """
     _easy_domain(float(n_max), k, sigma)
     qm = Modulus.coerce(q)
-    moments = [prefix_log_moment(table, n_max, qm, sigma, j) for j in range(k + 1)]
+    moments = prefix_log_moment(table, n_max, qm, sigma, tuple(range(k + 1)))
 
     def margins(lo: int, hi: int):  # X = lo+1 .. hi
         lx = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
@@ -248,17 +250,18 @@ def mqeps_scan(
     """(min envelope margin, argmin X, min slack of value >= -q/phi(q))
     over a log grid of X in [2, n_max]."""
     _defect_domain(float(n_max), eps)
+    if n_max < 2:
+        raise ValueError(f"the grid runs over X in [2, n_max], got n_max = {n_max}")
     qm = Modulus.coerce(q)
     xs = np.exp(np.linspace(math.log(2.0), math.log(float(n_max)), points))
     idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
-    p1 = prefix_m_q(table, n_max, qm, 1.0)
     lxs = np.log(xs)
     if eps == 0.0:
-        l1 = prefix_log_moment(table, n_max, qm, 1.0, 1)
-        delta = lxs * p1[idx] + l1[idx] - qm.q_over_phi
+        p1, l1 = prefix_log_moment(table, n_max, qm, 1.0, (0, 1), at=idx)
+        delta = lxs * p1 + l1 - qm.q_over_phi
     else:
-        ps = prefix_m_q(table, n_max, qm, 1.0 + eps)
-        delta = (ps[idx] - p1[idx] * np.exp(-eps * lxs)) / eps - phi_ratio(
+        p1, ps = prefix_log_moment(table, n_max, qm, (1.0, 1.0 + eps), 0, at=idx)
+        delta = (ps - p1 * np.exp(-eps * lxs)) / eps - phi_ratio(
             qm, 1.0 + eps
         ) / eps_zeta(eps)
     margin = mqeps_bound(xs, qm, eps) - np.abs(delta)
@@ -347,10 +350,9 @@ def mcheckqeps_scan(
     sigma = 1.0 + eps
     xs = np.exp(np.linspace(math.log(15.0), math.log(float(n_max)), points))
     idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
-    ps = prefix_m_q(table, n_max, qm, sigma)
-    l1 = prefix_log_moment(table, n_max, qm, sigma, 1)
+    ps, l1 = prefix_log_moment(table, n_max, qm, sigma, (0, 1), at=idx)
     lxs = np.log(xs)
-    mc = lxs * ps[idx] + l1[idx]
+    mc = lxs * ps + l1
     main, _, _ = _mcheck_main(qm, sigma)
     lhs = np.exp(eps * lxs) * np.abs(mc - main(lxs))
     margin = mcheckqeps_bound(xs, qm, eps, lxs) - lhs
@@ -397,9 +399,12 @@ def special_scan(
     argmin X); a nonnegative result covers every real X in [15, n_max].
     """
     _special_domain(float(n_max), sigma)
+    if n_max < 16:
+        raise ValueError(
+            f"the intervals [n, n+1) run over n in [15, n_max - 1], got n_max = {n_max}"
+        )
     main, _, _ = _mcheck_main(ONE, sigma)
-    p = prefix_m_q(table, n_max, 1, sigma)
-    l1 = prefix_log_moment(table, n_max, 1, sigma, 1)
+    p, l1 = prefix_log_moment(table, n_max, 1, sigma, (0, 1))
 
     def margins(lo: int, hi: int):  # intervals [n, n+1), n = 15+lo .. 14+hi
         logs = np.log(np.arange(15 + lo, 16 + hi, dtype=np.float64))

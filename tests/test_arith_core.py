@@ -220,19 +220,78 @@ def test_third_log_moment_within_summation_bound(table_mid, q, sigma):
         assert abs(got[k] - old[k]) <= (2.0 * _gamma(k) + 2.0 * EPS) * mass, k
 
 
+# (sigma, j) pairs a fused call draws its columns from
+KERNEL_COLUMNS = [(s, j) for s in (1.0, 1.01, 1.5, 2.0) for j in range(4)]
+
+
+def _one_cumsum(table, n, q, sigma, j):
+    """The prefix as one np.cumsum over [0, n] of the terms, term 0 = 0.0."""
+    kk = np.arange(n + 1, dtype=np.float64)
+    kk[0] = 1.0
+    vals = table.mu[: n + 1].astype(np.float64)
+    vals[~Modulus.coerce(q).coprime_mask(n)] = 0.0
+    vals *= kk ** (-sigma)
+    if j:
+        vals *= (-1) ** j * np.log(kk) ** j
+    vals[0] = 0.0  # not -0.0: P[0] is the empty sum
+    return np.cumsum(vals)
+
+
+@pytest.mark.parametrize("q", [1, 2, 30030])
+@pytest.mark.parametrize("n", [0, 1, 16, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_fused_and_sampled_prefixes_are_bit_identical(table_mid, q, n):
+    """Columns of one fused call, and reads at sampled indices, equal the
+    single-column arrays and one plain cumsum byte for byte."""
+    rng = np.random.default_rng([q, n])
+    picks = rng.choice(len(KERNEL_COLUMNS), size=6)  # repeats allowed
+    sigmas = tuple(KERNEL_COLUMNS[i][0] for i in picks)
+    js = tuple(KERNEL_COLUMNS[i][1] for i in picks)
+    edges = [e for e in (0, 1, n, n, BLOCK, BLOCK + 1) if e <= n]
+    at = np.sort(np.concatenate([edges, rng.integers(0, n + 1, 40)]))
+    singles = [prefix_log_moment(table_mid, n, q, s, j) for s, j in zip(sigmas, js)]
+    fused = prefix_log_moment(table_mid, n, q, sigmas, js)
+    sampled = prefix_log_moment(table_mid, n, q, sigmas, js, at=at)
+    assert len(fused) == len(sampled) == len(picks)
+    for (s, j), single, whole, part in zip(zip(sigmas, js), singles, fused, sampled):
+        assert single.tobytes() == _one_cumsum(table_mid, n, q, s, j).tobytes()
+        assert whole.tobytes() == single.tobytes(), (s, j)
+        assert part.tobytes() == single[at].tobytes(), (s, j)
+    # a scalar pairs with every entry of the other tuple
+    sigma, j = sigmas[0], js[0]
+    by_j = prefix_log_moment(table_mid, n, q, sigma, (0, 3), at=at)
+    by_sigma = prefix_log_moment(table_mid, n, q, (1.0, 2.0), j, at=at)
+    pairs = [(sigma, 0), (sigma, 3), (1.0, j), (2.0, j)]
+    for got, (s, jj) in zip(by_j + by_sigma, pairs):
+        want = prefix_log_moment(table_mid, n, q, s, jj)[at]
+        assert got.tobytes() == want.tobytes(), (s, jj)
+
+
+def test_prefix_kernel_rejects_bad_requests(table_small):
+    n = 100
+    for at in ([3, 2], [-1, 5], [0, n + 1], [[1, 2]], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            prefix_log_moment(table_small, n, 1, 1.0, 0, at=np.array(at))
+    for sigma, j in (((1.0, 1.5), (0, 1, 2)), ((), ()), (1.0, ())):
+        with pytest.raises(ValueError):
+            prefix_log_moment(table_small, n, 1, sigma, j)
+    assert prefix_log_moment(table_small, n, 1, 1.0, 0, at=[]).size == 0
+
+
 def test_prefix_sweeps_hold_no_full_length_temporaries(table_big):
     """Peak traced memory of each sweep at n = 1e6 stays within the full
     arrays it keeps, plus half of one."""
     n = 1_000_000
     table_big.psi_prefix  # noqa: B018 -- the cached psi is read, not built
+    samples = np.arange(0, n + 1, 997)
     calls = [
         (1, lambda: prefix_m_q(table_big, n, 6, 1.2)),
         (1, lambda: prefix_log_moment(table_big, n, 6, 1.2, 3)),
         (1, lambda: bounds.small_m_scan(table_big, n, 2)),
         (4, lambda: bounds.easy_scan(table_big, n, 6, 3, 1.2)),
         (2, lambda: bounds.special_scan(table_big, n, 1.01)),
-        (2, lambda: bounds.mqeps_scan(table_big, n, 6, 0.5)),
-        (2, lambda: bounds.mcheckqeps_scan(table_big, n, 6, 0.05)),
+        (0, lambda: bounds.mqeps_scan(table_big, n, 6, 0.5)),
+        (0, lambda: bounds.mcheckqeps_scan(table_big, n, 6, 0.05)),
+        (0, lambda: prefix_log_moment(table_big, n, 6, (1.0, 1.2), (0, 3), at=samples)),
         (0, lambda: harmonic.hanson_scan(table_big, n)),
         (0, lambda: harmonic.verify_harmonic(table_big, float(n))),
     ]

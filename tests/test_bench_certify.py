@@ -1,8 +1,11 @@
-"""The benchmark's certify workload runs clean on the current certificates.
+"""The benchmark's certify and scan workloads run clean on the current code.
 
 perfbench/run.py certifies, writes, parses back and replays each claim, and
-judges the round trip by equality and the replay by its problems.  Running
-its tiny traced pass here makes a certificate change that breaks either
+judges the round trip by equality and the replay by its problems.  Its scan
+pass judges every sweep by the acceptance predicates and charges the prefix
+builds to the traced boundaries bounds.prefix_m_q and
+bounds.prefix_log_moment.  Running the tiny traced passes here makes a
+change that breaks a judge, or that builds prefixes past those boundaries,
 fail the tests instead of the benchmark.
 """
 
@@ -28,3 +31,12 @@ def test_certify_pass_is_clean(monkeypatch):
     assert log.failed == 0, dict(log.failures)
     assert details["unmeasured"] == []
     assert metrics["delta_sign.steps"]["value"] > 0
+
+
+def test_scan_pass_is_clean(monkeypatch):
+    run = _run_module(monkeypatch)
+    metrics, details, log = run.per_layer("scan", 5, 0.5, tiny=True)
+    assert log.attempted > 0
+    assert log.failed == 0, dict(log.failures)
+    assert details["unmeasured"] == []
+    assert metrics["arith.prefix.calls"]["value"] > 0

@@ -89,6 +89,16 @@ def test_scans_positive_margins(table_small):
         assert margin > 0.0
 
 
+def test_mqeps_scan_grid_stays_in_range(table_small):
+    """The grid starts at X = 2, so n_max = 1 has no grid point in range."""
+    with pytest.raises(ValueError, match=r"\[2, n_max\]"):
+        bounds.mqeps_scan(table_small, 1, 1, 0.5)
+    # at n_max = 2 every grid point is X = 2, where Delta + 1 = m_check_1(2) = log 2
+    _, arg, floor_slack = bounds.mqeps_scan(table_small, 2, 1, 0.0)
+    assert arg == pytest.approx(2.0, abs=1e-12)
+    assert floor_slack == pytest.approx(math.log(2.0), abs=1e-15)
+
+
 def test_integral_envelope(table_small):
     val = bounds.integral_abs_mq(table_small, 100.0)
     assert 0.0 < val <= bounds.integral_abs_mq_bound(100.0)
@@ -125,6 +135,14 @@ def test_special_scan(table_small):
     margin, arg = bounds.special_scan(table_small, 10_000, 1.0)
     assert margin > 0.0
     assert 15 <= arg <= 10_000
+
+
+def test_special_scan_needs_one_interval(table_small):
+    """[15, 16) is the first interval, so n_max = 15 leaves none."""
+    with pytest.raises(ValueError, match=r"\[15, n_max - 1\]"):
+        bounds.special_scan(table_small, 15, 1.0)
+    _, arg = bounds.special_scan(table_small, 16, 1.0)
+    assert arg == 16.0
 
 
 def test_solve_y0_small_case():
