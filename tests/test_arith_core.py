@@ -1,5 +1,6 @@
 """Sieve tables and restricted partial sums against independent oracles."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -146,6 +147,39 @@ def test_modulus_structure():
     assert Modulus.from_int(1).primes == ()
     with pytest.raises(ValueError):
         Modulus.from_int(0)
+
+
+@pytest.fixture(scope="module")
+def table_1e7():
+    return build_table(10_000_000)
+
+
+# sha256 of each array's tobytes(), captured from the sieve before it was
+# rebuilt around one segment generator
+TABLE_PINS = {
+    "table_big": {
+        "mu": "f6091ebd8653e385c9e028e53d331fd7e38302f090770521f629e8cf4837566e",
+        "liouville": "3170bc19e2b42303616cec2461318d636a5faa91125972eb48d03b793b234ba3",
+        "mangoldt_log": "5dd3dfad15069b078277d605723c2e3e0912f5faf0548a34964d0efcc573eb4d",
+        "mertens_prefix": "fd993a63b7c5ed3f6b92fdd5cfa6958c6ef2fa54b1a574ccec4af5dba2d369d7",
+    },
+    "table_1e7": {
+        "mu": "1f95bb925dc59b5fd3629d0430615db0876a73228766803b5f5db0e05107e7b7",
+        "liouville": "b4ee902b25555fc218e8c9632bc1121cbd8e7c6b1228381825d9b685e94385da",
+        "mangoldt_log": "ee4c6f448818faac4eba57da355bc2b2cf117fd4df304c01d93aaa734275a953",
+        "mertens_prefix": "afd5cf036d5d99c0a2d84c1671a4804962f88599d239c6a25b3e8a89441e3e82",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(TABLE_PINS))
+def test_table_arrays_are_pinned(request, fixture):
+    table = request.getfixturevalue(fixture)
+    got = {
+        name: hashlib.sha256(getattr(table, name).tobytes()).hexdigest()
+        for name in TABLE_PINS[fixture]
+    }
+    assert got == TABLE_PINS[fixture]
 
 
 def test_capacity_guards(table_small):
