@@ -7,8 +7,20 @@ The central object is an ArithmeticTable holding, for 0 <= n <= limit,
     mangoldt_log[n]   von Mangoldt weight: log p if n = p^k else 0 (float64)
     mertens_prefix[n] sum_{m<=n} mu[m] (int64)
 
-built by a segmented sieve with a fixed 2^20-entry segment.  On top of the
-table live the weighted partial sums used everywhere else:
+There is one sieve, the generator sieve_blocks(lo, hi): it yields fresh
+(mu, liouville, mangoldt_log) arrays for each 2^20-entry segment of
+[lo, hi), with base primes <= isqrt(hi - 1), and build_table is its one
+consumer, carrying the Mertens prefix from segment to segment.  A segment
+builds no int64 array and divides nothing: Omega is counted in int8 over
+the base prime powers, lambda = 1 - 2 (Omega & 1) and mu = lambda times
+the squarefree flag.  The one prime factor above the base, if any, is found
+by a float32 sum of log p over the same strides, compared with log n less
+a slack of 0.5; a missing factor adds at least log 2 and the float32 error
+stays below 1e-4 up to LIMIT_BUDGET, so the test is exact (_sieve_segment
+states the bound).  Lambda keeps its two sources: math.log(p) at the powers
+of base primes, np.log of the float64 n at the primes above the base.
+
+On top of the table live the weighted partial sums used everywhere else:
 
     m_q(X)          = sum_{n<=X, (n,q)=1} mu(n)/n
     m_q(X; s)       = sum_{n<=X, (n,q)=1} mu(n)/n^s
@@ -30,6 +42,7 @@ values are those of the full cumsum, bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import fsum, isqrt
 
@@ -182,78 +195,125 @@ class ArithmeticTable:
             )
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: Python and numpy integers only, never a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_table(limit: int) -> ArithmeticTable:
-    """Sieve mu, liouville, mangoldt_log and the Mertens prefix up to limit."""
+    """Sieve mu, liouville, mangoldt_log and the Mertens prefix up to limit.
+
+    The one consumer of sieve_blocks: each segment is copied into the four
+    arrays, and the Mertens prefix is carried from segment to segment (an
+    int64 cumsum that starts from the previous prefix, so it is exact).
+    """
+    limit = _integer("limit", limit)
     if limit < 1:
         raise CapacityError(f"table limit must be >= 1, got {limit}")
-    if limit > LIMIT_BUDGET:
-        raise CapacityError(f"table limit {limit} exceeds budget {LIMIT_BUDGET}")
-
+    blocks = sieve_blocks(1, limit + 1)
     n = limit + 1
     mu = np.zeros(n, dtype=np.int8)
     liou = np.zeros(n, dtype=np.int8)
     mangoldt = np.zeros(n, dtype=np.float64)
-    base = _small_primes(isqrt(limit))
-
-    for lo in range(1, n, SEGMENT):
-        hi = min(lo + SEGMENT, n)
-        _sieve_segment(lo, hi, base, mu, liou, mangoldt)
-
-    # prime powers p^k with p <= sqrt(limit); larger primes were caught in
-    # the segments (their residue after small-prime division equals n).
-    for p in base.tolist():
-        logp = math.log(p)
-        pk = p
-        while pk <= limit:
-            mangoldt[pk] = logp
-            pk *= p
-
-    mertens = np.cumsum(mu, dtype=np.int64)
-    liou[0] = 0
+    mertens = np.zeros(n, dtype=np.int64)
+    for start, seg_mu, seg_liou, seg_mangoldt in blocks:
+        end = start + seg_mu.size
+        mu[start:end] = seg_mu
+        liou[start:end] = seg_liou
+        mangoldt[start:end] = seg_mangoldt
+        # run[0] is the prefix carried into the segment, so one cumsum
+        # continues it
+        run = mertens[start - 1 : end]
+        run[1:] = seg_mu
+        np.cumsum(run, out=run)
+        del seg_mu, seg_liou, seg_mangoldt  # freed before the next segment
     return ArithmeticTable(limit, mu, liou, mangoldt, mertens)
 
 
-def _sieve_segment(
-    lo: int,
-    hi: int,
-    base: np.ndarray,
-    mu: np.ndarray,
-    liou: np.ndarray,
-    mangoldt: np.ndarray,
-) -> None:
-    length = hi - lo
-    omega = np.zeros(length, dtype=np.int8)
-    squarefree = np.ones(length, dtype=bool)
-    nvals = np.arange(lo, hi, dtype=np.int64)
-    rem = nvals.copy()
+def sieve_blocks(
+    lo: int, hi: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Iterate (start, mu, liouville, mangoldt_log) over SEGMENT slices of [lo, hi).
 
-    for p in base.tolist():
-        if p >= hi:
+    Each segment covers n in [start, start + len(mu)); the arrays are fresh
+    (int8, int8, float64) and owned by the caller.  The base primes are
+    those <= isqrt(hi - 1), so every n in the range has at most one prime
+    factor above the base.  The range is checked here, before any array is
+    built: lo and hi are integers (not bools) with 1 <= lo < hi and
+    hi - 1 <= LIMIT_BUDGET.
+    """
+    lo = _integer("lo", lo)
+    hi = _integer("hi", hi)
+    if lo < 1:
+        raise ValueError(f"sieve range must start at 1 or above, got lo = {lo}")
+    if hi <= lo:
+        raise ValueError(f"empty sieve range [{lo}, {hi})")
+    if hi - 1 > LIMIT_BUDGET:
+        raise CapacityError(f"sieve end {hi - 1} exceeds budget {LIMIT_BUDGET}")
+    return _segments(lo, hi)
+
+
+def _segments(lo: int, hi: int):
+    base = _small_primes(isqrt(hi - 1)).tolist()
+    logs = [math.log(p) for p in base]
+    for start in range(lo, hi, SEGMENT):
+        yield (start, *_sieve_segment(start, min(start + SEGMENT, hi), base, logs))
+
+
+def _sieve_segment(start: int, end: int, base: list[int], logs: list[float]):
+    """mu, liouville and mangoldt_log for n in [start, end).
+
+    The base holds the primes <= isqrt(hi - 1) for the range's end hi, so
+    every n here has at most one prime factor above the base.  Over the
+    stride of each base prime power p^k, omega counts one and logsum adds
+    the float32 log p: omega is Omega(n) without that large prime, and
+    logsum the log of n's base-smooth part.  n has a large prime factor iff
+    logsum < log n (float32) - 0.5, and this test is exact:
+      - a missing factor is a prime above the base, so at least 2, and the
+        exact logs then differ by at least log 2 > 0.693;
+      - logsum has at most 27 terms (n <= LIMIT_BUDGET < 2^28), each within
+        2^-24 relative of log p, and each float32 addition rounds by at most
+        2^-24 relative, so it is within 4e-5 of the exact sum (< 19.2);
+      - n in float32 (arange of the offsets, exact below 2^24, plus start)
+        is within 2^-23 relative of n; numpy's float32 log is within a few
+        ulp (2e-6 each below 32), so log n - 0.5 is within 2e-5;
+    so the slack of 0.5 lies more than 0.19 inside both cases.  An untouched
+    n > 1 (omega = 0) is prime.  Lambda keeps two sources: base prime
+    powers p^k in the segment get math.log(p), and the primes found here
+    np.log of the float64 n.
+    """
+    length = end - start
+    omega = np.zeros(length, dtype=np.int8)
+    logsum = np.zeros(length, dtype=np.float32)
+    squarefree = np.ones(length, dtype=bool)
+    mangoldt = np.zeros(length, dtype=np.float64)
+    for p, logp in zip(base, logs):
+        if p >= end:
             break
         pk = p
-        while pk < hi:
-            start = (-lo) % pk
-            if start < length:
-                sl = slice(start, length, pk)
-                omega[sl] += 1
-                rem[sl] //= p
+        while pk < end:
+            first = (-start) % pk
+            if first < length:
+                omega[first::pk] += 1
+                logsum[first::pk] += logp
+                if pk >= start:
+                    mangoldt[pk - start] = logp
             pk *= p
-        p2 = p * p
-        start = (-lo) % p2
-        if start < length:
-            squarefree[slice(start, length, p2)] = False
+        squarefree[(-start) % (p * p) :: p * p] = False
 
-    large = rem > 1
-    omega[large] += 1
-    lam = np.where(omega & 1, -1, 1).astype(np.int8)
-    mu[lo:hi] = np.where(squarefree, lam, 0).astype(np.int8)
-    liou[lo:hi] = lam
+    primes = np.flatnonzero(omega == 0)  # and n = 1, whose log is 0.0
+    mangoldt[primes] = np.log((primes + start).astype(np.float64))
 
-    # n > 1 untouched by every small prime is itself prime (n <= limit < p'^2).
-    prime_here = (rem == nvals) & (nvals > 1)
-    if prime_here.any():
-        idx = np.nonzero(prime_here)[0]
-        mangoldt[lo + idx] = np.log(nvals[idx].astype(np.float64))
+    # float32 arange is exact only below 2^24, so offsets, then start
+    threshold = np.arange(length, dtype=np.float32)
+    threshold += start
+    np.log(threshold, out=threshold)
+    threshold -= 0.5
+    omega += logsum < threshold
+    liouville = 1 - 2 * (omega & 1)
+    return liouville * squarefree, liouville, mangoldt
 
 
 # ----------------------------------------------------------------------

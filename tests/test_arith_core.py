@@ -11,6 +11,8 @@ import pytest
 from mobius_bounds import bounds, harmonic
 from mobius_bounds.arith import (
     BLOCK,
+    LIMIT_BUDGET,
+    SEGMENT,
     Modulus,
     build_table,
     chebyshev_psi,
@@ -20,6 +22,7 @@ from mobius_bounds.arith import (
     m_q_s,
     prefix_log_moment,
     prefix_m_q,
+    sieve_blocks,
     sweep_min,
 )
 from mobius_bounds.util import EPS, CapacityError
@@ -182,6 +185,50 @@ def test_table_arrays_are_pinned(request, fixture):
     assert got == TABLE_PINS[fixture]
 
 
+def _oracle(n):
+    """(mu, liouville, Lambda) of n by trial division."""
+    f = _factorize(n) if n > 1 else {}
+    mangoldt = math.log(next(iter(f))) if len(f) == 1 else 0.0
+    return _mu_brute(n), (-1) ** sum(f.values()), mangoldt
+
+
+def _assert_oracle(ns, mu, liouville, mangoldt):
+    for n, m, lam, lg in zip(ns, mu.tolist(), liouville.tolist(), mangoldt.tolist()):
+        want_mu, want_lam, want_lg = _oracle(n)
+        assert (m, lam) == (want_mu, want_lam), n
+        assert lg == pytest.approx(want_lg, rel=EPS, abs=0.0), n
+
+
+def test_sieve_edges_against_trial_division():
+    """At the segment edges, at the limit, at every limit up to 64 (where
+    the base is empty or {2}, so the missing prime may be 2 and the log 2
+    margin is tight) and just below LIMIT_BUDGET (27 float32 terms)."""
+    limit = 3 * SEGMENT + 5
+    table = build_table(limit)
+    for edge in (1, SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1, limit):
+        ns = range(max(edge - 40, 1), min(edge + 41, limit + 1))
+        sl = slice(ns.start, ns.stop)
+        _assert_oracle(ns, table.mu[sl], table.liouville[sl], table.mangoldt_log[sl])
+    for limit in range(1, 65):
+        table = build_table(limit)
+        ns = range(1, limit + 1)
+        _assert_oracle(ns, table.mu[1:], table.liouville[1:], table.mangoldt_log[1:])
+        assert table.mertens(limit) == sum(_mu_brute(n) for n in ns)
+    lo = LIMIT_BUDGET - 200
+    (start, mu, liouville, mangoldt), = sieve_blocks(lo, LIMIT_BUDGET + 1)
+    assert start == lo
+    _assert_oracle(range(lo, LIMIT_BUDGET + 1), mu, liouville, mangoldt)
+
+
+def test_sieve_blocks_from_unaligned_start_equal_table_slices(table_big):
+    lo, hi = 123_457, table_big.limit + 1
+    blocks = list(sieve_blocks(lo, hi))
+    assert [b[0] for b in blocks] == list(range(lo, hi, SEGMENT))
+    for i, name in enumerate(("mu", "liouville", "mangoldt_log"), start=1):
+        got = np.concatenate([b[i] for b in blocks])
+        assert got.tobytes() == getattr(table_big, name)[lo:hi].tobytes(), name
+
+
 def test_capacity_guards(table_small):
     with pytest.raises(CapacityError):
         build_table(0)
@@ -189,6 +236,49 @@ def test_capacity_guards(table_small):
         build_table(10**10)
     with pytest.raises(CapacityError):
         m_q(table_small, 2e4)
+
+
+def test_sieve_takes_integers_only():
+    for bad in (1e3, 1000.0, True, np.bool_(True), "1000", None):
+        with pytest.raises(TypeError, match="limit"):
+            build_table(bad)
+    assert build_table(np.int64(30)).limit == 30
+    assert type(build_table(np.int64(30)).limit) is int
+    # checked on the call, before a segment is sieved
+    with pytest.raises(TypeError, match="lo"):
+        sieve_blocks(1.0, 10)
+    with pytest.raises(TypeError, match="hi"):
+        sieve_blocks(1, False)
+    for lo, hi in ((0, 10), (-5, 10), (10, 10), (10, 9)):
+        with pytest.raises(ValueError):
+            sieve_blocks(lo, hi)
+    with pytest.raises(CapacityError):
+        sieve_blocks(1, LIMIT_BUDGET + 2)
+    start, mu, _, _ = next(sieve_blocks(np.int32(1), np.int64(5)))
+    assert start == 1 and mu.tolist() == [1, -1, -1, 0]
+
+
+# A segment's working set: its output (10 bytes per entry) plus omega,
+# logsum, the squarefree flags, the float32 threshold and int8/bool
+# temporaries; 20.7 MiB measured at SEGMENT = 2^20.
+SEGMENT_WORKING_SET = 24 << 20
+
+
+def test_build_table_holds_no_full_length_temporaries():
+    """Peak traced memory of build_table is its four arrays (18 bytes per
+    entry) plus one segment's working set; one int64 array over the table
+    (32 MiB here) would exceed it."""
+    n = 4 * SEGMENT
+    assert 8 * (n + 1) > SEGMENT_WORKING_SET
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = build_table(n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert table.limit == n
+    assert peak <= 18 * (n + 1) + SEGMENT_WORKING_SET, peak - 18 * (n + 1)
 
 
 
