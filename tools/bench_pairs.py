@@ -1,11 +1,11 @@
 """Record alternating parent/change pairs of the repository benchmark.
 
-    python3 tools/bench_pairs.py --parent REV [--change REV] --workload W \
-        [--workload W2 ...] [--pairs 10] [--seed 1] --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent REV --workload W [--workload W2 ...] \
+        [--pairs 10] [--seed 1] --out BENCH_<n>.json
 
-Each revision is unpacked with `git archive REV | tar -x` into a temporary
-directory (under $TMPDIR), so the checkout, its index and its branches are
-left as they are.  For each workload, pair i runs
+The change is HEAD.  Each revision is unpacked with `git archive REV |
+tar -x` into a temporary directory (under $TMPDIR), so the checkout, its
+index and its branches are left as they are.  For each workload, pair i runs
 `perfbench/run.py --workload W --seed (seed + i) --seconds S --trace 0` in
 both trees, the parent first in even pairs and the change first in odd
 ones; S is `run_seconds` from the change's BENCHMARK.json.  The JSON written
@@ -106,7 +106,6 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision of the parent")
-    parser.add_argument("--change", default="HEAD", help="revision of the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
@@ -118,9 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         shas = {}
-        for side, tree in trees.items():
+        for (side, tree), rev in zip(trees.items(), (args.parent, "HEAD")):
             tree.mkdir()
-            shas[side] = unpack(getattr(args, side), tree)
+            shas[side] = unpack(rev, tree)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = spec["run_seconds"]
         record = {"parent": shas["parent"], "change": shas["change"], "seconds": seconds,
@@ -143,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                 "summary": summarize(values, spec["end_to_end"]),
                 "pairs": pairs,
             }
-            record["machine"] = pairs[0]["parent"]["machine"]
+            record.setdefault("machine", pairs[0]["parent"]["machine"])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
