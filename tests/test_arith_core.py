@@ -202,7 +202,7 @@ def _assert_oracle(ns, mu, liouville, mangoldt):
 def test_sieve_edges_against_trial_division():
     """At the segment edges, at the limit, at every limit up to 64 (where
     the base is empty or {2}, so the missing prime may be 2 and the log 2
-    margin is tight) and just below LIMIT_BUDGET (27 float32 terms)."""
+    margin is tight) and up to LIMIT_BUDGET (27 float32 terms)."""
     limit = 3 * SEGMENT + 5
     table = build_table(limit)
     for edge in (1, SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1, limit):
