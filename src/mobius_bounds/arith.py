@@ -197,7 +197,7 @@ class ArithmeticTable:
 
 def _integer(name: str, value) -> int:
     """value as an int: Python and numpy integers only, never a bool."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

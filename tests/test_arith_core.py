@@ -202,7 +202,9 @@ def _assert_oracle(ns, mu, liouville, mangoldt):
 def test_sieve_edges_against_trial_division():
     """At the segment edges, at the limit, at every limit up to 64 (where
     the base is empty or {2}, so the missing prime may be 2 and the log 2
-    margin is tight) and up to LIMIT_BUDGET (27 float32 terms)."""
+    margin is tight), around 2^27 and 3*2^25 (the most float32 terms, 27
+    and 26, below LIMIT_BUDGET) and over the last entries up to
+    LIMIT_BUDGET (the largest n in the float32 test)."""
     limit = 3 * SEGMENT + 5
     table = build_table(limit)
     for edge in (1, SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1, limit):
@@ -214,10 +216,11 @@ def test_sieve_edges_against_trial_division():
         ns = range(1, limit + 1)
         _assert_oracle(ns, table.mu[1:], table.liouville[1:], table.mangoldt_log[1:])
         assert table.mertens(limit) == sum(_mu_brute(n) for n in ns)
-    lo = LIMIT_BUDGET - 200
-    (start, mu, liouville, mangoldt), = sieve_blocks(lo, LIMIT_BUDGET + 1)
-    assert start == lo
-    _assert_oracle(range(lo, LIMIT_BUDGET + 1), mu, liouville, mangoldt)
+    for lo, hi in ((2**27 - 40, 2**27 + 41), (3 * 2**25 - 40, 3 * 2**25 + 41),
+                   (LIMIT_BUDGET - 200, LIMIT_BUDGET + 1)):
+        (start, mu, liouville, mangoldt), = sieve_blocks(lo, hi)
+        assert start == lo
+        _assert_oracle(range(lo, hi), mu, liouville, mangoldt)
 
 
 def test_sieve_blocks_from_unaligned_start_equal_table_slices(table_big):

@@ -54,3 +54,15 @@ def test_summary_rejects_a_gain_inside_the_spread_and_flags_a_regression():
     r = tool.summarize(pairs, METRICS)["rate"]
     assert r["losses"] == 1 and not r["within_bound"] and not r["gain"]
     assert r["parent"] == {"q1": 10.0, "median": 10.0, "q3": 10.0}
+
+
+def test_summary_shows_no_gain_from_fewer_than_ten_pairs():
+    tool = _tool()
+    # one clear win: the quartiles collapse to the one value, yet no gain
+    s = tool.summarize(_pairs([1.0], [0.5]), METRICS)["setup_s"]
+    assert s["wins"] == 1 and s["within_bound"] and not s["gain"]
+    # nine of nine clear wins are still too few; the tenth makes the gain
+    parent = [1.0, 0.9, 1.1, 1.0, 0.95, 1.05, 1.0, 0.98, 1.02, 1.0]
+    change = [0.6] * 10
+    assert not tool.summarize(_pairs(parent[:9], change[:9]), METRICS)["setup_s"]["gain"]
+    assert tool.summarize(_pairs(parent, change), METRICS)["setup_s"]["gain"]

@@ -1,19 +1,21 @@
 """Record alternating parent/change pairs of the repository benchmark.
 
     python3 tools/bench_pairs.py --parent REV --workload W [--workload W2 ...] \
-        [--pairs 10] [--seed 1] --out BENCH_<n>.json
+        [--seed 1] --out BENCH_<n>.json
 
 The change is HEAD.  Each revision is unpacked with `git archive REV |
 tar -x` into a temporary directory (under $TMPDIR), so the checkout, its
-index and its branches are left as they are.  For each workload, pair i runs
+index and its branches are left as they are.  For each workload, PAIRS = 10
+pairs are run, and pair i runs
 `perfbench/run.py --workload W --seed (seed + i) --seconds S --trace 0` in
 both trees, the parent first in even pairs and the change first in odd
 ones; S is `run_seconds` from the change's BENCHMARK.json.  The JSON written
 holds every run, and per end-to-end metric each side's median and
 quartiles, the change's wins, losses and ties, and whether the change is
-within the metric's regression bound and meets the gain rule (wins in at
-least nine tenths of the pairs, medians apart by more than the parent's
-interquartile distance), plus the seeds and the machine the runs reported.
+within the metric's regression bound and meets the gain rule (at least ten
+pairs, wins in at least nine tenths of them, medians apart by more than the
+parent's interquartile distance), plus the seeds and the machine the runs
+reported.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10  # the fewest pairs the gain rule accepts
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -43,7 +46,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     pairs: one dict per pair, {"parent": {name: value}, "change": {...}}.
     metrics: BENCHMARK.json's end_to_end entries (name, unit, better, bound).
     A pair is a win when the change reads strictly better, a loss when
-    strictly worse, and a tie otherwise.
+    strictly worse, and a tie otherwise.  Fewer than PAIRS pairs never
+    show a gain.
     """
     out = {}
     for m in metrics:
@@ -65,7 +69,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "losses": losses,
             "ties": len(pairs) - wins - losses,
             "within_bound": sign * (cm - pm) <= m["bound"] * abs(pm),
-            "gain": 10 * wins >= 9 * len(pairs) and sign * (pm - cm) > p3 - p1,
+            "gain": (len(pairs) >= PAIRS and 10 * wins >= 9 * len(pairs)
+                     and sign * (pm - cm) > p3 - p1),
         }
     return out
 
@@ -107,12 +112,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision of the parent")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
@@ -126,12 +128,12 @@ def main(argv: list[str] | None = None) -> int:
                   "workloads": {}}
         for workload in args.workload:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 runs = {side: run_bench(trees[side], workload, args.seed + i, seconds)
                         for side in order}
                 pairs.append({"seed": args.seed + i, "first": order[0], **runs})
-                print(f"{workload} pair {i + 1}/{args.pairs} seed {args.seed + i}: " + ", ".join(
+                print(f"{workload} pair {i + 1}/{PAIRS} seed {args.seed + i}: " + ", ".join(
                     f"{side} {runs[side]['metrics']}" for side in ("parent", "change")),
                     file=sys.stderr, flush=True)
             values = [{side: p[side]["metrics"] for side in ("parent", "change")} for p in pairs]
