@@ -526,6 +526,84 @@ def prefix_log_moment(
     return outs if isinstance(sigma, tuple) or isinstance(j, tuple) else outs[0]
 
 
+def _prefix_request(table: ArithmeticTable, n, q, sigma, j):
+    """(n, Modulus, columns) of a prefix request, checked: n is an integer
+    (not a bool) in [0, table.limit], and the columns are well formed."""
+    n = _integer("n", n)
+    if n < 0:
+        raise ValueError(f"prefix length must be >= 0, got n = {n}")
+    table._check_range(n)
+    return n, Modulus.coerce(q), _columns(sigma, j)
+
+
+def prefix_blocks(
+    table: ArithmeticTable,
+    n: int,
+    q: Modulus | int,
+    sigma: float | tuple[float, ...],
+    j: int | tuple[int, ...],
+) -> Iterator[tuple[int, int, list[np.ndarray]]]:
+    """Iterate (lo, hi, cols) over the BLOCKs [lo, hi) of [1, n].
+
+    cols[c] is column c's prefix P[lo:hi], with P and the columns as in
+    prefix_log_moment (a scalar sigma and j give one column).  The arrays
+    are fresh and owned by the caller, and no array of length n is built.
+    The carry from block to block makes each value that of the dense
+    prefix, bit for bit.  n, the range and the columns are checked here,
+    before the first block.
+    """
+    n, q, cols = _prefix_request(table, n, q, sigma, j)
+    return (
+        (lo, hi, [run[1:] for run in runs])
+        for lo, hi, runs, _ in _prefix_runs(table, n, q, cols, support=False)
+    )
+
+
+def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols, support: bool):
+    """The one prefix loop: (lo, hi, runs, idx) for each BLOCK [lo, hi) of [1, stop].
+
+    runs[c][0] is column c's sum carried into the block and runs[c][1:] its
+    running sums after each term.  Per block the mu slice, the coprime
+    zeroing and each distinct i^-sigma and log i are formed once and shared
+    by the columns; each column's cumsum continues its carry, so every
+    prefix is the same left-to-right sum as one np.cumsum over [0, stop].
+    With support=True the terms are those of the support only (i with
+    mu(i) != 0 and gcd(i, q) = 1), idx holds those i, and runs[c][m + 1] is
+    the prefix at idx[m] (see prefix_log_moment); otherwise idx is None.
+    """
+    carries = [0.0] * len(cols)
+    idx = None
+    for lo in range(1, stop + 1, BLOCK):
+        hi = min(lo + BLOCK, stop + 1)
+        vals = table.mu[lo:hi].astype(np.float64)
+        for p in q.primes:
+            vals[(-lo) % p :: p] = 0.0
+        if support:
+            idx = np.flatnonzero(vals != 0.0)
+            vals = vals[idx]
+            idx += lo
+            kk = idx.astype(np.float64)
+        else:
+            kk = np.arange(lo, hi, dtype=np.float64)
+        powers = {s: kk ** (-s) for s in {s for s, _ in cols}}
+        logs = np.log(kk) if any(jj for _, jj in cols) else None
+        # (-1)^j log^j k: numpy's pow takes a slow path on negative bases
+        signed = {jj: (-1) ** jj * logs**jj for jj in {jj for _, jj in cols if jj}}
+        runs = []
+        for c, (s, jj) in enumerate(cols):
+            # run[0] is the sum carried into the block and run[1:] its terms,
+            # so one cumsum continues the sum
+            run = np.empty(kk.size + 1)
+            run[0] = carries[c]
+            np.multiply(vals, powers[s], out=run[1:])
+            if jj:
+                run[1:] *= signed[jj]
+            np.cumsum(run, out=run)
+            carries[c] = run[-1]
+            runs.append(run)
+        yield lo, hi, runs, idx
+
+
 def sweep_min(n: int, margins_of) -> list[tuple[float, int]]:
     """(min, argmin) over [0, n) of each array margins_of(lo, hi) returns.
 
@@ -545,6 +623,28 @@ def sweep_min(n: int, margins_of) -> list[tuple[float, int]]:
                 best.append((v, lo + i))
             elif not math.isnan(best[b][0]) and (math.isnan(v) or v < best[b][0]):
                 best[b] = (v, lo + i)
+    return best
+
+
+def sweep_prefix_min(n: int, blocks, margins_of) -> list[tuple[float, int]]:
+    """sweep_min over [0, n) of margins_of(lo, hi, cols), with cols from blocks.
+
+    blocks is a prefix_blocks iterator over [1, n]: each sweep block [lo, hi)
+    is paired with the prefix block [lo + 1, hi + 1), so entry i of a sweep
+    reads P[i + 1].  A prefix block that does not pair, missing or left
+    over, raises ValueError.
+    """
+
+    def margins(lo: int, hi: int):
+        block = next(blocks, None)
+        if block is None or block[:2] != (lo + 1, hi + 1):
+            got = "no block" if block is None else f"block [{block[0]}, {block[1]})"
+            raise ValueError(f"prefix {got} does not pair with sweep block [{lo}, {hi})")
+        return margins_of(lo, hi, block[2])
+
+    best = sweep_min(n, margins)
+    if next(blocks, None) is not None:
+        raise ValueError(f"prefix blocks run past the sweep of [0, {n})")
     return best
 
 

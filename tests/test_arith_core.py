@@ -20,10 +20,12 @@ from mobius_bounds.arith import (
     m_check_q_s,
     m_q,
     m_q_s,
+    prefix_blocks,
     prefix_log_moment,
     prefix_m_q,
     sieve_blocks,
     sweep_min,
+    sweep_prefix_min,
 )
 from mobius_bounds.util import EPS, CapacityError
 
@@ -402,6 +404,77 @@ def test_prefix_kernel_rejects_bad_requests(table_small):
         with pytest.raises(ValueError):
             prefix_log_moment(table_small, n, 1, sigma, j)
     assert prefix_log_moment(table_small, n, 1, 1.0, 0, at=[]).size == 0
+
+
+# tuple and scalar column requests: (sigma, j)
+BLOCK_REQUESTS = [
+    ((1.0, 1.01, 1.5, 2.0), (0, 1, 2, 3)),
+    (1.2, (0, 3)),
+    ((1.0, 2.0), 1),
+    (1.5, 2),
+]
+
+
+@pytest.mark.parametrize("q", [1, 2, 30030])
+@pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_prefix_blocks_concatenate_to_the_dense_prefix(table_mid, q, n):
+    """The blocks tile [1, n] in order, and each column, joined across them,
+    equals the dense prefix and one plain cumsum byte for byte."""
+    for sigma, j in BLOCK_REQUESTS:
+        blocks = list(prefix_blocks(table_mid, n, q, sigma, j))
+        assert [b[:2] for b in blocks] == [
+            (lo, min(lo + BLOCK, n + 1)) for lo in range(1, n + 1, BLOCK)
+        ]
+        dense = prefix_log_moment(table_mid, n, q, sigma, j)
+        dense = dense if isinstance(dense, list) else [dense]
+        sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * len(dense)
+        js = j if isinstance(j, tuple) else (j,) * len(dense)
+        for c, (want, s, jj) in enumerate(zip(dense, sigmas, js)):
+            got = np.concatenate([cols[c] for _, _, cols in blocks])
+            assert all(len(cols) == len(dense) for _, _, cols in blocks)
+            assert got.tobytes() == want[1:].tobytes(), (sigma, j, c)
+            assert got.tobytes() == _one_cumsum(table_mid, n, q, s, jj)[1:].tobytes()
+    assert list(prefix_blocks(table_mid, 0, q, 1.0, 0)) == []
+
+
+def test_prefix_blocks_check_on_the_call(table_small):
+    """A bad request raises when prefix_blocks is called, not at next()."""
+    n = table_small.limit
+    bad = [
+        (CapacityError, (n + 1, 1, 1.0, 0)),
+        (ValueError, (-1, 1, 1.0, 0)),
+        (TypeError, (100.0, 1, 1.0, 0)),
+        (TypeError, (True, 1, 1.0, 0)),
+        (ValueError, (100, 1, (1.0, 1.5), (0, 1, 2))),
+        (ValueError, (100, 1, (), ())),
+        (ValueError, (100, 1, 1.0, ())),
+    ]
+    for err, args in bad:
+        with pytest.raises(err):
+            prefix_blocks(table_small, *args)
+
+
+def test_sweep_prefix_min_pairs_blocks_or_raises(table_mid):
+    """Sweep entry i reads P[i + 1]; a prefix block that does not pair with
+    its sweep block (shifted, short, long or missing) raises ValueError."""
+    n = 2 * BLOCK
+    p = prefix_m_q(table_mid, n + 1, 6)
+
+    def margins(lo, hi, cols):
+        return [cols[0] - np.arange(lo, hi)]
+
+    want = sweep_min(n, lambda lo, hi: [p[lo + 1 : hi + 1] - np.arange(lo, hi)])
+    assert sweep_prefix_min(n, prefix_blocks(table_mid, n, 6, 1.0, 0), margins) == want
+    shifted = ((lo - 1, hi - 1, cols) for lo, hi, cols in prefix_blocks(table_mid, n, 6, 1.0, 0))
+    for sweep_n, blocks in (
+        (n, shifted),
+        (n, prefix_blocks(table_mid, n - 1, 6, 1.0, 0)),  # short last block
+        (n - 3, prefix_blocks(table_mid, n - 2, 6, 1.0, 0)),  # long last block
+        (n, prefix_blocks(table_mid, n + 1, 6, 1.0, 0)),  # a block left over
+        (n, prefix_blocks(table_mid, n - BLOCK, 6, 1.0, 0)),  # a block missing
+    ):
+        with pytest.raises(ValueError):
+            sweep_prefix_min(sweep_n, blocks, margins)
 
 
 def test_prefix_sweeps_hold_no_full_length_temporaries(table_big):
