@@ -31,13 +31,16 @@ relative error budget of 2^-40 is met with a wide margin on the supported
 domain.  Complex powers use n^-s = exp(-(s-1) log n)/n, which makes the
 s = 1 path bit-identical to the plain harmonic-weighted sum.
 
-The scans read prefix sums instead, from one kernel, prefix_log_moment:
-the cumsum of mu(k) (-log k)^j / k^sigma over coprime k.  One call builds
+The scans read prefix sums instead: the cumsum P of mu(k) (-log k)^j /
+k^sigma over coprime k, from one loop over BLOCK-entry blocks that builds
 several (sigma, j) columns, sharing each block's mu slice, coprime zeroing,
-powers and logs.  With at= it sums only the support of mu and returns the
-prefixes at the given indices: the terms it skips are +-0.0, and adding
-+-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged, so the
-values are those of the full cumsum, bit for bit.
+powers and logs.  prefix_blocks yields P one block at a time, and the
+full-range sweeps consume it block by block (sweep_prefix_min pairs each
+sweep block with its prefix block), so no scan holds a full-length prefix.
+prefix_log_moment returns P whole, or with at= only at the given indices:
+it then sums only the support of mu, the terms it skips are +-0.0, and
+adding +-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged,
+so the values are those of the full cumsum, bit for bit.
 """
 from __future__ import annotations
 
@@ -472,11 +475,10 @@ def prefix_log_moment(
     """Cumsum P with P[k] = sum over coprime i <= k of mu(i) (-log i)^j / i^sigma.
 
     Columns: sigma and j may each be a tuple (a scalar pairs with every
-    entry); the call then returns one array per column.  Per BLOCK entries
-    the mu slice, the coprime zeroing and each distinct i^-sigma and log i
-    are formed once and shared by the columns; each column keeps its own
-    sequential cumsum, carried from block to block, so every prefix is the
-    same left-to-right sum as one np.cumsum over [0, n], bit for bit.
+    entry); the call then returns one array per column.  Both forms read
+    the one prefix loop, _prefix_runs: the dense one through prefix_blocks,
+    so every prefix is the same left-to-right sum as one np.cumsum over
+    [0, n], bit for bit.
 
     at: sorted indices in [0, n], duplicates allowed.  Only the support (i
     with mu(i) != 0 and gcd(i, q) = 1) is evaluated and summed, each at[m]
@@ -486,43 +488,22 @@ def prefix_log_moment(
     +0.0 and x + y is -0.0 only for two -0.0), which returns that sum
     unchanged, so each value equals P[at[m]] bit for bit.
     """
-    q = Modulus.coerce(q)
-    table._check_range(n)
-    cols = _columns(sigma, j)
-    pts = None if at is None else _sample_points(at, n)
-    stop = n if pts is None else int(pts.max(initial=0))
-    # zeros: P[0] is the empty sum, and so is every at[m] = 0
-    outs = [np.zeros(n + 1 if pts is None else pts.size) for _ in cols]
-    carries = [0.0] * len(cols)
-    for lo in range(1, stop + 1, BLOCK):
-        hi = min(lo + BLOCK, stop + 1)
-        vals = table.mu[lo:hi].astype(np.float64)
-        for p in q.primes:
-            vals[(-lo) % p :: p] = 0.0
-        if pts is None:
-            kk = np.arange(lo, hi, dtype=np.float64)
-        else:
-            support = np.flatnonzero(vals != 0.0)
-            vals = vals[support]
-            support += lo
-            kk = support.astype(np.float64)
-        powers = {s: kk ** (-s) for s in {s for s, _ in cols}}
-        logs = np.log(kk) if any(jj for _, jj in cols) else None
-        # (-1)^j log^j k: numpy's pow takes a slow path on negative bases
-        signed = {jj: (-1) ** jj * logs**jj for jj in {jj for _, jj in cols if jj}}
-        for c, (s, jj) in enumerate(cols):
-            # run[0] is the sum carried into the block and run[1:] its terms,
-            # so one cumsum continues the sum
-            run = outs[c][lo - 1 : hi] if pts is None else np.empty(kk.size + 1)
-            run[0] = carries[c]
-            np.multiply(vals, powers[s], out=run[1:])
-            if jj:
-                run[1:] *= signed[jj]
-            np.cumsum(run, out=run)
-            carries[c] = run[-1]
-            if pts is not None:
-                a0, a1 = np.searchsorted(pts, (lo, hi))
-                outs[c][a0:a1] = run[np.searchsorted(support, pts[a0:a1], "right")]
+    n, q, cols = _prefix_request(table, n, q, sigma, j)
+    if at is None:
+        # zeros: P[0] is the empty sum
+        outs = [np.zeros(n + 1) for _ in cols]
+        for lo, hi, block in prefix_blocks(table, n, q, sigma, j):
+            for out, part in zip(outs, block):
+                out[lo:hi] = part
+    else:
+        pts = _sample_points(at, n)
+        outs = [np.zeros(pts.size) for _ in cols]  # every at[m] = 0 reads 0.0
+        stop = int(pts.max(initial=0))
+        for lo, hi, runs, idx in _prefix_runs(table, stop, q, cols, support=True):
+            a0, a1 = np.searchsorted(pts, (lo, hi))
+            reads = np.searchsorted(idx, pts[a0:a1], "right")
+            for out, run in zip(outs, runs):
+                out[a0:a1] = run[reads]
     return outs if isinstance(sigma, tuple) or isinstance(j, tuple) else outs[0]
 
 
@@ -553,55 +534,68 @@ def prefix_blocks(
     before the first block.
     """
     n, q, cols = _prefix_request(table, n, q, sigma, j)
-    return (
-        (lo, hi, [run[1:] for run in runs])
-        for lo, hi, runs, _ in _prefix_runs(table, n, q, cols, support=False)
-    )
+    # map, not a generator: a generator would hold the last block while
+    # the next one is formed
+    return map(_drop_carries, _prefix_runs(table, n, q, cols, support=False))
+
+
+def _drop_carries(block):
+    """(lo, hi, cols) of a _prefix_runs block: each run without its carry."""
+    lo, hi, runs, _ = block
+    return lo, hi, [run[1:] for run in runs]
 
 
 def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols, support: bool):
     """The one prefix loop: (lo, hi, runs, idx) for each BLOCK [lo, hi) of [1, stop].
 
     runs[c][0] is column c's sum carried into the block and runs[c][1:] its
-    running sums after each term.  Per block the mu slice, the coprime
-    zeroing and each distinct i^-sigma and log i are formed once and shared
-    by the columns; each column's cumsum continues its carry, so every
-    prefix is the same left-to-right sum as one np.cumsum over [0, stop].
-    With support=True the terms are those of the support only (i with
-    mu(i) != 0 and gcd(i, q) = 1), idx holds those i, and runs[c][m + 1] is
-    the prefix at idx[m] (see prefix_log_moment); otherwise idx is None.
+    running sums after each term; each column's cumsum continues its carry,
+    so every prefix is the same left-to-right sum as one np.cumsum over
+    [0, stop].  With support=True the terms are those of the support only
+    (i with mu(i) != 0 and gcd(i, q) = 1), idx holds those i, and
+    runs[c][m + 1] is the prefix at idx[m] (see prefix_log_moment);
+    otherwise idx is None.  Between blocks the loop holds only the carries.
     """
     carries = [0.0] * len(cols)
-    idx = None
     for lo in range(1, stop + 1, BLOCK):
         hi = min(lo + BLOCK, stop + 1)
-        vals = table.mu[lo:hi].astype(np.float64)
-        for p in q.primes:
-            vals[(-lo) % p :: p] = 0.0
-        if support:
-            idx = np.flatnonzero(vals != 0.0)
-            vals = vals[idx]
-            idx += lo
-            kk = idx.astype(np.float64)
-        else:
-            kk = np.arange(lo, hi, dtype=np.float64)
-        powers = {s: kk ** (-s) for s in {s for s, _ in cols}}
-        logs = np.log(kk) if any(jj for _, jj in cols) else None
-        # (-1)^j log^j k: numpy's pow takes a slow path on negative bases
-        signed = {jj: (-1) ** jj * logs**jj for jj in {jj for _, jj in cols if jj}}
-        runs = []
-        for c, (s, jj) in enumerate(cols):
-            # run[0] is the sum carried into the block and run[1:] its terms,
-            # so one cumsum continues the sum
-            run = np.empty(kk.size + 1)
-            run[0] = carries[c]
-            np.multiply(vals, powers[s], out=run[1:])
-            if jj:
-                run[1:] *= signed[jj]
-            np.cumsum(run, out=run)
-            carries[c] = run[-1]
-            runs.append(run)
-        yield lo, hi, runs, idx
+        yield (lo, hi, *_prefix_block(table.mu[lo:hi], lo, q, cols, carries, support))
+
+
+def _prefix_block(mu: np.ndarray, lo: int, q: Modulus, cols, carries, support: bool):
+    """(runs, idx) of one block of _prefix_runs; carries is updated in place.
+
+    The mu slice, the coprime zeroing and each distinct i^-sigma and log i
+    are formed once and shared by the columns.
+    """
+    vals = mu.astype(np.float64)
+    for p in q.primes:
+        vals[(-lo) % p :: p] = 0.0
+    if support:
+        idx = np.flatnonzero(vals != 0.0)
+        vals = vals[idx]
+        idx += lo
+        kk = idx.astype(np.float64)
+    else:
+        idx = None
+        kk = np.arange(lo, lo + mu.size, dtype=np.float64)
+    powers = {s: kk ** (-s) for s in {s for s, _ in cols}}
+    logs = np.log(kk) if any(jj for _, jj in cols) else None
+    # (-1)^j log^j k: numpy's pow takes a slow path on negative bases
+    signed = {jj: (-1) ** jj * logs**jj for jj in {jj for _, jj in cols if jj}}
+    runs = []
+    for c, (s, jj) in enumerate(cols):
+        # run[0] is the sum carried into the block and run[1:] its terms,
+        # so one cumsum continues the sum
+        run = np.empty(kk.size + 1)
+        run[0] = carries[c]
+        np.multiply(vals, powers[s], out=run[1:])
+        if jj:
+            run[1:] *= signed[jj]
+        np.cumsum(run, out=run)
+        carries[c] = run[-1]
+        runs.append(run)
+    return runs, idx
 
 
 def sweep_min(n: int, margins_of) -> list[tuple[float, int]]:

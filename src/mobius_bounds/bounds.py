@@ -6,11 +6,13 @@ at one point and renders a three-way verdict through the certified
 comparison in util: pass only when the margin clears the accumulated
 evaluation error, fail only when the violation does.  The *_scan sweeps
 evaluate the left side from cumsum prefixes, at every integer of a range
-or, for the eps families, on a 200-point log grid.  The eps families read
-the prefixes at the grid's floors only (prefix_log_moment with at=), so
-they build no array of length n_max; the values are those of the full
-prefix arrays, bit for bit.  Scan margins are uncertified floats: they
-carry no error radius and no caller re-verifies them (ROADMAP item 4).
+or, for the eps families, on a 200-point log grid.  The full-range sweeps
+read the prefixes one block at a time (prefix_blocks, paired with the
+sweep by sweep_prefix_min), and the eps families at the grid's floors only
+(prefix_log_moment with at=), so no scan builds an array of length n_max;
+the values are those of the full prefix arrays, bit for bit.  Scan margins
+are uncertified floats: they carry no error radius and no caller
+re-verifies them (ROADMAP item 4).
 
 Envelopes take log X from their caller, as math.log at a point and np.log
 in a scan (the two differ in the last bit on some inputs).  Indicator
@@ -36,9 +38,10 @@ from .arith import (
     m_check_q_s,
     m_q,
     m_q_s,
+    prefix_blocks,
     prefix_log_moment,
     prefix_m_q,
-    sweep_min,
+    sweep_prefix_min,
 )
 from .delta_sign import defect, interval_weights
 from .reports import BoundRow, bound_row
@@ -153,16 +156,16 @@ def easy_scan(
     """
     _easy_domain(float(n_max), k, sigma)
     qm = Modulus.coerce(q)
-    moments = prefix_log_moment(table, n_max, qm, sigma, tuple(range(k + 1)))
+    moments = prefix_blocks(table, n_max, qm, sigma, tuple(range(k + 1)))
 
-    def margins(lo: int, hi: int):  # X = lo+1 .. hi
+    def margins(lo: int, hi: int, cols):  # X = lo+1 .. hi
         lx = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
         lhs = np.zeros(hi - lo, dtype=np.float64)
         for j in range(k + 1):
-            lhs += math.comb(k, j) * lx**j * moments[k - j][lo + 1 : hi + 1]
+            lhs += math.comb(k, j) * lx**j * cols[k - j]
         return lhs, easy_bound(qm, k, sigma, lx) - lhs
 
-    (lhs_min, i_lhs), (margin_min, i_mar) = sweep_min(n_max, margins)
+    (lhs_min, i_lhs), (margin_min, i_mar) = sweep_prefix_min(n_max, moments, margins)
     return float(lhs_min), i_lhs + 1, float(margin_min), i_mar + 1
 
 
@@ -397,6 +400,8 @@ def special_scan(
     endpoint, while the envelope decreases in X; the interval is certified
     by bound(n+1) - max(|D(n)|, |D(n+1-)|) >= 0.  Returns (min margin,
     argmin X); a nonnegative result covers every real X in [15, n_max].
+    Sweep entry i is the interval [i+1, i+2), and those below n = 15 read
+    +inf, so the first minimum is that of the intervals from 15 on.
     """
     _special_domain(float(n_max), sigma)
     if n_max < 16:
@@ -404,19 +409,20 @@ def special_scan(
             f"the intervals [n, n+1) run over n in [15, n_max - 1], got n_max = {n_max}"
         )
     main, _, _ = _mcheck_main(ONE, sigma)
-    p, l1 = prefix_log_moment(table, n_max, 1, sigma, (0, 1))
+    blocks = prefix_blocks(table, n_max - 1, 1, sigma, (0, 1))
 
-    def margins(lo: int, hi: int):  # intervals [n, n+1), n = 15+lo .. 14+hi
-        logs = np.log(np.arange(15 + lo, 16 + hi, dtype=np.float64))
+    def margins(lo: int, hi: int, cols):  # intervals [n, n+1), n = lo+1 .. hi
+        logs = np.log(np.arange(lo + 1, hi + 2, dtype=np.float64))
         lo_log, hi_log = logs[:-1], logs[1:]
-        pp = p[15 + lo : 15 + hi]
-        ll = l1[15 + lo : 15 + hi]
+        pp, ll = cols
         d_left = np.abs(lo_log * pp + ll - main(lo_log))
         d_right = np.abs(hi_log * pp + ll - main(hi_log))
-        return (special_bound(sigma, hi_log) - np.maximum(d_left, d_right),)
+        margin = special_bound(sigma, hi_log) - np.maximum(d_left, d_right)
+        margin[: max(14 - lo, 0)] = np.inf  # n < 15: out of range
+        return (margin,)
 
-    ((margin, i),) = sweep_min(n_max - 15, margins)
-    return float(margin), float(16 + i)
+    ((margin, i),) = sweep_prefix_min(n_max - 1, blocks, margins)
+    return float(margin), float(i + 2)
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +658,7 @@ def small_m_scan(
     Returns {theorem_id: (min margin, argmin n)}.
     """
     qm = Modulus.coerce(q)
-    p = prefix_m_q(table, n_max, qm)
+    blocks = prefix_blocks(table, n_max, qm, 1.0, 0)
     checks = [
         (name, int(x_lo), envelope)
         for name, only, x_lo, _, envelope, swept in SMALL_M
@@ -661,10 +667,10 @@ def small_m_scan(
     if not checks:
         return {}
 
-    def margins(lo: int, hi: int):  # steps n = lo+1 .. hi
+    def margins(lo: int, hi: int, cols):  # steps n = lo+1 .. hi
         rights = np.arange(lo + 2, hi + 2, dtype=np.float64)
         lr = np.log(rights)
-        vals = np.abs(p[lo + 1 : hi + 1])
+        vals = np.abs(cols[0])
         out = []
         for _, first, envelope in checks:
             margin = envelope(qm, rights, lr) - vals
@@ -672,7 +678,7 @@ def small_m_scan(
             out.append(margin)
         return out
 
-    mins = sweep_min(n_max, margins)
+    mins = sweep_prefix_min(n_max, blocks, margins)
     return {name: (float(m), i + 1) for (name, _, _), (m, i) in zip(checks, mins)}
 
 

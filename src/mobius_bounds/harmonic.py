@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .arith import ArithmeticTable, chebyshev_psi, sweep_min
+from .arith import BLOCK, ArithmeticTable, _integer, chebyshev_psi, sweep_min
 from .reports import BoundRow, bound_row
 from .util import GAMMA, LOG_2PI_HALF, CapacityError, floor_int
 
@@ -66,15 +66,20 @@ def neg_alpha_integral(K: int) -> float:
 
     Each piece integrates in closed form to (1/2)(log(1 + 1/k) - 1/(k+1)),
     which is positive and below 1/(2k(k+1)), so the partial sums increase
-    to (1 - gamma)/2 with remainder in (0, 1/(2(K+1))).
+    to (1 - gamma)/2 with remainder in (0, 1/(2(K+1))).  K is an integer
+    (not a bool); the terms are formed BLOCK at a time and fsum, exactly
+    rounded, takes them all in one sum.
     """
+    K = _integer("K", K)
     if K < 0:
         raise ValueError("K must be >= 0")
-    if K == 0:
-        return 0.0
-    k = np.arange(1, K + 1, dtype=np.float64)
-    terms = 0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))
-    return math.fsum(terms.tolist())
+
+    def terms():
+        for lo in range(1, K + 1, BLOCK):
+            k = np.arange(lo, min(lo + BLOCK, K + 1), dtype=np.float64)
+            yield from (0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))).tolist()
+
+    return math.fsum(terms())
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 perfbench/run.py certifies, writes, parses back and replays each claim, and
 judges the round trip by equality and the replay by its problems.  Its scan
-pass judges every sweep by the acceptance predicates and charges the prefix
+pass judges every sweep by the acceptance predicates and charges prefix
 builds to the traced boundaries bounds.prefix_m_q and
-bounds.prefix_log_moment.  Running the tiny traced passes here makes a
-change that breaks a judge, or that builds prefixes past those boundaries,
-fail the tests instead of the benchmark.
+bounds.prefix_log_moment.  Only the at= reads of the eps scans and dense
+builds reach those boundaries; the full-range sweeps iterate
+prefix_blocks, whose time falls in each scan's own span.  Running the tiny
+traced passes here makes a change that breaks a judge, drops a boundary or
+moves the eps scans' reads off it fail the tests instead of the benchmark.
 """
 
 import importlib.util

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -60,6 +61,23 @@ def test_neg_alpha_integral_values():
     assert neg_alpha_integral(1) == pytest.approx(0.09657359027997264, abs=1e-17)
     with pytest.raises(ValueError):
         neg_alpha_integral(-1)
+
+
+def test_neg_alpha_integral_takes_integers_only():
+    """A float K used to count the terms of arange(1, K + 1): 2.5 read the
+    K = 3 sum, and inf died inside numpy."""
+    for K in (2.5, 3.0, math.inf, True):
+        with pytest.raises(TypeError):
+            neg_alpha_integral(K)
+    assert neg_alpha_integral(np.int64(3)) == neg_alpha_integral(3)
+
+
+def test_neg_alpha_integral_equals_one_fsum_across_blocks():
+    """Summed in chunks, the mass is fsum over one array of all the terms."""
+    for K in (1, 2**15, 2**15 + 1, 3 * 2**15 + 7):
+        k = np.arange(1, K + 1, dtype=np.float64)
+        terms = 0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))
+        assert neg_alpha_integral(K).hex() == math.fsum(terms.tolist()).hex(), K
 
 
 def test_neg_alpha_integral_limit():
