@@ -429,9 +429,9 @@ def test_prefix_blocks_concatenate_to_the_dense_prefix(table_mid, q, n):
         dense = dense if isinstance(dense, list) else [dense]
         sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * len(dense)
         js = j if isinstance(j, tuple) else (j,) * len(dense)
+        assert all(len(cols) == len(dense) for _, _, cols in blocks)
         for c, (want, s, jj) in enumerate(zip(dense, sigmas, js)):
             got = np.concatenate([cols[c] for _, _, cols in blocks])
-            assert all(len(cols) == len(dense) for _, _, cols in blocks)
             assert got.tobytes() == want[1:].tobytes(), (sigma, j, c)
             assert got.tobytes() == _one_cumsum(table_mid, n, q, s, jj)[1:].tobytes()
     assert list(prefix_blocks(table_mid, 0, q, 1.0, 0)) == []
