@@ -22,17 +22,22 @@ echoed back verbatim in the config header, so boundary cases like
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import bounds
-from .identities import CATALOG_NAMES
 from .util import FAIL, INCONCLUSIVE, CapacityError, NearZeroError
 from .reports import BoundRow, bound_row, rows_to_csv, rows_to_jsonl, verdict_counts
 
-_THEOREMS = tuple(bounds.THEOREMS)
+# suite prefix -> the module whose SUITES it addresses
+_SUITE_MODULES = {"bounds": "bounds", "delta-sign": "delta_sign", "harmonic": "harmonic"}
+
+
+def _module(name: str):
+    """A submodule, imported on first use: each command loads only what it runs."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 # ----------------------------------------------------------------------
@@ -44,6 +49,30 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+class _Choices:
+    """The names in `module.attr`, imported when argparse first tests a value
+    with `in` or lists them in help or in an invalid-choice message."""
+
+    def __init__(self, module: str, attr: str) -> None:
+        self.module, self.attr = module, attr
+
+    def _names(self):
+        return getattr(_module(self.module), self.attr)
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
+def _limit(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _real(text: str) -> float:
@@ -113,7 +142,7 @@ def build_parser() -> _Parser:
     def command(name: str, handler, help: str) -> _Parser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--limit", type=int, help="sieve size")
+        p.add_argument("--limit", type=_limit, help="sieve size")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--no-timestamp", action="store_true")
@@ -126,13 +155,24 @@ def build_parser() -> _Parser:
     p.add_argument("--s", dest="s_values", type=_complexes, default=[complex(1.0)])
 
     p = command("identity", _identity, "check convolution identities")
-    p.add_argument("--name", required=True, choices=CATALOG_NAMES)
+    p.add_argument(
+        "--name",
+        required=True,
+        choices=_Choices("identities", "CATALOG_NAMES"),
+        metavar="NAME",
+        help="one of %(choices)s",
+    )
     p.add_argument("--X", dest="x_values", type=_reals, default=[2.5])
     p.add_argument("--s", dest="s_values", type=_complexes)
 
     p = command("verify", _verify, "run bound verifications on a grid")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--theorem", choices=_THEOREMS)
+    mode.add_argument(
+        "--theorem",
+        choices=_Choices("bounds", "THEOREMS"),
+        metavar="THEOREM",
+        help="one of %(choices)s",
+    )
     mode.add_argument("--suite", help="canned suite, e.g. bounds:easy")
     mode.add_argument("--list", dest="list_suites", action="store_true")
     for flag, kind, _ in _VERIFY_GRIDS:
@@ -167,17 +207,11 @@ def _table(args: argparse.Namespace, needed: float, default: int = 1000):
 
 
 def suite_registry() -> dict[str, object]:
-    from . import bounds, delta_sign, harmonic
-
-    reg: dict[str, object] = {}
-    for mod_name, mod in (
-        ("bounds", bounds),
-        ("delta-sign", delta_sign),
-        ("harmonic", harmonic),
-    ):
-        for key, fn in mod.SUITES.items():
-            reg[f"{mod_name}:{key}"] = fn
-    return reg
+    return {
+        f"{prefix}:{key}": fn
+        for prefix, name in _SUITE_MODULES.items()
+        for key, fn in _module(name).SUITES.items()
+    }
 
 
 def _sum(args: argparse.Namespace) -> list[BoundRow]:
@@ -258,16 +292,20 @@ def _verify(args: argparse.Namespace) -> list[BoundRow] | int:
             print(name)
         return 0
     if args.suite is not None:
-        registry = suite_registry()
-        if args.suite not in registry:
+        # only the module that the suite's prefix names is imported
+        prefix, _, key = args.suite.partition(":")
+        suites = _module(_SUITE_MODULES[prefix]).SUITES if prefix in _SUITE_MODULES else {}
+        if key not in suites:
             raise ValueError(f"unknown suite {args.suite!r}; try `verify --list`")
-        return registry[args.suite](_table(args, 0, 100_000))
+        return suites[key](_table(args, 0, 100_000))
     grid = {
         flag[2:].lower(): default if given[flag] is None else given[flag]
         for flag, _, default in _VERIFY_GRIDS
     }
     if not grid["x"]:
         raise ValueError("--theorem verification needs a non-empty --X grid")
+    from . import bounds
+
     table = _table(args, max(grid["x"]))
     axes = bounds.THEOREMS[args.theorem][1]
     return bounds.grid_rows(table, args.theorem, [grid[axis.lower()] for axis in axes])

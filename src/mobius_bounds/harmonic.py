@@ -23,6 +23,7 @@ noted here, not implemented.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -67,19 +68,19 @@ def neg_alpha_integral(K: int) -> float:
     Each piece integrates in closed form to (1/2)(log(1 + 1/k) - 1/(k+1)),
     which is positive and below 1/(2k(k+1)), so the partial sums increase
     to (1 - gamma)/2 with remainder in (0, 1/(2(K+1))).  K is an integer
-    (not a bool); the terms are formed BLOCK at a time and fsum, exactly
-    rounded, takes them all in one sum.
+    (not a bool); the terms are formed BLOCK at a time, one list per block,
+    and fsum, exactly rounded, takes them all in one sum.
     """
     K = _integer("K", K)
     if K < 0:
         raise ValueError("K must be >= 0")
 
-    def terms():
+    def blocks():
         for lo in range(1, K + 1, BLOCK):
             k = np.arange(lo, min(lo + BLOCK, K + 1), dtype=np.float64)
-            yield from (0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))).tolist()
+            yield (0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))).tolist()
 
-    return math.fsum(terms())
+    return math.fsum(itertools.chain.from_iterable(blocks()))
 
 
 # ----------------------------------------------------------------------

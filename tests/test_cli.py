@@ -8,6 +8,7 @@ import pytest
 
 from mobius_bounds import bounds
 from mobius_bounds.cli import main, suite_registry
+from mobius_bounds.identities import CATALOG_NAMES
 from mobius_bounds.reports import rows_to_csv
 
 
@@ -25,14 +26,29 @@ def test_list_matches_registries(capsys):
     assert mods == {"bounds", "delta-sign", "harmonic"}
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert main(["verify", "--theorem", "nosuch"]) == 64
+    assert "argument --theorem: invalid choice: 'nosuch'" in capsys.readouterr().err
     assert main(["frobnicate"]) == 64
     assert main([]) == 64
     assert main(["verify", "--suite", "bounds:nope"]) == 64
     assert main(["delta-sign", "--q", "1"]) == 64  # missing --X0
     assert main(["verify", "--theorem", "special", "--X", "10", "--sigma", "1"]) == 64
     assert main(["sum", "--X", ""]) == 64
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("verify", tuple(bounds.THEOREMS)),
+        ("identity", CATALOG_NAMES),
+    ],
+)
+def test_help_lists_every_choice(command, names, capsys):
+    assert main([command, "--help"]) == 0
+    # argparse wraps the list; compare it as one line
+    text = " ".join(capsys.readouterr().out.split())
+    assert "one of " + ", ".join(names) in text
 
 
 def test_modes_and_names_are_checked_before_any_sieve(monkeypatch, capsys):
@@ -46,10 +62,14 @@ def test_modes_and_names_are_checked_before_any_sieve(monkeypatch, capsys):
     assert main(["verify", "--list", "--suite", "bounds:easy"]) == 64
     assert main(["verify", "--X", "10"]) == 64
     assert main(["identity", "--name", "bogus"]) == 64
+    assert main(["verify", "--suite", "bounds:easy", "--limit", "0"]) == 64
+    assert main(["verify", "--suite", "bounds:easy", "--limit", "-3"]) == 64
     err = capsys.readouterr().err
     assert "argument --theorem: not allowed with argument --suite" in err
     assert "one of the arguments --theorem --suite --list is required" in err
     assert "argument --name: invalid choice: 'bogus'" in err
+    assert "argument --limit: must be a positive integer, got '0'" in err
+    assert "argument --limit: must be a positive integer, got '-3'" in err
 
 
 @pytest.mark.parametrize(
