@@ -2,15 +2,23 @@
 
 The central object is an ArithmeticTable holding, for 0 <= n <= limit,
 
-    mu[n]             Mobius function (int8)
-    liouville[n]      Liouville function (-1)^Omega(n) (int8)
-    mangoldt_log[n]   von Mangoldt weight: log p if n = p^k else 0 (float64)
-    mertens_prefix[n] sum_{m<=n} mu[m] (int64)
+    mu[n]              Mobius function (int8)
+    liouville[n]       Liouville function (-1)^Omega(n) (int8)
+
+and von Mangoldt's Lambda only where it is nonzero (7% of entries at 1e7),
+so a table costs about 3 bytes per entry:
+
+    prime_powers[i]     the prime powers p^k <= limit, ascending (int64)
+    prime_power_logs[i] Lambda there, log p (float64)
+
+The Mertens function and psi are derived, not stored: mertens(x) sums mu,
+psi_prefix (built on first use) holds psi at the prime powers only, and
+mangoldt(lo, hi) rebuilds a dense Lambda slice.
 
 There is one sieve, the generator sieve_blocks(lo, hi): it yields fresh
 (mu, liouville, mangoldt_log) arrays for each 2^20-entry segment of
 [lo, hi), with base primes <= isqrt(hi - 1), and build_table is its one
-consumer, carrying the Mertens prefix from segment to segment.  A segment
+consumer, keeping mu and liouville and the nonzero Lambda.  A segment
 builds no int64 array and divides nothing: Omega is counted in int8 over
 the base prime powers, lambda = 1 - 2 (Omega & 1) and mu = lambda times
 the squarefree flag.  The one prime factor above the base, if any, is found
@@ -56,7 +64,9 @@ from .util import CapacityError, floor_int
 SEGMENT = 1 << 20
 # entries per block of a prefix sweep: 256 KiB of float64, well inside L2
 BLOCK = 1 << 15
-LIMIT_BUDGET = 200_000_000  # ~18 bytes/entry across the four arrays
+# ~3 bytes/entry in a table (2 for mu and liouville, 16 per prime power);
+# it also bounds the float32 large-prime test of _sieve_segment
+LIMIT_BUDGET = 200_000_000
 
 
 # ----------------------------------------------------------------------
@@ -156,40 +166,64 @@ def _small_primes(limit: int) -> np.ndarray:
 
 
 class ArithmeticTable:
-    """Immutable sieve table up to `limit` (inclusive)."""
+    """Immutable sieve table up to `limit` (inclusive), laid out as the
+    module docstring says; its reads below hide that layout."""
 
     def __init__(
         self,
         limit: int,
         mu: np.ndarray,
         liouville: np.ndarray,
-        mangoldt_log: np.ndarray,
-        mertens_prefix: np.ndarray,
+        prime_powers: np.ndarray,
+        prime_power_logs: np.ndarray,
     ) -> None:
         self.limit = limit
         self.mu = mu
         self.liouville = liouville
-        self.mangoldt_log = mangoldt_log
-        self.mertens_prefix = mertens_prefix
-        for arr in (mu, liouville, mangoldt_log, mertens_prefix):
+        self.prime_powers = prime_powers
+        self.prime_power_logs = prime_power_logs
+        for arr in (mu, liouville, prime_powers, prime_power_logs):
             arr.flags.writeable = False
         self._psi_prefix: np.ndarray | None = None
 
     @property
     def psi_prefix(self) -> np.ndarray:
-        """psi(n) = sum_{m<=n} Lambda(m), cached on first use."""
+        """psi at the prime powers, cached on first use: entry i is psi(n)
+        for every n with exactly i prime powers <= n, so psi(n) is
+        psi_prefix[searchsorted(prime_powers, n, "right")].  One cumsum over
+        the prime powers alone: the dense cumsum adds +0.0 between them to a
+        sum that is +0.0 or positive, which leaves it unchanged, so the
+        values are the dense ones bit for bit."""
         if self._psi_prefix is None:
-            psi = np.cumsum(self.mangoldt_log)
+            psi = np.zeros(self.prime_powers.size + 1)
+            np.cumsum(self.prime_power_logs, out=psi[1:])
             psi.flags.writeable = False
             self._psi_prefix = psi
         return self._psi_prefix
 
+    def prime_powers_upto(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(prime powers <= n, log p at each), read-only views."""
+        self._check_range(n)
+        k = int(np.searchsorted(self.prime_powers, n, "right"))
+        return self.prime_powers[:k], self.prime_power_logs[:k]
+
+    def mangoldt(self, lo: int, hi: int) -> np.ndarray:
+        """Lambda(n) for lo <= n < hi as a fresh dense float64 array."""
+        if not 0 <= lo <= hi:
+            raise ValueError(f"bad Lambda range [{lo}, {hi})")
+        self._check_range(hi - 1)
+        a, b = np.searchsorted(self.prime_powers, (lo, hi))
+        out = np.zeros(hi - lo)
+        out[self.prime_powers[a:b] - lo] = self.prime_power_logs[a:b]
+        return out
+
     def mertens(self, x: float) -> int:
+        """M(x) = sum_{n<=x} mu(n), summed from the table on each call."""
         n = floor_int(x)
-        if n < 0:
+        if n < 1:
             return 0
         self._check_range(n)
-        return int(self.mertens_prefix[n]) if n >= 1 else 0
+        return int(self.mu[: n + 1].sum(dtype=np.int64))
 
     def _check_range(self, n: int) -> None:
         if n > self.limit:
@@ -206,11 +240,11 @@ def _integer(name: str, value) -> int:
 
 
 def build_table(limit: int) -> ArithmeticTable:
-    """Sieve mu, liouville, mangoldt_log and the Mertens prefix up to limit.
+    """Sieve mu and liouville up to limit, and Lambda at the prime powers.
 
-    The one consumer of sieve_blocks: each segment is copied into the four
-    arrays, and the Mertens prefix is carried from segment to segment (an
-    int64 cumsum that starts from the previous prefix, so it is exact).
+    The one consumer of sieve_blocks: each segment's mu and liouville are
+    copied into the two dense arrays, and its nonzero Lambda entries are
+    kept with their n; the segment arrays are freed before the next one.
     """
     limit = _integer("limit", limit)
     if limit < 1:
@@ -219,20 +253,16 @@ def build_table(limit: int) -> ArithmeticTable:
     n = limit + 1
     mu = np.zeros(n, dtype=np.int8)
     liou = np.zeros(n, dtype=np.int8)
-    mangoldt = np.zeros(n, dtype=np.float64)
-    mertens = np.zeros(n, dtype=np.int64)
+    powers, logs = [], []
     for start, seg_mu, seg_liou, seg_mangoldt in blocks:
         end = start + seg_mu.size
         mu[start:end] = seg_mu
         liou[start:end] = seg_liou
-        mangoldt[start:end] = seg_mangoldt
-        # run[0] is the prefix carried into the segment, so one cumsum
-        # continues it
-        run = mertens[start - 1 : end]
-        run[1:] = seg_mu
-        np.cumsum(run, out=run)
+        at = np.flatnonzero(seg_mangoldt)
+        powers.append(at + start)
+        logs.append(seg_mangoldt[at])
         del seg_mu, seg_liou, seg_mangoldt  # freed before the next segment
-    return ArithmeticTable(limit, mu, liou, mangoldt, mertens)
+    return ArithmeticTable(limit, mu, liou, np.concatenate(powers), np.concatenate(logs))
 
 
 def sieve_blocks(
@@ -652,4 +682,4 @@ def chebyshev_psi(table: ArithmeticTable, x: float) -> float:
     if n < 2:
         return 0.0
     table._check_range(n)
-    return float(table.psi_prefix[n])
+    return float(table.psi_prefix[np.searchsorted(table.prime_powers, n, "right")])

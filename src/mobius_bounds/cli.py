@@ -68,51 +68,59 @@ class _Choices:
         return iter(self._names())
 
 
-def _limit(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+def _number(text: str, parse, takes: str, ok=lambda value: True):
+    """parse(text), which must pass ok; otherwise a usage error that says what
+    the flag takes (argparse would name this type function instead)."""
+    try:
+        value = parse(text)
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {takes}, got {text!r}")
     return value
+
+
+def _limit(text: str) -> int:
+    return _number(text, int, "a positive integer", lambda value: value >= 1)
 
 
 def _real(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+    return _number(text, float, "a finite number", math.isfinite)
 
 
-def _reals(text: str) -> list[float]:
-    """Comma list of decimals, each item either a finite scalar or lo..hi
-    (inclusive integer range)."""
+def _integral(text: str) -> float:
+    return _number(text, float, "an integer", float.is_integer)
+
+
+def _reals(text: str, item=_real) -> list[float]:
+    """Comma list of decimals, each item either a scalar that item() accepts
+    (a finite one by default) or lo..hi (inclusive integer range)."""
     out: list[float] = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if ".." in tok:
-            lo_s, hi_s = tok.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _number(
+                tok, lambda t: [int(v) for v in t.split("..", 1)], "an integer range lo..hi"
+            )
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {tok!r}")
             out.extend(float(v) for v in range(lo, hi + 1))
         else:
-            out.append(_real(tok))
+            out.append(item(tok))
     if not out:
         raise argparse.ArgumentTypeError("empty grid")
     return out
 
 
 def _ints(text: str) -> list[int]:
-    out = _reals(text)
-    for v in out:
-        if not v.is_integer():
-            raise argparse.ArgumentTypeError(f"must be an integer, got {v!r}")
-    return [int(v) for v in out]
+    return [int(v) for v in _reals(text, _integral)]
 
 
 def _complexes(text: str) -> list[complex]:
-    out = [complex(tok.strip()) for tok in text.split(",") if tok.strip()]
+    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+    out = [_number(tok, complex, "a complex number") for tok in toks]
     if not out:
         raise argparse.ArgumentTypeError("empty grid")
     return out

@@ -191,13 +191,12 @@ def psi_alpha_integral(table: ArithmeticTable, X: float) -> float:
     prime powers and vanishes below 2."""
     if X < 1.0:
         raise ValueError("X must be >= 1")
-    n = floor_int(X)
-    table._check_range(n)
-    jumps = np.nonzero(table.mangoldt_log[: n + 1] > 0.0)[0].astype(np.float64)
+    jumps = table.prime_powers_upto(floor_int(X))[0].astype(np.float64)
     psi = table.psi_prefix
 
     def values_at(mid: np.ndarray) -> np.ndarray:
-        return psi[np.floor(mid).astype(np.int64)]
+        # psi(mid) = psi at the last prime power <= mid
+        return psi[np.searchsorted(jumps, mid, "right")]
 
     return _alpha_kernel_integral(X, 2.0, jumps, values_at)
 
@@ -207,10 +206,9 @@ def lambda_harmonic_sum(table: ArithmeticTable, X: float) -> float:
     n = floor_int(X)
     if n < 1:
         raise ValueError("X must be >= 1")
-    table._check_range(n)
-    nn = np.arange(n + 1, dtype=np.float64)
-    nn[0] = 1.0
-    return math.fsum((table.mangoldt_log[: n + 1] / nn).tolist())
+    # fsum is exactly rounded, so leaving out the zero terms changes nothing
+    powers, logs = table.prime_powers_upto(n)
+    return math.fsum((logs / powers).tolist())
 
 
 def kernel_identity_check(table: ArithmeticTable, X: float, kind: str = "psi") -> float:
@@ -227,11 +225,8 @@ def kernel_identity_check(table: ArithmeticTable, X: float, kind: str = "psi") -
         raise ValueError("X must be >= 1")
     n = floor_int(X)
     if kind == "psi":
-        table._check_range(n)
-        nn = np.arange(n + 1, dtype=np.float64)
-        nn[0] = 1.0
-        lam = table.mangoldt_log[: n + 1]
-        lhs = math.fsum((lam * (1.0 / nn - 1.0 / X)).tolist())
+        powers, logs = table.prime_powers_upto(n)  # the nonzero terms
+        lhs = math.fsum((logs * (1.0 / powers - 1.0 / X)).tolist())
         # int_0^X log([t]!) dt: unit pieces plus the clipped last one
         js = np.arange(1, n, dtype=np.float64)
         area = math.fsum(
@@ -328,7 +323,7 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
         def margins(lo: int, hi: int):  # N = lo+2 .. hi+1
             nonlocal carry
             nn = np.arange(lo + 2, hi + 2, dtype=np.float64)
-            csum = table.mangoldt_log[lo + 2 : hi + 2] / nn
+            csum = table.mangoldt(lo + 2, hi + 2) / nn
             csum[0] += carry
             np.cumsum(csum, out=csum)
             carry = csum[-1]
@@ -352,17 +347,29 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
 
 def hanson_scan(table: ArithmeticTable, n_max: int | None = None) -> tuple[float, int]:
     """min over integers 1..n_max of (X log 3 - psi(X)); positive iff the
-    linear psi envelope with slope log 3 holds on the range."""
+    linear psi envelope with slope log 3 holds on the range.
+
+    psi is constant from X = 1 to the first prime power and from each prime
+    power to the next, and on such a stretch the float margin X*log 3 - psi
+    cannot decrease as X grows (both roundings are monotone), so the first
+    minimum over every integer lies at X = 1 or at a prime power; only those
+    are evaluated, and the result is that of the sweep over every X.
+    """
     n = table.limit if n_max is None else int(n_max)
-    table._check_range(n)
-    psi = table.psi_prefix
+    if n < 1:
+        raise ValueError("sweep over an empty range")
+    powers, _ = table.prime_powers_upto(n)
+    psi = table.psi_prefix[1:]  # psi at each prime power
+    best = (LOG3, 1)  # X = 1, where psi is 0.0
+    if powers.size:
 
-    def margins(lo: int, hi: int):  # X = lo+1 .. hi
-        xs = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        return (xs * LOG3 - psi[lo + 1 : hi + 1],)
+        def margins(lo: int, hi: int):
+            return (powers[lo:hi] * LOG3 - psi[lo:hi],)
 
-    ((margin, k),) = sweep_min(n, margins)
-    return float(margin), k + 1
+        ((margin, i),) = sweep_min(powers.size, margins)
+        if margin < LOG3:
+            best = (float(margin), int(powers[i]))
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +411,7 @@ def _suite_defect(table: ArithmeticTable) -> list[BoundRow]:
             float(arg),
             1,
             f"scan n<={lim}",
-            lhs=float(table.psi_prefix[arg]),
+            lhs=chebyshev_psi(table, arg),
             bound=arg * LOG3,
             lhs_err=float(lim) * 4e-16,
         )

@@ -122,7 +122,7 @@ def _f_values(table: ArithmeticTable, spec: IdentitySpec, n: int) -> np.ndarray:
     if spec.f_id == "liouville_over_id":
         return table.liouville[: n + 1] / idx
     if spec.f_id == "mangoldt":
-        return table.mangoldt_log[: n + 1].copy()
+        return table.mangoldt(0, n + 1)
     raise AssertionError(spec.f_id)
 
 
@@ -422,7 +422,7 @@ def _mertens_weighted_integral(
     n = floor_int(X)
     table._check_range(n)
     grid = _grid(X)
-    mert = table.mertens_prefix.astype(np.float64)
+    mert = np.cumsum(table.mu[: n + 1], dtype=np.int64).astype(np.float64)
     lo, hi, lt = grid.lo, grid.hi, grid.lt
     if kind == "floor_over_t":
         # integrand m * M([t]) / t after the substitution t -> X/t:

@@ -63,15 +63,16 @@ def test_mu_against_brute_force(table_small):
 
 def test_liouville_and_mangoldt(table_small):
     # lambda(n) = (-1)^Omega(n); Lambda(n) = log p exactly at prime powers
+    mangoldt = table_small.mangoldt(0, 400)
     for n in range(1, 400):
         f = _factorize(n) if n > 1 else {}
         omega = sum(f.values())
         assert table_small.liouville[n] == (-1) ** omega
         if len(f) == 1:
             p = next(iter(f))
-            assert table_small.mangoldt_log[n] == pytest.approx(math.log(p), abs=1e-15)
+            assert mangoldt[n] == pytest.approx(math.log(p), abs=1e-15)
         else:
-            assert table_small.mangoldt_log[n] == 0.0
+            assert mangoldt[n] == 0.0
 
 
 def test_mertens_values(table_small):
@@ -160,7 +161,7 @@ def table_1e7():
 
 
 # sha256 of each array's tobytes(), captured from the sieve before it was
-# rebuilt around one segment generator
+# rebuilt around one segment generator, when the table stored all four
 TABLE_PINS = {
     "table_big": {
         "mu": "f6091ebd8653e385c9e028e53d331fd7e38302f090770521f629e8cf4837566e",
@@ -177,11 +178,21 @@ TABLE_PINS = {
 }
 
 
+# the pinned arrays as read from a table: Lambda rebuilt dense through its
+# accessor, and the Mertens prefix as the int64 cumsum of mu
+PINNED_ARRAYS = {
+    "mu": lambda t: t.mu,
+    "liouville": lambda t: t.liouville,
+    "mangoldt_log": lambda t: t.mangoldt(0, t.limit + 1),
+    "mertens_prefix": lambda t: np.cumsum(t.mu, dtype=np.int64),
+}
+
+
 @pytest.mark.parametrize("fixture", sorted(TABLE_PINS))
 def test_table_arrays_are_pinned(request, fixture):
     table = request.getfixturevalue(fixture)
     got = {
-        name: hashlib.sha256(getattr(table, name).tobytes()).hexdigest()
+        name: hashlib.sha256(PINNED_ARRAYS[name](table).tobytes()).hexdigest()
         for name in TABLE_PINS[fixture]
     }
     assert got == TABLE_PINS[fixture]
@@ -212,11 +223,11 @@ def test_sieve_edges_against_trial_division():
     for edge in (1, SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1, limit):
         ns = range(max(edge - 40, 1), min(edge + 41, limit + 1))
         sl = slice(ns.start, ns.stop)
-        _assert_oracle(ns, table.mu[sl], table.liouville[sl], table.mangoldt_log[sl])
+        _assert_oracle(ns, table.mu[sl], table.liouville[sl], table.mangoldt(ns.start, ns.stop))
     for limit in range(1, 65):
         table = build_table(limit)
         ns = range(1, limit + 1)
-        _assert_oracle(ns, table.mu[1:], table.liouville[1:], table.mangoldt_log[1:])
+        _assert_oracle(ns, table.mu[1:], table.liouville[1:], table.mangoldt(1, limit + 1))
         assert table.mertens(limit) == sum(_mu_brute(n) for n in ns)
     for lo, hi in ((2**27 - 40, 2**27 + 41), (3 * 2**25 - 40, 3 * 2**25 + 41),
                    (LIMIT_BUDGET - 200, LIMIT_BUDGET + 1)):
@@ -229,9 +240,10 @@ def test_sieve_blocks_from_unaligned_start_equal_table_slices(table_big):
     lo, hi = 123_457, table_big.limit + 1
     blocks = list(sieve_blocks(lo, hi))
     assert [b[0] for b in blocks] == list(range(lo, hi, SEGMENT))
-    for i, name in enumerate(("mu", "liouville", "mangoldt_log"), start=1):
+    slices = (table_big.mu[lo:hi], table_big.liouville[lo:hi], table_big.mangoldt(lo, hi))
+    for i, want in enumerate(slices, start=1):
         got = np.concatenate([b[i] for b in blocks])
-        assert got.tobytes() == getattr(table_big, name)[lo:hi].tobytes(), name
+        assert got.tobytes() == want.tobytes(), i
 
 
 def test_capacity_guards(table_small):
@@ -268,11 +280,16 @@ def test_sieve_takes_integers_only():
 # temporaries; 20.7 MiB measured at SEGMENT = 2^20.
 SEGMENT_WORKING_SET = 24 << 20
 
+# A table holds mu and liouville (1 byte per entry each) and 16 bytes per
+# prime power (7.9% of entries at 1e6): 3.26 bytes per entry measured at
+# 1e6, 3.13 at 4 * 2^20.  Any dense 8-byte array would exceed it.
+TABLE_BYTES_PER_ENTRY = 4
+
 
 def test_build_table_holds_no_full_length_temporaries():
-    """Peak traced memory of build_table is its four arrays (18 bytes per
-    entry) plus one segment's working set; one int64 array over the table
-    (32 MiB here) would exceed it."""
+    """Peak traced memory of build_table is its table (at most
+    TABLE_BYTES_PER_ENTRY per entry) plus one segment's working set; one
+    int64 array over the table (32 MiB here) would exceed it."""
     n = 4 * SEGMENT
     assert 8 * (n + 1) > SEGMENT_WORKING_SET
     tracemalloc.start()
@@ -283,7 +300,100 @@ def test_build_table_holds_no_full_length_temporaries():
     finally:
         tracemalloc.stop()
     assert table.limit == n
-    assert peak <= 18 * (n + 1) + SEGMENT_WORKING_SET, peak - 18 * (n + 1)
+    bound = TABLE_BYTES_PER_ENTRY * (n + 1) + SEGMENT_WORKING_SET
+    assert peak <= bound, peak - bound
+
+
+def test_table_keeps_no_dense_eight_byte_array():
+    """After build_table(1e6) returns, the table holds at most
+    TABLE_BYTES_PER_ENTRY per entry, and the first read of psi_prefix adds
+    at most 1 byte per entry (it holds psi at the prime powers only)."""
+    n = 10**6
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = build_table(n)
+        held = tracemalloc.get_traced_memory()[0] - start
+        table.psi_prefix  # noqa: B018 -- built here, on first use
+        psi = tracemalloc.get_traced_memory()[0] - start - held
+    finally:
+        tracemalloc.stop()
+    assert held <= TABLE_BYTES_PER_ENTRY * (n + 1), held / (n + 1)
+    assert psi <= n + 1, psi / (n + 1)
+
+
+@pytest.fixture(scope="module")
+def dense_big(table_big):
+    """Dense references for table_big, built from sieve_blocks and np.cumsum
+    as the table stored them before it kept Lambda at the prime powers only:
+    (Lambda, the int64 Mertens prefix, psi)."""
+    n = table_big.limit + 1
+    mu = np.zeros(n, dtype=np.int8)
+    mangoldt = np.zeros(n)
+    for start, seg_mu, _, seg_mangoldt in sieve_blocks(1, n):
+        mu[start : start + seg_mu.size] = seg_mu
+        mangoldt[start : start + seg_mu.size] = seg_mangoldt
+    return mangoldt, np.cumsum(mu, dtype=np.int64), np.cumsum(mangoldt)
+
+
+def test_lean_table_reads_equal_the_dense_arrays(table_big, dense_big):
+    mangoldt, mertens, psi = dense_big
+    limit = table_big.limit
+    assert table_big.mangoldt(0, limit + 1).tobytes() == mangoldt.tobytes()
+    for lo, hi in ((0, 0), (2, 2), (1, 2), (4, 5), (6, 7), (999_983, limit + 1),
+                   (BLOCK - 3, BLOCK + 4), (123_457, 654_321)):
+        assert table_big.mangoldt(lo, hi).tobytes() == mangoldt[lo:hi].tobytes()
+    powers = [n for n in range(2, 1000) if len(_factorize(n)) == 1]
+    rng = np.random.default_rng(1)
+    ns = {0, 1, 2, 3, limit, *(p + d for p in powers for d in (-1, 0, 1)),
+          *rng.integers(0, limit + 1, 1000).tolist()}
+    for n in sorted(ns):
+        assert table_big.mertens(n) == mertens[n], n
+        assert chebyshev_psi(table_big, n) == psi[n], n
+    with pytest.raises(CapacityError):
+        table_big.mangoldt(0, limit + 2)
+    with pytest.raises(ValueError):
+        table_big.mangoldt(5, 4)
+
+
+@pytest.mark.parametrize("slope", [harmonic.LOG3, 1.0, 1.04])
+def test_hanson_scan_at_prime_powers_equals_the_dense_sweep(
+    monkeypatch, table_big, dense_big, slope
+):
+    """hanson_scan evaluates X = 1 and the prime powers only; its (min,
+    argmin) is the dense sweep's over every integer, also at slopes 1 and
+    1.04, whose minima lie past X = 1."""
+    psi = dense_big[2]
+    monkeypatch.setattr(harmonic, "LOG3", slope)
+    for n in (1, 2, 3, table_big.limit):
+        margins = np.arange(1, n + 1, dtype=np.float64) * slope - psi[1 : n + 1]
+        i = int(np.argmin(margins))
+        assert harmonic.hanson_scan(table_big, n) == (margins[i], i + 1), n
+    with pytest.raises(ValueError):
+        harmonic.hanson_scan(table_big, 0)
+
+
+# float.hex of (lambda_harmonic_sum, kernel_identity_check psi and
+# indicator_test, psi_alpha_integral) on the 1e6 table, captured while the
+# table still stored Lambda and psi as dense arrays
+HARMONIC_AT = {
+    1.0: ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    2.0: ("0x1.62e42fefa39efp-2", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    10.0: ("0x1.b1d4a021ee33cp+0", "0x0.0p+0", "0x0.0p+0", "0x1.159cfba08be3fp-4"),
+    1e3: ("0x1.950a437a77a85p+2", "0x0.0p+0", "0x0.0p+0", "0x1.3d86d04f3e243p-4"),
+    1e5: ("0x1.5df5dc0cfeed8p+3", "0x0.0p+0", "0x0.0p+0", "0x1.3c33442a84f80p-4"),
+}
+
+
+@pytest.mark.parametrize("X", sorted(HARMONIC_AT))
+def test_prime_power_sums_equal_the_dense_sums(table_big, X):
+    got = (
+        harmonic.lambda_harmonic_sum(table_big, X),
+        harmonic.kernel_identity_check(table_big, X, "psi"),
+        harmonic.kernel_identity_check(table_big, X, "indicator_test"),
+        harmonic.psi_alpha_integral(table_big, X),
+    )
+    assert tuple(v.hex() for v in got) == HARMONIC_AT[X]
 
 
 

@@ -35,6 +35,23 @@ def test_usage_errors(capsys):
     assert main(["delta-sign", "--q", "1"]) == 64  # missing --X0
     assert main(["verify", "--theorem", "special", "--X", "10", "--sigma", "1"]) == 64
     assert main(["sum", "--X", ""]) == 64
+    capsys.readouterr()
+    # a value the type cannot parse is reported as what the flag takes
+    for argv, message in (
+        (["verify", "--suite", "bounds:easy", "--limit", "abc"],
+         "argument --limit: must be a positive integer, got 'abc'"),
+        (["verify", "--suite", "bounds:easy", "--limit", "1.5"],
+         "argument --limit: must be a positive integer, got '1.5'"),
+        (["verify", "--theorem", "easy", "--X", "10", "--q", "1x"],
+         "argument --q: must be an integer, got '1x'"),
+        (["verify", "--theorem", "easy", "--X", "1,a"],
+         "argument --X: must be a finite number, got 'a'"),
+        (["verify", "--theorem", "mqdex", "--X", "10", "--s", "1+"],
+         "argument --s: must be a complex number, got '1+'"),
+    ):
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert message in err and "invalid _" not in err, err
 
 
 @pytest.mark.parametrize(
