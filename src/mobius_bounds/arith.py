@@ -34,10 +34,11 @@ On top of the table live the weighted partial sums used everywhere else:
     m_q(X; s)       = sum_{n<=X, (n,q)=1} mu(n)/n^s
     mcheck_q(X; s)  = sum_{n<=X, (n,q)=1} mu(n) log(X/n)/n^s
 
-Scalar evaluations accumulate with math.fsum (exactly rounded), so the
-relative error budget of 2^-40 is met with a wide margin on the supported
-domain.  Complex powers use n^-s = exp(-(s-1) log n)/n, which makes the
-s = 1 path bit-identical to the plain harmonic-weighted sum.
+Scalar evaluations accumulate with math.fsum (exactly rounded), fed one
+BLOCK slice at a time (util.fsum_blocks), so the relative error budget of
+2^-40 is met with a wide margin on the supported domain.  Complex powers use
+n^-s = exp(-(s-1) log n)/n, which makes the s = 1 path bit-identical to the
+plain harmonic-weighted sum.
 
 The scans read prefix sums instead: the cumsum P of mu(k) (-log k)^j /
 k^sigma over coprime k, from one loop over BLOCK-entry blocks that builds
@@ -55,15 +56,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import fsum, isqrt
+from math import isqrt
 
 import numpy as np
 
-from .util import CapacityError, floor_int
+from .util import BLOCK, CapacityError, block_entries, floor_int, fsum_blocks
 
 SEGMENT = 1 << 20
-# entries per block of a prefix sweep: 256 KiB of float64, well inside L2
-BLOCK = 1 << 15
 # ~3 bytes/entry in a table (2 for mu and liouville, 16 per prime power);
 # it also bounds the float32 large-prime test of _sieve_segment
 LIMIT_BUDGET = 200_000_000
@@ -373,7 +372,7 @@ def m_q(table: ArithmeticTable, x: float, q: Modulus | int = ONE) -> float:
     if n < 1:
         return 0.0
     idx, muv = _selected_terms(table, n, q)
-    return fsum((muv / idx).tolist())
+    return fsum_blocks(muv / idx)
 
 
 def m_q_s(
@@ -396,7 +395,7 @@ def m_q_s(
     idx, muv = _selected_terms(table, n, q)
     logs = np.log(idx.astype(np.float64))
     terms = muv / idx * np.exp(-(s - 1.0) * logs)
-    return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+    return complex(fsum_blocks(terms.real), fsum_blocks(terms.imag))
 
 
 def m_check_q_s(
@@ -418,9 +417,9 @@ def m_check_q_s(
     weights = math.log(x) - logs
     base = muv / idx * weights
     if s == 1.0:
-        return complex(fsum(base.tolist()), 0.0)
+        return complex(fsum_blocks(base), 0.0)
     terms = base * np.exp(-(s - 1.0) * logs)
-    return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+    return complex(fsum_blocks(terms.real), fsum_blocks(terms.imag))
 
 
 def m_check_q(table: ArithmeticTable, x: float, q: Modulus | int = ONE) -> float:
@@ -452,9 +451,9 @@ def log_moment_sum(
     terms = muv / idx * weights
     if sigma != 1.0:
         terms = terms * np.exp(-(sigma - 1.0) * logs)
-    mass = fsum(np.abs(terms).tolist())
+    mass = math.fsum(map(abs, block_entries((terms,))))
     err = 8.0 * (2.0 + k) * np.finfo(float).eps * mass
-    return fsum(terms.tolist()), err
+    return fsum_blocks(terms), err
 
 
 # ----------------------------------------------------------------------

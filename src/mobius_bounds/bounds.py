@@ -55,6 +55,7 @@ from .util import (
     cert_le,
     combine_verdicts,
     floor_int,
+    fsum_blocks,
 )
 
 # weights attached to the even part of the modulus
@@ -437,8 +438,7 @@ def integral_abs_mq(table: ArithmeticTable, X: float, q: Modulus | int = 1) -> f
     qm = Modulus.coerce(q)
     n = floor_int(X)
     pref = np.abs(prefix_m_q(table, n, qm))
-    full = pref[1:n].tolist() if n >= 2 else []
-    return math.fsum(full) + float(pref[n]) * (X - n)
+    return fsum_blocks(pref[1:n]) + float(pref[n]) * (X - n)
 
 
 def integral_abs_mq_bound(X: float, q: Modulus | int = 1) -> float:

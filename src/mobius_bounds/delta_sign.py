@@ -30,7 +30,7 @@ import numpy as np
 from .analytic import eps_zeta, eps_zeta_grid, phi_ratio
 from .arith import ArithmeticTable, Modulus
 from .reports import BoundRow, bound_row
-from .util import floor_int
+from .util import floor_int, fsum_blocks
 
 CERTIFIED = "certified_nonpositive"
 FAILED = "fail"
@@ -144,7 +144,7 @@ def curvature_bound(
     the main term adds _main_curvature(q).
     """
     kernel = np.abs(w) * (log_y**3 - ln**3) / 3.0
-    return math.fsum(kernel.tolist()) + _main_curvature(Modulus.coerce(q).q)
+    return fsum_blocks(kernel) + _main_curvature(Modulus.coerce(q).q)
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +178,10 @@ def defect(
     eps rather than a copy of the eps = 0 value.
     """
     if eps == 0.0:
-        return math.fsum((w * (log_y - ln)).tolist()) - qm.q_over_phi
+        return fsum_blocks(w * (log_y - ln)) - qm.q_over_phi
     ratio = (np.expm1(-eps * ln) - math.expm1(-eps * log_y)) / eps
     main = phi_ratio(qm, 1.0 + eps) / eps_zeta(eps)
-    return math.fsum((w * ratio).tolist()) - main
+    return fsum_blocks(w * ratio) - main
 
 
 def _interval_invariants(
@@ -195,7 +195,7 @@ def _interval_invariants(
     if not N < x_hi <= N + 1.0:
         raise ValueError("x_hi must lie in (N, N+1]")
     w, ln = interval_weights(table, N, qm)
-    return w, ln, math.log(x_hi if math.fsum(w.tolist()) >= 0.0 else float(N))
+    return w, ln, math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N))
 
 
 def interval_max(

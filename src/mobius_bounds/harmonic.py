@@ -28,9 +28,17 @@ import math
 
 import numpy as np
 
-from .arith import BLOCK, ArithmeticTable, _integer, chebyshev_psi, sweep_min
+from .arith import ArithmeticTable, _integer, chebyshev_psi, sweep_min
 from .reports import BoundRow, bound_row
-from .util import GAMMA, LOG_2PI_HALF, CapacityError, floor_int
+from .util import (
+    BLOCK,
+    GAMMA,
+    LOG_2PI_HALF,
+    CapacityError,
+    block_entries,
+    floor_int,
+    fsum_blocks,
+)
 
 LOG3 = math.log(3.0)
 
@@ -68,19 +76,18 @@ def neg_alpha_integral(K: int) -> float:
     Each piece integrates in closed form to (1/2)(log(1 + 1/k) - 1/(k+1)),
     which is positive and below 1/(2k(k+1)), so the partial sums increase
     to (1 - gamma)/2 with remainder in (0, 1/(2(K+1))).  K is an integer
-    (not a bool); the terms are formed BLOCK at a time, one list per block,
-    and fsum, exactly rounded, takes them all in one sum.
+    (not a bool); the terms are formed BLOCK at a time, and fsum, exactly
+    rounded, takes them all in one sum.
     """
     K = _integer("K", K)
     if K < 0:
         raise ValueError("K must be >= 0")
 
-    def blocks():
-        for lo in range(1, K + 1, BLOCK):
-            k = np.arange(lo, min(lo + BLOCK, K + 1), dtype=np.float64)
-            yield (0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))).tolist()
+    def terms(lo: int) -> np.ndarray:
+        k = np.arange(lo, min(lo + BLOCK, K + 1), dtype=np.float64)
+        return 0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))
 
-    return math.fsum(itertools.chain.from_iterable(blocks()))
+    return math.fsum(block_entries(map(terms, range(1, K + 1, BLOCK))))
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +122,7 @@ def sawtooth_log_integral(X: float) -> float:
         hi = min(m + 1.0, X)
         if hi > m:
             parts.append(_sawtooth_log_piece_closed(m, float(m), hi))
+    acc = np.zeros(0)
     if m_top > 10:
         full = np.arange(11, m_top, dtype=np.float64)
         if full.size:
@@ -123,10 +131,10 @@ def sawtooth_log_integral(X: float) -> float:
             for j in range(1, 19):
                 acc += sign / (2.0 * (j + 1) * (j + 2)) * full ** (-float(j))
                 sign = -sign
-            parts.extend(acc.tolist())
         if X > m_top:
             parts.append(_sawtooth_log_piece_series(m_top, X - m_top))
-    return math.fsum(parts)
+    # the sum is exactly rounded, so its order does not matter
+    return fsum_blocks(np.array(parts), acc)
 
 
 def _sawtooth_log_piece_closed(m: int, a: float, b: float) -> float:
@@ -183,7 +191,7 @@ def _alpha_kernel_integral(X, start, jumps, values_at):
     mid = 0.5 * (a + b)
     kk = np.floor(X / mid)
     vals = values_at(mid) * (b - a) * ((kk * kk + kk) / (X * X) - 1.0 / (a * b))
-    return math.fsum(vals.tolist())
+    return fsum_blocks(vals)
 
 
 def psi_alpha_integral(table: ArithmeticTable, X: float) -> float:
@@ -208,7 +216,7 @@ def lambda_harmonic_sum(table: ArithmeticTable, X: float) -> float:
         raise ValueError("X must be >= 1")
     # fsum is exactly rounded, so leaving out the zero terms changes nothing
     powers, logs = table.prime_powers_upto(n)
-    return math.fsum((logs / powers).tolist())
+    return fsum_blocks(logs / powers)
 
 
 def kernel_identity_check(table: ArithmeticTable, X: float, kind: str = "psi") -> float:
@@ -226,13 +234,11 @@ def kernel_identity_check(table: ArithmeticTable, X: float, kind: str = "psi") -
     n = floor_int(X)
     if kind == "psi":
         powers, logs = table.prime_powers_upto(n)  # the nonzero terms
-        lhs = math.fsum((logs * (1.0 / powers - 1.0 / X)).tolist())
-        # int_0^X log([t]!) dt: unit pieces plus the clipped last one
-        js = np.arange(1, n, dtype=np.float64)
-        area = math.fsum(
-            [math.lgamma(j + 1.0) for j in js.tolist()]
-            + [(X - n) * math.lgamma(n + 1.0)]
-        )
+        lhs = fsum_blocks(logs * (1.0 / powers - 1.0 / X))
+        # int_0^X log([t]!) dt: unit pieces j = 1 .. n-1, log(j!) = lgamma(j + 1),
+        # plus the clipped last one
+        unit = map(math.lgamma, block_entries([np.arange(2.0, n + 1.0)]))
+        area = math.fsum(itertools.chain(unit, [(X - n) * math.lgamma(n + 1.0)]))
         rhs = 2.0 / (X * X) * area - psi_alpha_integral(table, X)
         return lhs - rhs
     if kind == "indicator_test":

@@ -15,7 +15,9 @@ each piece in closed form -- no quadrature anywhere, so a residual measures
 the identity itself, not the integrator.
 
 The pieces are evaluated as arrays over one grid (_grid: cut points, their
-logs, and [X/t], [t] on each piece).  Per-piece log, exp and expm1 are libm's,
+logs, and [X/t], [t] on each piece), one BLOCK of pieces at a time, and every
+sum is one exactly rounded fsum fed one block at a time, so the result does
+not depend on the blocking.  Per-piece log, exp and expm1 are libm's,
 taken element by element, and complex products and quotients are formed from
 real and imaginary parts as CPython forms them.  numpy's SIMD float64
 log/exp/expm1 and its complex multiply can differ from those in the last bit;
@@ -35,7 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import ArithmeticTable, Modulus, m_check_q, m_q
-from .util import EPS, GAMMA, CapacityError, expm1c, floor_int
+from .util import (
+    BLOCK,
+    EPS,
+    GAMMA,
+    CapacityError,
+    block_entries,
+    expm1c,
+    floor_int,
+    fsum_blocks,
+)
 
 F_IDS = (
     "mobius",
@@ -108,8 +119,9 @@ class OfdResult:
 
 
 def _f_values(table: ArithmeticTable, spec: IdentitySpec, n: int) -> np.ndarray:
-    idx = np.arange(n + 1, dtype=np.float64)
-    idx[0] = 1.0  # dummy to avoid 0-division; slot 0 never used
+    if spec.f_id.endswith("_over_id"):
+        idx = np.arange(n + 1, dtype=np.float64)
+        idx[0] = 1.0  # dummy to avoid 0-division; slot 0 never used
     if spec.f_id == "mobius":
         return table.mu[: n + 1].astype(np.float64)
     if spec.f_id == "mobius_coprime":
@@ -200,8 +212,9 @@ def _floor_array(v: np.ndarray) -> np.ndarray:
 
 
 def _libm(fn, a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """The scalar (libm-backed) function fn applied element by element."""
-    return np.fromiter(map(fn, a.tolist()), dtype, len(a))
+    """The scalar (libm-backed) function fn applied element by element, one
+    BLOCK slice's list at a time."""
+    return np.fromiter(map(fn, block_entries((a,))), dtype, len(a))
 
 
 def _cpx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -211,8 +224,11 @@ def _cpx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def _csum(z: np.ndarray) -> complex:
-    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+def _csum(*zs: np.ndarray) -> complex:
+    """The exactly rounded sum of the entries of the arrays, by parts; a real
+    array's imaginary part is +0.0 throughout and is not summed."""
+    im = (z.imag for z in zs if np.iscomplexobj(z))
+    return complex(fsum_blocks(*(z.real for z in zs)), fsum_blocks(*im))
 
 
 def _cmul(a, b):
@@ -342,11 +358,6 @@ def evaluate_ofd(table: ArithmeticTable, spec: IdentitySpec, X: float) -> OfdRes
 
     # right-side second integral over the pieces where S_f(X/t) != 0
     grid = _grid(X)
-    Hc = _H(spec, grid.cuts, grid.lt)
-    s_f = sf[grid.m]
-    live = s_f != 0.0
-    s_f = s_f[live]
-    part = s_f * (Hc[1:] - Hc[:-1])[live]
     if not dirac:
         g = _g_values(spec.g_id, n)
         # prefix sums of g(k) k^a (complex when a is)
@@ -356,27 +367,43 @@ def evaluate_ofd(table: ArithmeticTable, spec: IdentitySpec, X: float) -> OfdRes
             ga = np.cumsum(g * np.exp(a * np.log(karr)))
         else:
             ga = np.cumsum(g * karr ** float(a.real if isinstance(a, complex) else a))
-        gsum = ga[grid.k[live]]
-        ip = _int_pow(c, grid.lt[:-1][live], grid.lr[live])
-        part = np.where(gsum != 0.0, part - _cmul((s_f * coeff) * gsum, ip), part)
-    i2 = _csum(part)
-    summed = [terms.real, terms.imag, val.real, val.imag, part.real, part.imag]
+    pieces = len(grid.cuts) - 1
+    parts = []  # each block's live-piece values; nothing else outlives its block
+    for lo in range(0, pieces, BLOCK):
+        hi = min(lo + BLOCK, pieces)
+        Hc = _H(spec, grid.cuts[lo : hi + 1], grid.lt[lo : hi + 1])
+        s_f = sf[grid.m[lo:hi]]
+        live = s_f != 0.0
+        s_f = s_f[live]
+        part = s_f * (Hc[1:] - Hc[:-1])[live]
+        if not dirac:
+            gsum = ga[grid.k[lo:hi][live]]
+            ip = _int_pow(c, grid.lt[lo:hi][live], grid.lr[lo:hi][live])
+            part = np.where(gsum != 0.0, part - _cmul((s_f * coeff) * gsum, ip), part)
+        parts.append(part)
+    i2 = _csum(*parts)
+    summed = [terms, val, *parts]
     if dirac:
         # the point mass at n/t = 1 contributes g(n) S_f(X/n) for each n <= X
         gd = _g_values(spec.g_id, n)
         idx = _floor_array(X / nn)
         sub = gd[1:] * sf[idx.clip(0, n)]
-        i2 -= complex(math.fsum(sub.tolist()))
+        i2 -= complex(fsum_blocks(sub))
         summed.append(sub)
 
     rhs = i1 + i2
-    mass = math.fsum(np.abs(np.concatenate(summed)).tolist())
+    # |x| of every real x summed above; a real array's +0.0 imaginary parts
+    # would add nothing to this nonnegative sum
+    reals = (
+        p for z in summed for p in ((z.real, z.imag) if np.iscomplexobj(z) else (z,))
+    )
+    mass = math.fsum(map(abs, block_entries(reals)))
     return OfdResult(
         lhs=lhs,
         i1=i1,
         i2=i2,
         residual=abs(lhs - rhs),
-        pieces=len(grid.cuts) - 1,
+        pieces=pieces,
         mass=mass,
     )
 
@@ -441,7 +468,7 @@ def _mertens_weighted_integral(
         else:
             raise AssertionError(kind)
         vals = mert[grid.m] * base
-    return math.fsum(vals.tolist())
+    return fsum_blocks(vals)
 
 
 def _liouville_printed_rhs(table: ArithmeticTable, X: float) -> float:
@@ -459,8 +486,8 @@ def _liouville_printed_rhs(table: ArithmeticTable, X: float) -> float:
     return (
         2.0 / math.sqrt(X)
         - 1.0 / X
-        - math.fsum(frac.tolist()) / X
-        + math.fsum(lam.tolist()) / X
+        - fsum_blocks(frac) / X
+        + fsum_blocks(lam) / X
     )
 
 
@@ -473,7 +500,7 @@ def _liouville_floor_reading_rhs(table: ArithmeticTable, X: float) -> float:
     lr = grid.lr
     i1 = grid.m * lr  # I1 with the [X/t] reading, h = 1
     i2 = sf[grid.m] * ((grid.hi - grid.lo) - ga[grid.k] * lr)
-    return math.fsum(np.concatenate((i1, i2)).tolist())
+    return fsum_blocks(i1, i2)
 
 
 def catalog_check(
@@ -521,7 +548,7 @@ def catalog_check(
     if name == "meissel":
         y = X / nn
         fracs = mu[1 : n + 1] * (y - _floor_array(y))
-        lhs = math.fsum(fracs.tolist())
+        lhs = fsum_blocks(fracs)
         rhs = -1.0 + X * mval
     elif name == "elmarraki":
         lhs = _mertens_weighted_integral(table, X, "floor_over_t")
@@ -529,7 +556,7 @@ def catalog_check(
     elif name == "macleod":
         y = X / nn
         fr = y - _floor_array(y)
-        lhs = math.fsum((mu[1 : n + 1] * (fr * fr - fr) / y).tolist())
+        lhs = fsum_blocks(mu[1 : n + 1] * (fr * fr - fr) / y)
         rhs = X * mval - Mval - 2.0 + 2.0 / X
     elif name == "euler_gamma":
         lhs = m_check_q(table, X, 1) + GAMMA * (mval - Mval / X)
@@ -550,7 +577,7 @@ def catalog_check(
         )
     elif name == "liouville":
         lam = table.liouville[1 : n + 1].astype(np.float64)
-        lhs = math.fsum((lam / nn).tolist()) - math.fsum(lam.tolist()) / X
+        lhs = fsum_blocks(lam / nn) - fsum_blocks(lam) / X
         rhs = _liouville_printed_rhs(table, X)
         alt_rhs = _liouville_floor_reading_rhs(table, X)
         alt = abs(ofd.lhs.real - alt_rhs)

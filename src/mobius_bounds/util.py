@@ -1,4 +1,5 @@
-"""Shared numeric helpers: exact-ish floors, stable exponentials, constants.
+"""Shared numeric helpers: exact-ish floors, stable exponentials, exact sums,
+constants.
 
 Everything here is plain float64 arithmetic.  Error control is by construction
 (expm1/log1p style reformulations) rather than by interval arithmetic; the
@@ -7,11 +8,17 @@ certified comparisons elsewhere attach explicit error budgets on top.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 EPS = sys.float_info.epsilon
+
+# Entries per block: one block of a prefix sweep (256 KiB of float64, well
+# inside L2), and the slice that exact sums and element-wise libm maps turn
+# into one Python list at a time.
+BLOCK = 1 << 15
 
 LOG2 = math.log(2.0)
 LOG10 = math.log(10.0)
@@ -57,6 +64,29 @@ def floor_int(x: float) -> int:
     if abs(x - r) <= 32.0 * EPS * max(1.0, abs(x)):
         return int(r)
     return math.floor(x)
+
+
+def block_entries(arrays):
+    """The entries of the 1-D arrays in the iterable `arrays`, in order, as
+    Python scalars.  The arrays are drawn lazily and read one BLOCK-entry
+    slice's .tolist() at a time, so no list longer than BLOCK is held."""
+    return itertools.chain.from_iterable(
+        a[lo : lo + BLOCK].tolist() for a in arrays for lo in range(0, len(a), BLOCK)
+    )
+
+
+def fsum_blocks(*arrays) -> float:
+    """math.fsum over the entries of the 1-D arrays, in order.
+
+    One fsum call takes every slice of block_entries: fsum keeps Shewchuk's
+    exact partials over its whole iterable, so the result is exactly rounded
+    and equals math.fsum of the concatenation's list bit for bit, with the
+    same ValueError (inf - inf) or OverflowError.  A single array of at most
+    BLOCK entries is summed as math.fsum(a.tolist()), at that call's cost.
+    """
+    if len(arrays) == 1 and len(arrays[0]) <= BLOCK:
+        return math.fsum(arrays[0].tolist())
+    return math.fsum(block_entries(arrays))
 
 
 def expm1c(z: complex | float) -> complex | float:

@@ -16,6 +16,7 @@ from mobius_bounds.arith import (
     Modulus,
     build_table,
     chebyshev_psi,
+    log_moment_sum,
     m_check_q,
     m_check_q_s,
     m_q,
@@ -27,7 +28,7 @@ from mobius_bounds.arith import (
     sweep_min,
     sweep_prefix_min,
 )
-from mobius_bounds.util import EPS, CapacityError
+from mobius_bounds.util import EPS, CapacityError, block_entries, fsum_blocks
 
 
 def _factorize(n):
@@ -614,5 +615,96 @@ def test_prefix_sweeps_hold_no_full_length_temporaries(table_big):
             call()
             peak = tracemalloc.get_traced_memory()[1] - start
             assert peak <= (kept + 0.5) * 8 * (n + 1), (i, peak / (8 * (n + 1)))
+    finally:
+        tracemalloc.stop()
+
+
+def _fsum_outcome(call):
+    """float.hex of call(), or the type and message of what it raised."""
+    try:
+        return call().hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _one_list(arrays):
+    return math.fsum(np.concatenate(arrays).tolist())
+
+
+FSUM_LENGTHS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+
+
+def _fsum_cases():
+    rng = np.random.default_rng(15)
+    for n in FSUM_LENGTHS:
+        yield [rng.standard_normal(n)]
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield [z.real, z.imag]  # strided views
+        a = rng.uniform(-1.0, 1.0, 3 * n + 2)
+        yield [a[::3], a[1::3][::-1], np.zeros(1)]
+    # 1e-300 .. 1e300, cancelling exactly across slice and array edges: the
+    # sum is that of the small tail alone
+    size = 2 * BLOCK + 5
+    big = rng.uniform(1.0, 2.0, size) * 10.0 ** rng.uniform(-300, 300, size)
+    big[::2] *= -1.0
+    tail = rng.uniform(-1e-300, 1e-300, 9)
+    yield [big, -big[rng.permutation(big.size)], tail]
+    yield [big[: BLOCK + 1], tail, -big[: BLOCK + 1]]
+    yield [np.full(BLOCK + 3, -0.0)]
+    yield [np.full(2, -0.0), np.full(BLOCK, -0.0)]
+    # infinities and intermediate overflow across a slice edge
+    inf = np.zeros(BLOCK + 5)
+    inf[3], inf[BLOCK + 2] = np.inf, -np.inf
+    yield [inf]
+    yield [np.array([np.inf, 1.0]), np.array([-np.inf])]
+    yield [np.array([np.inf]), np.zeros(BLOCK), np.array([np.inf])]
+    yield [np.array([1e308, 1e308])]
+    over = np.zeros(BLOCK + 1)
+    over[0], over[BLOCK] = 1e308, 1e308
+    yield [over]
+    yield [np.array([1e308]), np.zeros(2 * BLOCK), np.array([1e308])]
+
+
+@pytest.mark.parametrize("arrays", list(_fsum_cases()))
+def test_fsum_blocks_equals_one_fsum_of_the_concatenation(arrays):
+    want = _fsum_outcome(lambda: _one_list(arrays))
+    assert _fsum_outcome(lambda: fsum_blocks(*arrays)) == want
+    entries = list(block_entries(iter(arrays)))
+    assert entries == np.concatenate(arrays).tolist()
+    assert _fsum_outcome(lambda: math.fsum(entries)) == want
+
+
+def test_fsum_blocks_raises_as_the_one_list_call():
+    """inf - inf is a ValueError and a finite overflow an OverflowError, on
+    either side of a slice edge, as for math.fsum of one list."""
+    for arrays, exc in (
+        ([np.array([np.inf]), np.zeros(BLOCK), np.array([-np.inf])], ValueError),
+        ([np.array([1e308]), np.zeros(BLOCK), np.array([1e308])], OverflowError),
+    ):
+        with pytest.raises(exc):
+            _one_list(arrays)
+        with pytest.raises(exc):
+            fsum_blocks(*arrays)
+
+
+def test_pointwise_sums_hold_no_list_of_their_terms(table_big):
+    """m_q, m_check_q and log_moment_sum at n = 1e6 hold no list of their
+    terms: one Python float per term of the support of mu (60.8% of n) is at
+    least 19.5 bytes per n.  Measured 15.6, 25.4 and 25.4 bytes per n (34.0,
+    43.8 and 48.6 while each sum took one list)."""
+    n = 1_000_000
+    calls = (
+        (20, lambda: m_q(table_big, n, 1)),
+        (30, lambda: m_check_q(table_big, n, 1)),
+        (30, lambda: log_moment_sum(table_big, n, 1, 1.0, 2)),
+    )
+    tracemalloc.start()
+    try:
+        for i, (per_n, call) in enumerate(calls):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - start
+            assert peak <= per_n * (n + 1), (i, peak / (n + 1))
     finally:
         tracemalloc.stop()

@@ -28,6 +28,7 @@ from mobius_bounds.analytic import (
 )
 from mobius_bounds.cli import main
 from mobius_bounds.identities import (
+    CATALOG_SPECS,
     F_IDS,
     G_IDS,
     H_BIG_IDS,
@@ -126,6 +127,23 @@ def test_ofd_spec_grid_matches_golden(table_small):
         for X in (7.3, 2000.0)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == OFD_GRID
+
+
+# sha256 of the newline-joined repr(evaluate_ofd(table_mid, spec, 40000.0))
+# over the catalog specs and two power weights: 79,964 pieces, three blocks
+# of 2^15, so a fault at a block or slice edge of the piece integration moves
+# i1, i2 or mass (OFD_GRID stops below one block)
+OFD_BLOCKS = "d49ec853d9e45a5c21e339de9c8926b2d7642c92809f4b96a62a0f577f42dbd8"
+
+
+def test_ofd_across_blocks_matches_golden(table_mid):
+    specs = [
+        *CATALOG_SPECS.values(),
+        IdentitySpec("mobius", "one", "power", "id", s=0.5),
+        IdentitySpec("mobius", "one", "power", "id", s=2 + 1j),
+    ]
+    text = "\n".join(repr(evaluate_ofd(table_mid, spec, 40_000.0)) for spec in specs)
+    assert hashlib.sha256(text.encode()).hexdigest() == OFD_BLOCKS
 
 
 # The scans and prefix builders at n = 1e5 and on either side of a 2^15-entry

@@ -1,6 +1,7 @@
 """Two-integral convolution identities: raw form, printed forms, known defects."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from mobius_bounds.identities import (
     CATALOG_SPECS,
     IdentitySpec,
     _floor_array,
+    _grid,
+    _libm,
     catalog_check,
     evaluate_ofd,
 )
-from mobius_bounds.util import floor_int
+from mobius_bounds.util import BLOCK, expm1c, floor_int
 
 X_GRID = (1.0, 1.5, 2.0, math.e, 10.0, 100.0, 1000.0)
 
@@ -100,3 +103,38 @@ def test_floor_array_is_floor_int_elementwise():
         ([0.1 * 30, 2.999, 0.5, 2.5, -0.5], near, X / np.arange(1.0, X + 1.0))
     )
     assert _floor_array(v).tolist() == [floor_int(x) for x in v.tolist()]
+
+
+def test_sliced_libm_equals_one_list_map():
+    """_libm maps libm one BLOCK slice at a time; across a slice edge its
+    values are those of one map over one list, byte for byte."""
+    rng = np.random.default_rng(15)
+    a = rng.uniform(0.5, 3.0, 2 * BLOCK + 3)
+    z = a * np.exp(1j * rng.uniform(-3.0, 3.0, a.size))
+    for fn, arr, dtype in (
+        (math.log, a, np.float64),
+        (math.expm1, a[::2], np.float64),
+        (expm1c, z, np.complex128),
+    ):
+        want = np.fromiter(map(fn, arr.tolist()), dtype, len(arr))
+        assert _libm(fn, arr, dtype).tobytes() == want.tobytes(), fn
+
+
+# Peak traced bytes per piece of evaluate_ofd(euler_gamma) at X = 20,000
+# (39,969 pieces, two blocks), its grid already cached: 253.7 while every
+# piece array was formed whole and every sum took one list, 125.2 with the
+# pieces formed one block at a time and the sums fed one slice at a time.
+OFD_BYTES_PER_PIECE = 160
+
+
+def test_evaluate_ofd_holds_one_block_of_pieces(table_mid):
+    X = 20_000.0
+    _grid(X)
+    tracemalloc.start()
+    try:
+        rep = evaluate_ofd(table_mid, CATALOG_SPECS["euler_gamma"], X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.pieces > BLOCK
+    assert peak <= OFD_BYTES_PER_PIECE * rep.pieces, peak / rep.pieces
