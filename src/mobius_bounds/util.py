@@ -81,11 +81,8 @@ def fsum_blocks(*arrays) -> float:
     One fsum call takes every slice of block_entries: fsum keeps Shewchuk's
     exact partials over its whole iterable, so the result is exactly rounded
     and equals math.fsum of the concatenation's list bit for bit, with the
-    same ValueError (inf - inf) or OverflowError.  A single array of at most
-    BLOCK entries is summed as math.fsum(a.tolist()), at that call's cost.
+    same ValueError (inf - inf) or OverflowError.
     """
-    if len(arrays) == 1 and len(arrays[0]) <= BLOCK:
-        return math.fsum(arrays[0].tolist())
     return math.fsum(block_entries(arrays))
 
 

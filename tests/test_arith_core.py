@@ -658,6 +658,7 @@ def _fsum_cases():
     yield [inf]
     yield [np.array([np.inf, 1.0]), np.array([-np.inf])]
     yield [np.array([np.inf]), np.zeros(BLOCK), np.array([np.inf])]
+    yield [np.array([np.inf]), np.zeros(BLOCK), np.array([-np.inf])]
     yield [np.array([1e308, 1e308])]
     over = np.zeros(BLOCK + 1)
     over[0], over[BLOCK] = 1e308, 1e308
@@ -672,19 +673,6 @@ def test_fsum_blocks_equals_one_fsum_of_the_concatenation(arrays):
     entries = list(block_entries(iter(arrays)))
     assert entries == np.concatenate(arrays).tolist()
     assert _fsum_outcome(lambda: math.fsum(entries)) == want
-
-
-def test_fsum_blocks_raises_as_the_one_list_call():
-    """inf - inf is a ValueError and a finite overflow an OverflowError, on
-    either side of a slice edge, as for math.fsum of one list."""
-    for arrays, exc in (
-        ([np.array([np.inf]), np.zeros(BLOCK), np.array([-np.inf])], ValueError),
-        ([np.array([1e308]), np.zeros(BLOCK), np.array([1e308])], OverflowError),
-    ):
-        with pytest.raises(exc):
-            _one_list(arrays)
-        with pytest.raises(exc):
-            fsum_blocks(*arrays)
 
 
 def test_pointwise_sums_hold_no_list_of_their_terms(table_big):
