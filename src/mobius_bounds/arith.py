@@ -62,7 +62,7 @@ import numpy as np
 
 from .util import BLOCK, CapacityError, block_entries, floor_int, fsum_blocks
 
-SEGMENT = 1 << 20
+SEGMENT = 1 << 19
 # ~3 bytes/entry in a table (2 for mu and liouville, 16 per prime power);
 # it also bounds the float32 large-prime test of _sieve_segment
 LIMIT_BUDGET = 200_000_000

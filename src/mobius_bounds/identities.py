@@ -14,10 +14,14 @@ times log t from H).  We therefore split [1, X] at every jump and integrate
 each piece in closed form -- no quadrature anywhere, so a residual measures
 the identity itself, not the integrator.
 
-The pieces are evaluated as arrays over one grid (_grid: cut points, their
-logs, and [X/t], [t] on each piece), one BLOCK of pieces at a time, and every
-sum is one exactly rounded fsum fed one block at a time, so the result does
-not depend on the blocking.  Per-piece log, exp and expm1 are libm's,
+The grid is generated one block at a time (_grid_blocks: at most BLOCK
+pieces, their cut points and logs, and [X/t], [t] on each), and nothing of
+it is kept: one pass over the blocks evaluates the pieces, and a catalog
+check adds its own integrals to the same pass.  The left side and the first
+integral go one BLOCK of n at a time.  Every sum is an util.ExactSum, fed
+one block at a time and rounded once at the end, so the result does not
+depend on the blocking and equals one fsum of all its terms, bit for bit.
+Per-piece log, exp and expm1 are libm's,
 taken element by element, and complex products and quotients are formed from
 real and imaginary parts as CPython forms them.  numpy's SIMD float64
 log/exp/expm1 and its complex multiply can differ from those in the last bit;
@@ -30,7 +34,6 @@ disagrees with the raw identity; catalog_check reports, never asserts.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,10 +45,10 @@ from .util import (
     EPS,
     GAMMA,
     CapacityError,
+    ExactSum,
     block_entries,
     expm1c,
     floor_int,
-    fsum_blocks,
 )
 
 F_IDS = (
@@ -224,13 +227,6 @@ def _cpx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def _csum(*zs: np.ndarray) -> complex:
-    """The exactly rounded sum of the entries of the arrays, by parts; a real
-    array's imaginary part is +0.0 throughout and is not summed."""
-    im = (z.imag for z in zs if np.iscomplexobj(z))
-    return complex(fsum_blocks(*(z.real for z in zs)), fsum_blocks(*im))
-
-
 def _cmul(a, b):
     """a*b; two complex arrays are multiplied by parts, as CPython's complex
     product does (numpy's complex multiply may fuse multiply-adds)."""
@@ -262,35 +258,18 @@ def _int_pow(c: complex, llo: np.ndarray, lr: np.ndarray) -> np.ndarray:
     return _libm(math.exp, cp1 * llo) * _libm(math.expm1, cp1 * lr) / cp1
 
 
-def _breakpoints(X: float, n: int) -> np.ndarray:
-    """Sorted distinct cut points: 1, X, every integer, every X/m."""
-    pts = [np.array([1.0, X])]
-    if n >= 2:
-        pts.append(np.arange(2.0, n + 1.0))
-    m = np.arange(1.0, n + 1.0)
-    pts.append(X / m)
-    allpts = np.concatenate(pts)
-    allpts = allpts[(allpts >= 1.0) & (allpts <= X)]
-    allpts = np.unique(allpts)
-    # merge points closer than the floor-snapping scale; the slivers they
-    # would create are artifacts of forming X/m in floats
-    keep = np.empty(len(allpts), dtype=bool)
-    keep[0] = True
-    if len(allpts) > 1:
-        keep[1:] = np.diff(allpts) > 64.0 * EPS * X
-    return allpts[keep]
 
 
 @dataclass(frozen=True)
-class _Grid:
-    """The pieces [lo, hi] between consecutive cut points of [1, X]; on the
-    interior of each, [X/t] = m and [t] = k are constant."""
+class _Block:
+    """Consecutive pieces [lo, hi] of the grid of [1, X]; on the interior of
+    each, [X/t] = m and [t] = k are constant."""
 
-    cuts: np.ndarray
-    lt: np.ndarray  # log of each cut point
-    lr: np.ndarray  # log(hi/lo) of each piece
-    m: np.ndarray
-    k: np.ndarray
+    cuts: np.ndarray  # the cut points; the first is the last of the block before
+    lt: np.ndarray  # libm log of each cut point
+    lr: np.ndarray  # libm log(hi/lo) of each piece
+    m: np.ndarray  # int32
+    k: np.ndarray  # int32
 
     @property
     def lo(self) -> np.ndarray:
@@ -301,28 +280,77 @@ class _Grid:
         return self.cuts[1:]
 
 
-@functools.lru_cache(maxsize=1)
-def _grid(X: float) -> _Grid:
-    """The piece grid of [1, X], read-only.  The last one is kept, so that
-    evaluate_ofd and the catalog integrals of one catalog_check share it."""
+def _grid_blocks(X: float):
+    """The piece grid of [1, X], one _Block at a time.
+
+    The cut points are 1, X, the integers and the X/m in [1, X], sorted and
+    distinct; a point within 64 EPS X of the distinct point before it is
+    dropped, as the sliver it would cut is an artifact of forming X/m in
+    floats.  The integers rise with k and the X/m as m falls, so a window
+    takes the next BLOCK of each and keeps the BLOCK smallest distinct
+    points: a run that goes on past the window gave it BLOCK distinct points,
+    so no point of either run below the window's last is left for a later
+    window.  A window's first point is compared with the last distinct point
+    of the window before, kept or not.
+    """
     n = floor_int(X)
-    cuts = _breakpoints(X, n)
-    lo, hi = cuts[:-1], cuts[1:]
-    tm = 0.5 * (lo + hi)
-    grid = _Grid(
-        cuts=cuts,
-        lt=_libm(math.log, cuts),
-        lr=_libm(math.log, hi / lo),
-        m=np.minimum(_floor_array(X / tm), n),
-        k=np.minimum(_floor_array(tm), n),
-    )
-    for arr in (grid.cuts, grid.lt, grid.lr, grid.m, grid.k):
-        arr.flags.writeable = False
-    return grid
+    k, m = 1, n  # the next integer and the next m
+    prev = -math.inf  # the last distinct point so far
+    last = None  # the last cut point so far and its log
+    while k <= n or m >= 1:
+        ints = np.arange(k, min(k + BLOCK, n + 1), dtype=np.float64)
+        vals = X / np.arange(m, max(m - BLOCK, 0), -1, dtype=np.float64)
+        pts = np.unique(np.concatenate((ints, vals)))[:BLOCK]
+        k += int(np.searchsorted(ints, pts[-1], "right"))
+        m -= int(np.searchsorted(vals, pts[-1], "right"))
+        # a floor_int that snaps n above X puts n above X and X/n below 1
+        pts = pts[(pts >= 1.0) & (pts <= X)]
+        if pts.size == 0:
+            continue
+        new = pts[np.diff(pts, prepend=prev) > 64.0 * EPS * X]
+        prev = pts[-1]
+        if new.size == 0:
+            continue
+        cuts, lt = new, _libm(math.log, new)
+        if last is not None:
+            cuts, lt = np.concatenate(([last[0]], cuts)), np.concatenate(([last[1]], lt))
+        last = cuts[-1], lt[-1]
+        if cuts.size < 2:
+            continue
+        lo, hi = cuts[:-1], cuts[1:]
+        tm = 0.5 * (lo + hi)
+        yield _Block(
+            cuts=cuts,
+            lt=lt,
+            lr=_libm(math.log, hi / lo),
+            m=np.minimum(_floor_array(X / tm), n).astype(np.int32),
+            k=np.minimum(_floor_array(tm), n).astype(np.int32),
+        )
+
+
+def _power_prefix(g_id: str, a: complex, n: int) -> np.ndarray:
+    """Prefix sums of g(k) k^a for k <= n (complex when a is)."""
+    karr = np.arange(n + 1, dtype=np.float64)
+    karr[0] = 1.0
+    if isinstance(a, complex) and a.imag != 0.0:
+        w = np.exp(a * np.log(karr))
+    else:
+        w = karr ** float(a.real if isinstance(a, complex) else a)
+    del karr
+    np.multiply(_g_values(g_id, n), w, out=w)
+    return np.cumsum(w, out=w)
 
 
 def evaluate_ofd(table: ArithmeticTable, spec: IdentitySpec, X: float) -> OfdResult:
     """Evaluate both sides of the master identity; residual = |lhs - rhs|."""
+    return _ofd_pass(table, spec, X)
+
+
+def _ofd_pass(
+    table: ArithmeticTable, spec: IdentitySpec, X: float, visit=None
+) -> OfdResult:
+    """evaluate_ofd, with visit(block) called on each grid block as well, so
+    that a catalog check sums its own integrals over the same pass."""
     if X < 1.0:
         raise ValueError("X must be >= 1")
     n = floor_int(X)
@@ -333,78 +361,72 @@ def evaluate_ofd(table: ArithmeticTable, spec: IdentitySpec, X: float) -> OfdRes
     f = _f_values(table, spec, n)
     sf = np.cumsum(f)  # S_f at integers
     sfg = convolution_prefix(table, spec, n)
-
-    # left side
-    nn = np.arange(1, n + 1, dtype=np.float64)
-    t = X / nn
-    terms = f[1:] * _H(spec, t, np.log(t))
-    lhs = _csum(terms) - complex(_H(spec, 1.0, 0.0)) * complex(sf[n])
-
     dirac = spec.h_id == "dirac_at_1"
     if dirac:
-        i1 = complex(sfg[n])
-        val = np.zeros(0)
+        gd = _g_values(spec.g_id, n)
     else:
         coeff, a = _h_coeff_exponent(spec)
         c = -a - 1.0
-        # h(1/t)/t = coeff * t^c; S_{f*g}(X/t) = sfg[m] on (X/(m+1), X/m]
-        x_m = X / np.arange(1.0, n + 2.0)
-        hi, lo = x_m[:-1], np.maximum(1.0, x_m[1:])
-        on = hi > lo
-        lo = lo[on]
-        ip = _int_pow(c, _libm(math.log, lo), _libm(math.log, hi[on] / lo))
-        val = (coeff * sfg[1:][on]) * ip
-        i1 = _csum(val)
+
+    # (real, imaginary) sums of the left side, i1 and i2; the point-mass
+    # term; and the mass, |x| summed over every real x summed in them
+    lhs, i1, i2 = ((ExactSum(), ExactSum()) for _ in range(3))
+    sub, mass = (ExactSum(),), ExactSum()
+
+    def add(sums, z):
+        for total, x in zip(sums, (z.real, z.imag) if np.iscomplexobj(z) else (z,)):
+            total.add(x)
+            mass.add(np.abs(x))
+
+    # the left side and the first integral, one BLOCK of n at a time
+    for lo in range(1, n + 1, BLOCK):
+        hi = min(lo + BLOCK, n + 1)
+        t = X / np.arange(lo, hi, dtype=np.float64)
+        add(lhs, f[lo:hi] * _H(spec, t, np.log(t)))
+        if dirac:
+            # the point mass at n/t = 1 contributes g(n) S_f(X/n) for each n <= X
+            add(sub, gd[lo:hi] * sf[_floor_array(t).clip(0, n)])
+        else:
+            # h(1/t)/t = coeff * t^c; S_{f*g}(X/t) = sfg[m] on (X/(m+1), X/m]
+            x_m = X / np.arange(lo, hi + 1, dtype=np.float64)
+            top, bot = x_m[:-1], np.maximum(1.0, x_m[1:])
+            on = top > bot
+            bot = bot[on]
+            ip = _int_pow(c, _libm(math.log, bot), _libm(math.log, top[on] / bot))
+            add(i1, (coeff * sfg[lo:hi][on]) * ip)
+    first = complex(sfg[n]) if dirac else complex(*map(float, i1))
+    left = complex(*map(float, lhs)) - complex(_H(spec, 1.0, 0.0)) * complex(sf[n])
+    del f, sfg
+    if not dirac:
+        ga = _power_prefix(spec.g_id, a, n)
 
     # right-side second integral over the pieces where S_f(X/t) != 0
-    grid = _grid(X)
-    if not dirac:
-        g = _g_values(spec.g_id, n)
-        # prefix sums of g(k) k^a (complex when a is)
-        karr = np.arange(n + 1, dtype=np.float64)
-        karr[0] = 1.0
-        if isinstance(a, complex) and a.imag != 0.0:
-            ga = np.cumsum(g * np.exp(a * np.log(karr)))
-        else:
-            ga = np.cumsum(g * karr ** float(a.real if isinstance(a, complex) else a))
-    pieces = len(grid.cuts) - 1
-    parts = []  # each block's live-piece values; nothing else outlives its block
-    for lo in range(0, pieces, BLOCK):
-        hi = min(lo + BLOCK, pieces)
-        Hc = _H(spec, grid.cuts[lo : hi + 1], grid.lt[lo : hi + 1])
-        s_f = sf[grid.m[lo:hi]]
+    pieces = 0
+    for blk in _grid_blocks(X):
+        pieces += blk.m.size
+        Hc = _H(spec, blk.cuts, blk.lt)
+        s_f = sf[blk.m]
         live = s_f != 0.0
         s_f = s_f[live]
         part = s_f * (Hc[1:] - Hc[:-1])[live]
         if not dirac:
-            gsum = ga[grid.k[lo:hi][live]]
-            ip = _int_pow(c, grid.lt[lo:hi][live], grid.lr[lo:hi][live])
+            gsum = ga[blk.k[live]]
+            ip = _int_pow(c, blk.lt[:-1][live], blk.lr[live])
             part = np.where(gsum != 0.0, part - _cmul((s_f * coeff) * gsum, ip), part)
-        parts.append(part)
-    i2 = _csum(*parts)
-    summed = [terms, val, *parts]
-    if dirac:
-        # the point mass at n/t = 1 contributes g(n) S_f(X/n) for each n <= X
-        gd = _g_values(spec.g_id, n)
-        idx = _floor_array(X / nn)
-        sub = gd[1:] * sf[idx.clip(0, n)]
-        i2 -= complex(fsum_blocks(sub))
-        summed.append(sub)
+        add(i2, part)
+        if visit is not None:
+            visit(blk)
 
-    rhs = i1 + i2
-    # |x| of every real x summed above; a real array's +0.0 imaginary parts
-    # would add nothing to this nonnegative sum
-    reals = (
-        p for z in summed for p in ((z.real, z.imag) if np.iscomplexobj(z) else (z,))
-    )
-    mass = math.fsum(map(abs, block_entries(reals)))
+    second = complex(*map(float, i2))
+    if dirac:
+        second -= complex(float(sub[0]))
     return OfdResult(
-        lhs=lhs,
-        i1=i1,
-        i2=i2,
-        residual=abs(lhs - rhs),
+        lhs=left,
+        i1=first,
+        i2=second,
+        residual=abs(left - (first + second)),
         pieces=pieces,
-        mass=mass,
+        mass=float(mass),
     )
 
 
@@ -436,71 +458,72 @@ CATALOG_SPECS = {
 CATALOG_NAMES = tuple(CATALOG_SPECS) + ("daval_general",)
 
 
-def _mertens_weighted_integral(
-    table: ArithmeticTable, X: float, kind: str
-) -> float:
-    """Closed-form integrals of M(X/t) against named weights on [1, X].
-
-    kind "floor_over_t": integral of [X/t] M(t) dt/t  (equals, after t ->
-    X/t, the integral of [t] M(X/t) dt/t).
-    kind "gamma_bracket": integral of M(X/t) (log t + gamma + 1/t - HarmSum([t])) dt.
-    kind "gamma_bracket_fixed": same with +1 in place of +1/t.
-    """
-    n = floor_int(X)
-    table._check_range(n)
-    grid = _grid(X)
-    mert = np.cumsum(table.mu[: n + 1], dtype=np.int64).astype(np.float64)
-    lo, hi, lt = grid.lo, grid.hi, grid.lt
-    if kind == "floor_over_t":
-        # integrand m * M([t]) / t after the substitution t -> X/t:
-        # original variable u = X/t runs the same pieces mirrored
-        vals = grid.m * mert[grid.k] * grid.lr
-    else:
-        # harmonic numbers up to n
-        harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n + 1))))
-        tlt = grid.cuts * lt - grid.cuts  # t log t - t at each cut point
-        base = (tlt[1:] - tlt[:-1]) + GAMMA * (hi - lo)
-        base -= harm[grid.k] * (hi - lo)
-        if kind == "gamma_bracket":
-            base += lt[1:] - lt[:-1]  # the printed 1/t term
-        elif kind == "gamma_bracket_fixed":
-            base += hi - lo  # the corrected constant term
-        else:
-            raise AssertionError(kind)
-        vals = mert[grid.m] * base
-    return fsum_blocks(vals)
+def _mertens(table: ArithmeticTable, n: int) -> np.ndarray:
+    """M(k) for k <= n, as floats (integers below 2^53, so exact)."""
+    return np.cumsum(table.mu[: n + 1], dtype=np.float64)
 
 
-def _liouville_printed_rhs(table: ArithmeticTable, X: float) -> float:
-    """2/sqrt(X) - 1/X - (1/X) int {X/t} dt/t + (1/X) int S_lam(X/t) {t} dt/t."""
-    n = floor_int(X)
-    grid = _grid(X)
-    lo, hi, lr = grid.lo, grid.hi, grid.lr
-    lam_prefix = np.concatenate(
-        ([0], np.cumsum(table.liouville[1 : n + 1], dtype=np.int64))
-    )
-    # {X/t}/t = X/t^2 - [X/t]/t on the piece
-    frac = X * (1.0 / lo - 1.0 / hi) - grid.m * lr
-    # S_lam(X/t) {t} / t with {t} = t - k
-    lam = lam_prefix[grid.m].astype(np.float64) * ((hi - lo) - grid.k * lr)
-    return (
-        2.0 / math.sqrt(X)
-        - 1.0 / X
-        - fsum_blocks(frac) / X
-        + fsum_blocks(lam) / X
-    )
+def _floor_over_t(table: ArithmeticTable, n: int, total: ExactSum):
+    """A grid visitor that adds to total the integral of [X/t] M(t) dt/t
+    (equal, after t -> X/t, to the integral of [t] M(X/t) dt/t)."""
+    mert = _mertens(table, n)
+    # integrand m * M([t]) / t after the substitution t -> X/t: the original
+    # variable u = X/t runs the same pieces mirrored
+    return lambda b: total.add(b.m * mert[b.k] * b.lr)
 
 
-def _liouville_floor_reading_rhs(table: ArithmeticTable, X: float) -> float:
-    """Raw right side with S_{lam*1}(X/t) replaced by [X/t], as published."""
-    n = floor_int(X)
-    grid = _grid(X)
-    ga = np.cumsum(_g_values("one", n))
-    sf = np.cumsum(table.liouville[: n + 1].astype(np.float64))
-    lr = grid.lr
-    i1 = grid.m * lr  # I1 with the [X/t] reading, h = 1
-    i2 = sf[grid.m] * ((grid.hi - grid.lo) - ga[grid.k] * lr)
-    return fsum_blocks(i1, i2)
+def _gamma_brackets(table: ArithmeticTable, n: int, printed: ExactSum, fixed: ExactSum):
+    """A grid visitor that adds to printed the integral of M(X/t) (log t +
+    gamma + 1/t - HarmSum([t])) dt, and to fixed the same with +1 in place
+    of +1/t."""
+    mert = _mertens(table, n)
+    harm = np.zeros(n + 1)  # harmonic numbers up to n
+    inv = np.arange(1.0, n + 1.0)
+    np.divide(1.0, inv, out=inv)
+    np.cumsum(inv, out=harm[1:])
+
+    def visit(b: _Block) -> None:
+        width = b.hi - b.lo
+        tlt = b.cuts * b.lt - b.cuts  # t log t - t at each cut point
+        base = (tlt[1:] - tlt[:-1]) + GAMMA * width
+        base -= harm[b.k] * width
+        w = mert[b.m]
+        printed.add(w * (base + (b.lt[1:] - b.lt[:-1])))  # the printed 1/t term
+        fixed.add(w * (base + width))  # the corrected constant term
+
+    return visit
+
+
+def _liouville_integrals(
+    table: ArithmeticTable, X: float, n: int, frac: ExactSum, lam: ExactSum, floor: ExactSum
+):
+    """A grid visitor that adds to frac and lam the two integrals of the
+    printed form, int {X/t} dt/t^2 and int S_lam(X/t) {t} dt/t, and to floor
+    the raw right side with S_{lam*1}(X/t) replaced by [X/t], as published."""
+    s_lam = np.cumsum(table.liouville[: n + 1], dtype=np.float64)
+
+    def visit(b: _Block) -> None:
+        m_lr = b.m * b.lr  # [X/t]/t on the piece, integrated
+        # {X/t}/t = X/t^2 - [X/t]/t on the piece
+        frac.add(X * (1.0 / b.lo - 1.0 / b.hi) - m_lr)
+        # S_lam(X/t) {t} / t with {t} = t - k; with h = 1 the floor reading's
+        # I2 has the same terms, since sum_{k' <= k} 1 = k
+        s = s_lam[b.m] * ((b.hi - b.lo) - b.k * b.lr)
+        lam.add(s)
+        floor.add(m_lr)  # I1 with the [X/t] reading, h = 1
+        floor.add(s)
+
+    return visit
+
+
+def _sum_over_n(n: int, term) -> float:
+    """The exact sum over 1 <= j <= n of term(j, sl), where j is a float
+    array of the indices in the slice sl, one BLOCK slice at a time."""
+    total = ExactSum()
+    for lo in range(1, n + 1, BLOCK):
+        sl = slice(lo, min(lo + BLOCK, n + 1))
+        total.add(term(np.arange(sl.start, sl.stop, dtype=np.float64), sl))
+    return float(total)
 
 
 def catalog_check(
@@ -513,6 +536,8 @@ def catalog_check(
 
     Residual mismatches are reported, not raised; one published closed form
     is known to disagree with its generating instance (see the note field).
+    The raw form and the printed form's integrals share one pass over the
+    grid.
     """
     if X < 1.0:
         raise ValueError("X must be >= 1")
@@ -525,7 +550,7 @@ def catalog_check(
         spec = h_spec if h_spec is not None else IdentitySpec(
             "mobius", "one", "power", "id", s=0.5
         )
-        ofd = evaluate_ofd(table, spec, X)
+        ofd = _ofd_pass(table, spec, X)
         return CatalogReport(
             name=name,
             X=X,
@@ -540,47 +565,56 @@ def catalog_check(
     if name not in CATALOG_SPECS:
         raise ValueError(f"unknown catalog name {name!r}")
     spec = CATALOG_SPECS[name]
-    ofd = evaluate_ofd(table, spec, X)
-    nn = np.arange(1, n + 1, dtype=np.float64)
     alt = None
     note = ""
 
     if name == "meissel":
-        y = X / nn
-        fracs = mu[1 : n + 1] * (y - _floor_array(y))
-        lhs = fsum_blocks(fracs)
+        ofd = _ofd_pass(table, spec, X)
+
+        def fracs(nn, sl):
+            y = X / nn
+            return mu[sl] * (y - _floor_array(y))
+
+        lhs = _sum_over_n(n, fracs)
         rhs = -1.0 + X * mval
     elif name == "elmarraki":
-        lhs = _mertens_weighted_integral(table, X, "floor_over_t")
+        total = ExactSum()
+        ofd = _ofd_pass(table, spec, X, _floor_over_t(table, n, total))
+        lhs = float(total)
         rhs = math.log(X)
     elif name == "macleod":
-        y = X / nn
-        fr = y - _floor_array(y)
-        lhs = fsum_blocks(mu[1 : n + 1] * (fr * fr - fr) / y)
+        ofd = _ofd_pass(table, spec, X)
+
+        def terms(nn, sl):
+            y = X / nn
+            fr = y - _floor_array(y)
+            return mu[sl] * (fr * fr - fr) / y
+
+        lhs = _sum_over_n(n, terms)
         rhs = X * mval - Mval - 2.0 + 2.0 / X
     elif name == "euler_gamma":
+        printed, fixed = ExactSum(), ExactSum()
+        ofd = _ofd_pass(table, spec, X, _gamma_brackets(table, n, printed, fixed))
         lhs = m_check_q(table, X, 1) + GAMMA * (mval - Mval / X)
-        rhs = (
-            1.0
-            - 1.0 / X
-            + _mertens_weighted_integral(table, X, "gamma_bracket") / X
-        )
-        rhs_fixed = (
-            1.0
-            - 1.0 / X
-            + _mertens_weighted_integral(table, X, "gamma_bracket_fixed") / X
-        )
+        rhs = 1.0 - 1.0 / X + float(printed) / X
+        rhs_fixed = 1.0 - 1.0 / X + float(fixed) / X
         alt = abs(lhs - rhs_fixed)
         note = (
             "printed bracket carries 1/t; replacing it by the constant 1 "
             "(alt_residual) matches the raw identity"
         )
     elif name == "liouville":
-        lam = table.liouville[1 : n + 1].astype(np.float64)
-        lhs = fsum_blocks(lam / nn) - fsum_blocks(lam) / X
-        rhs = _liouville_printed_rhs(table, X)
-        alt_rhs = _liouville_floor_reading_rhs(table, X)
-        alt = abs(ofd.lhs.real - alt_rhs)
+        frac, lam, floor = ExactSum(), ExactSum(), ExactSum()
+        ofd = _ofd_pass(
+            table, spec, X, _liouville_integrals(table, X, n, frac, lam, floor)
+        )
+        liou = table.liouville
+        lhs = _sum_over_n(n, lambda nn, sl: liou[sl] / nn) - _sum_over_n(
+            n, lambda nn, sl: liou[sl]
+        ) / X
+        # 2/sqrt(X) - 1/X - (1/X) int {X/t} dt/t + (1/X) int S_lam(X/t) {t} dt/t
+        rhs = 2.0 / math.sqrt(X) - 1.0 / X - float(frac) / X + float(lam) / X
+        alt = abs(ofd.lhs.real - float(floor))
         note = (
             "printed closed form and the published floor-function reading "
             "of the square-counting prefix both deviate from the raw "
@@ -600,4 +634,3 @@ def catalog_check(
         alt_residual=alt,
         note=note,
     )
-

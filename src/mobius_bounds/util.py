@@ -86,6 +86,48 @@ def fsum_blocks(*arrays) -> float:
     return math.fsum(block_entries(arrays))
 
 
+class ExactSum:
+    """A sum fed one array at a time, for one pass that feeds several sums.
+
+    float(total) equals math.fsum over every entry added, bit for bit.
+    Rump, Ogita and Oishi's ExtractVector ("Accurate floating-point summation
+    part I", SIAM J. Sci. Comput. 31, 2008) splits an array p of n entries,
+    |p| < 2^e, at sigma = 2^(e + s) with 2^(s - 1) > n: q = (sigma + p) -
+    sigma is a multiple of 2^-53 sigma, p - q is the rounding error of sigma
+    + p, so both are exact, and sum |q| <= sigma, so q.sum() is exact in any
+    order.  Repeating on p - q, which shrinks by 2^(52 - s) per round, ends
+    when it is zero, and the floats kept add up exactly to the entries.  An
+    entry too large to split (or not finite) is kept as it is.  One fsum of
+    what is kept rounds the exact sum once, as fsum of the entries would.
+    """
+
+    def __init__(self) -> None:
+        self._kept: list[float] = []
+
+    def add(self, a) -> None:
+        """Add the entries of the 1-D numpy array a, read as float64."""
+        p = a.astype(float, copy=False)
+        scale = p.size.bit_length() + 1
+        limit = math.ldexp(1.0, 1023 - scale)  # keeps sigma + p finite
+        while p.size:
+            mu = float(abs(p).max())
+            if not mu < limit:
+                big = ~(abs(p) < limit)
+                self._kept += p[big].tolist()
+                p = p[~big]
+                continue
+            if mu == 0.0:
+                return
+            sigma = math.ldexp(1.0, math.frexp(mu)[1] + scale)
+            q = p + sigma
+            q -= sigma
+            self._kept.append(float(q.sum()))
+            p = p - q
+
+    def __float__(self) -> float:
+        return math.fsum(self._kept)
+
+
 def expm1c(z: complex | float) -> complex | float:
     """exp(z) - 1, stable for small z; accepts real or complex arguments."""
     if isinstance(z, complex):

@@ -28,7 +28,7 @@ from mobius_bounds.arith import (
     sweep_min,
     sweep_prefix_min,
 )
-from mobius_bounds.util import EPS, CapacityError, block_entries, fsum_blocks
+from mobius_bounds.util import EPS, CapacityError, ExactSum, block_entries, fsum_blocks
 
 
 def _factorize(n):
@@ -278,8 +278,9 @@ def test_sieve_takes_integers_only():
 
 # A segment's working set: its output (10 bytes per entry) plus omega,
 # logsum, the squarefree flags, the float32 threshold and int8/bool
-# temporaries; 20.7 MiB measured at SEGMENT = 2^20.
-SEGMENT_WORKING_SET = 24 << 20
+# temporaries; 20.1 bytes per entry (10.0 MiB) measured at SEGMENT = 2^19,
+# as the peak above the table held after build_table(4 * SEGMENT).
+SEGMENT_WORKING_SET = 24 * SEGMENT
 
 # A table holds mu and liouville (1 byte per entry each) and 16 bytes per
 # prime power (7.9% of entries at 1e6): 3.26 bytes per entry measured at
@@ -301,6 +302,21 @@ def test_build_table_holds_no_full_length_temporaries():
     finally:
         tracemalloc.stop()
     assert table.limit == n
+    bound = TABLE_BYTES_PER_ENTRY * (n + 1) + SEGMENT_WORKING_SET
+    assert peak <= bound, peak - bound
+
+
+def test_build_table_peak_is_the_table_and_one_segment():
+    """build_table(1e6) peaks at its table plus one segment's working set
+    (12.3 MiB traced at SEGMENT = 2^19, 21.6 MiB at 2^20)."""
+    n = 10**6
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        build_table(n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
     bound = TABLE_BYTES_PER_ENTRY * (n + 1) + SEGMENT_WORKING_SET
     assert peak <= bound, peak - bound
 
@@ -673,6 +689,20 @@ def test_fsum_blocks_equals_one_fsum_of_the_concatenation(arrays):
     entries = list(block_entries(iter(arrays)))
     assert entries == np.concatenate(arrays).tolist()
     assert _fsum_outcome(lambda: math.fsum(entries)) == want
+
+
+@pytest.mark.parametrize("arrays", list(_fsum_cases()))
+def test_exact_sum_equals_one_fsum_of_the_concatenation(arrays):
+    """ExactSum fed the arrays whole, or cut at three seeded points, reads
+    what one fsum of all the entries returns, or raises what it raises."""
+    want = _fsum_outcome(lambda: _one_list(arrays))
+    entries = np.concatenate(arrays)
+    cuts = sorted(np.random.default_rng(entries.size).integers(0, entries.size + 1, 3))
+    for parts in (arrays, np.split(entries, cuts)):
+        total = ExactSum()
+        for a in parts:
+            total.add(a)
+        assert _fsum_outcome(lambda: float(total)) == want
 
 
 def test_pointwise_sums_hold_no_list_of_their_terms(table_big):

@@ -1,5 +1,6 @@
 """Two-integral convolution identities: raw form, printed forms, known defects."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -11,12 +12,13 @@ from mobius_bounds.identities import (
     CATALOG_SPECS,
     IdentitySpec,
     _floor_array,
-    _grid,
+    _grid_blocks,
     _libm,
     catalog_check,
     evaluate_ofd,
 )
-from mobius_bounds.util import BLOCK, expm1c, floor_int
+from mobius_bounds import identities
+from mobius_bounds.util import BLOCK, EPS, expm1c, floor_int
 
 X_GRID = (1.0, 1.5, 2.0, math.e, 10.0, 100.0, 1000.0)
 
@@ -120,21 +122,100 @@ def test_sliced_libm_equals_one_list_map():
         assert _libm(fn, arr, dtype).tobytes() == want.tobytes(), fn
 
 
-# Peak traced bytes per piece of evaluate_ofd(euler_gamma) at X = 20,000
-# (39,969 pieces, two blocks), its grid already cached: 253.7 while every
-# piece array was formed whole and every sum took one list, 125.2 with the
-# pieces formed one block at a time and the sums fed one slice at a time.
-OFD_BYTES_PER_PIECE = 160
+def _breakpoints(X, n, upto=math.inf):
+    """The one-shot cut points, the oracle of _grid_blocks: 1, X, every
+    integer and every X/m in [1, X], sorted and distinct, less each point
+    within 64 EPS X of the distinct point before it.  With upto, only the
+    points <= upto; the merge rule looks back only, so they are the same."""
+    pts = [np.array([1.0, X])]
+    if n >= 2:
+        pts.append(np.arange(2.0, min(n, upto) + 1.0))
+    m = np.arange(max(1.0, math.floor(X / upto)), n + 1.0)
+    pts.append(X / m)
+    allpts = np.concatenate(pts)
+    allpts = allpts[(allpts >= 1.0) & (allpts <= min(X, upto))]
+    allpts = np.unique(allpts)
+    keep = np.empty(len(allpts), dtype=bool)
+    keep[0] = True
+    if len(allpts) > 1:
+        keep[1:] = np.diff(allpts) > 64.0 * EPS * X
+    return allpts[keep]
 
 
-def test_evaluate_ofd_holds_one_block_of_pieces(table_mid):
-    X = 20_000.0
-    _grid(X)
+def _joined(blocks):
+    """The cut points of consecutive blocks, each shared cut once."""
+    return np.concatenate([blocks[0].cuts, *(b.cuts[1:] for b in blocks[1:])])
+
+
+@pytest.mark.parametrize(
+    "X",
+    # 3 - 2 ulp: floor_int snaps n to 3, above X, and X/3 falls below 1
+    (1.0, 1.5, math.e, 3.0 - 4 * EPS, 1000.0, 2000.5, 40_000.0, 99_999.9, 1e5, 1e6),
+)
+def test_grid_blocks_equal_one_shot_breakpoints(X):
+    """The streamed cut points are the one-shot ones, byte for byte; m and k
+    are the int64 values read off them, as int32; the logs are libm's."""
+    n = floor_int(X)
+    want = _breakpoints(X, n)
+    blocks = list(_grid_blocks(X))
+    if len(want) == 1:
+        assert blocks == []
+        return
+    assert all(0 < b.m.size <= BLOCK for b in blocks)
+    assert all(b.cuts.size == b.m.size + 1 for b in blocks)
+    assert _joined(blocks).tobytes() == want.tobytes()
+    lo, hi = want[:-1], want[1:]
+    tm = 0.5 * (lo + hi)
+    m = np.concatenate([b.m for b in blocks])
+    k = np.concatenate([b.k for b in blocks])
+    assert m.dtype == k.dtype == np.int32
+    assert np.array_equal(m, np.minimum(_floor_array(X / tm), n))
+    assert np.array_equal(k, np.minimum(_floor_array(tm), n))
+    if X <= 1e5:
+        lt = np.concatenate([blocks[0].lt, *(b.lt[1:] for b in blocks[1:])])
+        lr = np.concatenate([b.lr for b in blocks])
+        assert lt.tobytes() == _libm(math.log, want).tobytes()
+        assert lr.tobytes() == _libm(math.log, hi / lo).tobytes()
+
+
+def test_grid_blocks_carry_the_merge_across_window_edges(monkeypatch):
+    """Near t = 1 at X = 8.5e6 consecutive X/m lie 1/X apart, inside 64 EPS
+    X, so every point there is dropped and every window edge falls between
+    two points within 64 EPS X; the first cut past them must be the oracle's,
+    which compares each point with the distinct point before it, kept or not,
+    across the edge."""
+    X = 8.5e6
+    monkeypatch.setattr(identities, "BLOCK", 4096)
+    first = next(_grid_blocks(X))
+    upto = first.cuts[-1]
+    want = _breakpoints(X, floor_int(X), upto)
+    assert first.cuts.tobytes() == want.tobytes()
+    # the dropped run spans many windows: its distinct points all lie
+    # within 64 EPS X of the one before
+    head = X / np.arange(X, X / want[1], -1.0)
+    assert head.size > 20 * 4096
+    assert np.diff(head).max() <= 64.0 * EPS * X
+
+
+# A cold catalog_check(euler_gamma) holds one block of pieces at a time and
+# a few float64 lookups of n + 1 entries: at most five live at once (f, S_f,
+# S_{f*g}, M and the harmonic numbers while the left side is summed; S_f,
+# the g power prefix, M and the harmonic numbers over the grid).  Peak
+# traced bytes measured here 7.08 MiB at X = 2e4 and 8.84 MiB at 1e5; 7.32
+# and 21.46 MiB while the grid was built whole and cached.
+CATALOG_BYTES_PER_BLOCK = 256 * BLOCK
+CATALOG_BYTES_PER_N = 40
+
+
+def test_catalog_check_holds_one_block_of_pieces(table_mid):
     tracemalloc.start()
     try:
-        rep = evaluate_ofd(table_mid, CATALOG_SPECS["euler_gamma"], X)
-        peak = tracemalloc.get_traced_memory()[1]
+        for X in (20_000.0, 1e5):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            catalog_check(table_mid, "euler_gamma", X)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            bound = CATALOG_BYTES_PER_BLOCK + CATALOG_BYTES_PER_N * (floor_int(X) + 1)
+            assert peak <= bound, (X, peak, bound)
     finally:
         tracemalloc.stop()
-    assert rep.pieces > BLOCK
-    assert peak <= OFD_BYTES_PER_PIECE * rep.pieces, peak / rep.pieces
