@@ -313,7 +313,8 @@ def _grid_blocks(X: float):
             continue
         cuts, lt = new, _libm(math.log, new)
         if last is not None:
-            cuts, lt = np.concatenate(([last[0]], cuts)), np.concatenate(([last[1]], lt))
+            cuts = np.concatenate(([last[0]], cuts))
+            lt = np.concatenate(([last[1]], lt))
         last = cuts[-1], lt[-1]
         if cuts.size < 2:
             continue
@@ -495,7 +496,12 @@ def _gamma_brackets(table: ArithmeticTable, n: int, printed: ExactSum, fixed: Ex
 
 
 def _liouville_integrals(
-    table: ArithmeticTable, X: float, n: int, frac: ExactSum, lam: ExactSum, floor: ExactSum
+    table: ArithmeticTable,
+    X: float,
+    n: int,
+    frac: ExactSum,
+    lam: ExactSum,
+    floor: ExactSum,
 ):
     """A grid visitor that adds to frac and lam the two integrals of the
     printed form, int {X/t} dt/t^2 and int S_lam(X/t) {t} dt/t, and to floor
@@ -609,9 +615,8 @@ def catalog_check(
             table, spec, X, _liouville_integrals(table, X, n, frac, lam, floor)
         )
         liou = table.liouville
-        lhs = _sum_over_n(n, lambda nn, sl: liou[sl] / nn) - _sum_over_n(
-            n, lambda nn, sl: liou[sl]
-        ) / X
+        lam_over_n = _sum_over_n(n, lambda nn, sl: liou[sl] / nn)
+        lhs = lam_over_n - _sum_over_n(n, lambda nn, sl: liou[sl]) / X
         # 2/sqrt(X) - 1/X - (1/X) int {X/t} dt/t + (1/X) int S_lam(X/t) {t} dt/t
         rhs = 2.0 / math.sqrt(X) - 1.0 / X - float(frac) / X + float(lam) / X
         alt = abs(ofd.lhs.real - float(floor))

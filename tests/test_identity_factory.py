@@ -1,6 +1,5 @@
 """Two-integral convolution identities: raw form, printed forms, known defects."""
 
-import itertools
 import math
 import tracemalloc
 
