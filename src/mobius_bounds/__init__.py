@@ -65,7 +65,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "BracketError",
         "CapacityError",
         "NearZeroError",
-        "PrecisionError",
         "cert_le",
         "floor_int",
     ),

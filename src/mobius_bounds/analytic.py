@@ -6,10 +6,9 @@ pole-compensated combinations, and the two envelope functionals consumed by
 the remainder bounds -- comes from C(s) and C'(s) by exact algebra, so one
 error budget covers the lot.
 
-Two independent summation routes are provided: a Chebyshev-style acceleration
-of the alternating series (geometric convergence, roughly a factor 5.8 per
-extra term) and a plain partial sum with a certified tail bound.  The test
-suite cross-checks one route against the other.
+C(s) is summed by one route: a Chebyshev-style acceleration of the
+alternating series (geometric convergence, roughly a factor 5.8 per extra
+term).  The tests check it against mpmath.
 
 For real s >= 1 the terms (k+1)^(-s) are moments of a positive measure on
 [0, 1], so Proposition 1 of Cohen, Rodriguez Villegas and Zagier
@@ -138,36 +137,6 @@ def eta_prime(s: complex) -> Approx:
     """C'(s) = -Σ (-1)^(n+1) (log n) n^(-s) for finite s with Re s > 0."""
     a = _accelerated(s, log_weight=True)
     return Approx(-a.value, a.err)
-
-
-def eta_reference(s: complex, terms: int = 200_000, log_weight: bool = False) -> Approx:
-    """Plain partial sum of the alternating series with a certified tail.
-
-    Real s uses the alternating-decreasing tail (first omitted term); complex
-    s uses the coarser (sigma+|s|)/(sigma*N^sigma) envelope.  Slow route, kept
-    as an independent cross-check of the accelerated path.
-    """
-    s = complex(s)
-    sigma = s.real
-    if sigma <= 0.0:
-        raise ValueError("partial sum needs Re s > 0")
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    ln = np.log(n)
-    terms_arr = np.exp(-s * ln) if s.imag != 0.0 else np.exp(-sigma * ln)
-    if log_weight:
-        terms_arr = terms_arr * ln
-    signs = np.where(np.arange(terms) % 2 == 0, 1.0, -1.0)
-    total = complex(np.sum(signs * terms_arr))
-    if s.imag == 0.0 and not log_weight:
-        tail = (terms + 1.0) ** (-sigma)
-    else:
-        # generic envelope; the log weight costs one extra log factor
-        tail = (sigma + abs(s)) / (sigma * terms**sigma)
-        if log_weight:
-            tail *= math.log(terms) + 1.0
-    acc = 8.0 * EPS * float(np.sum(np.abs(signs * terms_arr)))
-    value = -total if log_weight else total
-    return Approx(value, float(tail) + acc)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ psi_prefix (built on first use) holds psi at the prime powers only, and
 mangoldt(lo, hi) rebuilds a dense Lambda slice.
 
 There is one sieve, the generator sieve_blocks(lo, hi): it yields fresh
-(mu, liouville, mangoldt_log) arrays for each 2^20-entry segment of
+(mu, liouville, mangoldt_log) arrays for each 2^19-entry segment of
 [lo, hi), with base primes <= isqrt(hi - 1), and build_table is its one
 consumer, keeping mu and liouville and the nonzero Lambda.  A segment
 builds no int64 array and divides nothing: Omega is counted in int8 over

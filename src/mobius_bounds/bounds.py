@@ -47,10 +47,13 @@ from .delta_sign import defect, interval_weights
 from .reports import BoundRow, bound_row
 from .util import (
     EPS,
+    GAMMA,
+    INCONCLUSIVE,
+    PASS,
     THETA,
     XI,
+    Approx,
     BracketError,
-    PrecisionError,
     as_approx,
     cert_le,
     combine_verdicts,
@@ -544,52 +547,75 @@ def verify_dex(
 
 @dataclass(frozen=True)
 class Y0Result:
-    y0: float
-    t_max: float
+    y0: float  # the bracket's midpoint
+    t_max: float  # log y/(log y - 1) at y_lo, its largest value on the bracket
+    y_lo: float
+    y_hi: float
+
+
+def _li(y: float) -> Approx:
+    """li(y) = Ei(log y) for y > e, enclosed, by DLMF 6.6.1: Ei(x) = gamma +
+    log x + sum_{k>=1} x^k/(k k!).  Every term is positive.  Term k takes
+    2k + 1 roundings and the running sum k more, so the k terms sum to within
+    3k EPS of their exact value, relative; 4 EPS more cover gamma, log x and
+    the last two additions.  Once k > 2x each term is less than half the one
+    before, so the sum stops there when its term falls below EPS times the
+    sum, and the tail is at most that last term.  libm's log is assumed
+    within 1 ulp (EPS log y) here and wherever log enters a radius; as
+    Ei'(x) = e^x/x is about y/log y at x = log y, that moves Ei by at most
+    2 EPS y.
+    """
+    x = math.log(y)
+    s, a, term, k = 0.0, 1.0, 1.0, 0
+    while k <= 2.0 * x or a > EPS * s:
+        k += 1
+        term = term * x / k
+        a = term / k
+        s += a
+    lx = math.log(x)
+    err = (3 * k + 4) * EPS * (GAMMA + abs(lx) + s) + a + 2.0 * EPS * y
+    return Approx(GAMMA + lx + s, err)
+
+
+def _y0_gap(y: float, li_A: Approx) -> Approx:
+    """y - (log y - 1)(li(y) - li(A)), enclosed: log y - 1 is within 2 EPS
+    log y, and each other rounding costs EPS times its result."""
+    li_y, l1 = _li(y), math.log(y) - 1.0
+    d = li_y.value - li_A.value
+    d_err = li_y.err + li_A.err + EPS * abs(d)
+    l1_err = 2.0 * EPS * (l1 + 1.0)
+    p = l1 * d
+    p_err = l1 * d_err + abs(d) * l1_err + l1_err * d_err + EPS * abs(p)
+    return Approx(y - p, p_err + EPS * abs(y - p))
 
 
 def t_of(y: float, A: float) -> float:
     """T(y) = (log y / y) * int_A^y dt/log t."""
-    from scipy.special import expi
-
-    return math.log(y) / y * float(expi(math.log(y)) - expi(math.log(A)))
+    return math.log(y) / y * (_li(y).value - _li(A).value)
 
 
 def solve_y0(A: float) -> Y0Result:
-    """Solve y = (log y - 1) int_A^y dt/log t for the maximizer of t_of.
-
-    The logarithmic integral is taken as Ei(log y) - Ei(log A) and the root
-    is confirmed against adaptive quadrature; disagreement beyond 1e-8
-    relative raises rather than returning a silently wrong root.
-    """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-    from scipy.special import expi
-
-    if A <= math.e:
-        raise ValueError("need A > e")
-    liA = float(expi(math.log(A)))
-
-    def f(y: float) -> float:
-        return y - (math.log(y) - 1.0) * (float(expi(math.log(y))) - liA)
-
-    lo = A * (1.0 + 1e-12)
-    hi = max(2.0 * A, 10.0)
-    for _ in range(200):
-        if f(hi) < 0.0:
-            break
+    """Bracket the root y0 > A of y = (log y - 1)(li(y) - li(A)), the
+    maximizer of t_of.  The gap f(y) = y - (log y - 1)(li(y) - li(A)) is A > 0
+    at y = A; hi doubles until f(hi) <= 0 is certified, then bisection moves
+    an end only on a certified sign of f at the midpoint, and stops at the
+    first inconclusive one or when the midpoint is no longer strictly inside.
+    So [y_lo, y_hi] holds a root."""
+    if not math.e < A < math.inf:
+        raise ValueError("need finite A > e")
+    li_A = _li(A)
+    lo, hi = A, max(2.0 * A, 10.0)
+    while cert_le(_y0_gap(hi, li_A), 0.0) != PASS:
         hi *= 2.0
-    else:
-        raise BracketError(f"no sign change up to y = {hi:g}")
-    y0 = float(brentq(f, lo, hi, rtol=1e-13, maxiter=200))
-
-    li_quad, quad_err = quad(lambda t: 1.0 / math.log(t), A, y0, epsrel=1e-11, limit=200)
-    li_ei = float(expi(math.log(y0))) - liA
-    if abs(li_quad - li_ei) > 1e-8 * abs(li_ei) + quad_err:
-        raise PrecisionError(
-            f"logarithmic integral routes disagree: {li_quad!r} vs {li_ei!r}"
-        )
-    return Y0Result(y0=y0, t_max=math.log(y0) / (math.log(y0) - 1.0))
+        if hi == math.inf:
+            raise BracketError("no certified sign change in the float range")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        verdict = cert_le(_y0_gap(mid, li_A), 0.0)
+        if verdict == INCONCLUSIVE:
+            break
+        lo, hi = (lo, mid) if verdict == PASS else (mid, hi)
+    t_max = math.log(lo) / (math.log(lo) - 1.0)
+    return Y0Result(y0=0.5 * (lo + hi), t_max=t_max, y_lo=lo, y_hi=hi)
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,11 @@ configuration errors, 65 when a computation exceeds the sieve or piece
 capacity (the message names the limit).
 
 The parsed namespace is the whole configuration: each subcommand binds one
-handler that sizes its own sieve and returns its rows (in certificate mode,
-its exit code).  `verify` takes exactly one of --theorem, --suite and
---list.  Grids and real flags take finite numbers only, and --q/--k take
-integers only; anything else is a usage error before any sieve is built.
+handler that sizes its own sieve and returns its rows (delta-sign, which
+writes certificates, returns its exit code).  `verify` takes exactly one of
+--theorem, --suite and --list.  Grids and real flags take finite numbers
+only, and --q/--k take integers only; anything else is a usage error before
+any sieve is built.
 
 Outputs are deterministic for a fixed invocation: grids iterate in the
 order given, suites have fixed internal order, and the only
@@ -191,7 +192,7 @@ def build_parser() -> _Parser:
     p.add_argument("--X0", dest="x0", type=_real, required=True)
     p.add_argument("--budget", type=_real, default=1e-9)
     p.add_argument("--eps-max", dest="eps_max", type=_real, default=1.0)
-    p.add_argument("--caps", action="store_true", help="grid scan instead of certificates")
+    p.add_argument("--cap", type=_real, default=0.0, help="the claimed cap; 0 is the sign claim")
 
     p = command("harmonic", _harmonic, "prime harmonic sum against log X")
     p.add_argument("--x-max", type=_real, required=True)
@@ -319,25 +320,17 @@ def _verify(args: argparse.Namespace) -> list[BoundRow] | int:
     return bounds.grid_rows(table, args.theorem, [grid[axis.lower()] for axis in axes])
 
 
-def _delta_sign(args: argparse.Namespace) -> list[BoundRow] | int:
-    """Rows with --caps; otherwise the output artifact is the certificate
-    JSON itself and the return value is the exit code."""
+def _delta_sign(args: argparse.Namespace) -> int:
+    """The output artifact is the certificate JSON itself; the return value
+    is the exit code."""
     from . import delta_sign
 
     table = _table(args, max(args.x0, 47.0))
-    if args.caps:
-        rows = []
-        for q in args.q_values:
-            scan = delta_sign.caps_scan(table, q, args.x0, eps_max=args.eps_max)
-            # an uncertified grid maximum asserts nothing: bound inf
-            detail = f" rigorous_cap={scan.rigorous_cap!r}"
-            rows.append(delta_sign.caps_row(scan, float("inf"), detail))
-        return rows
     docs = []
     statuses = []
     for q in args.q_values:
         cert = delta_sign.certify_sign(
-            table, q, args.x0, error_budget=args.budget, eps_max=args.eps_max
+            table, q, args.x0, error_budget=args.budget, eps_max=args.eps_max, cap=args.cap
         )
         docs.append(delta_sign.certificate_to_json(cert))
         statuses.append(cert.status)

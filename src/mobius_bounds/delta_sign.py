@@ -41,7 +41,7 @@ _STEP_CAP = 200_000
 # share of the room below cap - budget that a proposed step's pair bound
 # may use if the far value comes out as its slope predicts
 _STEP_SHARE = 0.5
-# eps grid spacing of caps_scan; the caps rows print it as eps_step=0.001
+# eps grid spacing of caps_scan
 CAPS_EPS_STEP = 1e-3
 
 
@@ -608,18 +608,6 @@ def _suite_certify(table: ArithmeticTable) -> list[BoundRow]:
     for qv in (6, 15, 30, 2310):
         rows.append(_certify_row(table, qv, 41.0))
     return rows
-
-
-def caps_row(scan: CapsScan, bound: float, detail: str = "") -> BoundRow:
-    """The scan's grid maximum as a row against a published cap."""
-    return bound_row(
-        "delta-caps",
-        scan.x_max,
-        scan.q,
-        f"eps_step={scan.eps_step:g} arg=({scan.arg_n},{scan.arg_eps:g}){detail}",
-        lhs=scan.grid_max,
-        bound=bound,
-    )
 
 
 def _cap_row(table: ArithmeticTable, qv: int, x0: float, cap: float) -> BoundRow:

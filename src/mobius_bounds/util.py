@@ -39,10 +39,6 @@ class CapacityError(ValueError):
     """Requested work exceeds the configured table/breakpoint budget."""
 
 
-class PrecisionError(ArithmeticError):
-    """Two evaluation routes disagree beyond their stated tolerance."""
-
-
 class BracketError(RuntimeError):
     """A root-finding bracket failed to straddle a sign change."""
 
@@ -200,8 +196,11 @@ def cert_le(a: "Approx | float", b: "Approx | float", strict: bool = False) -> s
     """Three-way verdict for a <= b (or a < b when strict)."""
     aa, bb = as_approx(a), as_approx(b)
     av, bv = aa.real, bb.real
-    lo_gap = (bv - bb.err) - (av + aa.err)
-    hi_gap = (av - aa.err) - (bv + bb.err)
+    try:  # fsum rounds each gap once, so its sign is the exact sign
+        lo_gap = math.fsum((bv, -bb.err, -av, -aa.err))
+        hi_gap = math.fsum((av, -aa.err, -bv, -bb.err))
+    except (ValueError, OverflowError):  # inf - inf, or past the float range
+        return INCONCLUSIVE
     if strict:
         if lo_gap > 0.0:
             return PASS

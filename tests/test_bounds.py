@@ -1,12 +1,15 @@
-"""Envelope verifications: easy moments, eps-family, special line, |m| caps."""
+"""Envelope verifications: easy moments, eps-family, special line, |m| caps,
+the y0 bracket and the certified comparison they all rest on."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from mobius_bounds import bounds
 from mobius_bounds.analytic import ComplexParameter
-from mobius_bounds.util import FAIL, PASS
+from mobius_bounds.util import FAIL, INCONCLUSIVE, PASS, Approx, BracketError, cert_le
 
 
 def test_verify_easy_frozen_row(table_small):
@@ -152,6 +155,76 @@ def test_solve_y0_small_case():
     assert res.t_max > 1.0
     with pytest.raises(ValueError):
         bounds.solve_y0(2.0)
+
+
+@pytest.mark.parametrize("A", [100.0, 1e12])
+def test_solve_y0_brackets_the_root(A):
+    mpmath = pytest.importorskip("mpmath")
+    res = bounds.solve_y0(A)
+    with mpmath.workdps(40):
+        li_A = mpmath.li(A)
+        root = mpmath.findroot(
+            lambda y: y - (mpmath.log(y) - 1) * (mpmath.li(y) - li_A), res.y0
+        )
+        assert res.y_lo <= root <= res.y_hi
+    assert (res.y_hi - res.y_lo) / res.y_lo <= 1e-9
+    assert res.y0 == 0.5 * (res.y_lo + res.y_hi)
+    assert bounds.solve_y0(A) == res
+
+
+def test_li_enclosure_holds_mpmath_li():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    for y in [3.0, 1e12, 1e300] + [10.0 ** rng.uniform(0.5, 300.0) for _ in range(40)]:
+        got = bounds._li(y)
+        with mpmath.workdps(40):
+            assert abs(mpmath.li(y) - got.value) <= got.err, y
+        assert got.err <= 1e-11 * got.value, y
+
+
+def test_solve_y0_without_a_float_bracket():
+    # y0 / A grows with A (about 1365 at 1e12), so at A = 1e306 the root
+    # lies past the largest float and the doubling search overflows
+    with pytest.raises(BracketError):
+        bounds.solve_y0(1e306)
+    with pytest.raises(ValueError):
+        bounds.solve_y0(math.inf)
+
+
+def _exact_verdict(a, b, strict):
+    lo = Fraction(b.value) - Fraction(b.err) - Fraction(a.value) - Fraction(a.err)
+    hi = Fraction(a.value) - Fraction(a.err) - Fraction(b.value) - Fraction(b.err)
+    if lo > 0 or (lo == 0 and not strict):
+        return PASS
+    if hi > 0 or (hi == 0 and strict):
+        return FAIL
+    return INCONCLUSIVE
+
+
+def test_cert_le_decides_on_the_exact_sign_of_each_gap():
+    one = Approx(1.0, 0.0)
+    # lower end 1 - 2^-60: rounding each gap to nearest read pass (and, as
+    # the strict mirror, fail) where the exact gap is 2^-60 short
+    wide = Approx(1.0 + 2.0**-52, 2.0**-52 + 2.0**-60)
+    assert cert_le(one, wide) == INCONCLUSIVE
+    assert cert_le(wide, one, strict=True) == INCONCLUSIVE
+    tie = Approx(1.0 + 2.0**-52, 2.0**-52)  # lower end exactly 1
+    assert cert_le(one, tie) == PASS
+    assert cert_le(tie, one, strict=True) == FAIL
+    assert cert_le(one, tie, strict=True) == INCONCLUSIVE
+    assert cert_le(tie, one) == INCONCLUSIVE
+    assert cert_le(Approx(math.inf, math.inf), one) == INCONCLUSIVE  # inf - inf
+    # near-ties: each gap within a few ulp of 0, with radii that do not
+    # round away, against the exact gaps
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        av = rng.uniform(-4.0, 4.0)
+        a = Approx(av, rng.choice((0.0, math.ldexp(rng.random(), rng.randint(-70, -40)))))
+        berr = math.ldexp(rng.random(), rng.randint(-70, -40))
+        edge = av + a.err + berr if rng.random() < 0.5 else av - a.err - berr
+        b = Approx(edge + rng.randint(-3, 3) * math.ulp(edge), berr)
+        for strict in (False, True):
+            assert cert_le(a, b, strict) == _exact_verdict(a, b, strict), (a, b)
 
 
 def test_small_m_bounds_update_point(table_small):

@@ -138,6 +138,8 @@ def test_identity_checks_every_s(capsys):
         ["delta-sign", "--q", "1", "--X0", "inf"],
         ["delta-sign", "--q", "1", "--X0", "10.8", "--eps-max", "nan"],
         ["delta-sign", "--q", "inf", "--X0", "10.8"],
+        ["delta-sign", "--q", "1", "--X0", "10.8", "--cap", "nan"],
+        ["delta-sign", "--q", "1", "--X0", "10.8", "--cap", "inf"],
         ["harmonic", "--x-max", "inf"],
         ["sum", "--X", "inf"],
         ["sum", "--X", "10,1e400"],
@@ -253,11 +255,13 @@ def test_delta_sign_failure_exit(tmp_path):
     assert doc["failure"]["N"] == 10
 
 
-def test_delta_sign_caps_flag(capsys):
-    rc = main(["delta-sign", "--caps", "--q", "1", "--X0", "20", "--no-timestamp"])
+def test_delta_sign_caps_flag(tmp_path):
+    out = tmp_path / "cap.json"
+    rc = main(["delta-sign", "--cap", "0.014", "--q", "1", "--X0", "47", "--out", str(out)])
     assert rc == 0
-    rows = _rows(capsys.readouterr().out)
-    assert rows[0]["theorem_id"] == "delta-caps"
+    doc = json.loads(out.read_text())
+    assert doc["cap"] == "0.014"
+    assert doc["status"] == "certified_nonpositive"
 
 
 def test_harmonic_command(capsys):

@@ -196,6 +196,18 @@ def test_grid_blocks_carry_the_merge_across_window_edges(monkeypatch):
     assert np.diff(head).max() <= 64.0 * EPS * X
 
 
+def test_piece_cap_stays_below_where_the_merge_rule_drops_cuts():
+    """_ofd_pass refuses 2 floor(X) + 2 > _PIECE_CAP pieces.  At the largest
+    n = floor(X) it admits, the cut points nearest t = 1, X/n and X/(n - 1),
+    must lie more than 64 EPS X apart, or the merge rule drops the X/m there
+    (past X = 8.4e6; see the test above).  Their ratio to 64 EPS X does not
+    depend on X within [n, n + 1), so raising the cap fails here until that
+    rule is fixed."""
+    n = (identities._PIECE_CAP - 2) // 2
+    X = n + 0.5
+    assert X / (n - 1) - X / n > 64.0 * EPS * X
+
+
 # A cold catalog_check(euler_gamma) holds one block of pieces at a time and
 # a few float64 lookups of n + 1 entries: at most five live at once (f, S_f,
 # S_{f*g}, M and the harmonic numbers while the left side is summed; S_f,

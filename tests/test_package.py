@@ -42,7 +42,7 @@ PUBLIC = {
     "reports": ("BoundRow", "bound_row", "rows_to_csv"),
     "util": (
         "FAIL", "INCONCLUSIVE", "PASS", "Approx", "BracketError", "CapacityError",
-        "NearZeroError", "PrecisionError", "cert_le", "floor_int",
+        "NearZeroError", "cert_le", "floor_int",
     ),
 }
 SUBMODULES = (*PUBLIC, "cli")
@@ -78,16 +78,16 @@ def test_import_loads_no_numpy(stmt, modules):
 _BASE = ("cli", "util", "reports", "arith")
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        (["identity", "--name", "meissel", "--X", "10"], _BASE + ("identities",)),
-        (["sum", "--X", "10"], _BASE),
-        (["verify", "--suite", "harmonic:harmonic"], _BASE + ("harmonic",)),
-        (["verify", "--suite", "delta-sign:caps"], _BASE + ("analytic", "delta_sign")),
-        (["verify", "--suite", "bounds:small-m"], _BASE + ("analytic", "delta_sign", "bounds")),
-    ],
-)
+_COMMANDS = [
+    (["identity", "--name", "meissel", "--X", "10"], _BASE + ("identities",)),
+    (["sum", "--X", "10"], _BASE),
+    (["verify", "--suite", "harmonic:harmonic"], _BASE + ("harmonic",)),
+    (["verify", "--suite", "delta-sign:caps"], _BASE + ("analytic", "delta_sign")),
+    (["verify", "--suite", "bounds:small-m"], _BASE + ("analytic", "delta_sign", "bounds")),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _COMMANDS)
 def test_each_command_loads_only_what_it_runs(argv, modules):
     code = (
         "import contextlib, io, json, sys\n"
@@ -102,9 +102,24 @@ def test_each_command_loads_only_what_it_runs(argv, modules):
     assert loaded == sorted(f"mobius_bounds.{m}" for m in modules)
 
 
+def test_no_command_and_no_y0_solve_loads_scipy():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from mobius_bounds import bounds, cli\n"
+        "bounds.solve_y0(1e12)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv, _ in {_COMMANDS!r}]\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "print(json.dumps([codes, sorted(loaded)]))"
+    )
+    codes, loaded = _fresh(code)
+    assert codes == [0] * len(_COMMANDS)
+    assert loaded == []
+
+
 def test_public_names_are_the_published_set():
     assert set(mobius_bounds.__all__) == {n for names in PUBLIC.values() for n in names}
-    assert len(mobius_bounds.__all__) == 55
+    assert len(mobius_bounds.__all__) == 54
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))

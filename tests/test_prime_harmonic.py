@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from mobius_bounds import harmonic
 from mobius_bounds.harmonic import (
@@ -99,19 +98,19 @@ def test_stirling_eps():
 
 
 def test_sawtooth_log_integral_against_quadrature():
-    def f(t):
-        return (0.5 - (t - math.floor(t))) * math.log(t)
+    mpmath = pytest.importorskip("mpmath")
+
+    def antiderivative(c, t):
+        # of (c - t) log t, the sawtooth on [k, k + 1) with c = k + 1/2
+        return c * (t * mpmath.log(t) - t) - (t * t * mpmath.log(t) / 2 - t * t / 4)
 
     for X in (1.0, 1.5, 9.5, 11.0, 100.25, 2000.5):
-        want = 0.0
-        # integrate piecewise so quad never brackets a sawtooth jump
-        k = 1
-        while k < X:
-            hi = min(k + 1.0, X)
-            got, _ = quad(f, k, hi, limit=200)
-            want += got
-            k += 1
-        assert sawtooth_log_integral(X) == pytest.approx(want, abs=5e-9), X
+        with mpmath.workdps(50):
+            want = mpmath.mpf(0)
+            for k in range(1, math.ceil(X)):
+                c, hi = mpmath.mpf(k) + 0.5, min(mpmath.mpf(k + 1), mpmath.mpf(X))
+                want += antiderivative(c, hi) - antiderivative(c, mpmath.mpf(k))
+        assert sawtooth_log_integral(X) == pytest.approx(float(want), abs=5e-9), X
         assert abs(sawtooth_log_integral(X)) <= math.log(max(X, math.e)) / 8.0 + 1e-12
 
 
