@@ -1,32 +1,31 @@
 """Sieve tables and truncated Mobius / Chebyshev sums.
 
-The central object is an ArithmeticTable holding, for 0 <= n <= limit,
-
-    mu[n]              Mobius function (int8)
-    liouville[n]       Liouville function (-1)^Omega(n) (int8)
-
-and von Mangoldt's Lambda only where it is nonzero (7% of entries at 1e7),
-so a table costs about 3 bytes per entry:
+The central object is an ArithmeticTable holding the Mobius function
+mu[n] for 0 <= n <= limit (int8), and von Mangoldt's Lambda only where it
+is nonzero (7% of entries at 1e7), so a table costs about 2.3 bytes per
+entry:
 
     prime_powers[i]     the prime powers p^k <= limit, ascending (int64)
     prime_power_logs[i] Lambda there, log p (float64)
 
 The Mertens function and psi are derived, not stored: mertens(x) sums mu,
 psi_prefix (built on first use) holds psi at the prime powers only, and
-mangoldt(lo, hi) rebuilds a dense Lambda slice.
+mangoldt(lo, hi) rebuilds a dense Lambda slice.  Liouville's
+(-1)^Omega(n) is not held: liouville(lo, hi) sieves it again.
 
 There is one sieve, the generator sieve_blocks(lo, hi): it yields fresh
 (mu, liouville, mangoldt_log) arrays for each 2^19-entry segment of
-[lo, hi), with base primes <= isqrt(hi - 1), and build_table is its one
-consumer, keeping mu and liouville and the nonzero Lambda.  A segment
-builds no int64 array and divides nothing: Omega is counted in int8 over
-the base prime powers, lambda = 1 - 2 (Omega & 1) and mu = lambda times
-the squarefree flag.  The one prime factor above the base, if any, is found
-by a float32 sum of log p over the same strides, compared with log n less
-a slack of 0.5; a missing factor adds at least log 2 and the float32 error
-stays below 1e-4 up to LIMIT_BUDGET, so the test is exact (_sieve_segment
-states the bound).  Lambda keeps its two sources: math.log(p) at the powers
-of base primes, np.log of the float64 n at the primes above the base.
+[lo, hi), with base primes <= isqrt(hi - 1).  build_table keeps each
+segment's mu and nonzero Lambda, and table.liouville its liouville.  A
+segment builds no int64 array and divides nothing: Omega is counted in
+int8 over the base prime powers, lambda = 1 - 2 (Omega & 1) and mu =
+lambda times the squarefree flag.  The one prime factor above the base,
+if any, is found by a float32 sum of log p over the same strides,
+compared with log n less a slack of 0.5; a missing factor adds at least
+log 2 and the float32 error stays below 1e-4 up to LIMIT_BUDGET, so the
+test is exact (_sieve_segment states the bound).  Lambda keeps its two
+sources: math.log(p) at the powers of base primes, np.log of the float64
+n at the primes above the base.
 
 On top of the table live the weighted partial sums used everywhere else:
 
@@ -63,7 +62,7 @@ import numpy as np
 from .util import BLOCK, CapacityError, block_entries, floor_int, fsum_blocks
 
 SEGMENT = 1 << 19
-# ~3 bytes/entry in a table (2 for mu and liouville, 16 per prime power);
+# ~2.3 bytes/entry in a table (1 for mu, 16 per prime power);
 # it also bounds the float32 large-prime test of _sieve_segment
 LIMIT_BUDGET = 200_000_000
 
@@ -172,16 +171,14 @@ class ArithmeticTable:
         self,
         limit: int,
         mu: np.ndarray,
-        liouville: np.ndarray,
         prime_powers: np.ndarray,
         prime_power_logs: np.ndarray,
     ) -> None:
         self.limit = limit
         self.mu = mu
-        self.liouville = liouville
         self.prime_powers = prime_powers
         self.prime_power_logs = prime_power_logs
-        for arr in (mu, liouville, prime_powers, prime_power_logs):
+        for arr in (mu, prime_powers, prime_power_logs):
             arr.flags.writeable = False
         self._psi_prefix: np.ndarray | None = None
 
@@ -216,6 +213,18 @@ class ArithmeticTable:
         out[self.prime_powers[a:b] - lo] = self.prime_power_logs[a:b]
         return out
 
+    def liouville(self, lo: int, hi: int) -> np.ndarray:
+        """lambda(n) for lo <= n < hi as a fresh int8 array, lambda(0) = 0;
+        the table holds no lambda, so [lo, hi) is sieved again."""
+        if not 0 <= lo <= hi:
+            raise ValueError(f"bad lambda range [{lo}, {hi})")
+        self._check_range(hi - 1)
+        out = np.zeros(hi - lo, dtype=np.int8)
+        if max(lo, 1) < hi:
+            for start, _, seg, _ in sieve_blocks(max(lo, 1), hi):
+                out[start - lo : start - lo + seg.size] = seg
+        return out
+
     def mertens(self, x: float) -> int:
         """M(x) = sum_{n<=x} mu(n), summed from the table on each call."""
         n = floor_int(x)
@@ -239,11 +248,11 @@ def _integer(name: str, value) -> int:
 
 
 def build_table(limit: int) -> ArithmeticTable:
-    """Sieve mu and liouville up to limit, and Lambda at the prime powers.
+    """Sieve mu up to limit, and Lambda at the prime powers.
 
-    The one consumer of sieve_blocks: each segment's mu and liouville are
-    copied into the two dense arrays, and its nonzero Lambda entries are
-    kept with their n; the segment arrays are freed before the next one.
+    Each sieve_blocks segment's mu is copied into the dense array, and its
+    nonzero Lambda entries are kept with their n; the segment arrays are
+    freed before the next one.
     """
     limit = _integer("limit", limit)
     if limit < 1:
@@ -251,17 +260,14 @@ def build_table(limit: int) -> ArithmeticTable:
     blocks = sieve_blocks(1, limit + 1)
     n = limit + 1
     mu = np.zeros(n, dtype=np.int8)
-    liou = np.zeros(n, dtype=np.int8)
     powers, logs = [], []
     for start, seg_mu, seg_liou, seg_mangoldt in blocks:
-        end = start + seg_mu.size
-        mu[start:end] = seg_mu
-        liou[start:end] = seg_liou
+        mu[start : start + seg_mu.size] = seg_mu
         at = np.flatnonzero(seg_mangoldt)
         powers.append(at + start)
         logs.append(seg_mangoldt[at])
         del seg_mu, seg_liou, seg_mangoldt  # freed before the next segment
-    return ArithmeticTable(limit, mu, liou, np.concatenate(powers), np.concatenate(logs))
+    return ArithmeticTable(limit, mu, np.concatenate(powers), np.concatenate(logs))
 
 
 def sieve_blocks(

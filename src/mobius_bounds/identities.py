@@ -133,9 +133,9 @@ def _f_values(table: ArithmeticTable, spec: IdentitySpec, n: int) -> np.ndarray:
     if spec.f_id == "mobius_over_id":
         return table.mu[: n + 1] / idx
     if spec.f_id == "liouville":
-        return table.liouville[: n + 1].astype(np.float64)
+        return table.liouville(0, n + 1).astype(np.float64)
     if spec.f_id == "liouville_over_id":
-        return table.liouville[: n + 1] / idx
+        return table.liouville(0, n + 1) / idx
     if spec.f_id == "mangoldt":
         return table.mangoldt(0, n + 1)
     raise AssertionError(spec.f_id)
@@ -348,10 +348,11 @@ def evaluate_ofd(table: ArithmeticTable, spec: IdentitySpec, X: float) -> OfdRes
 
 
 def _ofd_pass(
-    table: ArithmeticTable, spec: IdentitySpec, X: float, visit=None
+    table: ArithmeticTable, spec: IdentitySpec, X: float, visit=None, f=None
 ) -> OfdResult:
     """evaluate_ofd, with visit(block) called on each grid block as well, so
-    that a catalog check sums its own integrals over the same pass."""
+    that a catalog check sums its own integrals over the same pass; f, if
+    given, holds the f values up to [X], which the check has read already."""
     if X < 1.0:
         raise ValueError("X must be >= 1")
     n = floor_int(X)
@@ -359,7 +360,8 @@ def _ofd_pass(
     if 2 * n + 2 > _PIECE_CAP:
         raise CapacityError(f"X={X:g} generates more than {_PIECE_CAP} pieces")
 
-    f = _f_values(table, spec, n)
+    if f is None:
+        f = _f_values(table, spec, n)
     sf = np.cumsum(f)  # S_f at integers
     sfg = convolution_prefix(table, spec, n)
     dirac = spec.h_id == "dirac_at_1"
@@ -496,17 +498,13 @@ def _gamma_brackets(table: ArithmeticTable, n: int, printed: ExactSum, fixed: Ex
 
 
 def _liouville_integrals(
-    table: ArithmeticTable,
-    X: float,
-    n: int,
-    frac: ExactSum,
-    lam: ExactSum,
-    floor: ExactSum,
+    liou: np.ndarray, X: float, frac: ExactSum, lam: ExactSum, floor: ExactSum
 ):
     """A grid visitor that adds to frac and lam the two integrals of the
     printed form, int {X/t} dt/t^2 and int S_lam(X/t) {t} dt/t, and to floor
-    the raw right side with S_{lam*1}(X/t) replaced by [X/t], as published."""
-    s_lam = np.cumsum(table.liouville[: n + 1], dtype=np.float64)
+    the raw right side with S_{lam*1}(X/t) replaced by [X/t], as published;
+    liou holds lambda up to [X]."""
+    s_lam = np.cumsum(liou, dtype=np.float64)
 
     def visit(b: _Block) -> None:
         m_lr = b.m * b.lr  # [X/t]/t on the piece, integrated
@@ -610,11 +608,11 @@ def catalog_check(
             "(alt_residual) matches the raw identity"
         )
     elif name == "liouville":
+        # lambda is sieved once, for the pass and both sides
+        liou = table.liouville(0, n + 1)
         frac, lam, floor = ExactSum(), ExactSum(), ExactSum()
-        ofd = _ofd_pass(
-            table, spec, X, _liouville_integrals(table, X, n, frac, lam, floor)
-        )
-        liou = table.liouville
+        visit = _liouville_integrals(liou, X, frac, lam, floor)
+        ofd = _ofd_pass(table, spec, X, visit, liou.astype(np.float64))
         lam_over_n = _sum_over_n(n, lambda nn, sl: liou[sl] / nn)
         lhs = lam_over_n - _sum_over_n(n, lambda nn, sl: liou[sl]) / X
         # 2/sqrt(X) - 1/X - (1/X) int {X/t} dt/t + (1/X) int S_lam(X/t) {t} dt/t

@@ -170,26 +170,47 @@ def as_approx(x: "Approx | float", err: float = 0.0) -> Approx:
     return Approx(float(x), err)
 
 
+def _rounded(val, err: float, rel: float) -> Approx:
+    """val with radius (err + rel |val|)(1 + 16 EPS), rel |val| bounding
+    val's own rounding.  Forming the radius lowers it by at most 10 EPS
+    relative along any path: abs within 1 ulp, a product, sum or quotient
+    within EPS/2 each, the divisor |b| - b.err within 2 EPS (|b| > 4 b.err)
+    and |a/b| read off the rounded quotient within 4 EPS; the factor covers
+    that, no underflow or overflow assumed."""
+    return Approx(val, (err + rel * abs(val)) * (1.0 + 16.0 * EPS))
+
+
 def approx_div(a: Approx, b: Approx) -> Approx:
-    """a/b with first-order error propagation; refuses near-zero divisors."""
+    """a/b; refuses near-zero divisors.  A/B - a/b = ((A - a) b - a (B -
+    b))/(B b), so |A/B - a/b| <= (a.err + |a/b| b.err)/(|b| - b.err).  A
+    real quotient rounds by at most EPS |a/b|; CPython's complex one
+    (Smith's method) by at most 3 EPS to first order (the rounded ratio
+    moves it by EPS/2, the numerator by 1.71 EPS/2, the denominator by EPS
+    and the two divisions by EPS/2), so 4 EPS."""
     bv = abs(b.value)
     if bv <= 4.0 * b.err:
         raise NearZeroError(
             f"divisor {b.value!r} smaller than 4x its error bound {b.err:g}"
         )
     val = a.value / b.value
-    err = (a.err + abs(val) * b.err) / (bv - b.err)
-    return Approx(val, err)
+    rel = 4.0 * EPS if isinstance(val, complex) else EPS
+    return _rounded(val, (a.err + abs(val) * b.err) / (bv - b.err), rel)
 
 
 def approx_mul(a: Approx, b: Approx) -> Approx:
+    """a*b.  |AB - ab| <= |a| b.err + |b| a.err + a.err b.err.  A real
+    product rounds by at most EPS |ab|, CPython's complex one (the parts'
+    products and sums) by at most sqrt(5) EPS/2 (Brent, Percival and
+    Zimmermann, Math. Comp. 76, 2007), so 2 EPS."""
     val = a.value * b.value
     err = abs(a.value) * b.err + abs(b.value) * a.err + a.err * b.err
-    return Approx(val, err)
+    return _rounded(val, err, 2.0 * EPS if isinstance(val, complex) else EPS)
 
 
 def approx_add(a: Approx, b: Approx) -> Approx:
-    return Approx(a.value + b.value, a.err + b.err)
+    """a + b.  The radii add; the sum rounds each part by at most EPS/2 of
+    its size, so by EPS |a + b|, complex or not."""
+    return _rounded(a.value + b.value, a.err + b.err, EPS)
 
 
 def cert_le(a: "Approx | float", b: "Approx | float", strict: bool = False) -> str:

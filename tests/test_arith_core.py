@@ -65,10 +65,11 @@ def test_mu_against_brute_force(table_small):
 def test_liouville_and_mangoldt(table_small):
     # lambda(n) = (-1)^Omega(n); Lambda(n) = log p exactly at prime powers
     mangoldt = table_small.mangoldt(0, 400)
+    liouville = table_small.liouville(0, 400)
     for n in range(1, 400):
         f = _factorize(n) if n > 1 else {}
         omega = sum(f.values())
-        assert table_small.liouville[n] == (-1) ** omega
+        assert liouville[n] == (-1) ** omega
         if len(f) == 1:
             p = next(iter(f))
             assert mangoldt[n] == pytest.approx(math.log(p), abs=1e-15)
@@ -179,11 +180,11 @@ TABLE_PINS = {
 }
 
 
-# the pinned arrays as read from a table: Lambda rebuilt dense through its
-# accessor, and the Mertens prefix as the int64 cumsum of mu
+# the pinned arrays as read from a table: Lambda and lambda rebuilt dense
+# through their accessors, and the Mertens prefix as the int64 cumsum of mu
 PINNED_ARRAYS = {
     "mu": lambda t: t.mu,
-    "liouville": lambda t: t.liouville,
+    "liouville": lambda t: t.liouville(0, t.limit + 1),
     "mangoldt_log": lambda t: t.mangoldt(0, t.limit + 1),
     "mertens_prefix": lambda t: np.cumsum(t.mu, dtype=np.int64),
 }
@@ -224,11 +225,13 @@ def test_sieve_edges_against_trial_division():
     for edge in (1, SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1, limit):
         ns = range(max(edge - 40, 1), min(edge + 41, limit + 1))
         sl = slice(ns.start, ns.stop)
-        _assert_oracle(ns, table.mu[sl], table.liouville[sl], table.mangoldt(ns.start, ns.stop))
+        _assert_oracle(ns, table.mu[sl], table.liouville(ns.start, ns.stop),
+                       table.mangoldt(ns.start, ns.stop))
     for limit in range(1, 65):
         table = build_table(limit)
         ns = range(1, limit + 1)
-        _assert_oracle(ns, table.mu[1:], table.liouville[1:], table.mangoldt(1, limit + 1))
+        _assert_oracle(ns, table.mu[1:], table.liouville(1, limit + 1),
+                       table.mangoldt(1, limit + 1))
         assert table.mertens(limit) == sum(_mu_brute(n) for n in ns)
     for lo, hi in ((2**27 - 40, 2**27 + 41), (3 * 2**25 - 40, 3 * 2**25 + 41),
                    (LIMIT_BUDGET - 200, LIMIT_BUDGET + 1)):
@@ -241,10 +244,47 @@ def test_sieve_blocks_from_unaligned_start_equal_table_slices(table_big):
     lo, hi = 123_457, table_big.limit + 1
     blocks = list(sieve_blocks(lo, hi))
     assert [b[0] for b in blocks] == list(range(lo, hi, SEGMENT))
-    slices = (table_big.mu[lo:hi], table_big.liouville[lo:hi], table_big.mangoldt(lo, hi))
+    slices = (table_big.mu[lo:hi], table_big.liouville(lo, hi), table_big.mangoldt(lo, hi))
     for i, want in enumerate(slices, start=1):
         got = np.concatenate([b[i] for b in blocks])
         assert got.tobytes() == want.tobytes(), i
+
+
+def test_liouville_is_sieved_again_on_each_read(table_small):
+    """table.liouville(lo, hi) is a fresh, writable int8 array, read from no
+    table array; lambda(0) = 0, and the range is checked like mangoldt's."""
+    limit = table_small.limit
+    assert table_small.liouville(0, 1).tolist() == [0]
+    assert table_small.liouville(0, 11).tolist() == [0, 1, -1, -1, 1, -1, 1, -1, -1, 1, 1]
+    for lo in (0, 1, 7, limit + 1):
+        empty = table_small.liouville(lo, lo)
+        assert empty.dtype == np.int8 and empty.size == 0
+    whole = table_small.liouville(0, limit + 1)
+    assert whole.dtype == np.int8 and whole.flags.writeable and whole.flags.owndata
+    assert not any(np.shares_memory(whole, a) for a in vars(table_small).values()
+                   if isinstance(a, np.ndarray))
+    whole[:] = 5  # the next read is sieved again, not this array
+    assert table_small.liouville(9_990, limit + 1).tolist() == [
+        _oracle(n)[1] for n in range(9_990, limit + 1)
+    ]
+    with pytest.raises(CapacityError):
+        table_small.liouville(0, limit + 2)
+    with pytest.raises(CapacityError):
+        table_small.liouville(limit + 2, limit + 2)
+    for lo, hi in ((5, 4), (-1, 3), (-2, -2)):
+        with pytest.raises(ValueError):
+            table_small.liouville(lo, hi)
+
+
+def test_table_holds_mu_and_the_prime_powers_only():
+    table = build_table(1000)
+
+    def arrays():
+        return {k for k, v in vars(table).items() if isinstance(v, np.ndarray)}
+
+    assert arrays() == {"mu", "prime_powers", "prime_power_logs"}
+    table.psi_prefix  # noqa: B018 -- built here, on first use
+    assert arrays() == {"mu", "prime_powers", "prime_power_logs", "_psi_prefix"}
 
 
 def test_capacity_guards(table_small):
@@ -282,10 +322,10 @@ def test_sieve_takes_integers_only():
 # as the peak above the table held after build_table(4 * SEGMENT).
 SEGMENT_WORKING_SET = 24 * SEGMENT
 
-# A table holds mu and liouville (1 byte per entry each) and 16 bytes per
-# prime power (7.9% of entries at 1e6): 3.26 bytes per entry measured at
-# 1e6, 3.13 at 4 * 2^20.  Any dense 8-byte array would exceed it.
-TABLE_BYTES_PER_ENTRY = 4
+# A table holds mu (1 byte per entry) and 16 bytes per prime power (7.9% of
+# entries at 1e6): 2.26 bytes per entry measured at 1e6, 2.19 at 4 * 2^19.
+# Any dense array added back, even an int8 one, would exceed it.
+TABLE_BYTES_PER_ENTRY = 3
 
 
 def test_build_table_holds_no_full_length_temporaries():

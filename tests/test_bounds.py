@@ -9,7 +9,17 @@ import pytest
 
 from mobius_bounds import bounds
 from mobius_bounds.analytic import ComplexParameter
-from mobius_bounds.util import FAIL, INCONCLUSIVE, PASS, Approx, BracketError, cert_le
+from mobius_bounds.util import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    Approx,
+    BracketError,
+    approx_add,
+    approx_div,
+    approx_mul,
+    cert_le,
+)
 
 
 def test_verify_easy_frozen_row(table_small):
@@ -225,6 +235,69 @@ def test_cert_le_decides_on_the_exact_sign_of_each_gap():
         b = Approx(edge + rng.randint(-3, 3) * math.ulp(edge), berr)
         for strict in (False, True):
             assert cert_le(a, b, strict) == _exact_verdict(a, b, strict), (a, b)
+
+
+def _parts(z):
+    """(real, imaginary) of a float or complex as exact Fractions."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+# the exact operations on (real, imaginary) Fraction pairs
+EXACT_OPS = {
+    approx_add: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    approx_mul: lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+    approx_div: lambda a, b: (
+        (a[0] * b[0] + a[1] * b[1]) / (b[0] ** 2 + b[1] ** 2),
+        (a[1] * b[0] - a[0] * b[1]) / (b[0] ** 2 + b[1] ** 2),
+    ),
+}
+
+
+def _encloses(got, exact):
+    v = _parts(got.value)
+    return (exact[0] - v[0]) ** 2 + (exact[1] - v[1]) ** 2 <= Fraction(got.err) ** 2
+
+
+def _operand(rng, complex_value):
+    """A seeded Approx: real or complex, of any scale, radius 0 or small."""
+    scale = 2.0 ** rng.randint(-30, 30)
+    value = rng.uniform(-4.0, 4.0) * scale
+    if complex_value:
+        value = complex(value, rng.uniform(-4.0, 4.0) * scale)
+    err = rng.choice((0.0, abs(value) * math.ldexp(rng.random(), rng.randint(-60, -20))))
+    return Approx(value, err)
+
+
+def _corners(x):
+    """Points within x.err of x.value: the ends, or eight on the circle."""
+    if not isinstance(x.value, complex):
+        return [_parts(x.value + sign * x.err) for sign in (-1, 1)]
+    v, r = _parts(x.value), Fraction(x.err)
+    dirs = [(1, 0), (0, 1), (-1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+            (Fraction(-4, 5), Fraction(3, 5)), (Fraction(-3, 5), Fraction(-4, 5)),
+            (Fraction(4, 5), Fraction(-3, 5))]
+    return [(v[0] + r * c, v[1] + r * s) for c, s in dirs]
+
+
+def test_approx_ops_add_their_own_rounding():
+    """0.1 + 0.2 rounds, so its radius is not 0; and on a seeded sample of
+    real and complex operands the exact result, for the operands' values and
+    for points within their radii, lies inside the returned radius."""
+    tenth, fifth = Approx(0.1, 0.0), Approx(0.2, 0.0)
+    got = approx_add(tenth, fifth)
+    exact = Fraction(0.1) + Fraction(0.2)
+    assert got.value == 0.30000000000000004 and Fraction(got.value) != exact
+    assert got.err > 0.0 and _encloses(got, (exact, 0))
+    rng = random.Random(19)
+    for _ in range(3000):
+        op = rng.choice(list(EXACT_OPS))
+        a, b = (_operand(rng, rng.random() < 0.5) for _ in range(2))
+        got = op(a, b)
+        assert _encloses(got, EXACT_OPS[op](_parts(a.value), _parts(b.value))), (op, a, b)
+        for pa in _corners(a)[::3]:
+            for pb in _corners(b)[::3]:
+                assert _encloses(got, EXACT_OPS[op](pa, pb)), (op, a, b, pa, pb)
 
 
 def test_small_m_bounds_update_point(table_small):

@@ -260,8 +260,11 @@ def _analytic_outputs(table):
         yield bounds.verify_dex(table, X, q, ComplexParameter(s, 0.5), which)
 
 
-# sha256 of the newline-joined repr of _analytic_outputs(table_mid)
-ANALYTIC_PIN = "96b731ca32ce1e90bc9d6a21ba6dcc13dc042829dcd91c2809cc1a4a79fe53c0"
+# sha256 of the newline-joined repr of _analytic_outputs(table_mid);
+# re-captured when approx_add, approx_mul and approx_div began to add their
+# own rounding: every value stayed bit-identical, and 77 radii rose by at
+# most 2.8%
+ANALYTIC_PIN = "dbf67c2cb785e03ed3b904565f6472d0f61f69513ef4ee8c568e5f951d80a309"
 
 
 def test_analytic_outputs_match_pin(table_mid):
