@@ -13,19 +13,20 @@ psi_prefix (built on first use) holds psi at the prime powers only, and
 mangoldt(lo, hi) rebuilds a dense Lambda slice.  Liouville's
 (-1)^Omega(n) is not held: liouville(lo, hi) sieves it again.
 
-There is one sieve, the generator sieve_blocks(lo, hi): it yields fresh
-(mu, liouville, mangoldt_log) arrays for each 2^19-entry segment of
-[lo, hi), with base primes <= isqrt(hi - 1).  build_table keeps each
-segment's mu and nonzero Lambda, and table.liouville its liouville.  A
-segment builds no int64 array and divides nothing: Omega is counted in
-int8 over the base prime powers, lambda = 1 - 2 (Omega & 1) and mu =
-lambda times the squarefree flag.  The one prime factor above the base,
-if any, is found by a float32 sum of log p over the same strides,
-compared with log n less a slack of 0.5; a missing factor adds at least
-log 2 and the float32 error stays below 1e-4 up to LIMIT_BUDGET, so the
-test is exact (_sieve_segment states the bound).  Lambda keeps its two
-sources: math.log(p) at the powers of base primes, np.log of the float64
-n at the primes above the base.
+There is one sieve, the generator sieve_blocks(lo, hi): for each
+2^19-entry segment of [lo, hi), with base primes <= isqrt(hi - 1), it
+yields fresh dense mu and liouville (int8) and the segment's Lambda,
+sparse: the prime powers' offsets, ascending, and log p at each.
+build_table keeps each segment's mu and Lambda, and table.liouville its
+liouville.  A segment holds one int32 array of products, in which each base
+prime power p^k multiplies its stride by -p: the product's absolute value
+is the base-smooth part of n, exact since it divides n < 2^31, and its sign
+is (-1)^Omega of that part.  n has a prime factor above the base iff that
+part is below n, an integer comparison; the factor flips lambda once more,
+and mu = lambda times the squarefree flag.  A segment costs about 12 bytes
+per entry while it is built.  Lambda keeps its two sources: math.log(p) at
+the powers of base primes, np.log of the float64 n at the primes above the
+base.
 
 On top of the table live the weighted partial sums used everywhere else:
 
@@ -62,8 +63,8 @@ import numpy as np
 from .util import BLOCK, CapacityError, block_entries, floor_int, fsum_blocks
 
 SEGMENT = 1 << 19
-# ~2.3 bytes/entry in a table (1 for mu, 16 per prime power);
-# it also bounds the float32 large-prime test of _sieve_segment
+# ~2.3 bytes/entry in a table (1 for mu, 16 per prime power); below 2^31,
+# so _sieve_segment's int32 products and the n they are compared with fit
 LIMIT_BUDGET = 200_000_000
 
 
@@ -221,7 +222,7 @@ class ArithmeticTable:
         self._check_range(hi - 1)
         out = np.zeros(hi - lo, dtype=np.int8)
         if max(lo, 1) < hi:
-            for start, _, seg, _ in sieve_blocks(max(lo, 1), hi):
+            for start, _, seg, _, _ in sieve_blocks(max(lo, 1), hi):
                 out[start - lo : start - lo + seg.size] = seg
         return out
 
@@ -251,8 +252,10 @@ def build_table(limit: int) -> ArithmeticTable:
     """Sieve mu up to limit, and Lambda at the prime powers.
 
     Each sieve_blocks segment's mu is copied into the dense array, and its
-    nonzero Lambda entries are kept with their n; the segment arrays are
-    freed before the next one.
+    sparse Lambda is kept with the offsets moved to n, as int32 (n <=
+    LIMIT_BUDGET < 2^31) until the one int64 copy at the end, which keeps
+    the pieces and the table's prime powers from both being 8 bytes wide
+    at once; the dense segment arrays are freed before the next one.
     """
     limit = _integer("limit", limit)
     if limit < 1:
@@ -261,24 +264,27 @@ def build_table(limit: int) -> ArithmeticTable:
     n = limit + 1
     mu = np.zeros(n, dtype=np.int8)
     powers, logs = [], []
-    for start, seg_mu, seg_liou, seg_mangoldt in blocks:
+    for start, seg_mu, seg_liou, offsets, seg_logs in blocks:
         mu[start : start + seg_mu.size] = seg_mu
-        at = np.flatnonzero(seg_mangoldt)
-        powers.append(at + start)
-        logs.append(seg_mangoldt[at])
-        del seg_mu, seg_liou, seg_mangoldt  # freed before the next segment
-    return ArithmeticTable(limit, mu, np.concatenate(powers), np.concatenate(logs))
+        offsets += start
+        powers.append(offsets.astype(np.int32))
+        logs.append(seg_logs)
+        del seg_mu, seg_liou, offsets  # freed before the next segment
+    powers = np.concatenate(powers, dtype=np.int64)
+    return ArithmeticTable(limit, mu, powers, np.concatenate(logs))
 
 
 def sieve_blocks(
     lo: int, hi: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Iterate (start, mu, liouville, mangoldt_log) over SEGMENT slices of [lo, hi).
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Iterate (start, mu, liouville, offsets, logs) over SEGMENT slices of [lo, hi).
 
-    Each segment covers n in [start, start + len(mu)); the arrays are fresh
-    (int8, int8, float64) and owned by the caller.  The base primes are
-    those <= isqrt(hi - 1), so every n in the range has at most one prime
-    factor above the base.  The range is checked here, before any array is
+    Each segment covers n in [start, start + len(mu)).  mu and liouville
+    are dense int8; Lambda is sparse: offsets (int64, strictly increasing)
+    are the n - start of the prime powers n in the segment, and logs
+    (float64) holds Lambda(n) = log p at each.  The arrays are fresh and
+    owned by the caller.  The base primes are those <= isqrt(hi - 1), so
+    every n in the range has at most one prime factor above the base.  The range is checked here, before any array is
     built: lo and hi are integers (not bools) with 1 <= lo < hi and
     hi - 1 <= LIMIT_BUDGET.
     """
@@ -301,32 +307,25 @@ def _segments(lo: int, hi: int):
 
 
 def _sieve_segment(start: int, end: int, base: list[int], logs: list[float]):
-    """mu, liouville and mangoldt_log for n in [start, end).
+    """mu, liouville and the sparse Lambda (offsets, logs) for n in [start, end).
 
     The base holds the primes <= isqrt(hi - 1) for the range's end hi, so
-    every n here has at most one prime factor above the base.  Over the
-    stride of each base prime power p^k, omega counts one and logsum adds
-    the float32 log p: omega is Omega(n) without that large prime, and
-    logsum the log of n's base-smooth part.  n has a large prime factor iff
-    logsum < log n (float32) - 0.5, and this test is exact:
-      - a missing factor is a prime above the base, so at least 2, and the
-        exact logs then differ by at least log 2 > 0.693;
-      - logsum has at most 27 terms (n <= LIMIT_BUDGET < 2^28), each within
-        2^-24 relative of log p, and each float32 addition rounds by at most
-        2^-24 relative, so it is within 4e-5 of the exact sum (< 19.2);
-      - n in float32 (arange of the offsets, exact below 2^24, plus start)
-        is within 2^-23 relative of n; numpy's float32 log is within a few
-        ulp (2e-6 each below 32), so log n - 0.5 is within 2e-5;
-    so the slack of 0.5 lies more than 0.19 inside both cases.  An untouched
-    n > 1 (omega = 0) is prime.  Lambda keeps two sources: base prime
-    powers p^k in the segment get math.log(p), and the primes found here
-    np.log of the float64 n.
+    every n here has at most one prime factor above the base.  The int32
+    array prod starts at 1, and each base prime power p^k multiplies its
+    stride by -p, so |prod| is the base-smooth part of n and its sign is
+    (-1)^Omega of that part.  |prod| divides n, and n <= LIMIT_BUDGET <
+    2^31, so no product overflows and the test for the large prime factor
+    is exact: n has one iff |prod| < n.  That factor flips lambda once
+    more, and mu = lambda times the squarefree flag (a prime above the base
+    divides n at most once).  Lambda is returned at its nonzero entries
+    only, as ascending offsets from start with log p at each: base prime
+    powers p^k in the segment get math.log(p), and the primes above the
+    base (prod = 1 and n > 1) np.log of the float64 n.
     """
     length = end - start
-    omega = np.zeros(length, dtype=np.int8)
-    logsum = np.zeros(length, dtype=np.float32)
+    prod = np.ones(length, dtype=np.int32)
     squarefree = np.ones(length, dtype=bool)
-    mangoldt = np.zeros(length, dtype=np.float64)
+    offsets, power_logs = [], []
     for p, logp in zip(base, logs):
         if p >= end:
             break
@@ -334,24 +333,34 @@ def _sieve_segment(start: int, end: int, base: list[int], logs: list[float]):
         while pk < end:
             first = (-start) % pk
             if first < length:
-                omega[first::pk] += 1
-                logsum[first::pk] += logp
+                prod[first::pk] *= -p
                 if pk >= start:
-                    mangoldt[pk - start] = logp
+                    offsets.append(pk - start)
+                    power_logs.append(logp)
             pk *= p
         squarefree[(-start) % (p * p) :: p * p] = False
 
-    primes = np.flatnonzero(omega == 0)  # and n = 1, whose log is 0.0
-    mangoldt[primes] = np.log((primes + start).astype(np.float64))
+    primes = np.flatnonzero(prod == 1)
+    if start == 1:
+        primes = primes[1:]  # n = 1
+    # the primes are many and the base prime powers few (no n is both),
+    # so the powers go into the primes
+    order = np.argsort(offsets)
+    offsets = np.array(offsets, dtype=np.int64)[order]
+    at = np.searchsorted(primes, offsets)
+    prime_logs = np.log((primes + start).astype(np.float64))
+    offsets = np.insert(primes, at, offsets)
+    power_logs = np.insert(prime_logs, at, np.array(power_logs)[order])
 
-    # float32 arange is exact only below 2^24, so offsets, then start
-    threshold = np.arange(length, dtype=np.float32)
-    threshold += start
-    np.log(threshold, out=threshold)
-    threshold -= 0.5
-    omega += logsum < threshold
-    liouville = 1 - 2 * (omega & 1)
-    return liouville * squarefree, liouville, mangoldt
+    # in place: a new array here raises the segment's peak
+    odd = prod < 0
+    np.abs(prod, out=prod)
+    odd ^= prod < np.arange(start, end, dtype=np.int32)
+    del prod
+    liouville = odd.view(np.int8)
+    liouville *= -2
+    liouville += 1
+    return liouville * squarefree, liouville, offsets, power_logs
 
 
 # ----------------------------------------------------------------------

@@ -300,7 +300,9 @@ def _grid_blocks(X: float):
     while k <= n or m >= 1:
         ints = np.arange(k, min(k + BLOCK, n + 1), dtype=np.float64)
         vals = X / np.arange(m, max(m - BLOCK, 0), -1, dtype=np.float64)
-        pts = np.unique(np.concatenate((ints, vals)))[:BLOCK]
+        # sorted and distinct, as np.unique gives them (it would load numpy.ma)
+        pts = np.sort(np.concatenate((ints, vals)))
+        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))][:BLOCK]
         k += int(np.searchsorted(ints, pts[-1], "right"))
         m -= int(np.searchsorted(vals, pts[-1], "right"))
         # a floor_int that snaps n above X puts n above X and X/n below 1
@@ -347,19 +349,25 @@ def evaluate_ofd(table: ArithmeticTable, spec: IdentitySpec, X: float) -> OfdRes
     return _ofd_pass(table, spec, X)
 
 
-def _ofd_pass(
-    table: ArithmeticTable, spec: IdentitySpec, X: float, visit=None, f=None
-) -> OfdResult:
-    """evaluate_ofd, with visit(block) called on each grid block as well, so
-    that a catalog check sums its own integrals over the same pass; f, if
-    given, holds the f values up to [X], which the check has read already."""
+def _grid_size(table: ArithmeticTable, X: float) -> int:
+    """[X], after checking that X >= 1, that the table reaches [X] and that
+    the grid of [1, X] stays within _PIECE_CAP pieces."""
     if X < 1.0:
         raise ValueError("X must be >= 1")
     n = floor_int(X)
     table._check_range(n)
     if 2 * n + 2 > _PIECE_CAP:
         raise CapacityError(f"X={X:g} generates more than {_PIECE_CAP} pieces")
+    return n
 
+
+def _ofd_pass(
+    table: ArithmeticTable, spec: IdentitySpec, X: float, visit=None, f=None
+) -> OfdResult:
+    """evaluate_ofd, with visit(block) called on each grid block as well, so
+    that a catalog check sums its own integrals over the same pass; f, if
+    given, holds the f values up to [X], which the check has read already."""
+    n = _grid_size(table, X)
     if f is None:
         f = _f_values(table, spec, n)
     sf = np.cumsum(f)  # S_f at integers
@@ -543,9 +551,7 @@ def catalog_check(
     The raw form and the printed form's integrals share one pass over the
     grid.
     """
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
-    n = floor_int(X)
+    n = _grid_size(table, X)  # before any sum
     mu = table.mu
     mval = m_q(table, X, 1)
     Mval = float(table.mertens(X))

@@ -207,6 +207,19 @@ def _oracle(n):
     return _mu_brute(n), (-1) ** sum(f.values()), mangoldt
 
 
+def _dense_mangoldt(size, offsets, logs):
+    """A sieve_blocks segment's sparse Lambda as a dense float64 array of
+    length size, after checking the layout: int64 offsets in [0, size) that
+    strictly increase, and one positive float64 log per offset."""
+    assert offsets.dtype == np.int64 and logs.dtype == np.float64
+    assert offsets.shape == logs.shape and np.all(logs > 0.0)
+    assert np.all(np.diff(offsets) > 0)
+    assert offsets.size == 0 or 0 <= offsets[0] <= offsets[-1] < size
+    out = np.zeros(size)
+    out[offsets] = logs
+    return out
+
+
 def _assert_oracle(ns, mu, liouville, mangoldt):
     for n, m, lam, lg in zip(ns, mu.tolist(), liouville.tolist(), mangoldt.tolist()):
         want_mu, want_lam, want_lg = _oracle(n)
@@ -215,11 +228,12 @@ def _assert_oracle(ns, mu, liouville, mangoldt):
 
 
 def test_sieve_edges_against_trial_division():
-    """At the segment edges, at the limit, at every limit up to 64 (where
-    the base is empty or {2}, so the missing prime may be 2 and the log 2
-    margin is tight), around 2^27 and 3*2^25 (the most float32 terms, 27
-    and 26, below LIMIT_BUDGET) and over the last entries up to
-    LIMIT_BUDGET (the largest n in the float32 test)."""
+    """At the segment edges, at the limit, at every limit up to 64 (among
+    them those whose base is empty or {2}, so the large prime factor may be
+    2 or 3), around
+    2^27 and 3*2^25 (the most base prime factors, 27 and 26, below
+    LIMIT_BUDGET, so the longest int32 products) and over the last entries
+    up to LIMIT_BUDGET (the largest products, nearest 2^31)."""
     limit = 3 * SEGMENT + 5
     table = build_table(limit)
     for edge in (1, SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1, limit):
@@ -235,14 +249,16 @@ def test_sieve_edges_against_trial_division():
         assert table.mertens(limit) == sum(_mu_brute(n) for n in ns)
     for lo, hi in ((2**27 - 40, 2**27 + 41), (3 * 2**25 - 40, 3 * 2**25 + 41),
                    (LIMIT_BUDGET - 200, LIMIT_BUDGET + 1)):
-        (start, mu, liouville, mangoldt), = sieve_blocks(lo, hi)
+        (start, mu, liouville, offsets, logs), = sieve_blocks(lo, hi)
         assert start == lo
-        _assert_oracle(range(lo, hi), mu, liouville, mangoldt)
+        _assert_oracle(range(lo, hi), mu, liouville,
+                       _dense_mangoldt(hi - lo, offsets, logs))
 
 
 def test_sieve_blocks_from_unaligned_start_equal_table_slices(table_big):
     lo, hi = 123_457, table_big.limit + 1
-    blocks = list(sieve_blocks(lo, hi))
+    blocks = [(start, mu, liouville, _dense_mangoldt(mu.size, offsets, logs))
+              for start, mu, liouville, offsets, logs in sieve_blocks(lo, hi)]
     assert [b[0] for b in blocks] == list(range(lo, hi, SEGMENT))
     slices = (table_big.mu[lo:hi], table_big.liouville(lo, hi), table_big.mangoldt(lo, hi))
     for i, want in enumerate(slices, start=1):
@@ -312,15 +328,19 @@ def test_sieve_takes_integers_only():
             sieve_blocks(lo, hi)
     with pytest.raises(CapacityError):
         sieve_blocks(1, LIMIT_BUDGET + 2)
-    start, mu, _, _ = next(sieve_blocks(np.int32(1), np.int64(5)))
+    start, mu, *_ = next(sieve_blocks(np.int32(1), np.int64(5)))
     assert start == 1 and mu.tolist() == [1, -1, -1, 0]
 
 
-# A segment's working set: its output (10 bytes per entry) plus omega,
-# logsum, the squarefree flags, the float32 threshold and int8/bool
-# temporaries; 20.1 bytes per entry (10.0 MiB) measured at SEGMENT = 2^19,
-# as the peak above the table held after build_table(4 * SEGMENT).
-SEGMENT_WORKING_SET = 24 * SEGMENT
+# A segment's working set: its dense output (mu and lambda, 2 bytes per
+# entry) plus the int32 products, the squarefree flags, the int32 n they
+# are compared with and bool temporaries; 11.2 bytes per entry (5.6 MiB)
+# measured at SEGMENT = 2^19, as the peak above the table held after
+# build_table(4 * SEGMENT), and 11.3 after build_table(1e6).  A dense
+# float64 segment array put back (20.1 bytes per entry while the sieve
+# kept a dense Lambda) fails both tests below, and new arrays in place of
+# the in-place parity steps (15.3 at 1e6) fail the second.
+SEGMENT_WORKING_SET = 13 * SEGMENT
 
 # A table holds mu (1 byte per entry) and 16 bytes per prime power (7.9% of
 # entries at 1e6): 2.26 bytes per entry measured at 1e6, 2.19 at 4 * 2^19.
@@ -387,9 +407,9 @@ def dense_big(table_big):
     n = table_big.limit + 1
     mu = np.zeros(n, dtype=np.int8)
     mangoldt = np.zeros(n)
-    for start, seg_mu, _, seg_mangoldt in sieve_blocks(1, n):
+    for start, seg_mu, _, offsets, logs in sieve_blocks(1, n):
         mu[start : start + seg_mu.size] = seg_mu
-        mangoldt[start : start + seg_mu.size] = seg_mangoldt
+        mangoldt[start : start + seg_mu.size] = _dense_mangoldt(seg_mu.size, offsets, logs)
     return mangoldt, np.cumsum(mu, dtype=np.int64), np.cumsum(mangoldt)
 
 

@@ -66,3 +66,33 @@ def test_summary_shows_no_gain_from_fewer_than_ten_pairs():
     change = [0.6] * 10
     assert not tool.summarize(_pairs(parent[:9], change[:9]), METRICS)["setup_s"]["gain"]
     assert tool.summarize(_pairs(parent, change), METRICS)["setup_s"]["gain"]
+
+
+def _run(scale, slowdown=1.0, **times):
+    metrics = {"setup_s": 0.125 * scale, "wall_s": 0.146 * scale, "call_p50_s": 0.0121 * scale,
+               "peak_rss_mb": 40.3}
+    metrics.update(times)
+    return {"metrics": metrics, "probe_slowdown": slowdown}
+
+
+def test_scaled_runs_flag_a_run_whose_times_all_move_by_one_factor():
+    tool = _tool()
+    # the parent's run at seed 2109 in BENCH_19.json read all three times at
+    # 0.39 of its siblings; a run slower by 1.8 is flagged too
+    parent = [_run(1.0 + 0.01 * i) for i in range(10)]
+    parent[8] = _run(0.39, slowdown=2.5)
+    change = [_run(1.0) for _ in range(10)]
+    change[3] = _run(1.8)
+    pairs = [{"seed": 2101 + i, "parent": b, "change": c}
+             for i, (b, c) in enumerate(zip(parent, change))]
+    got = tool.scaled_runs(pairs)
+    assert [(r["side"], r["seed"], r["probe_slowdown"]) for r in got] == [
+        ("parent", 2109, 2.5), ("change", 2104, 1.0)]
+    assert got[0]["ratios"]["wall_s"] == pytest.approx(0.39 / 1.035)
+    # one time alone, or all three inside [0.6, 1/0.6] of the median, is not flagged
+    change[3] = _run(1.0, setup_s=0.01, wall_s=0.01)
+    change[5] = _run(0.61)
+    change[6] = _run(1.65)
+    pairs = [{"seed": 2101 + i, "parent": b, "change": c}
+             for i, (b, c) in enumerate(zip(parent, change))]
+    assert [(r["side"], r["seed"]) for r in tool.scaled_runs(pairs)] == [("parent", 2109)]

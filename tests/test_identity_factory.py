@@ -17,7 +17,8 @@ from mobius_bounds.identities import (
     evaluate_ofd,
 )
 from mobius_bounds import identities
-from mobius_bounds.util import BLOCK, EPS, expm1c, floor_int
+from mobius_bounds.arith import build_table
+from mobius_bounds.util import BLOCK, EPS, CapacityError, expm1c, floor_int
 
 X_GRID = (1.0, 1.5, 2.0, math.e, 10.0, 100.0, 1000.0)
 
@@ -206,6 +207,24 @@ def test_piece_cap_stays_below_where_the_merge_rule_drops_cuts():
     n = (identities._PIECE_CAP - 2) // 2
     X = n + 0.5
     assert X / (n - 1) - X / n > 64.0 * EPS * X
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_check_refuses_past_the_piece_cap_before_any_sum(monkeypatch, name):
+    """At the first X whose grid passes _PIECE_CAP, catalog_check raises
+    CapacityError before it reads a sum, Mertens value or lambda."""
+    n = identities._PIECE_CAP // 2
+    assert 2 * n + 2 > identities._PIECE_CAP
+    table = build_table(n)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a sum was read past the piece cap")
+
+    for owner, attr in ((identities, "m_q"), (identities, "m_check_q"),
+                        (table, "mertens"), (table, "liouville")):
+        monkeypatch.setattr(owner, attr, refused)
+    with pytest.raises(CapacityError, match="pieces"):
+        catalog_check(table, name, float(n))
 
 
 # A cold catalog_check(euler_gamma) holds one block of pieces at a time and

@@ -102,6 +102,19 @@ def test_each_command_loads_only_what_it_runs(argv, modules):
     assert loaded == sorted(f"mobius_bounds.{m}" for m in modules)
 
 
+def test_identity_leaves_numpy_ma_unloaded():
+    """The identity grid sorts and drops repeats itself: np.unique imports
+    numpy.ma, about 10 ms of each identity call."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from mobius_bounds import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['identity', '--name', 'meissel', '--X', '1000'])\n"
+        "print(json.dumps([code, 'numpy.ma' in sys.modules]))"
+    )
+    assert _fresh(code) == [0, False]
+
+
 def test_no_command_and_no_y0_solve_loads_scipy():
     code = (
         "import contextlib, io, json, sys\n"

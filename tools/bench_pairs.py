@@ -15,7 +15,11 @@ quartiles, the change's wins, losses and ties, and whether the change is
 within the metric's regression bound and meets the gain rule (at least ten
 pairs, wins in at least nine tenths of them, medians apart by more than the
 parent's interquartile distance), plus the seeds and the machine the runs
-reported.
+reported.  Each run also records the probe's mean slowdown from its details
+line, and the runs whose three times all read below SCALED, or all above
+1/SCALED, times their side's median are listed as scaled runs: one factor
+that moves every time of a run at once (such as a misread probe) shows
+there, while the medians and the gain rule are computed as before.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10  # the fewest pairs the gain rule accepts
+TIMES = ("setup_s", "wall_s", "call_p50_s")
+SCALED = 0.6
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -75,6 +81,27 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def scaled_runs(pairs: list[dict]) -> list[dict]:
+    """The runs whose TIMES all lie below SCALED times, or all above
+    1/SCALED times, the median of their side's runs.
+
+    pairs: one dict per pair, {"seed": s, "parent": run, "change": run},
+    each run holding "metrics" and "probe_slowdown".  Each run listed gives
+    its side, seed, probe slowdown and the ratio of each time to its median.
+    """
+    out = []
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs]
+        medians = {k: statistics.median(r["metrics"][k] for r in runs) for k in TIMES}
+        for p, run in zip(pairs, runs):
+            ratios = {k: run["metrics"][k] / medians[k] for k in TIMES}
+            if (all(r < SCALED for r in ratios.values())
+                    or all(r > 1 / SCALED for r in ratios.values())):
+                out.append({"side": side, "seed": p["seed"], "ratios": ratios,
+                            "probe_slowdown": run["probe_slowdown"]})
+    return out
+
+
 def unpack(rev: str, dest: Path) -> str:
     """Extract the committed tree of rev into dest; returns the full hash."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -104,6 +131,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "correct": result["correct"],
+        "probe_slowdown": details["probe_slowdown"],
         "machine": details["machine"],
     }
 
@@ -142,8 +170,11 @@ def main(argv: list[str] | None = None) -> int:
                 "failed": {side: sum(p[side]["failed"] for p in pairs) for side in trees},
                 "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in trees},
                 "summary": summarize(values, spec["end_to_end"]),
+                "scaled_runs": scaled_runs(pairs),
                 "pairs": pairs,
             }
+            for run in record["workloads"][workload]["scaled_runs"]:
+                print(f"{workload}: scaled run {run}", file=sys.stderr, flush=True)
             record.setdefault("machine", pairs[0]["parent"]["machine"])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
