@@ -252,10 +252,10 @@ def build_table(limit: int) -> ArithmeticTable:
     """Sieve mu up to limit, and Lambda at the prime powers.
 
     Each sieve_blocks segment's mu is copied into the dense array, and its
-    sparse Lambda is kept with the offsets moved to n, as int32 (n <=
-    LIMIT_BUDGET < 2^31) until the one int64 copy at the end, which keeps
-    the pieces and the table's prime powers from both being 8 bytes wide
-    at once; the dense segment arrays are freed before the next one.
+    sparse Lambda is kept with the offsets moved to n, in int32 (n <=
+    LIMIT_BUDGET < 2^31) until one int64 copy at the end, so the pieces and
+    the table's prime powers are never both 8 bytes wide; the dense segment
+    arrays are freed before the next one.
     """
     limit = _integer("limit", limit)
     if limit < 1:
@@ -284,9 +284,9 @@ def sieve_blocks(
     are the n - start of the prime powers n in the segment, and logs
     (float64) holds Lambda(n) = log p at each.  The arrays are fresh and
     owned by the caller.  The base primes are those <= isqrt(hi - 1), so
-    every n in the range has at most one prime factor above the base.  The range is checked here, before any array is
-    built: lo and hi are integers (not bools) with 1 <= lo < hi and
-    hi - 1 <= LIMIT_BUDGET.
+    every n in the range has at most one prime factor above the base.  The
+    range is checked here, before any array is built: lo and hi are
+    integers (not bools) with 1 <= lo < hi and hi - 1 <= LIMIT_BUDGET.
     """
     lo = _integer("lo", lo)
     hi = _integer("hi", hi)
