@@ -8,18 +8,21 @@ error budget covers the lot.
 
 C(s) is summed by one route: a Chebyshev-style acceleration of the
 alternating series (geometric convergence, roughly a factor 5.8 per extra
-term).  The tests check it against mpmath.
+term).  The tests check it against mpmath.  eta and eta_prime sum once at
+depths fixed by s (30 + ceil|Im s| and 8 deeper) and carry 16 times the
+drift between the two, plus rounding, as their radius: an estimate, not an
+enclosure.  No caller requests a tolerance.
 
-For real s >= 1 the terms (k+1)^(-s) are moments of a positive measure on
-[0, 1], so Proposition 1 of Cohen, Rodriguez Villegas and Zagier
-("Convergence acceleration of alternating series", Exp. Math. 9, 2000)
-bounds the depth-n truncation by 2|C(s)|/(3+sqrt 8)^n.  eps_zeta (n = 38)
-and eps_zeta_grid (n = 44) sum once at a fixed depth: truncation is below
-1e-28 and rounding below (n+2)·EPS·Σ|c_k|/d_n <= 3.2e-13.  These two are the
-only proven radii here.  eta and eta_prime sum once at depths fixed by s
-(30 + ceil|Im s| and 8 deeper) and carry 16 times the drift between the two,
-plus rounding, as their radius: an estimate, not an enclosure.  No caller
-requests a tolerance.
+F(eps) = eps·zeta(1+eps) on [0, 1] is not summed from C: (s-1)·zeta(s) is
+entire, and its Taylor series at s = 1 is 1 + Σ_{n≥0} (-1)^n γ_n
+eps^(n+1)/n! with γ_n the Stieltjes constants (DLMF 25.2.4).  Its first 32
+coefficients are float literals (_EZ_COEFFS), and Berndt's bound
+|γ_n| <= 4(n-1)!/π^n (B. C. Berndt, "On the Hurwitz zeta-function", Rocky
+Mountain J. Math. 2, 1972) bounds the rest.  eps_zeta and eps_zeta_grid are
+Horner on them, good to 1.2e-14, and eps_zeta_enclosure encloses F, F' and
+F'' on a subinterval.  These are the only proven radii here.  Horner uses
+only + and ×, so every IEEE machine and every numpy dispatch gives the same
+floats.
 
 _zeta_family is the one place that turns that eta pair into 1/zeta and
 zeta'/zeta^2; inv_zeta, zp_over_z2, constants and zeta_inequalities read it.
@@ -100,16 +103,6 @@ def _alt_accel(s: complex, n: int, log_weight: bool) -> complex:
         if log_weight:
             term *= ln
         total += c * term
-    return total / d
-
-
-def _alt_grid(sigma: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized accelerated eta over an array of real exponents; for
-    sigma >= 1, n = 44 is good to 3.2e-13 (CRVZ, module docstring)."""
-    coeffs, logs, d = _chebyshev(n)
-    total = np.zeros_like(sigma, dtype=np.float64)
-    for c, ln in zip(coeffs, logs):
-        total += c * np.exp(-sigma * ln)
     return total / d
 
 
@@ -313,38 +306,98 @@ def g_alt(w: complex) -> complex:
     return LOG2 / expm1c(x) - 1.0 / w
 
 
-def eps_zeta(eps: float) -> float:
-    """eps * zeta(1 + eps) for eps >= 0, continuous with value 1 at eps = 0.
+# ----------------------------------------------------------------------
+# eps * zeta(1 + eps) on [0, 1] from its Taylor series.
 
-    C(1+eps) is one depth-38 sum, the same floats in the same order as the
-    deeper of eta's two depths (another depth would move the last bits of
-    every certificate).  By CRVZ (module docstring) its truncation is below
-    2e-29 and its rounding below 40·EPS·Σ|c_k|/d_38 = 40·EPS·26.9 < 2.5e-13;
-    eps/(1 - 2^(-eps)) <= 2 on [0, 1], so the result is good to 5e-13 there.
+# c_n of eps*zeta(1+eps) = Σ c_n eps^n: c_0 = 1 and c_{n+1} = (-1)^n γ_n/n!,
+# each the float nearest its 50-digit value (tools/stieltjes_coefficients.py).
+_EZ_COEFFS = (
+    1.0, 0.5772156649015329, 0.07281584548367673,
+    -0.00484518159643616, -0.00034230573671722433, 9.689041939447084e-05,
+    -6.6110318108421895e-06, -3.316240908752772e-07, 1.0462094584479188e-07,
+    -8.733218100273798e-09, 9.47827778276236e-11, 5.658421927608708e-11,
+    -6.768689863513697e-12, 3.4921159366720317e-13, 4.4104247417577536e-15,
+    -2.3997862217709992e-15, 2.1677312200726828e-16, -9.544466076366965e-18,
+    -7.387676660538637e-20, 4.800850782488065e-20, -4.139956737713306e-21,
+    1.9168201593991233e-22, -2.0441543122262165e-24, -4.818498501107353e-25,
+    4.8118570515125666e-26, -2.560263310318815e-27, 6.927840895304667e-29,
+    1.628607550485587e-30, -3.1939375611532554e-31, 2.0991515893634255e-32,
+    -8.33674529544144e-34, 1.3412593772192187e-35,
+)
+_EZ_HORNER = _EZ_COEFFS[::-1]
+
+
+def _horner(coeffs, x):
+    """Σ coeffs[i] x^(n-1-i) by Horner, for a float or an array x."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def eps_zeta(eps: float) -> float:
+    """eps * zeta(1 + eps) for eps in [0, 1], with value 1 at eps = 0.
+
+    Horner on _EZ_COEFFS.  With S = Σ|c_j| eps^j <= 1.6554 and u = EPS/2,
+    the error is at most the literals' rounding u·S, plus Horner's
+    γ_62·S with γ_k = k u/(1 - k u) (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 5.1), plus the tail past eps^31: Berndt's
+    |c_m| <= 4/((m-1)π^(m-1)) falls by a factor 1/π per term, so the tail
+    is below 1.6·4/(31·π^31) < 8.1e-17.  In all, below 1.2e-14.
     """
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
-    if eps < 1e-8:
-        return 1.0 + GAMMA * eps - GAMMA1 * eps * eps
-    coeffs, logs, d = _chebyshev(38)
-    s = 1.0 + eps
-    total = 0.0
-    for c, ln in zip(coeffs, logs):
-        total += c * math.exp(-s * ln)
-    return total / d * (eps / -math.expm1(-eps * LOG2))
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [0, 1], got {eps!r}")
+    return _horner(_EZ_HORNER, eps)
 
 
 def eps_zeta_grid(eps: np.ndarray) -> np.ndarray:
-    """Vectorized eps * zeta(1+eps) on a finite nonnegative grid."""
+    """eps_zeta on an array of eps in [0, 1]: the same Horner steps, so
+    the same floats."""
     eps = np.asarray(eps, dtype=np.float64)
-    if not np.all((eps >= 0.0) & (eps < math.inf)):
-        raise ValueError("eps must be finite and >= 0")
-    tiny = eps < 1e-8
-    safe = np.where(tiny, 1.0, eps)
-    et = _alt_grid(1.0 + safe, 44)
-    ratio = safe / (-np.expm1(-safe * LOG2))
-    out = et * ratio
-    return np.where(tiny, 1.0 + GAMMA * eps - GAMMA1 * eps * eps, out)
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
+        raise ValueError("eps must lie in [0, 1]")
+    return _horner(_EZ_HORNER, eps)
+
+
+@lru_cache(maxsize=1)
+def _ez_derivative_series() -> tuple[tuple[list[float], list[float], float], ...]:
+    """For k = 0, 1, 2: the coefficients of F^(k) = Σ_j d_j eps^j, split
+    into positive and negative parts (Horner order), and the radius
+    64·EPS·Σ|d_j| + tail_k.
+
+    d_j = c_{j+k}·(j+k)!/j! rounds once, so with the literal's rounding
+    and Horner's (γ_62 < 31·EPS), and the sum of the two parts, the float
+    error is under 33·EPS·Σ|d_j|.  Past m = 31 the terms of F^(k) are at
+    most m^k·4/((m-1)π^(m-1)) (Berndt), and on [0, 1] each is below
+    (33/32)^2/π < 0.34 times the one before, so tail_k < 1.6·32^k·4/(31·π^31).
+    """
+    out = []
+    for k in range(3):
+        d = [c * math.perm(j + k, k) for j, c in enumerate(_EZ_COEFFS[k:])]
+        tail = 1.6 * 32.0**k * 4.0 / (31.0 * math.pi**31)
+        out.append((
+            [max(x, 0.0) for x in reversed(d)],
+            [min(x, 0.0) for x in reversed(d)],
+            64.0 * EPS * math.fsum(map(abs, d)) + tail,
+        ))
+    return tuple(out)
+
+
+def eps_zeta_enclosure(lo: float, hi: float, k: int = 0) -> tuple[float, float]:
+    """(low, high) enclosing F^(k) on [lo, hi] for F = eps_zeta, k <= 2,
+    0 <= lo <= hi <= 1.
+
+    Every power of eps rises on [0, 1], so the positive coefficients' part
+    is least at lo and most at hi, and the negative part the reverse; each
+    end is widened by the radius of _ez_derivative_series.
+    """
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo!r}, {hi!r}]")
+    pos, neg, rad = _ez_derivative_series()[k]
+    return (
+        _horner(pos, lo) + _horner(neg, hi) - rad,
+        _horner(pos, hi) + _horner(neg, lo) + rad,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -253,9 +253,11 @@ def build_table(limit: int) -> ArithmeticTable:
 
     Each sieve_blocks segment's mu is copied into the dense array, and its
     sparse Lambda is kept with the offsets moved to n, in int32 (n <=
-    LIMIT_BUDGET < 2^31) until one int64 copy at the end, so the pieces and
-    the table's prime powers are never both 8 bytes wide; the dense segment
-    arrays are freed before the next one.
+    LIMIT_BUDGET < 2^31); the dense segment arrays are freed before the next
+    one.  Once the count is known, the logs and then the offsets are copied
+    into arrays of exact size, each piece freed as it is copied, so at most
+    mu, the pieces (12 bytes per prime power) and one output (8) are held
+    at once.
     """
     limit = _integer("limit", limit)
     if limit < 1:
@@ -270,8 +272,20 @@ def build_table(limit: int) -> ArithmeticTable:
         powers.append(offsets.astype(np.int32))
         logs.append(seg_logs)
         del seg_mu, seg_liou, offsets  # freed before the next segment
-    powers = np.concatenate(powers, dtype=np.int64)
-    return ArithmeticTable(limit, mu, powers, np.concatenate(logs))
+    count = sum(piece.size for piece in logs)
+    logs = _drain(logs, count, np.float64)  # the wider pieces go first
+    return ArithmeticTable(limit, mu, _drain(powers, count, np.int64), logs)
+
+
+def _drain(pieces: list[np.ndarray], count: int, dtype: type) -> np.ndarray:
+    """The pieces, in order, in one new array of count entries; the list is
+    emptied from its end, so each piece is freed once it is copied."""
+    out = np.empty(count, dtype=dtype)
+    while pieces:
+        piece = pieces.pop()
+        out[count - piece.size : count] = piece
+        count -= piece.size
+    return out
 
 
 def sieve_blocks(

@@ -10,10 +10,13 @@ chain from eps = 0 to eps_max whose pair bounds all stay at or below
 cap - error_budget proves Delta_q(X, eps)/X^eps <= cap on the interval;
 cap = 0 is the sign claim.
 
-No interval arithmetic is used.  Rounding is absorbed by an explicit
-error_budget: a value at or above cap - error_budget is a failure witness,
-and one within ten budgets of the cap aborts as inconclusive rather than
-certifying on noise.  Certificates serialize to JSON with floats written
+The slope bound M and the main term's share of M2 are closed forms:
+interval arithmetic on enclosures of eps·zeta(1+eps) and its first two
+derivatives over subintervals of [0, 1] (analytic.eps_zeta_enclosure).
+The walk itself uses no interval arithmetic.  Rounding is absorbed by an
+explicit error_budget: a value at or above cap - error_budget is a
+failure witness, and one within ten budgets of the cap aborts as
+inconclusive rather than certifying on noise.  Certificates serialize to JSON with floats written
 as repr strings, so a round trip is bit-for-bit and a checker can
 re-derive every step.
 """
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import eps_zeta, eps_zeta_grid, phi_ratio
+from .analytic import eps_zeta, eps_zeta_enclosure, eps_zeta_grid, phi_ratio
 from .arith import ArithmeticTable, Modulus
 from .reports import BoundRow, bound_row
 from .util import floor_int, fsum_blocks
@@ -49,25 +52,49 @@ CAPS_EPS_STEP = 1e-3
 # Derivative envelopes in eps.
 
 
-@lru_cache(maxsize=1)
-def _envelope_grid() -> tuple[np.ndarray, np.ndarray]:
-    """eps on [0, 1] in steps of 1e-5, and eps * zeta(1+eps) there."""
-    grid = np.linspace(0.0, 1.0, 100_001)
-    return grid, eps_zeta_grid(grid)
+# subintervals of [0, 1] behind the slope envelopes and the curvature bound
+_ENVELOPE_PIECES = 256
+_CURVATURE_PIECES = 64
+# relative allowance for the rounding of the few dozen float operations that
+# form each bound below from its enclosures (each exact to a few ulps)
+_ROUNDING = 2.0**-40
+
+
+def _imul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """The product of two intervals."""
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(p), max(p)
 
 
 @lru_cache(maxsize=1)
 def _envelope_extrema() -> tuple[float, float]:
-    # a(e) = 1/(2 e (1+e)^2 zeta(1+e)) and b(e) = (1+2e)/(e (1+e) zeta(1+e))
-    # extended by a(0) = 1/2, b(0) = 1; the grid extrema get a one-sided
-    # slope pad (|a'|, |b'| < 4 on [0,1]) so a_min is below the true inf
-    # and b_max above the true sup.  The slopes stay below 1.3; the spare 2.7
-    # steps (2.7e-5) cover eps_zeta_grid's proven error, below 1e-12.
-    grid, ez = _envelope_grid()
-    a = 1.0 / (2.0 * (1.0 + grid) ** 2 * ez)
-    b = (1.0 + 2.0 * grid) / ((1.0 + grid) * ez)
-    pad = 4.0 * (grid[1] - grid[0])
-    return float(a.min() - pad), float(b.max() + pad)
+    """(a_min, b_max): a_min <= inf a and b_max >= sup b on [0, 1] for
+
+        a(e) = 1/(2 e (1+e)^2 zeta(1+e)) = 1/(2 (1+e)^2 F),
+        b(e) = (1+2e)/(e (1+e) zeta(1+e)) = (1+2e)/((1+e) F),
+
+    F = eps_zeta, extended by a(0) = 1/2 and b(0) = 1.  On each of 256
+    subintervals [lo, hi] (dyadic, so 1 + lo and the like are exact),
+    a >= 1/(2 (1+hi)^2 max F), and by the mean-value theorem b <= b(mid) +
+    (hi - lo)/2 · sup|b'| with b' = (F - (1+e)(1+2e) F')/((1+e)^2 F^2);
+    eps_zeta_enclosure encloses F, F' and F(mid), interval arithmetic the
+    rest.
+    """
+    n = _ENVELOPE_PIECES
+    a_min, b_max = math.inf, -math.inf
+    for k in range(n):
+        lo, hi, mid = k / n, (k + 1) / n, (k + 0.5) / n
+        f = eps_zeta_enclosure(lo, hi)
+        a_min = min(a_min, 1.0 / (2.0 * (1.0 + hi) ** 2 * f[1]))
+        poly = _imul(
+            ((1.0 + lo) * (1.0 + 2.0 * lo), (1.0 + hi) * (1.0 + 2.0 * hi)),
+            eps_zeta_enclosure(lo, hi, 1),
+        )
+        slope = max(abs(f[0] - poly[1]), abs(f[1] - poly[0]))
+        slope /= ((1.0 + lo) * f[0]) ** 2
+        b_mid = (1.0 + 2.0 * mid) / ((1.0 + mid) * eps_zeta_enclosure(mid, mid)[0])
+        b_max = max(b_max, b_mid + (hi - lo) / 2.0 * slope)
+    return a_min * (1.0 - _ROUNDING), b_max * (1.0 + _ROUNDING)
 
 
 def derivative_bound(q: Modulus | int, N: int) -> float:
@@ -86,52 +113,65 @@ def derivative_bound(q: Modulus | int, N: int) -> float:
     return qm.q_over_phi * (math.log(N + 1.0) + max(s_q - a_min, b_max))
 
 
-def _main_third_derivative(qm: Modulus) -> float:
-    """G3 >= sup |g'''| on [0, 1] for the main term g = R h of the defect:
-    R(eps) = phi_ratio(q, 1+eps) and h = 1/F with F(eps) = eps zeta(1+eps).
-
-    zeta(s) = s/(s-1) - s int_1^inf {x} x^(-s-1) dx gives F = (1+eps) P with
-    P = 1 - eps I and I(eps) = int_1^inf {x} x^(-2-eps) dx.  I^(k) has the
-    sign (-1)^k and |I^(k)| <= int_1^inf log^k(x) x^(-2) dx = k!, so P lies
-    in (0, 1] with |P'| <= 1, |P''| <= 2, |P'''| <= 6.  Hence F >= 1,
-    |F'| <= 3, |F''| <= 6, |F'''| <= 18, and h <= 1, |h'| <= 3,
-    |h''| <= 6 + 2*3^2 = 24, |h'''| <= 18 + 6*3*6 + 6*3^3 = 288.
-    R <= q/phi(q), and log R = sum_{p|q} sum_m p^(-m(1+eps))/m has
-    |(log R)^(k)| <= l_k = sum_p log^k(p) Li_{1-k}(1/p), so R'/R, R''/R and
-    R'''/R are at most l1, l2 + l1^2 and l3 + 3 l1 l2 + l1^3.  Leibniz on
-    (R h)''' gives the sum returned.
-    """
-    l1 = l2 = l3 = 0.0
-    for p in qm.primes:
+def _euler_logs(primes: tuple[int, ...], eps: float) -> tuple[float, float, float]:
+    """(R, l1, l2) at eps: R = phi_ratio(q, 1+eps), l1 = R'/R and l2 = l1'."""
+    r, l1, l2 = 1.0, 0.0, 0.0
+    for p in primes:
         lp = math.log(p)
-        l1 += lp / (p - 1.0)
-        l2 += lp**2 * p / (p - 1.0) ** 2
-        l3 += lp**3 * p * (p + 1.0) / (p - 1.0) ** 3
-    r1, r2, r3 = l1, l2 + l1**2, l3 + 3.0 * l1 * l2 + l1**3
-    return qm.q_over_phi * (r3 + 3.0 * r2 * 3.0 + 3.0 * r1 * 24.0 + 288.0)
+        x = math.expm1((1.0 + eps) * lp)  # p^(1+eps) - 1
+        r *= 1.0 + 1.0 / x
+        l1 -= lp / x
+        l2 += lp * lp * (x + 1.0) / (x * x)
+    return r, l1, l2
 
 
 @lru_cache(maxsize=None)
 def _main_curvature(q: int) -> float:
     """G2 >= sup |g''| on [0, 1] for g(eps) = phi_ratio(q, 1+eps)/eps_zeta(eps).
 
-    On the envelope grid (step d = 1e-5) each second difference D2_i is a
-    weighted mean of g'' over [eps_{i-1}, eps_{i+1}], so it equals g'' at a
-    point there, and every eps in [0, 1] lies within 2d of such a point:
-    sup |g''| <= max |D2_i| + 2 d G3.  Each grid value of g is within
-    (q/phi) 2e-12 of g at its node (eps_zeta_grid's proven 1e-12, plus 1e-12
-    for the ulps of forming g and its differences and the nodes' offsets
-    from i d), which moves D2_i by at most 4 (q/phi) 2e-12 / d^2.
+    g = R h with R = prod_{p|q} (1 - p^(-1-eps))^(-1) and h = 1/F, so by
+    Leibniz and the quotient rule
+
+        g'' = R ((l2 + l1^2) h + 2 l1 h' + h''),
+        h' = -F'/F^2,  h'' = (2 F'^2 - F F'')/F^3,
+
+    with l1 = R'/R = -sum_{p|q} log p/(p^(1+eps) - 1) and l2 = l1' =
+    sum log^2 p · p^(1+eps)/(p^(1+eps) - 1)^2.  R and l2 fall and l1 rises
+    in eps, so on each of 64 subintervals their values at the two ends
+    enclose them (widened by _ROUNDING for libm and rounding);
+    eps_zeta_enclosure encloses F, F' and F'', and interval arithmetic the
+    bracket.  G2 is the largest |bracket| times max R over the
+    subintervals, plus _ROUNDING times the largest sum of the magnitudes
+    of the bracket's products, which covers the rounding of the interval
+    arithmetic itself.
     """
-    qm = Modulus.coerce(q)
-    grid, ez = _envelope_grid()
-    g = 1.0 / ez
-    for p in qm.primes:
-        g /= -np.expm1(-(1.0 + grid) * math.log(p))
-    d = float(grid[1] - grid[0])
-    d2 = float(np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]).max()) / d**2
-    pad = 2.0 * d * _main_third_derivative(qm) + 8e-12 * qm.q_over_phi / d**2
-    return d2 + pad
+    primes = Modulus.coerce(q).primes
+    n = _CURVATURE_PIECES
+    up, down = 1.0 + _ROUNDING, 1.0 - _ROUNDING
+    ends = [_euler_logs(primes, k / n) for k in range(n + 1)]
+    best, mag = 0.0, 0.0
+    for k in range(n):
+        (r, l1_lo, l2_hi), (_, l1_hi, l2_lo) = ends[k], ends[k + 1]
+        r *= up
+        l1 = (l1_lo * up, l1_hi * down)  # l1 <= 0
+        l2 = (l2_lo * down, l2_hi * up)
+        f, f1, f2 = (eps_zeta_enclosure(k / n, (k + 1) / n, d) for d in range(3))
+        h = (1.0 / f[1], 1.0 / f[0])
+        h2 = _imul(h, h)
+        h3 = _imul(h2, h)
+        f1_sq, f_f2 = _imul(f1, f1), _imul(f, f2)
+        terms = (
+            _imul((l2[0] + l1[1] ** 2, l2[1] + l1[0] ** 2), h),  # (l2 + l1^2) h
+            _imul(_imul((-2.0 * l1[1], -2.0 * l1[0]), f1), h2),  # 2 l1 h'
+            _imul((2.0 * f1_sq[0] - f_f2[1], 2.0 * f1_sq[1] - f_f2[0]), h3),  # h''
+        )
+        lo, hi = sum(t[0] for t in terms), sum(t[1] for t in terms)
+        best = max(best, r * max(abs(lo), abs(hi)))
+        # what the roundings scale with: every product and sum in magnitude
+        parts = [max(map(abs, t)) for t in terms[:2]]
+        parts.append((2.0 * f1_sq[1] + max(map(abs, f_f2))) * h3[1])
+        mag = max(mag, r * sum(parts))
+    return best + _ROUNDING * mag
 
 
 def curvature_bound(

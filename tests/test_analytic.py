@@ -144,7 +144,7 @@ def test_eps_zeta_values_and_continuity():
     assert eps_zeta(1.0) == pytest.approx(math.pi**2 / 6, abs=1e-13)
     want = float(mpmath.mpf("0.25") * mpmath.zeta(mpmath.mpf("1.25")))
     assert eps_zeta(0.25) == pytest.approx(want, abs=1e-13)
-    # continuity across the small-eps crossover
+    # continuity at small eps
     lo, hi = eps_zeta(1e-8 * (1 - 1e-9)), eps_zeta(1e-8 * (1 + 1e-9))
     assert abs(lo - hi) < 1e-12
     # grid evaluation agrees with the scalar everywhere
@@ -154,41 +154,62 @@ def test_eps_zeta_values_and_continuity():
         assert g == pytest.approx(eps_zeta(float(e)), abs=5e-14)
 
 
-def test_eps_zeta_is_the_deeper_eta_sum_bit_for_bit():
-    # the fixed-depth sum is the float sequence eta's two-depth route returns
-    rng = random.Random(2024)
-    points = np.linspace(0.0, 1.0, 10_001)[1:].tolist()
-    points += [rng.random() for _ in range(2000)]
-    points += [rng.uniform(1e-8, 1e-6) for _ in range(200)]
-    points += [rng.uniform(1.0, 64.0) for _ in range(200)] + [2.0, 10.0, 64.0]
-    for e in points:
-        want = eta(complex(1.0 + e)).value.real * (e / -math.expm1(-e * math.log(2)))
-        assert eps_zeta(e) == want, e
-
-
 def test_eps_zeta_against_mpmath():
     for e in np.geomspace(1e-8, 1.0, 40).tolist():
         want = mpmath.mpf(e) * mpmath.zeta(1 + mpmath.mpf(e))
         assert abs(eps_zeta(e) - float(want)) <= 1e-14, e
 
 
-def test_eps_zeta_grid_at_envelope_extrema():
-    # the grid points where _envelope_extrema takes a_min and b_max
-    grid = np.linspace(0.0, 1.0, 100_001)
-    ez = eps_zeta_grid(grid)
-    a = 1.0 / (2.0 * (1.0 + grid) ** 2 * ez)
-    b = (1.0 + 2.0 * grid) / ((1.0 + grid) * ez)
-    for i in (int(a.argmin()), int(b.argmax())):
-        e = mpmath.mpf(float(grid[i]))
-        want = e * mpmath.zeta(1 + e) if e > 0 else mpmath.mpf(1)
-        assert abs(float(ez[i]) - float(want)) <= 1e-14, grid[i]
+# eps_zeta's stated radius on [0, 1] (its docstring)
+EPS_ZETA_RADIUS = 1.2e-14
 
 
-@pytest.mark.parametrize("bad", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
+def test_eps_zeta_agrees_with_the_eta_route_within_both_radii():
+    # two independent routes: the Taylor series, and eta(1+eps)·eps/(1-2^-eps)
+    rng = random.Random(2024)
+    points = [rng.random() for _ in range(2000)] + [1.0, 0.5]
+    points += [rng.uniform(1e-8, 1e-3) for _ in range(200)]
+    for e in points:
+        et = eta(complex(1.0 + e))
+        ratio = e / -math.expm1(-e * math.log(2))
+        want = et.value.real * ratio
+        radius = et.err * ratio + 4.0 * EPS * abs(want) + EPS_ZETA_RADIUS
+        assert abs(eps_zeta(e) - want) <= radius, e
+
+
+def test_eps_zeta_grid_is_eps_zeta_bit_for_bit():
+    rng = np.random.default_rng(4242)
+    grid = np.concatenate([
+        np.linspace(0.0, 1.0, 10_001), rng.random(5000), rng.random(500) * 1e-6,
+    ])
+    got = eps_zeta_grid(grid)
+    assert got.tolist() == [eps_zeta(e) for e in grid.tolist()]
+
+
+def test_eps_zeta_literals_are_the_stieltjes_coefficients():
+    # c_0 = 1 and c_{n+1} = (-1)^n gamma_n / n!, each the float nearest it
+    import importlib.util
+    from pathlib import Path
+
+    from mobius_bounds.analytic import _EZ_COEFFS
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "stieltjes_coefficients.py"
+    spec = importlib.util.spec_from_file_location("stieltjes_coefficients", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # 30 digits fix every float here as 50 do, in half the time
+    want = [float(c) for c in tool.coefficients(30)]
+    assert list(_EZ_COEFFS) == want
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [-1e-300, -1.0, math.nan, math.inf, -math.inf, math.nextafter(1.0, 2.0), 2.0, 64.0],
+)
 def test_eps_zeta_rejects_negative_and_non_finite(bad):
-    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+    with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
         eps_zeta(bad)
-    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+    with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
         eps_zeta_grid(np.array([0.5, bad]))
 
 

@@ -381,6 +381,25 @@ def test_build_table_peak_is_the_table_and_one_segment():
     assert peak <= bound, peak - bound
 
 
+def test_build_table_copies_out_one_prime_power_array_at_a_time():
+    """Past its segment loop (mu, the per-segment pieces at 12 bytes per
+    prime power, one segment's working set), build_table(1e7) holds at most
+    mu, the pieces and one 8-byte output at once: 24.4 MB traced, where
+    concatenating both outputs while the pieces were held peaked at mu plus
+    24 bytes per prime power (26.0 MB)."""
+    n = 10**7
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = build_table(n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    count = table.prime_powers.size
+    bound = (n + 1) + max(12 * count + SEGMENT_WORKING_SET, 20 * count)
+    assert peak <= bound, peak - bound
+
+
 def test_table_keeps_no_dense_eight_byte_array():
     """After build_table(1e6) returns, the table holds at most
     TABLE_BYTES_PER_ENTRY per entry, and the first read of psi_prefix adds

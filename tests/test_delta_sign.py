@@ -1,14 +1,20 @@
 """Sign certification of the scaled defect: walking, certificates, replay."""
 
 import dataclasses
+import functools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import mobius_bounds
 from mobius_bounds import delta_sign
 from mobius_bounds.arith import Modulus
 from mobius_bounds.bounds import delta_q
@@ -30,15 +36,138 @@ from mobius_bounds.delta_sign import (
 
 
 def test_derivative_bound_frozen():
-    assert derivative_bound(1, 10) == pytest.approx(3.4425235618920125, abs=1e-15)
+    assert derivative_bound(1, 10) == pytest.approx(3.4424917781901287, abs=1e-15)
     # q = 1: the envelope is log(N+1) plus the interior slope maximum
     assert derivative_bound(1, 10) == pytest.approx(
-        math.log(11) + 1.044628289093642, abs=1e-14
+        math.log(11) + 1.0445965053917583, abs=1e-14
     )
     # prime-log surcharge enters through q
     assert derivative_bound(6, 10) > 3.0 * derivative_bound(1, 10)
     with pytest.raises(ValueError):
         derivative_bound(1, 0)
+
+
+# the claim and cap moduli
+MODULI = (1, 2, 6, 15, 30, 2310, 11, 13, 17)
+# (a_min, b_max) and G2 as the 100,001-point grid of eps_zeta gave them,
+# before the closed forms; none of the closed forms may be looser
+GRID_ENVELOPES = (0.0759508877317533, 1.044628289093642)
+GRID_CURVATURE = {
+    1: 0.6064768030096908, 2: 5.698587058200837, 6: 16.359190972735327,
+    15: 8.113747872357218, 30: 29.586543356781632, 2310: 58.160374548358845,
+    11: 1.7311383882812, 13: 1.6177235960584992, 17: 1.4616473588235708,
+}
+
+
+def _f(e):
+    return mpmath.mpf(1) if e == 0 else e * mpmath.zeta(1 + e)
+
+
+@functools.lru_cache(maxsize=None)
+def _f_oracle(e):
+    """F, F', F'' at eps = e for the entire F(eps) = eps zeta(1+eps): mpmath's
+    zeta, and central differences of step 1e-6 (good to about 1e-12)."""
+    h = mpmath.mpf("1e-6")
+    lo, mid, hi = _f(e - h), _f(e), _f(e + h)
+    return mid, (hi - lo) / (2 * h), (hi - 2 * mid + lo) / h**2
+
+
+def _g2_oracle(primes, e):
+    """|g''(e)| for g = R/F, R = prod_{p|q} u_p with u_p = p^s/(p^s - 1),
+    s = 1 + e, by the product rule over the factors."""
+    f, f1, f2 = _f_oracle(e)
+    r, r1, r2 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+    for p in primes:
+        # u = 1 + 1/v with v = p^s - 1, v' = p^s log p, v'' = p^s log^2 p
+        lp, ps = mpmath.log(p), mpmath.power(p, 1 + e)
+        v = ps - 1
+        u, u1, u2 = 1 + 1 / v, -ps * lp / v**2, 2 * (ps * lp) ** 2 / v**3 - ps * lp**2 / v**2
+        r, r1, r2 = r * u, r1 * u + r * u1, r2 * u + 2 * r1 * u1 + r * u2
+    return abs(r2 / f - 2 * r1 * f1 / f**2 + r * (2 * f1**2 - f * f2) / f**3)
+
+
+def _located_max(fn, n=400, rounds=12):
+    """max of fn on n + 1 points of [0, 1] and on a golden-section search
+    of the two grid steps around the best of them."""
+    xs = [mpmath.mpf(k) / n for k in range(n + 1)]
+    vals = [fn(x) for x in xs]
+    i = max(range(n + 1), key=vals.__getitem__)
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, n)]
+    phi = (mpmath.sqrt(5) - 1) / 2
+    a, b = hi - phi * (hi - lo), lo + phi * (hi - lo)
+    fa, fb = fn(a), fn(b)
+    best = max(vals[i], fa, fb)
+    for _ in range(rounds):
+        if fa >= fb:
+            hi, b, fb = b, a, fa
+            a = hi - phi * (hi - lo)
+            fa = fn(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + phi * (hi - lo)
+            fb = fn(b)
+        best = max(best, fa, fb)
+    return best
+
+
+def test_envelopes_and_curvature_against_mpmath():
+    a_min, b_max = delta_sign._envelope_extrema()
+    with mpmath.workdps(30):
+        a_inf = -_located_max(lambda e: -1 / (2 * (1 + e) ** 2 * _f_oracle(e)[0]))
+        b_sup = _located_max(lambda e: (1 + 2 * e) / ((1 + e) * _f_oracle(e)[0]))
+        assert GRID_ENVELOPES[0] <= a_min <= a_inf
+        assert b_sup <= b_max <= GRID_ENVELOPES[1]
+        for q in MODULI:
+            primes = Modulus.coerce(q).primes
+            sup = _located_max(lambda e: _g2_oracle(primes, e))
+            g2 = delta_sign._main_curvature(q)
+            assert sup <= g2 <= GRID_CURVATURE[q], (q, g2, sup)
+            if q == 1:
+                assert g2 <= 1.02 * sup, (g2, sup)
+
+
+# prints the closed forms; run in a child with numpy's AVX512 dispatch off
+_DISPATCH_PROBE = """
+import random
+import numpy as np
+from mobius_bounds import delta_sign
+from mobius_bounds.analytic import eps_zeta, eps_zeta_grid
+
+def report(moduli):
+    rng = random.Random(4242)
+    sample = [rng.random() for _ in range(2000)] + [0.0, 1.0]
+    lines = [repr([eps_zeta(e) for e in sample])]
+    lines.append(repr(eps_zeta_grid(np.array(sample)).tolist()))
+    for q in moduli:
+        bounds = (delta_sign.derivative_bound(q, 10), delta_sign._main_curvature(q))
+        lines.append(f"{q} {bounds!r}")
+    return "\\n".join(lines)
+"""
+
+
+def test_closed_forms_do_not_depend_on_numpy_dispatch():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    features = [
+        f for f in umath.__cpu_dispatch__
+        if (f.startswith("AVX512") or f == "X86_V4") and umath.__cpu_features__.get(f)
+    ]
+    if not features:
+        pytest.skip("numpy reports no AVX512 dispatch on this machine")
+    scope = {}
+    exec(_DISPATCH_PROBE, scope)
+    want = scope["report"](MODULI)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    src = str(Path(mobius_bounds.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = _DISPATCH_PROBE + f"\nprint(report({MODULI!r}), end='')"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == want
 
 
 def test_interval_max_frozen(table_small):
