@@ -33,7 +33,7 @@ import numpy as np
 from .analytic import eps_zeta, eps_zeta_enclosure, eps_zeta_grid, phi_ratio
 from .arith import ArithmeticTable, Modulus
 from .reports import BoundRow, bound_row
-from .util import floor_int, fsum_blocks
+from .util import CapacityError, floor_int, fsum_blocks
 
 CERTIFIED = "certified_nonpositive"
 FAILED = "fail"
@@ -46,6 +46,8 @@ _STEP_CAP = 200_000
 _STEP_SHARE = 0.5
 # eps grid spacing of caps_scan
 CAPS_EPS_STEP = 1e-3
+# most entries of one 2-D batch of IntervalKernel.at_each
+_BATCH = 1 << 12
 
 
 # ----------------------------------------------------------------------
@@ -194,48 +196,89 @@ def curvature_bound(
 def interval_weights(
     table: ArithmeticTable, N: int, qm: Modulus
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(mu(n)/n restricted to gcd(n, q) = 1, log n) for 1 <= n <= N."""
+    """(mu(n)/n, log n) on the support: the n <= N with mu(n) != 0 and
+    gcd(n, q) = 1, in increasing order.  Off the support a term is an exact
+    +-0.0, so every exactly rounded sum over the support is the sum over
+    all n <= N, bit for bit."""
     table._check_range(N)
-    mu = table.mu[: N + 1].astype(np.float64)
+    mu = table.mu[1 : N + 1]
+    keep = mu != 0
     if qm.primes:
-        mu[~qm.coprime_mask(N)] = 0.0
-    nn = np.arange(N + 1, dtype=np.float64)
-    nn[0] = 1.0
-    return mu[1:] / nn[1:], np.log(nn[1:])
+        keep &= qm.coprime_mask(N)[1:]
+    n = np.flatnonzero(keep) + 1.0
+    return mu[keep] / n, np.log(n)
+
+
+class IntervalKernel:
+    """Delta_q(y, eps)/y^eps as a function of eps, the counting sums frozen
+    at N = [y]:
+
+        sum_n w_n (n^(-eps) - y^(-eps))/eps - (q^s/phi_s(q))/(eps zeta(s)),
+
+    s = 1+eps, with w and ln = log n as from interval_weights, assembled
+    through expm1 so the 1/eps pieces never cancel in floats.  At eps = 0
+    the kernel degenerates to log(y/n) and the main term to q/phi(q); small
+    eps > 0 stays on the expm1 route, so each value is the defect at its
+    own eps rather than a copy of the eps = 0 value.
+    """
+
+    __slots__ = ("w", "ln", "log_y", "qm")
+
+    def __init__(self, w: np.ndarray, ln: np.ndarray, log_y: float, qm: Modulus):
+        self.w, self.ln, self.log_y, self.qm = w, ln, log_y, qm
+
+    def at(self, eps: float) -> float:
+        if eps == 0.0:
+            return fsum_blocks(self.w * (self.log_y - self.ln)) - self.qm.q_over_phi
+        r = np.expm1(-eps * self.ln)
+        r -= math.expm1(-eps * self.log_y)
+        r /= eps
+        r *= self.w
+        return fsum_blocks(r) - phi_ratio(self.qm, 1.0 + eps) / eps_zeta(eps)
+
+    def at_each(self, eps: list[float]) -> list[float]:
+        """[at(e) for e in eps], bit for bit, in 2-D batches of at most
+        _BATCH entries: each entry meets at()'s elementwise operations in
+        at()'s order, and numpy rounds each entry alone whatever the array's
+        shape; the y-term and the main term are the same scalar calls, and
+        each row is one exactly rounded sum."""
+        rows = max(1, _BATCH // self.w.size)
+        out = []
+        for lo in range(0, len(eps), rows):
+            e = eps[lo : lo + rows]
+            d = np.array([x or 1.0 for x in e])[:, None]  # eps = 0 rows take at(0.0)
+            r = np.expm1(-d * self.ln)
+            r -= np.array([math.expm1(-x * self.log_y) for x in e])[:, None]
+            r /= d
+            r *= self.w
+            out += [
+                self.at(0.0) if x == 0.0
+                else fsum_blocks(row) - phi_ratio(self.qm, 1.0 + x) / eps_zeta(x)
+                for row, x in zip(r, e)
+            ]
+        return out
 
 
 def defect(
     w: np.ndarray, ln: np.ndarray, qm: Modulus, eps: float, log_y: float
 ) -> float:
-    """Delta_q(y, eps)/y^eps with the counting sums frozen at N = [y]:
-
-        sum_{n<=N} w_n (n^(-eps) - y^(-eps))/eps - (q^s/phi_s(q))/(eps zeta(s)),
-
-    s = 1+eps, w and ln as from interval_weights, assembled through expm1
-    so the 1/eps pieces never cancel in floats.  At eps = 0 the kernel
-    degenerates to log(y/n) and the main term to q/phi(q); small eps > 0
-    stays on the expm1 route, so each step value is the defect at its own
-    eps rather than a copy of the eps = 0 value.
-    """
-    if eps == 0.0:
-        return fsum_blocks(w * (log_y - ln)) - qm.q_over_phi
-    ratio = (np.expm1(-eps * ln) - math.expm1(-eps * log_y)) / eps
-    main = phi_ratio(qm, 1.0 + eps) / eps_zeta(eps)
-    return fsum_blocks(w * ratio) - main
+    """IntervalKernel(w, ln, log_y, qm).at(eps): Delta_q(y, eps)/y^eps with
+    the counting sums frozen at N = [y] and log y = log_y."""
+    return IntervalKernel(w, ln, log_y, qm).at(eps)
 
 
 def _interval_invariants(
     table: ArithmeticTable, N: int, qm: Modulus, x_hi: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(w, ln, log y) for N <= X <= x_hi: the interval_weights and the log
-    of the endpoint y where the defect peaks, since within the interval only
+) -> IntervalKernel:
+    """The kernel for N <= X <= x_hi: the interval_weights and the log of
+    the endpoint y where the defect peaks, since within the interval only
     -m_q(N) X^(-eps)/eps varies with X."""
     if N < 1:
         raise ValueError("interval index must be >= 1")
     if not N < x_hi <= N + 1.0:
         raise ValueError("x_hi must lie in (N, N+1]")
     w, ln = interval_weights(table, N, qm)
-    return w, ln, math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N))
+    return IntervalKernel(w, ln, math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N)), qm)
 
 
 def interval_max(
@@ -255,10 +298,8 @@ def interval_max(
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     qm = Modulus.coerce(q)
-    w, ln, log_y = _interval_invariants(
-        table, N, qm, N + 1.0 if x_hi is None else x_hi
-    )
-    return defect(w, ln, qm, eps, log_y)
+    kernel = _interval_invariants(table, N, qm, N + 1.0 if x_hi is None else x_hi)
+    return kernel.at(eps)
 
 
 # ----------------------------------------------------------------------
@@ -306,14 +347,19 @@ def pair_bound(t0: float, t1: float, h: float, m2: float) -> float:
     return max(t0, t1) + m2 * h * h / 8.0
 
 
-def _interval_schedule(x0: float) -> list[tuple[int, float]]:
-    # unit intervals tiling [1, x0]; the last one is clipped at x0.
-    # Delta/X^eps is left-continuous at integers (the entering term
-    # carries weight (1 - 1)/eps = 0) so closed right endpoints cost
-    # nothing extra.
+def _last_interval(x0: float) -> int:
+    """The N of the last unit interval [N, min(N+1, x0)] tiling [1, x0].
+
+    Delta/X^eps is left-continuous at integers (the entering term carries
+    weight (1 - 1)/eps = 0), so closed right endpoints cost nothing extra.
+    """
     top = floor_int(x0)
-    n_last = top - 1 if x0 <= float(top) else top
-    return [(N, min(N + 1.0, x0)) for N in range(1, n_last + 1)]
+    return top - 1 if x0 <= float(top) else top
+
+
+def _interval_schedule(x0: float) -> list[tuple[int, float]]:
+    # unit intervals tiling [1, x0]; the last one is clipped at x0
+    return [(N, min(N + 1.0, x0)) for N in range(1, _last_interval(x0) + 1)]
 
 
 def _value_status(t: float, cap: float, budget: float, N: int, eps: float):
@@ -355,8 +401,10 @@ def certify_sign(
     thinner than the arithmetic deserves.  Each record also carries the
     first-order slope bound M = derivative_bound(q, N).
     """
-    if x0 <= 1.0:
+    if not x0 > 1.0:
         raise ValueError("x0 must exceed 1")
+    if not x0 <= table.limit + 1.0:
+        raise CapacityError(f"x0={x0!r} needs sieve data past the table's {table.limit}")
     if not error_budget >= 1e-9:  # NaN too: no step value compares with it
         raise ValueError(f"error_budget must be at least 1e-9, got {error_budget!r}")
     if not 0.0 < eps_max <= 1.0:
@@ -367,10 +415,11 @@ def certify_sign(
     records: list[IntervalRecord] = []
     status, failure, reason = CERTIFIED, None, ""
     for N, x_hi in _interval_schedule(x0):
-        w, ln, log_y = _interval_invariants(table, N, qm, x_hi)
-        m2 = curvature_bound(w, ln, qm, log_y)
+        kernel = _interval_invariants(table, N, qm, x_hi)
+        m2 = curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
+        value = kernel.at
         eps, slope = 0.0, 0.0
-        t = defect(w, ln, qm, eps, log_y)
+        t = value(eps)
         steps = [(eps, t)]
         status, reason = _value_status(t, cap, error_budget, N, eps)
         while status == CERTIFIED and eps < eps_max:
@@ -381,7 +430,7 @@ def certify_sign(
             h = _step_length(room, slope, m2)
             while True:
                 nxt = min(eps + h, eps_max)
-                t_nxt = defect(w, ln, qm, nxt, log_y)
+                t_nxt = value(nxt)
                 status, reason = _value_status(t_nxt, cap, error_budget, N, nxt)
                 if status != CERTIFIED:
                     break
@@ -488,27 +537,29 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     eps_max on full intervals, and the interval list tiling [1, x0].  The
     final step of a certificate that is not certified (its witness or the
     value that stopped it) is exempt from the value and pair rules.  A step
-    or witness outside the certified range is a problem, not an error.
+    or witness outside the certified range is a problem, not an error, and
+    so is an X range that the table does not reach, reported before any
+    interval is built.  A record's step values come from one
+    IntervalKernel.at_each call, which equals the walk's at(), value for
+    value.
     """
+    budget, cap, (x_lo, x0) = cert.error_budget, cert.cap, cert.x_range
+    if not (x_lo == 1.0 and 1.0 < x0 <= table.limit + 1.0):
+        return [f"X range {cert.x_range!r} is not [1, X0] with 1 < X0 <= {table.limit + 1}"]
     problems: list[str] = []
-    budget, cap = cert.error_budget, cert.cap
     qm = Modulus.coerce(cert.q)
-    schedule = _interval_schedule(cert.x_range[1])
-    if cert.status == CERTIFIED and [r.N for r in cert.records] != [
-        n for n, _ in schedule
-    ]:
+    n_last = _last_interval(x0)
+    if cert.status == CERTIFIED and [r.N for r in cert.records] != [*range(1, n_last + 1)]:
         problems.append("interval list does not tile the X range")
-    lookup = dict(schedule)
     for rec in cert.records:
-        x_hi = lookup.get(rec.N)
-        if x_hi is None:
+        if not 1 <= rec.N <= n_last:
             problems.append(f"N={rec.N}: interval outside the X range")
             continue
-        w, ln, log_y = _interval_invariants(table, rec.N, qm, x_hi)
+        kernel = _interval_invariants(table, rec.N, qm, min(rec.N + 1.0, x0))
         # an understated bound widens every step past what it covers
         for name, recorded, true in (
             ("M", rec.M, derivative_bound(qm, rec.N)),
-            ("M2", rec.M2, curvature_bound(w, ln, qm, log_y)),
+            ("M2", rec.M2, curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)),
         ):
             if not recorded >= true:
                 problems.append(
@@ -519,10 +570,11 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
             continue
         if rec.steps[0][0] != 0.0:
             problems.append(f"N={rec.N}: chain does not start at eps = 0")
+        fresh = iter(kernel.at_each([e for e, _ in rec.steps if 0.0 <= e <= 1.0]))
         for k, (eps, t) in enumerate(rec.steps):
             if not 0.0 <= eps <= 1.0:
                 problems.append(f"N={rec.N}: step {k} has eps={eps!r} outside [0, 1]")
-            elif abs((t_new := defect(w, ln, qm, eps, log_y)) - t) > budget:
+            elif abs((t_new := next(fresh)) - t) > budget:
                 problems.append(
                     f"N={rec.N}, eps={eps!r}: recorded {t!r} vs replay {t_new!r}"
                 )
@@ -542,10 +594,10 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
             problems.append("fail status without a witness")
         else:
             n_w, eps_w, val_w = cert.failure
-            if n_w not in lookup or not 0.0 <= eps_w <= 1.0:
+            if not (1 <= n_w <= n_last and 0.0 <= eps_w <= 1.0):
                 problems.append(f"witness (N={n_w}, eps={eps_w!r}) outside the range")
             else:
-                t_new = interval_max(table, n_w, cert.q, eps_w, x_hi=lookup[n_w])
+                t_new = interval_max(table, n_w, cert.q, eps_w, x_hi=min(n_w + 1.0, x0))
                 if abs(t_new - val_w) > budget:
                     problems.append(f"witness value {val_w!r} vs replay {t_new!r}")
                 if not cap - t_new <= 2.0 * budget:
@@ -595,10 +647,10 @@ def caps_scan(
     best_pad = -math.inf
     arg_n, arg_eps = 0, 0.0
     for N, x_hi in _interval_schedule(x_max):
-        w, ln, log_y = _interval_invariants(table, N, qm, x_hi)
-        kernel = np.expm1(-np.outer(ln, pos)) - np.expm1(-pos * log_y)
-        t_pos = (w @ kernel) / pos - main
-        t0 = defect(w, ln, qm, 0.0, log_y)
+        k = _interval_invariants(table, N, qm, x_hi)
+        kernel = np.expm1(-np.outer(k.ln, pos)) - np.expm1(-pos * k.log_y)
+        t_pos = (k.w @ kernel) / pos - main
+        t0 = k.at(0.0)
         t_top = float(t_pos.max()) if t_pos.size else -math.inf
         here = max(t0, t_top)
         if here > best:

@@ -77,8 +77,11 @@ def fsum_blocks(*arrays) -> float:
     One fsum call takes every slice of block_entries: fsum keeps Shewchuk's
     exact partials over its whole iterable, so the result is exactly rounded
     and equals math.fsum of the concatenation's list bit for bit, with the
-    same ValueError (inf - inf) or OverflowError.
+    same ValueError (inf - inf) or OverflowError.  One array of at most
+    BLOCK entries is read with a single .tolist(), skipping the generator.
     """
+    if len(arrays) == 1 and len(arrays[0]) <= BLOCK:
+        return math.fsum(arrays[0].tolist())
     return math.fsum(block_entries(arrays))
 
 

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -17,6 +18,7 @@ import pytest
 import mobius_bounds
 from mobius_bounds import delta_sign
 from mobius_bounds.arith import Modulus
+from mobius_bounds.util import CapacityError
 from mobius_bounds.bounds import delta_q
 from mobius_bounds.delta_sign import (
     CERTIFIED,
@@ -200,6 +202,60 @@ def test_interval_max_guards(table_small):
         interval_max(table_small, 10, 1, 0.0, x_hi=12.0)
 
 
+def _dense_weights(table, N, q):
+    """(mu(n)/n with 0.0 where gcd(n, q) > 1, log n) for every n <= N."""
+    mu = table.mu[: N + 1].astype(np.float64)
+    mu[~Modulus.coerce(q).coprime_mask(N)] = 0.0
+    nn = np.arange(N + 1, dtype=np.float64)
+    nn[0] = 1.0
+    return mu[1:] / nn[1:], np.log(nn[1:])
+
+
+@pytest.mark.parametrize("N", [1, 10, 46, 1000, 100_000])
+def test_defect_on_the_support_is_the_dense_defect_bit_for_bit(table_mid, N):
+    for q in (1, 2, 30, 2310, 30030):
+        qm = Modulus.coerce(q)
+        w, ln = interval_weights(table_mid, N, qm)
+        n = np.rint(np.exp(ln)).astype(np.int64)
+        assert n[0] == 1 and np.all(np.diff(n) > 0)
+        assert np.all(w != 0.0) and all(math.gcd(int(k), q) == 1 for k in n)
+        w_all, ln_all = _dense_weights(table_mid, N, q)
+        assert np.count_nonzero(w_all) == w.size
+        for x_hi in (N + 1.0, N + 0.5):
+            log_y = math.log(x_hi)
+            for eps in (0.0, 1e-9, 1e-3, 0.5, 1.0):
+                got = delta_sign.defect(w, ln, qm, eps, log_y)
+                want = delta_sign.defect(w_all, ln_all, qm, eps, log_y)
+                assert got.hex() == want.hex(), (N, q, x_hi, eps)
+            m2 = curvature_bound(w, ln, qm, log_y)
+            assert m2 == curvature_bound(w_all, ln_all, qm, log_y), (N, q, x_hi)
+
+
+# the seven claims of delta-sign:certify and the four of delta-sign:caps
+CLAIMS = (
+    [(1, 10.8, 0.0), (1, 11.0, 0.0)]
+    + [(q, 41.0, 0.0) for q in (2, 6, 15, 30, 2310)]
+    + [(1, 47.0, 0.014)]
+    + [(q, 46.999, 5e-5) for q in (11, 13, 17)]
+)
+
+
+def test_batched_replay_rederives_every_step_bit_for_bit(table_small, monkeypatch):
+    certs = [certify_sign(table_small, q, x0, cap=cap) for q, x0, cap in CLAIMS]
+    for batch in (delta_sign._BATCH, 64):
+        # 64 entries split most records into batches of one to a few rows
+        monkeypatch.setattr(delta_sign, "_BATCH", batch)
+        for cert in certs:
+            assert replay_certificate(table_small, cert) == []
+            qm = Modulus.coerce(cert.q)
+            for rec in cert.records:
+                kernel = delta_sign._interval_invariants(
+                    table_small, rec.N, qm, min(rec.N + 1.0, cert.x_range[1])
+                )
+                values = kernel.at_each([e for e, _ in rec.steps])
+                assert [v.hex() for v in values] == [t.hex() for _, t in rec.steps]
+
+
 def test_certify_low_range(table_small):
     cert = certify_sign(table_small, 1, 10.8)
     assert cert.status == CERTIFIED
@@ -322,6 +378,44 @@ def test_replay_reports_out_of_range_witness(table_small, eps):
     bad = dataclasses.replace(cert, failure=(n, eps, t))
     problems = replay_certificate(table_small, bad)
     assert any("outside the range" in p for p in problems), problems
+
+
+@pytest.mark.parametrize("x_range", [
+    (1.0, math.inf), (1.0, math.nan), (1.0, 1e12), (1.0, 10_001.5), (1.0, 1.0), (2.0, 10.8),
+])
+def test_replay_reports_an_x_range_the_table_does_not_reach(table_small, x_range):
+    cert = certify_sign(table_small, 1, 10.8)
+    # a record past the table's reach, which no interval could be built for
+    last = dataclasses.replace(cert.records[-1], N=10_001)
+    bad = dataclasses.replace(cert, x_range=x_range, records=cert.records + (last,))
+    tracemalloc.start()
+    try:
+        problems = replay_certificate(table_small, bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(problems) == 1 and problems[0].startswith("X range"), problems
+    assert peak <= 1 << 20, peak
+
+
+def test_certify_refuses_an_x0_the_table_does_not_reach(table_small):
+    for x0 in (10_001.5, 1e12, math.inf):
+        with pytest.raises(CapacityError, match="past the table"):
+            certify_sign(table_small, 1, x0)
+    with pytest.raises(ValueError, match="x0 must exceed 1"):
+        certify_sign(table_small, 1, math.nan)
+
+
+def test_replay_reports_a_record_outside_the_x_range(table_small):
+    cert = certify_sign(table_small, 1, 10.8)
+    stray = dataclasses.replace(cert.records[-1], N=11)
+    problems = replay_certificate(
+        table_small, dataclasses.replace(cert, records=cert.records + (stray,))
+    )
+    assert problems == [
+        "interval list does not tile the X range",
+        "N=11: interval outside the X range",
+    ]
 
 
 def test_replay_rejects_understated_slope(table_small):
@@ -483,9 +577,9 @@ def test_curvature_bound_against_mpmath(table_small):
     for q, N, eps in points:
         w, ln = interval_weights(table_small, N, Modulus.coerce(q))
         for x_hi in (N + 1.0, N + 0.5):
-            _, _, log_y = delta_sign._interval_invariants(
+            log_y = delta_sign._interval_invariants(
                 table_small, N, Modulus.coerce(q), x_hi
-            )
+            ).log_y
             t2 = _second_derivative_oracle(w.tolist(), ln.tolist(), q, log_y, eps)
             assert curvature_bound(w, ln, q, log_y) >= abs(t2), (q, N, eps, x_hi)
     # mu cancels within table weights; a lone negative weight adds its kernel
