@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analytic import eps_zeta, eps_zeta_enclosure, eps_zeta_grid, phi_ratio
-from .arith import ArithmeticTable, Modulus
+from .arith import ArithmeticTable, Modulus, _selected_terms
 from .reports import BoundRow, bound_row
 from .util import CapacityError, floor_int, fsum_blocks
 
@@ -200,13 +200,8 @@ def interval_weights(
     gcd(n, q) = 1, in increasing order.  Off the support a term is an exact
     +-0.0, so every exactly rounded sum over the support is the sum over
     all n <= N, bit for bit."""
-    table._check_range(N)
-    mu = table.mu[1 : N + 1]
-    keep = mu != 0
-    if qm.primes:
-        keep &= qm.coprime_mask(N)[1:]
-    n = np.flatnonzero(keep) + 1.0
-    return mu[keep] / n, np.log(n)
+    n, mu = _selected_terms(table, N, qm)
+    return mu / n, np.log(n)
 
 
 class IntervalKernel:
@@ -278,7 +273,8 @@ def _interval_invariants(
     if not N < x_hi <= N + 1.0:
         raise ValueError("x_hi must lie in (N, N+1]")
     w, ln = interval_weights(table, N, qm)
-    return IntervalKernel(w, ln, math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N)), qm)
+    log_y = math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N))
+    return IntervalKernel(w, ln, log_y, qm)
 
 
 def interval_max(
@@ -298,8 +294,7 @@ def interval_max(
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     qm = Modulus.coerce(q)
-    kernel = _interval_invariants(table, N, qm, N + 1.0 if x_hi is None else x_hi)
-    return kernel.at(eps)
+    return _interval_invariants(table, N, qm, N + 1.0 if x_hi is None else x_hi).at(eps)
 
 
 # ----------------------------------------------------------------------
@@ -545,7 +540,7 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     """
     budget, cap, (x_lo, x0) = cert.error_budget, cert.cap, cert.x_range
     if not (x_lo == 1.0 and 1.0 < x0 <= table.limit + 1.0):
-        return [f"X range {cert.x_range!r} is not [1, X0] with 1 < X0 <= {table.limit + 1}"]
+        return [f"X range {cert.x_range!r} is not [1, X0], 1 < X0 <= {table.limit + 1}"]
     problems: list[str] = []
     qm = Modulus.coerce(cert.q)
     n_last = _last_interval(x0)
