@@ -544,7 +544,10 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     problems: list[str] = []
     qm = Modulus.coerce(cert.q)
     n_last = _last_interval(x0)
-    if cert.status == CERTIFIED and [r.N for r in cert.records] != [*range(1, n_last + 1)]:
+    if cert.status == CERTIFIED and (
+        len(cert.records) != n_last
+        or any(r.N != n for n, r in enumerate(cert.records, 1))
+    ):
         problems.append("interval list does not tile the X range")
     for rec in cert.records:
         if not 1 <= rec.N <= n_last:

@@ -398,6 +398,22 @@ def test_replay_reports_an_x_range_the_table_does_not_reach(table_small, x_range
     assert peak <= 1 << 20, peak
 
 
+def test_replay_checks_the_tiling_without_a_list_of_intervals(table_mid):
+    # a range the table reaches but the records do not cover: 1e5 intervals
+    # would be about 4 MB as a list of ints, 9 MB as the old schedule
+    cert = certify_sign(table_mid, 1, 10.8)
+    bad = dataclasses.replace(cert, x_range=(1.0, 100_000.0))
+    tracemalloc.start()
+    try:
+        problems = replay_certificate(table_mid, bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the last record, clipped at 10.8, no longer matches [10, 11] either
+    assert problems[0] == "interval list does not tile the X range"
+    assert peak <= 1 << 20, peak
+
+
 def test_certify_refuses_an_x0_the_table_does_not_reach(table_small):
     for x0 in (10_001.5, 1e12, math.inf):
         with pytest.raises(CapacityError, match="past the table"):
