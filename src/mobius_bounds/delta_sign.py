@@ -46,7 +46,8 @@ _STEP_CAP = 200_000
 _STEP_SHARE = 0.5
 # eps grid spacing of caps_scan
 CAPS_EPS_STEP = 1e-3
-# most entries of one 2-D batch of IntervalKernel.at_each
+# most entries of one 2-D batch of IntervalKernel.at_each (at most BLOCK, so
+# one batch's .tolist() is no longer than fsum_blocks' slices)
 _BATCH = 1 << 12
 
 
@@ -236,8 +237,11 @@ class IntervalKernel:
         _BATCH entries: each entry meets at()'s elementwise operations in
         at()'s order, and numpy rounds each entry alone whatever the array's
         shape; the y-term and the main term are the same scalar calls, and
-        each row is one exactly rounded sum."""
-        rows = max(1, _BATCH // self.w.size)
+        each row is one exactly rounded sum.  A support longer than _BATCH
+        gains nothing from a batch, and takes at() one eps at a time."""
+        if self.w.size > _BATCH:
+            return [self.at(x) for x in eps]
+        rows, qm = _BATCH // self.w.size, self.qm
         out = []
         for lo in range(0, len(eps), rows):
             e = eps[lo : lo + rows]
@@ -248,8 +252,8 @@ class IntervalKernel:
             r *= self.w
             out += [
                 self.at(0.0) if x == 0.0
-                else fsum_blocks(row) - phi_ratio(self.qm, 1.0 + x) / eps_zeta(x)
-                for row, x in zip(r, e)
+                else math.fsum(row) - phi_ratio(qm, 1.0 + x) / eps_zeta(x)
+                for row, x in zip(r.tolist(), e)
             ]
         return out
 

@@ -242,8 +242,9 @@ CLAIMS = (
 
 def test_batched_replay_rederives_every_step_bit_for_bit(table_small, monkeypatch):
     certs = [certify_sign(table_small, q, x0, cap=cap) for q, x0, cap in CLAIMS]
-    for batch in (delta_sign._BATCH, 64):
-        # 64 entries split most records into batches of one to a few rows
+    for batch in (delta_sign._BATCH, 16):
+        # 16 entries split the records into batches of one to three rows, and
+        # send the supports longer than 16 (q = 1 from N = 26 on) through at()
         monkeypatch.setattr(delta_sign, "_BATCH", batch)
         for cert in certs:
             assert replay_certificate(table_small, cert) == []
