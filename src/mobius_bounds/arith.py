@@ -45,7 +45,9 @@ k^sigma over coprime k, from one loop over BLOCK-entry blocks that builds
 several (sigma, j) columns, sharing each block's mu slice, coprime zeroing,
 powers and logs.  prefix_blocks yields P one block at a time, and the
 full-range sweeps consume it block by block (sweep_prefix_min pairs each
-sweep block with its prefix block), so no scan holds a full-length prefix.
+sweep block with its prefix block), so no scan holds a full-length prefix;
+a sweep given floors skips the margins of a block that cannot hold a new
+first minimum (sweep_min).
 prefix_log_moment returns P whole, or with at= only at the given indices:
 it then sums only the support of mu, the terms it skips are +-0.0, and
 adding +-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged,
@@ -656,19 +658,33 @@ def _prefix_block(mu: np.ndarray, lo: int, q: Modulus, cols, carries, support: b
     return runs, idx
 
 
-def sweep_min(n: int, margins_of) -> list[tuple[float, int]]:
+def sweep_min(n: int, margins_of, floors_of=None) -> list[tuple[float, int]]:
     """(min, argmin) over [0, n) of each array margins_of(lo, hi) returns.
 
-    margins_of is called once per block [lo, hi) of at most BLOCK entries,
-    in increasing order, and returns arrays of length hi - lo.  The result
-    is what np.argmin gives on each concatenated array: the first minimum,
-    or the first NaN if there is one.
+    margins_of is called at most once per block [lo, hi) of at most BLOCK
+    entries, in increasing order, and returns arrays of length hi - lo.  The
+    result is what np.argmin gives on each concatenated array: the first
+    minimum, or the first NaN if there is one.
+
+    floors_of(lo, hi), if given, is called on each block after the first,
+    before margins_of, and returns one floor per array: a float that no
+    entry of that block's array lies below (so none is NaN).  When every
+    floor is >= its array's best value so far, or that best is NaN, the
+    block is skipped and margins_of is not called: a best value is replaced
+    only by a later one strictly below it, or by the first NaN, so such a
+    block cannot move any result.
     """
     if n < 1:
         raise ValueError("sweep over an empty range")
     best: list[tuple[float, int]] = []
     for lo in range(0, n, BLOCK):
-        for b, arr in enumerate(margins_of(lo, min(lo + BLOCK, n))):
+        hi = min(lo + BLOCK, n)
+        if best and floors_of is not None and all(
+            math.isnan(v) or f >= v
+            for f, (v, _) in zip(floors_of(lo, hi), best, strict=True)
+        ):
+            continue
+        for b, arr in enumerate(margins_of(lo, hi)):
             i = int(np.argmin(arr))
             v = arr[i]
             if b == len(best):
@@ -678,23 +694,32 @@ def sweep_min(n: int, margins_of) -> list[tuple[float, int]]:
     return best
 
 
-def sweep_prefix_min(n: int, blocks, margins_of) -> list[tuple[float, int]]:
-    """sweep_min over [0, n) of margins_of(lo, hi, cols), with cols from blocks.
+def sweep_prefix_min(n: int, blocks, margins_of, floors_of=None) -> list[tuple[float, int]]:
+    """sweep_min over [0, n) of margins_of(lo, hi, cols), with cols from
+    blocks, and floors floors_of(lo, hi, cols) if given.
 
     blocks is a prefix_blocks iterator over [1, n]: each sweep block [lo, hi)
     is paired with the prefix block [lo + 1, hi + 1), so entry i of a sweep
-    reads P[i + 1].  A prefix block that does not pair, missing or left
-    over, raises ValueError.
+    reads P[i + 1].  Every prefix block is drawn, skipped sweep blocks too,
+    so the carry runs through; floors_of and margins_of see the same cols,
+    and the last block is let go before the next one is formed.  A prefix
+    block that does not pair, missing or left over, raises ValueError.
     """
+    held = None  # (lo, cols) of the sweep block in hand
 
-    def margins(lo: int, hi: int):
-        block = next(blocks, None)
-        if block is None or block[:2] != (lo + 1, hi + 1):
-            got = "no block" if block is None else f"block [{block[0]}, {block[1]})"
-            raise ValueError(f"prefix {got} does not pair with sweep block [{lo}, {hi})")
-        return margins_of(lo, hi, block[2])
+    def cols_of(lo: int, hi: int):
+        nonlocal held
+        if held is None or held[0] != lo:
+            held = None  # let the last block go before the next one is formed
+            block = next(blocks, None)
+            if block is None or block[:2] != (lo + 1, hi + 1):
+                got = "no block" if block is None else f"block [{block[0]}, {block[1]})"
+                raise ValueError(f"prefix {got} does not pair with sweep block [{lo}, {hi})")
+            held = (lo, block[2])
+        return held[1]
 
-    best = sweep_min(n, margins)
+    floors = None if floors_of is None else lambda lo, hi: floors_of(lo, hi, cols_of(lo, hi))
+    best = sweep_min(n, lambda lo, hi: margins_of(lo, hi, cols_of(lo, hi)), floors)
     if next(blocks, None) is not None:
         raise ValueError(f"prefix blocks run past the sweep of [0, {n})")
     return best

@@ -10,7 +10,9 @@ or, for the eps families, on a 200-point log grid.  The full-range sweeps
 read the prefixes one block at a time (prefix_blocks, paired with the
 sweep by sweep_prefix_min), and the eps families at the grid's floors only
 (prefix_log_moment with at=), so no scan builds an array of length n_max;
-the values are those of the full prefix arrays, bit for bit.  Scan margins
+the values are those of the full prefix arrays, bit for bit.  small_m_scan
+also bounds each block's margins from below and skips the blocks that
+cannot hold a new first minimum, with the same results.  Scan margins
 are uncertified floats: they carry no error radius and no caller
 re-verifies them (ROADMAP item 4).
 
@@ -682,6 +684,22 @@ def small_m_scan(
     """Right-endpoint sweep: on [n, n+1) the step value |m_q(n)| is checked
     against each decreasing envelope at its interval infimum X -> (n+1)-.
     Returns {theorem_id: (min margin, argmin n)}.
+
+    Each block after the first gets a floor per envelope, envelope(hi + 1)
+    (1 - 2^-30) - max |m_q| over the block (+inf while every step lies
+    below the envelope's range), and the sweep skips a block whose floors
+    all reach the best margins so far (sweep_min).  No margin of the block
+    lies below its floor, for three reasons:
+      - each envelope decreases on its range, and hi + 1 is the block's
+        last right end: _m_update for log X > 2 * 0.0568 / 0.010032, that
+        is X > 8.3e4, below its start at 617,990; the others everywhere
+        (a table stops below 2^31, so no _plus_beyond term is on);
+      - the float evaluation of an envelope, scan or point, is within a
+        few units in the last place of its value, and 2^-30 covers that
+        many times over;
+      - rounded subtraction is monotone, so a smaller envelope and a
+        larger |m_q| give a smaller computed margin.
+    So the results are those of the sweep over every block, bit for bit.
     """
     qm = Modulus.coerce(q)
     blocks = prefix_blocks(table, n_max, qm, 1.0, 0)
@@ -704,7 +722,15 @@ def small_m_scan(
             out.append(margin)
         return out
 
-    mins = sweep_prefix_min(n_max, blocks, margins)
+    def floors(lo: int, hi: int, cols):
+        x = float(hi + 1)
+        top = float(np.abs(cols[0]).max())
+        return [
+            math.inf if hi < first else envelope(qm, x, math.log(x)) * (1.0 - 2.0**-30) - top
+            for _, first, envelope in checks
+        ]
+
+    mins = sweep_prefix_min(n_max, blocks, margins, floors)
     return {name: (float(m), i + 1) for (name, _, _), (m, i) in zip(checks, mins)}
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -356,9 +357,9 @@ def _last_interval(x0: float) -> int:
     return top - 1 if x0 <= float(top) else top
 
 
-def _interval_schedule(x0: float) -> list[tuple[int, float]]:
-    # unit intervals tiling [1, x0]; the last one is clipped at x0
-    return [(N, min(N + 1.0, x0)) for N in range(1, _last_interval(x0) + 1)]
+def _interval_schedule(x0: float) -> Iterator[tuple[int, float]]:
+    # unit intervals tiling [1, x0], drawn from a range; the last one is clipped at x0
+    return ((N, min(N + 1.0, x0)) for N in range(1, _last_interval(x0) + 1))
 
 
 def _value_status(t: float, cap: float, budget: float, N: int, eps: float):
@@ -634,8 +635,13 @@ def caps_scan(
     X is never discretised: each unit interval contributes its closed-form
     supremum (see interval_max) on the eps grid.  grid_max is the scan
     value; rigorous_cap adds M * CAPS_EPS_STEP / 2 per interval so the true
-    supremum over all eps is provably below it.
+    supremum over all eps is provably below it.  An x_max past the table
+    (inf too) raises CapacityError, and NaN ValueError, before any interval.
     """
+    if math.isnan(x_max):
+        raise ValueError(f"x_max must be a number, got {x_max!r}")
+    if not x_max <= table.limit + 1.0:
+        raise CapacityError(f"x_max={x_max!r} needs sieve data past the table's {table.limit}")
     qm = Modulus.coerce(q)
     grid = np.arange(0.0, eps_max + CAPS_EPS_STEP / 2.0, CAPS_EPS_STEP)
     grid[-1] = min(grid[-1], eps_max)

@@ -309,7 +309,17 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
     The left side jumps only at integers and log grows, so checking each
     integer N (sum taken inclusive of Lambda(N)) covers the continuum.
     Returns rows for the small cases plus one aggregate row at the integer
-    with the least slack; the scan itself runs over every integer.
+    with the least slack.
+
+    The scan reads the prime powers N <= x_max only, one BLOCK of them at a
+    time, with its cumsum S of Lambda(N)/N carried from block to block.  It
+    finds the first minimum of the float margin log N - S(N) over every
+    integer N in [2, x_max], bit for bit: the dense cumsum adds +0.0 between
+    prime powers to a positive sum, which leaves it unchanged, so S is the
+    same at each prime power; and from one prime power to the next S is
+    constant while np.log N never decreases (its error is far below
+    log(N + 1) - log N >= 1/(N + 1) at these N), so on each such stretch,
+    and 2 starts the first, the first minimum lies at the prime power.
     """
     n = floor_int(x_max)
     if n < 1:
@@ -324,18 +334,19 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
             bound_row("harmonic", float(small), 1, "", lhs=lhs, bound=math.log(small))
         )
     if n >= 2:
+        powers, logs = table.prime_powers_upto(n)
         carry = 0.0  # Lambda(n)/n summed over n < 2 is exactly 0
 
-        def margins(lo: int, hi: int):  # N = lo+2 .. hi+1
+        def margins(lo: int, hi: int):  # the prime powers powers[lo:hi]
             nonlocal carry
-            nn = np.arange(lo + 2, hi + 2, dtype=np.float64)
-            csum = table.mangoldt(lo + 2, hi + 2) / nn
+            nn = powers[lo:hi].astype(np.float64)
+            csum = logs[lo:hi] / nn
             csum[0] += carry
             np.cumsum(csum, out=csum)
             carry = csum[-1]
             return (np.log(nn) - csum,)
 
-        worst = sweep_min(n - 1, margins)[0][1] + 2
+        worst = int(powers[sweep_min(powers.size, margins)[0][1]])
         lhs = lambda_harmonic_sum(table, float(worst))
         rows.append(
             bound_row(

@@ -529,6 +529,88 @@ def test_sweep_min_rejects_empty_range():
         sweep_min(0, lambda lo, hi: ())
 
 
+def _floor_arrays():
+    """Five blocks of margins, each array with its first minimum placed."""
+    n = 4 * BLOCK + 3
+    rng = np.random.default_rng(24)
+    early, tie, late, nans, zeros = (rng.uniform(1.0, 2.0, n) for _ in range(5))
+    early[5] = 0.25  # never beaten
+    tie[[7, 2 * BLOCK + 1, n - 1]] = 0.5  # equal minima in blocks 2 and 4
+    late[0] = 0.75
+    late[[3 * BLOCK + 9, 3 * BLOCK + 10]] = 0.0  # a new minimum in block 3
+    nans[0] = 0.9
+    nans[BLOCK + 4] = math.nan  # the NaN in block 1 holds
+    nans[3 * BLOCK] = -1.0
+    zeros[3] = -0.0
+    zeros[2 * BLOCK + 5] = 0.0  # compares equal to -0.0
+    return early, tie, late, nans, zeros
+
+
+@pytest.mark.parametrize("loose", [False, True])
+def test_sweep_min_with_floors_matches_the_sweep_without(loose):
+    """Floors that are each block's least entry (one ulp below it when
+    loose) skip exactly the blocks whose every floor reaches the best so
+    far, or whose best is NaN; the results are those without floors."""
+    arrays = _floor_arrays()
+    n = arrays[0].size
+    margin_calls, floor_calls = [], []
+
+    def margins_of(lo, hi):
+        margin_calls.append(lo)
+        return [arr[lo:hi].copy() for arr in arrays]
+
+    def floors_of(lo, hi):
+        floor_calls.append(lo)
+        floors = [-math.inf if np.isnan(a[lo:hi]).any() else a[lo:hi].min() for a in arrays]
+        return [np.nextafter(f, -math.inf) if loose else f for f in floors]
+
+    got = sweep_min(n, margins_of, floors_of)
+    assert repr(got) == repr(_sweep_reference(arrays))
+    starts = list(range(0, n, BLOCK))
+    assert floor_calls == starts[1:]
+    # block 1 holds the NaN and block 3 the new minimum of `late`; with exact
+    # floors blocks 2 and 4 only tie (0.5, and 0.0 against -0.0) and are
+    # skipped, one ulp lower they are not
+    assert margin_calls == (starts if loose else [0, BLOCK, 3 * BLOCK])
+
+
+def test_sweep_min_counts_one_floor_per_array():
+    arrays = _floor_arrays()
+    with pytest.raises(ValueError):
+        sweep_min(arrays[0].size, lambda lo, hi: [a[lo:hi] for a in arrays],
+                  lambda lo, hi: [math.inf] * (len(arrays) - 1))
+
+
+def test_sweep_prefix_min_with_floors_draws_every_block(table_mid):
+    """A skipped block still draws its prefix block, so the carry runs on
+    and the pairing is checked; floors and margins see the same cols."""
+    n = 3 * BLOCK + 5
+    seen = {}
+
+    def margins(lo, hi, cols):
+        seen.setdefault(lo, []).append(("margins", id(cols[0])))
+        return [cols[0] - np.arange(lo, hi)]
+
+    def floors(lo, hi, cols):
+        seen.setdefault(lo, []).append(("floors", id(cols[0])))
+        return [math.inf if lo < 2 * BLOCK else -math.inf]
+
+    p = prefix_m_q(table_mid, n, 6)
+    arr = p[1:] - np.arange(n)
+    want = min((arr[:BLOCK].min(), int(np.argmin(arr[:BLOCK]))),
+               (arr[2 * BLOCK :].min(), 2 * BLOCK + int(np.argmin(arr[2 * BLOCK :]))),
+               key=lambda t: (t[0], t[1]))
+    got = sweep_prefix_min(n, prefix_blocks(table_mid, n, 6, 1.0, 0), margins, floors)
+    assert got == [want]
+    assert [kinds[0][0] for kinds in seen.values()] == ["margins", "floors", "floors", "floors"]
+    assert [len(kinds) for kinds in seen.values()] == [1, 1, 2, 2]
+    assert all(len({i for _, i in kinds}) == 1 for kinds in seen.values())
+    shifted = ((lo - 1, hi - 1, cols) for lo, hi, cols in prefix_blocks(table_mid, n, 6, 1.0, 0))
+    for blocks in (shifted, prefix_blocks(table_mid, n + 1, 6, 1.0, 0)):
+        with pytest.raises(ValueError):  # still checked with every later block skipped
+            sweep_prefix_min(n, blocks, margins, lambda lo, hi, cols: [math.inf])
+
+
 def _gamma(k):
     u = EPS / 2.0
     return k * u / (1.0 - k * u)

@@ -96,3 +96,33 @@ def test_scaled_runs_flag_a_run_whose_times_all_move_by_one_factor():
     pairs = [{"seed": 2101 + i, "parent": b, "change": c}
              for i, (b, c) in enumerate(zip(parent, change))]
     assert [(r["side"], r["seed"]) for r in tool.scaled_runs(pairs)] == [("parent", 2109)]
+
+
+def test_probe_outliers_list_runs_the_probe_read_apart():
+    tool = _tool()
+    # the seeds 8401-8410 certify set: two parent runs at probe slowdowns
+    # 1.94 and 1.91 (the other 18 runs 1.34-1.74) read wall_s 0.0695 and
+    # 0.0708 s against a parent median of 0.117 s, setup_s staying normal
+    slow = iter([1.34, 1.40, 1.44, 1.47, 1.48, 1.49, 1.51, 1.53, 1.55, 1.56,
+                 1.57, 1.58, 1.59, 1.61, 1.62, 1.65, 1.69, 1.74])
+    walls = iter([0.112, 0.115, 0.117, 0.117, 0.117, 0.118, 0.119, 0.121])
+    outliers = {3: _run(1.0, 1.94, wall_s=0.0695), 6: _run(1.0, 1.91, wall_s=0.0708)}
+    parent = [outliers.get(i) or _run(1.0, next(slow), wall_s=next(walls)) for i in range(10)]
+    change = [_run(1.0, next(slow)) for _ in range(10)]
+    pairs = [{"seed": 8401 + i, "parent": b, "change": c}
+             for i, (b, c) in enumerate(zip(parent, change))]
+    assert tool.scaled_runs(pairs) == []
+    got = tool.probe_outliers(pairs)
+    assert [(r["side"], r["seed"], r["probe_slowdown"]) for r in got] == [
+        ("parent", 8404, 1.94), ("parent", 8407, 1.91)]
+    assert got[0]["ratios"]["wall_s"] == pytest.approx(0.0695 / 0.117)
+    assert got[1]["ratios"]["setup_s"] == pytest.approx(1.0)
+    # the list changes no summary: the medians still count every run
+    values = [{side: p[side]["metrics"] for side in ("parent", "change")} for p in pairs]
+    summary = tool.summarize(values, [dict(METRICS[0], name="wall_s")])
+    assert summary["wall_s"]["parent"]["median"] == pytest.approx(0.117)
+    # a slowdown as far below the quartiles is listed too
+    change[0] = _run(1.0, 1.0)
+    pairs[0]["change"] = change[0]
+    assert [(r["side"], r["seed"]) for r in tool.probe_outliers(pairs)] == [
+        ("parent", 8404), ("parent", 8407), ("change", 8401)]

@@ -5,10 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mobius_bounds import bounds
 from mobius_bounds.analytic import ComplexParameter
+from mobius_bounds.arith import Modulus, build_table, prefix_blocks, sweep_prefix_min
 from mobius_bounds.util import (
     FAIL,
     INCONCLUSIVE,
@@ -320,6 +322,76 @@ def test_small_m_scan_margins(table_small):
     assert out["small-m2-sqrt"][1] == 2
     out1 = bounds.small_m_scan(table_small, 10_000, 6)
     assert all(m > 0 for m, _ in out1.values())
+
+
+@pytest.fixture(scope="module")
+def table_e7():
+    return build_table(10_000_000)
+
+
+def _dense_small_m_scan(table, n_max, q):
+    """small_m_scan as a sweep of every block's margins, with no floors."""
+    qm = Modulus.coerce(q)
+    checks = [
+        (name, int(x_lo), envelope)
+        for name, only, x_lo, _, envelope, swept in bounds.SMALL_M
+        if swept and only in (None, qm.q) and n_max >= x_lo
+    ]
+    if not checks:
+        return {}
+
+    def margins(lo, hi, cols):
+        rights = np.arange(lo + 2, hi + 2, dtype=np.float64)
+        lr = np.log(rights)
+        vals = np.abs(cols[0])
+        out = []
+        for _, first, envelope in checks:
+            margin = envelope(qm, rights, lr) - vals
+            margin[: max(first - 1 - lo, 0)] = np.inf
+            out.append(margin)
+        return out
+
+    mins = sweep_prefix_min(n_max, prefix_blocks(table, n_max, qm, 1.0, 0), margins)
+    return {name: (float(m), i + 1) for (name, _, _), (m, i) in zip(checks, mins)}
+
+
+def _divisors_30030():
+    out = [1]
+    for p in (2, 3, 5, 7, 11, 13):
+        out += [d * p for d in out]
+    return out
+
+
+@pytest.mark.parametrize("n", [100_000, (1 << 15) - 1, (1 << 15) + 1, 617_989, 617_991, 1_000_000])
+def test_small_m_scan_is_the_dense_sweep(table_big, n):
+    """The block floors skip work only: every q | 30030, across block edges
+    and either side of the update envelope's start, bit for bit."""
+    for q in _divisors_30030():
+        got = bounds.small_m_scan(table_big, n, q)
+        assert repr(got) == repr(_dense_small_m_scan(table_big, n, q)), q
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_small_m_scan_is_the_dense_sweep_at_1e7(table_e7, q):
+    got = bounds.small_m_scan(table_e7, 10_000_000, q)
+    assert repr(got) == repr(_dense_small_m_scan(table_e7, 10_000_000, q))
+
+
+def test_small_m_scan_prunes_blocks(table_big, monkeypatch):
+    """At 1e6 for q = 1 the envelope margins run on block 0 and on the block
+    where the update envelope starts; the other 29 blocks are skipped."""
+    blocks = []
+
+    def counting(n, prefix, margins_of, floors_of=None):
+        def margins(lo, hi, cols):
+            blocks.append(lo)
+            return margins_of(lo, hi, cols)
+
+        return sweep_prefix_min(n, prefix, margins, floors_of)
+
+    monkeypatch.setattr(bounds, "sweep_prefix_min", counting)
+    bounds.small_m_scan(table_big, 1_000_000, 1)
+    assert 0 < len(blocks) <= 3, blocks
 
 
 def test_suite_registry_shape(table_small):

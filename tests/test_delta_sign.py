@@ -17,7 +17,7 @@ import pytest
 
 import mobius_bounds
 from mobius_bounds import delta_sign
-from mobius_bounds.arith import Modulus
+from mobius_bounds.arith import Modulus, build_table
 from mobius_bounds.util import CapacityError
 from mobius_bounds.bounds import delta_q
 from mobius_bounds.delta_sign import (
@@ -526,6 +526,29 @@ def test_caps_scan_frozen(table_small):
     for q in (11, 13, 17):
         s = caps_scan(table_small, q, 46.999)
         assert s.grid_max <= 5e-5, (q, s.grid_max)
+
+
+def test_caps_scan_checks_x_max_before_any_interval(monkeypatch):
+    """An x_max past the table (inf too) raises CapacityError, and NaN
+    ValueError, before any interval is scanned or any schedule is built."""
+    table = build_table(300)
+
+    def no_interval(*args):
+        raise AssertionError("an interval was scanned")
+
+    monkeypatch.setattr(delta_sign, "_interval_invariants", no_interval)
+    for x_max, err in ((302.0, CapacityError), (400.0, CapacityError), (1e9, CapacityError),
+                       (math.inf, CapacityError), (math.nan, ValueError)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(err):
+                caps_scan(table, 1, x_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, (x_max, peak)
+    monkeypatch.undo()
+    assert caps_scan(table, 1, 301.0).x_max == 301.0  # the last interval ends at limit + 1
 
 
 def test_mean_value_soundness(table_small):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mobius_bounds import harmonic
+from mobius_bounds.arith import BLOCK, sweep_min
 from mobius_bounds.harmonic import (
     alpha,
     beta,
@@ -164,6 +165,65 @@ def test_verify_harmonic_rows(table_small):
     assert {2.0, 3.0, 4.0, 5.0, 7.0, 8.0, 9.0, 11.0} <= listed
     scan = [r for r in rows if r.param.startswith("scan")]
     assert len(scan) == 1
+
+
+def _recorded_sweep(monkeypatch, call):
+    """(best, margins) of the one harmonic.sweep_min that call runs."""
+    seen = []
+
+    def recording(n, margins_of, floors_of=None):
+        def margins(lo, hi):
+            out = margins_of(lo, hi)
+            seen.append(out[0].copy())
+            return out
+
+        best = sweep_min(n, margins, floors_of)
+        seen.insert(0, best)
+        return best
+
+    monkeypatch.setattr(harmonic, "sweep_min", recording)
+    rows = call()
+    monkeypatch.undo()
+    return rows, seen[0][0], np.concatenate(seen[1:])
+
+
+def _dense_harmonic(table, n):
+    """(min, argmin N) and the margin at every N in [2, n]: the sweep over
+    every integer, with its cumsum of the dense Lambda(N)/N."""
+    carry = 0.0
+    every = []
+
+    def margins(lo, hi):  # N = lo+2 .. hi+1
+        nonlocal carry
+        nn = np.arange(lo + 2, hi + 2, dtype=np.float64)
+        csum = table.mangoldt(lo + 2, hi + 2) / nn
+        csum[0] += carry
+        np.cumsum(csum, out=csum)
+        carry = csum[-1]
+        every.append(np.log(nn) - csum)
+        return (every[-1],)
+
+    ((v, i),) = sweep_min(n - 1, margins)
+    return (v, i + 2), np.concatenate(every)
+
+
+@pytest.mark.parametrize("n", [2, 3, 383_922, 383_923, 383_924, 1_000_000])
+def test_verify_harmonic_is_the_sweep_over_every_integer(table_big, monkeypatch, n):
+    """The prime-power scan finds the every-integer sweep's first minimum,
+    and its margins are the dense ones at the prime powers, bit for bit;
+    between prime powers the dense margin never decreases."""
+    powers, _ = table_big.prime_powers_upto(n)
+    assert table_big.prime_powers[BLOCK - 1] == 383_923  # the scan's first block edge
+    rows, (v, i), sparse = _recorded_sweep(
+        monkeypatch, lambda: verify_harmonic(table_big, float(n))
+    )
+    (want_v, want_n), dense = _dense_harmonic(table_big, n)
+    assert (v.hex(), int(powers[i])) == (want_v.hex(), want_n)
+    assert rows[-1].X == float(want_n) and rows[-1].param == f"scan n<={n}"
+    assert sparse.tobytes() == dense[powers - 2].tobytes()
+    stretch = np.ones(n - 2, dtype=bool)  # N -> N + 1 with no prime power at N + 1
+    stretch[powers[1:] - 3] = False
+    assert np.all(np.diff(dense)[stretch] >= 0.0)
 
 
 def test_hanson_scan(table_small):

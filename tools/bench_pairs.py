@@ -19,7 +19,11 @@ reported.  Each run also records the probe's mean slowdown from its details
 line, and the runs whose three times all read below SCALED, or all above
 1/SCALED, times their side's median are listed as scaled runs: one factor
 that moves every time of a run at once (such as a misread probe) shows
-there, while the medians and the gain rule are computed as before.
+there.  The runs whose probe slowdown lies more than OUTLIER = 1.5
+interquartile distances outside the quartiles of all the workload's runs
+are listed as probe outliers, with the same time ratios, since a misread
+probe can also move one time alone.  The medians and the gain rule are
+computed from every run all the same.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10  # the fewest pairs the gain rule accepts
 TIMES = ("setup_s", "wall_s", "call_p50_s")
 SCALED = 0.6
+OUTLIER = 1.5
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -81,6 +86,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _time_ratios(pairs: list[dict]):
+    """(side, seed, run, ratios) of every run, ratios[k] being the run's time
+    k over the median of its side's runs."""
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs]
+        medians = {k: statistics.median(r["metrics"][k] for r in runs) for k in TIMES}
+        for p, run in zip(pairs, runs):
+            yield side, p["seed"], run, {k: run["metrics"][k] / medians[k] for k in TIMES}
+
+
 def scaled_runs(pairs: list[dict]) -> list[dict]:
     """The runs whose TIMES all lie below SCALED times, or all above
     1/SCALED times, the median of their side's runs.
@@ -89,17 +104,34 @@ def scaled_runs(pairs: list[dict]) -> list[dict]:
     each run holding "metrics" and "probe_slowdown".  Each run listed gives
     its side, seed, probe slowdown and the ratio of each time to its median.
     """
-    out = []
-    for side in ("parent", "change"):
-        runs = [p[side] for p in pairs]
-        medians = {k: statistics.median(r["metrics"][k] for r in runs) for k in TIMES}
-        for p, run in zip(pairs, runs):
-            ratios = {k: run["metrics"][k] / medians[k] for k in TIMES}
-            if (all(r < SCALED for r in ratios.values())
-                    or all(r > 1 / SCALED for r in ratios.values())):
-                out.append({"side": side, "seed": p["seed"], "ratios": ratios,
-                            "probe_slowdown": run["probe_slowdown"]})
-    return out
+    return [
+        {"side": side, "seed": seed, "ratios": ratios,
+         "probe_slowdown": run["probe_slowdown"]}
+        for side, seed, run, ratios in _time_ratios(pairs)
+        if all(r < SCALED for r in ratios.values())
+        or all(r > 1 / SCALED for r in ratios.values())
+    ]
+
+
+def probe_outliers(pairs: list[dict]) -> list[dict]:
+    """The runs whose probe slowdown lies more than OUTLIER interquartile
+    distances below the first quartile, or above the third, of the probe
+    slowdowns of every run of both sides.
+
+    pairs as for scaled_runs, and each run listed the same way.  A run the
+    probe read as far more (or less) contended than its siblings may have
+    every time divided by a misread factor although no time moves enough
+    to be a scaled run; the medians and the gain rule ignore this list.
+    """
+    q1, _, q3 = quartiles([p[side]["probe_slowdown"] for p in pairs
+                           for side in ("parent", "change")])
+    low, high = q1 - OUTLIER * (q3 - q1), q3 + OUTLIER * (q3 - q1)
+    return [
+        {"side": side, "seed": seed, "ratios": ratios,
+         "probe_slowdown": run["probe_slowdown"]}
+        for side, seed, run, ratios in _time_ratios(pairs)
+        if not low <= run["probe_slowdown"] <= high
+    ]
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -171,10 +203,12 @@ def main(argv: list[str] | None = None) -> int:
                 "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in trees},
                 "summary": summarize(values, spec["end_to_end"]),
                 "scaled_runs": scaled_runs(pairs),
+                "probe_outliers": probe_outliers(pairs),
                 "pairs": pairs,
             }
-            for run in record["workloads"][workload]["scaled_runs"]:
-                print(f"{workload}: scaled run {run}", file=sys.stderr, flush=True)
+            for key in ("scaled_runs", "probe_outliers"):
+                for run in record["workloads"][workload][key]:
+                    print(f"{workload}: {key} {run}", file=sys.stderr, flush=True)
             record.setdefault("machine", pairs[0]["parent"]["machine"])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
