@@ -377,6 +377,37 @@ def test_small_m_scan_is_the_dense_sweep_at_1e7(table_e7, q):
     assert repr(got) == repr(_dense_small_m_scan(table_e7, 10_000_000, q))
 
 
+def _floors_checked(monkeypatch):
+    """Make small_m_scan sweep every block, and check each block's floors
+    against the least entry of its margins; returns the blocks checked."""
+    checked = []
+
+    def every_block(n, blocks, margins_of, floors_of):
+        def margins(lo, hi, cols):
+            out = margins_of(lo, hi, cols)
+            if lo:
+                floors = floors_of(lo, hi, cols)
+                assert len(floors) == len(out)
+                for f, arr in zip(floors, out):
+                    assert f <= arr.min(), (lo, f, arr.min())
+                checked.append(lo)
+            return out
+
+        return sweep_prefix_min(n, blocks, margins)
+
+    monkeypatch.setattr(bounds, "sweep_prefix_min", every_block)
+    return checked
+
+
+def test_small_m_floors_bound_every_block(table_big, table_e7, monkeypatch):
+    checked = _floors_checked(monkeypatch)
+    for q in _divisors_30030():
+        bounds.small_m_scan(table_big, 1_000_000, q)
+    for q in (1, 2):
+        bounds.small_m_scan(table_e7, 10_000_000, q)
+    assert len(checked) == 64 * 30 + 2 * 305
+
+
 def test_small_m_scan_prunes_blocks(table_big, monkeypatch):
     """At 1e6 for q = 1 the envelope margins run on block 0 and on the block
     where the update envelope starts; the other 29 blocks are skipped."""

@@ -86,14 +86,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def _time_ratios(pairs: list[dict]):
-    """(side, seed, run, ratios) of every run, ratios[k] being the run's time
-    k over the median of its side's runs."""
+def _listed_runs(pairs: list[dict]):
+    """Every run as a list entry: its side, seed, probe slowdown and the
+    ratio of each time to the median of its side's runs."""
     for side in ("parent", "change"):
         runs = [p[side] for p in pairs]
         medians = {k: statistics.median(r["metrics"][k] for r in runs) for k in TIMES}
         for p, run in zip(pairs, runs):
-            yield side, p["seed"], run, {k: run["metrics"][k] / medians[k] for k in TIMES}
+            yield {"side": side, "seed": p["seed"],
+                   "ratios": {k: run["metrics"][k] / medians[k] for k in TIMES},
+                   "probe_slowdown": run["probe_slowdown"]}
 
 
 def scaled_runs(pairs: list[dict]) -> list[dict]:
@@ -104,13 +106,9 @@ def scaled_runs(pairs: list[dict]) -> list[dict]:
     each run holding "metrics" and "probe_slowdown".  Each run listed gives
     its side, seed, probe slowdown and the ratio of each time to its median.
     """
-    return [
-        {"side": side, "seed": seed, "ratios": ratios,
-         "probe_slowdown": run["probe_slowdown"]}
-        for side, seed, run, ratios in _time_ratios(pairs)
-        if all(r < SCALED for r in ratios.values())
-        or all(r > 1 / SCALED for r in ratios.values())
-    ]
+    return [r for r in _listed_runs(pairs)
+            if all(x < SCALED for x in r["ratios"].values())
+            or all(x > 1 / SCALED for x in r["ratios"].values())]
 
 
 def probe_outliers(pairs: list[dict]) -> list[dict]:
@@ -120,18 +118,13 @@ def probe_outliers(pairs: list[dict]) -> list[dict]:
 
     pairs as for scaled_runs, and each run listed the same way.  A run the
     probe read as far more (or less) contended than its siblings may have
-    every time divided by a misread factor although no time moves enough
+    its times divided by a misread factor although no time moves enough
     to be a scaled run; the medians and the gain rule ignore this list.
     """
     q1, _, q3 = quartiles([p[side]["probe_slowdown"] for p in pairs
                            for side in ("parent", "change")])
     low, high = q1 - OUTLIER * (q3 - q1), q3 + OUTLIER * (q3 - q1)
-    return [
-        {"side": side, "seed": seed, "ratios": ratios,
-         "probe_slowdown": run["probe_slowdown"]}
-        for side, seed, run, ratios in _time_ratios(pairs)
-        if not low <= run["probe_slowdown"] <= high
-    ]
+    return [r for r in _listed_runs(pairs) if not low <= r["probe_slowdown"] <= high]
 
 
 def unpack(rev: str, dest: Path) -> str:
