@@ -377,9 +377,9 @@ def test_small_m_scan_is_the_dense_sweep_at_1e7(table_e7, q):
     assert repr(got) == repr(_dense_small_m_scan(table_e7, 10_000_000, q))
 
 
-def _floors_checked(monkeypatch):
-    """Make small_m_scan sweep every block, and check each block's floors
-    against the least entry of its margins; returns the blocks checked."""
+def test_small_m_floors_bound_every_block(table_big, table_e7, monkeypatch):
+    """Swept over every block, each block's floors lie at or below the least
+    entry of its margins, for the 64 q at 1e6 and q = 1, 2 at 1e7."""
     checked = []
 
     def every_block(n, blocks, margins_of, floors_of):
@@ -396,11 +396,6 @@ def _floors_checked(monkeypatch):
         return sweep_prefix_min(n, blocks, margins)
 
     monkeypatch.setattr(bounds, "sweep_prefix_min", every_block)
-    return checked
-
-
-def test_small_m_floors_bound_every_block(table_big, table_e7, monkeypatch):
-    checked = _floors_checked(monkeypatch)
     for q in _divisors_30030():
         bounds.small_m_scan(table_big, 1_000_000, q)
     for q in (1, 2):
