@@ -82,6 +82,51 @@ def test_certificates_match_golden(table_mid):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (q, x0)
 
 
+# sha256 of a certificate's content, whatever its encoding: q, the claimed
+# X0 and the status, then per record N, M2 and every step's (eps, t), each
+# float by float.hex(); the seven delta-sign:certify claims (cap 0) and the
+# four delta-sign:caps certificates, on table_1e5
+CERTIFICATE_CONTENT = {
+    (1, 10.8, 0.0):
+        "7696105964a794a11ccee128eeb1c66b1857eacedeb2024fe7f1f1b256b4e442",
+    (1, 11.0, 0.0):
+        "73b25c4080b33eeef8e1a474780112ec16dd95d6886a3430ef59080a74e76b57",
+    (2, 41.0, 0.0):
+        "a2ec19bc344f078bbdaeff613c2e2bf7f91e1e6324d91fbfa30c1e5fb8fb7de1",
+    (6, 41.0, 0.0):
+        "219e5a43d48075d5be1b9e468a3bd4b47039259e5d54c920c7fc2c2844b389c5",
+    (15, 41.0, 0.0):
+        "86d14dce3f8f96d5a4b705c4788671fa9cf47b414788fe538b9bf605a8407485",
+    (30, 41.0, 0.0):
+        "5320ba1ba43606c6ad89f7f9c0dae95277b1c0364ae0d9f1e2c7cddf84157282",
+    (2310, 41.0, 0.0):
+        "140717a71fdb1dba695a0f408e877ba49a74abd81697abd1c2d9e273a5cf0a79",
+    (1, 47.0, 0.014):
+        "dc852764efded9f04ed921afe4954383bf483d9831afbfc6a0aa96fb7824ba2b",
+    (11, 46.999, 0.00005):
+        "c91bdc8d8d2cc8387e3edd28993374cf527ff628240655226204073dc1ac0f3d",
+    (13, 46.999, 0.00005):
+        "384c0be05deef79e83b12960a468be738b4fd0a78e391f17fe8d94ed1524397e",
+    (17, 46.999, 0.00005):
+        "20b310fcc09ce8121a1060703c40792dc64be1ef46f2453975efb7dac3654865",
+}
+
+
+def _certificate_content(cert, x0: float) -> str:
+    h = hashlib.sha256(f"{cert.q} {x0.hex()} {cert.status}".encode())
+    for rec in cert.records:
+        h.update(f"\n{rec.N} {rec.M2.hex()}".encode())
+        for eps, t in rec.steps:
+            h.update(f" {eps.hex()} {t.hex()}".encode())
+    return h.hexdigest()
+
+
+def test_certificate_content_matches_pin(table_mid):
+    for (q, x0, cap), digest in CERTIFICATE_CONTENT.items():
+        cert = delta_sign.certify_sign(table_mid, q, x0, cap=cap)
+        assert _certificate_content(cert, x0) == digest, (q, x0, cap)
+
+
 IDENTITY_GRID = "1,2.5,2.718281828459045,10,100,1000,12345.678"
 
 # golden file stem -> (arguments after "identity", exit code)
