@@ -6,15 +6,15 @@ at one point and renders a three-way verdict through the certified
 comparison in util: pass only when the margin clears the accumulated
 evaluation error, fail only when the violation does.  The *_scan sweeps
 evaluate the left side from cumsum prefixes, at every integer of a range
-or, for the eps families, on a 200-point log grid.  The full-range sweeps
-read the prefixes one block at a time (prefix_blocks, paired with the
-sweep by sweep_prefix_min), and the eps families at the grid's floors only
-(prefix_log_moment with at=), so no scan builds an array of length n_max;
-the values are those of the full prefix arrays, bit for bit.  small_m_scan
-also bounds each block's margins from below and skips the blocks that
-cannot hold a new first minimum, with the same results.  Scan margins
-are uncertified floats: they carry no error radius and no caller
-re-verifies them (ROADMAP item 4).
+or, for the eps families, on a log grid of SCAN_POINTS points.  The
+full-range sweeps read the prefixes one block at a time (prefix_blocks,
+paired with the sweep by sweep_prefix_min), and the eps families at the
+grid's floors only (prefix_log_moment with at=), so no scan builds an
+array of length n_max; the values are those of the full prefix arrays,
+bit for bit.  small_m_scan also bounds each block's margins from below
+and skips the blocks that cannot hold a new first minimum, with the same
+results.  Scan margins are uncertified floats: they carry no error radius
+and no caller re-verifies them (ROADMAP item 4).
 
 Envelopes take log X from their caller, as math.log at a point and np.log
 in a scan (the two differ in the last bit on some inputs).  Indicator
@@ -62,6 +62,9 @@ from .util import (
     floor_int,
     fsum_blocks,
 )
+
+# points of the log grid of X that the eps-family scans sweep
+SCAN_POINTS = 200
 
 # weights attached to the even part of the modulus
 G0_EVEN = math.sqrt(3.0) * (math.sqrt(2.0) - 1.0) / 2.0
@@ -254,7 +257,6 @@ def mqeps_scan(
     n_max: int,
     q: Modulus | int,
     eps: float,
-    points: int = 200,
 ) -> tuple[float, float, float]:
     """(min envelope margin, argmin X, min slack of value >= -q/phi(q))
     over a log grid of X in [2, n_max]."""
@@ -262,7 +264,7 @@ def mqeps_scan(
     if n_max < 2:
         raise ValueError(f"the grid runs over X in [2, n_max], got n_max = {n_max}")
     qm = Modulus.coerce(q)
-    xs = np.exp(np.linspace(math.log(2.0), math.log(float(n_max)), points))
+    xs = np.exp(np.linspace(math.log(2.0), math.log(float(n_max)), SCAN_POINTS))
     idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
     lxs = np.log(xs)
     if eps == 0.0:
@@ -351,13 +353,12 @@ def mcheckqeps_scan(
     n_max: int,
     q: Modulus | int,
     eps: float,
-    points: int = 200,
 ) -> tuple[float, float]:
     """(min margin, argmin X) for the log-weighted envelope on [15, n_max]."""
     _mcheckqeps_domain(float(n_max), eps)
     qm = Modulus.coerce(q)
     sigma = 1.0 + eps
-    xs = np.exp(np.linspace(math.log(15.0), math.log(float(n_max)), points))
+    xs = np.exp(np.linspace(math.log(15.0), math.log(float(n_max)), SCAN_POINTS))
     idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
     ps, l1 = prefix_log_moment(table, n_max, qm, sigma, (0, 1), at=idx)
     lxs = np.log(xs)

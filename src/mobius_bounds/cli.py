@@ -321,8 +321,8 @@ def _verify(args: argparse.Namespace) -> list[BoundRow] | int:
 
 
 def _delta_sign(args: argparse.Namespace) -> int:
-    """The output artifact is the certificate JSON itself; the return value
-    is the exit code."""
+    """The output artifact is the certificates themselves, one JSON line per
+    modulus; the return value is the exit code."""
     from . import delta_sign
 
     table = _table(args, max(args.x0, 47.0))

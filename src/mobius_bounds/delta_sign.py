@@ -10,15 +10,16 @@ chain from eps = 0 to eps_max whose pair bounds all stay at or below
 cap - error_budget proves Delta_q(X, eps)/X^eps <= cap on the interval;
 cap = 0 is the sign claim.
 
-The slope bound M and the main term's share of M2 are closed forms:
-interval arithmetic on enclosures of eps·zeta(1+eps) and its first two
-derivatives over subintervals of [0, 1] (analytic.eps_zeta_enclosure).
-The walk itself uses no interval arithmetic.  Rounding is absorbed by an
-explicit error_budget: a value at or above cap - error_budget is a
-failure witness, and one within ten budgets of the cap aborts as
-inconclusive rather than certifying on noise.  Certificates serialize to JSON with floats written
-as repr strings, so a round trip is bit-for-bit and a checker can
-re-derive every step.
+The main term's share of M2, and the slope bound M behind caps_scan's
+rigorous cap, are closed forms: interval arithmetic on enclosures of
+eps·zeta(1+eps) and its first two derivatives over subintervals of
+[0, 1] (analytic.eps_zeta_enclosure).  The walk itself uses no interval
+arithmetic.  Rounding is absorbed by an explicit error_budget: a value
+at or above cap - error_budget is a failure witness, and one within ten
+budgets of the cap aborts as inconclusive rather than certifying on
+noise.  A certificate serializes to one line of JSON whose floats are
+plain numbers (Python writes each by repr and reads it back bit for bit),
+so a checker can re-derive every step.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ CERTIFIED = "certified_nonpositive"
 FAILED = "fail"
 UNDECIDED = "inconclusive"
 
-CERT_VERSION = 2
+CERT_VERSION = 3
 _STEP_CAP = 200_000
 # share of the room below cap - budget that a proposed step's pair bound
 # may use if the far value comes out as its slope predicts
@@ -309,7 +310,6 @@ def interval_max(
 @dataclass(frozen=True)
 class IntervalRecord:
     N: int
-    M: float  # first-order slope bound, derivative_bound(q, N)
     M2: float  # curvature bound, curvature_bound on the interval
     steps: tuple[tuple[float, float], ...]  # (eps_k, t_k) in step order
 
@@ -317,18 +317,26 @@ class IntervalRecord:
 @dataclass(frozen=True)
 class DeltaCertificate:
     q: int
-    x_range: tuple[float, float]
+    x0: float  # the X range is [1, x0]
     eps_max: float
     error_budget: float
     status: str
     records: tuple[IntervalRecord, ...]
-    failure: tuple[int, float, float] | None = None  # (N, eps, value)
     reason: str = ""
     cap: float = 0.0
 
     @property
     def certified(self) -> bool:
         return self.status == CERTIFIED
+
+    @property
+    def failure(self) -> tuple[int, float, float] | None:
+        """(N, eps, value) of a failed run's witness: the last step of its
+        last record, where the walk stops on the value that failed."""
+        if self.status != FAILED or not self.records or not self.records[-1].steps:
+            return None
+        rec = self.records[-1]
+        return (rec.N, *rec.steps[-1])
 
     def proven_bound(self) -> float:
         """Largest pair bound max(t_k, t_{k+1}) + M2 h_k^2 / 8 over all
@@ -396,10 +404,9 @@ def certify_sign(
     step, and halved at least (refitting the slope) until it is kept.
     Every value evaluated, kept or not, meets the budget rules: one at or
     above cap - error_budget ends the run with status "fail" and the
-    witness (a failure is a result, not an error); one within ten budgets
-    of the cap aborts as "inconclusive" instead of certifying a margin
-    thinner than the arithmetic deserves.  Each record also carries the
-    first-order slope bound M = derivative_bound(q, N).
+    witness as its last step (a failure is a result, not an error); one
+    within ten budgets of the cap aborts as "inconclusive" instead of
+    certifying a margin thinner than the arithmetic deserves.
     """
     if not x0 > 1.0:
         raise ValueError("x0 must exceed 1")
@@ -413,7 +420,7 @@ def certify_sign(
         raise ValueError(f"cap must be finite, got {cap!r}")
     qm = Modulus.coerce(q)
     records: list[IntervalRecord] = []
-    status, failure, reason = CERTIFIED, None, ""
+    status, reason = CERTIFIED, ""
     for N, x_hi in _interval_schedule(x0):
         kernel = _interval_invariants(table, N, qm, x_hi)
         m2 = curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
@@ -441,58 +448,38 @@ def certify_sign(
             steps.append((nxt, t_nxt))
             slope = (t_nxt - t) / (nxt - eps)
             eps, t = nxt, t_nxt
-        if status == FAILED:
-            failure = (N, eps, t)
-        records.append(
-            IntervalRecord(N=N, M=derivative_bound(qm, N), M2=m2, steps=tuple(steps))
-        )
+        records.append(IntervalRecord(N=N, M2=m2, steps=tuple(steps)))
         if status != CERTIFIED:
             break
     return DeltaCertificate(
         q=qm.q,
-        x_range=(1.0, x0),
+        x0=x0,
         eps_max=eps_max,
         error_budget=error_budget,
         status=status,
         records=tuple(records),
-        failure=failure,
         reason=reason,
         cap=cap,
     )
 
 
 # ----------------------------------------------------------------------
-# Serialization: floats as repr strings so round trips are exact.
+# Serialization: one line of JSON, floats as numbers (exact round trips).
 
 
 def certificate_to_json(cert: DeltaCertificate) -> str:
     obj = {
         "version": CERT_VERSION,
         "q": cert.q,
-        "x_range": [repr(cert.x_range[0]), repr(cert.x_range[1])],
-        "eps_max": repr(cert.eps_max),
-        "error_budget": repr(cert.error_budget),
-        "cap": repr(cert.cap),
+        "x0": cert.x0,
+        "eps_max": cert.eps_max,
+        "error_budget": cert.error_budget,
+        "cap": cert.cap,
         "status": cert.status,
-        "records": [
-            {
-                "N": rec.N,
-                "M": repr(rec.M),
-                "M2": repr(rec.M2),
-                "steps": [[repr(e), repr(t)] for e, t in rec.steps],
-            }
-            for rec in cert.records
-        ],
-        "failure": None
-        if cert.failure is None
-        else {
-            "N": cert.failure[0],
-            "eps": repr(cert.failure[1]),
-            "value": repr(cert.failure[2]),
-        },
+        "records": [{"N": rec.N, "M2": rec.M2, "steps": rec.steps} for rec in cert.records],
         "reason": cert.reason,
     }
-    return json.dumps(obj, indent=1, sort_keys=True)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def certificate_from_json(text: str) -> DeltaCertificate:
@@ -502,24 +489,18 @@ def certificate_from_json(text: str) -> DeltaCertificate:
     records = tuple(
         IntervalRecord(
             N=int(rec["N"]),
-            M=float(rec["M"]),
             M2=float(rec["M2"]),
             steps=tuple((float(e), float(t)) for e, t in rec["steps"]),
         )
         for rec in obj["records"]
     )
-    failure = None
-    if obj.get("failure") is not None:
-        f = obj["failure"]
-        failure = (int(f["N"]), float(f["eps"]), float(f["value"]))
     return DeltaCertificate(
         q=int(obj["q"]),
-        x_range=(float(obj["x_range"][0]), float(obj["x_range"][1])),
+        x0=float(obj["x0"]),
         eps_max=float(obj["eps_max"]),
         error_budget=float(obj["error_budget"]),
         status=str(obj["status"]),
         records=records,
-        failure=failure,
         reason=str(obj.get("reason", "")),
         cap=float(obj["cap"]),
     )
@@ -529,23 +510,24 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     """Re-derive every recorded quantity; returns problems (empty = verified).
 
     Independent of certify_sign's control flow, though it shares its kernel:
-    recomputes M and M2 per interval and requires each recorded value to be
-    at least its bound, re-derives every t_k within error_budget, and checks
-    the chain directly -- eps_0 = 0, every step in [0, 1], every certified
-    t_k at or below cap - error_budget, every consecutive pair's
-    pair_bound at or below cap - error_budget, the last step reaching
-    eps_max on full intervals, and the interval list tiling [1, x0].  The
-    final step of a certificate that is not certified (its witness or the
-    value that stopped it) is exempt from the value and pair rules.  A step
-    or witness outside the certified range is a problem, not an error, and
-    so is an X range that the table does not reach, reported before any
+    recomputes M2 per interval and requires each recorded value to be at
+    least it, re-derives every t_k within error_budget, and checks the
+    chain directly -- eps_0 = 0, every step in [0, 1], every certified t_k
+    at or below cap - error_budget, every consecutive pair's pair_bound at
+    or below cap - error_budget, the last step reaching eps_max on full
+    intervals, and the interval list tiling [1, x0].  The final step of a
+    certificate that is not certified (the value that stopped it) is exempt
+    from the value and pair rules; on a "fail" certificate that step is the
+    witness, and its re-derived value must lie within two budgets of the
+    cap.  A step outside the certified range is a problem, not an error,
+    and so is an x0 that the table does not reach, reported before any
     interval is built.  A record's step values come from one
     IntervalKernel.at_each call, which equals the walk's at(), value for
     value.
     """
-    budget, cap, (x_lo, x0) = cert.error_budget, cert.cap, cert.x_range
-    if not (x_lo == 1.0 and 1.0 < x0 <= table.limit + 1.0):
-        return [f"X range {cert.x_range!r} is not [1, X0], 1 < X0 <= {table.limit + 1}"]
+    budget, cap, x0 = cert.error_budget, cert.cap, cert.x0
+    if not 1.0 < x0 <= table.limit + 1.0:
+        return [f"X range [1, {x0!r}] needs 1 < X0 <= {table.limit + 1}"]
     problems: list[str] = []
     qm = Modulus.coerce(cert.q)
     n_last = _last_interval(x0)
@@ -555,19 +537,15 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     ):
         problems.append("interval list does not tile the X range")
     for rec in cert.records:
+        last = None  # the re-derived value of the record's last step
         if not 1 <= rec.N <= n_last:
             problems.append(f"N={rec.N}: interval outside the X range")
             continue
         kernel = _interval_invariants(table, rec.N, qm, min(rec.N + 1.0, x0))
         # an understated bound widens every step past what it covers
-        for name, recorded, true in (
-            ("M", rec.M, derivative_bound(qm, rec.N)),
-            ("M2", rec.M2, curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)),
-        ):
-            if not recorded >= true:
-                problems.append(
-                    f"N={rec.N}: recorded {name}={recorded!r} is below {true!r}"
-                )
+        m2 = curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
+        if not rec.M2 >= m2:
+            problems.append(f"N={rec.N}: recorded M2={rec.M2!r} is below {m2!r}")
         if not rec.steps:
             problems.append(f"N={rec.N}: no steps recorded")
             continue
@@ -577,10 +555,9 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
         for k, (eps, t) in enumerate(rec.steps):
             if not 0.0 <= eps <= 1.0:
                 problems.append(f"N={rec.N}: step {k} has eps={eps!r} outside [0, 1]")
-            elif abs((t_new := next(fresh)) - t) > budget:
-                problems.append(
-                    f"N={rec.N}, eps={eps!r}: recorded {t!r} vs replay {t_new!r}"
-                )
+                last = None
+            elif abs((last := next(fresh)) - t) > budget:
+                problems.append(f"N={rec.N}, eps={eps!r}: recorded {t!r} vs replay {last!r}")
         is_last_bad = cert.status != CERTIFIED and rec.N == cert.records[-1].N
         # the step that stopped a run (its witness, say) meets no rule
         kept = rec.steps[:-1] if is_last_bad else rec.steps
@@ -593,18 +570,10 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
         if not is_last_bad and not rec.steps[-1][0] >= cert.eps_max:
             problems.append(f"N={rec.N}: coverage stops short of eps_max")
     if cert.status == FAILED:
-        if cert.failure is None:
-            problems.append("fail status without a witness")
-        else:
-            n_w, eps_w, val_w = cert.failure
-            if not (1 <= n_w <= n_last and 0.0 <= eps_w <= 1.0):
-                problems.append(f"witness (N={n_w}, eps={eps_w!r}) outside the range")
-            else:
-                t_new = interval_max(table, n_w, cert.q, eps_w, x_hi=min(n_w + 1.0, x0))
-                if abs(t_new - val_w) > budget:
-                    problems.append(f"witness value {val_w!r} vs replay {t_new!r}")
-                if not cap - t_new <= 2.0 * budget:
-                    problems.append("witness does not reproduce a value at the cap")
+        if not cert.records:
+            problems.append("fail status without a last step")
+        elif last is not None and not cap - last <= 2.0 * budget:
+            problems.append("last step does not reproduce a value at the cap")
     return problems
 
 
@@ -635,11 +604,12 @@ def caps_scan(
     X is never discretised: each unit interval contributes its closed-form
     supremum (see interval_max) on the eps grid.  grid_max is the scan
     value; rigorous_cap adds M * CAPS_EPS_STEP / 2 per interval so the true
-    supremum over all eps is provably below it.  An x_max past the table
-    (inf too) raises CapacityError, and NaN ValueError, before any interval.
+    supremum over all eps is provably below it.  An x_max at or below 1
+    (NaN too) raises ValueError, as certify_sign's x0 does, and one past the
+    table (inf too) CapacityError, before any interval.
     """
-    if math.isnan(x_max):
-        raise ValueError(f"x_max must be a number, got {x_max!r}")
+    if not x_max > 1.0:
+        raise ValueError(f"x_max must exceed 1, got {x_max!r}")
     if not x_max <= table.limit + 1.0:
         raise CapacityError(f"x_max={x_max!r} needs sieve data past the table's {table.limit}")
     qm = Modulus.coerce(q)

@@ -258,8 +258,6 @@ def _int_pow(c: complex, llo: np.ndarray, lr: np.ndarray) -> np.ndarray:
     return _libm(math.exp, cp1 * llo) * _libm(math.expm1, cp1 * lr) / cp1
 
 
-
-
 @dataclass(frozen=True)
 class _Block:
     """Consecutive pieces [lo, hi] of the grid of [1, X]; on the interior of
@@ -344,11 +342,6 @@ def _power_prefix(g_id: str, a: complex, n: int) -> np.ndarray:
     return np.cumsum(w, out=w)
 
 
-def evaluate_ofd(table: ArithmeticTable, spec: IdentitySpec, X: float) -> OfdResult:
-    """Evaluate both sides of the master identity; residual = |lhs - rhs|."""
-    return _ofd_pass(table, spec, X)
-
-
 def _grid_size(table: ArithmeticTable, X: float) -> int:
     """[X], after checking that X >= 1, that the table reaches [X] and that
     the grid of [1, X] stays within _PIECE_CAP pieces."""
@@ -361,12 +354,14 @@ def _grid_size(table: ArithmeticTable, X: float) -> int:
     return n
 
 
-def _ofd_pass(
-    table: ArithmeticTable, spec: IdentitySpec, X: float, visit=None, f=None
+def evaluate_ofd(
+    table: ArithmeticTable, spec: IdentitySpec, X: float, *, visit=None, f=None
 ) -> OfdResult:
-    """evaluate_ofd, with visit(block) called on each grid block as well, so
-    that a catalog check sums its own integrals over the same pass; f, if
-    given, holds the f values up to [X], which the check has read already."""
+    """Evaluate both sides of the master identity; residual = |lhs - rhs|.
+
+    visit(block), if given, is called on each grid block as well, so that a
+    catalog check sums its own integrals over the same pass; f, if given,
+    holds the f values up to [X], which the check has read already."""
     n = _grid_size(table, X)
     if f is None:
         f = _f_values(table, spec, n)
@@ -560,7 +555,7 @@ def catalog_check(
         spec = h_spec if h_spec is not None else IdentitySpec(
             "mobius", "one", "power", "id", s=0.5
         )
-        ofd = _ofd_pass(table, spec, X)
+        ofd = evaluate_ofd(table, spec, X)
         return CatalogReport(
             name=name,
             X=X,
@@ -579,7 +574,7 @@ def catalog_check(
     note = ""
 
     if name == "meissel":
-        ofd = _ofd_pass(table, spec, X)
+        ofd = evaluate_ofd(table, spec, X)
 
         def fracs(nn, sl):
             y = X / nn
@@ -589,11 +584,11 @@ def catalog_check(
         rhs = -1.0 + X * mval
     elif name == "elmarraki":
         total = ExactSum()
-        ofd = _ofd_pass(table, spec, X, _floor_over_t(table, n, total))
+        ofd = evaluate_ofd(table, spec, X, visit=_floor_over_t(table, n, total))
         lhs = float(total)
         rhs = math.log(X)
     elif name == "macleod":
-        ofd = _ofd_pass(table, spec, X)
+        ofd = evaluate_ofd(table, spec, X)
 
         def terms(nn, sl):
             y = X / nn
@@ -604,7 +599,9 @@ def catalog_check(
         rhs = X * mval - Mval - 2.0 + 2.0 / X
     elif name == "euler_gamma":
         printed, fixed = ExactSum(), ExactSum()
-        ofd = _ofd_pass(table, spec, X, _gamma_brackets(table, n, printed, fixed))
+        ofd = evaluate_ofd(
+            table, spec, X, visit=_gamma_brackets(table, n, printed, fixed)
+        )
         lhs = m_check_q(table, X, 1) + GAMMA * (mval - Mval / X)
         rhs = 1.0 - 1.0 / X + float(printed) / X
         rhs_fixed = 1.0 - 1.0 / X + float(fixed) / X
@@ -618,7 +615,7 @@ def catalog_check(
         liou = table.liouville(0, n + 1)
         frac, lam, floor = ExactSum(), ExactSum(), ExactSum()
         visit = _liouville_integrals(liou, X, frac, lam, floor)
-        ofd = _ofd_pass(table, spec, X, visit, liou.astype(np.float64))
+        ofd = evaluate_ofd(table, spec, X, visit=visit, f=liou.astype(np.float64))
         lam_over_n = _sum_over_n(n, lambda nn, sl: liou[sl] / nn)
         lhs = lam_over_n - _sum_over_n(n, lambda nn, sl: liou[sl]) / X
         # 2/sqrt(X) - 1/X - (1/X) int {X/t} dt/t + (1/X) int S_lam(X/t) {t} dt/t

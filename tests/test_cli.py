@@ -7,7 +7,9 @@ import json
 import pytest
 
 from mobius_bounds import bounds
+from mobius_bounds.arith import build_table
 from mobius_bounds.cli import main, suite_registry
+from mobius_bounds.delta_sign import certificate_from_json, replay_certificate
 from mobius_bounds.identities import CATALOG_NAMES
 from mobius_bounds.reports import rows_to_csv
 
@@ -250,9 +252,9 @@ def test_delta_sign_failure_exit(tmp_path):
     out = tmp_path / "cert.json"
     rc = main(["delta-sign", "--q", "1", "--X0", "11", "--out", str(out)])
     assert rc == 2
-    doc = json.loads(out.read_text())
-    assert doc["status"] == "fail"
-    assert doc["failure"]["N"] == 10
+    cert = certificate_from_json(out.read_text())
+    assert cert.status == "fail"
+    assert cert.failure[0] == 10
 
 
 def test_delta_sign_caps_flag(tmp_path):
@@ -260,8 +262,21 @@ def test_delta_sign_caps_flag(tmp_path):
     rc = main(["delta-sign", "--cap", "0.014", "--q", "1", "--X0", "47", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
-    assert doc["cap"] == "0.014"
+    assert doc["cap"] == 0.014
     assert doc["status"] == "certified_nonpositive"
+
+
+def test_delta_sign_writes_one_certificate_per_line(tmp_path):
+    out = tmp_path / "certs.jsonl"
+    rc = main(["delta-sign", "--q", "1,2", "--X0", "10.8", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    table = build_table(1_000)
+    for q, line in zip((1, 2), lines):
+        cert = certificate_from_json(line)
+        assert (cert.q, cert.x0) == (q, 10.8)
+        assert replay_certificate(table, cert) == []
 
 
 def test_harmonic_command(capsys):

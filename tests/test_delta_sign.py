@@ -251,7 +251,7 @@ def test_batched_replay_rederives_every_step_bit_for_bit(table_small, monkeypatc
             qm = Modulus.coerce(cert.q)
             for rec in cert.records:
                 kernel = delta_sign._interval_invariants(
-                    table_small, rec.N, qm, min(rec.N + 1.0, cert.x_range[1])
+                    table_small, rec.N, qm, min(rec.N + 1.0, cert.x0)
                 )
                 values = kernel.at_each([e for e, _ in rec.steps])
                 assert [v.hex() for v in values] == [t.hex() for _, t in rec.steps]
@@ -374,21 +374,45 @@ def test_replay_reports_out_of_range_steps(table_small, eps):
 
 @pytest.mark.parametrize("eps", [1.5, math.nan])
 def test_replay_reports_out_of_range_witness(table_small, eps):
+    # the witness of a failure is the last step of its last record
     cert = certify_sign(table_small, 1, 11.0)
-    n, _, t = cert.failure
-    bad = dataclasses.replace(cert, failure=(n, eps, t))
+    rec = cert.records[-1]
+    bad_rec = dataclasses.replace(rec, steps=rec.steps[:-1] + ((eps, rec.steps[-1][1]),))
+    bad = _with_record(cert, -1, bad_rec)
+    assert bad.failure[1] is eps
     problems = replay_certificate(table_small, bad)
-    assert any("outside the range" in p for p in problems), problems
+    assert f"N=10: step 0 has eps={eps!r} outside [0, 1]" in problems, problems
 
 
+def test_replay_rejects_a_witness_below_the_cap(table_small):
+    # a failure claimed at N = 9, where the defect stays well below the cap
+    cert = certify_sign(table_small, 1, 11.0)
+    bad = dataclasses.replace(cert, records=cert.records[:-1])
+    assert bad.status == FAILED and bad.failure[0] == 9
+    problems = replay_certificate(table_small, bad)
+    assert problems == ["last step does not reproduce a value at the cap"], problems
+
+
+def test_replay_reports_a_failure_without_a_last_step(table_small):
+    cert = certify_sign(table_small, 1, 11.0)
+    assert replay_certificate(table_small, dataclasses.replace(cert, records=())) == [
+        "fail status without a last step"
+    ]
+    rec = dataclasses.replace(cert.records[-1], steps=())
+    bad = _with_record(cert, -1, rec)
+    assert bad.failure is None
+    assert replay_certificate(table_small, bad) == ["N=10: no steps recorded"]
+
+
+# each X range is [1, x0]: the v3 format records only x0
 @pytest.mark.parametrize("x_range", [
-    (1.0, math.inf), (1.0, math.nan), (1.0, 1e12), (1.0, 10_001.5), (1.0, 1.0), (2.0, 10.8),
+    (1.0, math.inf), (1.0, math.nan), (1.0, 1e12), (1.0, 10_001.5), (1.0, 1.0), (1.0, 0.5),
 ])
 def test_replay_reports_an_x_range_the_table_does_not_reach(table_small, x_range):
     cert = certify_sign(table_small, 1, 10.8)
     # a record past the table's reach, which no interval could be built for
     last = dataclasses.replace(cert.records[-1], N=10_001)
-    bad = dataclasses.replace(cert, x_range=x_range, records=cert.records + (last,))
+    bad = dataclasses.replace(cert, x0=x_range[1], records=cert.records + (last,))
     tracemalloc.start()
     try:
         problems = replay_certificate(table_small, bad)
@@ -403,7 +427,7 @@ def test_replay_checks_the_tiling_without_a_list_of_intervals(table_mid):
     # a range the table reaches but the records do not cover: 1e5 intervals
     # would be about 4 MB as a list of ints, 9 MB as the old schedule
     cert = certify_sign(table_mid, 1, 10.8)
-    bad = dataclasses.replace(cert, x_range=(1.0, 100_000.0))
+    bad = dataclasses.replace(cert, x0=100_000.0)
     tracemalloc.start()
     try:
         problems = replay_certificate(table_mid, bad)
@@ -435,36 +459,12 @@ def test_replay_reports_a_record_outside_the_x_range(table_small):
     ]
 
 
-def test_replay_rejects_understated_slope(table_small):
-    cert = certify_sign(table_small, 1, 10.8)
-    rec = cert.records[0]
-    bad_rec = dataclasses.replace(rec, M=rec.M * 0.5)
-    bad = dataclasses.replace(cert, records=(bad_rec,) + cert.records[1:])
-    problems = replay_certificate(table_small, bad)
-    assert len(problems) == 1 and "recorded M=" in problems[0], problems
-
-
 def test_replay_rejects_understated_curvature(table_small):
     cert = certify_sign(table_small, 1, 10.8)
     rec = cert.records[4]
     bad = _with_record(cert, 4, dataclasses.replace(rec, M2=rec.M2 * 0.5))
     problems = replay_certificate(table_small, bad)
     assert any("recorded M2=" in p and "is below" in p for p in problems), problems
-
-
-def test_replay_rejects_forged_understated_slope(table_small, monkeypatch):
-    # certified with half the proven slope bound, the chain is consistent
-    # with its own M: only M itself can give the forgery away
-    true_bound = delta_sign.derivative_bound
-    monkeypatch.setattr(
-        delta_sign, "derivative_bound", lambda q, N: 0.5 * true_bound(q, N)
-    )
-    forged = certify_sign(table_small, 1, 6.0)
-    monkeypatch.setattr(delta_sign, "derivative_bound", true_bound)
-    assert forged.status == CERTIFIED
-    problems = replay_certificate(table_small, forged)
-    assert len(problems) == len(forged.records)
-    assert all("is below" in p for p in problems)
 
 
 def test_replay_rejects_forged_understated_curvature(table_small, monkeypatch):
@@ -500,15 +500,15 @@ def test_replay_rejects_a_raised_cap(table_small):
     assert any("break the pair rule" in p for p in problems)
 
 
-def test_certificate_from_json_requires_version_2(table_small):
+def test_certificate_from_json_requires_version_3(table_small):
     doc = json.loads(certificate_to_json(certify_sign(table_small, 1, 4.0)))
-    assert doc["version"] == 2
-    for version in (None, 1, "2"):
+    assert doc["version"] == 3
+    for version in (None, 1, 2, "3"):
         if version is None:
             del doc["version"]
         else:
             doc["version"] = version
-        with pytest.raises(ValueError, match="version 2"):
+        with pytest.raises(ValueError, match="version 3"):
             certificate_from_json(json.dumps(doc))
 
 
@@ -551,11 +551,26 @@ def test_caps_scan_checks_x_max_before_any_interval(monkeypatch):
     assert caps_scan(table, 1, 301.0).x_max == 301.0  # the last interval ends at limit + 1
 
 
+@pytest.mark.parametrize("x_max", [1.0, 0.5])
+def test_caps_scan_refuses_an_x_max_at_or_below_one(monkeypatch, x_max):
+    """[1, x_max] holds no unit interval, so no cap was checked: ValueError,
+    as certify_sign's x0 <= 1, before any interval."""
+    table = build_table(300)
+
+    def no_interval(*args):
+        raise AssertionError("an interval was scanned")
+
+    monkeypatch.setattr(delta_sign, "_interval_invariants", no_interval)
+    with pytest.raises(ValueError, match="x_max must exceed 1"):
+        caps_scan(table, 1, x_max)
+
+
 def test_mean_value_soundness(table_small):
     # between recorded steps the chained slope bound must keep t <= 0
     cert = certify_sign(table_small, 1, 10.8)
     rng = random.Random(11)
     for rec in cert.records[:4] + cert.records[-2:]:
+        m = derivative_bound(1, rec.N)
         pairs = list(rec.steps)
         for _ in range(5):
             i = rng.randrange(len(pairs))
@@ -563,11 +578,11 @@ def test_mean_value_soundness(table_small):
             if i + 1 < len(pairs):
                 hi = pairs[i + 1][0]
             else:
-                hi = min(1.0, eps - t / rec.M)
+                hi = min(1.0, eps - t / m)
             star = eps + rng.random() * (hi - eps)
             x_hi = min(float(rec.N + 1), 10.8)
             t_star = interval_max(table_small, rec.N, 1, star, x_hi=x_hi)
-            assert t_star <= t + rec.M * (star - eps) + 1e-12
+            assert t_star <= t + m * (star - eps) + 1e-12
 
 
 @pytest.mark.parametrize("q, x0, cap", [(1, 10.8, 0.0), (6, 30.5, 0.0), (13, 46.999, 5e-5)])

@@ -54,16 +54,17 @@ SUITES = (
 )
 
 # sha256 of certificate_to_json(certify_sign(table_1e5, q, X0)); re-captured
-# when eps_zeta became the Stieltjes series with closed-form M and M2: every
-# step value at an eps both versions reach moved by at most 3.6e-15
+# for certificate format v3 (one line, floats as JSON numbers, no M, no
+# stored witness, x0 for the X range).  The format moved no float:
+# CERTIFICATE_CONTENT below passed unedited across the change
 CERTIFICATES = {
-    (1, 10.8): "27ab04404f187b2581a532bd594ce432d26d82d8a344849ce9c9a3a589165e6b",
-    (1, 11.0): "560637ca1d2fe22b3aa415e7574297a2cc82d10ecadc84c5f69b856127cf50c6",
-    (2, 41.0): "4bc5894f6739d0f8ecbf522480edd4a77664638cb89c1ddc654cbd7002684885",
-    (6, 41.0): "3e195a40b0328f195365bdc7b1c15c4daa2235ba935b6bc067a60217b2749ece",
-    (15, 41.0): "e3645ef1d4facad5a8a68d4b7abf4a13251cad8e6026636163be01a8a9429933",
-    (30, 41.0): "0d1f654396a8e41bd378311dd36f67dedcbeb11278e54cd42008d3e95bb34851",
-    (2310, 41.0): "5c09338d7f1ca387096f9972fc356bbad09e7b470d56248d24f1eb81e87d7649",
+    (1, 10.8): "f1cc9bc4401b83280007c9c1b6b85e411fa5dec8c65cef50c72f16ebaca35c45",
+    (1, 11.0): "5d97aa0f499e9322b44392f3e5b838b8caeeae1a84fd7d6084bb3be2c9e3f8c5",
+    (2, 41.0): "673f2e1d12f9e93e0b762e7e0460bc8341b06fdc6070f661a3a9070350f3e4ff",
+    (6, 41.0): "f02ebfc03917906de1f1eaee109361e2a8df9e13226242ca64491d8d39117cce",
+    (15, 41.0): "c7d18061cb607546dcb8ca8be7294888006af9507908957587511a56ed6b338c",
+    (30, 41.0): "04918e54efedcdfd9e714ba55a42187b808931561d17706582cc5d78c352123b",
+    (2310, 41.0): "47c18e0d1aca11ff845fcbaa4463c9c8d9abb4607a8240a6dec3ae35f546a127",
 }
 
 
@@ -125,6 +126,14 @@ def test_certificate_content_matches_pin(table_mid):
     for (q, x0, cap), digest in CERTIFICATE_CONTENT.items():
         cert = delta_sign.certify_sign(table_mid, q, x0, cap=cap)
         assert _certificate_content(cert, x0) == digest, (q, x0, cap)
+
+
+def test_certificates_round_trip_and_replay(table_mid):
+    for (q, x0, cap), digest in CERTIFICATE_CONTENT.items():
+        cert = delta_sign.certify_sign(table_mid, q, x0, cap=cap)
+        back = delta_sign.certificate_from_json(delta_sign.certificate_to_json(cert))
+        assert back == cert and _certificate_content(back, back.x0) == digest, (q, x0)
+        assert delta_sign.replay_certificate(table_mid, back) == [], (q, x0)
 
 
 IDENTITY_GRID = "1,2.5,2.718281828459045,10,100,1000,12345.678"

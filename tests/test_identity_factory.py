@@ -198,7 +198,7 @@ def test_grid_blocks_carry_the_merge_across_window_edges(monkeypatch):
 
 
 def test_piece_cap_stays_below_where_the_merge_rule_drops_cuts():
-    """_ofd_pass refuses 2 floor(X) + 2 > _PIECE_CAP pieces.  At the largest
+    """evaluate_ofd refuses 2 floor(X) + 2 > _PIECE_CAP pieces.  At the largest
     n = floor(X) it admits, the cut points nearest t = 1, X/n and X/(n - 1),
     must lie more than 64 EPS X apart, or the merge rule drops the X/m there
     (past X = 8.4e6; see the test above).  Their ratio to 64 EPS X does not
@@ -225,6 +225,22 @@ def test_catalog_check_refuses_past_the_piece_cap_before_any_sum(monkeypatch, na
         monkeypatch.setattr(owner, attr, refused)
     with pytest.raises(CapacityError, match="pieces"):
         catalog_check(table, name, float(n))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_check_calls_evaluate_ofd_once(table_small, monkeypatch, name):
+    """catalog_check reaches the raw form through the module's evaluate_ofd,
+    once, so a wrapper put there (the benchmark's tracer) sees every pass."""
+    calls = []
+    true_evaluate = identities.evaluate_ofd
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return true_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "evaluate_ofd", counted)
+    catalog_check(table_small, name, 100.0)
+    assert len(calls) == 1 and calls[0][1] == 100.0, calls
 
 
 # A cold catalog_check(euler_gamma) holds one block of pieces at a time and
