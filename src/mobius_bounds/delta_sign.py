@@ -556,7 +556,7 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
             if not 0.0 <= eps <= 1.0:
                 problems.append(f"N={rec.N}: step {k} has eps={eps!r} outside [0, 1]")
                 last = None
-            elif abs((last := next(fresh)) - t) > budget:
+            elif not abs((last := next(fresh)) - t) <= budget:  # NaN too
                 problems.append(f"N={rec.N}, eps={eps!r}: recorded {t!r} vs replay {last!r}")
         is_last_bad = cert.status != CERTIFIED and rec.N == cert.records[-1].N
         # the step that stopped a run (its witness, say) meets no rule

@@ -337,6 +337,19 @@ def test_replay_rejects_tampering(table_small):
     assert any("vs replay" in p for p in problems), problems
 
 
+def test_replay_rejects_a_nan_step_value(table_small):
+    # JSON parsing accepts NaN; a recorded NaN matches no re-derived value,
+    # the failure witness (the last step, exempt from the cap rules) included
+    for x0, i, k in ((10.8, 3, 2), (11.0, -1, 0)):
+        cert = certify_sign(table_small, 1, x0)
+        rec = cert.records[i]
+        steps = list(rec.steps)
+        steps[k] = (steps[k][0], math.nan)
+        bad = _with_record(cert, i, dataclasses.replace(rec, steps=tuple(steps)))
+        problems = replay_certificate(table_small, bad)
+        assert any("recorded nan vs replay" in p for p in problems), (x0, problems)
+
+
 def _with_record(cert, i, rec):
     records = list(cert.records)
     records[i] = rec
@@ -529,8 +542,10 @@ def test_caps_scan_frozen(table_small):
 
 
 def test_caps_scan_checks_x_max_before_any_interval(monkeypatch):
-    """An x_max past the table (inf too) raises CapacityError, and NaN
-    ValueError, before any interval is scanned or any schedule is built."""
+    """An x_max past the table (inf too) raises CapacityError, and NaN or
+    one at or below 1 (whose [1, x_max] holds no unit interval, so no cap
+    was checked) ValueError, before any interval is scanned or any schedule
+    is built."""
     table = build_table(300)
 
     def no_interval(*args):
@@ -538,7 +553,8 @@ def test_caps_scan_checks_x_max_before_any_interval(monkeypatch):
 
     monkeypatch.setattr(delta_sign, "_interval_invariants", no_interval)
     for x_max, err in ((302.0, CapacityError), (400.0, CapacityError), (1e9, CapacityError),
-                       (math.inf, CapacityError), (math.nan, ValueError)):
+                       (math.inf, CapacityError), (math.nan, ValueError),
+                       (1.0, ValueError), (0.5, ValueError)):
         tracemalloc.start()
         try:
             with pytest.raises(err):
@@ -549,20 +565,6 @@ def test_caps_scan_checks_x_max_before_any_interval(monkeypatch):
         assert peak <= 1 << 20, (x_max, peak)
     monkeypatch.undo()
     assert caps_scan(table, 1, 301.0).x_max == 301.0  # the last interval ends at limit + 1
-
-
-@pytest.mark.parametrize("x_max", [1.0, 0.5])
-def test_caps_scan_refuses_an_x_max_at_or_below_one(monkeypatch, x_max):
-    """[1, x_max] holds no unit interval, so no cap was checked: ValueError,
-    as certify_sign's x0 <= 1, before any interval."""
-    table = build_table(300)
-
-    def no_interval(*args):
-        raise AssertionError("an interval was scanned")
-
-    monkeypatch.setattr(delta_sign, "_interval_invariants", no_interval)
-    with pytest.raises(ValueError, match="x_max must exceed 1"):
-        caps_scan(table, 1, x_max)
 
 
 def test_mean_value_soundness(table_small):
