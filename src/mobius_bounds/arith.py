@@ -43,11 +43,10 @@ plain harmonic-weighted sum.
 The scans read prefix sums instead: the cumsum P of mu(k) (-log k)^j /
 k^sigma over coprime k, from one loop over BLOCK-entry blocks that builds
 several (sigma, j) columns, sharing each block's mu slice, coprime zeroing,
-powers and logs.  prefix_blocks yields P one block at a time, and the
-full-range sweeps consume it block by block (sweep_prefix_min pairs each
-sweep block with its prefix block), so no scan holds a full-length prefix;
-a sweep given floors skips the margins of a block that cannot hold a new
-first minimum (sweep_min).
+powers and logs.  sweep_prefix_min takes a full-range sweep's prefix
+request and draws P from that loop one block at a time, so no scan holds a
+full-length prefix; a sweep given floors skips the margins of a block that
+cannot hold a new first minimum (sweep_min).
 prefix_log_moment returns P whole, or with at= only at the given indices:
 it then sums only the support of mu, the terms it skips are +-0.0, and
 adding +-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged,
@@ -57,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -76,36 +75,20 @@ LIMIT_BUDGET = 200_000_000
 
 @dataclass(frozen=True)
 class Modulus:
-    """A squarefree-kernel view of a modulus q.
+    """A modulus q with the primes dividing it, found by trial division.
 
     Only the set of primes dividing q matters for coprimality filters and
-    for the Euler products q^s/phi_s(q), so the kernel (radical) is stored
-    alongside the original q.
+    for the Euler products q^s/phi_s(q).
     """
 
     q: int
-    primes: tuple[int, ...]
-    kernel: int
+    primes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError(f"modulus must be positive, got {self.q}")
-        k = 1
-        for p in self.primes:
-            if p < 2:
-                raise ValueError(f"bad prime {p} in modulus")
-            k *= p
-        if k != self.kernel:
-            raise ValueError("kernel does not match the prime list")
-        if self.q % self.kernel:
-            raise ValueError("kernel must divide q")
-
-    @classmethod
-    def from_int(cls, q: int) -> "Modulus":
-        if q < 1:
-            raise ValueError(f"modulus must be positive, got {q}")
         primes = []
-        m = q
+        m = self.q
         d = 2
         while d * d <= m:
             if m % d == 0:
@@ -115,20 +98,17 @@ class Modulus:
             d += 1 if d == 2 else 2
         if m > 1:
             primes.append(m)
-        kernel = 1
-        for p in primes:
-            kernel *= p
-        return cls(q=q, primes=tuple(primes), kernel=kernel)
+        object.__setattr__(self, "primes", tuple(primes))
 
     @classmethod
     def coerce(cls, q: "Modulus | int") -> "Modulus":
         if isinstance(q, Modulus):
             return q
-        return cls.from_int(int(q))
+        return cls(int(q))
 
     @property
     def q_over_phi(self) -> float:
-        """q/phi(q) = prod_{p|q} p/(p-1); depends on the kernel only."""
+        """q/phi(q) = prod_{p|q} p/(p-1); depends on the primes only."""
         out = 1.0
         for p in self.primes:
             out *= p / (p - 1.0)
@@ -147,7 +127,7 @@ class Modulus:
         return mask
 
 
-ONE = Modulus(q=1, primes=(), kernel=1)
+ONE = Modulus(1)
 
 
 # ----------------------------------------------------------------------
@@ -536,9 +516,8 @@ def prefix_log_moment(
 
     Columns: sigma and j may each be a tuple (a scalar pairs with every
     entry); the call then returns one array per column.  Both forms read
-    the one prefix loop, _prefix_runs: the dense one through prefix_blocks,
-    so every prefix is the same left-to-right sum as one np.cumsum over
-    [0, n], bit for bit.
+    the one prefix loop, _prefix_runs, so every prefix is the same
+    left-to-right sum as one np.cumsum over [0, n], bit for bit.
 
     at: sorted indices in [0, n], duplicates allowed.  Only the support (i
     with mu(i) != 0 and gcd(i, q) = 1) is evaluated and summed, each at[m]
@@ -552,9 +531,9 @@ def prefix_log_moment(
     if at is None:
         # zeros: P[0] is the empty sum
         outs = [np.zeros(n + 1) for _ in cols]
-        for lo, hi, block in prefix_blocks(table, n, q, sigma, j):
-            for out, part in zip(outs, block):
-                out[lo:hi] = part
+        for lo, hi, runs, _ in _prefix_runs(table, n, q, cols, support=False):
+            for out, run in zip(outs, runs):
+                out[lo:hi] = run[1:]
     else:
         pts = _sample_points(at, n)
         outs = [np.zeros(pts.size) for _ in cols]  # every at[m] = 0 reads 0.0
@@ -575,34 +554,6 @@ def _prefix_request(table: ArithmeticTable, n, q, sigma, j):
         raise ValueError(f"prefix length must be >= 0, got n = {n}")
     table._check_range(n)
     return n, Modulus.coerce(q), _columns(sigma, j)
-
-
-def prefix_blocks(
-    table: ArithmeticTable,
-    n: int,
-    q: Modulus | int,
-    sigma: float | tuple[float, ...],
-    j: int | tuple[int, ...],
-) -> Iterator[tuple[int, int, list[np.ndarray]]]:
-    """Iterate (lo, hi, cols) over the BLOCKs [lo, hi) of [1, n].
-
-    cols[c] is column c's prefix P[lo:hi], with P and the columns as in
-    prefix_log_moment (a scalar sigma and j give one column).  The arrays
-    are fresh and owned by the caller, and no array of length n is built.
-    The carry from block to block makes each value that of the dense
-    prefix, bit for bit.  n, the range and the columns are checked here,
-    before the first block.
-    """
-    n, q, cols = _prefix_request(table, n, q, sigma, j)
-    # map, not a generator: a generator would hold the last block while
-    # the next one is formed
-    return map(_drop_carries, _prefix_runs(table, n, q, cols, support=False))
-
-
-def _drop_carries(block):
-    """(lo, hi, cols) of a _prefix_runs block: each run without its carry."""
-    lo, hi, runs, _ = block
-    return lo, hi, [run[1:] for run in runs]
 
 
 def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols, support: bool):
@@ -694,35 +645,32 @@ def sweep_min(n: int, margins_of, floors_of=None) -> list[tuple[float, int]]:
     return best
 
 
-def sweep_prefix_min(n: int, blocks, margins_of, floors_of=None) -> list[tuple[float, int]]:
-    """sweep_min over [0, n) of margins_of(lo, hi, cols), with cols from
-    blocks, and floors floors_of(lo, hi, cols) if given.
+def sweep_prefix_min(
+    table: ArithmeticTable, n: int, q: Modulus | int, sigma, j, margins_of, floors_of=None
+) -> list[tuple[float, int]]:
+    """sweep_min over [0, n) of margins_of(lo, hi, cols), and floors
+    floors_of(lo, hi, cols) if given.
 
-    blocks is a prefix_blocks iterator over [1, n]: each sweep block [lo, hi)
-    is paired with the prefix block [lo + 1, hi + 1), so entry i of a sweep
-    reads P[i + 1].  Every prefix block is drawn, skipped sweep blocks too,
-    so the carry runs through; floors_of and margins_of see the same cols,
-    and the last block is let go before the next one is formed.  A prefix
-    block that does not pair, missing or left over, raises ValueError.
+    cols[c] is column c's prefix P[lo + 1 : hi + 1], with P and the columns
+    as in prefix_log_moment (a scalar sigma and j give one column), so
+    entry i of a sweep reads P[i + 1].  The request is checked before the
+    first block.  The prefix block is drawn from _prefix_runs when sweep_min
+    first asks for its sweep block; sweep_min asks for every block, skipped
+    ones too, so the carry runs through, floors_of and margins_of see the
+    same cols, and the last block is let go before the next one is formed.
     """
-    held = None  # (lo, cols) of the sweep block in hand
+    n, q, cols = _prefix_request(table, n, q, sigma, j)
+    runs = _prefix_runs(table, n, q, cols, support=False)
+    held = [None, None]  # lo and cols of the sweep block in hand
 
-    def cols_of(lo: int, hi: int):
-        nonlocal held
-        if held is None or held[0] != lo:
-            held = None  # let the last block go before the next one is formed
-            block = next(blocks, None)
-            if block is None or block[:2] != (lo + 1, hi + 1):
-                got = "no block" if block is None else f"block [{block[0]}, {block[1]})"
-                raise ValueError(f"prefix {got} does not pair with sweep block [{lo}, {hi})")
-            held = (lo, block[2])
+    def cols_of(lo: int):
+        if held[0] != lo:
+            held[1] = None  # let the last block go before the next one is formed
+            held[:] = lo, [run[1:] for run in next(runs)[2]]
         return held[1]
 
-    floors = None if floors_of is None else lambda lo, hi: floors_of(lo, hi, cols_of(lo, hi))
-    best = sweep_min(n, lambda lo, hi: margins_of(lo, hi, cols_of(lo, hi)), floors)
-    if next(blocks, None) is not None:
-        raise ValueError(f"prefix blocks run past the sweep of [0, {n})")
-    return best
+    floors = None if floors_of is None else lambda lo, hi: floors_of(lo, hi, cols_of(lo))
+    return sweep_min(n, lambda lo, hi: margins_of(lo, hi, cols_of(lo)), floors)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ comparison in util: pass only when the margin clears the accumulated
 evaluation error, fail only when the violation does.  The *_scan sweeps
 evaluate the left side from cumsum prefixes, at every integer of a range
 or, for the eps families, on a log grid of SCAN_POINTS points.  The
-full-range sweeps read the prefixes one block at a time (prefix_blocks,
-paired with the sweep by sweep_prefix_min), and the eps families at the
-grid's floors only (prefix_log_moment with at=), so no scan builds an
+full-range sweeps hand their prefix request to sweep_prefix_min, which
+reads the prefixes one block at a time, and the eps families read them at
+the grid's floors only (prefix_log_moment with at=), so no scan builds an
 array of length n_max; the values are those of the full prefix arrays,
 bit for bit.  small_m_scan also bounds each block's margins from below
 and skips the blocks that cannot hold a new first minimum, with the same
@@ -36,11 +36,11 @@ from .arith import (
     ONE,
     ArithmeticTable,
     Modulus,
+    _prefix_request,
     log_moment_sum,
     m_check_q_s,
     m_q,
     m_q_s,
-    prefix_blocks,
     prefix_log_moment,
     prefix_m_q,
     sweep_prefix_min,
@@ -165,7 +165,6 @@ def easy_scan(
     """
     _easy_domain(float(n_max), k, sigma)
     qm = Modulus.coerce(q)
-    moments = prefix_blocks(table, n_max, qm, sigma, tuple(range(k + 1)))
 
     def margins(lo: int, hi: int, cols):  # X = lo+1 .. hi
         lx = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
@@ -174,7 +173,9 @@ def easy_scan(
             lhs += math.comb(k, j) * lx**j * cols[k - j]
         return lhs, easy_bound(qm, k, sigma, lx) - lhs
 
-    (lhs_min, i_lhs), (margin_min, i_mar) = sweep_prefix_min(n_max, moments, margins)
+    (lhs_min, i_lhs), (margin_min, i_mar) = sweep_prefix_min(
+        table, n_max, qm, sigma, tuple(range(k + 1)), margins
+    )
     return float(lhs_min), i_lhs + 1, float(margin_min), i_mar + 1
 
 
@@ -416,7 +417,6 @@ def special_scan(
             f"the intervals [n, n+1) run over n in [15, n_max - 1], got n_max = {n_max}"
         )
     main, _, _ = _mcheck_main(ONE, sigma)
-    blocks = prefix_blocks(table, n_max - 1, 1, sigma, (0, 1))
 
     def margins(lo: int, hi: int, cols):  # intervals [n, n+1), n = lo+1 .. hi
         logs = np.log(np.arange(lo + 1, hi + 2, dtype=np.float64))
@@ -428,7 +428,7 @@ def special_scan(
         margin[: max(14 - lo, 0)] = np.inf  # n < 15: out of range
         return (margin,)
 
-    ((margin, i),) = sweep_prefix_min(n_max - 1, blocks, margins)
+    ((margin, i),) = sweep_prefix_min(table, n_max - 1, 1, sigma, (0, 1), margins)
     return float(margin), float(i + 2)
 
 
@@ -703,13 +703,13 @@ def small_m_scan(
     So the results are those of the sweep over every block, bit for bit.
     """
     qm = Modulus.coerce(q)
-    blocks = prefix_blocks(table, n_max, qm, 1.0, 0)
     checks = [
         (name, int(x_lo), envelope)
         for name, only, x_lo, _, envelope, swept in SMALL_M
         if swept and only in (None, qm.q) and n_max >= x_lo
     ]
     if not checks:
+        _prefix_request(table, n_max, qm, 1.0, 0)  # a bad request raises all the same
         return {}
 
     def margins(lo: int, hi: int, cols):  # steps n = lo+1 .. hi
@@ -731,7 +731,7 @@ def small_m_scan(
             for _, first, envelope in checks
         ]
 
-    mins = sweep_prefix_min(n_max, blocks, margins, floors)
+    mins = sweep_prefix_min(table, n_max, qm, 1.0, 0, margins, floors)
     return {name: (float(m), i + 1) for (name, _, _), (m, i) in zip(checks, mins)}
 
 

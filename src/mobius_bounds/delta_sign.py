@@ -482,27 +482,37 @@ def certificate_to_json(cert: DeltaCertificate) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _json_number(value, kind=float):
+    """A field as kind, as the document states it, never from a bool: an
+    integer field (kind=int) takes an exact JSON integer only, so no value
+    is rounded into one the document does not state; a float field takes
+    any JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ValueError(f"expected a JSON number ({kind.__name__}), got {value!r}")
+    return kind(value)
+
+
 def certificate_from_json(text: str) -> DeltaCertificate:
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("version") != CERT_VERSION:
         raise ValueError(f"not a version {CERT_VERSION} delta-sign certificate")
     records = tuple(
         IntervalRecord(
-            N=int(rec["N"]),
-            M2=float(rec["M2"]),
-            steps=tuple((float(e), float(t)) for e, t in rec["steps"]),
+            N=_json_number(rec["N"], int),
+            M2=_json_number(rec["M2"]),
+            steps=tuple((_json_number(e), _json_number(t)) for e, t in rec["steps"]),
         )
         for rec in obj["records"]
     )
     return DeltaCertificate(
-        q=int(obj["q"]),
-        x0=float(obj["x0"]),
-        eps_max=float(obj["eps_max"]),
-        error_budget=float(obj["error_budget"]),
+        q=_json_number(obj["q"], int),
+        x0=_json_number(obj["x0"]),
+        eps_max=_json_number(obj["eps_max"]),
+        error_budget=_json_number(obj["error_budget"]),
         status=str(obj["status"]),
         records=records,
         reason=str(obj.get("reason", "")),
-        cap=float(obj["cap"]),
+        cap=_json_number(obj["cap"]),
     )
 
 

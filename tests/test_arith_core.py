@@ -21,7 +21,6 @@ from mobius_bounds.arith import (
     m_check_q_s,
     m_q,
     m_q_s,
-    prefix_blocks,
     prefix_log_moment,
     prefix_m_q,
     sieve_blocks,
@@ -144,17 +143,16 @@ def test_chebyshev_psi(table_small):
 
 
 def test_modulus_structure():
-    m = Modulus.from_int(12)
+    m = Modulus(12)
     assert m.primes == (2, 3)
-    assert m.kernel == 6
     assert m.q_over_phi == pytest.approx(3.0, abs=1e-15)
     mask = m.coprime_mask(10)
     assert mask.tolist() == [
         False, True, False, False, False, True, False, True, False, False, False,
     ]
-    assert Modulus.from_int(1).primes == ()
+    assert Modulus(1).primes == ()
     with pytest.raises(ValueError):
-        Modulus.from_int(0)
+        Modulus(0)
 
 
 @pytest.fixture(scope="module")
@@ -582,8 +580,8 @@ def test_sweep_min_counts_one_floor_per_array():
 
 
 def test_sweep_prefix_min_with_floors_draws_every_block(table_mid):
-    """A skipped block still draws its prefix block, so the carry runs on
-    and the pairing is checked; floors and margins see the same cols."""
+    """A skipped block still draws its prefix block, so the carry runs on;
+    floors and margins see the same cols."""
     n = 3 * BLOCK + 5
     seen = {}
 
@@ -600,15 +598,11 @@ def test_sweep_prefix_min_with_floors_draws_every_block(table_mid):
     want = min((arr[:BLOCK].min(), int(np.argmin(arr[:BLOCK]))),
                (arr[2 * BLOCK :].min(), 2 * BLOCK + int(np.argmin(arr[2 * BLOCK :]))),
                key=lambda t: (t[0], t[1]))
-    got = sweep_prefix_min(n, prefix_blocks(table_mid, n, 6, 1.0, 0), margins, floors)
+    got = sweep_prefix_min(table_mid, n, 6, 1.0, 0, margins, floors)
     assert got == [want]
     assert [kinds[0][0] for kinds in seen.values()] == ["margins", "floors", "floors", "floors"]
     assert [len(kinds) for kinds in seen.values()] == [1, 1, 2, 2]
     assert all(len({i for _, i in kinds}) == 1 for kinds in seen.values())
-    shifted = ((lo - 1, hi - 1, cols) for lo, hi, cols in prefix_blocks(table_mid, n, 6, 1.0, 0))
-    for blocks in (shifted, prefix_blocks(table_mid, n + 1, 6, 1.0, 0)):
-        with pytest.raises(ValueError):  # still checked with every later block skipped
-            sweep_prefix_min(n, blocks, margins, lambda lo, hi, cols: [math.inf])
 
 
 def _gamma(k):
@@ -703,16 +697,27 @@ BLOCK_REQUESTS = [
 ]
 
 
+def _swept_blocks(table, n, q, sigma, j):
+    """(lo, hi, cols) of each block that sweep_prefix_min hands its margins."""
+    blocks = []
+
+    def margins(lo, hi, cols):
+        blocks.append((lo, hi, cols))
+        return [np.zeros(hi - lo)]
+
+    sweep_prefix_min(table, n, q, sigma, j, margins)
+    return blocks
+
+
 @pytest.mark.parametrize("q", [1, 2, 30030])
 @pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_prefix_blocks_concatenate_to_the_dense_prefix(table_mid, q, n):
-    """The blocks tile [1, n] in order, and each column, joined across them,
-    equals the dense prefix and one plain cumsum byte for byte."""
+    """The prefix blocks a sweep of [0, n) draws tile it in order, and each
+    column, joined across them, equals the dense prefix P[1:] and one plain
+    cumsum byte for byte."""
     for sigma, j in BLOCK_REQUESTS:
-        blocks = list(prefix_blocks(table_mid, n, q, sigma, j))
-        assert [b[:2] for b in blocks] == [
-            (lo, min(lo + BLOCK, n + 1)) for lo in range(1, n + 1, BLOCK)
-        ]
+        blocks = _swept_blocks(table_mid, n, q, sigma, j)
+        assert [b[:2] for b in blocks] == [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
         dense = prefix_log_moment(table_mid, n, q, sigma, j)
         dense = dense if isinstance(dense, list) else [dense]
         sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * len(dense)
@@ -722,11 +727,12 @@ def test_prefix_blocks_concatenate_to_the_dense_prefix(table_mid, q, n):
             got = np.concatenate([cols[c] for _, _, cols in blocks])
             assert got.tobytes() == want[1:].tobytes(), (sigma, j, c)
             assert got.tobytes() == _one_cumsum(table_mid, n, q, s, jj)[1:].tobytes()
-    assert list(prefix_blocks(table_mid, 0, q, 1.0, 0)) == []
+    with pytest.raises(ValueError):
+        _swept_blocks(table_mid, 0, q, 1.0, 0)  # an empty sweep
 
 
 def test_prefix_blocks_check_on_the_call(table_small):
-    """A bad request raises when prefix_blocks is called, not at next()."""
+    """A bad prefix request raises from sweep_prefix_min before any margin."""
     n = table_small.limit
     bad = [
         (CapacityError, (n + 1, 1, 1.0, 0)),
@@ -737,14 +743,17 @@ def test_prefix_blocks_check_on_the_call(table_small):
         (ValueError, (100, 1, (), ())),
         (ValueError, (100, 1, 1.0, ())),
     ]
+
+    def no_margin(lo, hi, cols):
+        raise AssertionError("a margin was formed")
+
     for err, args in bad:
         with pytest.raises(err):
-            prefix_blocks(table_small, *args)
+            sweep_prefix_min(table_small, *args, no_margin)
 
 
 def test_sweep_prefix_min_pairs_blocks_or_raises(table_mid):
-    """Sweep entry i reads P[i + 1]; a prefix block that does not pair with
-    its sweep block (shifted, short, long or missing) raises ValueError."""
+    """Sweep entry i reads P[i + 1]."""
     n = 2 * BLOCK
     p = prefix_m_q(table_mid, n + 1, 6)
 
@@ -752,17 +761,7 @@ def test_sweep_prefix_min_pairs_blocks_or_raises(table_mid):
         return [cols[0] - np.arange(lo, hi)]
 
     want = sweep_min(n, lambda lo, hi: [p[lo + 1 : hi + 1] - np.arange(lo, hi)])
-    assert sweep_prefix_min(n, prefix_blocks(table_mid, n, 6, 1.0, 0), margins) == want
-    shifted = ((lo - 1, hi - 1, cols) for lo, hi, cols in prefix_blocks(table_mid, n, 6, 1.0, 0))
-    for sweep_n, blocks in (
-        (n, shifted),
-        (n, prefix_blocks(table_mid, n - 1, 6, 1.0, 0)),  # short last block
-        (n - 3, prefix_blocks(table_mid, n - 2, 6, 1.0, 0)),  # long last block
-        (n, prefix_blocks(table_mid, n + 1, 6, 1.0, 0)),  # a block left over
-        (n, prefix_blocks(table_mid, n - BLOCK, 6, 1.0, 0)),  # a block missing
-    ):
-        with pytest.raises(ValueError):
-            sweep_prefix_min(sweep_n, blocks, margins)
+    assert sweep_prefix_min(table_mid, n, 6, 1.0, 0, margins) == want
 
 
 def test_prefix_sweeps_hold_no_full_length_temporaries(table_big):

@@ -5,8 +5,8 @@ judges the round trip by equality and the replay by its problems.  Its scan
 pass judges every sweep by the acceptance predicates and charges prefix
 builds to the traced boundaries bounds.prefix_m_q and
 bounds.prefix_log_moment.  Only the at= reads of the eps scans and dense
-builds reach those boundaries; the full-range sweeps iterate
-prefix_blocks, whose time falls in each scan's own span.  Running the tiny
+builds reach those boundaries; the full-range sweeps draw their prefix
+blocks inside sweep_prefix_min, whose time falls in each scan's own span.  Running the tiny
 traced passes here makes a change that breaks a judge, drops a boundary or
 moves the eps scans' reads off it fail the tests instead of the benchmark.
 """

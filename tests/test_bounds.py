@@ -10,13 +10,14 @@ import pytest
 
 from mobius_bounds import bounds
 from mobius_bounds.analytic import ComplexParameter
-from mobius_bounds.arith import Modulus, build_table, prefix_blocks, sweep_prefix_min
+from mobius_bounds.arith import Modulus, build_table, sweep_prefix_min
 from mobius_bounds.util import (
     FAIL,
     INCONCLUSIVE,
     PASS,
     Approx,
     BracketError,
+    CapacityError,
     approx_add,
     approx_div,
     approx_mul,
@@ -351,7 +352,7 @@ def _dense_small_m_scan(table, n_max, q):
             out.append(margin)
         return out
 
-    mins = sweep_prefix_min(n_max, prefix_blocks(table, n_max, qm, 1.0, 0), margins)
+    mins = sweep_prefix_min(table, n_max, qm, 1.0, 0, margins)
     return {name: (float(m), i + 1) for (name, _, _), (m, i) in zip(checks, mins)}
 
 
@@ -382,7 +383,7 @@ def test_small_m_floors_bound_every_block(table_big, table_e7, monkeypatch):
     entry of its margins, for the 64 q at 1e6 and q = 1, 2 at 1e7."""
     checked = []
 
-    def every_block(n, blocks, margins_of, floors_of):
+    def every_block(table, n, q, sigma, j, margins_of, floors_of):
         def margins(lo, hi, cols):
             out = margins_of(lo, hi, cols)
             if lo:
@@ -393,7 +394,7 @@ def test_small_m_floors_bound_every_block(table_big, table_e7, monkeypatch):
                 checked.append(lo)
             return out
 
-        return sweep_prefix_min(n, blocks, margins)
+        return sweep_prefix_min(table, n, q, sigma, j, margins)
 
     monkeypatch.setattr(bounds, "sweep_prefix_min", every_block)
     for q in _divisors_30030():
@@ -408,16 +409,43 @@ def test_small_m_scan_prunes_blocks(table_big, monkeypatch):
     where the update envelope starts; the other 29 blocks are skipped."""
     blocks = []
 
-    def counting(n, prefix, margins_of, floors_of=None):
+    def counting(table, n, q, sigma, j, margins_of, floors_of=None):
         def margins(lo, hi, cols):
             blocks.append(lo)
             return margins_of(lo, hi, cols)
 
-        return sweep_prefix_min(n, prefix, margins, floors_of)
+        return sweep_prefix_min(table, n, q, sigma, j, margins, floors_of)
 
     monkeypatch.setattr(bounds, "sweep_prefix_min", counting)
     bounds.small_m_scan(table_big, 1_000_000, 1)
     assert 0 < len(blocks) <= 3, blocks
+
+
+BAD_SCAN_REQUESTS = [
+    ("small-m-negative", lambda t: bounds.small_m_scan(t, -1, 1), ValueError),
+    ("small-m-past-table", lambda t: bounds.small_m_scan(t, t.limit + 1, 1), CapacityError),
+    ("small-m-float", lambda t: bounds.small_m_scan(t, 2.5, 1), TypeError),
+    ("small-m-bool", lambda t: bounds.small_m_scan(t, True, 1), TypeError),
+    ("easy-past-table", lambda t: bounds.easy_scan(t, t.limit + 1, 1, 1, 1.0), CapacityError),
+    # special_scan reads the prefix up to n_max - 1
+    ("special-past-table", lambda t: bounds.special_scan(t, t.limit + 2, 1.0), CapacityError),
+]
+
+
+@pytest.mark.parametrize(
+    "call,err", [case[1:] for case in BAD_SCAN_REQUESTS], ids=[case[0] for case in BAD_SCAN_REQUESTS]
+)
+def test_scans_refuse_a_bad_request(table_small, monkeypatch, call, err):
+    """A full-range scan checks its prefix request before any margin, also
+    where small_m_scan has no envelope to sweep; n_max = 0 sweeps nothing."""
+    margins = []
+    for name in ("easy_bound", "special_bound"):
+        monkeypatch.setattr(bounds, name, lambda *args: margins.append(args))
+    with pytest.raises(err):
+        call(table_small)
+    assert margins == []
+    for q in (1, 2, 6):
+        assert bounds.small_m_scan(table_small, 0, q) == {}
 
 
 def test_suite_registry_shape(table_small):

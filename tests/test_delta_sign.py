@@ -525,6 +525,31 @@ def test_certificate_from_json_requires_version_3(table_small):
             certificate_from_json(json.dumps(doc))
 
 
+def test_certificate_from_json_rejects_inexact_fields(table_small):
+    """An integer field must be an exact JSON integer and a float field a
+    JSON number, never a bool: int() would read "q": 2.9 as 2, a
+    certificate other than the one the document states, and replay it
+    cleanly."""
+    text = certificate_to_json(certify_sign(table_small, 2, 11.0))
+    assert replay_certificate(table_small, certificate_from_json(text)) == []
+    # a float field may be written as a JSON integer
+    assert certificate_from_json(text.replace('"x0":11.0}', '"x0":11}')) == (
+        certificate_from_json(text)
+    )
+    for old, new in (
+        ('"q":2,', '"q":2.9,'),
+        ('"q":2,', '"q":true,'),
+        ('"N":10,', '"N":10.7,'),
+        ('"N":10,', '"N":true,'),
+        ('"x0":11.0}', '"x0":true}'),
+        ('"cap":0.0,', '"cap":"0.0",'),
+        ('"steps":[[0.0,', '"steps":[[false,'),
+    ):
+        assert text.count(old) >= 1, old
+        with pytest.raises(ValueError):
+            certificate_from_json(text.replace(old, new, 1))
+
+
 def test_certify_q2_to_41(table_small):
     cert = certify_sign(table_small, 2, 41.0)
     assert cert.status == CERTIFIED

@@ -1,0 +1,103 @@
+"""Run a fixed list of mobius-bounds invocations in a parent revision's tree
+and in this checkout, and report every one whose result differs.
+
+    python3 tools/cli_parity.py --parent REV
+
+The parent's committed tree is unpacked with bench_pairs.unpack into a
+temporary directory (under $TMPDIR); the change is this checkout's working
+tree.  Each invocation in INVOCATIONS runs as
+`python -m mobius_bounds.cli ARGS` with PYTHONPATH set to the tree's src,
+one process at a time, the parent's run first.  A run's record is its exit
+code, the sha256 of its stdout and the last line of its stderr.  Every
+field that differs between the two trees is printed, one line each, and the
+exit code is 1 if there is any difference, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, unpack
+
+FIELDS = ("exit", "stdout_sha256", "stderr_last")
+
+SUITES = (
+    "bounds:dex", "bounds:easy", "bounds:integral", "bounds:mcheckqeps", "bounds:mqeps",
+    "bounds:small-m", "bounds:special", "delta-sign:caps", "delta-sign:certify",
+    "harmonic:defect", "harmonic:harmonic",
+)
+THEOREMS = ("easy", "mqeps", "mcheckqeps", "mqdex", "mcheckqdex", "special", "small-m",
+            "integral")
+IDENTITIES = ("meissel", "elmarraki", "macleod", "euler_gamma", "liouville", "daval_general")
+
+INVOCATIONS = (
+    *(("verify", "--suite", suite) for suite in SUITES),
+    # one grid inside every theorem's domain (mcheckqeps takes eps <= 1/10)
+    *(("verify", "--theorem", name, "--X", "15,100", "--eps", "0,0.05") for name in THEOREMS),
+    ("sum",),
+    *(("identity", "--name", name, "--X", "100") for name in IDENTITIES),
+    ("delta-sign", "--q", "1,2", "--X0", "10.8"),
+    ("delta-sign", "--q", "1", "--X0", "20", "--cap", "0.014"),
+    ("harmonic", "--x-max", "1000"),
+    ("sum", "--X", "abc"),  # usage error: exit 64
+    ("sum", "--X", "300000000"),  # past the sieve budget: exit 65
+)
+
+
+def run_cli(tree: Path, args: tuple[str, ...]) -> dict:
+    """One CLI process in tree, timestamps off: its exit code, the sha256 of
+    its stdout and the last line of its stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobius_bounds.cli", *args, "--no-timestamp"],
+        cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")}, capture_output=True,
+    )
+    lines = proc.stderr.decode(errors="replace").splitlines()
+    return {
+        "exit": proc.returncode,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        "stderr_last": lines[-1] if lines else "",
+    }
+
+
+def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
+    """One line per invocation and field whose records differ, and one per
+    invocation that only one side ran; the keys name the invocations."""
+    out = []
+    for name in dict.fromkeys([*parent, *change]):
+        if name not in parent or name not in change:
+            out.append(f"{name}: run by one side only")
+            continue
+        a, b = parent[name], change[name]
+        out += [f"{name}: {f} {a[f]!r} -> {b[f]!r}" for f in FIELDS if a[f] != b[f]]
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="revision of the parent")
+    args = parser.parse_args(argv)
+
+    records = {"parent": {}, "change": {}}
+    with tempfile.TemporaryDirectory(prefix="cli_parity_") as tmp:
+        sha = unpack(args.parent, Path(tmp))
+        for invocation in INVOCATIONS:
+            name = " ".join(invocation)
+            for side, tree in (("parent", Path(tmp)), ("change", ROOT)):
+                records[side][name] = run_cli(tree, invocation)
+            print(f"{name}: exit {records['change'][name]['exit']}", file=sys.stderr, flush=True)
+    diffs = differences(records["parent"], records["change"])
+    for line in diffs:
+        print(line)
+    print(f"{len(INVOCATIONS)} invocations against {sha}: {len(diffs)} differences",
+          file=sys.stderr)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
