@@ -483,10 +483,10 @@ def certificate_to_json(cert: DeltaCertificate) -> str:
 
 
 def _json_number(value, kind=float):
-    """A field as kind, as the document states it, never from a bool: an
-    integer field (kind=int) takes an exact JSON integer only, so no value
-    is rounded into one the document does not state; a float field takes
-    any JSON number."""
+    """A field's value as kind, or ValueError: an integer field (kind=int)
+    takes only an exact JSON integer, so no value is rounded into one the
+    document does not state, and a float field any JSON number; neither
+    takes a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise ValueError(f"expected a JSON number ({kind.__name__}), got {value!r}")
     return kind(value)
