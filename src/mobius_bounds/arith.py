@@ -34,9 +34,10 @@ On top of the table live the weighted partial sums used everywhere else:
     m_q(X; s)       = sum_{n<=X, (n,q)=1} mu(n)/n^s
     mcheck_q(X; s)  = sum_{n<=X, (n,q)=1} mu(n) log(X/n)/n^s
 
-Scalar evaluations accumulate with math.fsum (exactly rounded), fed one
-BLOCK slice at a time (util.fsum_blocks), so the relative error budget of
-2^-40 is met with a wide margin on the supported domain.  Complex powers use
+Scalar evaluations are exactly rounded sums (util.fsum_blocks: one
+math.fsum of a list up to FSUM_LIST_MAX terms, an ExactSum split BLOCK
+slice by slice past that), so the relative error budget of 2^-40 is met
+with a wide margin on the supported domain.  Complex powers use
 n^-s = exp(-(s-1) log n)/n, which makes the s = 1 path bit-identical to the
 plain harmonic-weighted sum.
 
@@ -61,7 +62,7 @@ from math import isqrt
 
 import numpy as np
 
-from .util import BLOCK, CapacityError, block_entries, floor_int, fsum_blocks
+from .util import BLOCK, CapacityError, ExactSum, floor_int, fsum_blocks
 
 SEGMENT = 1 << 19
 # ~2.3 bytes/entry in a table (1 for mu, 16 per prime power); below 2^31,
@@ -448,7 +449,7 @@ def log_moment_sum(
     """sum_{n<=x,(n,q)=1} mu(n) log^k(x/n)/n^sigma with an error estimate.
 
     Returns (value, err) where err bounds the accumulated rounding of the
-    term-wise powers/logs (the fsum itself is exactly rounded).
+    term-wise powers/logs (the sum itself is exactly rounded).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -462,8 +463,10 @@ def log_moment_sum(
     terms = muv / idx * weights
     if sigma != 1.0:
         terms = terms * np.exp(-(sigma - 1.0) * logs)
-    mass = math.fsum(map(abs, block_entries((terms,))))
-    err = 8.0 * (2.0 + k) * np.finfo(float).eps * mass
+    mass = ExactSum()
+    for lo in range(0, len(terms), BLOCK):
+        mass.add(np.abs(terms[lo : lo + BLOCK]))
+    err = 8.0 * (2.0 + k) * np.finfo(float).eps * float(mass)
     return fsum_blocks(terms), err
 
 

@@ -1,13 +1,13 @@
 """Checkers for the explicit estimates on restricted Mobius sums.
 
 Each estimate's envelope, main term and domain guard is written once and
-serves two evaluators of its left side.  verify_* sums exactly with fsum
-at one point and renders a three-way verdict through the certified
-comparison in util: pass only when the margin clears the accumulated
-evaluation error, fail only when the violation does.  The *_scan sweeps
-evaluate the left side from cumsum prefixes, at every integer of a range
-or, for the eps families, on a log grid of SCAN_POINTS points.  The
-full-range sweeps hand their prefix request to sweep_prefix_min, which
+serves two evaluators of its left side.  verify_* takes exactly rounded
+sums (util.fsum_blocks) at one point and renders a three-way verdict
+through the certified comparison in util: pass only when the margin clears
+the accumulated evaluation error, fail only when the violation does.  The
+*_scan sweeps evaluate the left side from cumsum prefixes, at every integer
+of a range or, for the eps families, on a log grid of SCAN_POINTS points.
+The full-range sweeps hand their prefix request to sweep_prefix_min, which
 reads the prefixes one block at a time, and the eps families read them at
 the grid's floors only (prefix_log_moment with at=), so no scan builds an
 array of length n_max; the values are those of the full prefix arrays,
@@ -45,7 +45,6 @@ from .arith import (
     prefix_m_q,
     sweep_prefix_min,
 )
-from .delta_sign import defect, interval_weights
 from .reports import BoundRow, bound_row
 from .util import (
     EPS,
@@ -207,6 +206,8 @@ def delta_q(
     at s = 1+eps, assembled term-wise through expm1 so nothing cancels;
     eps = 0: the limit m_check_q([X]) - q/phi(q) + m_q([X]) log(X/[X]).
     """
+    from .delta_sign import defect, interval_weights
+
     _defect_domain(X, eps)
     qm = Modulus.coerce(q)
     w, ln = interval_weights(table, floor_int(X), qm)

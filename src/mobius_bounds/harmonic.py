@@ -35,6 +35,7 @@ from .util import (
     GAMMA,
     LOG_2PI_HALF,
     CapacityError,
+    ExactSum,
     block_entries,
     floor_int,
     fsum_blocks,
@@ -76,8 +77,8 @@ def neg_alpha_integral(K: int) -> float:
     Each piece integrates in closed form to (1/2)(log(1 + 1/k) - 1/(k+1)),
     which is positive and below 1/(2k(k+1)), so the partial sums increase
     to (1 - gamma)/2 with remainder in (0, 1/(2(K+1))).  K is an integer
-    (not a bool); the terms are formed BLOCK at a time, and fsum, exactly
-    rounded, takes them all in one sum.
+    (not a bool); the terms are formed BLOCK at a time into one ExactSum,
+    so the sum is exactly rounded.
     """
     K = _integer("K", K)
     if K < 0:
@@ -87,7 +88,10 @@ def neg_alpha_integral(K: int) -> float:
         k = np.arange(lo, min(lo + BLOCK, K + 1), dtype=np.float64)
         return 0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))
 
-    return math.fsum(block_entries(map(terms, range(1, K + 1, BLOCK))))
+    total = ExactSum()
+    for lo in range(1, K + 1, BLOCK):
+        total.add(terms(lo))
+    return float(total)
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +190,9 @@ def _alpha_kernel_integral(X, start, jumps, values_at):
     k = np.arange(1, k_top + 1, dtype=np.float64)
     pts = np.concatenate([X / k, X / np.sqrt(k * (k + 1.0)), np.asarray(jumps, float)])
     pts = pts[(pts > start) & (pts < X)]
-    bps = np.unique(np.concatenate([[start], pts, [X]]))
+    # sorted and distinct, as np.unique gives them (it would load numpy.ma)
+    bps = np.sort(np.concatenate([[start], pts, [X]]))
+    bps = bps[np.concatenate(([True], bps[1:] != bps[:-1]))]
     a, b = bps[:-1], bps[1:]
     mid = 0.5 * (a + b)
     kk = np.floor(X / mid)

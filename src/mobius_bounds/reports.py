@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -77,6 +76,8 @@ def rows_to_csv(rows: Sequence[BoundRow], header_lines: Sequence[str] = ()) -> s
 
 
 def rows_to_jsonl(rows: Sequence[BoundRow]) -> str:
+    import json
+
     out = []
     for r in rows:
         d = asdict(r)

@@ -71,22 +71,39 @@ def block_entries(arrays):
     )
 
 
+# The longest array (or BLOCK slice of one) that an exact sum reads as a
+# Python list; a longer one is split by extraction (ExactSum).  Measured
+# with numpy 2.4 on a 2-core AVX512 x86 box, list against extraction, for
+# the terms mu(n)/n of m_q: 14.9 vs 16.5 us at 384 entries, 14.8 vs 14.7 at
+# 512, 19.7 vs 15.3 at 640 and 31.2 vs 19.2 at 1,024; for mu(n) log(x/n)/n,
+# which span more binades, the two meet near 640 (25.4 vs 25.0 us).  At
+# 60,793 terms (the support of mu at 1e5) the extraction takes 0.3-0.4 ms
+# against the list's 2.3 ms.
+FSUM_LIST_MAX = 512
+
+
 def fsum_blocks(*arrays) -> float:
     """math.fsum over the entries of the 1-D arrays, in order.
 
-    One fsum call takes every slice of block_entries: fsum keeps Shewchuk's
-    exact partials over its whole iterable, so the result is exactly rounded
-    and equals math.fsum of the concatenation's list bit for bit, with the
-    same ValueError (inf - inf) or OverflowError.  One array of at most
-    BLOCK entries is read with a single .tolist(), skipping the generator.
+    The result is exactly rounded: it equals math.fsum of the
+    concatenation's list bit for bit, and raises the same ValueError (inf -
+    inf) or OverflowError.  The arrays go into one ExactSum, which reads a
+    slice of up to FSUM_LIST_MAX entries as a list and splits a longer one
+    by extraction, so no Python list of more than FSUM_LIST_MAX entries is
+    formed.  One array that short (the kernels' 20-30-term sums) is read
+    by one fsum of its list, skipping the ExactSum.
     """
-    if len(arrays) == 1 and len(arrays[0]) <= BLOCK:
+    if len(arrays) == 1 and len(arrays[0]) <= FSUM_LIST_MAX:
         return math.fsum(arrays[0].tolist())
-    return math.fsum(block_entries(arrays))
+    total = ExactSum()
+    for a in arrays:
+        total.add(a)
+    return float(total)
 
 
 class ExactSum:
-    """A sum fed one array at a time, for one pass that feeds several sums.
+    """A sum fed one array at a time: fsum_blocks' long inputs, and one pass
+    that feeds several sums.
 
     float(total) equals math.fsum over every entry added, bit for bit.
     Rump, Ogita and Oishi's ExtractVector ("Accurate floating-point summation
@@ -96,16 +113,26 @@ class ExactSum:
     + p, so both are exact, and sum |q| <= sigma, so q.sum() is exact in any
     order.  Repeating on p - q, which shrinks by 2^(52 - s) per round, ends
     when it is zero, and the floats kept add up exactly to the entries.  An
-    entry too large to split (or not finite) is kept as it is.  One fsum of
-    what is kept rounds the exact sum once, as fsum of the entries would.
+    entry too large to split (or not finite) is kept as it is, and so is
+    every entry of a slice of at most FSUM_LIST_MAX, where the split costs
+    more than the list.  One fsum of what is kept rounds the exact sum
+    once, as fsum of the entries would.
     """
 
     def __init__(self) -> None:
         self._kept: list[float] = []
 
     def add(self, a) -> None:
-        """Add the entries of the 1-D numpy array a, read as float64."""
-        p = a.astype(float, copy=False)
+        """Add the entries of the 1-D numpy array a, read as float64, one
+        BLOCK slice at a time, so that no temporary outgrows a slice."""
+        for lo in range(0, len(a), BLOCK):
+            p = a[lo : lo + BLOCK].astype(float, copy=False)
+            if p.size <= FSUM_LIST_MAX:
+                self._kept += p.tolist()
+            else:
+                self._split(p)
+
+    def _split(self, p) -> None:
         scale = p.size.bit_length() + 1
         limit = math.ldexp(1.0, 1023 - scale)  # keeps sigma + p finite
         while p.size:

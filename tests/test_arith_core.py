@@ -27,7 +27,14 @@ from mobius_bounds.arith import (
     sweep_min,
     sweep_prefix_min,
 )
-from mobius_bounds.util import EPS, CapacityError, ExactSum, block_entries, fsum_blocks
+from mobius_bounds.util import (
+    EPS,
+    FSUM_LIST_MAX,
+    CapacityError,
+    ExactSum,
+    block_entries,
+    fsum_blocks,
+)
 
 
 def _factorize(n):
@@ -807,7 +814,10 @@ def _one_list(arrays):
     return math.fsum(np.concatenate(arrays).tolist())
 
 
-FSUM_LENGTHS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+# both sides of the list/extraction crossover C of fsum_blocks and ExactSum:
+# one array of C - 1, C or C + 1 entries, and two of C // 2 each
+C = FSUM_LIST_MAX
+FSUM_LENGTHS = (0, 1, C // 2, C - 1, C, C + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
 
 
 def _fsum_cases():
@@ -840,6 +850,12 @@ def _fsum_cases():
     over[0], over[BLOCK] = 1e308, 1e308
     yield [over]
     yield [np.array([1e308]), np.zeros(2 * BLOCK), np.array([1e308])]
+    for n in (C, C + 1):  # on either side of the crossover
+        over, inf = np.zeros(n), np.zeros(n)
+        over[0], over[-1] = 1e308, 1e308
+        inf[0], inf[-1] = np.inf, -np.inf
+        yield [over]
+        yield [inf]
 
 
 @pytest.mark.parametrize("arrays", list(_fsum_cases()))

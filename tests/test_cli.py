@@ -204,6 +204,14 @@ def test_easy_example_grid(tmp_path):
     assert all(r["verdict"] == "pass" for r in rows)
 
 
+@pytest.mark.parametrize("theorem", sorted(bounds.THEOREMS))
+def test_every_theorem_runs_on_the_default_grids(theorem, capsys):
+    """Given --X alone, each theorem runs on the default grids and emits
+    rows: they lie inside every theorem's domain, so none is a usage error."""
+    assert main(["verify", "--theorem", theorem, "--X", "15,100"]) in (0, 2, 3)
+    assert _rows(capsys.readouterr().out)
+
+
 def test_sum_command_frozen(capsys):
     rc = main(["sum", "--kind", "mcheck", "--X", "10,11", "--no-timestamp"])
     assert rc == 0

@@ -83,7 +83,8 @@ _COMMANDS = [
     (["sum", "--X", "10"], _BASE),
     (["verify", "--suite", "harmonic:harmonic"], _BASE + ("harmonic",)),
     (["verify", "--suite", "delta-sign:caps"], _BASE + ("analytic", "delta_sign")),
-    (["verify", "--suite", "bounds:small-m"], _BASE + ("analytic", "delta_sign", "bounds")),
+    (["verify", "--suite", "bounds:small-m"], _BASE + ("analytic", "bounds")),
+    (["verify", "--suite", "bounds:mqeps"], _BASE + ("analytic", "bounds", "delta_sign")),
 ]
 
 
@@ -103,16 +104,33 @@ def test_each_command_loads_only_what_it_runs(argv, modules):
 
 
 def test_identity_leaves_numpy_ma_unloaded():
-    """The identity grid sorts and drops repeats itself: np.unique imports
-    numpy.ma, about 10 ms of each identity call."""
+    """The identity grid and the alpha-kernel integral (harmonic:defect)
+    sort and drop repeats themselves: np.unique imports numpy.ma, about
+    10 ms of each call."""
     code = (
         "import contextlib, io, json, sys\n"
         "from mobius_bounds import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['identity', '--name', 'meissel', '--X', '1000'])\n"
-        "print(json.dumps([code, 'numpy.ma' in sys.modules]))"
+        "    codes = [cli.main(['identity', '--name', 'meissel', '--X', '1000']),\n"
+        "             cli.main(['verify', '--suite', 'harmonic:defect'])]\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))"
     )
-    assert _fresh(code) == [0, False]
+    assert _fresh(code) == [[0, 0], False]
+
+
+@pytest.mark.parametrize("fmt, loads_json", [("csv", False), ("jsonl", True)])
+def test_json_is_loaded_for_jsonl_output_only(fmt, loads_json):
+    """reports imports json inside rows_to_jsonl, and a bounds suite other
+    than mqeps leaves delta_sign (which imports json) unloaded.  The child
+    prints its answer without json, so as not to load it itself."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from mobius_bounds import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['verify', '--suite', 'bounds:small-m', '--format', {fmt!r}])\n"
+        "print('[%d, %s]' % (code, str('json' in sys.modules).lower()))"
+    )
+    assert _fresh(code) == [0, loads_json]
 
 
 def test_no_command_and_no_y0_solve_loads_scipy():

@@ -41,6 +41,9 @@ INVOCATIONS = (
     # one grid inside every theorem's domain (mcheckqeps takes eps <= 1/10)
     *(("verify", "--theorem", name, "--X", "15,100", "--eps", "0,0.05") for name in THEOREMS),
     ("sum",),
+    # point sums long enough for fsum_blocks' extraction path
+    ("sum", "--kind", "mcheck", "--X", "100000", "--q", "1,30", "--s", "1,1.5,2+1j"),
+    ("verify", "--suite", "bounds:easy", "--format", "jsonl"),  # json loaded on demand
     *(("identity", "--name", name, "--X", "100") for name in IDENTITIES),
     ("delta-sign", "--q", "1,2", "--X0", "10.8"),
     ("delta-sign", "--q", "1", "--X0", "20", "--cap", "0.014"),
