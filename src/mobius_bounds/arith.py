@@ -34,12 +34,13 @@ On top of the table live the weighted partial sums used everywhere else:
     m_q(X; s)       = sum_{n<=X, (n,q)=1} mu(n)/n^s
     mcheck_q(X; s)  = sum_{n<=X, (n,q)=1} mu(n) log(X/n)/n^s
 
-Scalar evaluations are exactly rounded sums (util.fsum_blocks: one
-math.fsum of a list up to FSUM_LIST_MAX terms, an ExactSum split BLOCK
-slice by slice past that), so the relative error budget of 2^-40 is met
-with a wide margin on the supported domain.  Complex powers use
-n^-s = exp(-(s-1) log n)/n, which makes the s = 1 path bit-identical to the
-plain harmonic-weighted sum.
+and log_moment_sum's log^k(X/n) weights.  Each is an exactly rounded sum
+(util.fsum_blocks: one math.fsum of a list up to FSUM_LIST_MAX terms, an
+ExactSum split BLOCK slice by slice past that) of one term builder,
+_point_terms: (mu(n)/n) log^j(X/n) exp(-(s-1) log n) over the support that
+mu_support selects, the n <= X with mu(n) != 0 and gcd(n, q) = 1.  So the
+relative error budget of 2^-40 is met with a wide margin on the supported
+domain, and s = 1 is bit-identical to the plain harmonic-weighted sum.
 
 The scans read prefix sums instead: the cumsum P of mu(k) (-log k)^j /
 k^sigma over coprime k, from one loop over BLOCK-entry blocks that builds
@@ -55,6 +56,7 @@ so the values are those of the full cumsum, bit for bit.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -74,6 +76,13 @@ LIMIT_BUDGET = 200_000_000
 # Moduli
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: Python and numpy integers only, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Modulus:
     """A modulus q with the primes dividing it, found by trial division.
@@ -86,6 +95,7 @@ class Modulus:
     primes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", _integer("modulus", self.q))
         if self.q < 1:
             raise ValueError(f"modulus must be positive, got {self.q}")
         primes = []
@@ -105,7 +115,7 @@ class Modulus:
     def coerce(cls, q: "Modulus | int") -> "Modulus":
         if isinstance(q, Modulus):
             return q
-        return cls(int(q))
+        return cls(q)
 
     @property
     def q_over_phi(self) -> float:
@@ -222,13 +232,6 @@ class ArithmeticTable:
             raise CapacityError(
                 f"argument needs sieve data up to {n}, table holds {self.limit}"
             )
-
-
-def _integer(name: str, value) -> int:
-    """value as an int: Python and numpy integers only, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def build_table(limit: int) -> ArithmeticTable:
@@ -364,74 +367,75 @@ def _sieve_segment(start: int, end: int, base: list[int], logs: list[float]):
 # Weighted partial sums
 
 
-def _selected_terms(
-    table: ArithmeticTable, n: int, q: Modulus
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices k <= n with mu(k) != 0 and gcd(k, q) = 1, plus mu values."""
+def mu_support(table: ArithmeticTable, n: int, q: Modulus) -> tuple[np.ndarray, np.ndarray]:
+    """(k, mu(k)/k) on the support: the k <= n with mu(k) != 0 and
+    gcd(k, q) = 1, in increasing order."""
     table._check_range(n)
     mu = table.mu[: n + 1]
     keep = mu != 0
     if q.primes:
         keep = keep & q.coprime_mask(n)
-    idx = np.nonzero(keep)[0]
-    return idx, mu[idx].astype(np.float64)
+    k = np.nonzero(keep)[0]
+    return k, mu[k] / k
+
+
+def _point_terms(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int) -> np.ndarray:
+    """(mu(n)/n) log^j(x/n) exp(-(s-1) log n) over the support of n <= x,
+    empty below x = 1; real or complex as s is.
+
+    log n is formed only when j > 0 or s != 1, and each factor only where
+    it is not 1, so s = 1 gives mu(n)/n log^j(x/n) bit for bit.  j = 1
+    multiplies by log x - log n itself: numpy's ** 1 is a full pow.
+    """
+    q = Modulus.coerce(q)
+    n = floor_int(x)
+    if n < 1:
+        return np.empty(0)
+    k, terms = mu_support(table, n, q)
+    if j == 0 and s == 1:
+        return terms
+    logs = np.log(k.astype(np.float64))
+    if j:
+        weights = math.log(x) - logs
+        terms = terms * (weights if j == 1 else weights ** j)
+    if s != 1:
+        terms = terms * np.exp(-(s - 1.0) * logs)
+    return terms
+
+
+def _complex_sum(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int) -> complex:
+    """The exactly rounded sum of _point_terms at s, finite with Re s > 0,
+    each part summed apart; at s = 1 the terms are real."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
+    if s.real <= 0.0:
+        raise ValueError(f"requires Re s > 0, got s = {s}")
+    terms = _point_terms(table, x, q, s, j)
+    if s == 1.0:
+        return complex(fsum_blocks(terms))
+    return complex(fsum_blocks(terms.real), fsum_blocks(terms.imag))
 
 
 def m_q(table: ArithmeticTable, x: float, q: Modulus | int = ONE) -> float:
     """sum_{n<=x, (n,q)=1} mu(n)/n, exactly-rounded accumulation."""
-    q = Modulus.coerce(q)
-    n = floor_int(x)
-    if n < 1:
-        return 0.0
-    idx, muv = _selected_terms(table, n, q)
-    return fsum_blocks(muv / idx)
+    return fsum_blocks(_point_terms(table, x, q, 1, 0))
 
 
-def m_q_s(
-    table: ArithmeticTable, x: float, q: Modulus | int, s: complex
-) -> complex:
-    """sum_{n<=x, (n,q)=1} mu(n)/n^s for Re s > 0.
-
-    n^-s is computed as exp(-(s-1) log n)/n so that s = 1 reproduces m_q
-    exactly, term by term.
-    """
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError(f"requires Re s > 0, got s = {s}")
-    q = Modulus.coerce(q)
-    n = floor_int(x)
-    if n < 1:
-        return 0j
-    if s == 1.0:
-        return complex(m_q(table, x, q))
-    idx, muv = _selected_terms(table, n, q)
-    logs = np.log(idx.astype(np.float64))
-    terms = muv / idx * np.exp(-(s - 1.0) * logs)
-    return complex(fsum_blocks(terms.real), fsum_blocks(terms.imag))
+def m_q_s(table: ArithmeticTable, x: float, q: Modulus | int, s: complex) -> complex:
+    """sum_{n<=x, (n,q)=1} mu(n)/n^s for Re s > 0."""
+    return _complex_sum(table, x, q, s, 0)
 
 
 def m_check_q_s(
     table: ArithmeticTable, x: float, q: Modulus | int = ONE, s: complex = 1.0
 ) -> complex:
-    """sum_{n<=x, (n,q)=1} mu(n) log(x/n)/n^s; real s gives a real value.
+    """sum_{n<=x, (n,q)=1} mu(n) log(x/n)/n^s for Re s > 0; real s gives a
+    real value.
 
     Continuous in x: each term enters with weight log(x/n) = 0 at n = x.
     """
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError(f"requires Re s > 0, got s = {s}")
-    q = Modulus.coerce(q)
-    n = floor_int(x)
-    if n < 1:
-        return 0j
-    idx, muv = _selected_terms(table, n, q)
-    logs = np.log(idx.astype(np.float64))
-    weights = math.log(x) - logs
-    base = muv / idx * weights
-    if s == 1.0:
-        return complex(fsum_blocks(base), 0.0)
-    terms = base * np.exp(-(s - 1.0) * logs)
-    return complex(fsum_blocks(terms.real), fsum_blocks(terms.imag))
+    return _complex_sum(table, x, q, s, 1)
 
 
 def m_check_q(table: ArithmeticTable, x: float, q: Modulus | int = ONE) -> float:
@@ -453,16 +457,9 @@ def log_moment_sum(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    q = Modulus.coerce(q)
-    n = floor_int(x)
-    if n < 1:
+    terms = _point_terms(table, x, q, sigma, k)
+    if not terms.size:
         return 0.0, 0.0
-    idx, muv = _selected_terms(table, n, q)
-    logs = np.log(idx.astype(np.float64))
-    weights = (math.log(x) - logs) ** k
-    terms = muv / idx * weights
-    if sigma != 1.0:
-        terms = terms * np.exp(-(sigma - 1.0) * logs)
     mass = ExactSum()
     for lo in range(0, len(terms), BLOCK):
         mass.add(np.abs(terms[lo : lo + BLOCK]))

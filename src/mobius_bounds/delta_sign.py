@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analytic import eps_zeta, eps_zeta_enclosure, eps_zeta_grid, phi_ratio
-from .arith import ArithmeticTable, Modulus, _selected_terms
+from .arith import ArithmeticTable, Modulus, mu_support
 from .reports import BoundRow, bound_row
 from .util import CapacityError, floor_int, fsum_blocks
 
@@ -203,8 +203,8 @@ def interval_weights(
     gcd(n, q) = 1, in increasing order.  Off the support a term is an exact
     +-0.0, so every exactly rounded sum over the support is the sum over
     all n <= N, bit for bit."""
-    n, mu = _selected_terms(table, N, qm)
-    return mu / n, np.log(n)
+    k, w = mu_support(table, N, qm)
+    return w, np.log(k)
 
 
 class IntervalKernel:

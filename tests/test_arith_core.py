@@ -162,6 +162,45 @@ def test_modulus_structure():
         Modulus(0)
 
 
+def test_modulus_takes_integers_only(table_small):
+    """A float or bool q is refused, not truncated to int(q); a numpy
+    integer is stored as a Python int, which json.dumps accepts."""
+    for q in (2.5, True, 6.0):
+        with pytest.raises(TypeError):
+            Modulus(q)
+    with pytest.raises(TypeError):
+        Modulus.coerce(2.9)
+    with pytest.raises(TypeError):
+        m_q(table_small, 100, 2.9)
+    m = Modulus(np.int64(6))
+    assert m == Modulus(6) and type(m.q) is int and m.primes == (2, 3)
+
+
+def test_point_sums_refuse_non_finite_s(table_small):
+    for s in (float("nan"), float("inf"), complex(1, math.inf), complex(math.nan, 1)):
+        with pytest.raises(ValueError, match="s must be finite"):
+            m_q_s(table_small, 10, 1, s)
+        with pytest.raises(ValueError, match="s must be finite"):
+            m_check_q_s(table_small, 10, 1, s)
+    for s in (0.0, -1 + 2j):
+        with pytest.raises(ValueError, match="Re s > 0"):
+            m_q_s(table_small, 10, 1, s)
+        with pytest.raises(ValueError, match="Re s > 0"):
+            m_check_q_s(table_small, 0.5, 1, s)
+
+
+def test_point_sums_check_arguments_before_an_empty_range(table_small):
+    """Below x = 1 the sums are zero, but q and s are checked first."""
+    assert m_q(table_small, 0.5, 6) == 0.0
+    assert m_q_s(table_small, 0.5, 6, 2 + 1j) == 0j
+    assert m_check_q_s(table_small, 0.5, 6, 1.5) == 0j
+    assert log_moment_sum(table_small, 0.5, 6, 1.5, 2) == (0.0, 0.0)
+    with pytest.raises(ValueError):
+        m_q(table_small, 0.5, 0)
+    with pytest.raises(ValueError):
+        log_moment_sum(table_small, 0.5, 0, 1.0, 1)
+
+
 @pytest.fixture(scope="module")
 def table_1e7():
     return build_table(10_000_000)

@@ -154,6 +154,9 @@ def test_identity_checks_every_s(capsys):
         ["verify", "--theorem", "easy", "--X", "10", "--k", "inf"],
         ["verify", "--theorem", "easy", "--X", "10", "--k", "1.9"],
         ["verify", "--theorem", "easy", "--X", "10", "--sigma", "inf"],
+        ["sum", "--s", "nan"],
+        ["sum", "--s", "inf"],
+        ["sum", "--kind", "mcheck", "--s", "1+infj"],
     ],
 )
 def test_non_finite_and_fractional_numbers_are_usage_errors(argv, capsys):

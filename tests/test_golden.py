@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mobius_bounds import bounds, delta_sign
+from mobius_bounds import arith, bounds, delta_sign
 from mobius_bounds.analytic import (
     ComplexParameter,
     constants,
@@ -264,6 +264,34 @@ SCAN_PINS = {
 def test_scan_outputs_match_pin(group, table_mid):
     text = "\n".join(repr(out) for out in _scan_outputs(group, table_mid))
     assert hashlib.sha256(text.encode()).hexdigest() == SCAN_PINS[group]
+
+
+# The point sums at x below 1, at 1, on either side of util.FSUM_LIST_MAX
+# terms (608 of the n <= 1000 are squarefree) and near the table's top; at
+# s = 1, real s != 1 and complex s; and log_moment_sum at each k, k = 0
+# included.
+POINT_X = (0.5, 1.0, 7.5, 1000.0, 12345.6, 99999.5)
+POINT_QS = (1, 6, 30030)
+
+
+def _point_outputs(table):
+    for x, q in product(POINT_X, POINT_QS):
+        yield arith.m_q(table, x, q)
+        yield arith.m_check_q(table, x, q)
+        for s in (1, 1.5, 2 + 1j, 0.5 + 14j):
+            yield arith.m_q_s(table, x, q, s)
+            yield arith.m_check_q_s(table, x, q, s)
+        for sigma, k in product((1.0, 1.5), (0, 1, 2, 3)):
+            yield arith.log_moment_sum(table, x, q, sigma, k)
+
+
+# sha256 of the newline-joined repr of _point_outputs(table_mid)
+POINT_PIN = "7ecd265e0d3cf1b8af2c61540be2b2877674c78b5fc11f4d81d0cc6590197b36"
+
+
+def test_point_sums_match_pin(table_mid):
+    text = "\n".join(repr(out) for out in _point_outputs(table_mid))
+    assert hashlib.sha256(text.encode()).hexdigest() == POINT_PIN
 
 
 # The analytic layer at the s of the dex suite, of acceptances 5 and 6 and of

@@ -43,6 +43,10 @@ INVOCATIONS = (
     ("sum",),
     # point sums long enough for fsum_blocks' extraction path
     ("sum", "--kind", "mcheck", "--X", "100000", "--q", "1,30", "--s", "1,1.5,2+1j"),
+    ("sum", "--kind", "m", "--X", "100000", "--q", "1,30030", "--s", "1,1.5,2+1j"),
+    # log_moment_sum's k >= 2 powers and its real exp
+    ("verify", "--theorem", "easy", "--X", "100000", "--q", "1,30030", "--k", "1,2,3",
+     "--sigma", "1,1.5"),
     ("verify", "--suite", "bounds:easy", "--format", "jsonl"),  # json loaded on demand
     *(("identity", "--name", name, "--X", "100") for name in IDENTITIES),
     ("delta-sign", "--q", "1,2", "--X0", "10.8"),
