@@ -453,10 +453,13 @@ def log_moment_sum(
     """sum_{n<=x,(n,q)=1} mu(n) log^k(x/n)/n^sigma with an error estimate.
 
     Returns (value, err) where err bounds the accumulated rounding of the
-    term-wise powers/logs (the sum itself is exactly rounded).
+    term-wise powers/logs (the sum itself is exactly rounded).  k is an
+    integer >= 0 and sigma finite.
     """
-    if k < 0:
+    if _integer("k", k) < 0:
         raise ValueError("k must be >= 0")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
     terms = _point_terms(table, x, q, sigma, k)
     if not terms.size:
         return 0.0, 0.0
@@ -548,12 +551,16 @@ def prefix_log_moment(
 
 def _prefix_request(table: ArithmeticTable, n, q, sigma, j):
     """(n, Modulus, columns) of a prefix request, checked: n is an integer
-    (not a bool) in [0, table.limit], and the columns are well formed."""
+    (not a bool) in [0, table.limit], and the columns are well formed, each
+    with a finite sigma."""
     n = _integer("n", n)
     if n < 0:
         raise ValueError(f"prefix length must be >= 0, got n = {n}")
     table._check_range(n)
-    return n, Modulus.coerce(q), _columns(sigma, j)
+    cols = _columns(sigma, j)
+    if not all(math.isfinite(s) for s, _ in cols):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
+    return n, Modulus.coerce(q), cols
 
 
 def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols, support: bool):

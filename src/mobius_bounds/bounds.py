@@ -5,16 +5,17 @@ serves two evaluators of its left side.  verify_* takes exactly rounded
 sums (util.fsum_blocks) at one point and renders a three-way verdict
 through the certified comparison in util: pass only when the margin clears
 the accumulated evaluation error, fail only when the violation does.  The
-*_scan sweeps evaluate the left side from cumsum prefixes, at every integer
-of a range or, for the eps families, on a log grid of SCAN_POINTS points.
-The full-range sweeps hand their prefix request to sweep_prefix_min, which
-reads the prefixes one block at a time, and the eps families read them at
-the grid's floors only (prefix_log_moment with at=), so no scan builds an
-array of length n_max; the values are those of the full prefix arrays,
-bit for bit.  small_m_scan also bounds each block's margins from below
-and skips the blocks that cannot hold a new first minimum, with the same
-results.  Scan margins are uncertified floats: they carry no error radius
-and no caller re-verifies them (ROADMAP item 4).
+*_scan sweeps evaluate the left side from cumsum prefixes, each log moment
+L_k(X; sigma) through its one column form (_log_moment), at every integer
+of a range or, for the eps families, on one log grid of SCAN_POINTS points
+(_scan_grid).  The full-range sweeps hand their prefix request to
+sweep_prefix_min, which reads the prefixes one block at a time, and the eps
+families read them at the grid's floors only (prefix_log_moment with at=),
+so no scan builds an array of length n_max; the values are those of the
+full prefix arrays, bit for bit.  small_m_scan also bounds each block's
+margins from below and skips the blocks that cannot hold a new first
+minimum, with the same results.  Scan margins are uncertified floats: they
+carry no error radius and no caller re-verifies them (ROADMAP item 4).
 
 Envelopes take log X from their caller, as math.log at a point and np.log
 in a scan (the two differ in the last bit on some inputs).  Indicator
@@ -36,6 +37,7 @@ from .arith import (
     ONE,
     ArithmeticTable,
     Modulus,
+    _integer,
     _prefix_request,
     log_moment_sum,
     m_check_q_s,
@@ -120,6 +122,25 @@ def _row(theorem_id, X, q, param, lhs, bound, lhs_err) -> BoundRow:
     )
 
 
+def _log_moment(k: int, lx, cols):
+    """L_k(X; sigma) = sum_{n<=X,(n,q)=1} mu(n) log^k(X/n)/n^sigma as sum_j
+    C(k,j) lx^j cols[k-j], from lx = log X and the prefix_log_moment columns
+    cols[j] = P_{sigma,j}(X); no factor 1 or power 1 is formed."""
+    lhs = cols[k]
+    for j in range(1, k + 1):
+        c, power = math.comb(k, j), lx if j == 1 else lx**j
+        lhs = lhs + (power if c == 1 else c * power) * cols[k - j]
+    return lhs
+
+
+def _scan_grid(table: ArithmeticTable, n_max: int, qm: Modulus, x_lo: float, sigma, j):
+    """(X, log X, the prefix columns (sigma, j) at [X]) on the log grid of
+    SCAN_POINTS values of X in [x_lo, n_max]."""
+    xs = np.exp(np.linspace(math.log(x_lo), math.log(float(n_max)), SCAN_POINTS))
+    idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
+    return xs, np.log(xs), prefix_log_moment(table, n_max, qm, sigma, j, at=idx)
+
+
 # ----------------------------------------------------------------------
 # Nonnegative log-weighted sums.
 
@@ -127,10 +148,10 @@ def _row(theorem_id, X, q, param, lhs, bound, lhs_err) -> BoundRow:
 def _easy_domain(X: float, k: int, sigma: float) -> None:
     if X < 1.0:
         raise ValueError("X must be >= 1")
-    if k < 1:
+    if _integer("k", k) < 1:
         raise ValueError("k must be >= 1")
-    if sigma < 1.0:
-        raise ValueError("sigma must be >= 1")
+    if not 1.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and >= 1, got {sigma!r}")
 
 
 def easy_bound(q: Modulus | int, k: int, sigma: float, lx):
@@ -157,19 +178,14 @@ def verify_easy(
 def easy_scan(
     table: ArithmeticTable, n_max: int, q: Modulus | int, k: int, sigma: float
 ) -> tuple[float, int, float, int]:
-    """(min lhs, argmin, min margin, argmin) over all integer X in [1, n_max].
-
-    lhs(X) expands binomially: log^k(X/n) = sum_j C(k,j) (log X)^j (-log n)^{k-j},
-    so one cumsum per power j gives every X at once.
-    """
+    """(min lhs, argmin, min margin, argmin) over all integer X in [1, n_max],
+    lhs from the prefix columns j = 0..k at every X at once."""
     _easy_domain(float(n_max), k, sigma)
     qm = Modulus.coerce(q)
 
     def margins(lo: int, hi: int, cols):  # X = lo+1 .. hi
         lx = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
-        lhs = np.zeros(hi - lo, dtype=np.float64)
-        for j in range(k + 1):
-            lhs += math.comb(k, j) * lx**j * cols[k - j]
+        lhs = _log_moment(k, lx, cols)
         return lhs, easy_bound(qm, k, sigma, lx) - lhs
 
     (lhs_min, i_lhs), (margin_min, i_mar) = sweep_prefix_min(
@@ -206,12 +222,12 @@ def delta_q(
     at s = 1+eps, assembled term-wise through expm1 so nothing cancels;
     eps = 0: the limit m_check_q([X]) - q/phi(q) + m_q([X]) log(X/[X]).
     """
-    from .delta_sign import defect, interval_weights
+    from .delta_sign import IntervalKernel, interval_weights
 
     _defect_domain(X, eps)
     qm = Modulus.coerce(q)
-    w, ln = interval_weights(table, floor_int(X), qm)
-    return DeltaValue(X=X, q=qm.q, eps=eps, value=defect(w, ln, qm, eps, math.log(X)))
+    kernel = IntervalKernel(*interval_weights(table, floor_int(X), qm), math.log(X), qm)
+    return DeltaValue(X=X, q=qm.q, eps=eps, value=kernel.at(eps))
 
 
 def mqeps_bound(X, q: Modulus | int, eps: float):
@@ -266,14 +282,11 @@ def mqeps_scan(
     if n_max < 2:
         raise ValueError(f"the grid runs over X in [2, n_max], got n_max = {n_max}")
     qm = Modulus.coerce(q)
-    xs = np.exp(np.linspace(math.log(2.0), math.log(float(n_max)), SCAN_POINTS))
-    idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
-    lxs = np.log(xs)
     if eps == 0.0:
-        p1, l1 = prefix_log_moment(table, n_max, qm, 1.0, (0, 1), at=idx)
-        delta = lxs * p1 + l1 - qm.q_over_phi
+        xs, lxs, cols = _scan_grid(table, n_max, qm, 2.0, 1.0, (0, 1))
+        delta = _log_moment(1, lxs, cols) - qm.q_over_phi
     else:
-        p1, ps = prefix_log_moment(table, n_max, qm, (1.0, 1.0 + eps), 0, at=idx)
+        xs, lxs, (p1, ps) = _scan_grid(table, n_max, qm, 2.0, (1.0, 1.0 + eps), 0)
         delta = (ps - p1 * np.exp(-eps * lxs)) / eps - phi_ratio(
             qm, 1.0 + eps
         ) / eps_zeta(eps)
@@ -360,13 +373,9 @@ def mcheckqeps_scan(
     _mcheckqeps_domain(float(n_max), eps)
     qm = Modulus.coerce(q)
     sigma = 1.0 + eps
-    xs = np.exp(np.linspace(math.log(15.0), math.log(float(n_max)), SCAN_POINTS))
-    idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
-    ps, l1 = prefix_log_moment(table, n_max, qm, sigma, (0, 1), at=idx)
-    lxs = np.log(xs)
-    mc = lxs * ps + l1
+    xs, lxs, cols = _scan_grid(table, n_max, qm, 15.0, sigma, (0, 1))
     main, _, _ = _mcheck_main(qm, sigma)
-    lhs = np.exp(eps * lxs) * np.abs(mc - main(lxs))
+    lhs = np.exp(eps * lxs) * np.abs(_log_moment(1, lxs, cols) - main(lxs))
     margin = mcheckqeps_bound(xs, qm, eps, lxs) - lhs
     i = int(np.argmin(margin))
     return float(margin[i]), float(xs[i])
@@ -422,9 +431,8 @@ def special_scan(
     def margins(lo: int, hi: int, cols):  # intervals [n, n+1), n = lo+1 .. hi
         logs = np.log(np.arange(lo + 1, hi + 2, dtype=np.float64))
         lo_log, hi_log = logs[:-1], logs[1:]
-        pp, ll = cols
-        d_left = np.abs(lo_log * pp + ll - main(lo_log))
-        d_right = np.abs(hi_log * pp + ll - main(hi_log))
+        d_left = np.abs(_log_moment(1, lo_log, cols) - main(lo_log))
+        d_right = np.abs(_log_moment(1, hi_log, cols) - main(hi_log))
         margin = special_bound(sigma, hi_log) - np.maximum(d_left, d_right)
         margin[: max(14 - lo, 0)] = np.inf  # n < 15: out of range
         return (margin,)

@@ -182,7 +182,7 @@ def _main_curvature(q: int) -> float:
 def curvature_bound(
     w: np.ndarray, ln: np.ndarray, q: Modulus | int, log_y: float
 ) -> float:
-    """Uniform M2 >= |t''(eps)| on [0, 1] for t = defect(w, ln, q, ., log_y).
+    """Uniform M2 >= |t''(eps)| on [0, 1] for t = IntervalKernel(w, ln, log_y, q).at.
 
     The kernel (n^(-eps) - y^(-eps))/eps = int_{log n}^{log y} e^(-eps u) du
     has second derivative int u^2 e^(-eps u) du in [0, (log^3 y - log^3 n)/3];
@@ -260,14 +260,6 @@ class IntervalKernel:
         return out
 
 
-def defect(
-    w: np.ndarray, ln: np.ndarray, qm: Modulus, eps: float, log_y: float
-) -> float:
-    """IntervalKernel(w, ln, log_y, qm).at(eps): Delta_q(y, eps)/y^eps with
-    the counting sums frozen at N = [y] and log y = log_y."""
-    return IntervalKernel(w, ln, log_y, qm).at(eps)
-
-
 def _interval_invariants(
     table: ArithmeticTable, N: int, qm: Modulus, x_hi: float
 ) -> IntervalKernel:
@@ -294,7 +286,7 @@ def interval_max(
 
     Within the interval only -m_q(N) X^(-eps)/eps varies with X, so the
     maximum sits at the endpoint y selected by the sign of m_q(N): y = x_hi
-    when m_q(N) >= 0 and y = N otherwise, where it equals defect(..., log y).
+    when m_q(N) >= 0 and y = N otherwise, where the interval's IntervalKernel reads it.
     Exact in X: nothing here discretises the interval.
     """
     if not 0.0 <= eps <= 1.0:

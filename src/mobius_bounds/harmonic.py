@@ -378,7 +378,7 @@ def hanson_scan(table: ArithmeticTable, n_max: int | None = None) -> tuple[float
     minimum over every integer lies at X = 1 or at a prime power; only those
     are evaluated, and the result is that of the sweep over every X.
     """
-    n = table.limit if n_max is None else int(n_max)
+    n = table.limit if n_max is None else _integer("n_max", n_max)
     if n < 1:
         raise ValueError("sweep over an empty range")
     powers, _ = table.prime_powers_upto(n)

@@ -187,6 +187,10 @@ def test_point_sums_refuse_non_finite_s(table_small):
             m_q_s(table_small, 10, 1, s)
         with pytest.raises(ValueError, match="Re s > 0"):
             m_check_q_s(table_small, 0.5, 1, s)
+    for sigma in (math.nan, math.inf, -math.inf):
+        for x in (100, 0.5):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                log_moment_sum(table_small, x, 1, sigma, 1)
 
 
 def test_point_sums_check_arguments_before_an_empty_range(table_small):
@@ -199,6 +203,9 @@ def test_point_sums_check_arguments_before_an_empty_range(table_small):
         m_q(table_small, 0.5, 0)
     with pytest.raises(ValueError):
         log_moment_sum(table_small, 0.5, 0, 1.0, 1)
+    for k in (1.0, True):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            log_moment_sum(table_small, 0.5, 6, 1.5, k)
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +518,9 @@ def test_hanson_scan_at_prime_powers_equals_the_dense_sweep(
         assert harmonic.hanson_scan(table_big, n) == (margins[i], i + 1), n
     with pytest.raises(ValueError):
         harmonic.hanson_scan(table_big, 0)
+    for n_max in (2.5, True):
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            harmonic.hanson_scan(table_big, n_max)
 
 
 # float.hex of (lambda_harmonic_sum, kernel_identity_check psi and
@@ -728,9 +738,12 @@ def test_prefix_kernel_rejects_bad_requests(table_small):
     for at in ([3, 2], [-1, 5], [0, n + 1], [[1, 2]], [0.0, 1.0]):
         with pytest.raises(ValueError):
             prefix_log_moment(table_small, n, 1, 1.0, 0, at=np.array(at))
-    for sigma, j in (((1.0, 1.5), (0, 1, 2)), ((), ()), (1.0, ())):
+    for sigma, j in (((1.0, 1.5), (0, 1, 2)), ((), ()), (1.0, ()), (math.nan, 0),
+                     ((1.0, math.inf), (0, 1)), (-math.inf, 2)):
         with pytest.raises(ValueError):
             prefix_log_moment(table_small, n, 1, sigma, j)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        prefix_log_moment(table_small, n, 6, (1.0, math.nan), 0, at=[5, 50])
     assert prefix_log_moment(table_small, n, 1, 1.0, 0, at=[]).size == 0
 
 
@@ -788,6 +801,8 @@ def test_prefix_blocks_check_on_the_call(table_small):
         (ValueError, (100, 1, (1.0, 1.5), (0, 1, 2))),
         (ValueError, (100, 1, (), ())),
         (ValueError, (100, 1, 1.0, ())),
+        (ValueError, (100, 1, math.nan, 0)),
+        (ValueError, (100, 1, (1.0, math.inf), (0, 1))),
     ]
 
     def no_margin(lo, hi, cols):

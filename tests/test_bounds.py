@@ -10,8 +10,16 @@ import pytest
 
 from mobius_bounds import bounds
 from mobius_bounds.analytic import ComplexParameter
-from mobius_bounds.arith import Modulus, build_table, sweep_prefix_min
+from mobius_bounds.arith import (
+    Modulus,
+    build_table,
+    log_moment_sum,
+    mu_support,
+    prefix_log_moment,
+    sweep_prefix_min,
+)
 from mobius_bounds.util import (
+    EPS,
     FAIL,
     INCONCLUSIVE,
     PASS,
@@ -22,6 +30,7 @@ from mobius_bounds.util import (
     approx_div,
     approx_mul,
     cert_le,
+    fsum_blocks,
 )
 
 
@@ -39,6 +48,12 @@ def test_verify_easy_guards(table_small):
         bounds.verify_easy(table_small, 10.0, 1, 0, 1.0)
     with pytest.raises(ValueError):
         bounds.verify_easy(table_small, 10.0, 1, 1, 0.9)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            bounds.verify_easy(table_small, 100.0, 1, 1, sigma)
+    for k in (1.5, True):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            bounds.verify_easy(table_small, 100.0, 1, k, 1.0)
 
 
 def test_easy_scan_nonnegative_and_bounded(table_small):
@@ -51,6 +66,47 @@ def test_easy_scan_nonnegative_and_bounded(table_small):
                 assert margin >= 0.0, (q, k, sigma, arg)
                 if k == 1:
                     assert margin > 0.0, (q, k, sigma, arg)
+
+
+@pytest.mark.parametrize("q", [1, 6, 30030])
+def test_column_form_of_the_log_moment_agrees_with_the_point_sum(table_mid, q):
+    """The scans' column form of L_k(X; sigma) (bounds._log_moment on the
+    prefix_log_moment columns read at [X]) against log_moment_sum, which
+    forms and sums its terms another way, within a derived bound.
+
+    Let u = EPS/2 and take libm's log and pow within one ulp, two roundings.
+    A term mu(n) n^-sigma (-log n)^i of column i takes the pow n^-sigma (2),
+    log n (2 in each of its i factors), the power (2) and one product (1):
+    at most 2k + 5 roundings.  The cumsum adds at most N = [X] (Higham's
+    gamma_N).  Term j of the combination takes log X (2 in each of its j
+    factors), the power (2), the binomial and column products (2) and at
+    most k additions: at most 3k + 4.  So the column form is within
+    gamma_{N+5k+9} S_abs of L_k, with S_abs = sum_j C(k,j) (log X)^j
+    sum_{n<=X,(n,q)=1} |mu(n)| log^(k-j) n / n^sigma, and log_moment_sum
+    within its err.  That err alone does not cover the difference (the
+    largest one here is 1.6 times it, at q = 6, sigma = 1.5, k = 0, X = 1e5):
+    it bounds the point sum's roundings, not the column form's cumsums.
+    """
+    u = EPS / 2.0
+    xs = np.exp(np.linspace(0.0, math.log(1e5), 40))
+    ns = np.floor(xs).astype(np.int64)
+    lxs = np.log(xs)
+    qm = Modulus(q)
+    n, _ = mu_support(table_mid, int(ns[-1]), qm)
+    logs = np.log(n.astype(np.float64))
+    ends = np.searchsorted(n, ns, "right")
+    for sigma in (1.0, 1.5):
+        cols = prefix_log_moment(table_mid, int(ns[-1]), qm, sigma, (0, 1, 2, 3), at=ns)
+        base = n.astype(np.float64) ** -sigma
+        mass = [np.array([fsum_blocks((base * logs**i)[:e]) for e in ends]) for i in range(4)]
+        for k in range(4):
+            got = bounds._log_moment(k, lxs, cols)
+            s_abs = sum(math.comb(k, j) * lxs**j * mass[k - j] for j in range(k + 1))
+            for m, X in enumerate(xs):
+                want, err = log_moment_sum(table_mid, float(X), qm, sigma, k)
+                steps = int(ns[m]) + 5 * k + 9
+                tol = steps * u / (1.0 - steps * u) * s_abs[m] + err
+                assert abs(got[m] - want) <= tol, (sigma, k, X)
 
 
 def test_delta_q_frozen_and_floor(table_small):
@@ -429,6 +485,9 @@ BAD_SCAN_REQUESTS = [
     ("easy-past-table", lambda t: bounds.easy_scan(t, t.limit + 1, 1, 1, 1.0), CapacityError),
     # special_scan reads the prefix up to n_max - 1
     ("special-past-table", lambda t: bounds.special_scan(t, t.limit + 2, 1.0), CapacityError),
+    ("easy-nan-sigma", lambda t: bounds.easy_scan(t, 1000, 1, 1, math.nan), ValueError),
+    ("easy-inf-sigma", lambda t: bounds.easy_scan(t, 1000, 1, 1, math.inf), ValueError),
+    ("easy-bool-k", lambda t: bounds.easy_scan(t, 1000, 1, True, 1.0), TypeError),
 ]
 
 

@@ -224,8 +224,8 @@ def test_defect_on_the_support_is_the_dense_defect_bit_for_bit(table_mid, N):
         for x_hi in (N + 1.0, N + 0.5):
             log_y = math.log(x_hi)
             for eps in (0.0, 1e-9, 1e-3, 0.5, 1.0):
-                got = delta_sign.defect(w, ln, qm, eps, log_y)
-                want = delta_sign.defect(w_all, ln_all, qm, eps, log_y)
+                got = delta_sign.IntervalKernel(w, ln, log_y, qm).at(eps)
+                want = delta_sign.IntervalKernel(w_all, ln_all, log_y, qm).at(eps)
                 assert got.hex() == want.hex(), (N, q, x_hi, eps)
             m2 = curvature_bound(w, ln, qm, log_y)
             assert m2 == curvature_bound(w_all, ln_all, qm, log_y), (N, q, x_hi)

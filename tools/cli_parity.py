@@ -48,6 +48,9 @@ INVOCATIONS = (
     ("verify", "--theorem", "easy", "--X", "100000", "--q", "1,30030", "--k", "1,2,3",
      "--sigma", "1,1.5"),
     ("verify", "--suite", "bounds:easy", "--format", "jsonl"),  # json loaded on demand
+    # delta_q's IntervalKernel past FSUM_LIST_MAX terms, at eps = 0 and eps > 0
+    ("verify", "--theorem", "mqeps", "--X", "2,12345.5,100000", "--q", "1,30030",
+     "--eps", "0,0.01,1"),
     *(("identity", "--name", name, "--X", "100") for name in IDENTITIES),
     ("delta-sign", "--q", "1,2", "--X0", "10.8"),
     ("delta-sign", "--q", "1", "--X0", "20", "--cap", "0.014"),
