@@ -11,6 +11,7 @@ certificates by hash.
 import hashlib
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -36,6 +37,7 @@ from mobius_bounds.identities import (
     IdentitySpec,
     evaluate_ofd,
 )
+from mobius_bounds.util import BLOCK
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -246,6 +248,50 @@ def _scan_outputs(group, table):
                 ]
                 for arr in arrays:
                     yield hashlib.sha256(arr.tobytes()).hexdigest()
+        elif group == "kernel":
+            yield from _kernel_outputs(table, n)
+
+
+def _kernel_outputs(table, n):
+    """The prefix kernel past the "prefix" and "easy" groups: dense columns at
+    j = 3..5, one request mixing sigma and the parity of j, at= reads at
+    j = 3 on the block edges, and easy_scan's arrays at k = 2..5."""
+
+    def digest(arr):
+        return hashlib.sha256(arr.tobytes()).hexdigest()
+
+    edges = {0, 1, n, *(e + d for e in range(BLOCK, n + 1, BLOCK) for d in (-1, 0, 1))}
+    at = sorted(e for e in edges | set(SCAN_SIZES) if e <= n)
+    for q in (1, 2, 30030):
+        for sigma, j in product((1.0, 1.5, 2.0), (3, 4, 5)):
+            yield digest(arith.prefix_log_moment(table, n, q, sigma, j))
+        for arr in arith.prefix_log_moment(table, n, q, (1.0, 1.5, 1.5, 2.0), (1, 0, 3, 2)):
+            yield digest(arr)
+        for sigma in (1.0, 1.5, 2.0):
+            yield digest(arith.prefix_log_moment(table, n, q, sigma, 3, at=at))
+    for q, k, sigma in product((1, 6, 30030), (2, 3, 4, 5), (1.0, 1.5, 2.0)):
+        yield _easy_scan_margins(table, n, q, k, sigma)
+
+
+def _easy_scan_margins(table, n, q, k, sigma):
+    """easy_scan's result and the sha256 of every array its sweep reads.  From
+    k = 2 on the result is (0.0, 1, 0.0, 1), both sides vanishing at X = 1,
+    so only the arrays pin the lhs and margins at every X."""
+    h = hashlib.sha256()
+    sweep_min = arith.sweep_min
+
+    def recording(n, margins_of, floors_of=None):
+        def margins(lo, hi):
+            arrays = margins_of(lo, hi)
+            for arr in arrays:
+                h.update(arr.tobytes())
+            return arrays
+
+        return sweep_min(n, margins, floors_of)
+
+    with mock.patch.object(arith, "sweep_min", recording):
+        out = bounds.easy_scan(table, n, q, k, sigma)
+    return out, h.hexdigest()
 
 
 # sha256 of the newline-joined repr of _scan_outputs(group, table_mid); "eps"
@@ -257,6 +303,7 @@ SCAN_PINS = {
     "special": "08f96211aebe3bc0bffc8c0ac68c0446f45cd4ff5855ea1ce2774bb8314c9c4b",
     "harmonic": "9500f8022f649a4d2278445396537e350b72d59a236b9b68f38e61fc3f17a653",
     "prefix": "66d369481cdd0b6d8ba2cc0cbaa5e2edf4c14fc96c23feb73be12467782948e5",
+    "kernel": "60399f0f801925ef59a4f6c5e3ec47d00820656bdd40f45a3cd3037e47a4d92c",
 }
 
 
