@@ -44,11 +44,12 @@ domain, and s = 1 is bit-identical to the plain harmonic-weighted sum.
 
 The scans read prefix sums instead: the cumsum P of mu(k) (-log k)^j /
 k^sigma over coprime k, from one loop over BLOCK-entry blocks that builds
-several (sigma, j) columns, sharing each block's mu slice, coprime zeroing,
-powers and logs.  sweep_prefix_min takes a full-range sweep's prefix
-request and draws P from that loop one block at a time, so no scan holds a
-full-length prefix; a sweep given floors skips the margins of a block that
-cannot hold a new first minimum (sweep_min).
+several (sigma, j) columns from one log table per block (log k and its
+powers) and one mu(k) k^-sigma per sigma.  sweep_prefix_min draws a
+full-range sweep's P from that loop one block at a time, with the table
+for its margins, so no scan holds a full-length prefix or forms log X
+again; a sweep given floors skips the margins of a block that cannot hold
+a new first minimum (sweep_min).
 prefix_log_moment returns P whole, or with at= only at the given indices:
 it then sums only the support of mu, the terms it skips are +-0.0, and
 adding +-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged,
@@ -481,32 +482,6 @@ def prefix_m_q(
     return prefix_log_moment(table, n, q, sigma, 0)
 
 
-def _columns(sigma, j) -> list[tuple[float, int]]:
-    """(sigma, j) per column; a scalar pairs with every entry of a tuple."""
-    widths = {len(v) for v in (sigma, j) if isinstance(v, tuple)}
-    if len(widths) > 1:
-        raise ValueError(f"sigma and j tuples differ in length: {sigma!r}, {j!r}")
-    width = widths.pop() if widths else 1
-    if width == 0:
-        raise ValueError("no columns requested")
-    sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * width
-    js = j if isinstance(j, tuple) else (j,) * width
-    return list(zip(sigmas, js))
-
-
-def _sample_points(at, n: int) -> np.ndarray:
-    """at as a sorted int64 array of indices in [0, n]."""
-    pts = np.asarray(at)
-    if pts.ndim != 1 or (pts.size and pts.dtype.kind not in "iu"):
-        raise ValueError("at must be a one-dimensional array of integers")
-    pts = pts.astype(np.int64)
-    if pts.size and (pts[0] < 0 or pts[-1] > n):
-        raise ValueError(f"at must lie in [0, {n}]")
-    if np.any(pts[1:] < pts[:-1]):
-        raise ValueError("at must be sorted")
-    return pts
-
-
 def prefix_log_moment(
     table: ArithmeticTable,
     n: int,
@@ -534,14 +509,21 @@ def prefix_log_moment(
     if at is None:
         # zeros: P[0] is the empty sum
         outs = [np.zeros(n + 1) for _ in cols]
-        for lo, hi, runs, _ in _prefix_runs(table, n, q, cols, support=False):
+        for lo, hi, runs, _, _ in _prefix_runs(table, n, q, cols, support=False):
             for out, run in zip(outs, runs):
                 out[lo:hi] = run[1:]
     else:
-        pts = _sample_points(at, n)
+        pts = np.asarray(at)
+        if pts.ndim != 1 or (pts.size and pts.dtype.kind not in "iu"):
+            raise ValueError("at must be a one-dimensional array of integers")
+        pts = pts.astype(np.int64)
+        if pts.size and (pts[0] < 0 or pts[-1] > n):
+            raise ValueError(f"at must lie in [0, {n}]")
+        if np.any(pts[1:] < pts[:-1]):
+            raise ValueError("at must be sorted")
         outs = [np.zeros(pts.size) for _ in cols]  # every at[m] = 0 reads 0.0
         stop = int(pts.max(initial=0))
-        for lo, hi, runs, idx in _prefix_runs(table, stop, q, cols, support=True):
+        for lo, hi, runs, idx, _ in _prefix_runs(table, stop, q, cols, support=True):
             a0, a1 = np.searchsorted(pts, (lo, hi))
             reads = np.searchsorted(idx, pts[a0:a1], "right")
             for out, run in zip(outs, runs):
@@ -551,20 +533,31 @@ def prefix_log_moment(
 
 def _prefix_request(table: ArithmeticTable, n, q, sigma, j):
     """(n, Modulus, columns) of a prefix request, checked: n is an integer
-    (not a bool) in [0, table.limit], and the columns are well formed, each
-    with a finite sigma."""
+    (not a bool) in [0, table.limit], and the (sigma, j) columns are well
+    formed (a scalar pairs with every entry of a tuple), each with a finite
+    sigma and an integer j >= 0 (not a bool)."""
     n = _integer("n", n)
     if n < 0:
         raise ValueError(f"prefix length must be >= 0, got n = {n}")
     table._check_range(n)
-    cols = _columns(sigma, j)
+    widths = {len(v) for v in (sigma, j) if isinstance(v, tuple)}
+    if len(widths) > 1:
+        raise ValueError(f"sigma and j tuples differ in length: {sigma!r}, {j!r}")
+    width = widths.pop() if widths else 1
+    if width == 0:
+        raise ValueError("no columns requested")
+    sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * width
+    js = j if isinstance(j, tuple) else (j,) * width
+    cols = [(s, _integer("j", jj)) for s, jj in zip(sigmas, js)]
     if not all(math.isfinite(s) for s, _ in cols):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
+    if any(jj < 0 for _, jj in cols):
+        raise ValueError(f"j must be >= 0, got {j!r}")
     return n, Modulus.coerce(q), cols
 
 
 def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols, support: bool):
-    """The one prefix loop: (lo, hi, runs, idx) for each BLOCK [lo, hi) of [1, stop].
+    """The one prefix loop: (lo, hi, runs, idx, logs) for each BLOCK [lo, hi) of [1, stop].
 
     runs[c][0] is column c's sum carried into the block and runs[c][1:] its
     running sums after each term; each column's cumsum continues its carry,
@@ -573,47 +566,49 @@ def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols, support: b
     (i with mu(i) != 0 and gcd(i, q) = 1), idx holds those i, and
     runs[c][m + 1] is the prefix at idx[m] (see prefix_log_moment);
     otherwise idx is None.  Between blocks the loop holds only the carries.
+
+    A block forms once its mu slice with the coprime zeroing, its log table
+    logs[j] = (log i)^j up to the largest j (logs[0] = 1.0) and, per sigma,
+    mu(i) i^-sigma, negated once for the odd j as (-a) b = -(a b) under
+    rounding to nearest; a column is then one product and one cumsum.
     """
     carries = [0.0] * len(cols)
+    j_max = max(jj for _, jj in cols)
     for lo in range(1, stop + 1, BLOCK):
-        hi = min(lo + BLOCK, stop + 1)
-        yield (lo, hi, *_prefix_block(table.mu[lo:hi], lo, q, cols, carries, support))
-
-
-def _prefix_block(mu: np.ndarray, lo: int, q: Modulus, cols, carries, support: bool):
-    """(runs, idx) of one block of _prefix_runs; carries is updated in place.
-
-    The mu slice, the coprime zeroing and each distinct i^-sigma and log i
-    are formed once and shared by the columns.
-    """
-    vals = mu.astype(np.float64)
-    for p in q.primes:
-        vals[(-lo) % p :: p] = 0.0
-    if support:
-        idx = np.flatnonzero(vals != 0.0)
-        vals = vals[idx]
-        idx += lo
-        kk = idx.astype(np.float64)
-    else:
-        idx = None
-        kk = np.arange(lo, lo + mu.size, dtype=np.float64)
-    powers = {s: kk ** (-s) for s in {s for s, _ in cols}}
-    logs = np.log(kk) if any(jj for _, jj in cols) else None
-    # (-1)^j log^j k: numpy's pow takes a slow path on negative bases
-    signed = {jj: (-1) ** jj * logs**jj for jj in {jj for _, jj in cols if jj}}
-    runs = []
-    for c, (s, jj) in enumerate(cols):
-        # run[0] is the sum carried into the block and run[1:] its terms,
-        # so one cumsum continues the sum
-        run = np.empty(kk.size + 1)
-        run[0] = carries[c]
-        np.multiply(vals, powers[s], out=run[1:])
-        if jj:
-            run[1:] *= signed[jj]
-        np.cumsum(run, out=run)
-        carries[c] = run[-1]
-        runs.append(run)
-    return runs, idx
+        vals = table.mu[lo : min(lo + BLOCK, stop + 1)].astype(np.float64)
+        hi = lo + vals.size
+        for p in q.primes:
+            vals[(-lo) % p :: p] = 0.0
+        if support:
+            idx = np.flatnonzero(vals != 0.0)
+            vals = vals[idx]
+            idx += lo
+            kk = idx.astype(np.float64)
+        else:
+            idx = None
+            kk = np.arange(lo, hi, dtype=np.float64)
+        logs = [1.0] + ([np.log(kk)] if j_max else [])
+        logs += [logs[1] ** jj for jj in range(2, j_max + 1)]
+        # (sigma, j % 2) -> (-1)^j mu(i) i^-sigma in [1:]; [0] takes a column's carry
+        signed = {}
+        runs = []
+        for c, (s, jj) in enumerate(cols):
+            if (s, 0) not in signed:
+                signed[s, 0] = np.empty(kk.size + 1)
+                np.power(kk, -s, out=signed[s, 0][1:])
+                signed[s, 0][1:] *= vals
+            if jj % 2 and (s, 1) not in signed:
+                signed[s, 1] = np.negative(signed[s, 0])
+            run = np.empty(kk.size + 1)
+            terms = signed[s, jj % 2]
+            if jj:
+                np.multiply(terms[1:], logs[jj], out=run[1:])
+                terms = run
+            terms[0] = carries[c]
+            np.cumsum(terms, out=run)
+            carries[c] = run[-1]
+            runs.append(run)
+        yield lo, hi, runs, idx, logs
 
 
 def sweep_min(n: int, margins_of, floors_of=None) -> list[tuple[float, int]]:
@@ -655,29 +650,32 @@ def sweep_min(n: int, margins_of, floors_of=None) -> list[tuple[float, int]]:
 def sweep_prefix_min(
     table: ArithmeticTable, n: int, q: Modulus | int, sigma, j, margins_of, floors_of=None
 ) -> list[tuple[float, int]]:
-    """sweep_min over [0, n) of margins_of(lo, hi, cols), and floors
-    floors_of(lo, hi, cols) if given.
+    """sweep_min over [0, n) of margins_of(lo, hi, cols, logs), and floors
+    floors_of(lo, hi, cols, logs) if given.
 
     cols[c] is column c's prefix P[lo + 1 : hi + 1], with P and the columns
     as in prefix_log_moment (a scalar sigma and j give one column), so
-    entry i of a sweep reads P[i + 1].  The request is checked before the
-    first block.  The prefix block is drawn from _prefix_runs when sweep_min
-    first asks for its sweep block; sweep_min asks for every block, skipped
-    ones too, so the carry runs through, floors_of and margins_of see the
-    same cols, and the last block is let go before the next one is formed.
+    entry i of a sweep reads P[i + 1], and logs is the prefix block's log
+    table, logs[j] = (log X)^j at X = lo + 1 .. hi (_prefix_runs).  The
+    request is checked before the first block.  The prefix block is drawn
+    from _prefix_runs when sweep_min first asks for its sweep block;
+    sweep_min asks for every block, skipped ones too, so the carry runs
+    through, floors_of and margins_of see the same block, and the last
+    block is let go before the next one is formed.
     """
     n, q, cols = _prefix_request(table, n, q, sigma, j)
     runs = _prefix_runs(table, n, q, cols, support=False)
-    held = [None, None]  # lo and cols of the sweep block in hand
+    held = [None, None]  # lo, and (cols, logs), of the sweep block in hand
 
-    def cols_of(lo: int):
+    def block(lo: int):
         if held[0] != lo:
             held[1] = None  # let the last block go before the next one is formed
-            held[:] = lo, [run[1:] for run in next(runs)[2]]
+            _, _, block_runs, _, logs = next(runs)
+            held[:] = lo, ([run[1:] for run in block_runs], logs)
         return held[1]
 
-    floors = None if floors_of is None else lambda lo, hi: floors_of(lo, hi, cols_of(lo))
-    return sweep_min(n, lambda lo, hi: margins_of(lo, hi, cols_of(lo)), floors)
+    floors = None if floors_of is None else lambda lo, hi: floors_of(lo, hi, *block(lo))
+    return sweep_min(n, lambda lo, hi: margins_of(lo, hi, *block(lo)), floors)
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,13 @@ of a range or, for the eps families, on one log grid of SCAN_POINTS points
 sweep_prefix_min, which reads the prefixes one block at a time, and the eps
 families read them at the grid's floors only (prefix_log_moment with at=),
 so no scan builds an array of length n_max; the values are those of the
-full prefix arrays, bit for bit.  small_m_scan also bounds each block's
-margins from below and skips the blocks that cannot hold a new first
-minimum, with the same results.  Scan margins are uncertified floats: they
-carry no error radius and no caller re-verifies them (ROADMAP item 4).
+full prefix arrays, bit for bit; easy_scan and special_scan read log X and
+its powers from the prefix block's log table.  small_m_scan also bounds
+each block's margins from below and skips the blocks that cannot hold a
+new first minimum, with the same results.  The easy family refuses a k
+whose float64 sums could overflow (_easy_domain states the bound).  Scan
+margins are uncertified floats: they carry no error radius and no caller
+re-verifies them (ROADMAP item 4).
 
 Envelopes take log X from their caller, as math.log at a point and np.log
 in a scan (the two differ in the last bit on some inputs).  Indicator
@@ -124,11 +127,12 @@ def _row(theorem_id, X, q, param, lhs, bound, lhs_err) -> BoundRow:
 
 def _log_moment(k: int, lx, cols):
     """L_k(X; sigma) = sum_{n<=X,(n,q)=1} mu(n) log^k(X/n)/n^sigma as sum_j
-    C(k,j) lx^j cols[k-j], from lx = log X and the prefix_log_moment columns
-    cols[j] = P_{sigma,j}(X); no factor 1 or power 1 is formed."""
+    C(k,j) lx^j cols[k-j], from lx = log X, or a sweep block's log table
+    lx[j] = (log X)^j, and the prefix_log_moment columns cols[j] =
+    P_{sigma,j}(X); no factor 1 or power 1 is formed."""
     lhs = cols[k]
     for j in range(1, k + 1):
-        c, power = math.comb(k, j), lx if j == 1 else lx**j
+        c, power = math.comb(k, j), lx[j] if isinstance(lx, list) else lx if j == 1 else lx**j
         lhs = lhs + (power if c == 1 else c * power) * cols[k - j]
     return lhs
 
@@ -145,28 +149,44 @@ def _scan_grid(table: ArithmeticTable, n_max: int, qm: Modulus, x_lo: float, sig
 # Nonnegative log-weighted sums.
 
 
-def _easy_domain(X: float, k: int, sigma: float) -> None:
+def _easy_domain(X: float, k: int, sigma: float, spread: int) -> None:
+    """X >= 1, an integer k >= 1, a finite sigma >= 1, and a k whose float64
+    evaluation cannot overflow up to X.  With sigma >= 1 a point term is at
+    most (log X)^k / n, so the point sum and its mass are at most (log X)^k
+    sum_{n<=X} 1/n <= (log X)^k (1 + log X) (spread = 1).  In the scan's
+    column form each prefix P_{k-j} is at most (log X)^(k-j) (1 + log X), so
+    a term C(k,j) lx^j P_{k-j}, and their sum as the C(k,j) add to 2^k, is
+    at most 2^k (log X)^k (1 + log X) (spread = 2).  k is refused unless
+    spread^k max(1, log X)^k (1 + log X) < 2^1023, half the largest double,
+    which leaves room for rounding and keeps each C(k,j) a finite float."""
     if X < 1.0:
         raise ValueError("X must be >= 1")
     if _integer("k", k) < 1:
         raise ValueError("k must be >= 1")
     if not 1.0 <= sigma < math.inf:  # NaN fails too
         raise ValueError(f"sigma must be finite and >= 1, got {sigma!r}")
+    lx = math.log(X)
+    growth = math.log2(spread * max(1.0, lx))
+    if growth and k > (limit := math.floor((1023.0 - math.log2(1.0 + lx)) / growth)):
+        raise ValueError(
+            f"k = {k} can overflow float64 at X = {X:g}: k must be <= {limit} there"
+        )
 
 
 def easy_bound(q: Modulus | int, k: int, sigma: float, lx):
     """Upper envelope const*(q/phi(q))*(k + (sigma-1) log X)*(log X)^(k-1)
-    with lx = log X."""
+    with lx = log X, or a sweep block's log table (see _log_moment)."""
+    lx, power = (lx[1], lx[k - 1]) if isinstance(lx, list) else (lx, lx ** (k - 1))
     const = 1.00303 if k == 1 else 1.0
     q_over_phi = Modulus.coerce(q).q_over_phi
-    return const * q_over_phi * (k + (sigma - 1.0) * lx) * lx ** (k - 1)
+    return const * q_over_phi * (k + (sigma - 1.0) * lx) * power
 
 
 def verify_easy(
     table: ArithmeticTable, X: float, q: Modulus | int, k: int, sigma: float
 ) -> BoundRow:
     """0 <= sum_{n<=X,(n,q)=1} mu(n) log^k(X/n)/n^sigma <= easy_bound."""
-    _easy_domain(X, k, sigma)
+    _easy_domain(X, k, sigma, 1)
     qm = Modulus.coerce(q)
     lhs, err = log_moment_sum(table, X, qm, sigma, k)
     bound = easy_bound(qm, k, sigma, math.log(X))
@@ -180,13 +200,12 @@ def easy_scan(
 ) -> tuple[float, int, float, int]:
     """(min lhs, argmin, min margin, argmin) over all integer X in [1, n_max],
     lhs from the prefix columns j = 0..k at every X at once."""
-    _easy_domain(float(n_max), k, sigma)
+    _easy_domain(float(n_max), k, sigma, 2)
     qm = Modulus.coerce(q)
 
-    def margins(lo: int, hi: int, cols):  # X = lo+1 .. hi
-        lx = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
-        lhs = _log_moment(k, lx, cols)
-        return lhs, easy_bound(qm, k, sigma, lx) - lhs
+    def margins(lo: int, hi: int, cols, logs):  # X = lo+1 .. hi
+        lhs = _log_moment(k, logs, cols)
+        return lhs, easy_bound(qm, k, sigma, logs) - lhs
 
     (lhs_min, i_lhs), (margin_min, i_mar) = sweep_prefix_min(
         table, n_max, qm, sigma, tuple(range(k + 1)), margins
@@ -428,10 +447,11 @@ def special_scan(
         )
     main, _, _ = _mcheck_main(ONE, sigma)
 
-    def margins(lo: int, hi: int, cols):  # intervals [n, n+1), n = lo+1 .. hi
-        logs = np.log(np.arange(lo + 1, hi + 2, dtype=np.float64))
-        lo_log, hi_log = logs[:-1], logs[1:]
-        d_left = np.abs(_log_moment(1, lo_log, cols) - main(lo_log))
+    def margins(lo: int, hi: int, cols, logs):  # intervals [n, n+1), n = lo+1 .. hi
+        # log(n + 1) past the block's table: np.log of one entry, the same float
+        lo_log = logs[1]
+        hi_log = np.concatenate((lo_log[1:], np.log(np.array([hi + 1.0]))))
+        d_left = np.abs(_log_moment(1, logs, cols) - main(lo_log))
         d_right = np.abs(_log_moment(1, hi_log, cols) - main(hi_log))
         margin = special_bound(sigma, hi_log) - np.maximum(d_left, d_right)
         margin[: max(14 - lo, 0)] = np.inf  # n < 15: out of range
@@ -721,7 +741,7 @@ def small_m_scan(
         _prefix_request(table, n_max, qm, 1.0, 0)  # a bad request raises all the same
         return {}
 
-    def margins(lo: int, hi: int, cols):  # steps n = lo+1 .. hi
+    def margins(lo: int, hi: int, cols, logs):  # steps n = lo+1 .. hi
         rights = np.arange(lo + 2, hi + 2, dtype=np.float64)
         lr = np.log(rights)
         vals = np.abs(cols[0])
@@ -732,7 +752,7 @@ def small_m_scan(
             out.append(margin)
         return out
 
-    def floors(lo: int, hi: int, cols):
+    def floors(lo: int, hi: int, cols, logs):
         x = float(hi + 1)
         top = float(np.abs(cols[0]).max())
         return [

@@ -641,11 +641,11 @@ def test_sweep_prefix_min_with_floors_draws_every_block(table_mid):
     n = 3 * BLOCK + 5
     seen = {}
 
-    def margins(lo, hi, cols):
+    def margins(lo, hi, cols, logs):
         seen.setdefault(lo, []).append(("margins", id(cols[0])))
         return [cols[0] - np.arange(lo, hi)]
 
-    def floors(lo, hi, cols):
+    def floors(lo, hi, cols, logs):
         seen.setdefault(lo, []).append(("floors", id(cols[0])))
         return [math.inf if lo < 2 * BLOCK else -math.inf]
 
@@ -744,6 +744,14 @@ def test_prefix_kernel_rejects_bad_requests(table_small):
             prefix_log_moment(table_small, n, 1, sigma, j)
     with pytest.raises(ValueError, match="sigma must be finite"):
         prefix_log_moment(table_small, n, 6, (1.0, math.nan), 0, at=[5, 50])
+    # j is an integer >= 0 (not a bool), in the dense and the at= reads alike
+    for at in (None, [5, 50]):
+        for sigma, j in ((1.0, -1), ((1.0, 1.5), (0, -2))):
+            with pytest.raises(ValueError, match="j must be >= 0"):
+                prefix_log_moment(table_small, n, 1, sigma, j, at=at)
+        for sigma, j in ((1.0, 1.5), (1.0, True), ((1.0, 1.5), (1, 2.0)), (1.0, (0, False))):
+            with pytest.raises(TypeError, match="j must be an integer"):
+                prefix_log_moment(table_small, n, 1, sigma, j, at=at)
     assert prefix_log_moment(table_small, n, 1, 1.0, 0, at=[]).size == 0
 
 
@@ -760,7 +768,7 @@ def _swept_blocks(table, n, q, sigma, j):
     """(lo, hi, cols) of each block that sweep_prefix_min hands its margins."""
     blocks = []
 
-    def margins(lo, hi, cols):
+    def margins(lo, hi, cols, logs):
         blocks.append((lo, hi, cols))
         return [np.zeros(hi - lo)]
 
@@ -803,14 +811,40 @@ def test_prefix_blocks_check_on_the_call(table_small):
         (ValueError, (100, 1, 1.0, ())),
         (ValueError, (100, 1, math.nan, 0)),
         (ValueError, (100, 1, (1.0, math.inf), (0, 1))),
+        (ValueError, (100, 1, 1.0, -1)),
+        (ValueError, (100, 1, (1.0, 1.5), (2, -1))),
     ]
 
-    def no_margin(lo, hi, cols):
+    def no_margin(lo, hi, cols, logs):
         raise AssertionError("a margin was formed")
 
     for err, args in bad:
         with pytest.raises(err):
             sweep_prefix_min(table_small, *args, no_margin)
+    for sigma, j in ((1.0, 1.5), (1.0, True), ((1.0, 1.5), (0, 1.0))):
+        with pytest.raises(TypeError, match="j must be an integer"):
+            sweep_prefix_min(table_small, 100, 1, sigma, j, no_margin)
+
+
+@pytest.mark.parametrize("sigma,j", [(1.2, (0, 1, 2, 3)), ((1.0, 2.0), (3, 0)), (1.5, 0)])
+def test_sweeps_get_the_blocks_log_table(table_mid, sigma, j):
+    """Each block's logs hold (log X)^j at X = lo + 1 .. hi for j up to the
+    largest j asked, formed as np.log of the float64 X and its ** j; the
+    table is [1.0] when every j is 0."""
+    n = 2 * BLOCK + 9
+    seen = []
+
+    def margins(lo, hi, cols, logs):
+        seen.append(lo)
+        lx = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+        assert len(logs) == max(j if isinstance(j, tuple) else (j,)) + 1
+        assert logs[0] == 1.0
+        for jj, power in enumerate(logs[1:], 1):
+            assert power.tobytes() == (lx if jj == 1 else lx**jj).tobytes(), (lo, jj)
+        return [np.zeros(hi - lo)]
+
+    sweep_prefix_min(table_mid, n, 6, sigma, j, margins)
+    assert seen == [0, BLOCK, 2 * BLOCK]
 
 
 def test_sweep_prefix_min_pairs_blocks_or_raises(table_mid):
@@ -818,7 +852,7 @@ def test_sweep_prefix_min_pairs_blocks_or_raises(table_mid):
     n = 2 * BLOCK
     p = prefix_m_q(table_mid, n + 1, 6)
 
-    def margins(lo, hi, cols):
+    def margins(lo, hi, cols, logs):
         return [cols[0] - np.arange(lo, hi)]
 
     want = sweep_min(n, lambda lo, hi: [p[lo + 1 : hi + 1] - np.arange(lo, hi)])

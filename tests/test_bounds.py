@@ -54,6 +54,15 @@ def test_verify_easy_guards(table_small):
     for k in (1.5, True):
         with pytest.raises(TypeError, match="k must be an integer"):
             bounds.verify_easy(table_small, 100.0, 1, k, 1.0)
+    # a k whose float64 sums can overflow is refused before any sum: the
+    # point sums up to 1e4 take k <= 318, up to 1e5 k <= 289
+    for X, k, limit in ((1e4, 319, 318), (1e5, 300, 289)):
+        with pytest.raises(ValueError, match=f"k = {k} can overflow float64 .* <= {limit}"):
+            bounds.verify_easy(table_small, X, 1, k, 1.0)
+    with np.errstate(over="raise", invalid="raise"):
+        assert math.isfinite(bounds.verify_easy(table_small, 1e4, 1, 318, 1.0).lhs)
+        # the scan's column form up to 1e4 takes k <= 242
+        assert all(map(math.isfinite, bounds.easy_scan(table_small, 10_000, 1, 242, 1.0)))
 
 
 def test_easy_scan_nonnegative_and_bounded(table_small):
@@ -397,7 +406,7 @@ def _dense_small_m_scan(table, n_max, q):
     if not checks:
         return {}
 
-    def margins(lo, hi, cols):
+    def margins(lo, hi, cols, logs):
         rights = np.arange(lo + 2, hi + 2, dtype=np.float64)
         lr = np.log(rights)
         vals = np.abs(cols[0])
@@ -440,10 +449,10 @@ def test_small_m_floors_bound_every_block(table_big, table_e7, monkeypatch):
     checked = []
 
     def every_block(table, n, q, sigma, j, margins_of, floors_of):
-        def margins(lo, hi, cols):
-            out = margins_of(lo, hi, cols)
+        def margins(lo, hi, cols, logs):
+            out = margins_of(lo, hi, cols, logs)
             if lo:
-                floors = floors_of(lo, hi, cols)
+                floors = floors_of(lo, hi, cols, logs)
                 assert len(floors) == len(out)
                 for f, arr in zip(floors, out):
                     assert f <= arr.min(), (lo, f, arr.min())
@@ -466,9 +475,9 @@ def test_small_m_scan_prunes_blocks(table_big, monkeypatch):
     blocks = []
 
     def counting(table, n, q, sigma, j, margins_of, floors_of=None):
-        def margins(lo, hi, cols):
+        def margins(lo, hi, cols, logs):
             blocks.append(lo)
-            return margins_of(lo, hi, cols)
+            return margins_of(lo, hi, cols, logs)
 
         return sweep_prefix_min(table, n, q, sigma, j, margins, floors_of)
 
@@ -488,6 +497,7 @@ BAD_SCAN_REQUESTS = [
     ("easy-nan-sigma", lambda t: bounds.easy_scan(t, 1000, 1, 1, math.nan), ValueError),
     ("easy-inf-sigma", lambda t: bounds.easy_scan(t, 1000, 1, 1, math.inf), ValueError),
     ("easy-bool-k", lambda t: bounds.easy_scan(t, 1000, 1, True, 1.0), TypeError),
+    ("easy-overflowing-k", lambda t: bounds.easy_scan(t, 10_000, 1, 243, 1.0), ValueError),
 ]
 
 

@@ -56,6 +56,16 @@ def test_usage_errors(capsys):
         assert message in err and "invalid _" not in err, err
 
 
+def test_easy_k_past_the_float64_limit_is_a_usage_error(capsys):
+    """verify refuses an easy k whose float64 sums can overflow, before any
+    row, with exit 64 and the limit in the message."""
+    argv = ["verify", "--theorem", "easy", "--X", "100000", "--k", "300,400", "--sigma", "1"]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k = 300 can overflow float64 at X = 100000: k must be <= 289" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, names",
     [
