@@ -20,12 +20,13 @@ coefficients are float literals (_EZ_COEFFS), and Berndt's bound
 |γ_n| <= 4(n-1)!/π^n (B. C. Berndt, "On the Hurwitz zeta-function", Rocky
 Mountain J. Math. 2, 1972) bounds the rest.  eps_zeta and eps_zeta_grid are
 Horner on them, good to 1.2e-14, and eps_zeta_enclosure encloses F, F' and
-F'' on a subinterval.  These are the only proven radii here.  Horner uses
-only + and ×, so every IEEE machine and every numpy dispatch gives the same
-floats.
+F'' on a subinterval.  These radii are proven, and so are those of
+zeta_inequalities, whose six chains read F and F' from the enclosures at
+eps in (0, 1].  Horner uses only + and ×, so every IEEE machine and every
+numpy dispatch gives the same floats.
 
 _zeta_family is the one place that turns that eta pair into 1/zeta and
-zeta'/zeta^2; inv_zeta, zp_over_z2, constants and zeta_inequalities read it.
+zeta'/zeta^2; inv_zeta, zp_over_z2 and constants read it.
 Removable singularities at s = 1 are evaluated there from Taylor series in
 w = s - 1 once |w| < SERIES_RADIUS.
 """
@@ -42,9 +43,6 @@ from .arith import Modulus
 from .util import (
     EPS,
     GAMMA,
-    GAMMA1,
-    GAMMA2,
-    GAMMA3,
     LOG2,
     Approx,
     CapacityError,
@@ -166,10 +164,27 @@ def _peval(a: list[float], w: complex) -> complex:
     return acc
 
 
+# c_n of eps*zeta(1+eps) = Σ c_n eps^n: c_0 = 1 and c_{n+1} = (-1)^n γ_n/n!,
+# each the float nearest its 50-digit value (tools/stieltjes_coefficients.py);
+# eps_zeta sums all 32, and the series below read the first five.
+_EZ_COEFFS = (
+    1.0, 0.5772156649015329, 0.07281584548367673,
+    -0.00484518159643616, -0.00034230573671722433, 9.689041939447084e-05,
+    -6.6110318108421895e-06, -3.316240908752772e-07, 1.0462094584479188e-07,
+    -8.733218100273798e-09, 9.47827778276236e-11, 5.658421927608708e-11,
+    -6.768689863513697e-12, 3.4921159366720317e-13, 4.4104247417577536e-15,
+    -2.3997862217709992e-15, 2.1677312200726828e-16, -9.544466076366965e-18,
+    -7.387676660538637e-20, 4.800850782488065e-20, -4.139956737713306e-21,
+    1.9168201593991233e-22, -2.0441543122262165e-24, -4.818498501107353e-25,
+    4.8118570515125666e-26, -2.560263310318815e-27, 6.927840895304667e-29,
+    1.628607550485587e-30, -3.1939375611532554e-31, 2.0991515893634255e-32,
+    -8.33674529544144e-34, 1.3412593772192187e-35,
+)
+
 _L = LOG2
 # (1-2^(-w))/w and w*zeta(1+w), both entire near w=0.
 _U5 = [1.0, -_L / 2.0, _L**2 / 6.0, -(_L**3) / 24.0, _L**4 / 120.0]
-_V5 = [1.0, GAMMA, -GAMMA1, GAMMA2 / 2.0, -GAMMA3 / 6.0]
+_V5 = list(_EZ_COEFFS[:5])
 
 _C_SER = [_L * x for x in _pmul(_U5, _V5, 5)]  # C(1+w)
 _CP_SER = _pderiv(_C_SER)  # C'(1+w)
@@ -224,10 +239,6 @@ def zeta_prime(s: complex) -> Approx:
         raise ValueError("zeta' has a double pole at s=1")
     _guard_plain(s)
     w = s - 1.0
-    if abs(w) < SERIES_RADIUS:
-        # -1/w^2 - gamma1 + gamma2 w - (gamma3/2) w^2, next term ~1e-25
-        val = -1.0 / (w * w) - GAMMA1 + GAMMA2 * w - 0.5 * GAMMA3 * w * w
-        return Approx(val, 64.0 * EPS * abs(val))
     factor = one_minus_two_pow(w)
     et = eta(s)
     ep = eta_prime(s)
@@ -309,21 +320,6 @@ def g_alt(w: complex) -> complex:
 # ----------------------------------------------------------------------
 # eps * zeta(1 + eps) on [0, 1] from its Taylor series.
 
-# c_n of eps*zeta(1+eps) = Σ c_n eps^n: c_0 = 1 and c_{n+1} = (-1)^n γ_n/n!,
-# each the float nearest its 50-digit value (tools/stieltjes_coefficients.py).
-_EZ_COEFFS = (
-    1.0, 0.5772156649015329, 0.07281584548367673,
-    -0.00484518159643616, -0.00034230573671722433, 9.689041939447084e-05,
-    -6.6110318108421895e-06, -3.316240908752772e-07, 1.0462094584479188e-07,
-    -8.733218100273798e-09, 9.47827778276236e-11, 5.658421927608708e-11,
-    -6.768689863513697e-12, 3.4921159366720317e-13, 4.4104247417577536e-15,
-    -2.3997862217709992e-15, 2.1677312200726828e-16, -9.544466076366965e-18,
-    -7.387676660538637e-20, 4.800850782488065e-20, -4.139956737713306e-21,
-    1.9168201593991233e-22, -2.0441543122262165e-24, -4.818498501107353e-25,
-    4.8118570515125666e-26, -2.560263310318815e-27, 6.927840895304667e-29,
-    1.628607550485587e-30, -3.1939375611532554e-31, 2.0991515893634255e-32,
-    -8.33674529544144e-34, 1.3412593772192187e-35,
-)
 _EZ_HORNER = _EZ_COEFFS[::-1]
 
 
@@ -418,7 +414,7 @@ def phi_s(q: "Modulus | int", s: complex) -> complex:
 
 def phi_ratio(q: "Modulus | int", w: float) -> float:
     """q^w / phi_w(q) = prod_{p|q} (1 - p^(-w))^(-1) for real w > 0."""
-    if w <= 0.0:
+    if not w > 0.0:  # NaN too
         raise ValueError("ratio defined here only for positive real exponent")
     m = Modulus.coerce(q)
     out = 1.0
@@ -598,49 +594,41 @@ def _chain(
     )
 
 
-def zeta_inequalities(eps: float) -> list[ChainCheck]:
-    """Check the six two-sided chains bounding zeta-type values at 1+eps.
+def _enclosed(eps: float, k: int) -> Approx:
+    """F^(k)(eps) from eps_zeta_enclosure: the midpoint, with half the width
+    (exact by Sterbenz) plus EPS·|mid| for the roundings as its radius."""
+    lo, hi = eps_zeta_enclosure(eps, eps, k)
+    mid = 0.5 * (lo + hi)
+    return Approx(mid, 0.5 * (hi - lo) + EPS * abs(mid))
 
-    Chains: zeta itself, 1/c, the alternating tail log2/(2^eps - 1), the
-    logarithmic derivative zeta'/zeta, 1/C, and C'/C.  Comparisons fold in
-    the evaluation error; overlapping intervals yield "inconclusive".
+
+def zeta_inequalities(eps: float) -> list[ChainCheck]:
+    """Check the six two-sided chains bounding zeta-type values at 1+eps,
+    eps in (0, 1]: zeta itself, 1/c, the alternating tail log2/(2^eps - 1),
+    zeta'/zeta, 1/C and C'/C.  Each value comes from the enclosures of
+    F = eps·zeta(1+eps) and F' at eps itself, never at the float 1 + eps:
+    zeta = F/eps, zeta'/zeta = F'/F - 1/eps, 1/C = (eps/(1 - 2^-eps))/F and
+    C'/C = log2/(2^eps - 1) + zeta'/zeta.  Comparisons fold in the
+    evaluation error; overlapping intervals yield "inconclusive".
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    s = complex(1.0 + eps)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
     one = 1.0 + eps
     d = -math.expm1(-eps * LOG2)  # 1 - 2^(-eps)
     eexp = math.expm1(eps * LOG2)  # 2^eps - 1
 
-    if eps < 1e-3:
-        # The zeta and zeta'/zeta chains have O(eps) margins against bounds
-        # written in exact eps, so forming 1+eps in floats would wash them
-        # out.  Evaluate both from the expansion at the pole instead.
-        e2, e3 = eps * eps, eps * eps * eps
-        zval = 1.0 / eps + GAMMA - GAMMA1 * eps + 0.5 * GAMMA2 * e2 - GAMMA3 * e3 / 6.0
-        zet_r = Approx(zval, 0.1 * e2 * e2 + 8.0 * EPS * abs(zval))
-        num = -1.0 - GAMMA1 * e2 + GAMMA2 * e3  # eps^2 * zeta'(1+eps)
-        den = eps * (1.0 + GAMMA * eps - GAMMA1 * e2 + 0.5 * GAMMA2 * e3)
-        ratio_zeta = Approx(num / den, 0.1 * e2 + 8.0 * EPS / eps)
-        # eta itself: on the series disc the family's Taylor C moves last bits
-        et, ep = eta(s), eta_prime(s)
-    else:
-        et, ep, _, zz = _zeta_family(s)
-        zet = zeta(s)
-        zet_r = Approx(zet.value.real, zet.err)
-        # zeta'/zeta = (zeta'/zeta^2) * zeta: both factors stable through s=1
-        ratio_zeta = approx_mul(Approx(zz.value.real, zz.err), zet_r)
-    ratio_eta = approx_div(Approx(ep.value.real, ep.err), Approx(et.value.real, et.err))
+    F = _enclosed(eps, 0)
+    e = Approx(eps, 0.0)
+    zet = approx_div(F, e)
+    ratio_zeta = approx_add(approx_div(_enclosed(eps, 1), F), approx_div(Approx(-1.0, 0.0), e))
     inv_c = Approx(eps / d, 8.0 * EPS * eps / d)
-    inv_C = approx_div(Approx(1.0, 0.0), Approx(et.value.real, et.err))
+    inv_C = approx_div(inv_c, F)
     alt_tail = Approx(LOG2 / eexp, 8.0 * EPS * LOG2 / eexp)
-
-    lower_invC = 0.0
-    if eps < 1.0 / LOG2:
-        lower_invC = (1.0 / LOG2 - eps) * (2.0 / math.exp(GAMMA)) ** eps
+    ratio_eta = approx_add(alt_tail, ratio_zeta)
+    lower_invC = (1.0 / LOG2 - eps) * (2.0 / math.exp(GAMMA)) ** eps
 
     return [
-        _chain("zeta", 1.0 / eps, zet_r, math.exp(GAMMA * eps) / eps, upper_strict=False),
+        _chain("zeta", 1.0 / eps, zet, math.exp(GAMMA * eps) / eps, upper_strict=False),
         _chain("inv-c", 1.0 / LOG2, inv_c, 2.0**eps / LOG2),
         _chain("alt-tail", -LOG2 + 1.0 / eps, alt_tail, 1.0 / eps),
         _chain(

@@ -608,12 +608,15 @@ def caps_scan(
     value; rigorous_cap adds M * CAPS_EPS_STEP / 2 per interval so the true
     supremum over all eps is provably below it.  An x_max at or below 1
     (NaN too) raises ValueError, as certify_sign's x0 does, and one past the
-    table (inf too) CapacityError, before any interval.
+    table (inf too) CapacityError; an eps_max outside (0, 1] (NaN too)
+    raises ValueError, as in certify_sign.  All before any interval.
     """
     if not x_max > 1.0:
         raise ValueError(f"x_max must exceed 1, got {x_max!r}")
     if not x_max <= table.limit + 1.0:
         raise CapacityError(f"x_max={x_max!r} needs sieve data past the table's {table.limit}")
+    if not 0.0 < eps_max <= 1.0:
+        raise ValueError("eps_max must lie in (0, 1]")
     qm = Modulus.coerce(q)
     grid = np.arange(0.0, eps_max + CAPS_EPS_STEP / 2.0, CAPS_EPS_STEP)
     grid[-1] = min(grid[-1], eps_max)

@@ -24,11 +24,8 @@ LOG2 = math.log(2.0)
 LOG10 = math.log(10.0)
 LOG_2PI_HALF = 0.91893853320467274178032973640561763986139747363778  # log(2*pi)/2
 
-# Euler-Mascheroni constant and the first Stieltjes constants, 30+ digits.
+# Euler-Mascheroni constant, 30+ digits.
 GAMMA = 0.57721566490153286060651209008240243104
-GAMMA1 = -0.07281584548367672486058637587490131914
-GAMMA2 = -0.00969036319287231848453038603521252936
-GAMMA3 = 0.00205383442030334586616004654271182072
 
 # Exponents fixed once and for all by the bound formulas.
 XI = 1.0 - 1.0 / (12.0 * LOG10)

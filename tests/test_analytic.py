@@ -228,6 +228,15 @@ def test_phi_s_exact():
     assert abs(got - want) < 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("w", [1e-12, 1e-9, 1e-7, -5e-7, 9.9e-7, 1e-7j, 5e-7 + 5e-7j])
+def test_zeta_prime_near_the_pole_within_radius(w):
+    s = 1.0 + w
+    got = zeta_prime(s)
+    with mpmath.workdps(40):
+        want = mpmath.zeta(mpmath.mpc(complex(s)), derivative=1)
+    assert abs(got.value - want) <= got.err
+
+
 def test_phi_ratio():
     want = 1.0 / ((1 - 2**-0.5) * (1 - 3**-0.5))
     assert phi_ratio(6, 0.5) == pytest.approx(want, rel=1e-14)
@@ -236,6 +245,9 @@ def test_phi_ratio():
         phi_ratio(6, 0.0)
     with pytest.raises(ValueError):
         phi_ratio(6, -1.0)
+    for q in (1, 6):
+        with pytest.raises(ValueError):
+            phi_ratio(q, math.nan)
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0])
@@ -248,9 +260,9 @@ def test_zeta_inequality_chains(eps):
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4])
 def test_zeta_chain_on_the_pole_expansion_within_radius(eps):
-    # below 1e-3 the zeta chain reads the Laurent expansion at s = 1; its
-    # radius must cover the truth, and where the radius straddles the
-    # chain's bound (1e-8) the verdict is inconclusive, never fail
+    # near s = 1 the zeta chain reads F(eps)/eps from the eps_zeta
+    # enclosure; its radius must cover the truth, and where the radius
+    # straddles the chain's bound (1e-8) the verdict is inconclusive, never fail
     zeta_chain = zeta_inequalities(eps)[0]
     assert zeta_chain.chain == "zeta"
     with mpmath.workdps(40):
@@ -259,9 +271,34 @@ def test_zeta_chain_on_the_pole_expansion_within_radius(eps):
     assert zeta_chain.verdict != FAIL
 
 
+def _chain_truths(eps):
+    """The six chain values at 1 + eps from mpmath at the working precision."""
+    e = mpmath.mpf(eps)
+    z = mpmath.zeta(1 + e)
+    zeta_log_deriv = mpmath.zeta(1 + e, derivative=1) / z
+    d = 1 - mpmath.power(2, -e)
+    tail = mpmath.log(2) / (mpmath.power(2, e) - 1)
+    return {
+        "zeta": z, "inv-c": e / d, "alt-tail": tail, "zeta-log-deriv": zeta_log_deriv,
+        "inv-eta": 1 / (d * z), "eta-log-deriv": tail + zeta_log_deriv,
+    }
+
+
+def test_zeta_chains_within_radius_of_mpmath():
+    # dense on [1e-3, 3e-3]: there the rounding of a float 1 + eps, amplified
+    # by |zeta'| ~ 1/eps^2, would carry the zeta chain past its radius
+    grid = [*np.geomspace(1e-8, 1.0, 40), *np.linspace(1e-3, 3e-3, 21)]
+    with mpmath.workdps(40):
+        for eps in map(float, grid):
+            truths = _chain_truths(eps)
+            for c in zeta_inequalities(eps):
+                assert abs(c.value - truths[c.chain]) <= c.err, (eps, c.chain)
+
+
 def test_zeta_inequalities_guard():
-    with pytest.raises(ValueError):
-        zeta_inequalities(0.0)
+    for bad in (0.0, math.nan, math.inf, -math.inf, -1e-300, math.nextafter(1.0, 2.0), 2.0):
+        with pytest.raises(ValueError):
+            zeta_inequalities(bad)
 
 
 def test_constants_finite():

@@ -251,6 +251,52 @@ def test_table_arrays_are_pinned(request, fixture):
     assert got == TABLE_PINS[fixture]
 
 
+def _divisor_sums(f):
+    """(f∗1)(n) = Σ_{d|n} f(d) for 0 < n <= N = len(f) - 1, as int64: each
+    d <= √N adds f(d) along one stride, and each larger d is reached
+    through its cofactor m = n/d < √N, one slice of f per m."""
+    n_max = len(f) - 1
+    r = math.isqrt(n_max)
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    for d in range(1, r + 1):
+        out[d::d] += f[d]
+    for m in range(1, n_max // (r + 1) + 1):
+        top = n_max // m
+        out[m * (r + 1) : m * top + 1 : m] += f[r + 1 : top + 1]
+    return out
+
+
+# The table against the identities that define it, entry by entry and
+# exact: no hash is read, so a wrong table fails here whatever it hashes to.
+def test_mu_is_the_inverse_of_one(table_big):
+    got = _divisor_sums(table_big.mu)
+    assert got[1] == 1 and not got[2:].any()
+
+
+def test_liouville_sums_to_the_squares(table_big):
+    n_max = table_big.limit
+    want = np.zeros(n_max + 1, dtype=np.int64)
+    want[np.arange(1, math.isqrt(n_max) + 1) ** 2] = 1
+    assert np.array_equal(_divisor_sums(table_big.liouville(0, n_max + 1))[1:], want[1:])
+
+
+def test_prime_powers_multiply_out_to_n(table_big):
+    # Π p over the prime powers p^k | n is n; every partial product divides
+    # n, so int64 cannot overflow
+    n_max = table_big.limit
+    powers = table_big.prime_powers
+    primes = np.rint(np.exp(table_big.prime_power_logs)).astype(np.int64)
+    r = math.isqrt(n_max)
+    prod = np.ones(n_max + 1, dtype=np.int64)
+    small = int(np.searchsorted(powers, r, "right"))
+    for pk, p in zip(powers[:small].tolist(), primes[:small].tolist()):
+        prod[pk::pk] *= p
+    for m in range(1, n_max // (r + 1) + 1):
+        hi = int(np.searchsorted(powers, n_max // m, "right"))
+        prod[m * powers[small:hi]] *= primes[small:hi]
+    assert np.array_equal(prod[1:], np.arange(1, n_max + 1))
+
+
 def _oracle(n):
     """(mu, liouville, Lambda) of n by trial division."""
     f = _factorize(n) if n > 1 else {}

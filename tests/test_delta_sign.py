@@ -592,6 +592,22 @@ def test_caps_scan_checks_x_max_before_any_interval(monkeypatch):
     assert caps_scan(table, 1, 301.0).x_max == 301.0  # the last interval ends at limit + 1
 
 
+def test_caps_scan_checks_eps_max_before_any_interval(monkeypatch):
+    """An eps_max outside (0, 1], NaN too, raises certify_sign's ValueError
+    before any interval is scanned."""
+    table = build_table(300)
+
+    def no_interval(*args):
+        raise AssertionError("an interval was scanned")
+
+    monkeypatch.setattr(delta_sign, "_interval_invariants", no_interval)
+    for eps_max in (-0.5, 0.0, -0.0, math.nan, 1.5, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"eps_max must lie in \(0, 1\]"):
+            caps_scan(table, 1, 100.0, eps_max)
+    monkeypatch.undo()
+    assert caps_scan(table, 1, 100.0, 1e-3).eps_max == 1e-3
+
+
 def test_mean_value_soundness(table_small):
     # between recorded steps the chained slope bound must keep t <= 0
     cert = certify_sign(table_small, 1, 10.8)
