@@ -17,12 +17,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "constants",
         "eps_zeta",
         "eta",
-        "eta_prime",
         "phi_ratio",
         "phi_s",
-        "zeta",
         "zeta_inequalities",
-        "zeta_prime",
     ),
     "arith": (
         "ArithmeticTable",

@@ -1,17 +1,17 @@
 """Certified evaluation of the alternating zeta series and derived constants.
 
 The central object is the alternating series C(s) = sum (-1)^(n+1) n^(-s),
-convergent for Re s > 0.  Everything else here -- zeta, its derivative, the
-pole-compensated combinations, and the two envelope functionals consumed by
-the remainder bounds -- comes from C(s) and C'(s) by exact algebra, so one
-error budget covers the lot.
+convergent for Re s > 0.  Everything else here -- 1/zeta, zeta'/zeta^2,
+the pole-compensated combinations, and the two envelope functionals
+consumed by the remainder bounds -- comes from C(s) and C'(s) by exact
+algebra, so one error budget covers the lot.
 
-C(s) is summed by one route: a Chebyshev-style acceleration of the
-alternating series (geometric convergence, roughly a factor 5.8 per extra
-term).  The tests check it against mpmath.  eta and eta_prime sum once at
-depths fixed by s (30 + ceil|Im s| and 8 deeper) and carry 16 times the
-drift between the two, plus rounding, as their radius: an estimate, not an
-enclosure.  No caller requests a tolerance.
+C(s) and C'(s) come from one route, _eta_pair: a Chebyshev-style
+acceleration of the alternating series (roughly a factor 5.8 per extra
+term), one loop forming each n^(-s) once for both sums, checked against
+mpmath in the tests.  It sums at depths fixed by s (30 + ceil|Im s| and 8
+deeper) and carries 16 times the drift between the two, plus rounding, as
+each radius: an estimate, not an enclosure.  eta(s) is its C(s).
 
 F(eps) = eps·zeta(1+eps) on [0, 1] is not summed from C: (s-1)·zeta(s) is
 entire, and its Taylor series at s = 1 is 1 + Σ_{n≥0} (-1)^n γ_n
@@ -25,8 +25,8 @@ zeta_inequalities, whose six chains read F and F' from the enclosures at
 eps in (0, 1].  Horner uses only + and ×, so every IEEE machine and every
 numpy dispatch gives the same floats.
 
-_zeta_family is the one place that turns that eta pair into 1/zeta and
-zeta'/zeta^2; inv_zeta, zp_over_z2 and constants read it.
+_zeta_family, the one reader of _eta_pair besides eta, turns the pair
+into 1/zeta and zeta'/zeta^2; inv_zeta, zp_over_z2 and constants read it.
 Removable singularities at s = 1 are evaluated there from Taylor series in
 w = s - 1 once |w| < SERIES_RADIUS.
 """
@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import Modulus
+from .arith import Modulus, _integer
 from .util import (
     EPS,
     GAMMA,
@@ -69,7 +69,7 @@ _EXCLUDED_SPACING = 2.0 * math.pi / LOG2  # imaginary gap between excluded point
 
 
 # ----------------------------------------------------------------------
-# Alternating-series summation (two routes).
+# Alternating-series summation.
 
 
 @lru_cache(maxsize=None)  # depths are at most _N_CAP + 8
@@ -89,24 +89,26 @@ def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     return tuple(coeffs), tuple(logs), d
 
 
-def _alt_accel(s: complex, n: int, log_weight: bool) -> complex:
-    """Accelerated sum of Σ_{k≥0} (-1)^k a_k with a_k = w(k+1)·(k+1)^(-s).
-
-    Chebyshev-polynomial acceleration; the weight is 1 or log(k+1).
-    """
+def _alt_accel(s: complex, n: int) -> tuple[complex, complex]:
+    """Accelerated sums of Σ_{k≥0} (-1)^k a_k for a_k = (k+1)^(-s) and for
+    a_k = log(k+1)·(k+1)^(-s): the Chebyshev-polynomial acceleration at
+    depth n, each term formed once for both."""
     coeffs, logs, d = _chebyshev(n)
-    total = 0.0 + 0.0j
+    total = total_log = 0.0 + 0.0j
     for c, ln in zip(coeffs, logs):
         term = cmath.exp(-s * ln)
-        if log_weight:
-            term *= ln
         total += c * term
-    return total / d
+        total_log += c * (term * ln)
+    return total / d, total_log / d
 
 
-def _accelerated(s: complex, log_weight: bool) -> Approx:
-    """The sum at depth 30 + ceil|Im s| + 8, with 16 times its drift from
-    the sum 8 shallower, plus rounding, as the radius."""
+def _eta_pair(s: complex) -> tuple[Approx, Approx]:
+    """(C(s), C'(s)) for finite s with Re s > 0, where C(s) = Σ (-1)^(n+1)
+    n^(-s) and C'(s) = -Σ (-1)^(n+1) (log n) n^(-s).
+
+    Each is the sum at depth 30 + ceil|Im s| + 8, with 16 times its drift
+    from the sum 8 shallower, plus rounding, as the radius.
+    """
     s = complex(s)
     if not (cmath.isfinite(s) and s.real > 0.0):
         raise ValueError(f"alternating series needs finite s with Re s > 0, got {s!r}")
@@ -114,20 +116,16 @@ def _accelerated(s: complex, log_weight: bool) -> Approx:
     if n > _N_CAP:
         cap = f"the acceleration cap |Im s| <= {_N_CAP - 30}"
         raise CapacityError(f"|Im s| = {abs(s.imag):g} is beyond {cap}")
-    r1 = _alt_accel(s, n, log_weight)
-    r2 = _alt_accel(s, n + 8, log_weight)
-    return Approx(r2, 16.0 * abs(r1 - r2) + 64.0 * EPS * (1.0 + abs(r2)))
+    (r1, l1), (r2, l2) = _alt_accel(s, n), _alt_accel(s, n + 8)
+    return (
+        Approx(r2, 16.0 * abs(r1 - r2) + 64.0 * EPS * (1.0 + abs(r2))),
+        Approx(-l2, 16.0 * abs(l1 - l2) + 64.0 * EPS * (1.0 + abs(l2))),
+    )
 
 
 def eta(s: complex) -> Approx:
     """C(s) = Σ (-1)^(n+1) n^(-s) for finite s with Re s > 0."""
-    return _accelerated(s, log_weight=False)
-
-
-def eta_prime(s: complex) -> Approx:
-    """C'(s) = -Σ (-1)^(n+1) (log n) n^(-s) for finite s with Re s > 0."""
-    a = _accelerated(s, log_weight=True)
-    return Approx(-a.value, a.err)
+    return _eta_pair(s)[0]
 
 
 # ----------------------------------------------------------------------
@@ -214,42 +212,6 @@ def excluded_distance(s: complex) -> float:
     return best
 
 
-def _guard_plain(s: complex) -> None:
-    if excluded_distance(s) <= _GUARD:
-        raise ValueError(f"s={s!r} too close to a zero of 1-2^(1-s)")
-
-
-def zeta(s: complex) -> Approx:
-    """zeta(s) = C(s)/(1 - 2^(1-s)); pole error at s=1."""
-    s = complex(s)
-    if s == 1.0:
-        raise ValueError("zeta has a pole at s=1")
-    _guard_plain(s)
-    factor = one_minus_two_pow(s - 1.0)
-    et = eta(s)
-    val = et.value / factor
-    err = et.err / abs(factor) + 8.0 * EPS * (1.0 + abs(val))
-    return Approx(val, err)
-
-
-def zeta_prime(s: complex) -> Approx:
-    """zeta'(s) from C' by the product rule; needs s != 1 and s not excluded."""
-    s = complex(s)
-    if s == 1.0:
-        raise ValueError("zeta' has a double pole at s=1")
-    _guard_plain(s)
-    w = s - 1.0
-    factor = one_minus_two_pow(w)
-    et = eta(s)
-    ep = eta_prime(s)
-    two1s = cmath.exp(-w * LOG2)  # 2^(1-s)
-    zet = et.value / factor
-    num = ep.value - LOG2 * two1s * zet
-    val = num / factor
-    err = (ep.err + LOG2 * abs(two1s) * (et.err / abs(factor))) / abs(factor)
-    return Approx(val, err + 8.0 * EPS * (1.0 + abs(val)))
-
-
 def _zeta_family(s: complex) -> tuple[Approx, Approx, Approx, Approx]:
     """(C, C', 1/zeta, zeta'/zeta^2) at s, from one eta pair.
 
@@ -270,9 +232,9 @@ def _zeta_family(s: complex) -> tuple[Approx, Approx, Approx, Approx]:
             Approx(r, aw4 + 32.0 * EPS * (1.0 + abs(r))),
             Approx(zz, 8.0 * aw4 + 32.0 * EPS * (1.0 + abs(zz))),
         )
-    _guard_plain(s)
-    et = eta(s)
-    ep = eta_prime(s)
+    if excluded_distance(s) <= _GUARD:
+        raise ValueError(f"s={s!r} too close to a zero of 1-2^(1-s)")
+    et, ep = _eta_pair(s)
     if abs(et.value) <= 4.0 * et.err:
         raise NearZeroError(f"zeta evaluation at {s!r} not separated from zero")
     f = one_minus_two_pow(w)
@@ -380,8 +342,8 @@ def _ez_derivative_series() -> tuple[tuple[list[float], list[float], float], ...
 
 
 def eps_zeta_enclosure(lo: float, hi: float, k: int = 0) -> tuple[float, float]:
-    """(low, high) enclosing F^(k) on [lo, hi] for F = eps_zeta, k <= 2,
-    0 <= lo <= hi <= 1.
+    """(low, high) enclosing F^(k) on [lo, hi] for F = eps_zeta, an integer
+    k in {0, 1, 2} and 0 <= lo <= hi <= 1.
 
     Every power of eps rises on [0, 1], so the positive coefficients' part
     is least at lo and most at hi, and the negative part the reverse; each
@@ -389,6 +351,8 @@ def eps_zeta_enclosure(lo: float, hi: float, k: int = 0) -> tuple[float, float]:
     """
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo!r}, {hi!r}]")
+    if _integer("k", k) not in (0, 1, 2):
+        raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
     pos, neg, rad = _ez_derivative_series()[k]
     return (
         _horner(pos, lo) + _horner(neg, hi) - rad,
@@ -450,10 +414,6 @@ class ComplexParameter:
             )
         if excluded_distance(self.s) <= _PARAM_GUARD:
             raise ValueError(f"s={self.s!r} within guard distance of excluded points")
-
-    @property
-    def sigma(self) -> float:
-        return self.s.real
 
 
 @dataclass(frozen=True)

@@ -487,7 +487,9 @@ def integral_abs_mq_bound(X: float, q: Modulus | int = 1) -> float:
 
 
 def verify_integral(table: ArithmeticTable, X: float, q: Modulus | int) -> BoundRow:
-    """int_1^X |m_q(t)| dt against integral_abs_mq_bound."""
+    """int_1^X |m_q(t)| dt against integral_abs_mq_bound, for X >= 1."""
+    if not X >= 1.0:  # NaN too
+        raise ValueError("X must be >= 1")
     qm = Modulus.coerce(q)
     val = integral_abs_mq(table, X, qm)
     return bound_row(

@@ -484,28 +484,48 @@ def _json_number(value, kind=float):
     return kind(value)
 
 
+def _json_record(rec) -> IntervalRecord:
+    if not isinstance(rec, dict):
+        raise ValueError(f"a record must be a JSON object, got {rec!r}")
+    N = _json_number(rec["N"], int)
+    try:
+        steps = tuple((_json_number(e), _json_number(t)) for e, t in rec["steps"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"N={N}: steps must be [eps, t] pairs of JSON numbers: {exc}") from None
+    return IntervalRecord(N=N, M2=_json_number(rec["M2"]), steps=steps)
+
+
 def certificate_from_json(text: str) -> DeltaCertificate:
+    """The certificate a version 3 document states, or ValueError naming
+    what is malformed: a missing field, a field of the wrong JSON type, a
+    step that is not a pair of numbers, a status other than the three, or
+    a reason that is not a string.  A missing field is caught as the
+    KeyError it raises, and a step that is not a pair as the TypeError or
+    ValueError of its unpacking, so no step pays for a check."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("version") != CERT_VERSION:
         raise ValueError(f"not a version {CERT_VERSION} delta-sign certificate")
-    records = tuple(
-        IntervalRecord(
-            N=_json_number(rec["N"], int),
-            M2=_json_number(rec["M2"]),
-            steps=tuple((_json_number(e), _json_number(t)) for e, t in rec["steps"]),
+    try:
+        if not isinstance(obj["records"], list):
+            raise ValueError(f"records must be a JSON array, got {obj['records']!r}")
+        cert = DeltaCertificate(
+            q=_json_number(obj["q"], int),
+            x0=_json_number(obj["x0"]),
+            eps_max=_json_number(obj["eps_max"]),
+            error_budget=_json_number(obj["error_budget"]),
+            status=obj["status"],
+            records=tuple(_json_record(rec) for rec in obj["records"]),
+            reason=obj.get("reason", ""),
+            cap=_json_number(obj["cap"]),
         )
-        for rec in obj["records"]
-    )
-    return DeltaCertificate(
-        q=_json_number(obj["q"], int),
-        x0=_json_number(obj["x0"]),
-        eps_max=_json_number(obj["eps_max"]),
-        error_budget=_json_number(obj["error_budget"]),
-        status=str(obj["status"]),
-        records=records,
-        reason=str(obj.get("reason", "")),
-        cap=_json_number(obj["cap"]),
-    )
+    except KeyError as exc:
+        raise ValueError(f"certificate lacks the field {exc}") from None
+    if cert.status not in (CERTIFIED, FAILED, UNDECIDED):
+        raise ValueError(f"status must be {CERTIFIED!r}, {FAILED!r} or {UNDECIDED!r}, "
+                         f"got {cert.status!r}")
+    if not isinstance(cert.reason, str):
+        raise ValueError(f"reason must be a JSON string, got {cert.reason!r}")
+    return cert
 
 
 def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[str]:

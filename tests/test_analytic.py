@@ -11,23 +11,27 @@ import pytest
 
 from mobius_bounds.analytic import (
     ComplexParameter,
+    _eta_pair,
     constants,
     eps_zeta,
+    eps_zeta_enclosure,
     eps_zeta_grid,
     eta,
-    eta_prime,
     inv_zeta,
     phi_ratio,
     phi_s,
-    zeta,
     zeta_inequalities,
-    zeta_prime,
     zp_over_z2,
 )
 from mobius_bounds.util import EPS, FAIL, PASS, CapacityError
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 50
+
+
+def eta_prime(s):
+    """C'(s), the second half of the eta pair."""
+    return _eta_pair(s)[1]
 
 
 def test_eta_special_points():
@@ -45,19 +49,21 @@ def test_eta_against_mpmath(s):
     assert abs(got.value - want) <= got.err + 1e-13
 
 
-@pytest.mark.parametrize("s", [1.5, 2.0, 3.7, 1.001, 2 + 3j, 1.2 + 0.5j])
-def test_zeta_against_mpmath(s):
-    want = complex(mpmath.zeta(s))
-    got = zeta(s)
-    assert abs(got.value - want) <= got.err + 1e-12 * abs(want)
+# Where zeta itself was once checked: off the pole, and on and near the
+# Taylor disc |s - 1| < 1e-6
+_ZETA_S = (1.5, 2.0, 3.7, 1.001, 2 + 3j, 1.2 + 0.5j,
+           *(1.0 + w for w in (1e-12, 1e-9, 1e-7, -5e-7, 9.9e-7, 1e-7j, 5e-7 + 5e-7j)))
 
 
-def test_zeta_prime_frozen():
-    got = zeta_prime(2.0)
-    assert got.value.real == pytest.approx(-0.9375482543158438, abs=1e-13)
-    want = complex(mpmath.zeta(2 + 3j, derivative=1))
-    got2 = zeta_prime(2 + 3j)
-    assert abs(got2.value - want) <= got2.err + 1e-11
+@pytest.mark.parametrize("s", _ZETA_S)
+def test_inv_zeta_and_ratio_within_radius(s):
+    with mpmath.workdps(40):
+        z = mpmath.zeta(mpmath.mpc(complex(s)))
+        zp = mpmath.zeta(mpmath.mpc(complex(s)), derivative=1)
+        want = {inv_zeta: 1 / z, zp_over_z2: zp / z**2}
+    for fn, w in want.items():
+        got = fn(s)
+        assert abs(got.value - complex(w)) <= got.err, (fn.__name__, s)
 
 
 # Off the suites' points: here the drift between eta's two depths exceeds
@@ -74,7 +80,6 @@ def test_eta_family_within_radius_off_the_test_traffic(s):
         want = {
             eta: mpmath.altzeta(s),
             eta_prime: two1s * mpmath.log(2) * z + (1 - two1s) * zp,
-            zeta: z,
             inv_zeta: 1 / z,
             zp_over_z2: zp / z**2,
         }
@@ -213,6 +218,15 @@ def test_eps_zeta_rejects_negative_and_non_finite(bad):
         eps_zeta_grid(np.array([0.5, bad]))
 
 
+def test_eps_zeta_enclosure_takes_only_k_0_1_2():
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
+            eps_zeta_enclosure(0.5, 0.5, k)
+    for k in (True, 1.0):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            eps_zeta_enclosure(0.5, 0.5, k)
+
+
 def test_eps_zeta_monotone_small():
     # eps*zeta(1+eps) = 1 + gamma*eps - ... increases off zero
     vals = [eps_zeta(e) for e in (0.0, 1e-6, 1e-4, 1e-2, 0.1)]
@@ -226,15 +240,6 @@ def test_phi_s_exact():
     got = phi_s(10, 1 + 1j)
     want = 10 ** (1 + 1j) * (1 - 2 ** (-1 - 1j)) * (1 - 5 ** (-1 - 1j))
     assert abs(got - want) < 1e-13 * abs(want)
-
-
-@pytest.mark.parametrize("w", [1e-12, 1e-9, 1e-7, -5e-7, 9.9e-7, 1e-7j, 5e-7 + 5e-7j])
-def test_zeta_prime_near_the_pole_within_radius(w):
-    s = 1.0 + w
-    got = zeta_prime(s)
-    with mpmath.workdps(40):
-        want = mpmath.zeta(mpmath.mpc(complex(s)), derivative=1)
-    assert abs(got.value - want) <= got.err
 
 
 def test_phi_ratio():

@@ -252,12 +252,14 @@ def test_table_arrays_are_pinned(request, fixture):
 
 
 def _divisor_sums(f):
-    """(f∗1)(n) = Σ_{d|n} f(d) for 0 < n <= N = len(f) - 1, as int64: each
-    d <= √N adds f(d) along one stride, and each larger d is reached
-    through its cofactor m = n/d < √N, one slice of f per m."""
+    """(f∗1)(n) = Σ_{d|n} f(d) for 0 < n <= N = len(f) - 1, for f with
+    values in {-1, 0, 1}: each d <= √N adds f(d) along one stride, and each
+    larger d is reached through its cofactor m = n/d < √N, one slice of f
+    per m.  Each partial sum at n is at most τ(n) in size, and τ(n) <= 448
+    for n <= 1e7, so int16 accumulators are exact and cost less than int64."""
     n_max = len(f) - 1
     r = math.isqrt(n_max)
-    out = np.zeros(n_max + 1, dtype=np.int64)
+    out = np.zeros(n_max + 1, dtype=np.int16)
     for d in range(1, r + 1):
         out[d::d] += f[d]
     for m in range(1, n_max // (r + 1) + 1):
@@ -268,24 +270,24 @@ def _divisor_sums(f):
 
 # The table against the identities that define it, entry by entry and
 # exact: no hash is read, so a wrong table fails here whatever it hashes to.
-def test_mu_is_the_inverse_of_one(table_big):
-    got = _divisor_sums(table_big.mu)
+def _mu_inverts_one(table):
+    got = _divisor_sums(table.mu)
     assert got[1] == 1 and not got[2:].any()
 
 
-def test_liouville_sums_to_the_squares(table_big):
-    n_max = table_big.limit
-    want = np.zeros(n_max + 1, dtype=np.int64)
+def _liouville_sums_to_the_squares(table):
+    n_max = table.limit
+    want = np.zeros(n_max + 1, dtype=np.int16)
     want[np.arange(1, math.isqrt(n_max) + 1) ** 2] = 1
-    assert np.array_equal(_divisor_sums(table_big.liouville(0, n_max + 1))[1:], want[1:])
+    assert np.array_equal(_divisor_sums(table.liouville(0, n_max + 1))[1:], want[1:])
 
 
-def test_prime_powers_multiply_out_to_n(table_big):
+def _prime_powers_multiply_out_to_n(table):
     # Π p over the prime powers p^k | n is n; every partial product divides
     # n, so int64 cannot overflow
-    n_max = table_big.limit
-    powers = table_big.prime_powers
-    primes = np.rint(np.exp(table_big.prime_power_logs)).astype(np.int64)
+    n_max = table.limit
+    powers = table.prime_powers
+    primes = np.rint(np.exp(table.prime_power_logs)).astype(np.int64)
     r = math.isqrt(n_max)
     prod = np.ones(n_max + 1, dtype=np.int64)
     small = int(np.searchsorted(powers, r, "right"))
@@ -295,6 +297,61 @@ def test_prime_powers_multiply_out_to_n(table_big):
         hi = int(np.searchsorted(powers, n_max // m, "right"))
         prod[m * powers[small:hi]] *= primes[small:hi]
     assert np.array_equal(prod[1:], np.arange(1, n_max + 1))
+
+
+def test_mu_is_the_inverse_of_one(table_big):
+    _mu_inverts_one(table_big)
+
+
+def test_liouville_sums_to_the_squares(table_big):
+    _liouville_sums_to_the_squares(table_big)
+
+
+def test_prime_powers_multiply_out_to_n(table_big):
+    _prime_powers_multiply_out_to_n(table_big)
+
+
+def test_the_table_identities_hold_at_1e7(table_1e7):
+    for check in (_mu_inverts_one, _liouville_sums_to_the_squares,
+                  _prime_powers_multiply_out_to_n):
+        check(table_1e7)
+
+
+# The prefix columns against their divisor identities.  Over d and n coprime
+# to q, and for real sigma, mu∗1 = [n = 1] and (mu·log)∗1 = -Lambda give
+#   Σ_{d<=X} d^-sigma P_{sigma,0}(⌊X/d⌋) = 1,
+#   Σ_{d<=X} d^-sigma P_{sigma,1}(⌊X/d⌋) = Σ_{n<=X} Lambda(n) n^-sigma.
+# X = 2^15 ± 1 and 2^15 straddle the first block edge (blocks start at 1),
+# so a prefix that loses its carry fails at X = 2^15 + 1.
+@pytest.mark.parametrize("q", [1, 6])
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+def test_prefix_columns_satisfy_their_divisor_identities(table_big, sigma, q):
+    """Each side is one exactly rounded sum, decided within 2·γ_m times
+    the mass that enters the two sides, γ_m = m u/(1 - m u) with u = EPS/2
+    and m = X + 64.  A prefix P(k) is a left-to-right sum of k terms, each
+    of a few roundings (numpy's power and log are within a few ulp), so it
+    is within γ_m of the exact sum times Σ_{i<=k} i^-sigma (log i)^j, its
+    mass with |mu| <= 1 and every i kept; d^-sigma and the product take two
+    more roundings, and the right side's Lambda(n) n^-sigma three.  The
+    factor 2 covers the rounding of the float mass itself."""
+    top = 10**6
+    i = np.arange(1, top + 1)
+    coprime = np.gcd(i, q) == 1
+    w = i.astype(np.float64) ** -sigma
+    # mass[j][k] = Σ_{i<=k} i^-sigma (log i)^j
+    mass = [np.concatenate(([0.0], np.cumsum(w * np.log(i) ** j))) for j in (0, 1)]
+    for X in (2**15 - 1, 2**15, 2**15 + 1, 10**5, top):
+        d = i[:X][coprime[:X]][::-1]  # so that X // d rises
+        at = X // d
+        wd = w[d - 1]
+        cols = prefix_log_moment(table_big, X, q, sigma, (0, 1), at=at)
+        terms = (table_big.mangoldt(1, X + 1) * w[:X])[coprime[:X]]
+        rhs = (1.0, fsum_blocks(terms))
+        gamma = (X + 64) * EPS / 2 / (1.0 - (X + 64) * EPS / 2)
+        for j, (col, want) in enumerate(zip(cols, rhs)):
+            got = fsum_blocks(wd * col)
+            radius = 2.0 * gamma * (fsum_blocks(wd * mass[j][at]) + abs(want))
+            assert abs(got - want) <= radius, (X, j, got, want, radius)
 
 
 def _oracle(n):

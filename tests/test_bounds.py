@@ -133,6 +133,12 @@ def test_delta_q_frozen_and_floor(table_small):
                 assert dv.value >= -qp - 1e-12, (X, q, eps)
 
 
+def test_verify_integral_guards(table_small):
+    for X in (0.5, 0.0, -5.0, math.nan):
+        with pytest.raises(ValueError, match="X must be >= 1"):
+            bounds.verify_integral(table_small, X, 1)
+
+
 def test_delta_q_guards(table_small):
     with pytest.raises(ValueError):
         bounds.delta_q(table_small, 10.0, 1, 1.5)

@@ -199,6 +199,14 @@ def test_dex_domain_errors_exit_without_traceback(s, sigma0, code, message, caps
     assert "Traceback" not in captured.err and not _rows(captured.out)
 
 
+@pytest.mark.parametrize("X", ["0.5", "0", "-5"])
+def test_integral_refuses_X_below_1_before_any_row(X, capsys):
+    assert main(["verify", "--theorem", "integral", "--X", X, "--no-timestamp"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: X must be >= 1" in captured.err
+
+
 def test_dex_row_where_the_eta_drift_exceeds_1e_13(capsys):
     assert main([*_DEX_AT, "0.3+30j", "--sigma0", "0.1"]) == 0
     rows = _rows(capsys.readouterr().out)

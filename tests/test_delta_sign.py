@@ -550,6 +550,54 @@ def test_certificate_from_json_rejects_inexact_fields(table_small):
             certificate_from_json(text.replace(old, new, 1))
 
 
+_GONE = object()
+
+
+def _edit(*path, to=_GONE):
+    """An edit of a certificate document: the field at path becomes to, or
+    goes."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if to is _GONE:
+            del doc[last]
+        else:
+            doc[last] = to
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda d: (d.clear(), d.update(version=3)),
+                     "lacks the field 'records'", id="version-only"),
+        pytest.param(_edit("cap"), "lacks the field 'cap'", id="no-cap"),
+        pytest.param(_edit("records", 0, "M2"), "lacks the field 'M2'", id="no-M2"),
+        pytest.param(_edit("records", 0, "steps", 1, to=1.0),
+                     r"N=1: steps must be \[eps, t\]", id="step-float"),
+        pytest.param(_edit("records", 0, "steps", 1, to=[0.5, 0.1, 0.2]), "N=1: steps",
+                     id="step-triple"),
+        pytest.param(_edit("records", 0, "steps", to=5), "N=1: steps", id="steps-number"),
+        pytest.param(_edit("records", to={"a": 1}), "records must be a JSON array",
+                     id="records-object"),
+        pytest.param(_edit("records", to=[1]), "a record must be a JSON object",
+                     id="record-number"),
+        pytest.param(_edit("status", to=7), "status must be", id="status-number"),
+        pytest.param(_edit("status", to="certified"), "status must be", id="status-unknown"),
+        pytest.param(_edit("reason", to=7), "reason must be a JSON string", id="reason-number"),
+    ],
+)
+def test_certificate_from_json_names_each_malformed_field(table_small, edit, message):
+    """A malformed document raises ValueError naming the problem, never a
+    KeyError or TypeError, and no status outside the three parses."""
+    doc = json.loads(certificate_to_json(certify_sign(table_small, 1, 4.0)))
+    assert doc["records"][0]["N"] == 1 and len(doc["records"][0]["steps"]) >= 2
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        certificate_from_json(json.dumps(doc))
+
+
 def test_certify_q2_to_41(table_small):
     cert = certify_sign(table_small, 2, 41.0)
     assert cert.status == CERTIFIED

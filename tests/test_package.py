@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PUBLIC = {
     "analytic": (
         "AnalyticConstants", "ComplexParameter", "constants", "eps_zeta", "eta",
-        "eta_prime", "phi_ratio", "phi_s", "zeta", "zeta_inequalities", "zeta_prime",
+        "phi_ratio", "phi_s", "zeta_inequalities",
     ),
     "arith": (
         "ArithmeticTable", "Modulus", "build_table", "chebyshev_psi", "m_check_q",
@@ -150,7 +150,7 @@ def test_no_command_and_no_y0_solve_loads_scipy():
 
 def test_public_names_are_the_published_set():
     assert set(mobius_bounds.__all__) == {n for names in PUBLIC.values() for n in names}
-    assert len(mobius_bounds.__all__) == 54
+    assert len(mobius_bounds.__all__) == 51
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))
