@@ -49,8 +49,7 @@ def test_eta_against_mpmath(s):
     assert abs(got.value - want) <= got.err + 1e-13
 
 
-# Where zeta itself was once checked: off the pole, and on and near the
-# Taylor disc |s - 1| < 1e-6
+# Off the pole, and on and near the Taylor disc |s - 1| < 1e-6
 _ZETA_S = (1.5, 2.0, 3.7, 1.001, 2 + 3j, 1.2 + 0.5j,
            *(1.0 + w for w in (1e-12, 1e-9, 1e-7, -5e-7, 9.9e-7, 1e-7j, 5e-7 + 5e-7j)))
 
