@@ -27,8 +27,9 @@ numpy dispatch gives the same floats.
 
 _zeta_family, the one reader of _eta_pair besides eta, turns the pair
 into 1/zeta and zeta'/zeta^2; inv_zeta, zp_over_z2 and constants read it.
-Removable singularities at s = 1 are evaluated there from Taylor series in
-w = s - 1 once |w| < SERIES_RADIUS.
+This is the one route at every s, s = 1 included: the removable
+singularities there need no series, since 1 - 2^(1-s) vanishes exactly at
+s = 1 and c = (1 - 2^(-w))/w takes its limit log 2 at w = s - 1 = 0.
 """
 from __future__ import annotations
 
@@ -55,8 +56,6 @@ from .util import (
     expm1c,
     one_minus_two_pow,
 )
-
-SERIES_RADIUS = 1e-6
 
 # Acceleration depth cap, so |Im s| <= 310; (3+sqrt 8)^(n+8) stays finite.
 _N_CAP = 340
@@ -128,43 +127,9 @@ def eta(s: complex) -> Approx:
     return _eta_pair(s)[0]
 
 
-# ----------------------------------------------------------------------
-# Taylor coefficients in w = s - 1 for the removable singularities.
-
-
-def _pmul(a: list[float], b: list[float], n: int) -> list[float]:
-    out = [0.0] * n
-    for i, ai in enumerate(a[:n]):
-        for j, bj in enumerate(b[: n - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _pinv(a: list[float], n: int) -> list[float]:
-    out = [0.0] * n
-    out[0] = 1.0 / a[0]
-    for k in range(1, n):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (a[j] if j < len(a) else 0.0) * out[k - j]
-        out[k] = -acc / a[0]
-    return out
-
-
-def _pderiv(a: list[float]) -> list[float]:
-    return [i * a[i] for i in range(1, len(a))]
-
-
-def _peval(a: list[float], w: complex) -> complex:
-    acc: complex = 0.0
-    for coef in reversed(a):
-        acc = acc * w + coef
-    return acc
-
-
 # c_n of eps*zeta(1+eps) = Σ c_n eps^n: c_0 = 1 and c_{n+1} = (-1)^n γ_n/n!,
 # each the float nearest its 50-digit value (tools/stieltjes_coefficients.py);
-# eps_zeta sums all 32, and the series below read the first five.
+# eps_zeta sums all 32.
 _EZ_COEFFS = (
     1.0, 0.5772156649015329, 0.07281584548367673,
     -0.00484518159643616, -0.00034230573671722433, 9.689041939447084e-05,
@@ -177,22 +142,6 @@ _EZ_COEFFS = (
     4.8118570515125666e-26, -2.560263310318815e-27, 6.927840895304667e-29,
     1.628607550485587e-30, -3.1939375611532554e-31, 2.0991515893634255e-32,
     -8.33674529544144e-34, 1.3412593772192187e-35,
-)
-
-_L = LOG2
-# (1-2^(-w))/w and w*zeta(1+w), both entire near w=0.
-_U5 = [1.0, -_L / 2.0, _L**2 / 6.0, -(_L**3) / 24.0, _L**4 / 120.0]
-_V5 = list(_EZ_COEFFS[:5])
-
-_C_SER = [_L * x for x in _pmul(_U5, _V5, 5)]  # C(1+w)
-_CP_SER = _pderiv(_C_SER)  # C'(1+w)
-_c_SER = [_L, -(_L**2) / 2.0, _L**3 / 6.0, -(_L**4) / 24.0, _L**5 / 120.0]
-_R_SER = [0.0] + _pinv(_V5, 4)  # 1/zeta(1+w)
-_ZPZ2_SER = [-x for x in _pderiv(_R_SER)]  # zeta'/zeta^2 at 1+w
-_K2_SER = _pmul(
-    [(k + 1) * ck for k, ck in enumerate(_C_SER)],  # C + w C'
-    _pinv(_pmul(_C_SER, _C_SER, 5), 5),
-    5,
 )
 
 
@@ -215,23 +164,11 @@ def excluded_distance(s: complex) -> float:
 def _zeta_family(s: complex) -> tuple[Approx, Approx, Approx, Approx]:
     """(C, C', 1/zeta, zeta'/zeta^2) at s, from one eta pair.
 
-    Inside |s - 1| < SERIES_RADIUS all four come from their Taylor series;
-    there the radii of 1/zeta and zeta'/zeta^2 cover both the truncation
-    |w|^4 (8|w|^4) and 32·EPS·(1 + |value|) of rounding.  Outside, zeta'/zeta^2
-    is (C'·(1-2^(1-s)) - log2·2^(1-s)·C)/C², cancellation-free down to the
-    series switch-over.
+    1/zeta is (1-2^(1-s))/C and zeta'/zeta^2 is
+    (C'·(1-2^(1-s)) - log2·2^(1-s)·C)/C², both cancellation-free at every
+    s, s = 1 included: there 1-2^(1-s) is an exact 0, so 1/zeta(1) = 0.
     """
     w = s - 1.0
-    if abs(w) < SERIES_RADIUS:
-        r = _peval(_R_SER, w)
-        zz = _peval(_ZPZ2_SER, w)
-        aw4 = abs(w) ** 4
-        return (
-            Approx(_peval(_C_SER, w), 32.0 * EPS),
-            Approx(_peval(_CP_SER, w), 32.0 * EPS),
-            Approx(r, aw4 + 32.0 * EPS * (1.0 + abs(r))),
-            Approx(zz, 8.0 * aw4 + 32.0 * EPS * (1.0 + abs(zz))),
-        )
     if excluded_distance(s) <= _GUARD:
         raise ValueError(f"s={s!r} too close to a zero of 1-2^(1-s)")
     et, ep = _eta_pair(s)
@@ -453,7 +390,7 @@ def delta_indicator(y: float, sigma0: float) -> int:
 
 def constants(p: ComplexParameter, X: float) -> AnalyticConstants:
     """Populate every envelope ingredient at s = p.s for threshold X >= 1."""
-    if X < 1.0:
+    if not X >= 1.0:  # NaN too
         raise ValueError("X must be >= 1")
     s = p.s
     w = s - 1.0
@@ -462,12 +399,8 @@ def constants(p: ComplexParameter, X: float) -> AnalyticConstants:
 
     et, ep, invz, zpz2 = _zeta_family(s)
     C, Cp = et.value, ep.value
-    if abs(w) < SERIES_RADIUS:
-        cw = _peval(_c_SER, w)
-        K2 = _peval(_K2_SER, w)
-    else:
-        cw = one_minus_two_pow(w) / w
-        K2 = (C + w * Cp) / (C * C)
+    cw = one_minus_two_pow(w) / w if w else complex(LOG2)
+    K2 = (C + w * Cp) / (C * C)
 
     absC = abs(C)
     absCp = abs(Cp)

@@ -50,7 +50,7 @@ from .arith import (
     prefix_m_q,
     sweep_prefix_min,
 )
-from .reports import BoundRow, bound_row
+from .reports import BoundRow, bound_row, label_num
 from .util import (
     EPS,
     GAMMA,
@@ -159,7 +159,7 @@ def _easy_domain(X: float, k: int, sigma: float, spread: int) -> None:
     at most 2^k (log X)^k (1 + log X) (spread = 2).  k is refused unless
     spread^k max(1, log X)^k (1 + log X) < 2^1023, half the largest double,
     which leaves room for rounding and keeps each C(k,j) a finite float."""
-    if X < 1.0:
+    if not X >= 1.0:  # NaN too
         raise ValueError("X must be >= 1")
     if _integer("k", k) < 1:
         raise ValueError("k must be >= 1")
@@ -190,7 +190,7 @@ def verify_easy(
     qm = Modulus.coerce(q)
     lhs, err = log_moment_sum(table, X, qm, sigma, k)
     bound = easy_bound(qm, k, sigma, math.log(X))
-    row = _row("easy", X, qm.q, f"k={k},sigma={sigma:g}", lhs, bound, err)
+    row = _row("easy", X, qm.q, f"k={k},sigma={label_num(sigma)}", lhs, bound, err)
     lower = cert_le(as_approx(0.0), as_approx(lhs, err))
     return replace(row, verdict=combine_verdicts(row.verdict, lower))
 
@@ -228,7 +228,7 @@ class DeltaValue:
 def _defect_domain(X: float, eps: float) -> None:
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    if X < 1.0:
+    if not X >= 1.0:  # NaN too
         raise ValueError("X must be >= 1")
 
 
@@ -273,7 +273,7 @@ def verify_mqeps(
     dv = delta_q(table, X, qm, eps)
     lhs_err = 64.0 * EPS * (1.0 + math.log(X)) * (1.0 + qm.q_over_phi)
     bound = mqeps_bound(X, qm, eps)
-    row = _row("mqeps", X, qm.q, f"eps={eps:g}", abs(dv.value), bound, lhs_err)
+    row = _row("mqeps", X, qm.q, f"eps={label_num(eps)}", abs(dv.value), bound, lhs_err)
     m_plain = m_q(table, X, qm)
     m_shift = m_q_s(table, X, qm, 1.0 + eps).real
     if eps == 0.0:
@@ -344,7 +344,7 @@ def _mcheck_main(qm: Modulus, sigma: float):
 
 
 def _mcheckqeps_domain(X: float, eps: float) -> None:
-    if X < 15.0:
+    if not X >= 15.0:  # NaN too
         raise ValueError("the estimate starts at X = 15")
     if not 0.0 <= eps <= 0.1:
         raise ValueError("eps must lie in [0, 1/10]")
@@ -379,7 +379,7 @@ def verify_mcheckqeps(
     lhs = scale * abs(mc - main(lx))
     lhs_err = scale * (main_err(lx) + 64.0 * EPS * (1.0 + lx) * (1.0 + pr))
     bound = mcheckqeps_bound(X, qm, eps, lx)
-    return _row("mcheckqeps", X, qm.q, f"eps={eps:g}", lhs, bound, lhs_err)
+    return _row("mcheckqeps", X, qm.q, f"eps={label_num(eps)}", lhs, bound, lhs_err)
 
 
 def mcheckqeps_scan(
@@ -425,7 +425,7 @@ def verify_special(table: ArithmeticTable, X: float, sigma: float) -> BoundRow:
     lhs = abs(mc - main(lx))
     lhs_err = main_err(lx) + 64.0 * EPS * (1.0 + lx)
     bound = special_bound(sigma, lx)
-    return _row("special", X, 1, f"sigma={sigma:g}", lhs, bound, lhs_err)
+    return _row("special", X, 1, f"sigma={label_num(sigma)}", lhs, bound, lhs_err)
 
 
 def special_scan(
@@ -522,7 +522,7 @@ def verify_dex(
 
     if which not in ("mqdex", "mcheckqdex"):
         raise ValueError("which must be mqdex or mcheckqdex")
-    if X < 1.0:
+    if not X >= 1.0:  # NaN too
         raise ValueError("X must be >= 1")
     qm = Modulus.coerce(q)
     cst = constants(p, X)
@@ -567,7 +567,7 @@ def verify_dex(
         which,
         X,
         qm.q,
-        f"s={s.real:g}{s.imag:+g}j,sigma0={sigma0:g}",
+        f"s={label_num(s.real)}{label_num(s.imag, '+')}j,sigma0={label_num(sigma0)}",
         lhs=lhs,
         bound=rhs,
         lhs_err=lhs_err,
@@ -697,7 +697,7 @@ def small_m_bounds(
     table: ArithmeticTable, X: float, q: Modulus | int
 ) -> list[BoundRow]:
     """Every published |m_q(X)| envelope applicable at (X, q)."""
-    if X < 1.0:
+    if not X >= 1.0:  # NaN too
         raise ValueError("X must be >= 1")
     qm = Modulus.coerce(q)
     val = abs(m_q(table, X, qm))

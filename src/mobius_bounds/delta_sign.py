@@ -34,7 +34,7 @@ import numpy as np
 
 from .analytic import eps_zeta, eps_zeta_enclosure, eps_zeta_grid, phi_ratio
 from .arith import ArithmeticTable, Modulus, mu_support
-from .reports import BoundRow, bound_row
+from .reports import BoundRow, bound_row, label_num
 from .util import CapacityError, floor_int, fsum_blocks
 
 CERTIFIED = "certified_nonpositive"
@@ -686,11 +686,11 @@ def _certify_row(
     if expect_fail:
         ok = cert.status == FAILED and cert.failure is not None
         lhs = -cert.failure[2] if ok else math.inf
-        param = f"X0={x0:g} expect=fail got={cert.status}"
+        param = f"X0={label_num(x0)} expect=fail got={cert.status}"
     else:
         ok = cert.certified
         lhs = cert.proven_bound() if ok else math.inf
-        param = f"X0={x0:g} eps<={cert.eps_max:g} got={cert.status}"
+        param = f"X0={label_num(x0)} eps<={label_num(cert.eps_max)} got={cert.status}"
     return bound_row("delta-sign", x0, qv, param, lhs=lhs, bound=0.0, strict=True)
 
 
@@ -710,7 +710,7 @@ def _cap_row(table: ArithmeticTable, qv: int, x0: float, cap: float) -> BoundRow
     certificate there is no bound (NaN), and the row is inconclusive."""
     cert = certify_sign(table, qv, x0, cap=cap)
     lhs = cert.proven_bound() if cert.certified else math.nan
-    param = f"X0={x0:g} eps<={cert.eps_max:g} got={cert.status}"
+    param = f"X0={label_num(x0)} eps<={label_num(cert.eps_max)} got={cert.status}"
     return bound_row("delta-caps", x0, qv, param, lhs=lhs, bound=cap)
 
 

@@ -3,7 +3,8 @@
 One row per checked instance.  Columns are fixed (documented in the README
 and relied on by the CLI tests): theorem_id,X,q,param,lhs,bound,margin,
 verdict.  Floats are written with repr (shortest round-trip form) so that
-identical runs byte-reproduce their outputs.
+identical runs byte-reproduce their outputs; the numbers inside a param
+label are written by label_num, short but never ambiguous.
 """
 from __future__ import annotations
 
@@ -56,6 +57,14 @@ def bound_row(
         margin=float(bound) - float(lhs),
         verdict=verdict,
     )
+
+
+def label_num(x: float, sign: str = "") -> str:
+    """x for a param label: its short :g form when that reads back as x,
+    else its repr, so rows at distinct values carry distinct labels.  sign
+    "+" writes the sign of a positive x too."""
+    text = format(x, sign + "g")
+    return text if float(text) == x else format(x, sign)
 
 
 def _cell(v) -> str:

@@ -49,7 +49,7 @@ def test_eta_against_mpmath(s):
     assert abs(got.value - want) <= got.err + 1e-13
 
 
-# Off the pole, and on and near the Taylor disc |s - 1| < 1e-6
+# Off the pole, and near s = 1 (within 1e-6 of it)
 _ZETA_S = (1.5, 2.0, 3.7, 1.001, 2 + 3j, 1.2 + 0.5j,
            *(1.0 + w for w in (1e-12, 1e-9, 1e-7, -5e-7, 9.9e-7, 1e-7j, 5e-7 + 5e-7j)))
 
@@ -63,6 +63,17 @@ def test_inv_zeta_and_ratio_within_radius(s):
     for fn, w in want.items():
         got = fn(s)
         assert abs(got.value - complex(w)) <= got.err, (fn.__name__, s)
+
+
+def test_inv_zeta_and_ratio_at_s_equal_1():
+    # mpmath has a pole at s = 1, so the truths here are exact: 1/zeta(1) = 0
+    # and zeta'/zeta^2 -> -1
+    r, zz = inv_zeta(1.0), zp_over_z2(1.0)
+    assert r.value.real == 0.0 and r.value.imag == 0.0
+    assert abs(zz.value + 1.0) <= zz.err
+    for X in (1.0, 1e4):
+        cst = constants(ComplexParameter(1.0, 0.5), X)
+        assert cst.invz == r and cst.zpz2 == zz
 
 
 # Off the suites' points: here the drift between eta's two depths exceeds
@@ -106,7 +117,8 @@ def test_imaginary_part_cap_is_a_capacity_error():
 
 
 # constants(ComplexParameter(s, 0.5), X).err_budget for X = 1 and 1e4 under
-# the smaller of the two earlier series radii for 1/zeta and zeta'/zeta^2
+# the smaller of the two radii the Taylor series near s = 1 once gave for
+# 1/zeta and zeta'/zeta^2
 _OLD_SERIES_BUDGETS = {
     1.0: (1.0114728918594559e-12, 1.1826444860865974e-12),
     1 + 1e-7: (1.0114729920627457e-12, 1.182644806997694e-12),
@@ -116,13 +128,13 @@ _OLD_SERIES_BUDGETS = {
 
 @pytest.mark.parametrize("s", _OLD_SERIES_BUDGETS)
 def test_series_disc_radii_never_shrink(s):
-    # the two earlier radius formulas on |s - 1| < 1e-6: 16·EPS·(1 + |v|)
-    # in inv_zeta/zp_over_z2, 32·EPS in constants
-    w4 = abs(s - 1.0) ** 4
-    for fn, trunc in ((inv_zeta, w4), (zp_over_z2, 8.0 * w4)):
-        got = fn(s)
-        assert got.err >= trunc + 16.0 * EPS * (1.0 + abs(got.value)), fn.__name__
-        assert got.err >= trunc + 32.0 * EPS, fn.__name__
+    # the series' two radius formulas for zeta'/zeta^2 on |s - 1| < 1e-6:
+    # 16·EPS·(1 + |v|) in zp_over_z2, 32·EPS in constants.  1/zeta has no
+    # floor: the eta route's radius is 0 at s = 1, where 1/zeta(1) = 0 exactly
+    trunc = 8.0 * abs(s - 1.0) ** 4
+    got = zp_over_z2(s)
+    assert got.err >= trunc + 16.0 * EPS * (1.0 + abs(got.value))
+    assert got.err >= trunc + 32.0 * EPS
     for X, old in zip((1.0, 1e4), _OLD_SERIES_BUDGETS[s]):
         cst = constants(ComplexParameter(s, 0.5), X)
         assert cst.err_budget >= old

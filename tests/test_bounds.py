@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mobius_bounds import bounds
-from mobius_bounds.analytic import ComplexParameter
+from mobius_bounds.analytic import ComplexParameter, constants
 from mobius_bounds.arith import (
     Modulus,
     build_table,
@@ -137,6 +137,30 @@ def test_verify_integral_guards(table_small):
     for X in (0.5, 0.0, -5.0, math.nan):
         with pytest.raises(ValueError, match="X must be >= 1"):
             bounds.verify_integral(table_small, X, 1)
+
+
+# each domain check refuses a NaN X with its own message, before any sum
+_NAN_X_CALLS = {
+    "constants": (lambda t: constants(ComplexParameter(1.5, 0.5), math.nan), "X must be >= 1"),
+    "verify_easy": (lambda t: bounds.verify_easy(t, math.nan, 1, 1, 1.0), "X must be >= 1"),
+    "verify_mqeps": (lambda t: bounds.verify_mqeps(t, math.nan, 1, 0.05), "X must be >= 1"),
+    "delta_q": (lambda t: bounds.delta_q(t, math.nan, 1, 0.05), "X must be >= 1"),
+    "verify_mcheckqeps": (
+        lambda t: bounds.verify_mcheckqeps(t, math.nan, 1, 0.05), "starts at X = 15"
+    ),
+    "small_m_bounds": (lambda t: bounds.small_m_bounds(t, math.nan, 1), "X must be >= 1"),
+    "verify_dex": (
+        lambda t: bounds.verify_dex(t, math.nan, 1, ComplexParameter(1.5, 0.5), "mqdex"),
+        "X must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _NAN_X_CALLS)
+def test_domain_checks_refuse_a_nan_X(table_small, name):
+    call, message = _NAN_X_CALLS[name]
+    with pytest.raises(ValueError, match=message):
+        call(table_small)
 
 
 def test_delta_q_guards(table_small):

@@ -207,6 +207,20 @@ def test_integral_refuses_X_below_1_before_any_row(X, capsys):
     assert "error: X must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mqdex", "--s", "1.0000001,1,1.0000004", "--sigma0", "0.1"],
+        ["mqeps", "--eps", "0.05,0.0500000001"],
+        ["mcheckqeps", "--eps", "0.05,0.0500000001"],
+    ],
+)
+def test_rows_at_distinct_parameters_carry_distinct_labels(argv, capsys):
+    main(["verify", "--theorem", *argv, "--X", "100", "--q", "1", "--no-timestamp"])
+    labels = [row["param"] for row in _rows(capsys.readouterr().out)]
+    assert len(labels) == len(set(labels)) > 1, labels
+
+
 def test_dex_row_where_the_eta_drift_exceeds_1e_13(capsys):
     assert main([*_DEX_AT, "0.3+30j", "--sigma0", "0.1"]) == 0
     rows = _rows(capsys.readouterr().out)

@@ -340,8 +340,8 @@ def test_point_sums_match_pin(table_mid):
 
 
 # The analytic layer at the s of the dex suite, of acceptances 5 and 6 and of
-# tests/test_analytic.py.  Within 1e-6 of s = 1 (the Taylor-series disc) only
-# values are pinned; the radii there may grow.
+# tests/test_analytic.py.  Within 1e-6 of s = 1, where a Taylor-series route
+# once ran, only values are pinned; the radii there may grow.
 ANALYTIC_S = tuple(
     dict.fromkeys(
         complex(s)
@@ -401,8 +401,10 @@ def _analytic_outputs(table):
 # enclosures: the 192 items other than its five hash as before, and every
 # chain value lies within its radius of mpmath with all 30 verdicts "pass";
 # and when zeta and zeta_prime went: the 163 items left hashed the same with
-# the old eta_prime in place of _eta_pair(s)[1]
-ANALYTIC_PIN = "de75f6550838b7917656b61f46b0318791fe12812cc547d4c7c27e8da653f225"
+# the old eta_prime in place of _eta_pair(s)[1]; and when the Taylor series
+# near s = 1 went for the eta route: of the 163 items only inv_zeta(1.0)'s
+# value moved, from 0j to (-0+0j), the same zero with its sign
+ANALYTIC_PIN = "3c6fdca69732c02d8e7fc87c8619fb86ed1b006029607bc5fa1df986e0eb3fec"
 
 
 def test_analytic_outputs_match_pin(table_mid):

@@ -51,10 +51,14 @@ INVOCATIONS = (
     # delta_q's IntervalKernel past FSUM_LIST_MAX terms, at eps = 0 and eps > 0
     ("verify", "--theorem", "mqeps", "--X", "2,12345.5,100000", "--q", "1,30030",
      "--eps", "0,0.01,1"),
-    # the zeta family on the Taylor disc off s = 1 and at large |Im s|
+    # the zeta family near s = 1 and at large |Im s|
     *(("verify", "--theorem", name, "--X", "100,10000", "--q", "1,6", "--s",
        "1.0000001,1+1e-7j,0.8+5j,0.5+14j,0.3+30j", "--sigma0", "0.1")
       for name in ("mcheckqdex", "mqdex")),
+    # the real-sigma zeta family near s = 1 (bounds._mcheck_main)
+    ("verify", "--theorem", "mcheckqeps", "--X", "15,1000,100000", "--q", "1,6",
+     "--eps", "1e-7"),
+    ("verify", "--theorem", "special", "--X", "15,1000,100000", "--sigma", "1.0000001"),
     *(("identity", "--name", name, "--X", "100") for name in IDENTITIES),
     ("delta-sign", "--q", "1,2", "--X0", "10.8"),
     ("delta-sign", "--q", "1", "--X0", "20", "--cap", "0.014"),
