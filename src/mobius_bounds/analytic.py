@@ -54,7 +54,6 @@ from .util import (
     cert_le,
     combine_verdicts,
     expm1c,
-    one_minus_two_pow,
 )
 
 # Acceleration depth cap, so |Im s| <= 310; (3+sqrt 8)^(n+8) stays finite.
@@ -174,7 +173,7 @@ def _zeta_family(s: complex) -> tuple[Approx, Approx, Approx, Approx]:
     et, ep = _eta_pair(s)
     if abs(et.value) <= 4.0 * et.err:
         raise NearZeroError(f"zeta evaluation at {s!r} not separated from zero")
-    f = one_minus_two_pow(w)
+    f = -expm1c(-w * LOG2)  # 1 - 2^(1-s)
     factor = Approx(f, 4.0 * EPS * abs(f))
     two1s = cmath.exp(-w * LOG2)
     num = approx_add(
@@ -192,28 +191,6 @@ def inv_zeta(s: complex) -> Approx:
 def zp_over_z2(s: complex) -> Approx:
     """zeta'(s)/zeta(s)^2, analytic through s=1 (value -1 there)."""
     return _zeta_family(complex(s))[3]
-
-
-def g_alt(w: complex) -> complex:
-    """log2/(2^w - 1) - 1/w, analytic at w=0 with value -log2/2.
-
-    Bernoulli series below |w log2| = 1/4, direct expm1 formula above.
-    """
-    w = complex(w)
-    x = w * LOG2
-    if abs(x) < 0.25:
-        x2 = x * x
-        x4 = x2 * x2
-        body = (
-            -0.5
-            + x / 12.0
-            - x * x2 / 720.0
-            + x * x4 / 30240.0
-            - x * x4 * x2 / 1209600.0
-            + x * x4 * x4 / 47900160.0
-        )
-        return LOG2 * body
-    return LOG2 / expm1c(x) - 1.0 / w
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +284,7 @@ def phi_s(q: "Modulus | int", s: complex) -> complex:
     s = complex(s)
     out = cmath.exp(s * math.log(m.q)) if m.q > 1 else complex(1.0)
     for p in m.primes:
-        out *= 1.0 - cmath.exp(-s * math.log(p))
+        out *= -expm1c(-s * math.log(p))
     if s.imag == 0.0:
         return complex(out.real, 0.0)
     return out
@@ -383,11 +360,6 @@ class AnalyticConstants:
     zpz2: Approx
 
 
-def delta_indicator(y: float, sigma0: float) -> int:
-    """2 when log y < 1/sigma0, else 1."""
-    return 2 if math.log(y) < 1.0 / sigma0 else 1
-
-
 def constants(p: ComplexParameter, X: float) -> AnalyticConstants:
     """Populate every envelope ingredient at s = p.s for threshold X >= 1."""
     if not X >= 1.0:  # NaN too
@@ -399,7 +371,7 @@ def constants(p: ComplexParameter, X: float) -> AnalyticConstants:
 
     et, ep, invz, zpz2 = _zeta_family(s)
     C, Cp = et.value, ep.value
-    cw = one_minus_two_pow(w) / w if w else complex(LOG2)
+    cw = -expm1c(-w * LOG2) / w if w else complex(LOG2)
     K2 = (C + w * Cp) / (C * C)
 
     absC = abs(C)
@@ -414,12 +386,15 @@ def constants(p: ComplexParameter, X: float) -> AnalyticConstants:
 
     # second envelope, term by term
     pref = 2.0**sigma0
-    dflag = delta_indicator(X / 2.0, sigma0) if X >= 2.0 else 2
+    dflag = 2 if X < 2.0 or math.log(X / 2.0) < 1.0 / sigma0 else 1
     t1 = pref * (math.log(X) + dflag * max(math.log(X / 2.0), 1.0 / sigma0)) * abs(
         invz.value
     )
     t2 = pref * LOG2 * abs(invz.value) / abs(cw)
-    b3 = g_alt(w) * invz.value
+    # b3 = (log2/(2^w - 1) - 1/w)/zeta(s) = (log2·2^-w - c)/C, an exact 0 at
+    # w = 0.  This additive envelope term needs no series there: its absolute
+    # error of a few EPS lies inside err_budget's 512·EPS.
+    b3 = (LOG2 * cmath.exp(-w * LOG2) - cw) / C
     b4 = b3 + zpz2.value
     t3 = pref * abs(b3)
     t4 = pref * abs(b4)

@@ -63,6 +63,7 @@ from .util import (
     as_approx,
     cert_le,
     combine_verdicts,
+    expm1c,
     floor_int,
     fsum_blocks,
 )
@@ -94,7 +95,7 @@ def _log_p_sum(q: Modulus, s: complex) -> complex:
     """sum over p | q of log p / (p^s - 1); empty product modulus gives 0."""
     out = 0j
     for p in q.primes:
-        out += math.log(p) / (cmath.exp(s * math.log(p)) - 1.0)
+        out += math.log(p) / expm1c(s * math.log(p))
     return out
 
 
@@ -516,7 +517,8 @@ def verify_dex(
     The remainder envelope splits as K_int/X^sigma * int_1^X |m_q| +
     K_tail/X^sigma0 * q^(sigma-sigma0)/phi_(sigma-sigma0)(q); all analytic
     constants come from analytic.constants, and for real s the sharpened
-    first factor applies.
+    first factor applies.  Two points are refused before any sum: q > 1 at
+    Re s = sigma0, and mqdex at s = 1, where both of its sides are 0.
     """
     from .analytic import constants
 
@@ -525,9 +527,13 @@ def verify_dex(
     if not X >= 1.0:  # NaN too
         raise ValueError("X must be >= 1")
     qm = Modulus.coerce(q)
+    s, sigma0 = p.s, p.sigma0
+    if qm.q > 1 and s.real == sigma0:
+        raise ValueError("q > 1 needs Re s > sigma0: q^w/phi_w(q) has a pole at w = 0")
+    if which == "mqdex" and s == 1.0:
+        raise ValueError("mqdex is 0 <= 0 at s = 1; mcheckqdex checks that point")
     cst = constants(p, X)
-    s = cst.s
-    sigma, sigma0 = s.real, cst.sigma0
+    sigma = s.real
     lx = math.log(X)
     invz = cst.invz
     pr = _phi_main(qm, s)

@@ -199,6 +199,24 @@ def test_dex_domain_errors_exit_without_traceback(s, sigma0, code, message, caps
     assert "Traceback" not in captured.err and not _rows(captured.out)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # q^w/phi_w(q) at w = Re s - sigma0 = 0: refused before integral_abs_mq
+        (["mqdex", "--q", "6", "--s", "0.5", "--sigma0", "0.5"], "q > 1 needs Re s > sigma0"),
+        (["mcheckqdex", "--q", "1,6", "--s", "0.5+3j", "--sigma0", "0.5"],
+         "q > 1 needs Re s > sigma0"),
+        # both sides of mqdex are 0 at s = 1
+        (["mqdex", "--q", "1", "--s", "1", "--sigma0", "0.1"], "mqdex is 0 <= 0 at s = 1"),
+    ],
+)
+def test_dex_refuses_degenerate_points_before_any_row(argv, message, capsys):
+    assert main(["verify", "--theorem", *argv, "--X", "100", "--no-timestamp"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 @pytest.mark.parametrize("X", ["0.5", "0", "-5"])
 def test_integral_refuses_X_below_1_before_any_row(X, capsys):
     assert main(["verify", "--theorem", "integral", "--X", X, "--no-timestamp"]) == 64
@@ -210,7 +228,7 @@ def test_integral_refuses_X_below_1_before_any_row(X, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mqdex", "--s", "1.0000001,1,1.0000004", "--sigma0", "0.1"],
+        ["mqdex", "--s", "1.0000001,1.0000002,1.0000004", "--sigma0", "0.1"],
         ["mqeps", "--eps", "0.05,0.0500000001"],
         ["mcheckqeps", "--eps", "0.05,0.0500000001"],
     ],

@@ -40,6 +40,10 @@ from mobius_bounds.util import BLOCK
 GOLDEN = Path(__file__).parent / "golden"
 
 SUITES = (
+    # golden CSV re-captured when util.expm1c took one cancellation-free
+    # formula for complex z: 22 lhs cells (9 margins with them) of rows at s
+    # off the real axis moved, each by at most 0.0056 of its row's lhs radius;
+    # no bound, verdict, label or row count moved
     "bounds:dex",
     "bounds:easy",
     "bounds:integral",
@@ -162,8 +166,11 @@ def test_identity_csv_matches_golden(stem, capsys):
 
 
 # sha256 of the newline-joined repr(evaluate_ofd(table, spec, X)) over
-# _ofd_spec_grid() x (7.3, 2000.0): pins i1, i2 and mass, which rows omit
-OFD_GRID = "7d5908a2c281e9446a92f6dcf7537cc47ab7024af47dd69398d9007f5d663947"
+# _ofd_spec_grid() x (7.3, 2000.0): pins i1, i2 and mass, which rows omit.
+# Re-captured when util.expm1c took one cancellation-free formula for
+# complex z: 8 of the 80 items moved, all at s = 0.5+14j, with lhs and mass
+# unchanged and i1, i2 each by at most 5e-4 of residual_err
+OFD_GRID = "906133e0d217756fcbbfc7a7fb6f0b6d583f7e692d0f23438986c6b70fce7edd"
 
 
 def _ofd_spec_grid():
@@ -188,8 +195,10 @@ def test_ofd_spec_grid_matches_golden(table_small):
 # sha256 of the newline-joined repr(evaluate_ofd(table_mid, spec, 40000.0))
 # over the catalog specs and two power weights: 79,964 pieces, three blocks
 # of 2^15, so a fault at a block or slice edge of the piece integration moves
-# i1, i2 or mass (OFD_GRID stops below one block)
-OFD_BLOCKS = "d49ec853d9e45a5c21e339de9c8926b2d7642c92809f4b96a62a0f577f42dbd8"
+# i1, i2 or mass (OFD_GRID stops below one block).  Re-captured when
+# util.expm1c took one cancellation-free formula for complex z: only the
+# s = 2+1j item moved, lhs and mass unchanged, i2 by 0.021 of residual_err
+OFD_BLOCKS = "90c2640ed6ce876486bce4b759e68a677dc39a96f7ee23b7a5e785595f95a633"
 
 
 def test_ofd_across_blocks_matches_golden(table_mid):
@@ -403,8 +412,12 @@ def _analytic_outputs(table):
 # and when zeta and zeta_prime went: the 163 items left hashed the same with
 # the old eta_prime in place of _eta_pair(s)[1]; and when the Taylor series
 # near s = 1 went for the eta route: of the 163 items only inv_zeta(1.0)'s
-# value moved, from 0j to (-0+0j), the same zero with its sign
-ANALYTIC_PIN = "3c6fdca69732c02d8e7fc87c8619fb86ed1b006029607bc5fa1df986e0eb3fec"
+# value moved, from 0j to (-0+0j), the same zero with its sign; and when
+# util.expm1c took one cancellation-free formula for complex z: 59 items
+# moved, all at s off the real axis (inv_zeta, zp_over_z2, constants and dex
+# rows; no eta, C' or zeta_inequalities item), no verdict moved, and each
+# dex row's lhs or bound by at most 0.0056 of its radius
+ANALYTIC_PIN = "e76e02be1561affd235aebcaab9e10dccd6ccb8229606e181dc8caed60559d0c"
 
 
 def test_analytic_outputs_match_pin(table_mid):

@@ -55,11 +55,21 @@ INVOCATIONS = (
     *(("verify", "--theorem", name, "--X", "100,10000", "--q", "1,6", "--s",
        "1.0000001,1+1e-7j,0.8+5j,0.5+14j,0.3+30j", "--sigma0", "0.1")
       for name in ("mcheckqdex", "mqdex")),
+    # e^z - 1 at small complex z: 1 - 2^(1-s), phi_s and _log_p_sum near s = 1
+    # and near s = 0 (the Euler factors' expm1c)
+    *(("verify", "--theorem", name, "--X", "100,10000", "--q", "1,6", "--s",
+       "1.0002+0.0001j,1.001+0.001j,0.05+0.01j", "--sigma0", "0.01")
+      for name in ("mcheckqdex", "mqdex")),
+    # the dex refusals: q > 1 at Re s = sigma0, and mqdex at s = 1 (exit 64)
+    ("verify", "--theorem", "mqdex", "--X", "100", "--q", "6", "--s", "0.5", "--sigma0", "0.5"),
+    ("verify", "--theorem", "mqdex", "--X", "100", "--q", "1", "--s", "1", "--sigma0", "0.1"),
     # the real-sigma zeta family near s = 1 (bounds._mcheck_main)
     ("verify", "--theorem", "mcheckqeps", "--X", "15,1000,100000", "--q", "1,6",
      "--eps", "1e-7"),
     ("verify", "--theorem", "special", "--X", "15,1000,100000", "--sigma", "1.0000001"),
     *(("identity", "--name", name, "--X", "100") for name in IDENTITIES),
+    # the piece integrals' expm1c at complex c + 1 (identities._int_pow)
+    ("identity", "--name", "daval_general", "--X", "1000", "--s", "2+1j,1.0001+0.0003j"),
     ("delta-sign", "--q", "1,2", "--X0", "10.8"),
     ("delta-sign", "--q", "1", "--X0", "20", "--cap", "0.014"),
     ("harmonic", "--x-max", "1000"),
