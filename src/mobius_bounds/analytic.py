@@ -8,10 +8,10 @@ algebra, so one error budget covers the lot.
 
 C(s) and C'(s) come from one route, _eta_pair: a Chebyshev-style
 acceleration of the alternating series (roughly a factor 5.8 per extra
-term), one loop forming each n^(-s) once for both sums, checked against
-mpmath in the tests.  It sums at depths fixed by s (30 + ceil|Im s| and 8
-deeper) and carries 16 times the drift between the two, plus rounding, as
-each radius: an estimate, not an enclosure.  eta(s) is its C(s).
+term), one loop at depth 38 + ceil|Im s| forming each n^(-s) once for both
+sums.  The same loop sums the sizes of its terms, from which _eta_pair
+states each radius: the acceleration's truncation plus the loop's rounding,
+an enclosure when libm is within 1 ulp.  eta(s) is its C(s).
 
 F(eps) = eps·zeta(1+eps) on [0, 1] is not summed from C: (s-1)·zeta(s) is
 entire, and its Taylor series at s = 1 is 1 + Σ_{n≥0} (-1)^n γ_n
@@ -59,9 +59,9 @@ from .util import (
 # Acceleration depth cap, so |Im s| <= 310; (3+sqrt 8)^(n+8) stays finite.
 _N_CAP = 340
 
-# Rejection distance from the zeros of 1 - 2^(1-s) off the real axis.
-_GUARD = 1e-12
-_PARAM_GUARD = 1e-11  # ComplexParameter, stricter
+# ComplexParameter's rejection distance from the zeros of 1 - 2^(1-s) off
+# the real axis.
+_PARAM_GUARD = 1e-11
 
 _EXCLUDED_SPACING = 2.0 * math.pi / LOG2  # imaginary gap between excluded points
 
@@ -71,41 +71,75 @@ _EXCLUDED_SPACING = 2.0 * math.pi / LOG2  # imaginary gap between excluded point
 
 
 @lru_cache(maxsize=None)  # depths are at most _N_CAP + 8
-def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-    """(c_k, log(k+1)) for k < n and d_n of the depth-n acceleration:
-    Σ_{k≥0} (-1)^k a_k ≈ Σ_{k<n} c_k a_k / d_n."""
+def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float]:
+    """(c_k, log(k+1), w_k) for k < n and d_n of the depth-n acceleration:
+    Σ_{k≥0} (-1)^k a_k ≈ Σ_{k<n} c_k a_k / d_n.
+
+    In exact arithmetic c_k and d_n = T_n(3) are integers c*_k and d*_n.
+    The floats drift from them: the last c_k by about n·EPS/4 of d_n, far
+    more than their size.  So the integers run alongside, and the weight
+    w_k = |c_k| + e_k/(n·EPS/2) carries each float's error e_k = |c_k -
+    c*_k·d_n/d*_n|, measured against the exact one scaled to the float d_n.
+    """
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    coeffs, logs = [], []
+    dx = sum(math.comb(n, 2 * j) * 3 ** (n - 2 * j) * 8**j for j in range(n // 2 + 1))
+    num, den = d.as_integer_ratio()
+    b, c, bx, cx = -1.0, -d, -1, -dx
+    coeffs, logs, weights = [], [], []
     for k in range(n):
         c = b - c
+        cx = bx - cx
+        p, q = c.as_integer_ratio()
+        e = abs(p * den * dx - cx * num * q) / (q * den * dx)  # e_k, rounded once
         coeffs.append(c)
         logs.append(math.log(k + 1.0))
+        weights.append(abs(c) + e / (n * EPS / 2.0))
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return tuple(coeffs), tuple(logs), d
+        bx = bx * (k + n) * (k - n) * 2 // ((2 * k + 1) * (k + 1))
+    return tuple(coeffs), tuple(logs), tuple(weights), d
 
 
-def _alt_accel(s: complex, n: int) -> tuple[complex, complex]:
+def _alt_accel(s: complex, n: int) -> tuple[complex, complex, float, float]:
     """Accelerated sums of Σ_{k≥0} (-1)^k a_k for a_k = (k+1)^(-s) and for
     a_k = log(k+1)·(k+1)^(-s): the Chebyshev-polynomial acceleration at
-    depth n, each term formed once for both."""
-    coeffs, logs, d = _chebyshev(n)
-    total = total_log = 0.0 + 0.0j
-    for c, ln in zip(coeffs, logs):
+    depth n, each term formed once for both; then A = Σ w_k |a_k| and
+    B = Σ w_k |a_k| log(k+1), all four over d_n."""
+    coeffs, logs, weights, d = _chebyshev(n)
+    total, total_log, mag, mag_log = 0.0 + 0.0j, 0.0 + 0.0j, 0.0, 0.0
+    for c, ln, wt in zip(coeffs, logs, weights):
         term = cmath.exp(-s * ln)
         total += c * term
         total_log += c * (term * ln)
-    return total / d, total_log / d
+        m = wt * abs(term)
+        mag += m
+        mag_log += m * ln
+    return total / d, total_log / d, mag / d, mag_log / d
 
 
 def _eta_pair(s: complex) -> tuple[Approx, Approx]:
-    """(C(s), C'(s)) for finite s with Re s > 0, where C(s) = Σ (-1)^(n+1)
-    n^(-s) and C'(s) = -Σ (-1)^(n+1) (log n) n^(-s).
+    """(C(s), C'(s)) for finite s = σ + it with σ > 0, where C(s) = Σ
+    (-1)^(n+1) n^(-s) and C'(s) = -Σ (-1)^(n+1) (log n) n^(-s), each the
+    sum at depth N = 38 + ceil|t| with truncation plus rounding as radius.
 
-    Each is the sum at depth 30 + ceil|Im s| + 8, with 16 times its drift
-    from the sum 8 shallower, plus rounding, as the radius.
+    Truncation (Cohen, Rodriguez Villegas and Zagier, Experimental Math. 9,
+    2000).  (k+1)^(-s) = ∫_0^1 x^k w(x) dx with w = (-log x)^(s-1)/Γ(s), so
+    the exact weights miss C by at most ∫|w|/d_N = Γ(σ)/|Γ(s)|/d_N, which
+    is at most max(1, |s|/σ)·e^(π|t|/2)/d_N (DLMF 5.6.7, and Γ(s+1) =
+    sΓ(s) below σ = 1/2).  On the disc of radius ρ = min(σ, 1)/2 about s
+    that is at most T = (|s| + 1)/ρ·e^(π(|t|+1)/2)/d_N, so Cauchy's estimate
+    bounds the error of C' by T/ρ.  As d_N > e^(1.76 N)/2, T < (|s| + 1)/ρ·e^-64.
+
+    Rounding, with u = EPS/2 and libm's log, exp, cos and sin within 1 ulp.
+    The argument -s·log(k+1) errs by at most 3u|s|log(k+1), so the term
+    (k+1)^(-s) from cmath.exp errs by 5u + 3u|s|log(k+1) of its size.  The
+    product by c_k adds u; C' adds 3u more (the rounded log and its
+    product).  The N-term sums add (N - 1)u of the sum of their terms'
+    sizes, and the division by d_N adds u.  The float weights add
+    e_k|a_k| (_chebyshev).  Take γ = (N + 10)u: it covers the 9u + (N - 1)u
+    of a term, with a spare u for every second-order term, and as γ >= N·u,
+    γ·w_k >= γ|c_k| + e_k.  With A and B from _alt_accel, C errs by at most
+    γA + 3u|s|B + T, and C' by (γ + 3u|s| log N)B + T/ρ, as log(k+1) < log N.
     """
     s = complex(s)
     if not (cmath.isfinite(s) and s.real > 0.0):
@@ -114,11 +148,15 @@ def _eta_pair(s: complex) -> tuple[Approx, Approx]:
     if n > _N_CAP:
         cap = f"the acceleration cap |Im s| <= {_N_CAP - 30}"
         raise CapacityError(f"|Im s| = {abs(s.imag):g} is beyond {cap}")
-    (r1, l1), (r2, l2) = _alt_accel(s, n), _alt_accel(s, n + 8)
-    return (
-        Approx(r2, 16.0 * abs(r1 - r2) + 64.0 * EPS * (1.0 + abs(r2))),
-        Approx(-l2, 16.0 * abs(l1 - l2) + 64.0 * EPS * (1.0 + abs(l2))),
-    )
+    v, v_log, mag, mag_log = _alt_accel(s, n + 8)
+    gamma = (n + 18) * EPS / 2.0
+    arg = 1.5 * EPS * abs(s)
+    rho = min(s.real, 1.0) / 2.0
+    trunc = (abs(s) + 1.0) / rho * math.exp(math.pi * (abs(s.imag) + 1.0) / 2.0)
+    trunc /= _chebyshev(n + 8)[3]
+    err = gamma * mag + arg * mag_log + trunc
+    err_log = (gamma + arg * math.log(n + 8)) * mag_log + trunc / rho
+    return Approx(v, err), Approx(-v_log, err_log)
 
 
 def eta(s: complex) -> Approx:
@@ -149,15 +187,10 @@ _EZ_COEFFS = (
 
 
 def excluded_distance(s: complex) -> float:
-    """Distance from s to the nearest zero of 1 - 2^(1-s) other than s=1."""
-    s = complex(s)
-    k = round(s.imag / _EXCLUDED_SPACING)
-    best = math.inf
-    for kk in (k - 1, k, k + 1):
-        if kk == 0:
-            continue
-        best = min(best, abs(s - complex(1.0, kk * _EXCLUDED_SPACING)))
-    return best
+    """Distance from s to the nearest zero 1 + 2πik/log 2, k ≠ 0, of
+    1 - 2^(1-s): the one at the k nearest Im s·log 2/2π, or k = ±1 if that is 0."""
+    k = round(s.imag / _EXCLUDED_SPACING) or math.copysign(1.0, s.imag)
+    return abs(s - complex(1.0, k * _EXCLUDED_SPACING))
 
 
 def _zeta_family(s: complex) -> tuple[Approx, Approx, Approx, Approx]:
@@ -166,20 +199,22 @@ def _zeta_family(s: complex) -> tuple[Approx, Approx, Approx, Approx]:
     1/zeta is (1-2^(1-s))/C and zeta'/zeta^2 is
     (C'·(1-2^(1-s)) - log2·2^(1-s)·C)/C², both cancellation-free at every
     s, s = 1 included: there 1-2^(1-s) is an exact 0, so 1/zeta(1) = 0.
+    Where 1-2^(1-s) vanishes off the real axis so does C, and a C within 4
+    times its radius of 0 is refused.  1-2^(1-s) = -expm1c(z) is within
+    11·EPS of its size (expm1c) plus the rounding of z = -(s-1)·log 2,
+    below 3u|z| with u = EPS/2, which moves 2^(1-s) by 3u|z| of its size;
+    cmath.exp and the product by log 2 add 7u to 2^(1-s)·log 2.
     """
     w = s - 1.0
-    if excluded_distance(s) <= _GUARD:
-        raise ValueError(f"s={s!r} too close to a zero of 1-2^(1-s)")
     et, ep = _eta_pair(s)
     if abs(et.value) <= 4.0 * et.err:
         raise NearZeroError(f"zeta evaluation at {s!r} not separated from zero")
     f = -expm1c(-w * LOG2)  # 1 - 2^(1-s)
-    factor = Approx(f, 4.0 * EPS * abs(f))
     two1s = cmath.exp(-w * LOG2)
-    num = approx_add(
-        approx_mul(ep, factor),
-        approx_mul(et, Approx(-LOG2 * two1s, 4.0 * EPS * LOG2 * abs(two1s))),
-    )
+    arg = 2.0 * EPS * abs(w) * LOG2  # 4u|z|, the spare u for second-order terms
+    factor = Approx(f, 11.0 * EPS * abs(f) + arg * abs(two1s))
+    log_two1s = Approx(-LOG2 * two1s, (4.0 * EPS + arg) * LOG2 * abs(two1s))
+    num = approx_add(approx_mul(ep, factor), approx_mul(et, log_two1s))
     return et, ep, approx_div(factor, et), approx_div(num, approx_mul(et, et))
 
 
@@ -341,7 +376,7 @@ class AnalyticConstants:
     variant valid when s is real.  invz and zpz2 are 1/zeta(s) and
     zeta'(s)/zeta(s)^2 with their radii, as _zeta_family returns them.
     err_budget is a conservative absolute error radius for every float
-    field, built on those radii and on eta's drift estimate.
+    field, built on those radii and on eta's (_eta_pair states them all).
     """
 
     s: complex

@@ -60,6 +60,14 @@ INVOCATIONS = (
     *(("verify", "--theorem", name, "--X", "100,10000", "--q", "1,6", "--s",
        "1.0002+0.0001j,1.001+0.001j,0.05+0.01j", "--sigma0", "0.01")
       for name in ("mcheckqdex", "mqdex")),
+    # eta's stated radius away from the real axis, up to its |Im s| <= 310 cap
+    *(("verify", "--theorem", name, "--X", "100,10000", "--q", "1,6", "--s",
+       "0.5+200j,1+300j,0.3+30j,0.05+5j", "--sigma0", "0.01")
+      for name in ("mcheckqdex", "mqdex")),
+    # 5e-12 from the zero 1 + 2πi/log 2 of 1 - 2^(1-s): ComplexParameter's
+    # guard refuses it (exit 64)
+    ("verify", "--theorem", "mqdex", "--X", "100", "--q", "1", "--s",
+     "1.000000000005+9.064720283654388j", "--sigma0", "0.1"),
     # the dex refusals: q > 1 at Re s = sigma0, and mqdex at s = 1 (exit 64)
     ("verify", "--theorem", "mqdex", "--X", "100", "--q", "6", "--s", "0.5", "--sigma0", "0.5"),
     ("verify", "--theorem", "mqdex", "--X", "100", "--q", "1", "--s", "1", "--sigma0", "0.1"),
