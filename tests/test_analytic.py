@@ -118,9 +118,9 @@ def _family_truths(s):
 
 
 def test_eta_family_radii_enclose_on_a_seeded_sample():
-    # eta's stated radius (_eta_pair) is proven, and not loose by much: every
-    # value within half its radius of mpmath, at 120 seeded s and at the two
-    # points where the drift radius eta once carried fell short
+    # the radii stated by _eta_pair and _zeta_family enclose with room to
+    # spare: every value within half its radius of mpmath, at 120 seeded s
+    # and at the two points where the drift radius eta once carried fell short
     rng = random.Random(37)
     points = [complex(rng.uniform(0.01, 4.0), rng.uniform(-300.0, 300.0)) for _ in range(120)]
     points += [0.20637335016056724 + 167.39845804073536j, 0.2 + 167.5j]
