@@ -9,9 +9,10 @@ algebra, so one error budget covers the lot.
 C(s) and C'(s) come from one route, _eta_pair: a Chebyshev-style
 acceleration of the alternating series (roughly a factor 5.8 per extra
 term), one loop at depth 38 + ceil|Im s| forming each n^(-s) once for both
-sums.  The same loop sums the sizes of its terms, from which _eta_pair
-states each radius: the acceleration's truncation plus the loop's rounding,
-an enclosure when libm is within 1 ulp.  eta(s) is its C(s).
+sums, its weights exact integer ratios each rounded once.  The same loop
+sums the sizes of its terms, from which _eta_pair states each radius: the
+acceleration's truncation plus the loop's rounding, an enclosure when libm
+is within 1 ulp.  eta(s) is its C(s).
 
 F(eps) = eps·zeta(1+eps) on [0, 1] is not summed from C: (s-1)·zeta(s) is
 entire, and its Taylor series at s = 1 is 1 + Σ_{n≥0} (-1)^n γ_n
@@ -56,8 +57,11 @@ from .util import (
     expm1c,
 )
 
-# Acceleration depth cap, so |Im s| <= 310; (3+sqrt 8)^(n+8) stays finite.
-_N_CAP = 340
+# Acceleration depth cap, so |Im s| <= 310.  Past about |Im s| = 450 the
+# truncation bound's e^(π(|Im s|+1)/2) overflows, and the 2^|s-1| of
+# constants grows with |Im s|; the cap keeps both small and bounds the
+# depths _chebyshev caches.
+_N_CAP = 348
 
 # ComplexParameter's rejection distance from the zeros of 1 - 2^(1-s) off
 # the real axis.
@@ -70,51 +74,40 @@ _EXCLUDED_SPACING = 2.0 * math.pi / LOG2  # imaginary gap between excluded point
 # Alternating-series summation.
 
 
-@lru_cache(maxsize=None)  # depths are at most _N_CAP + 8
-def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float]:
-    """(c_k, log(k+1), w_k) for k < n and d_n of the depth-n acceleration:
-    Σ_{k≥0} (-1)^k a_k ≈ Σ_{k<n} c_k a_k / d_n.
+@lru_cache(maxsize=None)  # depths run from 38 to _N_CAP
+def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[float, ...], int]:
+    """(c_k/d_n, log(k+1)) for k < n, and d_n, of the depth-n acceleration:
+    Σ_{k≥0} (-1)^k a_k ≈ Σ_{k<n} (c_k/d_n) a_k.
 
-    In exact arithmetic c_k and d_n = T_n(3) are integers c*_k and d*_n.
-    The floats drift from them: the last c_k by about n·EPS/4 of d_n, far
-    more than their size.  So the integers run alongside, and the weight
-    w_k = |c_k| + e_k/(n·EPS/2) carries each float's error e_k = |c_k -
-    c*_k·d_n/d*_n|, measured against the exact one scaled to the float d_n.
+    d_n = T_n(3) and the c_k are integers, run here exactly: every floor
+    division of the recurrence is exact, and |c_k| <= d_n.  So each weight
+    lies in [-1, 1] and is one int/int true division, rounded once.
     """
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    dx = sum(math.comb(n, 2 * j) * 3 ** (n - 2 * j) * 8**j for j in range(n // 2 + 1))
-    num, den = d.as_integer_ratio()
-    b, c, bx, cx = -1.0, -d, -1, -dx
-    coeffs, logs, weights = [], [], []
+    d = sum(math.comb(n, 2 * j) * 3 ** (n - 2 * j) * 8**j for j in range(n // 2 + 1))
+    b, c = -1, -d
+    weights = []
     for k in range(n):
         c = b - c
-        cx = bx - cx
-        p, q = c.as_integer_ratio()
-        e = abs(p * den * dx - cx * num * q) / (q * den * dx)  # e_k, rounded once
-        coeffs.append(c)
-        logs.append(math.log(k + 1.0))
-        weights.append(abs(c) + e / (n * EPS / 2.0))
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-        bx = bx * (k + n) * (k - n) * 2 // ((2 * k + 1) * (k + 1))
-    return tuple(coeffs), tuple(logs), tuple(weights), d
+        weights.append(c / d)
+        b = b * (k + n) * (k - n) * 2 // ((2 * k + 1) * (k + 1))
+    return tuple(weights), tuple(map(math.log, range(1, n + 1))), d
 
 
 def _alt_accel(s: complex, n: int) -> tuple[complex, complex, float, float]:
     """Accelerated sums of Σ_{k≥0} (-1)^k a_k for a_k = (k+1)^(-s) and for
     a_k = log(k+1)·(k+1)^(-s): the Chebyshev-polynomial acceleration at
-    depth n, each term formed once for both; then A = Σ w_k |a_k| and
-    B = Σ w_k |a_k| log(k+1), all four over d_n."""
-    coeffs, logs, weights, d = _chebyshev(n)
+    depth n, each term formed once for both; then A = Σ |w_k a_k| and
+    B = Σ |w_k a_k| log(k+1) over the weights w_k = c_k/d_n."""
+    weights, logs, _ = _chebyshev(n)
     total, total_log, mag, mag_log = 0.0 + 0.0j, 0.0 + 0.0j, 0.0, 0.0
-    for c, ln, wt in zip(coeffs, logs, weights):
+    for wt, ln in zip(weights, logs):
         term = cmath.exp(-s * ln)
-        total += c * term
-        total_log += c * (term * ln)
-        m = wt * abs(term)
+        total += wt * term
+        total_log += wt * (term * ln)
+        m = abs(wt) * abs(term)
         mag += m
         mag_log += m * ln
-    return total / d, total_log / d, mag / d, mag_log / d
+    return total, total_log, mag, mag_log
 
 
 def _eta_pair(s: complex) -> tuple[Approx, Approx]:
@@ -133,29 +126,28 @@ def _eta_pair(s: complex) -> tuple[Approx, Approx]:
     Rounding, with u = EPS/2 and libm's log, exp, cos and sin within 1 ulp.
     The argument -s·log(k+1) errs by at most 3u|s|log(k+1), so the term
     (k+1)^(-s) from cmath.exp errs by 5u + 3u|s|log(k+1) of its size.  The
-    product by c_k adds u; C' adds 3u more (the rounded log and its
-    product).  The N-term sums add (N - 1)u of the sum of their terms'
-    sizes, and the division by d_N adds u.  The float weights add
-    e_k|a_k| (_chebyshev).  Take γ = (N + 10)u: it covers the 9u + (N - 1)u
-    of a term, with a spare u for every second-order term, and as γ >= N·u,
-    γ·w_k >= γ|c_k| + e_k.  With A and B from _alt_accel, C errs by at most
-    γA + 3u|s|B + T, and C' by (γ + 3u|s| log N)B + T/ρ, as log(k+1) < log N.
+    weight c_k/d_N is rounded once (u) and its product adds u; C' adds 3u
+    more (the rounded log and its product).  The N-term sums add (N - 1)u
+    of the sum of their terms' sizes.  Take γ = (N + 10)u: it covers the
+    10u + (N - 1)u of a term, with a spare u for every second-order term.
+    With A and B from _alt_accel, C errs by at most γA + 3u|s|B + T, and C'
+    by (γ + 3u|s| log N)B + T/ρ, as log(k+1) < log N.
     """
     s = complex(s)
     if not (cmath.isfinite(s) and s.real > 0.0):
         raise ValueError(f"alternating series needs finite s with Re s > 0, got {s!r}")
-    n = 30 + int(math.ceil(abs(s.imag)))
-    if n > _N_CAP:
-        cap = f"the acceleration cap |Im s| <= {_N_CAP - 30}"
-        raise CapacityError(f"|Im s| = {abs(s.imag):g} is beyond {cap}")
-    v, v_log, mag, mag_log = _alt_accel(s, n + 8)
-    gamma = (n + 18) * EPS / 2.0
+    depth = 38 + math.ceil(abs(s.imag))
+    if depth > _N_CAP:
+        cap = f"the acceleration cap |Im s| <= {_N_CAP - 38}"
+        raise CapacityError(f"|Im s| = {abs(s.imag)!r} is beyond {cap}")
+    v, v_log, mag, mag_log = _alt_accel(s, depth)
+    gamma = (depth + 10) * EPS / 2.0
     arg = 1.5 * EPS * abs(s)
     rho = min(s.real, 1.0) / 2.0
     trunc = (abs(s) + 1.0) / rho * math.exp(math.pi * (abs(s.imag) + 1.0) / 2.0)
-    trunc /= _chebyshev(n + 8)[3]
+    trunc /= _chebyshev(depth)[2]
     err = gamma * mag + arg * mag_log + trunc
-    err_log = (gamma + arg * math.log(n + 8)) * mag_log + trunc / rho
+    err_log = (gamma + arg * math.log(depth)) * mag_log + trunc / rho
     return Approx(v, err), Approx(-v_log, err_log)
 
 

@@ -5,12 +5,14 @@ Oracle: mpmath at 50 digits, frozen where a single float suffices.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mobius_bounds.analytic import (
     ComplexParameter,
+    _chebyshev,
     _eta_pair,
     _zeta_family,
     constants,
@@ -173,13 +175,56 @@ def test_non_finite_s_is_rejected(bad):
 
 
 def test_imaginary_part_cap_is_a_capacity_error():
-    # at the cap the stated radius is 1.9e-12 and the error 1.6e-14
+    # at the cap the stated radius is 1.8e-12 and the error 1.5e-14
     got = eta(1.0 + 310j)
     with mpmath.workdps(40):
         want = _family_truths(1.0 + 310j)[0]
     assert abs(mpmath.mpc(got.value) - want) <= got.err < 1e-11
-    with pytest.raises(CapacityError, match=r"\|Im s\| <= 310"):
-        eta(1.0 + 310.5j)
+    for t, shown in ((310.5, "310.5"), (310.0001, "310.0001"), (-400.0, "400.0")):
+        with pytest.raises(CapacityError, match=rf"\|Im s\| = {shown} is beyond .* \|Im s\| <= 310$"):
+            eta(complex(1.0, t))
+
+
+@pytest.mark.parametrize("n", [38, 100, 348])
+def test_acceleration_weights_sum_the_geometric_series(n):
+    # the weights' defining property (Cohen, Rodriguez Villegas and Zagier):
+    # for a_k = x^k with x in [0, 1], exact weights c_k/d_n sum Σ (-x)^k =
+    # 1/(1 + x) to within 1/d_n, and each float weight adds at most its one
+    # rounding, u|w_k| x^k; all in exact rationals
+    weights, _, d = _chebyshev(n)
+    assert len(weights) == n and all(-1.0 <= w <= 1.0 for w in weights)
+    u = Fraction(EPS) / 2
+    exact = [Fraction(w) for w in weights]
+    for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+        powers = [x**k for k in range(n)]
+        got = sum(w * p for w, p in zip(exact, powers))
+        slack = Fraction(1, d) + u * sum(abs(w) * p for w, p in zip(exact, powers))
+        assert abs(got - 1 / (1 + x)) <= slack, x
+
+
+@pytest.mark.parametrize(
+    "s", [1 + 300j, 0.5 + 250j, 0.05 + 200j, 0.20637335016056724 + 167.39845804073536j]
+)
+def test_eta_radius_covers_rounded_arguments(s):
+    # the argument -s·log(k+1) of each term may err by 3u|s|log(k+1)
+    # (_eta_pair).  Shift every argument that far, each in the direction that
+    # moves the sum furthest along v, and recompute at 40 digits from the
+    # float weights and logs: the shift of the sum stays inside C's radius,
+    # and that of the log-weighted sum inside C''s
+    c, cp = _eta_pair(s)
+    weights, logs, _ = _chebyshev(38 + math.ceil(abs(s.imag)))
+    with mpmath.workdps(40):
+        S = mpmath.mpc(s)
+        terms = [mpmath.mpf(w) * mpmath.exp(-S * mpmath.mpf(ln)) for w, ln in zip(weights, logs)]
+        for v in (1, 1j, -1, -1j):
+            shift = shift_log = mpmath.mpc(0)
+            for t, ln in zip(terms, logs):
+                delta = 1.5 * EPS * abs(s) * ln * v * mpmath.conj(t) / abs(t)
+                moved = t * mpmath.expm1(delta)
+                shift += moved
+                shift_log += moved * ln
+            assert abs(shift) <= c.err, v
+            assert abs(shift_log) <= cp.err, v
 
 
 # constants(ComplexParameter(s, 0.5), X).err_budget for X = 1 and 1e4 under

@@ -242,6 +242,62 @@ def test_verify_special(table_small):
         bounds.verify_special(table_small, 100.0, 1.05)
 
 
+def _twin_lhs(table, theorem, X, q, param):
+    """A row's lhs at the working precision: its sums from the table's mu,
+    zeta, zeta' and the Euler factors from mpmath, and at s = 1 the limits
+    1/zeta = 0 and zeta'/zeta^2 = -1."""
+    import mpmath
+
+    fields = dict(item.split("=") for item in param.split(","))
+    scale = 1
+    if theorem in ("mqdex", "mcheckqdex"):
+        s = complex(fields["s"])
+    elif theorem == "mcheckqeps":
+        eps = float(fields["eps"])
+        s, scale = 1.0 + eps, mpmath.power(X, eps)
+    else:
+        s = float(fields["sigma"])
+    S, lx = mpmath.mpc(s), mpmath.log(X)
+    support = [k for k in range(1, int(X) + 1) if table.mu[k] and math.gcd(k, q) == 1]
+    terms = [int(table.mu[k]) * mpmath.power(k, -S) for k in support]
+    if s == 1.0:
+        invz, zz2 = 0, -1
+    else:
+        z = mpmath.zeta(S)
+        invz, zz2 = 1 / z, mpmath.zeta(S, derivative=1) / z**2
+    primes = Modulus.coerce(q).primes
+    pr = mpmath.fprod(1 / (1 - mpmath.power(p, -S)) for p in primes)
+    if theorem == "mqdex":
+        mq = mpmath.fsum(mpmath.mpf(int(table.mu[k])) / k for k in support)
+        return abs(mpmath.fsum(terms) - mq * mpmath.power(X, 1 - S) - pr * invz)
+    mc = mpmath.fsum(t * (lx - mpmath.log(k)) for t, k in zip(terms, support))
+    lps = mpmath.fsum(mpmath.log(p) / (mpmath.power(p, S) - 1) for p in primes)
+    return scale * abs(mc - pr * (lx * invz - zz2 - invz * lps))
+
+
+def test_complex_and_log_weighted_rows_against_a_40_digit_twin(monkeypatch):
+    # every row of bounds:dex, bounds:mcheckqeps and bounds:special at limit
+    # 1e3: its lhs lies within its radius, as bound_row receives it, of the
+    # same lhs recomputed at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    table = build_table(1000)
+    rows = []
+    real = bounds.bound_row
+
+    def recording(theorem_id, X, q, param, lhs, bound, lhs_err=0.0, **kw):
+        rows.append((theorem_id, X, q, param, lhs, lhs_err))
+        return real(theorem_id, X, q, param, lhs, bound, lhs_err, **kw)
+
+    monkeypatch.setattr(bounds, "bound_row", recording)
+    for name in ("dex", "mcheckqeps", "special"):
+        bounds.SUITES[name](table)
+    assert len(rows) == 95
+    with mpmath.workdps(40):
+        for theorem_id, X, q, param, lhs, lhs_err in rows:
+            twin = _twin_lhs(table, theorem_id, X, q, param)
+            assert abs(lhs - twin) <= lhs_err, (theorem_id, X, q, param)
+
+
 def test_special_scan(table_small):
     margin, arg = bounds.special_scan(table_small, 10_000, 1.0)
     assert margin > 0.0

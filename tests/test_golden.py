@@ -43,7 +43,13 @@ SUITES = (
     # golden CSV re-captured when util.expm1c took one cancellation-free
     # formula for complex z: 22 lhs cells (9 margins with them) of rows at s
     # off the real axis moved, each by at most 0.0056 of its row's lhs radius;
-    # no bound, verdict, label or row count moved
+    # no bound, verdict, label or row count moved.  Re-captured with the
+    # mcheckqeps and special CSVs when eta's weights became exact integer
+    # ratios, each rounded once: C and C' moved in their last bits, and so
+    # did every lhs and every dex bound (70, 64 and 12 lhs cells, 72 dex
+    # bounds), each lhs by at most 0.0096 of its row's lhs radius and each
+    # bound by at most 0.0040 of its bound radius; no verdict, label or row
+    # count moved
     "bounds:dex",
     "bounds:easy",
     "bounds:integral",
@@ -302,12 +308,16 @@ def _easy_scan_margins(table, n, q, k, sigma):
 
 
 # sha256 of the newline-joined repr of _scan_outputs(group, table_mid); "eps"
-# re-captured with the Stieltjes-series eps_zeta (values moved by <= 2.7e-15)
+# re-captured with the Stieltjes-series eps_zeta (values moved by <= 2.7e-15).
+# "eps" and "special" re-captured when eta's weights became exact integer
+# ratios, each rounded once, moving 1/zeta and zeta'/zeta^2 at real sigma in
+# their last bits: 32 of 72 and 12 of 12 results moved, the margins by at
+# most 1.1e-14 and 8.9e-16, and no argmin moved
 SCAN_PINS = {
     "easy": "414661b3ddd388b6dee7dc2ed2626bcf353a683f78accc3517de0848eb249638",
     "small_m": "54684de3cb3fc51586146fda5e1938b8c414f9820fcafe18b56c5d03b9487477",
-    "eps": "b1eca4ae246cf585e61eaaf01d0db46839b3b5564bad3c1d85b10d454b23e3a4",
-    "special": "08f96211aebe3bc0bffc8c0ac68c0446f45cd4ff5855ea1ce2774bb8314c9c4b",
+    "eps": "2ed548e30777a02a043fb53825ce77c41565e4b0eea29a7ffcd639791008c718",
+    "special": "42738f1ef1d86d98b3b2a8bcdb4889b296dec298994eb850b40750569555b3d5",
     "harmonic": "9500f8022f649a4d2278445396537e350b72d59a236b9b68f38e61fc3f17a653",
     "prefix": "66d369481cdd0b6d8ba2cc0cbaa5e2edf4c14fc96c23feb73be12467782948e5",
     "kernel": "60399f0f801925ef59a4f6c5e3ec47d00820656bdd40f45a3cd3037e47a4d92c",
@@ -420,8 +430,12 @@ def _analytic_outputs(table):
 # radius became a stated truncation plus rounding bound from one pass in
 # place of the drift between two depths, and 1 - 2^(1-s) and 2^(1-s) took
 # expm1c's bound and their argument's rounding: 94 items moved, 64 Approx
-# radii and 30 constants err_budget fields, and no value and no row
-ANALYTIC_PIN = "530414c2927013d4d8074b90b97bc0cffcccd2870d90b3a274f2cd432af881a6"
+# radii and 30 constants err_budget fields, and no value and no row; and
+# when eta's weights became exact integer ratios, each rounded once: C and
+# C' moved in their last bits, so 157 items moved (64 Approx, 3 values near
+# s = 1, 36 constants and 54 dex rows), every one but the five
+# zeta_inequalities and inv_zeta(1.0)'s exact 0, and no verdict moved
+ANALYTIC_PIN = "e4b1b28f652a0d3bfc46a5576177b7784c15883d5bea41f4eb9d4613df105668"
 
 
 def test_analytic_outputs_match_pin(table_mid):

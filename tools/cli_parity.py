@@ -64,6 +64,10 @@ INVOCATIONS = (
     *(("verify", "--theorem", name, "--X", "100,10000", "--q", "1,6", "--s",
        "0.5+200j,1+300j,0.3+30j,0.05+5j", "--sigma0", "0.01")
       for name in ("mcheckqdex", "mqdex")),
+    # the cap's edge: |Im s| = 310 sums at the largest depth, and 310.0001 is
+    # refused (exit 65)
+    *(("verify", "--theorem", "mcheckqdex", "--X", "100", "--s", s, "--sigma0", "0.5")
+      for s in ("1+310j", "1+310.0001j")),
     # 5e-12 from the zero 1 + 2πi/log 2 of 1 - 2^(1-s): ComplexParameter's
     # guard refuses it (exit 64)
     ("verify", "--theorem", "mqdex", "--X", "100", "--q", "1", "--s",
