@@ -16,16 +16,18 @@ the identity itself, not the integrator.
 
 The grid is generated one block at a time (_grid_blocks: at most BLOCK
 pieces, their cut points and logs, and [X/t], [t] on each), and nothing of
-it is kept: one pass over the blocks evaluates the pieces, and a catalog
-check adds its own integrals to the same pass.  The left side and the first
-integral go one BLOCK of n at a time.  Every sum is an util.ExactSum, fed
-one block at a time and rounded once at the end, so the result does not
-depend on the blocking and equals one fsum of all its terms, bit for bit.
-Per-piece log, exp and expm1 are libm's,
-taken element by element, and complex products and quotients are formed from
+it is kept: one pass over the blocks integrates both integrals, each piece's
+integral of t^c formed once for the two, and a catalog check adds its own
+integrals to the same pass, reading the engine's S_f.  Only the left side
+goes one BLOCK of n at a time.  Every sum is an util.ExactSum, fed one block
+at a time and rounded once at the end, so the result does not depend on the
+blocking and equals one fsum of all its terms, bit for bit.  Every log of
+a cut point or of X/n is libm's, and so are the per-piece exp and expm1,
+taken element by element; complex products and quotients are formed from
 real and imaginary parts as CPython forms them.  numpy's SIMD float64
-log/exp/expm1 and its complex multiply can differ from those in the last bit;
-this way every piece value is the scalar closed form's, bit for bit.
+log/exp/expm1 and its complex multiply can differ from those in the last
+bit, and between numpy's CPU dispatches; this way every piece value and
+every left-side term is the scalar closed form's, bit for bit.
 
 The shipped catalog covers the classical fractional-part identities plus a
 log-weighted variant and one Liouville instance whose published closed form
@@ -63,6 +65,8 @@ G_IDS = ("one", "alternating", "alternating_over_id")
 H_SMALL_IDS = ("dirac_at_1", "one", "two_id", "inverse_id", "power")
 H_BIG_IDS = ("id", "power", "id_log_variant", "power_log")
 
+# the grid of [1, X] has at most 2 [X] + 2 pieces; it keeps every distinct
+# cut at any X, so the cap guards memory only (lookups of [X] + 1 entries)
 _PIECE_CAP = 4_000_000
 
 
@@ -167,8 +171,8 @@ def _h_coeff_exponent(spec: IdentitySpec) -> tuple[complex, complex]:
 
 
 def _H(spec: IdentitySpec, t, lt):
-    """H(t) given lt = log t, for a scalar or an array t.  The left side
-    passes np.log, the pieces pass libm logs of the cut points."""
+    """H(t) given lt = log t, for a scalar or an array t; lt is libm's log,
+    or None where H is id, which reads none."""
     if spec.H_id == "id":
         return t
     if spec.H_id == "power":
@@ -282,18 +286,23 @@ def _grid_blocks(X: float):
     """The piece grid of [1, X], one _Block at a time.
 
     The cut points are 1, X, the integers and the X/m in [1, X], sorted and
-    distinct; a point within 64 EPS X of the distinct point before it is
-    dropped, as the sliver it would cut is an artifact of forming X/m in
-    floats.  The integers rise with k and the X/m as m falls, so a window
+    distinct.  The integers rise with k and the X/m as m falls, so a window
     takes the next BLOCK of each and keeps the BLOCK smallest distinct
     points: a run that goes on past the window gave it BLOCK distinct points,
     so no point of either run below the window's last is left for a later
-    window.  A window's first point is compared with the last distinct point
-    of the window before, kept or not.
+    window, and every point of a later window lies above it.
+
+    Every distinct float is a cut, at any X.  An exact coincidence X = m j
+    gives equal floats X/m and j, and the dedup keeps one.  With [X] below
+    2^31 two distinct X/m cannot round to one float: consecutive ones lie
+    1/(m + 1) of their size apart, and each is off by at most half an ulp.
+    An X/m and an integer j round to one float only when they lie within
+    half an ulp of j, so the sliver between them that the grid loses is
+    narrower than the rounding of the cut point itself, and so is its share
+    of any integral.
     """
     n = floor_int(X)
     k, m = 1, n  # the next integer and the next m
-    prev = -math.inf  # the last distinct point so far
     last = None  # the last cut point so far and its log
     while k <= n or m >= 1:
         ints = np.arange(k, min(k + BLOCK, n + 1), dtype=np.float64)
@@ -307,11 +316,7 @@ def _grid_blocks(X: float):
         pts = pts[(pts >= 1.0) & (pts <= X)]
         if pts.size == 0:
             continue
-        new = pts[np.diff(pts, prepend=prev) > 64.0 * EPS * X]
-        prev = pts[-1]
-        if new.size == 0:
-            continue
-        cuts, lt = new, _libm(math.log, new)
+        cuts, lt = pts, _libm(math.log, pts)
         if last is not None:
             cuts = np.concatenate(([last[0]], cuts))
             lt = np.concatenate(([last[1]], lt))
@@ -359,20 +364,16 @@ def evaluate_ofd(
 ) -> OfdResult:
     """Evaluate both sides of the master identity; residual = |lhs - rhs|.
 
-    visit(block), if given, is called on each grid block as well, so that a
-    catalog check sums its own integrals over the same pass; f, if given,
-    holds the f values up to [X], which the check has read already."""
+    visit(block, s_f), if given, is called on each grid block as well, with
+    s_f the engine's S_f at the integers up to [X], so that a catalog check
+    sums its own integrals over the same pass; f, if given, holds the f
+    values up to [X], which the check has read already."""
     n = _grid_size(table, X)
     if f is None:
         f = _f_values(table, spec, n)
     sf = np.cumsum(f)  # S_f at integers
-    sfg = convolution_prefix(table, spec, n)
     dirac = spec.h_id == "dirac_at_1"
-    if dirac:
-        gd = _g_values(spec.g_id, n)
-    else:
-        coeff, a = _h_coeff_exponent(spec)
-        c = -a - 1.0
+    gd = _g_values(spec.g_id, n) if dirac else None
 
     # (real, imaginary) sums of the left side, i1 and i2; the point-mass
     # term; and the mass, |x| summed over every real x summed in them
@@ -384,29 +385,26 @@ def evaluate_ofd(
             total.add(x)
             mass.add(np.abs(x))
 
-    # the left side and the first integral, one BLOCK of n at a time
+    # the left side and the point-mass term, one BLOCK of n at a time
     for lo in range(1, n + 1, BLOCK):
         hi = min(lo + BLOCK, n + 1)
         t = X / np.arange(lo, hi, dtype=np.float64)
-        add(lhs, f[lo:hi] * _H(spec, t, np.log(t)))
+        lt = None if spec.H_id == "id" else _libm(math.log, t)  # id reads no log
+        add(lhs, f[lo:hi] * _H(spec, t, lt))
         if dirac:
             # the point mass at n/t = 1 contributes g(n) S_f(X/n) for each n <= X
             add(sub, gd[lo:hi] * sf[_floor_array(t).clip(0, n)])
-        else:
-            # h(1/t)/t = coeff * t^c; S_{f*g}(X/t) = sfg[m] on (X/(m+1), X/m]
-            x_m = X / np.arange(lo, hi + 1, dtype=np.float64)
-            top, bot = x_m[:-1], np.maximum(1.0, x_m[1:])
-            on = top > bot
-            bot = bot[on]
-            ip = _int_pow(c, _libm(math.log, bot), _libm(math.log, top[on] / bot))
-            add(i1, (coeff * sfg[lo:hi][on]) * ip)
-    first = complex(sfg[n]) if dirac else complex(*map(float, i1))
     left = complex(*map(float, lhs)) - complex(_H(spec, 1.0, 0.0)) * complex(sf[n])
-    del f, sfg
+    del f, gd
+    sfg = convolution_prefix(table, spec, n)  # S_{f*g} at integers
     if not dirac:
+        coeff, a = _h_coeff_exponent(spec)
+        c = -a - 1.0
         ga = _power_prefix(spec.g_id, a, n)
 
-    # right-side second integral over the pieces where S_f(X/t) != 0
+    # both integrals over the pieces: on each, S_{f*g}(X/t) = sfg[m],
+    # S_f(X/t) = sf[m] and h(1/t)/t = coeff * t^c; the second integral is
+    # summed where S_f(X/t) != 0
     pieces = 0
     for blk in _grid_blocks(X):
         pieces += blk.m.size
@@ -416,13 +414,15 @@ def evaluate_ofd(
         s_f = s_f[live]
         part = s_f * (Hc[1:] - Hc[:-1])[live]
         if not dirac:
+            ip = _int_pow(c, blk.lt[:-1], blk.lr)
+            add(i1, (coeff * sfg[blk.m]) * ip)
             gsum = ga[blk.k[live]]
-            ip = _int_pow(c, blk.lt[:-1][live], blk.lr[live])
-            part = np.where(gsum != 0.0, part - _cmul((s_f * coeff) * gsum, ip), part)
+            part = np.where(gsum != 0.0, part - _cmul((s_f * coeff) * gsum, ip[live]), part)
         add(i2, part)
         if visit is not None:
-            visit(blk)
+            visit(blk, sf)
 
+    first = complex(sfg[n]) if dirac else complex(*map(float, i1))
     second = complex(*map(float, i2))
     if dirac:
         second -= complex(float(sub[0]))
@@ -464,31 +464,25 @@ CATALOG_SPECS = {
 CATALOG_NAMES = tuple(CATALOG_SPECS) + ("daval_general",)
 
 
-def _mertens(table: ArithmeticTable, n: int) -> np.ndarray:
-    """M(k) for k <= n, as floats (integers below 2^53, so exact)."""
-    return np.cumsum(table.mu[: n + 1], dtype=np.float64)
-
-
-def _floor_over_t(table: ArithmeticTable, n: int, total: ExactSum):
+def _floor_over_t(total: ExactSum):
     """A grid visitor that adds to total the integral of [X/t] M(t) dt/t
-    (equal, after t -> X/t, to the integral of [t] M(X/t) dt/t)."""
-    mert = _mertens(table, n)
+    (equal, after t -> X/t, to the integral of [t] M(X/t) dt/t); the engine's
+    S_f is M."""
     # integrand m * M([t]) / t after the substitution t -> X/t: the original
     # variable u = X/t runs the same pieces mirrored
-    return lambda b: total.add(b.m * mert[b.k] * b.lr)
+    return lambda b, mert: total.add(b.m * mert[b.k] * b.lr)
 
 
-def _gamma_brackets(table: ArithmeticTable, n: int, printed: ExactSum, fixed: ExactSum):
+def _gamma_brackets(n: int, printed: ExactSum, fixed: ExactSum):
     """A grid visitor that adds to printed the integral of M(X/t) (log t +
     gamma + 1/t - HarmSum([t])) dt, and to fixed the same with +1 in place
-    of +1/t."""
-    mert = _mertens(table, n)
+    of +1/t; the engine's S_f is M."""
     harm = np.zeros(n + 1)  # harmonic numbers up to n
     inv = np.arange(1.0, n + 1.0)
     np.divide(1.0, inv, out=inv)
     np.cumsum(inv, out=harm[1:])
 
-    def visit(b: _Block) -> None:
+    def visit(b: _Block, mert: np.ndarray) -> None:
         width = b.hi - b.lo
         tlt = b.cuts * b.lt - b.cuts  # t log t - t at each cut point
         base = (tlt[1:] - tlt[:-1]) + GAMMA * width
@@ -500,16 +494,13 @@ def _gamma_brackets(table: ArithmeticTable, n: int, printed: ExactSum, fixed: Ex
     return visit
 
 
-def _liouville_integrals(
-    liou: np.ndarray, X: float, frac: ExactSum, lam: ExactSum, floor: ExactSum
-):
+def _liouville_integrals(X: float, frac: ExactSum, lam: ExactSum, floor: ExactSum):
     """A grid visitor that adds to frac and lam the two integrals of the
     printed form, int {X/t} dt/t^2 and int S_lam(X/t) {t} dt/t, and to floor
     the raw right side with S_{lam*1}(X/t) replaced by [X/t], as published;
-    liou holds lambda up to [X]."""
-    s_lam = np.cumsum(liou, dtype=np.float64)
+    the engine's S_f is S_lam."""
 
-    def visit(b: _Block) -> None:
+    def visit(b: _Block, s_lam: np.ndarray) -> None:
         m_lr = b.m * b.lr  # [X/t]/t on the piece, integrated
         # {X/t}/t = X/t^2 - [X/t]/t on the piece
         frac.add(X * (1.0 / b.lo - 1.0 / b.hi) - m_lr)
@@ -584,7 +575,7 @@ def catalog_check(
         rhs = -1.0 + X * mval
     elif name == "elmarraki":
         total = ExactSum()
-        ofd = evaluate_ofd(table, spec, X, visit=_floor_over_t(table, n, total))
+        ofd = evaluate_ofd(table, spec, X, visit=_floor_over_t(total))
         lhs = float(total)
         rhs = math.log(X)
     elif name == "macleod":
@@ -599,9 +590,7 @@ def catalog_check(
         rhs = X * mval - Mval - 2.0 + 2.0 / X
     elif name == "euler_gamma":
         printed, fixed = ExactSum(), ExactSum()
-        ofd = evaluate_ofd(
-            table, spec, X, visit=_gamma_brackets(table, n, printed, fixed)
-        )
+        ofd = evaluate_ofd(table, spec, X, visit=_gamma_brackets(n, printed, fixed))
         lhs = m_check_q(table, X, 1) + GAMMA * (mval - Mval / X)
         rhs = 1.0 - 1.0 / X + float(printed) / X
         rhs_fixed = 1.0 - 1.0 / X + float(fixed) / X
@@ -610,11 +599,11 @@ def catalog_check(
             "printed bracket carries 1/t; replacing it by the constant 1 "
             "(alt_residual) matches the raw identity"
         )
-    elif name == "liouville":
+    else:  # liouville
         # lambda is sieved once, for the pass and both sides
         liou = table.liouville(0, n + 1)
         frac, lam, floor = ExactSum(), ExactSum(), ExactSum()
-        visit = _liouville_integrals(liou, X, frac, lam, floor)
+        visit = _liouville_integrals(X, frac, lam, floor)
         ofd = evaluate_ofd(table, spec, X, visit=visit, f=liou.astype(np.float64))
         lam_over_n = _sum_over_n(n, lambda nn, sl: liou[sl] / nn)
         lhs = lam_over_n - _sum_over_n(n, lambda nn, sl: liou[sl]) / X
@@ -626,8 +615,6 @@ def catalog_check(
             "of the square-counting prefix both deviate from the raw "
             "identity (alt_residual tracks the floor reading)"
         )
-    else:
-        raise ValueError(f"unknown catalog name {name!r}")
 
     return CatalogReport(
         name=name,

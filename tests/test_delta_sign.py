@@ -4,18 +4,13 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-import mobius_bounds
 from mobius_bounds import delta_sign
 from mobius_bounds.arith import Modulus, build_table
 from mobius_bounds.util import CapacityError
@@ -147,29 +142,12 @@ def report(moduli):
 """
 
 
-def test_closed_forms_do_not_depend_on_numpy_dispatch():
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    features = [
-        f for f in umath.__cpu_dispatch__
-        if (f.startswith("AVX512") or f == "X86_V4") and umath.__cpu_features__.get(f)
-    ]
-    if not features:
-        pytest.skip("numpy reports no AVX512 dispatch on this machine")
+def test_closed_forms_do_not_depend_on_numpy_dispatch(without_avx512):
     scope = {}
     exec(_DISPATCH_PROBE, scope)
     want = scope["report"](MODULI)
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
-    src = str(Path(mobius_bounds.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = _DISPATCH_PROBE + f"\nprint(report({MODULI!r}), end='')"
-    child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout == want
+    assert without_avx512(code) == want
 
 
 def test_interval_max_frozen(table_small):

@@ -148,7 +148,13 @@ def test_certificates_round_trip_and_replay(table_mid):
 
 IDENTITY_GRID = "1,2.5,2.718281828459045,10,100,1000,12345.678"
 
-# golden file stem -> (arguments after "identity", exit code)
+# golden file stem -> (arguments after "identity", exit code).  The
+# elmarraki, macleod, euler_gamma, liouville, daval_general and
+# euler_gamma_X100000 files were re-captured when the first integral moved
+# onto the grid's pieces: 12 of their 113 rows moved, each an identity-ofd
+# row's lhs and margin (daval_general's identity-printed row with it, as its
+# value is the raw residual), each residual by at most 0.039 of its radius
+# 16 EPS mass; no verdict, label, row count or exit code moved
 IDENTITY_RUNS = {
     "identity_meissel": (["--name", "meissel", "--X", IDENTITY_GRID], 0),
     "identity_elmarraki": (["--name", "elmarraki", "--X", IDENTITY_GRID], 0),
@@ -175,8 +181,13 @@ def test_identity_csv_matches_golden(stem, capsys):
 # _ofd_spec_grid() x (7.3, 2000.0): pins i1, i2 and mass, which rows omit.
 # Re-captured when util.expm1c took one cancellation-free formula for
 # complex z: 8 of the 80 items moved, all at s = 0.5+14j, with lhs and mass
-# unchanged and i1, i2 each by at most 5e-4 of residual_err
-OFD_GRID = "906133e0d217756fcbbfc7a7fb6f0b6d583f7e692d0f23438986c6b70fce7edd"
+# unchanged and i1, i2 each by at most 5e-4 of residual_err.  Re-captured
+# when i1 moved onto the grid's pieces and the left side took libm's log:
+# 41 items moved, i1 in 38 (by at most 0.034 of residual_err, with mass in
+# 12 of them), lhs in 2 (H = power, by 5.4e-6 of residual_err); i2 and the
+# piece counts did not move, and the digest is now the same under numpy's
+# AVX512 and baseline dispatch
+OFD_GRID = "ec381e72ac95beabfcd2ea4c8fe5e7c322586973c2f9ab56b69bfc20f143f750"
 
 
 def _ofd_spec_grid():
@@ -189,13 +200,26 @@ def _ofd_spec_grid():
     return specs
 
 
-def test_ofd_spec_grid_matches_golden(table_small):
+def _ofd_spec_grid_digest(table) -> str:
     text = "\n".join(
-        repr(evaluate_ofd(table_small, spec, X))
-        for spec in _ofd_spec_grid()
-        for X in (7.3, 2000.0)
+        repr(evaluate_ofd(table, spec, X)) for spec in _ofd_spec_grid() for X in (7.3, 2000.0)
     )
-    assert hashlib.sha256(text.encode()).hexdigest() == OFD_GRID
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_ofd_spec_grid_matches_golden(table_small):
+    assert _ofd_spec_grid_digest(table_small) == OFD_GRID
+
+
+def test_ofd_spec_grid_does_not_depend_on_numpy_dispatch(without_avx512):
+    """The factory takes its logs of cut points and of X/n from libm, so
+    the pin holds with numpy's AVX512 dispatch off as well."""
+    code = (
+        "from mobius_bounds.arith import build_table\n"
+        "from test_golden import _ofd_spec_grid_digest\n"
+        "print(_ofd_spec_grid_digest(build_table(10_000)), end='')"
+    )
+    assert without_avx512(code) == OFD_GRID
 
 
 # sha256 of the newline-joined repr(evaluate_ofd(table_mid, spec, 40000.0))
@@ -203,8 +227,12 @@ def test_ofd_spec_grid_matches_golden(table_small):
 # of 2^15, so a fault at a block or slice edge of the piece integration moves
 # i1, i2 or mass (OFD_GRID stops below one block).  Re-captured when
 # util.expm1c took one cancellation-free formula for complex z: only the
-# s = 2+1j item moved, lhs and mass unchanged, i2 by 0.021 of residual_err
-OFD_BLOCKS = "90c2640ed6ce876486bce4b759e68a677dc39a96f7ee23b7a5e785595f95a633"
+# s = 2+1j item moved, lhs and mass unchanged, i2 by 0.021 of residual_err.
+# Re-captured when i1 moved onto the grid's pieces: 4 of the 7 items moved,
+# i1 in elmarraki, euler_gamma and liouville (by at most 0.067 of
+# residual_err) and mass in euler_gamma and at s = 2+1j (by at most 7e-16
+# of itself); lhs, i2 and the piece counts did not move
+OFD_BLOCKS = "731f6687c196f800a3654375d25cc70d3a9cc81aada2a3349eb3784f85ace5c8"
 
 
 def test_ofd_across_blocks_matches_golden(table_mid):

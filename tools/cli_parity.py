@@ -82,6 +82,12 @@ INVOCATIONS = (
     *(("identity", "--name", name, "--X", "100") for name in IDENTITIES),
     # the piece integrals' expm1c at complex c + 1 (identities._int_pow)
     ("identity", "--name", "daval_general", "--X", "1000", "--s", "2+1j,1.0001+0.0003j"),
+    # three grid blocks through every grid visitor, the point-mass path past
+    # one block of n, and a complex and a real integral of t^c over three blocks
+    *(("identity", "--name", name, "--X", "40000.5")
+      for name in ("elmarraki", "euler_gamma", "liouville")),
+    ("identity", "--name", "meissel", "--X", "100000"),
+    ("identity", "--name", "daval_general", "--X", "40000.5", "--s", "0.5+14j,1.5"),
     ("delta-sign", "--q", "1,2", "--X0", "10.8"),
     ("delta-sign", "--q", "1", "--X0", "20", "--cap", "0.014"),
     ("harmonic", "--x-max", "1000"),
