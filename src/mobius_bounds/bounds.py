@@ -242,12 +242,17 @@ def delta_q(
     at s = 1+eps, assembled term-wise through expm1 so nothing cancels;
     eps = 0: the limit m_check_q([X]) - q/phi(q) + m_q([X]) log(X/[X]).
     """
-    from .delta_sign import IntervalKernel, interval_weights
-
     _defect_domain(X, eps)
     qm = Modulus.coerce(q)
-    kernel = IntervalKernel(*interval_weights(table, floor_int(X), qm), math.log(X), qm)
-    return DeltaValue(X=X, q=qm.q, eps=eps, value=kernel.at(eps))
+    return DeltaValue(X=X, q=qm.q, eps=eps, value=_defect_kernel(table, X, qm).at(eps))
+
+
+def _defect_kernel(table: ArithmeticTable, X: float, qm: Modulus):
+    """The delta_sign.IntervalKernel of Delta_q(X, eps)/X^eps at this X: the
+    counting sums at [X], read at y = X."""
+    from .delta_sign import IntervalKernel, interval_weights
+
+    return IntervalKernel(*interval_weights(table, floor_int(X), qm), math.log(X), qm)
 
 
 def mqeps_bound(X, q: Modulus | int, eps: float):
@@ -269,24 +274,25 @@ def verify_mqeps(
     table: ArithmeticTable, X: float, q: Modulus | int, eps: float
 ) -> BoundRow:
     """|Delta_q(X,eps)/X^eps| against its envelope, plus the companion
-    lower bound m_q(X;sigma) >= m_q(X)/X^(sigma-1) folded into the verdict."""
+    lower bound m_q(X;sigma) >= m_q(X)/X^(sigma-1) folded into the verdict.
+    One kernel serves both: the exactly rounded sum of its weights is m_q(X)
+    bit for bit, and is m_q(X; 1) too, so only eps > 0 sums m_q(X; 1+eps)."""
     qm = Modulus.coerce(q)
-    dv = delta_q(table, X, qm, eps)
+    _defect_domain(X, eps)
+    kernel = _defect_kernel(table, X, qm)
     lhs_err = 64.0 * EPS * (1.0 + math.log(X)) * (1.0 + qm.q_over_phi)
     bound = mqeps_bound(X, qm, eps)
-    row = _row("mqeps", X, qm.q, f"eps={label_num(eps)}", abs(dv.value), bound, lhs_err)
-    m_plain = m_q(table, X, qm)
-    m_shift = m_q_s(table, X, qm, 1.0 + eps).real
+    row = _row("mqeps", X, qm.q, f"eps={label_num(eps)}", abs(kernel.at(eps)), bound, lhs_err)
     if eps == 0.0:
-        # both sides are the same fsum, term for term: compare exactly
-        lower = cert_le(as_approx(m_plain), as_approx(m_shift))
-    else:
-        # error stems from the exp(-eps log n) factors; none exist at X = 1
-        tiny = 32.0 * EPS * math.log(X) * (1.0 + eps)
-        lower = cert_le(
-            as_approx(m_plain * math.exp(-eps * math.log(X)), tiny),
-            as_approx(m_shift, tiny),
-        )
+        return row
+    m_plain = fsum_blocks(kernel.w)
+    m_shift = m_q_s(table, X, qm, 1.0 + eps).real
+    # error stems from the exp(-eps log n) factors; none exist at X = 1
+    tiny = 32.0 * EPS * math.log(X) * (1.0 + eps)
+    lower = cert_le(
+        as_approx(m_plain * math.exp(-eps * math.log(X)), tiny),
+        as_approx(m_shift, tiny),
+    )
     return replace(row, verdict=combine_verdicts(row.verdict, lower))
 
 

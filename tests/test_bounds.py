@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobius_bounds import bounds
+from mobius_bounds import arith, bounds, delta_sign
 from mobius_bounds.analytic import ComplexParameter, constants
 from mobius_bounds.arith import (
     Modulus,
@@ -176,6 +176,25 @@ def test_verify_mqeps_passes(table_small):
             for eps in (0.0, 0.01, 0.3, 1.0):
                 row = bounds.verify_mqeps(table_small, X, q, eps)
                 assert row.verdict == PASS, (X, q, eps)
+
+
+@pytest.mark.parametrize("eps, selections", [(0.0, 1), (0.05, 2)])
+def test_verify_mqeps_selects_the_support_once_per_sum(table_small, monkeypatch, eps,
+                                                        selections):
+    """One verify_mqeps row builds one kernel: its weights give |Delta| and
+    m_q(X), so the mu support is selected once, and once more for
+    m_q(X; 1+eps) at eps > 0 only."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return mu_support(*args)
+
+    monkeypatch.setattr(arith, "mu_support", counting)
+    monkeypatch.setattr(delta_sign, "mu_support", counting)
+    row = bounds.verify_mqeps(table_small, 9999.5, 30, eps)
+    assert row.verdict == PASS
+    assert calls == [9999] * selections
 
 
 def test_verify_mcheckqeps_passes_and_guards(table_small):

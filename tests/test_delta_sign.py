@@ -587,9 +587,28 @@ def test_caps_scan_frozen(table_small):
     assert scan.grid_max == pytest.approx(0.0030213400425418424, abs=1e-15)
     assert (scan.arg_n, scan.arg_eps) == (29, 0.0)
     assert scan.grid_max <= scan.rigorous_cap <= 0.014
+    # the pair rule's pad on the grid, plus the 1e-9 budget, proves each published cap
+    assert scan.rigorous_cap == pytest.approx(0.0030256376417969375 + 1e-9, abs=1e-12)
+    pads = {11: -8.011180762014351e-05, 13: -7.808007023221597e-05, 17: -0.00011410013400443424}
     for q in (11, 13, 17):
         s = caps_scan(table_small, q, 46.999)
         assert s.grid_max <= 5e-5, (q, s.grid_max)
+        assert s.rigorous_cap == pytest.approx(pads[q] + 1e-9, abs=1e-12), q
+        assert s.grid_max <= s.rigorous_cap < 5e-5, q
+
+
+@pytest.mark.parametrize("q, x_max", [(1, 47.0), (11, 46.999)])
+def test_caps_scan_rigorous_cap_dominates_samples(table_small, q, x_max):
+    """The defect at seeded (N, eps) off the grid stays at or below the
+    rigorous cap.  Sampling cannot see an understated M2 (the pair rule's
+    soundness rests on test_curvature_bound_against_mpmath); this checks
+    the pad's assembly."""
+    cap = caps_scan(table_small, q, x_max).rigorous_cap
+    rng = random.Random(41)
+    for _ in range(48):
+        N = rng.randrange(1, 47)
+        t = interval_max(table_small, N, q, rng.random(), x_hi=min(N + 1.0, x_max))
+        assert t <= cap, (q, N, t, cap)
 
 
 def test_caps_scan_checks_x_max_before_any_interval(monkeypatch):

@@ -19,7 +19,7 @@ from mobius_bounds.identities import (
     evaluate_ofd,
 )
 from mobius_bounds import identities
-from mobius_bounds.arith import build_table
+from mobius_bounds.arith import ArithmeticTable, build_table
 from mobius_bounds.util import BLOCK, EPS, CapacityError, expm1c, floor_int
 
 X_GRID = (1.0, 1.5, 2.0, math.e, 10.0, 100.0, 1000.0)
@@ -83,6 +83,36 @@ def test_daval_general_default(table_small):
     rep = catalog_check(table_small, "daval_general", 50.0)
     assert abs(rep.ofd_residual) <= 1e-9
     assert rep.name in CATALOG_NAMES
+
+
+def _ofd_residual_and_radius(table, name, arg):
+    """(residual, radius) of a catalog name's OFD check at X = arg, or, for
+    name "power", of h = H = power at s = arg and X = 100."""
+    if name == "power":
+        res = evaluate_ofd(table, IdentitySpec("mobius", "one", "power", "power", s=arg), 100.0)
+        return res.residual, res.residual_err
+    rep = catalog_check(table, name, arg)
+    return rep.ofd_residual, rep.ofd_err
+
+
+@pytest.mark.parametrize("name, arg", [
+    *itertools.product(("meissel", "elmarraki", "macleod", "euler_gamma", "daval_general"),
+                       (100.0, 1000.0)),
+    *(("power", s) for s in (1.5, 3.0, 2 + 1j)),
+])
+def test_ofd_check_fails_on_a_corrupted_mu(name, arg):
+    """The OFD checks can fail: on a copy of the table with mu(7) negated,
+    each reads a residual above 1e6 times its clean radius, while the clean
+    residual stays within it.  liouville is left out: it reads lambda from
+    a fresh sieve, so a flip in the table's mu cannot reach it."""
+    clean = build_table(2000)
+    mu = clean.mu.copy()
+    mu[7] = -mu[7]
+    bad = ArithmeticTable(clean.limit, mu, clean.prime_powers, clean.prime_power_logs)
+    residual, radius = _ofd_residual_and_radius(clean, name, arg)
+    assert abs(residual) <= radius
+    wrong, _ = _ofd_residual_and_radius(bad, name, arg)
+    assert abs(wrong) > 1e6 * radius, wrong
 
 
 def test_catalog_guards(table_small):
