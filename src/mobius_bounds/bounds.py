@@ -275,24 +275,22 @@ def verify_mqeps(
 ) -> BoundRow:
     """|Delta_q(X,eps)/X^eps| against its envelope, plus the companion
     lower bound m_q(X;sigma) >= m_q(X)/X^(sigma-1) folded into the verdict.
-    One kernel serves both: the exactly rounded sum of its weights is m_q(X)
-    bit for bit, and is m_q(X; 1) too, so only eps > 0 sums m_q(X; 1+eps)."""
+    One kernel serves both, read once: t = S - M from its kernel sum S and
+    the main term M.  The lhs radius is S's stated r_S, plus M's
+    MAIN_TERM_REL_ERR and EPS |t| for the subtraction.  eps·S is
+    m_q(X; 1+eps) - m_q(X) X^(-eps) exactly, so at eps > 0 the companion is
+    S >= 0, decided within r_S with no cancelling difference; at eps = 0
+    both sides are m_q(X) and it holds with equality."""
+    from .delta_sign import MAIN_TERM_REL_ERR, main_term
+
     qm = Modulus.coerce(q)
     _defect_domain(X, eps)
     kernel = _defect_kernel(table, X, qm)
-    lhs_err = 64.0 * EPS * (1.0 + math.log(X)) * (1.0 + qm.q_over_phi)
+    s, m, r_s = kernel.sum_at(eps), main_term(qm, eps), kernel.sum_radius(eps)
+    lhs_err = r_s + MAIN_TERM_REL_ERR * m + EPS * abs(s - m)
     bound = mqeps_bound(X, qm, eps)
-    row = _row("mqeps", X, qm.q, f"eps={label_num(eps)}", abs(kernel.at(eps)), bound, lhs_err)
-    if eps == 0.0:
-        return row
-    m_plain = fsum_blocks(kernel.w)
-    m_shift = m_q_s(table, X, qm, 1.0 + eps).real
-    # error stems from the exp(-eps log n) factors; none exist at X = 1
-    tiny = 32.0 * EPS * math.log(X) * (1.0 + eps)
-    lower = cert_le(
-        as_approx(m_plain * math.exp(-eps * math.log(X)), tiny),
-        as_approx(m_shift, tiny),
-    )
+    row = _row("mqeps", X, qm.q, f"eps={label_num(eps)}", abs(s - m), bound, lhs_err)
+    lower = cert_le(0.0, as_approx(s, r_s)) if eps > 0.0 else PASS
     return replace(row, verdict=combine_verdicts(row.verdict, lower))
 
 

@@ -10,7 +10,11 @@ chain from eps = 0 to eps_max whose pair bounds all stay at or below
 cap - error_budget proves Delta_q(X, eps)/X^eps <= cap on the interval;
 cap = 0 is the sign claim.  caps_scan reads the same kernel on a fixed eps
 grid and pads it by the same pair rule, so the scaled defect has one
-evaluator (IntervalKernel) and one pad (pair_bound with M2).
+evaluator (IntervalKernel) and one pad (pair_bound with M2).  The
+evaluator's value is two parts composed, t = S - M: the kernel sum S over
+the support, which states its rounding radius r_S, and the main term M
+(main_term), which does not depend on the interval; caps_scan forms M once
+per grid point, and bounds.verify_mqeps reads S, r_S and M from one kernel.
 
 The main term's share of M2 is a closed form: interval arithmetic on
 enclosures of eps·zeta(1+eps) and its first two derivatives over
@@ -38,7 +42,7 @@ import numpy as np
 from .analytic import eps_zeta, eps_zeta_enclosure, eps_zeta_grid, phi_ratio
 from .arith import ArithmeticTable, Modulus, mu_support
 from .reports import BoundRow, bound_row, label_num
-from .util import CapacityError, floor_int, fsum_blocks
+from .util import EPS, CapacityError, floor_int, fsum_blocks
 
 CERTIFIED = "certified_nonpositive"
 FAILED = "fail"
@@ -212,17 +216,50 @@ def interval_weights(
     return w, np.log(k)
 
 
+def main_term(qm: Modulus, eps: float) -> float:
+    """M(eps) = q^s/(phi_s(q) eps zeta(s)) at s = 1+eps, and q/phi(q) at
+    eps = 0: the main term of the scaled defect, within MAIN_TERM_REL_ERR
+    of its value."""
+    return qm.q_over_phi if eps == 0.0 else phi_ratio(qm, 1.0 + eps) / eps_zeta(eps)
+
+
+# main_term's relative radius: eps_zeta's stated 1.2e-14 (its value F is at
+# least 1, so this bounds F's relative error too), plus _ROUNDING for
+# phi_ratio's libm calls and products and the one division
+MAIN_TERM_REL_ERR = 1.2e-14 + _ROUNDING
+
+
 class IntervalKernel:
     """Delta_q(y, eps)/y^eps as a function of eps, the counting sums frozen
-    at N = [y]:
+    at N = [y]: the kernel sum less the main term, t = S - M, with
 
-        sum_n w_n (n^(-eps) - y^(-eps))/eps - (q^s/phi_s(q))/(eps zeta(s)),
+        S(eps) = sum_n w_n (n^(-eps) - y^(-eps))/eps,   M = main_term(q, eps),
 
-    s = 1+eps, with w and ln = log n as from interval_weights, assembled
-    through expm1 so the 1/eps pieces never cancel in floats.  At eps = 0
-    the kernel degenerates to log(y/n) and the main term to q/phi(q); small
-    eps > 0 stays on the expm1 route, so each value is the defect at its
-    own eps rather than a copy of the eps = 0 value.
+    w and ln = log n as from interval_weights.  S is assembled through
+    expm1 so the 1/eps pieces never cancel in floats; at eps = 0 it is
+    sum_n w_n log(y/n), and small eps > 0 stays on the expm1 route, so each
+    value is the defect at its own eps rather than a copy of the eps = 0
+    value.  eps·S = m_q(y; 1+eps) - m_q(y) y^(-eps) exactly.
+
+    sum_radius states S's rounding radius r_S.  It assumes that np.log,
+    np.expm1, math.log and math.expm1 are each within 2 ulps (2 EPS
+    relative) of the true value; numpy's own accuracy tests hold its
+    float64 log and expm1 to 1 ulp of the correctly rounded value.  With
+    l = log n <= L = log y and u = EPS/2, per term: log n errs by 2 EPS l;
+    the product -eps·l adds u, so it errs by 2.6 EPS eps l; expm1 is
+    1-Lipschitz for arguments <= 0 and adds 2 EPS |expm1| <= 2 EPS eps l,
+    4.7 EPS eps l in all, and the y-term 4.7 EPS eps L likewise (log_y
+    taken as log y within 2 ulps); their difference rounds by u eps L; so
+    the numerator errs by 9.91 EPS eps L, and after /eps and *w, each
+    rounding u of a value below L (and w = mu(n)/n's own rounding u),
+    the term errs by 11.5 EPS |w| L.  The exactly rounded sum adds
+    u |S| <= u L sum|w|, and sum|w| <= sum_{n<=N} 1/n <= 1 + L.  At
+    eps = 0 the term w (log y - log n) errs by 5.6 EPS |w| L.  In all
+    under 12.1 EPS L (1 + L), so r_S = 16 EPS L (1 + L) in the normal range.  Where a product -eps·l
+    underflows, it rounds by at most 2^-1075 and its expm1 by 2 ulps of
+    2^-1074, and the subtraction of subnormals is exact: under 2^-1071 a
+    term, so r_S adds (1 + L) 2^-1070/eps at eps > 0.  At y = 1 (L = 0)
+    every term is an exact 0, and so is r_S.
     """
 
     __slots__ = ("w", "ln", "log_y", "qm")
@@ -230,39 +267,49 @@ class IntervalKernel:
     def __init__(self, w: np.ndarray, ln: np.ndarray, log_y: float, qm: Modulus):
         self.w, self.ln, self.log_y, self.qm = w, ln, log_y, qm
 
-    def at(self, eps: float) -> float:
+    def sum_at(self, eps: float) -> float:
+        """S(eps), one exactly rounded sum."""
         if eps == 0.0:
-            return fsum_blocks(self.w * (self.log_y - self.ln)) - self.qm.q_over_phi
+            return fsum_blocks(self.w * (self.log_y - self.ln))
         r = np.expm1(-eps * self.ln)
         r -= math.expm1(-eps * self.log_y)
         r /= eps
         r *= self.w
-        return fsum_blocks(r) - phi_ratio(self.qm, 1.0 + eps) / eps_zeta(eps)
+        return fsum_blocks(r)
 
-    def at_each(self, eps: list[float]) -> list[float]:
-        """[at(e) for e in eps], bit for bit, in 2-D batches of at most
-        _BATCH entries: each entry meets at()'s elementwise operations in
-        at()'s order, and numpy rounds each entry alone whatever the array's
-        shape; the y-term and the main term are the same scalar calls, and
-        each row is one exactly rounded sum.  A support longer than _BATCH
-        gains nothing from a batch, and takes at() one eps at a time."""
+    def sum_each(self, eps: list[float]) -> list[float]:
+        """[sum_at(e) for e in eps], bit for bit, in 2-D batches of at most
+        _BATCH entries: each entry meets sum_at()'s elementwise operations
+        in sum_at()'s order, and numpy rounds each entry alone whatever the
+        array's shape; the y-term is the same scalar call, and each row is
+        one exactly rounded sum.  A support longer than _BATCH gains nothing
+        from a batch, and takes sum_at() one eps at a time."""
         if self.w.size > _BATCH:
-            return [self.at(x) for x in eps]
-        rows, qm = _BATCH // self.w.size, self.qm
+            return [self.sum_at(x) for x in eps]
+        rows = _BATCH // self.w.size
         out = []
         for lo in range(0, len(eps), rows):
             e = eps[lo : lo + rows]
-            d = np.array([x or 1.0 for x in e])[:, None]  # eps = 0 rows take at(0.0)
+            d = np.array([x or 1.0 for x in e])[:, None]  # eps = 0 rows take sum_at(0.0)
             r = np.expm1(-d * self.ln)
             r -= np.array([math.expm1(-x * self.log_y) for x in e])[:, None]
             r /= d
             r *= self.w
-            out += [
-                self.at(0.0) if x == 0.0
-                else math.fsum(row) - phi_ratio(qm, 1.0 + x) / eps_zeta(x)
-                for row, x in zip(r.tolist(), e)
-            ]
+            out += [self.sum_at(0.0) if x == 0.0 else math.fsum(row)
+                    for row, x in zip(r.tolist(), e)]
         return out
+
+    def sum_radius(self, eps: float) -> float:
+        """r_S at eps: |sum_at(eps) - S(eps)| <= r_S, as derived above."""
+        ly = self.log_y
+        return (1.0 + ly) * (16.0 * EPS * ly + (2.0**-1070 / eps if eps and ly else 0.0))
+
+    def at(self, eps: float) -> float:
+        return self.sum_at(eps) - main_term(self.qm, eps)
+
+    def at_each(self, eps: list[float]) -> list[float]:
+        """[at(e) for e in eps], bit for bit: sum_each less main_term."""
+        return [s - main_term(self.qm, x) for s, x in zip(self.sum_each(eps), eps)]
 
 
 def _interval_invariants(
@@ -276,8 +323,7 @@ def _interval_invariants(
     if not N < x_hi <= N + 1.0:
         raise ValueError("x_hi must lie in (N, N+1]")
     w, ln = interval_weights(table, N, qm)
-    log_y = math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N))
-    return IntervalKernel(w, ln, log_y, qm)
+    return IntervalKernel(w, ln, math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N)), qm)
 
 
 # no src caller: kept while perfbench/tracer.py names it as a boundary, and for its tests
@@ -422,9 +468,8 @@ def certify_sign(
     for N, x_hi in _interval_schedule(x0):
         kernel = _interval_invariants(table, N, qm, x_hi)
         m2 = curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
-        value = kernel.at
         eps, slope = 0.0, 0.0
-        t = value(eps)
+        t = kernel.at(eps)
         steps = [(eps, t)]
         status, reason = _value_status(t, cap, error_budget, N, eps)
         while status == CERTIFIED and eps < eps_max:
@@ -435,7 +480,7 @@ def certify_sign(
             h = _step_length(room, slope, m2)
             while True:
                 nxt = min(eps + h, eps_max)
-                t_nxt = value(nxt)
+                t_nxt = kernel.at(nxt)
                 status, reason = _value_status(t_nxt, cap, error_budget, N, nxt)
                 if status != CERTIFIED:
                     break
@@ -631,8 +676,10 @@ def caps_scan(
 
     X is never discretised: each unit interval's IntervalKernel reads the
     closed-form supremum over X (see interval_max) at every point of the
-    eps grid (multiples of CAPS_EPS_STEP below eps_max, then eps_max),
-    through at_each.  grid_max is the largest value and (arg_n, arg_eps)
+    eps grid (multiples of CAPS_EPS_STEP below eps_max, then eps_max):
+    the main term once per grid point, the same at every interval, and
+    each interval's kernel sum through sum_each, so each value is
+    at_each's bit for bit.  grid_max is the largest value and (arg_n, arg_eps)
     where it lies.  rigorous_cap pads the grid as a certificate's pair rule
     does: the largest pair_bound of consecutive grid points, with the
     interval's curvature_bound M2, plus certify_sign's default error budget
@@ -651,12 +698,13 @@ def caps_scan(
     qm = Modulus.coerce(q)
     grid = np.arange(0.0, eps_max, CAPS_EPS_STEP).tolist() + [eps_max]
     steps = [e1 - e0 for e0, e1 in zip(grid, grid[1:])]
+    mains = [main_term(qm, e) for e in grid]  # the same at every N
     best, pad = -math.inf, -math.inf
     arg_n, arg_eps = 0, 0.0
     for N, x_hi in _interval_schedule(x_max):
         kernel = _interval_invariants(table, N, qm, x_hi)
         m2 = curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
-        t = kernel.at_each(grid)
+        t = [s - m for s, m in zip(kernel.sum_each(grid), mains)]  # at_each(grid)
         i = max(range(len(t)), key=t.__getitem__)  # the first of equal maxima
         if t[i] > best:
             best, arg_n, arg_eps = t[i], N, grid[i]

@@ -49,6 +49,13 @@ ALPHA_NEG_MASS = (1.0 - GAMMA) / 2.0
 _PIECE_CAP = 4_000_000
 
 
+def _domain(name: str, value: float) -> None:
+    """ValueError naming the argument unless 1 <= value < inf (NaN fails
+    the comparison too), before any arithmetic on it."""
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 1 and finite, got {value!r}")
+
+
 # ----------------------------------------------------------------------
 # The sawtooth kernel alpha and its primitive beta.
 
@@ -56,16 +63,16 @@ _PIECE_CAP = 4_000_000
 def alpha(t: float) -> float:
     """(1 - 2{t})/t - ({t} - {t}^2)/t^2, evaluated as k(k+1)/t^2 - 1 with
     k = [t]; right-continuous at integers, identically -1 on (0, 1)."""
-    if t <= 0.0:
-        raise ValueError("alpha is defined for t > 0")
+    if not 0.0 < t < math.inf:  # NaN too
+        raise ValueError(f"t must be > 0 and finite, got {t!r}")
     k = math.floor(t)
     return k * (k + 1.0) / (t * t) - 1.0
 
 
 def beta(t: float) -> float:
     """({t} - {t}^2)/t; alpha is its right derivative."""
-    if t <= 0.0:
-        raise ValueError("beta is defined for t > 0")
+    if not 0.0 < t < math.inf:  # NaN too
+        raise ValueError(f"t must be > 0 and finite, got {t!r}")
     u = t - math.floor(t)
     return (u - u * u) / t
 
@@ -102,8 +109,7 @@ def stirling_eps(t: float) -> float:
     """Remainder of sum_{n<=t} log n against
     t log t - t + (1/2 - {t}) log t + log(2 pi)/2; satisfies
     |stirling_eps(t)| <= 1/(8t)."""
-    if t < 1.0:
-        raise ValueError("t must be >= 1")
+    _domain("t", t)
     n = math.floor(t)
     lt = math.log(t)
     main = t * lt - t + (0.5 - (t - n)) * lt + LOG_2PI_HALF
@@ -118,8 +124,7 @@ def sawtooth_log_integral(X: float) -> float:
     avoids the m^2 log m cancellation of the antiderivative route.  The
     result stays within log(X)/8 in absolute value.
     """
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
+    _domain("X", X)
     m_top = math.floor(X)
     parts = []
     for m in range(1, min(m_top, 10) + 1):
@@ -203,8 +208,7 @@ def _alpha_kernel_integral(X, start, jumps, values_at):
 def psi_alpha_integral(table: ArithmeticTable, X: float) -> float:
     """int_0^X psi(t) alpha(X/t) dt/t^2, exact piecewise; psi steps at the
     prime powers and vanishes below 2."""
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
+    _domain("X", X)
     jumps = table.prime_powers_upto(floor_int(X))[0].astype(np.float64)
     psi = table.psi_prefix
 
@@ -217,9 +221,8 @@ def psi_alpha_integral(table: ArithmeticTable, X: float) -> float:
 
 def lambda_harmonic_sum(table: ArithmeticTable, X: float) -> float:
     """sum_{n<=X} Lambda(n)/n."""
+    _domain("X", X)
     n = floor_int(X)
-    if n < 1:
-        raise ValueError("X must be >= 1")
     # fsum is exactly rounded, so leaving out the zero terms changes nothing
     powers, logs = table.prime_powers_upto(n)
     return fsum_blocks(logs / powers)
@@ -235,8 +238,7 @@ def kernel_identity_check(table: ArithmeticTable, X: float, kind: str = "psi") -
     for which it is [t].  Both routes are closed-form; the residual should
     sit at float noise (<= 1e-9).
     """
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
+    _domain("X", X)
     n = floor_int(X)
     if kind == "psi":
         powers, logs = table.prime_powers_upto(n)  # the nonzero terms
@@ -272,8 +274,7 @@ def f_of(table: ArithmeticTable, X: float) -> float:
 
     with eps = stirling_eps.  Matches the direct sum to float noise.
     """
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
+    _domain("X", X)
     u = X - math.floor(X)
     return math.fsum(
         [
@@ -293,8 +294,7 @@ def g_of(X: float) -> float:
     """Decreasing envelope of the defect:
     log 3 - 3/2 + (1 - gamma) log(3)/2 + log(2 pi)/X + log(X)/(4 X^2);
     negative from X = 12 on."""
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
+    _domain("X", X)
     return math.fsum(
         [
             LOG3 - 1.5,
@@ -327,9 +327,8 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
     log(N + 1) - log N >= 1/(N + 1) at these N), so on each such stretch,
     and 2 starts the first, the first minimum lies at the prime power.
     """
+    _domain("x_max", x_max)
     n = floor_int(x_max)
-    if n < 1:
-        raise ValueError("x_max must be >= 1")
     table._check_range(n)
     rows = []
     for small in (1, 2, 3, 4, 5, 7, 8, 9, 11):

@@ -178,12 +178,12 @@ def test_verify_mqeps_passes(table_small):
                 assert row.verdict == PASS, (X, q, eps)
 
 
-@pytest.mark.parametrize("eps, selections", [(0.0, 1), (0.05, 2)])
+@pytest.mark.parametrize("eps, selections", [(0.0, 1), (0.05, 1)])
 def test_verify_mqeps_selects_the_support_once_per_sum(table_small, monkeypatch, eps,
                                                         selections):
-    """One verify_mqeps row builds one kernel: its weights give |Delta| and
-    m_q(X), so the mu support is selected once, and once more for
-    m_q(X; 1+eps) at eps > 0 only."""
+    """One verify_mqeps row builds one kernel: its sum S gives |Delta| and,
+    as eps·S = m_q(X; 1+eps) - m_q(X) X^(-eps), the companion bound, so the
+    mu support is selected once at every eps."""
     calls = []
 
     def counting(*args):
@@ -195,6 +195,15 @@ def test_verify_mqeps_selects_the_support_once_per_sum(table_small, monkeypatch,
     row = bounds.verify_mqeps(table_small, 9999.5, 30, eps)
     assert row.verdict == PASS
     assert calls == [9999] * selections
+
+
+@pytest.mark.parametrize("q", [1, 2, 30, 30030])
+def test_verify_mqeps_decides_the_companion_near_X_1(table_small, q):
+    """At X = 1.000001 and eps = 1e-12 the companion bound holds by
+    S ~ log X ~ 1e-6, far above S's radius; the two sums it compares,
+    m_q(X; 1+eps) and m_q(X) X^(-eps), agree to about 1e-18, so only the
+    kernel sum S decides it."""
+    assert bounds.verify_mqeps(table_small, 1.000001, q, 1e-12).verdict == PASS
 
 
 def test_verify_mcheckqeps_passes_and_guards(table_small):

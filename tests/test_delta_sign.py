@@ -11,9 +11,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from mobius_bounds import delta_sign
-from mobius_bounds.arith import Modulus, build_table
-from mobius_bounds.util import CapacityError
+from mobius_bounds import bounds, delta_sign
+from mobius_bounds.analytic import eps_zeta
+from mobius_bounds.arith import Modulus, build_table, mu_support
+from mobius_bounds.util import EPS, CapacityError
 from mobius_bounds.bounds import delta_q
 from mobius_bounds.delta_sign import (
     CERTIFIED,
@@ -216,6 +217,41 @@ CLAIMS = (
     + [(1, 47.0, 0.014)]
     + [(q, 46.999, 5e-5) for q in (11, 13, 17)]
 )
+
+
+_CROSS_DISPATCH = """
+import json
+from mobius_bounds.arith import build_table
+from mobius_bounds.delta_sign import (certificate_from_json, certificate_to_json,
+                                      certify_sign, replay_certificate)
+
+table = build_table(1000)
+theirs = [certificate_from_json(d) for d in json.load(open(PATH))]
+print(json.dumps({
+    "problems": [replay_certificate(table, c) for c in theirs],
+    "docs": [certificate_to_json(certify_sign(table, q, x0, cap=cap)) for q, x0, cap in CLAIMS],
+}))
+"""
+
+
+def test_certificates_replay_across_numpy_dispatch(without_avx512, tmp_path):
+    """The eleven claims, certified on a 1e3 table under each numpy dispatch,
+    replay under the other with no problem and the same M2 in every
+    record.  The step values may differ in their last bits (numpy's log
+    and expm1 do), so the documents are not compared byte for byte.  This
+    process's documents go to the child through a file: they are too long
+    for its argv."""
+    table = build_table(1000)
+    ours = [certify_sign(table, q, x0, cap=cap) for q, x0, cap in CLAIMS]
+    path = tmp_path / "certificates.json"
+    path.write_text(json.dumps([certificate_to_json(c) for c in ours]))
+    head = f"CLAIMS = {CLAIMS!r}\nPATH = {str(path)!r}\n"
+    child = json.loads(without_avx512(head + _CROSS_DISPATCH))
+    assert child["problems"] == [[] for _ in CLAIMS]
+    theirs = [certificate_from_json(d) for d in child["docs"]]
+    assert [replay_certificate(table, c) for c in theirs] == [[] for _ in CLAIMS]
+    for mine, other in zip(ours, theirs):
+        assert [(r.N, r.M2) for r in mine.records] == [(r.N, r.M2) for r in other.records]
 
 
 def test_batched_replay_rederives_every_step_bit_for_bit(table_small, monkeypatch):
@@ -732,6 +768,67 @@ def test_curvature_bound_against_mpmath(table_small):
         t2 = _second_derivative_oracle([-1.0], [0.0], 1, math.log(y), 0.0)
         m2 = curvature_bound(w, ln, 1, math.log(y))
         assert abs(t2) <= m2 <= 1.2 * abs(t2), (y, m2, t2)
+
+
+def test_caps_scan_forms_each_main_term_once(table_small, monkeypatch):
+    """The main term does not depend on N: one eps_zeta call per grid point
+    at eps > 0 (1,000 of the 1,001), not one per interval and point."""
+    calls = []
+
+    def counting(eps):
+        calls.append(eps)
+        return eps_zeta(eps)
+
+    monkeypatch.setattr(delta_sign, "eps_zeta", counting)
+    caps_scan(table_small, 1, 47.0)
+    assert len(calls) == 1000 and len(set(calls)) == 1000
+
+
+def _kernel_twin(table, X, qm, eps):
+    """(S, t) at 40 digits: S = sum_n mu(n)/n (n^(-eps) - X^(-eps))/eps, or
+    sum_n mu(n)/n log(X/n) at eps = 0, and t = S - M."""
+    k, _ = mu_support(table, math.floor(X), qm)
+    e, log_x = mpmath.mpf(eps), mpmath.log(mpmath.mpf(X))
+    terms = [(mpmath.mpf(int(table.mu[n])) / n, mpmath.log(int(n))) for n in k.tolist()]
+    if eps == 0.0:
+        s = mpmath.fsum(c * (log_x - a) for c, a in terms)
+        main = mpmath.mpf(1)
+    else:
+        ey = mpmath.expm1(-e * log_x)
+        s = mpmath.fsum(c * (mpmath.expm1(-e * a) - ey) for c, a in terms) / e
+        main = 1 / (e * mpmath.zeta(1 + e)) if eps > 1e-30 else 1 / (1 + mpmath.euler * e)
+    for p in qm.primes:
+        main /= 1 - mpmath.power(p, -1 - e)
+    return s, s - main
+
+
+def test_kernel_sum_and_defect_within_stated_radius(table_small):
+    """A 40-digit twin of the kernel sum S and of t = S - M at seeded X <= 2000
+    (X in (1, 2) too, and X = 1, where S and r_S are exactly 0): each error
+    is within its stated radius, r_S for S and r_S + r_M + EPS |t| for t.
+    eps = 1e-310 puts every product -eps log n below 2^-1022, where r_S's
+    underflow term carries the bound."""
+    rng = random.Random(4201)
+    xs = [1.0, 1.000001, 1.0 + rng.random(), 1.0 + rng.random(), 2000.0]
+    xs += [rng.uniform(2.0, 2000.0) for _ in range(3)]
+    worst = {"S": 0.0, "t": 0.0}
+    with mpmath.workdps(40):
+        for X in xs:
+            for q in (1, 2, 30, 30030):
+                qm = Modulus.coerce(q)
+                kernel = bounds._defect_kernel(table_small, X, qm)
+                for eps in (0.0, 1e-310, 1e-12, 1e-9, 0.01, 0.5, 1.0):
+                    s, m = kernel.sum_at(eps), delta_sign.main_term(qm, eps)
+                    r_s = kernel.sum_radius(eps)
+                    r_t = r_s + delta_sign.MAIN_TERM_REL_ERR * m + EPS * abs(s - m)
+                    s_twin, t_twin = _kernel_twin(table_small, X, qm, eps)
+                    err_s, err_t = abs(s - s_twin), abs(s - m - t_twin)
+                    assert err_s <= r_s and err_t <= r_t, (X, q, eps, err_s, r_s, err_t, r_t)
+                    assert (r_s == 0.0) == (X == 1.0), (X, q, eps)
+                    if r_s:
+                        worst["S"] = max(worst["S"], float(err_s / r_s))
+                    worst["t"] = max(worst["t"], float(err_t / r_t))
+    print(f"worst error/radius: S {worst['S']:.3g}, t {worst['t']:.3g}")
 
 
 def test_suites(table_small):

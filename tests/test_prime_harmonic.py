@@ -129,6 +129,32 @@ def test_kernel_identity(table_small, kind, X):
     assert abs(kernel_identity_check(table_small, X, kind)) <= 1e-9
 
 
+# the public functions of X (or t), each with the argument its ValueError names
+_DOMAIN_CALLS = {
+    "alpha": (lambda t, x: alpha(x), "t"),
+    "beta": (lambda t, x: beta(x), "t"),
+    "stirling_eps": (lambda t, x: stirling_eps(x), "t"),
+    "sawtooth_log_integral": (lambda t, x: sawtooth_log_integral(x), "X"),
+    "psi_alpha_integral": (lambda t, x: harmonic.psi_alpha_integral(t, x), "X"),
+    "lambda_harmonic_sum": (lambda t, x: lambda_harmonic_sum(t, x), "X"),
+    "kernel_identity_check": (lambda t, x: kernel_identity_check(t, x), "X"),
+    "f_of": (lambda t, x: f_of(t, x), "X"),
+    "g_of": (lambda t, x: g_of(x), "X"),
+    "verify_harmonic": (lambda t, x: verify_harmonic(t, x), "x_max"),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _DOMAIN_CALLS)
+def test_functions_of_X_refuse_non_finite_input_by_name(table_small, name, x):
+    """NaN and +-inf raise a ValueError that names the argument, from the
+    domain check before any arithmetic: no nan comes back, and no
+    OverflowError or float-to-integer error escapes."""
+    call, arg = _DOMAIN_CALLS[name]
+    with pytest.raises(ValueError, match=rf"^{arg} must be "):
+        call(table_small, x)
+
+
 def test_kernel_identity_unknown_kind(table_small):
     with pytest.raises(ValueError):
         kernel_identity_check(table_small, 10.0, "nope")

@@ -67,6 +67,10 @@ INVOCATIONS = (
     # delta_q's IntervalKernel past FSUM_LIST_MAX terms, at eps = 0 and eps > 0
     ("verify", "--theorem", "mqeps", "--X", "2,12345.5,100000", "--q", "1,30030",
      "--eps", "0,0.01,1"),
+    # the companion bound of mqeps at X just above 1 and eps = 1e-12, where
+    # m_q(X; 1+eps) and m_q(X) X^(-eps) agree to about 1e-18
+    ("verify", "--theorem", "mqeps", "--X", "1,1.000001,1.5,2,3.5,10,99.5",
+     "--q", "1,2,30,30030", "--eps", "1e-12,1e-9,0.01,0.5,1"),
     # the zeta family near s = 1 and at large |Im s|
     *(("verify", "--theorem", name, "--X", "100,10000", "--q", "1,6", "--s",
        "1.0000001,1+1e-7j,0.8+5j,0.5+14j,0.3+30j", "--sigma0", "0.1")
