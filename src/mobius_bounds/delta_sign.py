@@ -255,11 +255,12 @@ class IntervalKernel:
     the term errs by 11.5 EPS |w| L.  The exactly rounded sum adds
     u |S| <= u L sum|w|, and sum|w| <= sum_{n<=N} 1/n <= 1 + L.  At
     eps = 0 the term w (log y - log n) errs by 5.6 EPS |w| L.  In all
-    under 12.1 EPS L (1 + L), so r_S = 16 EPS L (1 + L) in the normal range.  Where a product -eps·l
-    underflows, it rounds by at most 2^-1075 and its expm1 by 2 ulps of
-    2^-1074, and the subtraction of subnormals is exact: under 2^-1071 a
-    term, so r_S adds (1 + L) 2^-1070/eps at eps > 0.  At y = 1 (L = 0)
-    every term is an exact 0, and so is r_S.
+    under 12.1 EPS L (1 + L), so r_S = 16 EPS L (1 + L) in the normal
+    range.  Where a product -eps·l underflows, it rounds by at most
+    2^-1075 and its expm1 by 2 ulps of 2^-1074, and the subtraction of
+    subnormals is exact: under 2^-1071 a term, so r_S adds
+    (1 + L) 2^-1070/eps at eps > 0.  At y = 1 (L = 0) every term is an
+    exact 0, and so is r_S.
     """
 
     __slots__ = ("w", "ln", "log_y", "qm")

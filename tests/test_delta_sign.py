@@ -784,12 +784,11 @@ def test_caps_scan_forms_each_main_term_once(table_small, monkeypatch):
     assert len(calls) == 1000 and len(set(calls)) == 1000
 
 
-def _kernel_twin(table, X, qm, eps):
-    """(S, t) at 40 digits: S = sum_n mu(n)/n (n^(-eps) - X^(-eps))/eps, or
-    sum_n mu(n)/n log(X/n) at eps = 0, and t = S - M."""
-    k, _ = mu_support(table, math.floor(X), qm)
-    e, log_x = mpmath.mpf(eps), mpmath.log(mpmath.mpf(X))
-    terms = [(mpmath.mpf(int(table.mu[n])) / n, mpmath.log(int(n))) for n in k.tolist()]
+def _kernel_twin(terms, log_x, primes, eps):
+    """(S, t) at the working precision: S = sum_n mu(n)/n (n^(-eps) -
+    X^(-eps))/eps, or sum_n mu(n)/n log(X/n) at eps = 0, and t = S - M,
+    from terms = [(mu(n)/n, log n)] over the support and log_x = log X."""
+    e = mpmath.mpf(eps)
     if eps == 0.0:
         s = mpmath.fsum(c * (log_x - a) for c, a in terms)
         main = mpmath.mpf(1)
@@ -797,7 +796,7 @@ def _kernel_twin(table, X, qm, eps):
         ey = mpmath.expm1(-e * log_x)
         s = mpmath.fsum(c * (mpmath.expm1(-e * a) - ey) for c, a in terms) / e
         main = 1 / (e * mpmath.zeta(1 + e)) if eps > 1e-30 else 1 / (1 + mpmath.euler * e)
-    for p in qm.primes:
+    for p in primes:
         main /= 1 - mpmath.power(p, -1 - e)
     return s, s - main
 
@@ -810,18 +809,22 @@ def test_kernel_sum_and_defect_within_stated_radius(table_small):
     underflow term carries the bound."""
     rng = random.Random(4201)
     xs = [1.0, 1.000001, 1.0 + rng.random(), 1.0 + rng.random(), 2000.0]
-    xs += [rng.uniform(2.0, 2000.0) for _ in range(3)]
+    xs += [rng.uniform(2.0, 200.0), rng.uniform(200.0, 2000.0)]
     worst = {"S": 0.0, "t": 0.0}
     with mpmath.workdps(40):
         for X in xs:
             for q in (1, 2, 30, 30030):
                 qm = Modulus.coerce(q)
                 kernel = bounds._defect_kernel(table_small, X, qm)
+                k, _ = mu_support(table_small, math.floor(X), qm)
+                terms = [(mpmath.mpf(int(table_small.mu[n])) / n, mpmath.log(n))
+                         for n in k.tolist()]
+                log_x = mpmath.log(mpmath.mpf(X))
                 for eps in (0.0, 1e-310, 1e-12, 1e-9, 0.01, 0.5, 1.0):
                     s, m = kernel.sum_at(eps), delta_sign.main_term(qm, eps)
                     r_s = kernel.sum_radius(eps)
                     r_t = r_s + delta_sign.MAIN_TERM_REL_ERR * m + EPS * abs(s - m)
-                    s_twin, t_twin = _kernel_twin(table_small, X, qm, eps)
+                    s_twin, t_twin = _kernel_twin(terms, log_x, qm.primes, eps)
                     err_s, err_t = abs(s - s_twin), abs(s - m - t_twin)
                     assert err_s <= r_s and err_t <= r_t, (X, q, eps, err_s, r_s, err_t, r_t)
                     assert (r_s == 0.0) == (X == 1.0), (X, q, eps)
