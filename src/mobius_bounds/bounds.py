@@ -241,8 +241,12 @@ def delta_q(
     eps > 0: m_q(X;1+eps)/eps - m_q(X)/(eps X^eps) - (q^s/phi_s(q))/(eps zeta(s))
     at s = 1+eps, assembled term-wise through expm1 so nothing cancels;
     eps = 0: the limit m_check_q([X]) - q/phi(q) + m_q([X]) log(X/[X]).
+    A subnormal eps is refused (delta_sign.refuse_subnormal_eps).
     """
+    from .delta_sign import refuse_subnormal_eps
+
     _defect_domain(X, eps)
+    refuse_subnormal_eps(eps)
     qm = Modulus.coerce(q)
     return DeltaValue(X=X, q=qm.q, eps=eps, value=_defect_kernel(table, X, qm).at(eps))
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -340,12 +341,24 @@ def interval_max(
     Within the interval only -m_q(N) X^(-eps)/eps varies with X, so the
     maximum sits at the endpoint y selected by the sign of m_q(N): y = x_hi
     when m_q(N) >= 0 and y = N otherwise, where the interval's IntervalKernel reads it.
-    Exact in X: nothing here discretises the interval.
+    Exact in X: nothing here discretises the interval.  A subnormal eps is
+    refused (refuse_subnormal_eps).
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
+    refuse_subnormal_eps(eps)
     qm = Modulus.coerce(q)
     return _interval_invariants(table, N, qm, N + 1.0 if x_hi is None else x_hi).at(eps)
+
+
+def refuse_subnormal_eps(eps: float) -> None:
+    """Raise ValueError for a subnormal eps: there each product -eps log n
+    underflows, and a point value of the defect, which carries no radius,
+    reads 0.12 where the true value is 2.8e-5 (q = 1, X = 9999.5, eps =
+    5e-324).  Rows that state r_S, and the certifier's walk, do not call
+    this."""
+    if 0.0 < eps < sys.float_info.min:
+        raise ValueError(f"eps = {eps!r} is subnormal: -eps log n underflows")
 
 
 # ----------------------------------------------------------------------

@@ -14,20 +14,31 @@ times log t from H).  We therefore split [1, X] at every jump and integrate
 each piece in closed form -- no quadrature anywhere, so a residual measures
 the identity itself, not the integrator.
 
-The grid is generated one block at a time (_grid_blocks: at most BLOCK
+The grid is generated one window at a time (_grid_blocks: at most WINDOW
 pieces, their cut points and logs, and [X/t], [t] on each), and nothing of
-it is kept: one pass over the blocks integrates both integrals, each piece's
-integral of t^c formed once for the two, and a catalog check adds its own
-integrals to the same pass, reading the engine's S_f.  Only the left side
-goes one BLOCK of n at a time.  Every sum is an util.ExactSum, fed one block
-at a time and rounded once at the end, so the result does not depend on the
-blocking and equals one fsum of all its terms, bit for bit.  Every log of
-a cut point or of X/n is libm's, and so are the per-piece exp and expm1,
-taken element by element; complex products and quotients are formed from
-real and imaginary parts as CPython forms them.  numpy's SIMD float64
-log/exp/expm1 and its complex multiply can differ from those in the last
-bit, and between numpy's CPU dispatches; this way every piece value and
-every left-side term is the scalar closed form's, bit for bit.
+it is kept: one pass over the windows integrates both integrals, each
+piece's integral of t^c formed once for the two, and a catalog check adds
+its own integrals to the same pass, reading the engine's S_f and g power
+prefix.  The left side and the printed forms' sums go over n one WINDOW at
+a time.  A prefix with an exact closed form is read at the gathered index,
+not from an array: S_{mu*1} = 1, S_{lambda*1}(m) = [sqrt m], and the g power
+prefix at a = 0 (k, or k mod 2 for the alternating g) and, for g = 1, at
+a = 1 (k(k + 1)/2); each equals the cumulative sum it replaces, bit for
+bit.  Other prefixes are looked up in an array; the harmonic numbers (g =
+1, a = -1) are built once, in place, for the engine and euler_gamma's
+printed form.  So a catalog check holds one window of pieces and two
+float64 arrays of [X] + 1 entries: f and S_f over the left side, S_f and at
+most one lookup over the grid.
+
+Every sum is an util.ExactSum, fed one window at a time and rounded once at
+the end, so the result does not depend on the window and equals one fsum of
+all its terms, bit for bit.  Every log of a cut point or of X/n is libm's,
+and so are the per-piece exp and expm1, taken element by element; complex
+products and quotients are formed from real and imaginary parts as CPython
+forms them.  numpy's SIMD float64 log/exp/expm1 and its complex multiply
+can differ from those in the last bit, and between numpy's CPU dispatches;
+this way every piece value and every left-side term is the scalar closed
+form's, bit for bit.
 
 The shipped catalog covers the classical fractional-part identities plus a
 log-weighted variant and one Liouville instance whose published closed form
@@ -43,7 +54,6 @@ import numpy as np
 
 from .arith import ArithmeticTable, Modulus, m_check_q, m_q
 from .util import (
-    BLOCK,
     EPS,
     GAMMA,
     CapacityError,
@@ -66,8 +76,19 @@ H_SMALL_IDS = ("dirac_at_1", "one", "two_id", "inverse_id", "power")
 H_BIG_IDS = ("id", "power", "id_log_variant", "power_log")
 
 # the grid of [1, X] has at most 2 [X] + 2 pieces; it keeps every distinct
-# cut at any X, so the cap guards memory only (lookups of [X] + 1 entries)
-_PIECE_CAP = 4_000_000
+# cut at any X, so the cap guards memory only (lookups of [X] + 1 entries):
+# `identity --name euler_gamma --X 3999999 --limit 3999999`, the largest X
+# it admits, took 141 MB max RSS and 5.7 s (numpy 2.4, 2-core x86 box)
+_PIECE_CAP = 8_000_000
+
+# Pieces per window of the grid, and n per window of the left side and of
+# the printed forms' sums over n.  Measured with numpy 2.4 on a 2-core x86
+# box, median of five CLI runs at windows of 2^11, 2^12, 2^13 and 2^15:
+# `identity --name euler_gamma` max RSS at X = 1e5 read 33.4, 33.4, 33.9
+# and 39.6 MB; its time at X = 1e6 read 1.62, 1.47, 1.42 and 1.45 s, and
+# elmarraki's 1.09, 0.94, 0.90 and 0.94 s.  2^12 is the smallest window
+# that costs no time.
+WINDOW = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -145,15 +166,18 @@ def _f_values(table: ArithmeticTable, spec: IdentitySpec, n: int) -> np.ndarray:
     raise AssertionError(spec.f_id)
 
 
-def _g_values(g_id: str, n: int) -> np.ndarray:
-    signs = np.ones(n + 1, dtype=np.float64)
+def _g_values(g_id: str, lo: int, hi: int) -> np.ndarray:
+    """g(j) for lo <= j < hi, with g(0) = 0."""
+    signs = np.ones(hi - lo, dtype=np.float64)
     if g_id in ("alternating", "alternating_over_id"):
-        signs[2::2] = -1.0
+        signs[lo % 2 :: 2] = -1.0  # the even j
     if g_id == "alternating_over_id":
-        idx = np.arange(n + 1, dtype=np.float64)
-        idx[0] = 1.0
+        idx = np.arange(lo, hi, dtype=np.float64)
+        if lo == 0:
+            idx[0] = 1.0  # slot 0 is zeroed below
         signs = signs / idx
-    signs[0] = 0.0
+    if lo == 0:
+        signs[0] = 0.0
     return signs
 
 
@@ -184,26 +208,24 @@ def _H(spec: IdentitySpec, t, lt):
     raise AssertionError(spec.H_id)
 
 
-def convolution_prefix(
-    table: ArithmeticTable, spec: IdentitySpec, n: int
-) -> np.ndarray:
-    """Prefix sums of (f*g)(k) for k <= n, with closed forms where known."""
+def convolution_prefix(table: ArithmeticTable, spec: IdentitySpec, n: int):
+    """S_{f*g} at the integers up to n, as a function of an index array:
+    the exact closed form where one is known, else a lookup of the prefix
+    sums of (f*g)(k)."""
     if spec.g_id == "one":
         if spec.f_id == "mobius":
-            out = np.ones(n + 1, dtype=np.float64)
-            out[0] = 0.0
-            return out
+            return lambda m: np.ones(np.shape(m))  # mu * 1 = [k = 1]; m >= 1
         if spec.f_id == "liouville":
             # lambda * 1 is the indicator of perfect squares
-            return np.floor(np.sqrt(np.arange(n + 1, dtype=np.float64)) + 1e-9)
+            return lambda m: np.floor(np.sqrt(m) + 1e-9)
     f = _f_values(table, spec, n)
-    g = _g_values(spec.g_id, n)
+    g = _g_values(spec.g_id, 0, n + 1)
     conv = np.zeros(n + 1, dtype=np.float64)
     for d in range(1, n + 1):
         fd = f[d]
         if fd != 0.0:
             conv[d :: d] += fd * g[1 : n // d + 1]
-    return np.cumsum(conv)
+    return np.cumsum(conv, out=conv).__getitem__
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +242,7 @@ def _floor_array(v: np.ndarray) -> np.ndarray:
 
 def _libm(fn, a: np.ndarray, dtype=np.float64) -> np.ndarray:
     """The scalar (libm-backed) function fn applied element by element, one
-    BLOCK slice's list at a time."""
+    util.BLOCK slice's list at a time."""
     return np.fromiter(map(fn, block_entries((a,))), dtype, len(a))
 
 
@@ -267,7 +289,7 @@ class _Block:
     """Consecutive pieces [lo, hi] of the grid of [1, X]; on the interior of
     each, [X/t] = m and [t] = k are constant."""
 
-    cuts: np.ndarray  # the cut points; the first is the last of the block before
+    cuts: np.ndarray  # the cut points; the first is the last of the window before
     lt: np.ndarray  # libm log of each cut point
     lr: np.ndarray  # libm log(hi/lo) of each piece
     m: np.ndarray  # int32
@@ -287,8 +309,8 @@ def _grid_blocks(X: float):
 
     The cut points are 1, X, the integers and the X/m in [1, X], sorted and
     distinct.  The integers rise with k and the X/m as m falls, so a window
-    takes the next BLOCK of each and keeps the BLOCK smallest distinct
-    points: a run that goes on past the window gave it BLOCK distinct points,
+    takes the next WINDOW of each and keeps the WINDOW smallest distinct
+    points: a run that goes on past the window gave it WINDOW distinct points,
     so no point of either run below the window's last is left for a later
     window, and every point of a later window lies above it.
 
@@ -305,11 +327,11 @@ def _grid_blocks(X: float):
     k, m = 1, n  # the next integer and the next m
     last = None  # the last cut point so far and its log
     while k <= n or m >= 1:
-        ints = np.arange(k, min(k + BLOCK, n + 1), dtype=np.float64)
-        vals = X / np.arange(m, max(m - BLOCK, 0), -1, dtype=np.float64)
+        ints = np.arange(k, min(k + WINDOW, n + 1), dtype=np.float64)
+        vals = X / np.arange(m, max(m - WINDOW, 0), -1, dtype=np.float64)
         # sorted and distinct, as np.unique gives them (it would load numpy.ma)
         pts = np.sort(np.concatenate((ints, vals)))
-        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))][:BLOCK]
+        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))][:WINDOW]
         k += int(np.searchsorted(ints, pts[-1], "right"))
         m -= int(np.searchsorted(vals, pts[-1], "right"))
         # a floor_int that snaps n above X puts n above X and X/n below 1
@@ -334,17 +356,28 @@ def _grid_blocks(X: float):
         )
 
 
-def _power_prefix(g_id: str, a: complex, n: int) -> np.ndarray:
-    """Prefix sums of g(k) k^a for k <= n (complex when a is)."""
-    karr = np.arange(n + 1, dtype=np.float64)
-    karr[0] = 1.0
+def _power_prefix(g_id: str, a: complex, n: int):
+    """Prefix sums of g(j) j^a over j <= k, as a function of an index array
+    k of integers up to n (complex when a is): the exact closed form at a = 0
+    and, for g = 1, at a = 1, else a lookup built in one array (for g = 1 and
+    a = -1, the harmonic numbers)."""
+    if g_id == "one" and a == 0:
+        return lambda k: k.astype(np.float64)
+    if g_id == "alternating" and a == 0:
+        return lambda k: (k % 2).astype(np.float64)  # 1 - 1 + 1 - ...
+    if g_id == "one" and a == 1:
+        return lambda k: (k * (k + 1.0)) / 2.0  # exact below 2^53
+    w = np.arange(n + 1, dtype=np.float64)
+    w[0] = 1.0
     if isinstance(a, complex) and a.imag != 0.0:
-        w = np.exp(a * np.log(karr))
+        w = np.exp(a * np.log(w))
     else:
-        w = karr ** float(a.real if isinstance(a, complex) else a)
-    del karr
-    np.multiply(_g_values(g_id, n), w, out=w)
-    return np.cumsum(w, out=w)
+        w **= float(a.real if isinstance(a, complex) else a)
+    if g_id == "one":
+        w[0] = 0.0
+    else:
+        np.multiply(_g_values(g_id, 0, n + 1), w, out=w)
+    return np.cumsum(w, out=w).__getitem__
 
 
 def _grid_size(table: ArithmeticTable, X: float) -> int:
@@ -364,16 +397,17 @@ def evaluate_ofd(
 ) -> OfdResult:
     """Evaluate both sides of the master identity; residual = |lhs - rhs|.
 
-    visit(block, s_f), if given, is called on each grid block as well, with
-    s_f the engine's S_f at the integers up to [X], so that a catalog check
-    sums its own integrals over the same pass; f, if given, holds the f
-    values up to [X], which the check has read already."""
+    visit(block, s_f, g_pow), if given, is called on each grid window as
+    well, with s_f the engine's S_f at the integers up to [X] and g_pow its
+    g power prefix (a function of an index array; None for dirac_at_1), so
+    that a catalog check sums its own integrals over the same pass; f, if
+    given, holds the f values up to [X], which the check has read
+    already."""
     n = _grid_size(table, X)
     if f is None:
         f = _f_values(table, spec, n)
     sf = np.cumsum(f)  # S_f at integers
     dirac = spec.h_id == "dirac_at_1"
-    gd = _g_values(spec.g_id, n) if dirac else None
 
     # (real, imaginary) sums of the left side, i1 and i2; the point-mass
     # term; and the mass, |x| summed over every real x summed in them
@@ -385,24 +419,25 @@ def evaluate_ofd(
             total.add(x)
             mass.add(np.abs(x))
 
-    # the left side and the point-mass term, one BLOCK of n at a time
-    for lo in range(1, n + 1, BLOCK):
-        hi = min(lo + BLOCK, n + 1)
+    # the left side and the point-mass term, one WINDOW of n at a time
+    for lo in range(1, n + 1, WINDOW):
+        hi = min(lo + WINDOW, n + 1)
         t = X / np.arange(lo, hi, dtype=np.float64)
         lt = None if spec.H_id == "id" else _libm(math.log, t)  # id reads no log
         add(lhs, f[lo:hi] * _H(spec, t, lt))
         if dirac:
             # the point mass at n/t = 1 contributes g(n) S_f(X/n) for each n <= X
-            add(sub, gd[lo:hi] * sf[_floor_array(t).clip(0, n)])
+            add(sub, _g_values(spec.g_id, lo, hi) * sf[_floor_array(t).clip(0, n)])
     left = complex(*map(float, lhs)) - complex(_H(spec, 1.0, 0.0)) * complex(sf[n])
-    del f, gd
+    del f
     sfg = convolution_prefix(table, spec, n)  # S_{f*g} at integers
+    ga = None
     if not dirac:
         coeff, a = _h_coeff_exponent(spec)
         c = -a - 1.0
         ga = _power_prefix(spec.g_id, a, n)
 
-    # both integrals over the pieces: on each, S_{f*g}(X/t) = sfg[m],
+    # both integrals over the pieces: on each, S_{f*g}(X/t) = sfg(m),
     # S_f(X/t) = sf[m] and h(1/t)/t = coeff * t^c; the second integral is
     # summed where S_f(X/t) != 0
     pieces = 0
@@ -415,14 +450,14 @@ def evaluate_ofd(
         part = s_f * (Hc[1:] - Hc[:-1])[live]
         if not dirac:
             ip = _int_pow(c, blk.lt[:-1], blk.lr)
-            add(i1, (coeff * sfg[blk.m]) * ip)
-            gsum = ga[blk.k[live]]
+            add(i1, (coeff * sfg(blk.m)) * ip)
+            gsum = ga(blk.k[live])
             part = np.where(gsum != 0.0, part - _cmul((s_f * coeff) * gsum, ip[live]), part)
         add(i2, part)
         if visit is not None:
-            visit(blk, sf)
+            visit(blk, sf, ga)
 
-    first = complex(sfg[n]) if dirac else complex(*map(float, i1))
+    first = complex(sfg(n)) if dirac else complex(*map(float, i1))
     second = complex(*map(float, i2))
     if dirac:
         second -= complex(float(sub[0]))
@@ -470,23 +505,20 @@ def _floor_over_t(total: ExactSum):
     S_f is M."""
     # integrand m * M([t]) / t after the substitution t -> X/t: the original
     # variable u = X/t runs the same pieces mirrored
-    return lambda b, mert: total.add(b.m * mert[b.k] * b.lr)
+    return lambda b, mert, _: total.add(b.m * mert[b.k] * b.lr)
 
 
-def _gamma_brackets(n: int, printed: ExactSum, fixed: ExactSum):
+def _gamma_brackets(printed: ExactSum, fixed: ExactSum):
     """A grid visitor that adds to printed the integral of M(X/t) (log t +
     gamma + 1/t - HarmSum([t])) dt, and to fixed the same with +1 in place
-    of +1/t; the engine's S_f is M."""
-    harm = np.zeros(n + 1)  # harmonic numbers up to n
-    inv = np.arange(1.0, n + 1.0)
-    np.divide(1.0, inv, out=inv)
-    np.cumsum(inv, out=harm[1:])
+    of +1/t; the engine's S_f is M, and its g power prefix (g = 1, h(u) =
+    1/u) is HarmSum."""
 
-    def visit(b: _Block, mert: np.ndarray) -> None:
+    def visit(b: _Block, mert: np.ndarray, harm) -> None:
         width = b.hi - b.lo
         tlt = b.cuts * b.lt - b.cuts  # t log t - t at each cut point
         base = (tlt[1:] - tlt[:-1]) + GAMMA * width
-        base -= harm[b.k] * width
+        base -= harm(b.k) * width
         w = mert[b.m]
         printed.add(w * (base + (b.lt[1:] - b.lt[:-1])))  # the printed 1/t term
         fixed.add(w * (base + width))  # the corrected constant term
@@ -500,7 +532,7 @@ def _liouville_integrals(X: float, frac: ExactSum, lam: ExactSum, floor: ExactSu
     the raw right side with S_{lam*1}(X/t) replaced by [X/t], as published;
     the engine's S_f is S_lam."""
 
-    def visit(b: _Block, s_lam: np.ndarray) -> None:
+    def visit(b: _Block, s_lam: np.ndarray, _) -> None:
         m_lr = b.m * b.lr  # [X/t]/t on the piece, integrated
         # {X/t}/t = X/t^2 - [X/t]/t on the piece
         frac.add(X * (1.0 / b.lo - 1.0 / b.hi) - m_lr)
@@ -516,10 +548,10 @@ def _liouville_integrals(X: float, frac: ExactSum, lam: ExactSum, floor: ExactSu
 
 def _sum_over_n(n: int, term) -> float:
     """The exact sum over 1 <= j <= n of term(j, sl), where j is a float
-    array of the indices in the slice sl, one BLOCK slice at a time."""
+    array of the indices in the slice sl, one WINDOW slice at a time."""
     total = ExactSum()
-    for lo in range(1, n + 1, BLOCK):
-        sl = slice(lo, min(lo + BLOCK, n + 1))
+    for lo in range(1, n + 1, WINDOW):
+        sl = slice(lo, min(lo + WINDOW, n + 1))
         total.add(term(np.arange(sl.start, sl.stop, dtype=np.float64), sl))
     return float(total)
 
@@ -590,7 +622,7 @@ def catalog_check(
         rhs = X * mval - Mval - 2.0 + 2.0 / X
     elif name == "euler_gamma":
         printed, fixed = ExactSum(), ExactSum()
-        ofd = evaluate_ofd(table, spec, X, visit=_gamma_brackets(n, printed, fixed))
+        ofd = evaluate_ofd(table, spec, X, visit=_gamma_brackets(printed, fixed))
         lhs = m_check_q(table, X, 1) + GAMMA * (mval - Mval / X)
         rhs = 1.0 - 1.0 / X + float(printed) / X
         rhs_fixed = 1.0 - 1.0 / X + float(fixed) / X

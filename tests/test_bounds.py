@@ -168,6 +168,11 @@ def test_delta_q_guards(table_small):
         bounds.delta_q(table_small, 10.0, 1, 1.5)
     with pytest.raises(ValueError):
         bounds.delta_q(table_small, 0.5, 1, 0.0)
+    # a subnormal eps underflows -eps log n: 5e-324 read 0.12035 against 2.7767e-5
+    for eps in (5e-324, 1e-320, 1e-310):
+        with pytest.raises(ValueError, match="subnormal"):
+            bounds.delta_q(table_small, 9999.5, 1, eps)
+    assert bounds.delta_q(table_small, 9999.5, 1, 1e-300).value == pytest.approx(2.7767e-5, rel=1e-4)
 
 
 def test_verify_mqeps_passes(table_small):

@@ -179,6 +179,9 @@ def test_interval_max_guards(table_small):
         interval_max(table_small, 10, 1, 1.5)
     with pytest.raises(ValueError):
         interval_max(table_small, 10, 1, 0.0, x_hi=12.0)
+    for eps in (5e-324, 1e-320, 1e-310):  # subnormal: -eps log n underflows
+        with pytest.raises(ValueError, match="subnormal"):
+            interval_max(table_small, 9999, 1, eps)
 
 
 def _dense_weights(table, N, q):

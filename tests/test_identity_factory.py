@@ -11,11 +11,13 @@ import pytest
 from mobius_bounds.identities import (
     CATALOG_NAMES,
     CATALOG_SPECS,
+    WINDOW,
     IdentitySpec,
     _floor_array,
     _grid_blocks,
     _libm,
     catalog_check,
+    convolution_prefix,
     evaluate_ofd,
 )
 from mobius_bounds import identities
@@ -180,7 +182,7 @@ def test_grid_blocks_equal_one_shot_breakpoints(X):
     if len(want) == 1:
         assert blocks == []
         return
-    assert all(0 < b.m.size <= BLOCK for b in blocks)
+    assert all(0 < b.m.size <= WINDOW for b in blocks)
     assert all(b.cuts.size == b.m.size + 1 for b in blocks)
     assert _joined(blocks).tobytes() == want.tobytes()
     lo, hi = want[:-1], want[1:]
@@ -198,13 +200,12 @@ def test_grid_blocks_equal_one_shot_breakpoints(X):
 
 
 @pytest.mark.parametrize("X", (8.5e6, 2e7 + 0.5, 123456789.25))
-def test_grid_blocks_keep_every_cut_past_x_8_4e6(monkeypatch, X):
+def test_grid_blocks_keep_every_cut_past_x_8_4e6(X):
     """Near t = 1 the X/m lie about 1/X apart, within 64 EPS X once X passes
     8.4e6, where a merge rule on that distance dropped them.  Over the first
-    three blocks (of 4096 pieces) no float X/m and no integer lies strictly
-    inside a piece, and m and k are the exact floors of X/t and t at each
-    piece's midpoint, read as a rational."""
-    monkeypatch.setattr(identities, "BLOCK", 4096)
+    three windows no float X/m and no integer lies strictly inside a
+    piece, and m and k are the exact floors of X/t and t at each piece's
+    midpoint, read as a rational."""
     blocks = list(itertools.islice(_grid_blocks(X), 3))
     cuts = _joined(blocks)
     lo, hi = cuts[0], cuts[-1]
@@ -212,13 +213,42 @@ def test_grid_blocks_keep_every_cut_past_x_8_4e6(monkeypatch, X):
     pts = np.concatenate((X / np.arange(max(1, math.floor(X / hi)), n + 1.0),
                           np.arange(math.ceil(lo), math.floor(hi) + 1.0)))
     pts = pts[(pts > lo) & (pts < hi)]
-    assert pts.size > 3 * 4096 - 10
+    assert pts.size > 3 * WINDOW - 10
     assert np.isin(pts, cuts).all()
     exact = Fraction(X)
     ends = cuts.tolist()
     mids = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(ends[:-1], ends[1:])]
     assert np.concatenate([b.m for b in blocks]).tolist() == [math.floor(exact / t) for t in mids]
     assert np.concatenate([b.k for b in blocks]).tolist() == [math.floor(t) for t in mids]
+
+
+def test_closed_form_prefixes_equal_the_cumulative_sums(table_small):
+    """Each closed-form lookup reads, at every index up to 3e5, the prefix sum
+    it stands for, bit for bit: S_{mu*1} = 1 and S_{lambda*1} = [sqrt k] from
+    their indicators, and the g power prefixes from the cumulative sum of
+    g(j) j^a."""
+    n = 300_000
+    k = np.arange(1, n + 1, dtype=np.int32)
+    kf = np.arange(n + 1, dtype=np.float64)
+    kf[0] = 1.0
+    one = np.ones(n + 1)
+    one[0] = 0.0
+    alt = one.copy()
+    alt[2::2] = -1.0
+    at_one, squares = np.zeros(n + 1), np.zeros(n + 1)
+    at_one[1] = 1.0
+    squares[np.arange(1, math.isqrt(n) + 1) ** 2] = 1.0
+    cases = [
+        (convolution_prefix(table_small, CATALOG_SPECS["meissel"], n), at_one),
+        (convolution_prefix(table_small, CATALOG_SPECS["liouville"], n), squares),
+        (identities._power_prefix("one", 0.0, n), one),
+        (identities._power_prefix("alternating", 0.0, n), alt),
+        (identities._power_prefix("one", 1.0, n), one * kf),
+        (identities._power_prefix("one", -1.0, n), one * kf**-1.0),
+        (identities._power_prefix("one", complex(-1.0), n), one * kf**-1.0),
+    ]
+    for lookup, terms in cases:
+        assert lookup(k).tobytes() == np.cumsum(terms)[1:].tobytes()
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -255,16 +285,27 @@ def test_catalog_check_calls_evaluate_ofd_once(table_small, monkeypatch, name):
     assert len(calls) == 1 and calls[0][1] == 100.0, calls
 
 
-# A cold catalog_check(euler_gamma) holds one block of pieces at a time and
-# a few float64 lookups of n + 1 entries: at most four live at once (f, S_f
-# and the harmonic numbers while the left side is summed; S_f, S_{f*g}, the
-# g power prefix and the harmonic numbers over the grid).  Peak traced
-# bytes measured here 5.68 MiB at X = 2e4 and 8.36 MiB at 1e5; 6.07 and
-# 8.84 MiB while the visitor kept its own Mertens lookup and the first
-# integral had a pass of its own, and 7.32 and 21.46 MiB while the grid was
-# built whole and cached.
-CATALOG_BYTES_PER_BLOCK = 256 * BLOCK
-CATALOG_BYTES_PER_N = 40
+@pytest.mark.parametrize("X", (1000.0, 20000.5))
+def test_catalog_reports_do_not_depend_on_the_window(table_mid, monkeypatch, X):
+    """Every sum is exact and the grid keeps every cut at any window size, so
+    each catalog report is the same at windows of 64, 2^12 and 2^15."""
+    reports = []
+    for window in (64, 1 << 12, 1 << 15):
+        monkeypatch.setattr(identities, "WINDOW", window)
+        reports.append([catalog_check(table_mid, name, X) for name in CATALOG_NAMES])
+    assert reports[0] == reports[1] == reports[2]
+
+
+# A cold catalog_check(euler_gamma) holds one window of pieces at a time
+# and at most two float64 lookups of n + 1 entries (f and S_f while the left
+# side is summed; S_f and the harmonic numbers over the grid; S_{mu*1} is
+# read in closed form).  Peak traced bytes measured here 1.03 MiB at X = 2e4
+# and 2.33 MiB at 1e5, about 181 bytes per piece of one window plus 17 per
+# n; the pins allow about 1.2 times that.  With 2^15-piece blocks and four
+# lookups the same read 5.68 and 8.36 MiB, and 7.32 and 21.46 MiB while the
+# grid was built whole and cached.
+CATALOG_BYTES_PER_BLOCK = 216 * WINDOW
+CATALOG_BYTES_PER_N = 20
 
 
 def test_catalog_check_holds_one_block_of_pieces(table_mid):
@@ -281,12 +322,14 @@ def test_catalog_check_holds_one_block_of_pieces(table_mid):
         tracemalloc.stop()
 
 
-# Peak traced bytes per n of a cold catalog_check at X = 3e5, one block of
+# Peak traced bytes per n of a cold catalog_check at X = 3e5, one window of
 # pieces included: the pin to hold while _PIECE_CAP is raised (ROADMAP item
-# 11).  Measured here: meissel 32.0, elmarraki 40.9, macleod 41.7,
-# euler_gamma 50.8, liouville 41.9, daval_general 43.5; euler_gamma read
-# 52.6 while the first integral had a pass of its own.
-CATALOG_PEAK_BYTES_PER_N = 56
+# 11).  Measured here: meissel 16.7, elmarraki 16.7, macleod 16.7,
+# euler_gamma 24.4 (set by arith.m_check_q, 24.3 alone; its raw form
+# reads 18.5), liouville 17.7, daval_general 18.6; the pin is 1.15 times
+# the largest.  With 2^15-piece blocks and four lookups they read 32.0, 40.9,
+# 41.7, 50.8, 41.9 and 43.5.
+CATALOG_PEAK_BYTES_PER_N = 28
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
