@@ -28,6 +28,7 @@ numpy dispatch gives the same floats.
 
 _zeta_family, the one reader of _eta_pair besides eta, turns the pair
 into 1/zeta and zeta'/zeta^2; inv_zeta, zp_over_z2 and constants read it.
+It keeps its last s, so reading both quotients at one s sums eta once.
 This is the one route at every s, s = 1 included: the removable
 singularities there need no series, since 1 - 2^(1-s) vanishes exactly at
 s = 1 and c = (1 - 2^(-w))/w takes its limit log 2 at w = s - 1 = 0.
@@ -185,6 +186,7 @@ def excluded_distance(s: complex) -> float:
     return abs(s - complex(1.0, k * _EXCLUDED_SPACING))
 
 
+@lru_cache(maxsize=1)  # bounds._mcheck_main reads inv_zeta and zp_over_z2 at one s
 def _zeta_family(s: complex) -> tuple[Approx, Approx, Approx, Approx]:
     """(C, C', 1/zeta, zeta'/zeta^2) at s, from one eta pair.
 

@@ -386,7 +386,8 @@ def _point_terms(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int) 
 
     log n is formed only when j > 0 or s != 1, and each factor only where
     it is not 1, so s = 1 gives mu(n)/n log^j(x/n) bit for bit.  j = 1
-    multiplies by log x - log n itself: numpy's ** 1 is a full pow.
+    multiplies by log x - log n itself, which saves a copy: numpy's ** 1
+    takes its fast scalar-power path and gives the same bits in a new array.
     """
     q = Modulus.coerce(q)
     n = floor_int(x)

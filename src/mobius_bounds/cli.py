@@ -7,7 +7,9 @@ capacity (the message names the limit).
 
 The parsed namespace is the whole configuration: each subcommand binds one
 handler that sizes its own sieve and returns its rows (delta-sign, which
-writes certificates, returns its exit code).  `verify` takes exactly one of
+writes certificates, returns its exit code).  `identity` emits the rows
+that each report's CatalogReport.checks() decides, and names no identity
+of its own.  `verify` takes exactly one of
 --theorem, --suite and --list.  Grids and real flags take finite numbers
 only, and --q/--k take integers only; anything else is a usage error before
 any sieve is built.
@@ -250,45 +252,18 @@ def _sum(args: argparse.Namespace) -> list[BoundRow]:
 
 
 def _identity(args: argparse.Namespace) -> list[BoundRow]:
-    from .identities import IdentitySpec, catalog_check
+    from .identities import EXPONENT_NAME, catalog_check
 
-    name = args.name
-    if args.s_values is not None and name != "daval_general":
-        raise ValueError(f"--s applies to --name daval_general only, not {name!r}")
+    # catalog_check refuses it too, but only after the sieve is built
+    if args.s_values is not None and args.name != EXPONENT_NAME:
+        raise ValueError(f"--s applies to --name {EXPONENT_NAME} only, not {args.name!r}")
     table = _table(args, max(max(args.x_values), 100))
-    # (suffix of param, h spec) per exponent; no --s keeps the catalog's own
-    variants = [("", None)]
-    if args.s_values is not None:
-        variants = [
-            (f" s={s}", IdentitySpec("mobius", "one", "power", "power", s=s))
-            for s in args.s_values
-        ]
-    # the printed liouville form does not hold; its residual is reported
-    # without being asserted against a tolerance
-    printed_only = name == "liouville"
-    rows = []
-    for X in args.x_values:
-        for tag, h_spec in variants:
-            rep = catalog_check(table, name, X, h_spec=h_spec)
-            # (theorem_id, param, residual, tolerance, radius) per row
-            checks = [
-                ("identity-ofd", name + tag, rep.ofd_residual, 1e-9, rep.ofd_err),
-                (
-                    "identity-printed",
-                    f"{name} reported only" if printed_only else name + tag,
-                    rep.residual,
-                    float("inf") if printed_only else 1e-9,
-                    0.0,
-                ),
-            ]
-            if rep.alt_residual is not None:
-                alt = f"{name} {rep.note}".strip() + tag
-                checks.append(("identity-alt", alt, rep.alt_residual, 1e-9, 0.0))
-            rows += [
-                bound_row(tid, X, 1, param, lhs=abs(res), bound=tol, lhs_err=err)
-                for tid, param, res, tol, err in checks
-            ]
-    return rows
+    return [
+        bound_row(tid, X, 1, param, lhs=residual, bound=tol, lhs_err=radius)
+        for X in args.x_values
+        for s in args.s_values or [None]
+        for tid, param, residual, tol, radius in catalog_check(table, args.name, X, s).checks()
+    ]
 
 
 def _verify(args: argparse.Namespace) -> list[BoundRow] | int:

@@ -9,12 +9,14 @@ M2 h^2 / 8, so below max(t_k, t_{k+1}) + M2 h^2 / 8 (the pair bound).  A
 chain from eps = 0 to eps_max whose pair bounds all stay at or below
 cap - error_budget proves Delta_q(X, eps)/X^eps <= cap on the interval;
 cap = 0 is the sign claim.  caps_scan reads the same kernel on a fixed eps
-grid and pads it by the same pair rule, so the scaled defect has one
-evaluator (IntervalKernel) and one pad (pair_bound with M2).  The
-evaluator's value is two parts composed, t = S - M: the kernel sum S over
-the support, which states its rounding radius r_S, and the main term M
-(main_term), which does not depend on the interval; caps_scan forms M once
-per grid point, and bounds.verify_mqeps reads S, r_S and M from one kernel.
+grid and pads it by the same pair rule, so the readers of IntervalKernel
+share one evaluator of the scaled defect and one pad (pair_bound with
+M2); bounds.mqeps_scan forms the defect apart, from two prefix columns and
+its own main term.  The evaluator's value is two parts composed, t = S - M:
+the kernel sum S over the support, which states its rounding radius r_S,
+and the main term M (main_term), which does not depend on the interval;
+caps_scan forms M once per grid point, and bounds.verify_mqeps reads S, r_S
+and M from one kernel.
 
 The main term's share of M2 is a closed form: interval arithmetic on
 enclosures of eps·zeta(1+eps) and its first two derivatives over

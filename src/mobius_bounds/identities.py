@@ -42,7 +42,10 @@ form's, bit for bit.
 
 The shipped catalog covers the classical fractional-part identities plus a
 log-weighted variant and one Liouville instance whose published closed form
-disagrees with the raw identity; catalog_check reports, never asserts.
+disagrees with the raw identity; catalog_check reports, never asserts.  Its
+report decides its own rows: CatalogReport.checks() gives each row's
+theorem id, label, residual, tolerance (ROW_TOLERANCE, or none for a
+printed form reported only) and radius, so a caller names no identity.
 """
 from __future__ import annotations
 
@@ -475,6 +478,10 @@ def evaluate_ofd(
 # Catalog: the published named instances, printed form vs raw identity.
 
 
+# the tolerance every decided identity row is checked against
+ROW_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class CatalogReport:
     name: str
@@ -486,6 +493,27 @@ class CatalogReport:
     ofd_err: float
     alt_residual: float | None = None
     note: str = ""
+    tag: str = ""  # " s=<s>" after the name when daval_general's s was given
+    reported_only: bool = False  # the printed form is reported, not decided
+
+    def checks(self) -> list[tuple[str, str, float, float, float]]:
+        """(theorem_id, param, residual, tolerance, radius) for each row:
+        the raw two-integral form (identity-ofd, with its 16·EPS·mass
+        radius), the printed form (identity-printed; a form reported only
+        has an infinite tolerance) and, where the note gives a corrected
+        reading, that reading (identity-alt, labelled by the note)."""
+        param = self.name + self.tag
+        printed = (param, ROW_TOLERANCE)
+        if self.reported_only:
+            printed = (f"{self.name} reported only", math.inf)
+        rows = [
+            ("identity-ofd", param, self.ofd_residual, ROW_TOLERANCE, self.ofd_err),
+            ("identity-printed", printed[0], self.residual, printed[1], 0.0),
+        ]
+        if self.alt_residual is not None:
+            alt = f"{self.name} {self.note}{self.tag}"
+            rows.append(("identity-alt", alt, self.alt_residual, ROW_TOLERANCE, 0.0))
+        return rows
 
 
 CATALOG_SPECS = {
@@ -496,7 +524,12 @@ CATALOG_SPECS = {
     "liouville": IdentitySpec("liouville", "one", "one", "id"),
 }
 
-CATALOG_NAMES = tuple(CATALOG_SPECS) + ("daval_general",)
+# the one catalog name that takes an exponent s, for h = H = t^s; without
+# one it checks its default weight
+EXPONENT_NAME = "daval_general"
+_EXPONENT_DEFAULT = IdentitySpec("mobius", "one", "power", "id", s=0.5)
+
+CATALOG_NAMES = tuple(CATALOG_SPECS) + (EXPONENT_NAME,)
 
 
 def _floor_over_t(total: ExactSum):
@@ -560,41 +593,30 @@ def catalog_check(
     table: ArithmeticTable,
     name: str,
     X: float,
-    h_spec: IdentitySpec | None = None,
+    s: complex | None = None,
 ) -> CatalogReport:
     """Evaluate a named identity: printed closed form and raw two-integral form.
 
-    Residual mismatches are reported, not raised; one published closed form
-    is known to disagree with its generating instance (see the note field).
-    The raw form and the printed form's integrals share one pass over the
-    grid.
+    s, for daval_general only, sets h = H = t^s, and the report's rows carry
+    " s=<s>" after the name; without it daval_general checks h(u) = u^(1/2)
+    with H = id.  An unknown name, or an s given to any other name, is
+    refused before any sum.  Residual mismatches are reported, not raised;
+    one published closed form is known to disagree with its generating
+    instance (see the note field).  The raw form and the printed form's
+    integrals share one pass over the grid; the report's checks() decide
+    its rows.
     """
+    if name not in CATALOG_NAMES:
+        raise ValueError(f"unknown catalog name {name!r}")
+    if s is not None and name != EXPONENT_NAME:
+        raise ValueError(f"s applies to {EXPONENT_NAME} only, not {name!r}")
+    spec, tag = CATALOG_SPECS.get(name, _EXPONENT_DEFAULT), ""
+    if s is not None:
+        s = complex(s)  # labelled as the CLI's --s values are
+        spec, tag = IdentitySpec("mobius", "one", "power", "power", s=s), f" s={s}"
     n = _grid_size(table, X)  # before any sum
     mu = table.mu
-    mval = m_q(table, X, 1)
-    Mval = float(table.mertens(X))
-
-    if name == "daval_general":
-        spec = h_spec if h_spec is not None else IdentitySpec(
-            "mobius", "one", "power", "id", s=0.5
-        )
-        ofd = evaluate_ofd(table, spec, X)
-        return CatalogReport(
-            name=name,
-            X=X,
-            lhs=abs(ofd.lhs),
-            rhs=abs(ofd.rhs),
-            residual=ofd.residual,
-            ofd_residual=ofd.residual,
-            ofd_err=ofd.residual_err,
-            note="generic weight: printed and raw forms coincide",
-        )
-
-    if name not in CATALOG_SPECS:
-        raise ValueError(f"unknown catalog name {name!r}")
-    spec = CATALOG_SPECS[name]
-    alt = None
-    note = ""
+    alt, note, reported_only = None, "", False
 
     if name == "meissel":
         ofd = evaluate_ofd(table, spec, X)
@@ -604,7 +626,7 @@ def catalog_check(
             return mu[sl] * (y - _floor_array(y))
 
         lhs = _sum_over_n(n, fracs)
-        rhs = -1.0 + X * mval
+        rhs = -1.0 + X * m_q(table, X, 1)
     elif name == "elmarraki":
         total = ExactSum()
         ofd = evaluate_ofd(table, spec, X, visit=_floor_over_t(total))
@@ -619,10 +641,11 @@ def catalog_check(
             return mu[sl] * (fr * fr - fr) / y
 
         lhs = _sum_over_n(n, terms)
-        rhs = X * mval - Mval - 2.0 + 2.0 / X
+        rhs = X * m_q(table, X, 1) - float(table.mertens(X)) - 2.0 + 2.0 / X
     elif name == "euler_gamma":
         printed, fixed = ExactSum(), ExactSum()
         ofd = evaluate_ofd(table, spec, X, visit=_gamma_brackets(printed, fixed))
+        mval, Mval = m_q(table, X, 1), float(table.mertens(X))
         lhs = m_check_q(table, X, 1) + GAMMA * (mval - Mval / X)
         rhs = 1.0 - 1.0 / X + float(printed) / X
         rhs_fixed = 1.0 - 1.0 / X + float(fixed) / X
@@ -631,7 +654,7 @@ def catalog_check(
             "printed bracket carries 1/t; replacing it by the constant 1 "
             "(alt_residual) matches the raw identity"
         )
-    else:  # liouville
+    elif name == "liouville":
         # lambda is sieved once, for the pass and both sides
         liou = table.liouville(0, n + 1)
         frac, lam, floor = ExactSum(), ExactSum(), ExactSum()
@@ -647,15 +670,22 @@ def catalog_check(
             "of the square-counting prefix both deviate from the raw "
             "identity (alt_residual tracks the floor reading)"
         )
+        reported_only = True  # the printed form does not hold
+    else:  # daval_general: the printed form is the raw form, complex sides
+        ofd = evaluate_ofd(table, spec, X)
+        lhs, rhs = abs(ofd.lhs), abs(ofd.rhs)
+        note = "generic weight: printed and raw forms coincide"
 
     return CatalogReport(
         name=name,
         X=X,
         lhs=float(lhs),
         rhs=float(rhs),
-        residual=abs(float(lhs) - float(rhs)),
+        residual=ofd.residual if name == EXPONENT_NAME else abs(float(lhs) - float(rhs)),
         ofd_residual=ofd.residual,
         ofd_err=ofd.residual_err,
         alt_residual=alt,
         note=note,
+        tag=tag,
+        reported_only=reported_only,
     )

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobius_bounds import arith, bounds, delta_sign
+from mobius_bounds import analytic, arith, bounds, delta_sign
 from mobius_bounds.analytic import ComplexParameter, constants
 from mobius_bounds.arith import (
     Modulus,
@@ -200,6 +200,30 @@ def test_verify_mqeps_selects_the_support_once_per_sum(table_small, monkeypatch,
     row = bounds.verify_mqeps(table_small, 9999.5, 30, eps)
     assert row.verdict == PASS
     assert calls == [9999] * selections
+
+
+@pytest.mark.parametrize("sigma", [1.05, 1.0, 2.0])
+def test_mcheck_main_sums_eta_once(monkeypatch, sigma):
+    """_mcheck_main reads inv_zeta and zp_over_z2 at one sigma; both come
+    from one _zeta_family pass, so eta is summed once, with the values of
+    two separate passes bit for bit."""
+    analytic._zeta_family.cache_clear()
+    apart = (analytic.inv_zeta(sigma), analytic.zp_over_z2(sigma))
+    calls = []
+    true_pair = analytic._eta_pair
+
+    def counting(s):
+        calls.append(s)
+        return true_pair(s)
+
+    monkeypatch.setattr(analytic, "_eta_pair", counting)
+    analytic._zeta_family.cache_clear()
+    main, err, _ = bounds._mcheck_main(Modulus(1), sigma)
+    assert calls == [complex(sigma)]
+    assert (main(2.0), err(2.0)) == (
+        2.0 * apart[0].value.real - apart[1].value.real,
+        2.0 * apart[0].err + apart[1].err,
+    )
 
 
 @pytest.mark.parametrize("q", [1, 2, 30, 30030])

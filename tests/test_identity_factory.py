@@ -12,6 +12,7 @@ from mobius_bounds.identities import (
     CATALOG_NAMES,
     CATALOG_SPECS,
     WINDOW,
+    ROW_TOLERANCE,
     IdentitySpec,
     _floor_array,
     _grid_blocks,
@@ -122,6 +123,63 @@ def test_catalog_guards(table_small):
         catalog_check(table_small, "nope", 10.0)
     with pytest.raises(ValueError):
         catalog_check(table_small, "meissel", 0.5)
+
+
+def test_checks_decide_each_row(table_small):
+    """checks() gives each report's rows: liouville's printed row is
+    reported only (infinite tolerance), euler_gamma and liouville add the
+    reading their note names, and daval_general's exponent labels every row."""
+    rows = {name: catalog_check(table_small, name, 10.0).checks() for name in CATALOG_NAMES}
+    for name, checks in rows.items():
+        assert [c[0] for c in checks[:2]] == ["identity-ofd", "identity-printed"], name
+        alt = [c for c in checks if c[0] == "identity-alt"]
+        assert len(alt) == (name in ("euler_gamma", "liouville")), name
+        tols = [c[3] for c in checks]
+        want = [ROW_TOLERANCE, math.inf] if name == "liouville" else [ROW_TOLERANCE] * 2
+        assert tols == want + [ROW_TOLERANCE] * len(alt), name
+    printed = rows["liouville"][1]
+    assert printed[1] == "liouville reported only" and printed[3] == math.inf
+    rep = catalog_check(table_small, "daval_general", 10.0, 2 + 1j)
+    assert [c[1] for c in rep.checks()] == ["daval_general s=(2+1j)"] * 2
+    assert rep.checks()[0][2:] == (rep.ofd_residual, ROW_TOLERANCE, rep.ofd_err)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_check_takes_s_for_daval_general_only(table_small, name):
+    if name == "daval_general":
+        rep = catalog_check(table_small, name, 10.0, 3.0)
+        assert rep.tag == " s=(3+0j)"
+        raw = evaluate_ofd(table_small, IdentitySpec("mobius", "one", "power", "power", s=3), 10.0)
+        assert rep.ofd_residual == raw.residual
+    else:
+        with pytest.raises(ValueError, match="daval_general only"):
+            catalog_check(table_small, name, 10.0, 3.0)
+
+
+def _refuse_sums(monkeypatch, table, *attrs):
+    def refused(*args, **kwargs):
+        raise AssertionError("a sum was read")
+
+    for attr in attrs:
+        monkeypatch.setattr(identities, attr, refused)
+    monkeypatch.setattr(table, "mertens", refused)
+
+
+def test_unknown_name_is_refused_before_any_sum(table_small, monkeypatch):
+    _refuse_sums(monkeypatch, table_small, "m_q", "m_check_q", "evaluate_ofd")
+    with pytest.raises(ValueError, match="unknown catalog name 'nope'"):
+        catalog_check(table_small, "nope", 10.0)
+    with pytest.raises(ValueError, match="daval_general only"):
+        catalog_check(table_small, "meissel", 10.0, 2.0)
+
+
+@pytest.mark.parametrize("name", ["elmarraki", "liouville", "daval_general"])
+def test_catalog_check_reads_no_m_where_its_form_does_not(table_small, monkeypatch, name):
+    """m_q(X) and M(X) enter only the printed forms of meissel, macleod and
+    euler_gamma; the other names never compute them."""
+    clean = catalog_check(table_small, name, 100.0)
+    _refuse_sums(monkeypatch, table_small, "m_q")
+    assert catalog_check(table_small, name, 100.0) == clean
 
 
 def test_floor_array_is_floor_int_elementwise():
