@@ -503,12 +503,12 @@ class CatalogReport:
         has an infinite tolerance) and, where the note gives a corrected
         reading, that reading (identity-alt, labelled by the note)."""
         param = self.name + self.tag
-        printed = (param, ROW_TOLERANCE)
+        printed, tol = param, ROW_TOLERANCE
         if self.reported_only:
-            printed = (f"{self.name} reported only", math.inf)
+            printed, tol = f"{self.name} reported only", math.inf
         rows = [
             ("identity-ofd", param, self.ofd_residual, ROW_TOLERANCE, self.ofd_err),
-            ("identity-printed", printed[0], self.residual, printed[1], 0.0),
+            ("identity-printed", printed, self.residual, tol, 0.0),
         ]
         if self.alt_residual is not None:
             alt = f"{self.name} {self.note}{self.tag}"
