@@ -2,11 +2,14 @@
 
 The central object is an ArithmeticTable holding the Mobius function
 mu[n] for 0 <= n <= limit (int8), and von Mangoldt's Lambda only where it
-is nonzero (7% of entries at 1e7), so a table costs about 2.3 bytes per
+is nonzero (7% of entries at 1e7), so a table costs about 1.8 bytes per
 entry:
 
-    prime_powers[i]     the prime powers p^k <= limit, ascending (int64)
+    prime_powers[i]     the prime powers p^k <= limit, ascending (int32)
     prime_power_logs[i] Lambda there, log p (float64)
+
+Every searchsorted on prime_powers takes an int32 key (_rank): a key of
+another dtype makes numpy convert the whole array to the common one first.
 
 The Mertens function and psi are derived, not stored: mertens(x) sums mu,
 psi_prefix (built on first use) holds psi at the prime powers only, and
@@ -23,10 +26,11 @@ prime power p^k multiplies its stride by -p: the product's absolute value
 is the base-smooth part of n, exact since it divides n < 2^31, and its sign
 is (-1)^Omega of that part.  n has a prime factor above the base iff that
 part is below n, an integer comparison; the factor flips lambda once more,
-and mu = lambda times the squarefree flag.  A segment costs about 12 bytes
-per entry while it is built.  Lambda keeps its two sources: math.log(p) at
-the powers of base primes, np.log of the float64 n at the primes above the
-base.
+and mu = lambda times the squarefree flag.  That tail (the comparison with
+n, the prime list and mu) goes one BLOCK at a time, in place, so a segment
+costs about 8 bytes per entry while it is built.  Lambda keeps its two
+sources: math.log(p) at the powers of base primes, np.log of the float64 n
+at the primes above the base.
 
 On top of the table live the weighted partial sums used everywhere else:
 
@@ -35,12 +39,14 @@ On top of the table live the weighted partial sums used everywhere else:
     mcheck_q(X; s)  = sum_{n<=X, (n,q)=1} mu(n) log(X/n)/n^s
 
 and log_moment_sum's log^k(X/n) weights.  Each is an exactly rounded sum
-(util.fsum_blocks: one math.fsum of a list up to FSUM_LIST_MAX terms, an
-ExactSum split BLOCK slice by slice past that) of one term builder,
-_point_terms: (mu(n)/n) log^j(X/n) exp(-(s-1) log n) over the support that
-mu_support selects, the n <= X with mu(n) != 0 and gcd(n, q) = 1.  So the
-relative error budget of 2^-40 is met with a wide margin on the supported
-domain, and s = 1 is bit-identical to the plain harmonic-weighted sum.
+(util.ExactSum) of one term builder, _point_blocks: (mu(n)/n) log^j(X/n)
+exp(-(s-1) log n) over the support, the n <= X with mu(n) != 0 and
+gcd(n, q) = 1, which support_blocks reads one BLOCK of [1, X] at a time;
+so a point sum holds one block of terms, whatever X.  Each term is formed
+entry by entry and the sum is exact in any order, so the value is that of
+one sum over the whole support, bit for bit.  The relative error budget of
+2^-40 is met with a wide margin on the supported domain, and s = 1 is
+bit-identical to the plain harmonic-weighted sum.
 
 The scans read prefix sums instead: the cumsum P of mu(k) (-log k)^j /
 k^sigma over coprime k, from one loop over BLOCK-entry blocks that builds
@@ -65,11 +71,12 @@ from math import isqrt
 
 import numpy as np
 
-from .util import BLOCK, CapacityError, ExactSum, floor_int, fsum_blocks
+from .util import BLOCK, CapacityError, ExactSum, floor_int, fsum_stream
 
 SEGMENT = 1 << 19
-# ~2.3 bytes/entry in a table (1 for mu, 16 per prime power); below 2^31,
-# so _sieve_segment's int32 products and the n they are compared with fit
+# ~1.8 bytes/entry in a table (1 for mu, 12 per prime power); below 2^31,
+# so _sieve_segment's int32 products, the n they are compared with and the
+# int32 prime powers fit
 LIMIT_BUDGET = 200_000_000
 
 
@@ -181,10 +188,10 @@ class ArithmeticTable:
     def psi_prefix(self) -> np.ndarray:
         """psi at the prime powers, cached on first use: entry i is psi(n)
         for every n with exactly i prime powers <= n, so psi(n) is
-        psi_prefix[searchsorted(prime_powers, n, "right")].  One cumsum over
-        the prime powers alone: the dense cumsum adds +0.0 between them to a
-        sum that is +0.0 or positive, which leaves it unchanged, so the
-        values are the dense ones bit for bit."""
+        psi_prefix[_rank(n)].  One cumsum over the prime powers alone: the
+        dense cumsum adds +0.0 between them to a sum that is +0.0 or
+        positive, which leaves it unchanged, so the values are the dense
+        ones bit for bit."""
         if self._psi_prefix is None:
             psi = np.zeros(self.prime_powers.size + 1)
             np.cumsum(self.prime_power_logs, out=psi[1:])
@@ -192,10 +199,17 @@ class ArithmeticTable:
             self._psi_prefix = psi
         return self._psi_prefix
 
+    def _rank(self, n: int, side: str = "right") -> int:
+        """The number of prime powers <= n (side "right") or < n ("left"),
+        for 0 <= n <= limit + 1; the key takes the array's own dtype, so
+        numpy converts no copy of the array."""
+        key = self.prime_powers.dtype.type(n)
+        return int(np.searchsorted(self.prime_powers, key, side))
+
     def prime_powers_upto(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(prime powers <= n, log p at each), read-only views."""
         self._check_range(n)
-        k = int(np.searchsorted(self.prime_powers, n, "right"))
+        k = self._rank(n)
         return self.prime_powers[:k], self.prime_power_logs[:k]
 
     def mangoldt(self, lo: int, hi: int) -> np.ndarray:
@@ -203,7 +217,7 @@ class ArithmeticTable:
         if not 0 <= lo <= hi:
             raise ValueError(f"bad Lambda range [{lo}, {hi})")
         self._check_range(hi - 1)
-        a, b = np.searchsorted(self.prime_powers, (lo, hi))
+        a, b = self._rank(lo, "left"), self._rank(hi, "left")
         out = np.zeros(hi - lo)
         out[self.prime_powers[a:b] - lo] = self.prime_power_logs[a:b]
         return out
@@ -244,7 +258,8 @@ def build_table(limit: int) -> ArithmeticTable:
     one.  Once the count is known, the logs and then the offsets are copied
     into arrays of exact size, each piece freed as it is copied, so at most
     mu, the pieces (12 bytes per prime power) and one output (8) are held
-    at once.
+    at once.  The offsets stay int32 in the table: 4 bytes per prime power
+    less than int64, and the powers' searches take int32 keys (_rank).
     """
     limit = _integer("limit", limit)
     if limit < 1:
@@ -261,7 +276,7 @@ def build_table(limit: int) -> ArithmeticTable:
         del seg_mu, seg_liou, offsets  # freed before the next segment
     count = sum(piece.size for piece in logs)
     logs = _drain(logs, count, np.float64)  # the wider pieces go first
-    return ArithmeticTable(limit, mu, _drain(powers, count, np.int64), logs)
+    return ArithmeticTable(limit, mu, _drain(powers, count, np.int32), logs)
 
 
 def _drain(pieces: list[np.ndarray], count: int, dtype: type) -> np.ndarray:
@@ -341,7 +356,24 @@ def _sieve_segment(start: int, end: int, base: list[int], logs: list[float]):
             pk *= p
         squarefree[(-start) % (p * p) :: p * p] = False
 
-    primes = np.flatnonzero(prod == 1)
+    # one BLOCK at a time and in place: a whole-segment temporary here
+    # raises the segment's peak
+    liouville = np.empty(length, dtype=np.int8)
+    odd = liouville.view(bool)
+    primes = []
+    for a in range(0, length, BLOCK):
+        chunk, chunk_odd = prod[a : a + BLOCK], odd[a : a + BLOCK]
+        primes.append(np.flatnonzero(chunk == 1) + a)
+        np.less(chunk, 0, out=chunk_odd)
+        np.abs(chunk, out=chunk)
+        chunk_odd ^= chunk < np.arange(start + a, start + a + chunk.size, dtype=np.int32)
+    del prod
+    liouville *= -2
+    liouville += 1
+    mu = squarefree.view(np.int8)
+    mu *= liouville
+
+    primes = np.concatenate(primes)
     if start == 1:
         primes = primes[1:]  # n = 1
     # the primes are many and the base prime powers few (no n is both),
@@ -352,76 +384,96 @@ def _sieve_segment(start: int, end: int, base: list[int], logs: list[float]):
     prime_logs = np.log((primes + start).astype(np.float64))
     offsets = np.insert(primes, at, offsets)
     power_logs = np.insert(prime_logs, at, np.array(power_logs)[order])
-
-    # in place: a new array here raises the segment's peak
-    odd = prod < 0
-    np.abs(prod, out=prod)
-    odd ^= prod < np.arange(start, end, dtype=np.int32)
-    del prod
-    liouville = odd.view(np.int8)
-    liouville *= -2
-    liouville += 1
-    return liouville * squarefree, liouville, offsets, power_logs
+    return mu, liouville, offsets, power_logs
 
 
 # ----------------------------------------------------------------------
 # Weighted partial sums
 
 
-def mu_support(table: ArithmeticTable, n: int, q: Modulus) -> tuple[np.ndarray, np.ndarray]:
-    """(k, mu(k)/k) on the support: the k <= n with mu(k) != 0 and
-    gcd(k, q) = 1, in increasing order."""
+def support_blocks(
+    table: ArithmeticTable, n: int, q: Modulus
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(k, mu(k)/k) on the support, the k <= n with mu(k) != 0 and
+    gcd(k, q) = 1, one BLOCK of [1, n] at a time, in increasing order; n is
+    checked against the table before the first block."""
     table._check_range(n)
-    mu = table.mu[: n + 1]
-    keep = mu != 0
-    if q.primes:
-        keep = keep & q.coprime_mask(n)
-    k = np.nonzero(keep)[0]
-    return k, mu[k] / k
+    return _support_blocks(table, n, q)
 
 
-def _point_terms(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int) -> np.ndarray:
-    """(mu(n)/n) log^j(x/n) exp(-(s-1) log n) over the support of n <= x,
-    empty below x = 1; real or complex as s is.
+def _support_blocks(table: ArithmeticTable, n: int, q: Modulus):
+    for lo in range(1, n + 1, BLOCK):
+        vals = _mu_block(table, lo, min(lo + BLOCK, n + 1), q)
+        k = np.flatnonzero(vals)
+        vals = vals[k]
+        k += lo
+        yield k, vals / k
+
+
+def _mu_block(table: ArithmeticTable, lo: int, hi: int, q: Modulus) -> np.ndarray:
+    """mu(i) for lo <= i < hi as float64, 0.0 where gcd(i, q) > 1."""
+    vals = table.mu[lo:hi].astype(np.float64)
+    for p in q.primes:
+        vals[(-lo) % p :: p] = 0.0
+    return vals
+
+
+def mu_support(table: ArithmeticTable, n: int, q: Modulus) -> tuple[np.ndarray, np.ndarray]:
+    """(k, mu(k)/k) on the whole support: the blocks of support_blocks joined."""
+    blocks = list(support_blocks(table, n, q))
+    if not blocks:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    return np.concatenate([k for k, _ in blocks]), np.concatenate([w for _, w in blocks])
+
+
+def _point_blocks(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int):
+    """The terms (mu(n)/n) log^j(x/n) exp(-(s-1) log n) over the support of
+    n <= x, one block of support_blocks at a time, none below x = 1; real
+    or complex as s is.  q is checked first, then x against the table, as
+    the first block is drawn (every caller draws it at once).
 
     log n is formed only when j > 0 or s != 1, and each factor only where
     it is not 1, so s = 1 gives mu(n)/n log^j(x/n) bit for bit.  j = 1
     multiplies by log x - log n itself, which saves a copy: numpy's ** 1
     takes its fast scalar-power path and gives the same bits in a new array.
+    Each term is formed entry by entry, so its bits do not depend on the
+    block that holds it.
     """
     q = Modulus.coerce(q)
     n = floor_int(x)
     if n < 1:
-        return np.empty(0)
-    k, terms = mu_support(table, n, q)
-    if j == 0 and s == 1:
-        return terms
-    logs = np.log(k.astype(np.float64))
-    if j:
-        weights = math.log(x) - logs
-        terms = terms * (weights if j == 1 else weights ** j)
-    if s != 1:
-        terms = terms * np.exp(-(s - 1.0) * logs)
-    return terms
+        return
+    lx = math.log(x)
+    for k, terms in support_blocks(table, n, q):
+        if j or s != 1:
+            logs = np.log(k.astype(np.float64))
+        if j:
+            weights = lx - logs
+            terms = terms * (weights if j == 1 else weights ** j)
+        if s != 1:
+            terms = terms * np.exp(-(s - 1.0) * logs)
+        yield terms
 
 
 def _complex_sum(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int) -> complex:
-    """The exactly rounded sum of _point_terms at s, finite with Re s > 0,
-    each part summed apart; at s = 1 the terms are real."""
+    """The exactly rounded sum of the _point_blocks terms at s, finite with
+    Re s > 0, each part summed apart; at s = 1 the terms are real."""
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
     if s.real <= 0.0:
         raise ValueError(f"requires Re s > 0, got s = {s}")
-    terms = _point_terms(table, x, q, s, j)
-    if s == 1.0:
-        return complex(fsum_blocks(terms))
-    return complex(fsum_blocks(terms.real), fsum_blocks(terms.imag))
+    re, im = ExactSum(), ExactSum()
+    for terms in _point_blocks(table, x, q, s, j):
+        re.add(terms.real)
+        if s != 1.0:
+            im.add(terms.imag)
+    return complex(float(re), float(im))
 
 
 def m_q(table: ArithmeticTable, x: float, q: Modulus | int = ONE) -> float:
     """sum_{n<=x, (n,q)=1} mu(n)/n, exactly-rounded accumulation."""
-    return fsum_blocks(_point_terms(table, x, q, 1, 0))
+    return fsum_stream(_point_blocks(table, x, q, 1, 0))
 
 
 def m_q_s(table: ArithmeticTable, x: float, q: Modulus | int, s: complex) -> complex:
@@ -456,20 +508,22 @@ def log_moment_sum(
 
     Returns (value, err) where err bounds the accumulated rounding of the
     term-wise powers/logs (the sum itself is exactly rounded).  k is an
-    integer >= 0 and sigma finite.
+    integer >= 0 and sigma finite.  One pass over the blocks feeds the sum
+    and its mass.
     """
     if _integer("k", k) < 0:
         raise ValueError("k must be >= 0")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
-    terms = _point_terms(table, x, q, sigma, k)
-    if not terms.size:
+    value, mass, size = ExactSum(), ExactSum(), 0
+    for terms in _point_blocks(table, x, q, sigma, k):
+        value.add(terms)
+        mass.add(np.abs(terms))
+        size += terms.size
+    if not size:
         return 0.0, 0.0
-    mass = ExactSum()
-    for lo in range(0, len(terms), BLOCK):
-        mass.add(np.abs(terms[lo : lo + BLOCK]))
     err = 8.0 * (2.0 + k) * np.finfo(float).eps * float(mass)
-    return fsum_blocks(terms), err
+    return float(value), err
 
 
 # ----------------------------------------------------------------------
@@ -576,10 +630,8 @@ def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols, support: b
     carries = [0.0] * len(cols)
     j_max = max(jj for _, jj in cols)
     for lo in range(1, stop + 1, BLOCK):
-        vals = table.mu[lo : min(lo + BLOCK, stop + 1)].astype(np.float64)
+        vals = _mu_block(table, lo, min(lo + BLOCK, stop + 1), q)
         hi = lo + vals.size
-        for p in q.primes:
-            vals[(-lo) % p :: p] = 0.0
         if support:
             idx = np.flatnonzero(vals != 0.0)
             vals = vals[idx]
@@ -689,4 +741,4 @@ def chebyshev_psi(table: ArithmeticTable, x: float) -> float:
     if n < 2:
         return 0.0
     table._check_range(n)
-    return float(table.psi_prefix[np.searchsorted(table.prime_powers, n, "right")])
+    return float(table.psi_prefix[table._rank(n)])

@@ -2,7 +2,8 @@
 
 Each estimate's envelope, main term and domain guard is written once and
 serves two evaluators of its left side.  verify_* takes exactly rounded
-sums (util.fsum_blocks) at one point and renders a three-way verdict
+sums (util.ExactSum, fed one block at a time, so a point check holds one
+block whatever X) at one point and renders a three-way verdict
 through the certified comparison in util: pass only when the margin clears
 the accumulated evaluation error, fail only when the violation does.  The
 *_scan sweeps evaluate the left side from cumsum prefixes, each log moment
@@ -42,12 +43,14 @@ from .arith import (
     Modulus,
     _integer,
     _prefix_request,
+    _prefix_runs,
     log_moment_sum,
     m_check_q_s,
     m_q,
     m_q_s,
     prefix_log_moment,
-    prefix_m_q,
+    prefix_m_q,  # no caller here: perfbench/tracer.py names it as a boundary
+    support_blocks,
     sweep_prefix_min,
 )
 from .reports import BoundRow, bound_row, label_num
@@ -60,12 +63,13 @@ from .util import (
     XI,
     Approx,
     BracketError,
+    ExactSum,
     as_approx,
     cert_le,
     combine_verdicts,
     expm1c,
     floor_int,
-    fsum_blocks,
+    fsum_stream,
 )
 
 # points of the log grid of X that the eps-family scans sweep
@@ -243,20 +247,27 @@ def delta_q(
     eps = 0: the limit m_check_q([X]) - q/phi(q) + m_q([X]) log(X/[X]).
     A subnormal eps is refused (delta_sign.refuse_subnormal_eps).
     """
-    from .delta_sign import refuse_subnormal_eps
+    from .delta_sign import main_term, refuse_subnormal_eps
 
     _defect_domain(X, eps)
     refuse_subnormal_eps(eps)
     qm = Modulus.coerce(q)
-    return DeltaValue(X=X, q=qm.q, eps=eps, value=_defect_kernel(table, X, qm).at(eps))
+    value = _defect_sum(table, X, qm, eps)[0] - main_term(qm, eps)
+    return DeltaValue(X=X, q=qm.q, eps=eps, value=value)
 
 
-def _defect_kernel(table: ArithmeticTable, X: float, qm: Modulus):
-    """The delta_sign.IntervalKernel of Delta_q(X, eps)/X^eps at this X: the
-    counting sums at [X], read at y = X."""
-    from .delta_sign import IntervalKernel, interval_weights
+def _defect_sum(table: ArithmeticTable, X: float, qm: Modulus, eps: float):
+    """(S(eps), r_S) of the delta_sign.IntervalKernel of Delta_q(X, eps)/X^eps
+    at this X, the counting sums at [X] read at y = X.  The kernel holds no
+    support: its terms are formed one block of support_blocks at a time
+    into one exactly rounded sum, so S is the held kernel's sum_at, bit for
+    bit, and the sum holds one block whatever X."""
+    from .delta_sign import IntervalKernel
 
-    return IntervalKernel(*interval_weights(table, floor_int(X), qm), math.log(X), qm)
+    kernel = IntervalKernel(None, None, math.log(X), qm)
+    blocks = support_blocks(table, floor_int(X), qm)
+    s = fsum_stream(kernel.terms(eps, w, np.log(k)) for k, w in blocks)
+    return s, kernel.sum_radius(eps)
 
 
 def mqeps_bound(X, q: Modulus | int, eps: float):
@@ -279,9 +290,10 @@ def verify_mqeps(
 ) -> BoundRow:
     """|Delta_q(X,eps)/X^eps| against its envelope, plus the companion
     lower bound m_q(X;sigma) >= m_q(X)/X^(sigma-1) folded into the verdict.
-    One kernel serves both, read once: t = S - M from its kernel sum S and
-    the main term M.  The lhs radius is S's stated r_S, plus M's
-    MAIN_TERM_REL_ERR and EPS |t| for the subtraction.  eps·S is
+    One kernel sum serves both, read once: t = S - M from the kernel sum S
+    (_defect_sum, one block of the support at a time) and the main term M.
+    The lhs radius is S's stated r_S, plus M's MAIN_TERM_REL_ERR and EPS |t|
+    for the subtraction.  eps·S is
     m_q(X; 1+eps) - m_q(X) X^(-eps) exactly, so at eps > 0 the companion is
     S >= 0, decided within r_S with no cancelling difference; at eps = 0
     both sides are m_q(X) and it holds with equality."""
@@ -289,8 +301,7 @@ def verify_mqeps(
 
     qm = Modulus.coerce(q)
     _defect_domain(X, eps)
-    kernel = _defect_kernel(table, X, qm)
-    s, m, r_s = kernel.sum_at(eps), main_term(qm, eps), kernel.sum_radius(eps)
+    (s, r_s), m = _defect_sum(table, X, qm, eps), main_term(qm, eps)
     lhs_err = r_s + MAIN_TERM_REL_ERR * m + EPS * abs(s - m)
     bound = mqeps_bound(X, qm, eps)
     row = _row("mqeps", X, qm.q, f"eps={label_num(eps)}", abs(s - m), bound, lhs_err)
@@ -476,13 +487,17 @@ def special_scan(
 
 def integral_abs_mq(table: ArithmeticTable, X: float, q: Modulus | int = 1) -> float:
     """Exact integral of |m_q(t)| over [1, X]: m_q is a step function, so
-    this is sum_n |m_q(n)| (min(n+1, X) - n)."""
+    this is sum_n |m_q(n)| (min(n+1, X) - n).  The prefix P = m_q(n) is read
+    one block of _prefix_runs at a time, the values of prefix_m_q bit for
+    bit, and the n < [X] go into one exactly rounded sum."""
     if X < 1.0:
         return 0.0
-    qm = Modulus.coerce(q)
-    n = floor_int(X)
-    pref = np.abs(prefix_m_q(table, n, qm))
-    return fsum_blocks(pref[1:n]) + float(pref[n]) * (X - n)
+    n, qm, cols = _prefix_request(table, floor_int(X), q, 1.0, 0)
+    total = ExactSum()
+    for lo, _, (run,), _, _ in _prefix_runs(table, n, qm, cols, support=False):
+        pref = np.abs(run[1:])  # |P| at lo .. hi - 1
+        total.add(pref[: n - lo])
+    return float(total) + float(pref[-1]) * (X - n)
 
 
 def integral_abs_mq_bound(X: float, q: Modulus | int = 1) -> float:

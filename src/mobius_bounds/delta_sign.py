@@ -271,15 +271,22 @@ class IntervalKernel:
     def __init__(self, w: np.ndarray, ln: np.ndarray, log_y: float, qm: Modulus):
         self.w, self.ln, self.log_y, self.qm = w, ln, log_y, qm
 
-    def sum_at(self, eps: float) -> float:
-        """S(eps), one exactly rounded sum."""
+    def terms(self, eps: float, w: np.ndarray, ln: np.ndarray) -> np.ndarray:
+        """The terms of S(eps) at the support entries with weights w and logs
+        ln: the kernel's own, or one block of a support that is read block by
+        block (bounds.verify_mqeps).  Each is formed entry by entry, so its
+        bits do not depend on the block that holds it."""
         if eps == 0.0:
-            return fsum_blocks(self.w * (self.log_y - self.ln))
-        r = np.expm1(-eps * self.ln)
+            return w * (self.log_y - ln)
+        r = np.expm1(-eps * ln)
         r -= math.expm1(-eps * self.log_y)
         r /= eps
-        r *= self.w
-        return fsum_blocks(r)
+        r *= w
+        return r
+
+    def sum_at(self, eps: float) -> float:
+        """S(eps), one exactly rounded sum."""
+        return fsum_blocks(self.terms(eps, self.w, self.ln))
 
     def sum_each(self, eps: list[float]) -> list[float]:
         """[sum_at(e) for e in eps], bit for bit, in 2-D batches of at most

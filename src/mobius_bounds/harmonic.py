@@ -14,7 +14,10 @@ integrable pieces; f is bounded by a smooth decreasing envelope g that is
 negative from X = 12 on, and the finitely many integers below that are
 checked directly.  Everything here integrates step-by-rational pieces in
 closed form -- the final inequality has margin about 0.01 at X = 12, which
-quadrature noise could eat.
+quadrature noise could eat.  Each sum over a range reads one BLOCK at a
+time (the alpha-kernel cuts one window of _cut_windows), so its working set
+does not grow with X, and each is exactly rounded, so the blocks do not
+change its value.
 
 A linear envelope psi(X) <= a*X with a < 3/(3 - gamma) = 1.23824... would
 also close the argument from some threshold onward; that variant is only
@@ -36,9 +39,8 @@ from .util import (
     LOG_2PI_HALF,
     CapacityError,
     ExactSum,
-    block_entries,
     floor_int,
-    fsum_blocks,
+    fsum_stream,
 )
 
 LOG3 = math.log(3.0)
@@ -46,7 +48,14 @@ LOG3 = math.log(3.0)
 # limit of the negative alpha mass int_1^inf |alpha|_- dx/x
 ALPHA_NEG_MASS = (1.0 - GAMMA) / 2.0
 
+# pieces of one alpha-kernel integral.  The cuts are read one window at a
+# time, so memory does not grow with the cap; it bounds a call's work (about
+# 2 X / start pieces) where no table bounds X, as for kind
+# "indicator_test", and keeps k (k + 1) exact in float64 (k < 2^26)
 _PIECE_CAP = 4_000_000
+# points that a window of _cut_windows takes from each of its three runs, so
+# that the window's raw points fit one BLOCK
+_RUN_WINDOW = BLOCK // 4
 
 
 def _domain(name: str, value: float) -> None:
@@ -95,10 +104,7 @@ def neg_alpha_integral(K: int) -> float:
         k = np.arange(lo, min(lo + BLOCK, K + 1), dtype=np.float64)
         return 0.5 * (np.log1p(1.0 / k) - 1.0 / (k + 1.0))
 
-    total = ExactSum()
-    for lo in range(1, K + 1, BLOCK):
-        total.add(terms(lo))
-    return float(total)
+    return fsum_stream(map(terms, range(1, K + 1, BLOCK)))
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +127,8 @@ def sawtooth_log_integral(X: float) -> float:
 
     Small pieces use the polynomial antiderivative; from m = 11 on the
     per-period value expands as sum_j (-1)^j / (2 (j+1)(j+2) m^j), which
-    avoids the m^2 log m cancellation of the antiderivative route.  The
+    avoids the m^2 log m cancellation of the antiderivative route; those
+    periods m = 11 .. [X] - 1 are formed one BLOCK of m at a time.  The
     result stays within log(X)/8 in absolute value.
     """
     _domain("X", X)
@@ -131,19 +138,22 @@ def sawtooth_log_integral(X: float) -> float:
         hi = min(m + 1.0, X)
         if hi > m:
             parts.append(_sawtooth_log_piece_closed(m, float(m), hi))
-    acc = np.zeros(0)
-    if m_top > 10:
-        full = np.arange(11, m_top, dtype=np.float64)
-        if full.size:
-            acc = np.zeros_like(full)
-            sign = -1.0
-            for j in range(1, 19):
-                acc += sign / (2.0 * (j + 1) * (j + 2)) * full ** (-float(j))
-                sign = -sign
-        if X > m_top:
-            parts.append(_sawtooth_log_piece_series(m_top, X - m_top))
+    if m_top > 10 and X > m_top:
+        parts.append(_sawtooth_log_piece_series(m_top, X - m_top))
+
+    def periods(lo: int) -> np.ndarray:
+        full = np.arange(lo, min(lo + BLOCK, m_top), dtype=np.float64)
+        acc = np.zeros_like(full)
+        sign = -1.0
+        for j in range(1, 19):
+            acc += sign / (2.0 * (j + 1) * (j + 2)) * full ** (-float(j))
+            sign = -sign
+        return acc
+
     # the sum is exactly rounded, so its order does not matter
-    return fsum_blocks(np.array(parts), acc)
+    return fsum_stream(
+        itertools.chain([np.array(parts)], map(periods, range(11, m_top, BLOCK)))
+    )
 
 
 def _sawtooth_log_piece_closed(m: int, a: float, b: float) -> float:
@@ -178,54 +188,95 @@ def _sawtooth_log_piece_series(m: int, u1: float) -> float:
 # Exact integrals of step * alpha(X/t) / t^2.
 
 
-def _alpha_kernel_integral(X, start, jumps, values_at):
-    """int_start^X step(t) alpha(X/t) dt/t^2 with step constant between
-    the given jump points.
+def _alpha_kernel_integral(X, start, jumps, steps):
+    """int_start^X step(t) alpha(X/t) dt/t^2, for the step function
+    step(t) = steps[number of jumps <= t], jumps ascending.
 
     alpha(X/t) = (k^2+k) t^2/X^2 - 1 on the t-piece where k = [X/t], so a
     piece [a, b] with step value P contributes exactly
     P (b - a) ((k^2+k)/X^2 - 1/(a b)).  Breakpoints: the jumps, X/k, and
-    the sign-change points X/(k + t_k).
+    the sign-change points X/(k + t_k) = X/sqrt(k(k + 1)), met one window of
+    _cut_windows at a time; each piece is formed entry by entry and the
+    sum is exactly rounded, so the value does not depend on the windows.
     """
     if X <= start:
         return 0.0
     k_top = int(X / start) + 1
     if 2 * k_top + len(jumps) > _PIECE_CAP:
         raise CapacityError(f"breakpoint count near {2 * k_top} exceeds cap")
-    k = np.arange(1, k_top + 1, dtype=np.float64)
-    pts = np.concatenate([X / k, X / np.sqrt(k * (k + 1.0)), np.asarray(jumps, float)])
-    pts = pts[(pts > start) & (pts < X)]
-    # sorted and distinct, as np.unique gives them (it would load numpy.ma)
-    bps = np.sort(np.concatenate([[start], pts, [X]]))
-    bps = bps[np.concatenate(([True], bps[1:] != bps[:-1]))]
-    a, b = bps[:-1], bps[1:]
-    mid = 0.5 * (a + b)
-    kk = np.floor(X / mid)
-    vals = values_at(mid) * (b - a) * ((kk * kk + kk) / (X * X) - 1.0 / (a * b))
-    return fsum_blocks(vals)
+    total = ExactSum()
+    last = start
+    for pts, chunk, before in _cut_windows(X, start, k_top, jumps):
+        bps = np.concatenate(([last], pts))
+        last = bps[-1]
+        a, b = bps[:-1], bps[1:]
+        mid = 0.5 * (a + b)
+        kk = np.floor(X / mid)
+        # jumps <= mid: the `before` read in earlier windows and those of chunk
+        vals = steps[before + np.searchsorted(chunk, mid, "right")]
+        total.add(vals * (b - a) * ((kk * kk + kk) / (X * X) - 1.0 / (a * b)))
+    return float(total)
+
+
+def _cut_windows(X, start, k_top, jumps):
+    """The cut points in (start, X], ascending and distinct, one window of
+    at most W = _RUN_WINDOW at a time, as (points, chunk, before): chunk
+    holds the jumps read for the window as float64, and before counts those
+    read in earlier windows.
+
+    The cuts come from three ascending runs: X/k and X/sqrt(k(k + 1)) as k
+    falls from k_top to 1 (X/1 = X is the last cut), and the jumps.  As in
+    identities._grid_blocks, a window takes the next W of each run and
+    keeps the W smallest distinct points: a run that goes on past the window
+    gave it W distinct points, so no point of any run at or below the
+    window's last is left for a later window.  So the windows hold
+    every distinct float of the runs in (start, X] once, and the jumps at or
+    below any piece of a window are the `before` and those of its chunk.
+    """
+    k_frac = k_sqrt = k_top  # the next k of each falling run
+    i = 0  # the next jump
+    w = _RUN_WINDOW
+    while k_frac >= 1 or k_sqrt >= 1 or i < len(jumps):
+        fracs = X / np.arange(k_frac, max(k_frac - w, 0), -1, dtype=np.float64)
+        kk = np.arange(k_sqrt, max(k_sqrt - w, 0), -1, dtype=np.float64)
+        roots = X / np.sqrt(kk * (kk + 1.0))
+        chunk = jumps[i : i + w].astype(np.float64)
+        # sorted and distinct, as np.unique gives them (it would load numpy.ma)
+        pts = np.concatenate((fracs, roots, chunk))
+        pts.sort()
+        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))][:w]
+        k_frac -= int(np.searchsorted(fracs, pts[-1], "right"))
+        k_sqrt -= int(np.searchsorted(roots, pts[-1], "right"))
+        step = int(np.searchsorted(chunk, pts[-1], "right"))
+        pts = pts[(pts > start) & (pts <= X)]
+        if pts.size:
+            yield pts, chunk, i
+        i += step
 
 
 def psi_alpha_integral(table: ArithmeticTable, X: float) -> float:
     """int_0^X psi(t) alpha(X/t) dt/t^2, exact piecewise; psi steps at the
-    prime powers and vanishes below 2."""
+    prime powers and vanishes below 2, and psi_prefix holds its values."""
     _domain("X", X)
-    jumps = table.prime_powers_upto(floor_int(X))[0].astype(np.float64)
-    psi = table.psi_prefix
+    powers = table.prime_powers_upto(floor_int(X))[0]
+    return _alpha_kernel_integral(X, 2.0, powers, table.psi_prefix)
 
-    def values_at(mid: np.ndarray) -> np.ndarray:
-        # psi(mid) = psi at the last prime power <= mid
-        return psi[np.searchsorted(jumps, mid, "right")]
 
-    return _alpha_kernel_integral(X, 2.0, jumps, values_at)
+def _prime_power_sum(table: ArithmeticTable, n: int, term) -> float:
+    """The exactly rounded sum of term(powers, logs) over the prime powers
+    <= n and log p at each, one BLOCK of them at a time; the zero terms of
+    the n that are no prime power leave an exactly rounded sum unchanged."""
+    powers, logs = table.prime_powers_upto(n)
+    return fsum_stream(
+        term(powers[lo : lo + BLOCK], logs[lo : lo + BLOCK])
+        for lo in range(0, powers.size, BLOCK)
+    )
 
 
 def lambda_harmonic_sum(table: ArithmeticTable, X: float) -> float:
     """sum_{n<=X} Lambda(n)/n."""
     _domain("X", X)
-    n = floor_int(X)
-    # fsum is exactly rounded, so leaving out the zero terms changes nothing
-    powers, logs = table.prime_powers_upto(n)
-    return fsum_blocks(logs / powers)
+    return _prime_power_sum(table, floor_int(X), lambda powers, logs: logs / powers)
 
 
 def kernel_identity_check(table: ArithmeticTable, X: float, kind: str = "psi") -> float:
@@ -241,20 +292,17 @@ def kernel_identity_check(table: ArithmeticTable, X: float, kind: str = "psi") -
     _domain("X", X)
     n = floor_int(X)
     if kind == "psi":
-        powers, logs = table.prime_powers_upto(n)  # the nonzero terms
-        lhs = fsum_blocks(logs * (1.0 / powers - 1.0 / X))
+        lhs = _prime_power_sum(table, n, lambda pk, logs: logs * (1.0 / pk - 1.0 / X))
         # int_0^X log([t]!) dt: unit pieces j = 1 .. n-1, log(j!) = lgamma(j + 1),
-        # plus the clipped last one
-        unit = map(math.lgamma, block_entries([np.arange(2.0, n + 1.0)]))
+        # plus the clipped last one; math.lgamma reads each int as its float
+        unit = map(math.lgamma, range(2, n + 1))
         area = math.fsum(itertools.chain(unit, [(X - n) * math.lgamma(n + 1.0)]))
         rhs = 2.0 / (X * X) * area - psi_alpha_integral(table, X)
         return lhs - rhs
     if kind == "indicator_test":
         lhs = 1.0 - 1.0 / X
         area = 0.5 * n * (n - 1.0) + (X - n) * n  # int_0^X [t] dt
-        kernel = _alpha_kernel_integral(
-            X, 1.0, np.empty(0), lambda mid: np.ones_like(mid)
-        )
+        kernel = _alpha_kernel_integral(X, 1.0, np.empty(0), np.ones(1))
         rhs = 2.0 / (X * X) * area - kernel
         return lhs - rhs
     raise ValueError(f"unknown kind {kind!r}")

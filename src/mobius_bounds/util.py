@@ -91,6 +91,14 @@ def fsum_blocks(*arrays) -> float:
     """
     if len(arrays) == 1 and len(arrays[0]) <= FSUM_LIST_MAX:
         return math.fsum(arrays[0].tolist())
+    return fsum_stream(arrays)
+
+
+def fsum_stream(arrays) -> float:
+    """fsum_blocks over the 1-D arrays that the iterable `arrays` yields,
+    each drawn, added to one ExactSum and let go before the next, so a sum
+    over blocks holds one block at a time; exactly rounded, so the blocks'
+    sizes and order do not change the result."""
     total = ExactSum()
     for a in arrays:
         total.add(a)

@@ -487,19 +487,22 @@ def test_sieve_takes_integers_only():
 
 
 # A segment's working set: its dense output (mu and lambda, 2 bytes per
-# entry) plus the int32 products, the squarefree flags, the int32 n they
-# are compared with and bool temporaries; 11.2 bytes per entry (5.6 MiB)
-# measured at SEGMENT = 2^19, as the peak above the table held after
-# build_table(4 * SEGMENT), and 11.3 after build_table(1e6).  A dense
-# float64 segment array put back (20.1 bytes per entry while the sieve
-# kept a dense Lambda) fails both tests below, and new arrays in place of
-# the in-place parity steps (15.3 at 1e6) fail the second.
-SEGMENT_WORKING_SET = 13 * SEGMENT
+# entry) plus the int32 products and the squarefree flags, with one BLOCK
+# of the int32 n they are compared with and of bool temporaries at a time;
+# 7.5 bytes per entry (3.7 MiB) measured at SEGMENT = 2^19, as the peak
+# above the table held after build_table(4 * SEGMENT), and 7.0 after
+# build_table(1e6).  The pin was 13 while the comparison read a whole
+# segment of int32 n (11.2 and 11.3 measured then); such an array put back
+# fails the 1e7 copy-out test below at 11, and a dense float64 segment
+# array (20.1 bytes per entry while the sieve kept a dense Lambda) fails
+# the first two.
+SEGMENT_WORKING_SET = 11 * SEGMENT
 
-# A table holds mu (1 byte per entry) and 16 bytes per prime power (7.9% of
-# entries at 1e6): 2.26 bytes per entry measured at 1e6, 2.19 at 4 * 2^19.
-# Any dense array added back, even an int8 one, would exceed it.
-TABLE_BYTES_PER_ENTRY = 3
+# A table holds mu (1 byte per entry) and 12 bytes per prime power (7.9% of
+# entries at 1e6): 1.95 bytes per entry measured at 1e6, 1.90 at 4 * 2^19
+# (2.26 and 2.19 with int64 prime powers, under a pin of 3).  Any dense
+# array added back, even an int8 one, would exceed it.
+TABLE_BYTES_PER_ENTRY = 2.5
 
 
 def test_build_table_holds_no_full_length_temporaries():
@@ -522,7 +525,8 @@ def test_build_table_holds_no_full_length_temporaries():
 
 def test_build_table_peak_is_the_table_and_one_segment():
     """build_table(1e6) peaks at its table plus one segment's working set
-    (12.3 MiB traced at SEGMENT = 2^19, 21.6 MiB at 2^20)."""
+    (5.3 MiB traced at SEGMENT = 2^19; 12.3 MiB, and 21.6 MiB at 2^20,
+    while the segment's tail went whole and the prime powers were int64)."""
     n = 10**6
     tracemalloc.start()
     try:
@@ -538,9 +542,10 @@ def test_build_table_peak_is_the_table_and_one_segment():
 def test_build_table_copies_out_one_prime_power_array_at_a_time():
     """Past its segment loop (mu, the per-segment pieces at 12 bytes per
     prime power, one segment's working set), build_table(1e7) holds at most
-    mu, the pieces and one 8-byte output at once: 24.4 MB traced, where
-    concatenating both outputs while the pieces were held peaked at mu plus
-    24 bytes per prime power (26.0 MB)."""
+    mu, the pieces and one 8-byte output at once: 23.3 MB traced (24.4 MB
+    with an int64 copy of the prime powers), where concatenating both
+    outputs while the pieces were held peaked at mu plus 24 bytes per prime
+    power (26.0 MB)."""
     n = 10**7
     tracemalloc.start()
     try:
@@ -570,6 +575,28 @@ def test_table_keeps_no_dense_eight_byte_array():
         tracemalloc.stop()
     assert held <= TABLE_BYTES_PER_ENTRY * (n + 1), held / (n + 1)
     assert psi <= n + 1, psi / (n + 1)
+
+
+def test_prime_power_reads_copy_no_array(table_1e7):
+    """The int32 prime powers are searched with int32 keys: a key of another
+    dtype (np.searchsorted(powers, 10**7)) converts the whole array first,
+    5.3 MB here.  Each read below allocates a few bytes, or its own slice."""
+    table = table_1e7
+    top = table.limit
+    table.psi_prefix  # noqa: B018 -- built on first use, before the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for n in (0, 5, 383_923, top):
+            table.prime_powers_upto(n)
+            chebyshev_psi(table, float(n))
+        table.mangoldt(top - 64, top + 1)
+        table.mangoldt(0, 0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert table.prime_powers.dtype == np.int32
+    assert peak < 64 * 1024, peak
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,7 @@ from mobius_bounds.arith import (
     log_moment_sum,
     mu_support,
     prefix_log_moment,
+    support_blocks,
     sweep_prefix_min,
 )
 from mobius_bounds.util import (
@@ -188,15 +189,16 @@ def test_verify_mqeps_selects_the_support_once_per_sum(table_small, monkeypatch,
                                                         selections):
     """One verify_mqeps row builds one kernel: its sum S gives |Delta| and,
     as eps·S = m_q(X; 1+eps) - m_q(X) X^(-eps), the companion bound, so the
-    mu support is selected once at every eps."""
+    mu support is selected once at every eps (support_blocks, which
+    mu_support reads too)."""
     calls = []
 
     def counting(*args):
         calls.append(args[1])
-        return mu_support(*args)
+        return support_blocks(*args)
 
-    monkeypatch.setattr(arith, "mu_support", counting)
-    monkeypatch.setattr(delta_sign, "mu_support", counting)
+    monkeypatch.setattr(arith, "support_blocks", counting)
+    monkeypatch.setattr(bounds, "support_blocks", counting)
     row = bounds.verify_mqeps(table_small, 9999.5, 30, eps)
     assert row.verdict == PASS
     assert calls == [9999] * selections

@@ -1,5 +1,6 @@
 """tools/child_rss.py over the cli workload's tiny command set."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,27 @@ def test_child_rss_lists_every_tiny_cli_child_largest_first():
                for line in lines), out
     assert sum("identity --name euler_gamma --X 1000 --no-timestamp" in line
                for line in lines) == 1, out
+
+
+def test_children_import_a_bytecode_free_copy_of_src(tmp_path):
+    """The children's environment: PYTHONDONTWRITEBYTECODE=1, and the
+    package's src on PYTHONPATH replaced by a copy that leaves out every
+    __pycache__, so a stray .pyc in the tree is never read; no
+    PYTHONPYCACHEPREFIX is added, so installed packages keep their bytecode."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import child_rss
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    root = tmp_path / "tree"
+    (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    (root / "src" / "pkg" / "__pycache__" / "mod.cpython.pyc").write_bytes(b"stale")
+    base = {"PYTHONPATH": os.pathsep.join([str(root / "src"), "/elsewhere"]), "HOME": "/h"}
+    env = child_rss.fresh_env(root, base, tmp_path / "copy")
+    src = tmp_path / "copy" / "src"
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["PYTHONPATH"].split(os.pathsep) == [str(src), "/elsewhere"]
+    assert "PYTHONPYCACHEPREFIX" not in env and env["HOME"] == "/h"
+    assert (src / "pkg" / "mod.py").read_text() == "X = 1\n"
+    assert not list(src.rglob("__pycache__"))

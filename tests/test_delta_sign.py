@@ -818,14 +818,13 @@ def test_kernel_sum_and_defect_within_stated_radius(table_small):
         for X in xs:
             for q in (1, 2, 30, 30030):
                 qm = Modulus.coerce(q)
-                kernel = bounds._defect_kernel(table_small, X, qm)
                 k, _ = mu_support(table_small, math.floor(X), qm)
                 terms = [(mpmath.mpf(int(table_small.mu[n])) / n, mpmath.log(n))
                          for n in k.tolist()]
                 log_x = mpmath.log(mpmath.mpf(X))
                 for eps in (0.0, 1e-310, 1e-12, 1e-9, 0.01, 0.5, 1.0):
-                    s, m = kernel.sum_at(eps), delta_sign.main_term(qm, eps)
-                    r_s = kernel.sum_radius(eps)
+                    s, r_s = bounds._defect_sum(table_small, X, qm, eps)
+                    m = delta_sign.main_term(qm, eps)
                     r_t = r_s + delta_sign.MAIN_TERM_REL_ERR * m + EPS * abs(s - m)
                     s_twin, t_twin = _kernel_twin(terms, log_x, qm.primes, eps)
                     err_s, err_t = abs(s - s_twin), abs(s - m - t_twin)
