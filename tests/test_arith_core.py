@@ -489,8 +489,8 @@ def test_sieve_takes_integers_only():
 # A segment's working set: its dense output (mu and lambda, 2 bytes per
 # entry) plus the int32 products and the squarefree flags, with one BLOCK
 # of the int32 n they are compared with and of bool temporaries at a time;
-# 7.5 bytes per entry (3.7 MiB) measured at SEGMENT = 2^19, as the peak
-# above the table held after build_table(4 * SEGMENT), and 7.0 after
+# 7.8 bytes per entry (3.9 MiB) measured at SEGMENT = 2^19, as the peak
+# above the table held after build_table(4 * SEGMENT), and 7.3 after
 # build_table(1e6).  The pin was 13 while the comparison read a whole
 # segment of int32 n (11.2 and 11.3 measured then); such an array put back
 # fails the 1e7 copy-out test below at 11, and a dense float64 segment
