@@ -358,7 +358,7 @@ def _sieve_segment(start: int, end: int, base: list[int], logs: list[float]):
 
     # one BLOCK at a time and in place, through two buffers made once (the
     # chunk's n and its flags): a whole-segment temporary raises the
-    # segment's peak, and a fresh BLOCK array per chunk left the heap
+    # segment's peak, and a fresh BLOCK array per chunk left glibc's heap
     # holding about 2.5 MB more at the scan workload's peak in some runs
     liouville = np.empty(length, dtype=np.int8)
     odd = liouville.view(bool)
@@ -367,13 +367,13 @@ def _sieve_segment(start: int, end: int, base: list[int], logs: list[float]):
     primes = []
     for a in range(0, length, BLOCK):
         chunk, chunk_odd = prod[a : a + BLOCK], odd[a : a + BLOCK]
-        below = flags[: chunk.size]
-        np.equal(chunk, 1, out=below)
-        primes.append(np.flatnonzero(below) + a)
+        flag = flags[: chunk.size]
+        np.equal(chunk, 1, out=flag)
+        primes.append(np.flatnonzero(flag) + a)
         np.less(chunk, 0, out=chunk_odd)
         np.abs(chunk, out=chunk)
-        np.less(chunk, n[: chunk.size], out=below)
-        chunk_odd ^= below
+        np.less(chunk, n[: chunk.size], out=flag)
+        chunk_odd ^= flag
         n += BLOCK
     del prod
     liouville *= -2

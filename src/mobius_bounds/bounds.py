@@ -293,10 +293,10 @@ def verify_mqeps(
     One kernel sum serves both, read once: t = S - M from the kernel sum S
     (_defect_sum, one block of the support at a time) and the main term M.
     The lhs radius is S's stated r_S, plus M's MAIN_TERM_REL_ERR and EPS |t|
-    for the subtraction.  eps·S is
-    m_q(X; 1+eps) - m_q(X) X^(-eps) exactly, so at eps > 0 the companion is
-    S >= 0, decided within r_S with no cancelling difference; at eps = 0
-    both sides are m_q(X) and it holds with equality."""
+    for the subtraction.  eps·S is m_q(X; 1+eps) - m_q(X) X^(-eps) exactly,
+    so at eps > 0 the companion is S >= 0, decided within r_S with no
+    cancelling difference; at eps = 0 both sides are m_q(X) and it holds
+    with equality."""
     from .delta_sign import MAIN_TERM_REL_ERR, main_term
 
     qm = Modulus.coerce(q)

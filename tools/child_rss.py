@@ -14,8 +14,10 @@ package from source and a stray .pyc in DIR cannot lower its RSS (one
 lowered the import by 2 MB).  Installed packages keep their own bytecode, as
 in the benchmark: an empty PYTHONPYCACHEPREFIX would hide that too, and
 numpy and the standard library compiled from source raised the import's
-RSS from 29.7 to 32.4 MB.  One line per child is printed, largest first: max RSS in MB, exit
-status and command.  The workload's `peak_rss_mb` is the maximum over its
+RSS from 29.7 to 32.4 MB (CPython 3.11, numpy 2.4, x86-64 Linux).
+
+One line per child is printed, largest first: max RSS in MB, exit status
+and command.  The workload's `peak_rss_mb` is the maximum over its
 children (RUSAGE_CHILDREN), so the first line names the child that sets it.
 --tiny takes the workload's tiny command set.
 """
