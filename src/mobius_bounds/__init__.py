@@ -31,7 +31,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "m_q",
         "m_q_s",
     ),
-    "bounds": ("delta_q", "solve_y0", "verify_easy", "verify_special"),
+    "bounds": ("solve_y0", "verify_easy", "verify_special"),
     "cli": (),
     "delta_sign": (
         "DeltaCertificate",

@@ -59,7 +59,12 @@ a new first minimum (sweep_min).
 prefix_log_moment returns P whole, or with at= only at the given indices:
 it then sums only the support of mu, the terms it skips are +-0.0, and
 adding +-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged,
-so the values are those of the full cumsum, bit for bit.
+so the values are those of the full cumsum, bit for bit.  support_prefix
+reads running sums of any columns of the support_blocks terms the same way.
+
+merge_runs merges ascending runs of floats into windows of the smallest
+distinct points; the identity grid and the alpha-kernel cuts of harmonic
+are its two callers.
 """
 from __future__ import annotations
 
@@ -412,7 +417,7 @@ def support_blocks(
 def _support_blocks(table: ArithmeticTable, n: int, q: Modulus):
     for lo in range(1, n + 1, BLOCK):
         vals = _mu_block(table, lo, min(lo + BLOCK, n + 1), q)
-        k = np.flatnonzero(vals)
+        k = np.flatnonzero(vals != 0.0)
         vals = vals[k]
         k += lo
         yield k, vals / k
@@ -432,6 +437,33 @@ def mu_support(table: ArithmeticTable, n: int, q: Modulus) -> tuple[np.ndarray, 
     if not blocks:
         return np.empty(0, dtype=np.int64), np.empty(0)
     return np.concatenate([k for k, _ in blocks]), np.concatenate([w for _, w in blocks])
+
+
+def support_prefix(
+    table: ArithmeticTable, n: int, q: Modulus, at: np.ndarray, columns_of
+) -> list[np.ndarray]:
+    """Running sums over the support, read at the sorted indices at, each
+    in [1, n] (at least one): columns_of(k, w) gives each column's terms on
+    a block (k, w) of support_blocks up to at[-1], and out[c][m] is column
+    c's sum over the support k <= at[m].  A column is one left-to-right
+    cumsum with its carry put in front of each block's terms, as in
+    _prefix_runs, so the prefix_log_moment terms read this way give its at=
+    reads, bit for bit.  Each block rewrites the reads from its first k on,
+    so the last to write one is the last block that starts at or below it.
+    n is checked against the table first; one block is held at a time."""
+    table._check_range(_integer("n", n))
+    outs = None
+    for k, w in support_blocks(table, int(at[-1]), q):
+        cols = columns_of(k, w)
+        if outs is None:  # the first block, which holds k = 1
+            outs, carries = [np.zeros(at.size) for _ in cols], [0.0] * len(cols)
+        a = np.searchsorted(at, k[0]) if k.size else at.size
+        reads = np.searchsorted(k, at[a:], "right")
+        for c, terms in enumerate(cols):
+            run = np.cumsum(np.concatenate(([carries[c]], terms)))
+            carries[c] = run[-1]
+            outs[c][a:] = run[reads]
+    return outs
 
 
 def _point_blocks(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int):
@@ -737,6 +769,34 @@ def sweep_prefix_min(
 
     floors = None if floors_of is None else lambda lo, hi: floors_of(lo, hi, *block(lo))
     return sweep_min(n, lambda lo, hi: margins_of(lo, hi, *block(lo)), floors)
+
+
+def merge_runs(runs, w: int):
+    """Windows of the distinct floats of strictly ascending runs, ascending,
+    as (points, chunks, starts).  A run is a function run(i, w) that gives
+    its entries i .. i + w - 1 as float64, fewer at its end.  A window reads
+    the next w of each run, chunks[r] from run r's entry starts[r] on, and
+    its points are the w smallest distinct floats of the chunks, sorted as
+    np.unique gives them (which would load numpy.ma); each run then moves
+    past its entries at or below the last point.
+
+    The windows hold every distinct float of the runs once.  Were an entry
+    past a run's chunk at or below the window's last point, that chunk
+    would hold w distinct floats below the entry, so the w smallest distinct
+    floats, the last point among them, would all lie below it.  So no entry
+    at or below a window's last point is left for a later window, and every
+    point of a later window lies above it.
+    """
+    starts = [0] * len(runs)
+    while True:
+        chunks = [run(i, w) for run, i in zip(runs, starts)]
+        if not any(chunk.size for chunk in chunks):
+            return
+        points = np.concatenate(chunks)
+        points.sort()
+        points = points[np.concatenate(([True], points[1:] != points[:-1]))][:w]
+        yield points, chunks, starts
+        starts = [i + int(np.searchsorted(c, points[-1], "right")) for i, c in zip(starts, chunks)]
 
 
 # ----------------------------------------------------------------------

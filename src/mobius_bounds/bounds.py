@@ -11,8 +11,11 @@ L_k(X; sigma) through its one column form (_log_moment), at every integer
 of a range or, for the eps families, on one log grid of SCAN_POINTS points
 (_scan_grid).  The full-range sweeps hand their prefix request to
 sweep_prefix_min, which reads the prefixes one block at a time, and the eps
-families read them at the grid's floors only (prefix_log_moment with at=),
-so no scan builds an array of length n_max; the values are those of the
+families read running sums at the grid's floors only: mcheckqeps_scan the
+log moment columns (prefix_log_moment with at=), mqeps_scan the two sums
+of the scaled defect's kernel sum (support_prefix; delta_sign.IntervalKernel
+and main_term are its one evaluator, as for verify_mqeps).  So no scan
+builds an array of length n_max, and the prefix values are those of the
 full prefix arrays, bit for bit; easy_scan and special_scan read log X and
 its powers from the prefix block's log table.  small_m_scan also bounds
 each block's margins from below and skips the blocks that cannot hold a
@@ -36,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# eps_zeta has no caller here: perfbench/tracer.py names it as a boundary
 from .analytic import ComplexParameter, eps_zeta, inv_zeta, phi_ratio, phi_s, zp_over_z2
 from .arith import (
     ONE,
@@ -51,6 +55,7 @@ from .arith import (
     prefix_log_moment,
     prefix_m_q,  # no caller here: perfbench/tracer.py names it as a boundary
     support_blocks,
+    support_prefix,
     sweep_prefix_min,
 )
 from .reports import BoundRow, bound_row, label_num
@@ -142,12 +147,11 @@ def _log_moment(k: int, lx, cols):
     return lhs
 
 
-def _scan_grid(table: ArithmeticTable, n_max: int, qm: Modulus, x_lo: float, sigma, j):
-    """(X, log X, the prefix columns (sigma, j) at [X]) on the log grid of
-    SCAN_POINTS values of X in [x_lo, n_max]."""
+def _scan_grid(n_max: int, x_lo: float):
+    """(X, log X, [X]) on the log grid of SCAN_POINTS values of X in
+    [x_lo, n_max]."""
     xs = np.exp(np.linspace(math.log(x_lo), math.log(float(n_max)), SCAN_POINTS))
-    idx = np.minimum(np.floor(xs).astype(np.int64), n_max)
-    return xs, np.log(xs), prefix_log_moment(table, n_max, qm, sigma, j, at=idx)
+    return xs, np.log(xs), np.minimum(np.floor(xs).astype(np.int64), n_max)
 
 
 # ----------------------------------------------------------------------
@@ -222,38 +226,11 @@ def easy_scan(
 # The scaled defect Delta_q(X, eps) / X^eps and its envelopes.
 
 
-@dataclass(frozen=True)
-class DeltaValue:
-    X: float
-    q: int
-    eps: float
-    value: float
-
-
 def _defect_domain(X: float, eps: float) -> None:
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if not X >= 1.0:  # NaN too
         raise ValueError("X must be >= 1")
-
-
-def delta_q(
-    table: ArithmeticTable, X: float, q: Modulus | int, eps: float
-) -> DeltaValue:
-    """Delta_q(X,eps)/X^eps, continuous down to eps = 0.
-
-    eps > 0: m_q(X;1+eps)/eps - m_q(X)/(eps X^eps) - (q^s/phi_s(q))/(eps zeta(s))
-    at s = 1+eps, assembled term-wise through expm1 so nothing cancels;
-    eps = 0: the limit m_check_q([X]) - q/phi(q) + m_q([X]) log(X/[X]).
-    A subnormal eps is refused (delta_sign.refuse_subnormal_eps).
-    """
-    from .delta_sign import main_term, refuse_subnormal_eps
-
-    _defect_domain(X, eps)
-    refuse_subnormal_eps(eps)
-    qm = Modulus.coerce(q)
-    value = _defect_sum(table, X, qm, eps)[0] - main_term(qm, eps)
-    return DeltaValue(X=X, q=qm.q, eps=eps, value=value)
 
 
 def _defect_sum(table: ArithmeticTable, X: float, qm: Modulus, eps: float):
@@ -316,19 +293,26 @@ def mqeps_scan(
     eps: float,
 ) -> tuple[float, float, float]:
     """(min envelope margin, argmin X, min slack of value >= -q/phi(q))
-    over a log grid of X in [2, n_max]."""
+    over a log grid of X in [2, n_max].
+
+    The value is the kernel's t = S - M (delta_sign.IntervalKernel) with
+    the counting sums at [X]: S = C - m expm1(-eps log X)/eps, where m(X)
+    is the sum of w_n = mu(n)/n and C(X) that of the kernel's terms at
+    log y = 0, w_n expm1(-eps log n)/eps (-w_n log n at eps = 0, where
+    -log X stands for the quotient).  Both are running sums over the
+    support read at [X] (support_prefix), so no 1/eps difference cancels."""
+    from .delta_sign import IntervalKernel, main_term
+
     _defect_domain(float(n_max), eps)
     if n_max < 2:
         raise ValueError(f"the grid runs over X in [2, n_max], got n_max = {n_max}")
     qm = Modulus.coerce(q)
-    if eps == 0.0:
-        xs, lxs, cols = _scan_grid(table, n_max, qm, 2.0, 1.0, (0, 1))
-        delta = _log_moment(1, lxs, cols) - qm.q_over_phi
-    else:
-        xs, lxs, (p1, ps) = _scan_grid(table, n_max, qm, 2.0, (1.0, 1.0 + eps), 0)
-        delta = (ps - p1 * np.exp(-eps * lxs)) / eps - phi_ratio(
-            qm, 1.0 + eps
-        ) / eps_zeta(eps)
+    xs, lxs, idx = _scan_grid(n_max, 2.0)
+    kernel = IntervalKernel(None, None, 0.0, qm)
+    c, m = support_prefix(table, n_max, qm, idx,
+                          lambda k, w: (kernel.terms(eps, w, np.log(k)), w))
+    quotient = np.expm1(-eps * lxs) / eps if eps else -lxs
+    delta = c - m * quotient - main_term(qm, eps)
     margin = mqeps_bound(xs, qm, eps) - np.abs(delta)
     i = int(np.argmin(margin))
     floor_slack = float(np.min(delta + qm.q_over_phi))
@@ -412,7 +396,8 @@ def mcheckqeps_scan(
     _mcheckqeps_domain(float(n_max), eps)
     qm = Modulus.coerce(q)
     sigma = 1.0 + eps
-    xs, lxs, cols = _scan_grid(table, n_max, qm, 15.0, sigma, (0, 1))
+    xs, lxs, idx = _scan_grid(n_max, 15.0)
+    cols = prefix_log_moment(table, n_max, qm, sigma, (0, 1), at=idx)
     main, _, _ = _mcheck_main(qm, sigma)
     lhs = np.exp(eps * lxs) * np.abs(_log_moment(1, lxs, cols) - main(lxs))
     margin = mcheckqeps_bound(xs, qm, eps, lxs) - lhs

@@ -11,12 +11,12 @@ cap - error_budget proves Delta_q(X, eps)/X^eps <= cap on the interval;
 cap = 0 is the sign claim.  caps_scan reads the same kernel on a fixed eps
 grid and pads it by the same pair rule, so the readers of IntervalKernel
 share one evaluator of the scaled defect and one pad (pair_bound with
-M2); bounds.mqeps_scan forms the defect apart, from two prefix columns and
-its own main term.  The evaluator's value is two parts composed, t = S - M:
-the kernel sum S over the support, which states its rounding radius r_S,
-and the main term M (main_term), which does not depend on the interval;
-caps_scan forms M once per grid point, and bounds.verify_mqeps reads S, r_S
-and M from one kernel.
+M2).  The evaluator's value is two parts composed, t = S - M: the kernel
+sum S over the support, which states its rounding radius r_S, and the main
+term M (main_term), which does not depend on the interval; caps_scan forms
+M once per grid point, bounds.verify_mqeps reads S, r_S and M from one
+kernel, and bounds.mqeps_scan forms S at each grid X from running sums of
+w_n and of the kernel's terms at log y = 0.
 
 The main term's share of M2 is a closed form: interval arithmetic on
 enclosures of eps·zeta(1+eps) and its first two derivatives over

@@ -15,9 +15,9 @@ negative from X = 12 on, and the finitely many integers below that are
 checked directly.  Everything here integrates step-by-rational pieces in
 closed form -- the final inequality has margin about 0.01 at X = 12, which
 quadrature noise could eat.  Each sum over a range reads one BLOCK at a
-time (the alpha-kernel cuts one window of _cut_windows), so its working set
-does not grow with X, and each is exactly rounded, so the blocks do not
-change its value.
+time (the alpha-kernel cuts one window of arith.merge_runs), so its
+working set does not grow with X, and each is exactly rounded, so the
+blocks do not change its value.
 
 A linear envelope psi(X) <= a*X with a < 3/(3 - gamma) = 1.23824... would
 also close the argument from some threshold onward; that variant is only
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .arith import ArithmeticTable, _integer, chebyshev_psi, sweep_min
+from .arith import ArithmeticTable, _integer, chebyshev_psi, merge_runs, sweep_min
 from .reports import BoundRow, bound_row
 from .util import (
     BLOCK,
@@ -53,7 +53,7 @@ ALPHA_NEG_MASS = (1.0 - GAMMA) / 2.0
 # 2 X / start pieces) where no table bounds X, as for kind
 # "indicator_test", and keeps k (k + 1) exact in float64 (k < 2^26)
 _PIECE_CAP = 4_000_000
-# points that a window of _cut_windows takes from each of its three runs, so
+# points that a window of the alpha-kernel cuts takes from each of its runs, so
 # that the window's raw points fit one BLOCK
 _RUN_WINDOW = BLOCK // 4
 
@@ -194,19 +194,33 @@ def _alpha_kernel_integral(X, start, jumps, steps):
 
     alpha(X/t) = (k^2+k) t^2/X^2 - 1 on the t-piece where k = [X/t], so a
     piece [a, b] with step value P contributes exactly
-    P (b - a) ((k^2+k)/X^2 - 1/(a b)).  Breakpoints: the jumps, X/k, and
-    the sign-change points X/(k + t_k) = X/sqrt(k(k + 1)), met one window of
-    _cut_windows at a time; each piece is formed entry by entry and the
-    sum is exactly rounded, so the value does not depend on the windows.
+    P (b - a) ((k^2+k)/X^2 - 1/(a b)).  The cuts in (start, X] come from
+    three ascending runs: X/k and the sign-change points X/(k + t_k) =
+    X/sqrt(k(k + 1)) as k falls from k_top to 1 (X/1 = X is the last cut),
+    and the jumps.  They are met one window of arith.merge_runs at a time;
+    each piece is formed entry by entry and the sum is exactly rounded, so
+    the value does not depend on the windows.
     """
     if X <= start:
         return 0.0
     k_top = int(X / start) + 1
     if 2 * k_top + len(jumps) > _PIECE_CAP:
         raise CapacityError(f"breakpoint count near {2 * k_top} exceeds cap")
+
+    def ks(i, w):  # k from k_top - i down
+        return np.arange(k_top - i, max(k_top - i - w, 0), -1, dtype=np.float64)
+
+    def roots(i, w):
+        kk = ks(i, w)
+        return X / np.sqrt(kk * (kk + 1.0))
+
+    runs = (lambda i, w: X / ks(i, w), roots, lambda i, w: jumps[i : i + w].astype(np.float64))
     total = ExactSum()
     last = start
-    for pts, chunk, before in _cut_windows(X, start, k_top, jumps):
+    for pts, (_, _, chunk), (_, _, before) in merge_runs(runs, _RUN_WINDOW):
+        pts = pts[(pts > start) & (pts <= X)]
+        if not pts.size:
+            continue
         bps = np.concatenate(([last], pts))
         last = bps[-1]
         a, b = bps[:-1], bps[1:]
@@ -216,42 +230,6 @@ def _alpha_kernel_integral(X, start, jumps, steps):
         vals = steps[before + np.searchsorted(chunk, mid, "right")]
         total.add(vals * (b - a) * ((kk * kk + kk) / (X * X) - 1.0 / (a * b)))
     return float(total)
-
-
-def _cut_windows(X, start, k_top, jumps):
-    """The cut points in (start, X], ascending and distinct, one window of
-    at most W = _RUN_WINDOW at a time, as (points, chunk, before): chunk
-    holds the jumps read for the window as float64, and before counts those
-    read in earlier windows.
-
-    The cuts come from three ascending runs: X/k and X/sqrt(k(k + 1)) as k
-    falls from k_top to 1 (X/1 = X is the last cut), and the jumps.  As in
-    identities._grid_blocks, a window takes the next W of each run and
-    keeps the W smallest distinct points: a run that goes on past the window
-    gave it W distinct points, so no point of any run at or below the
-    window's last is left for a later window.  So the windows hold
-    every distinct float of the runs in (start, X] once, and the jumps at or
-    below any piece of a window are the `before` and those of its chunk.
-    """
-    k_frac = k_sqrt = k_top  # the next k of each falling run
-    i = 0  # the next jump
-    w = _RUN_WINDOW
-    while k_frac >= 1 or k_sqrt >= 1 or i < len(jumps):
-        fracs = X / np.arange(k_frac, max(k_frac - w, 0), -1, dtype=np.float64)
-        kk = np.arange(k_sqrt, max(k_sqrt - w, 0), -1, dtype=np.float64)
-        roots = X / np.sqrt(kk * (kk + 1.0))
-        chunk = jumps[i : i + w].astype(np.float64)
-        # sorted and distinct, as np.unique gives them (it would load numpy.ma)
-        pts = np.concatenate((fracs, roots, chunk))
-        pts.sort()
-        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))][:w]
-        k_frac -= int(np.searchsorted(fracs, pts[-1], "right"))
-        k_sqrt -= int(np.searchsorted(roots, pts[-1], "right"))
-        step = int(np.searchsorted(chunk, pts[-1], "right"))
-        pts = pts[(pts > start) & (pts <= X)]
-        if pts.size:
-            yield pts, chunk, i
-        i += step
 
 
 def psi_alpha_integral(table: ArithmeticTable, X: float) -> float:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithmeticTable, Modulus, m_check_q, m_q
+from .arith import ArithmeticTable, Modulus, m_check_q, m_q, merge_runs
 from .util import (
     EPS,
     GAMMA,
@@ -311,11 +311,8 @@ def _grid_blocks(X: float):
     """The piece grid of [1, X], one _Block at a time.
 
     The cut points are 1, X, the integers and the X/m in [1, X], sorted and
-    distinct.  The integers rise with k and the X/m as m falls, so a window
-    takes the next WINDOW of each and keeps the WINDOW smallest distinct
-    points: a run that goes on past the window gave it WINDOW distinct points,
-    so no point of either run below the window's last is left for a later
-    window, and every point of a later window lies above it.
+    distinct, met one window of arith.merge_runs at a time: the integers
+    rise with k and the X/m as m falls.
 
     Every distinct float is a cut, at any X.  An exact coincidence X = m j
     gives equal floats X/m and j, and the dedup keeps one.  With [X] below
@@ -327,16 +324,12 @@ def _grid_blocks(X: float):
     of any integral.
     """
     n = floor_int(X)
-    k, m = 1, n  # the next integer and the next m
     last = None  # the last cut point so far and its log
-    while k <= n or m >= 1:
-        ints = np.arange(k, min(k + WINDOW, n + 1), dtype=np.float64)
-        vals = X / np.arange(m, max(m - WINDOW, 0), -1, dtype=np.float64)
-        # sorted and distinct, as np.unique gives them (it would load numpy.ma)
-        pts = np.sort(np.concatenate((ints, vals)))
-        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))][:WINDOW]
-        k += int(np.searchsorted(ints, pts[-1], "right"))
-        m -= int(np.searchsorted(vals, pts[-1], "right"))
+    runs = (
+        lambda i, w: np.arange(1 + i, min(1 + i + w, n + 1), dtype=np.float64),
+        lambda i, w: X / np.arange(n - i, max(n - i - w, 0), -1, dtype=np.float64),
+    )
+    for pts, _, _ in merge_runs(runs, WINDOW):
         # a floor_int that snaps n above X puts n above X and X/n below 1
         pts = pts[(pts >= 1.0) & (pts <= X)]
         if pts.size == 0:

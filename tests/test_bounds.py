@@ -119,19 +119,26 @@ def test_column_form_of_the_log_moment_agrees_with_the_point_sum(table_mid, q):
                 assert abs(got[m] - want) <= tol, (sigma, k, X)
 
 
-def test_delta_q_frozen_and_floor(table_small):
-    d = bounds.delta_q(table_small, 11.0, 1, 0.0)
-    assert d.value == pytest.approx(0.0007197750798366709, abs=1e-16)
+def _defect(table, X, q, eps):
+    """Delta_q(X, eps)/X^eps as verify_mqeps reads it: the kernel sum less the
+    main term."""
+    qm = Modulus(q)
+    return bounds._defect_sum(table, X, qm, eps)[0] - delta_sign.main_term(qm, eps)
+
+
+def test_defect_frozen_and_floor(table_small):
+    assert bounds.verify_mqeps(table_small, 11.0, 1, 0.0).lhs == pytest.approx(
+        0.0007197750798366709, abs=1e-16
+    )
+    assert _defect(table_small, 11.0, 1, 0.0) == pytest.approx(0.0007197750798366709, abs=1e-16)
     # minimum of the eps=0 defect sits at X=2: log2 - 1
-    d2 = bounds.delta_q(table_small, 2.0, 1, 0.0)
-    assert d2.value == pytest.approx(math.log(2) - 1.0, abs=1e-15)
+    assert _defect(table_small, 2.0, 1, 0.0) == pytest.approx(math.log(2) - 1.0, abs=1e-15)
     # never below -q/phi(q)
     for X in (1.0, 2.0, 5.5, 29.0, 100.0, 6000.0):
         for q in (1, 6):
             for eps in (0.0, 0.05, 0.3, 1.0):
-                dv = bounds.delta_q(table_small, X, q, eps)
                 qp = q / (1 if q == 1 else 2)  # phi(1)=1, phi(6)=2
-                assert dv.value >= -qp - 1e-12, (X, q, eps)
+                assert _defect(table_small, X, q, eps) >= -qp - 1e-12, (X, q, eps)
 
 
 def test_verify_integral_guards(table_small):
@@ -145,7 +152,7 @@ _NAN_X_CALLS = {
     "constants": (lambda t: constants(ComplexParameter(1.5, 0.5), math.nan), "X must be >= 1"),
     "verify_easy": (lambda t: bounds.verify_easy(t, math.nan, 1, 1, 1.0), "X must be >= 1"),
     "verify_mqeps": (lambda t: bounds.verify_mqeps(t, math.nan, 1, 0.05), "X must be >= 1"),
-    "delta_q": (lambda t: bounds.delta_q(t, math.nan, 1, 0.05), "X must be >= 1"),
+    "mqeps_scan": (lambda t: bounds.mqeps_scan(t, math.nan, 1, 0.05), "X must be >= 1"),
     "verify_mcheckqeps": (
         lambda t: bounds.verify_mcheckqeps(t, math.nan, 1, 0.05), "starts at X = 15"
     ),
@@ -164,16 +171,14 @@ def test_domain_checks_refuse_a_nan_X(table_small, name):
         call(table_small)
 
 
-def test_delta_q_guards(table_small):
+def test_defect_guards(table_small):
     with pytest.raises(ValueError):
-        bounds.delta_q(table_small, 10.0, 1, 1.5)
+        bounds.verify_mqeps(table_small, 10.0, 1, 1.5)
     with pytest.raises(ValueError):
-        bounds.delta_q(table_small, 0.5, 1, 0.0)
-    # a subnormal eps underflows -eps log n: 5e-324 read 0.12035 against 2.7767e-5
-    for eps in (5e-324, 1e-320, 1e-310):
-        with pytest.raises(ValueError, match="subnormal"):
-            bounds.delta_q(table_small, 9999.5, 1, eps)
-    assert bounds.delta_q(table_small, 9999.5, 1, 1e-300).value == pytest.approx(2.7767e-5, rel=1e-4)
+        bounds.verify_mqeps(table_small, 0.5, 1, 0.0)
+    # the smallest normal eps stays on the expm1 route (interval_max refuses a
+    # subnormal one)
+    assert _defect(table_small, 9999.5, 1, 1e-300) == pytest.approx(2.7767e-5, rel=1e-4)
 
 
 def test_verify_mqeps_passes(table_small):
@@ -257,6 +262,21 @@ def test_scans_positive_margins(table_small):
     for eps in (0.0, 0.05, 0.1):
         margin, _ = bounds.mcheckqeps_scan(table_small, 10_000, 2, eps)
         assert margin > 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9])
+@pytest.mark.parametrize("q", [1, 2, 6])
+def test_mqeps_scan_margin_is_the_kernel_defect(table_small, q, eps):
+    """At its argmin the scan's margin is mqeps_bound - |S - M|, with S from
+    _defect_sum and M from main_term, within r_S + r_M.  A defect formed as
+    the 1/eps difference of two prefix columns misses it at these eps by
+    5e4 to 8e7 such radii."""
+    qm = Modulus(q)
+    margin, X, _ = bounds.mqeps_scan(table_small, 10_000, q, eps)
+    s, r_s = bounds._defect_sum(table_small, X, qm, eps)
+    m = delta_sign.main_term(qm, eps)
+    want = bounds.mqeps_bound(X, qm, eps) - abs(s - m)
+    assert abs(margin - want) <= r_s + delta_sign.MAIN_TERM_REL_ERR * m
 
 
 def test_mqeps_scan_grid_stays_in_range(table_small):

@@ -29,7 +29,7 @@ PUBLIC = {
         "ArithmeticTable", "Modulus", "build_table", "chebyshev_psi", "m_check_q",
         "m_check_q_s", "m_q", "m_q_s",
     ),
-    "bounds": ("delta_q", "solve_y0", "verify_easy", "verify_special"),
+    "bounds": ("solve_y0", "verify_easy", "verify_special"),
     "delta_sign": (
         "DeltaCertificate", "caps_scan", "certificate_from_json", "certificate_to_json",
         "certify_sign", "derivative_bound", "interval_max", "replay_certificate",
@@ -150,7 +150,7 @@ def test_no_command_and_no_y0_solve_loads_scipy():
 
 def test_public_names_are_the_published_set():
     assert set(mobius_bounds.__all__) == {n for names in PUBLIC.values() for n in names}
-    assert len(mobius_bounds.__all__) == 51
+    assert len(mobius_bounds.__all__) == 50
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))

@@ -17,9 +17,10 @@ entries, runs the grid of each family in FAMILIES and prints one sha256 per
 family, as JSON; a family's record is that sha256.  A family's digest covers
 the repr of every call's result and, byte for byte, every array its sweeps
 compare (each margins_of array that arith.sweep_min reads) or its sampled
-grid reads (each column bounds.prefix_log_moment returns), so the easy
-family's k >= 2 rows, whose result is (0.0, 1, 0.0, 1) at every size, still
-pin each lhs and margin.  The grid is wider than the scan pins of
+grid reads (each column that bounds.prefix_log_moment or, in a tree that
+has it, bounds.support_prefix returns), so the easy family's k >= 2 rows,
+whose result is (0.0, 1, 0.0, 1) at every size, still pin each lhs and
+margin.  The grid is wider than the scan pins of
 tests/test_golden.py: the easy family at k = 1..5, four sigma and every
 q | 30030, and the others up to n_max = 3e5.
 
@@ -64,7 +65,7 @@ INVOCATIONS = (
     ("verify", "--theorem", "easy", "--X", "100000", "--q", "1,30030", "--k", "1,2,3",
      "--sigma", "1,1.5"),
     ("verify", "--suite", "bounds:easy", "--format", "jsonl"),  # json loaded on demand
-    # delta_q's IntervalKernel past FSUM_LIST_MAX terms, at eps = 0 and eps > 0
+    # verify_mqeps's IntervalKernel past FSUM_LIST_MAX terms, at eps = 0 and eps > 0
     ("verify", "--theorem", "mqeps", "--X", "2,12345.5,100000", "--q", "1,30030",
      "--eps", "0,0.01,1"),
     # the companion bound of mqeps at X just above 1 and eps = 1e-12, where
@@ -168,7 +169,7 @@ def family_digests(src: str) -> dict[str, str]:
     from mobius_bounds import arith, bounds
 
     table = arith.build_table(FAMILY_LIMIT)
-    sweep_min, prefix_log_moment = arith.sweep_min, bounds.prefix_log_moment
+    sweep_min = arith.sweep_min
 
     def add(value):  # into the digest of the family being run
         for arr in value if isinstance(value, list) else [value]:
@@ -183,12 +184,18 @@ def family_digests(src: str) -> dict[str, str]:
 
         return sweep_min(n, margins, floors_of)
 
-    def recording_reads(*args, **kwargs):
-        out = prefix_log_moment(*args, **kwargs)
-        add(out)
-        return out
+    def recording(reader):
+        def reads(*args, **kwargs):
+            out = reader(*args, **kwargs)
+            add(out)
+            return out
 
-    arith.sweep_min, bounds.prefix_log_moment = recording_sweep, recording_reads
+        return reads
+
+    arith.sweep_min = recording_sweep
+    for name in ("prefix_log_moment", "support_prefix"):
+        if hasattr(bounds, name):
+            setattr(bounds, name, recording(getattr(bounds, name)))
     digests = {}
     for family in FAMILIES:
         h = hashlib.sha256()
