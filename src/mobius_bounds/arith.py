@@ -49,18 +49,21 @@ one sum over the whole support, bit for bit.  The relative error budget of
 bit-identical to the plain harmonic-weighted sum.
 
 The scans read prefix sums instead: the cumsum P of mu(k) (-log k)^j /
-k^sigma over coprime k, from one loop over BLOCK-entry blocks that builds
-several (sigma, j) columns from one log table per block (log k and its
-powers) and one mu(k) k^-sigma per sigma.  sweep_prefix_min draws a
-full-range sweep's P from that loop one block at a time, with the table
-for its margins, so no scan holds a full-length prefix or forms log X
-again; a sweep given floors skips the margins of a block that cannot hold
-a new first minimum (sweep_min).
-prefix_log_moment returns P whole, or with at= only at the given indices:
-it then sums only the support of mu, the terms it skips are +-0.0, and
-adding +-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged,
-so the values are those of the full cumsum, bit for bit.  support_prefix
-reads running sums of any columns of the support_blocks terms the same way.
+k^sigma over coprime k.  Its terms have one formula, _prefix_terms, which
+builds several (sigma, j) columns of a block from one log table (log k and
+its powers) and one mu(k) k^-sigma per sigma, and each block's running
+sums continue the last block's carry (_run_from).  The dense loop,
+_prefix_runs, forms them at every k of each BLOCK-entry block:
+sweep_prefix_min draws a full-range sweep's P from it one block at a time,
+with the table for its margins, so no scan holds a full-length prefix or
+forms log X again; a sweep given floors skips the margins of a block that
+cannot hold a new first minimum (sweep_min).  support_prefix is the one
+sampled read: it forms any columns' terms on the support of mu alone and
+reads their running sums at sorted indices.  prefix_log_moment returns P
+whole, or with at= only at the given indices through support_prefix; the
+terms the support skips are +-0.0, and adding +-0.0 to a running sum that
+is nonzero or +0.0 leaves it unchanged, so the values are those of the
+full cumsum, bit for bit.
 
 merge_runs merges ascending runs of floats into windows of the smallest
 distinct points; the identity grid and the alpha-kernel cuts of harmonic
@@ -411,16 +414,17 @@ def support_blocks(
     gcd(k, q) = 1, one BLOCK of [1, n] at a time, in increasing order; n is
     checked against the table before the first block."""
     table._check_range(n)
-    return _support_blocks(table, n, q)
+    return ((k, mu / k) for k, mu in _support_mu(table, n, q))
 
 
-def _support_blocks(table: ArithmeticTable, n: int, q: Modulus):
+def _support_mu(table: ArithmeticTable, n: int, q: Modulus):
+    """(k, mu(k) as float64) on the support of [1, n], one BLOCK at a time."""
     for lo in range(1, n + 1, BLOCK):
         vals = _mu_block(table, lo, min(lo + BLOCK, n + 1), q)
         k = np.flatnonzero(vals != 0.0)
         vals = vals[k]
         k += lo
-        yield k, vals / k
+        yield k, vals
 
 
 def _mu_block(table: ArithmeticTable, lo: int, hi: int, q: Modulus) -> np.ndarray:
@@ -440,30 +444,62 @@ def mu_support(table: ArithmeticTable, n: int, q: Modulus) -> tuple[np.ndarray, 
 
 
 def support_prefix(
-    table: ArithmeticTable, n: int, q: Modulus, at: np.ndarray, columns_of
+    table: ArithmeticTable, n: int, q: Modulus, at, columns_of
 ) -> list[np.ndarray]:
-    """Running sums over the support, read at the sorted indices at, each
-    in [1, n] (at least one): columns_of(k, w) gives each column's terms on
-    a block (k, w) of support_blocks up to at[-1], and out[c][m] is column
-    c's sum over the support k <= at[m].  A column is one left-to-right
-    cumsum with its carry put in front of each block's terms, as in
-    _prefix_runs, so the prefix_log_moment terms read this way give its at=
-    reads, bit for bit.  Each block rewrites the reads from its first k on,
-    so the last to write one is the last block that starts at or below it.
-    n is checked against the table first; one block is held at a time."""
+    """Running sums over the support read at the sorted indices at: out[c][m]
+    is column c's sum over the support k <= at[m] (0.0 when there is none).
+
+    columns_of(k, mu) gives each column's terms on one block of the support,
+    its k (int64) and mu(k) (float64), each in a fresh array of its own; a
+    block's arrays become its running sums in place, from the carry on
+    (_run_from), so a column is one left-to-right sum over the support.  The
+    column count is read from columns_of on an empty block.  Each block
+    writes the reads at[m] in [its first k, its last k]; a read below a
+    block's first k and above the last k before it takes the carry into the
+    block, and one past the last block the final sum.  Only the blocks up to
+    at[-1] are drawn, one at a time, so no array of length n is built.
+
+    at is checked before any block is drawn: a one-dimensional array of
+    integers (an empty one gives empty columns), sorted, each in [0, n],
+    with n an integer within the table.
+    """
     table._check_range(_integer("n", n))
-    outs = None
-    for k, w in support_blocks(table, int(at[-1]), q):
-        cols = columns_of(k, w)
-        if outs is None:  # the first block, which holds k = 1
-            outs, carries = [np.zeros(at.size) for _ in cols], [0.0] * len(cols)
-        a = np.searchsorted(at, k[0]) if k.size else at.size
-        reads = np.searchsorted(k, at[a:], "right")
-        for c, terms in enumerate(cols):
-            run = np.cumsum(np.concatenate(([carries[c]], terms)))
-            carries[c] = run[-1]
-            outs[c][a:] = run[reads]
+    at = np.asarray(at)
+    if at.ndim != 1 or (at.size and at.dtype.kind not in "iu"):
+        raise ValueError("at must be a one-dimensional array of integers")
+    at = at.astype(np.int64)
+    if np.any(at[1:] < at[:-1]):
+        raise ValueError("at must be sorted")
+    if at.size and (at[0] < 0 or at[-1] > n):
+        raise ValueError(f"at must lie in [0, {n}]")
+    outs = [np.empty(at.size) for _ in columns_of(at[:0], np.empty(0))]
+    carries = [0.0] * len(outs)
+    done = 0  # at[:done] is written
+    for k, mu in _support_mu(table, int(at.max(initial=0)), q):
+        if not k.size:
+            continue
+        a, b = np.searchsorted(at, (k[0], k[-1] + 1))  # at[a:b] in [k[0], k[-1]]
+        reads = np.searchsorted(k, at[a:b], "right") - 1
+        for c, run in enumerate(columns_of(k, mu)):
+            outs[c][done:a] = carries[c]
+            carries[c] = _run_from(carries[c], run)
+            outs[c][a:b] = run[reads]
+        done = b
+    for out, carry in zip(outs, carries):
+        out[done:] = carry
     return outs
+
+
+def _run_from(carry: float, terms: np.ndarray) -> float:
+    """Make terms, in place, the running sums that continue carry, and
+    return the last.  terms[0] becomes t0 + carry, the second entry that a
+    cumsum of [carry, t0, t1, ...] forms (floating-point addition commutes),
+    and each later entry adds one term to the last, so the sums are that
+    cumsum's from its second entry on, bit for bit: a column cut into blocks
+    this way is one left-to-right sum."""
+    terms[0] += carry
+    np.cumsum(terms, out=terms)
+    return terms[-1]
 
 
 def _point_blocks(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int):
@@ -588,41 +624,28 @@ def prefix_log_moment(
     """Cumsum P with P[k] = sum over coprime i <= k of mu(i) (-log i)^j / i^sigma.
 
     Columns: sigma and j may each be a tuple (a scalar pairs with every
-    entry); the call then returns one array per column.  Both forms read
-    the one prefix loop, _prefix_runs, so every prefix is the same
+    entry); the call then returns one array per column.  Both forms take
+    their terms from _prefix_terms, so every prefix is the same
     left-to-right sum as one np.cumsum over [0, n], bit for bit.
 
-    at: sorted indices in [0, n], duplicates allowed.  Only the support (i
-    with mu(i) != 0 and gcd(i, q) = 1) is evaluated and summed, each at[m]
-    is read by searchsorted, and the arrays returned have len(at) entries:
-    no array of length n is built.  Off the support the full cumsum adds
-    +0.0 or -0.0 to a running sum that is nonzero or +0.0 (it starts at
-    +0.0 and x + y is -0.0 only for two -0.0), which returns that sum
-    unchanged, so each value equals P[at[m]] bit for bit.
+    at: sorted indices in [0, n], duplicates allowed, read by support_prefix
+    (which checks them) from the terms of the support alone (i with mu(i) !=
+    0 and gcd(i, q) = 1); the arrays returned have len(at) entries, and no
+    array of length n is built.  Off the support the full cumsum adds +0.0
+    or -0.0 to a running sum that is nonzero or +0.0 (it starts at +0.0 and
+    x + y is -0.0 only for two -0.0), which returns that sum unchanged, so
+    each value equals P[at[m]] bit for bit.
     """
     n, q, cols = _prefix_request(table, n, q, sigma, j)
     if at is None:
         # zeros: P[0] is the empty sum
         outs = [np.zeros(n + 1) for _ in cols]
-        for lo, hi, runs, _, _ in _prefix_runs(table, n, q, cols, support=False):
+        for lo, hi, runs, _ in _prefix_runs(table, n, q, cols):
             for out, run in zip(outs, runs):
-                out[lo:hi] = run[1:]
+                out[lo:hi] = run
     else:
-        pts = np.asarray(at)
-        if pts.ndim != 1 or (pts.size and pts.dtype.kind not in "iu"):
-            raise ValueError("at must be a one-dimensional array of integers")
-        pts = pts.astype(np.int64)
-        if pts.size and (pts[0] < 0 or pts[-1] > n):
-            raise ValueError(f"at must lie in [0, {n}]")
-        if np.any(pts[1:] < pts[:-1]):
-            raise ValueError("at must be sorted")
-        outs = [np.zeros(pts.size) for _ in cols]  # every at[m] = 0 reads 0.0
-        stop = int(pts.max(initial=0))
-        for lo, hi, runs, idx, _ in _prefix_runs(table, stop, q, cols, support=True):
-            a0, a1 = np.searchsorted(pts, (lo, hi))
-            reads = np.searchsorted(idx, pts[a0:a1], "right")
-            for out, run in zip(outs, runs):
-                out[a0:a1] = run[reads]
+        outs = support_prefix(table, n, q, at,
+                              lambda k, mu: _prefix_terms(k.astype(np.float64), mu, cols)[0])
     return outs if isinstance(sigma, tuple) or isinstance(j, tuple) else outs[0]
 
 
@@ -651,57 +674,56 @@ def _prefix_request(table: ArithmeticTable, n, q, sigma, j):
     return n, Modulus.coerce(q), cols
 
 
-def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols, support: bool):
-    """The one prefix loop: (lo, hi, runs, idx, logs) for each BLOCK [lo, hi) of [1, stop].
+def _prefix_terms(i: np.ndarray, mu: np.ndarray, cols):
+    """The prefix kernel's terms at the float64 i, with mu(i) as float64:
+    (terms, logs), where terms[c] holds column c's mu(i) (-log i)^j /
+    i^sigma in a fresh array of its own, and logs is the log table, logs[j]
+    = (log i)^j up to the largest j (logs[0] = 1.0).
 
-    runs[c][0] is column c's sum carried into the block and runs[c][1:] its
-    running sums after each term; each column's cumsum continues its carry,
-    so every prefix is the same left-to-right sum as one np.cumsum over
-    [0, stop].  With support=True the terms are those of the support only
-    (i with mu(i) != 0 and gcd(i, q) = 1), idx holds those i, and
-    runs[c][m + 1] is the prefix at idx[m] (see prefix_log_moment);
-    otherwise idx is None.  Between blocks the loop holds only the carries.
+    mu(i) i^-sigma is formed once per sigma and negated once for the odd j,
+    as (-a) b = -(a b) under rounding to nearest; a column with j > 0 is
+    then one product with logs[j], and one with j = 0 takes mu(i) i^-sigma
+    itself, or a copy if an earlier column took it.  Each term is formed
+    entry by entry, so its bits do not depend on the block that holds it.
+    """
+    j_max = max(jj for _, jj in cols)
+    logs = [1.0] + ([np.log(i)] if j_max else [])
+    logs += [logs[1] ** jj for jj in range(2, j_max + 1)]
+    signed = {}  # (sigma, j % 2) -> (-1)^j mu(i) i^-sigma
+    terms = []
+    for s, jj in cols:
+        if (s, 0) not in signed:
+            signed[s, 0] = np.power(i, -s)
+            signed[s, 0] *= mu
+        if jj % 2 and (s, 1) not in signed:
+            signed[s, 1] = np.negative(signed[s, 0])
+        col = signed[s, jj % 2]
+        if jj:
+            col = col * logs[jj]
+        elif any(col is t for t in terms):
+            col = col.copy()
+        terms.append(col)
+    return terms, logs
 
-    A block forms once its mu slice with the coprime zeroing, its log table
-    logs[j] = (log i)^j up to the largest j (logs[0] = 1.0) and, per sigma,
-    mu(i) i^-sigma, negated once for the odd j as (-a) b = -(a b) under
-    rounding to nearest; a column is then one product and one cumsum.
+
+def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols):
+    """The dense prefix loop: (lo, hi, runs, logs) for each BLOCK [lo, hi) of [1, stop].
+
+    runs[c] holds column c's running sums after each i of the block: its
+    _prefix_terms at every i (0.0 off the support) continued from the carry
+    (_run_from), so every prefix is the same left-to-right sum as one
+    np.cumsum over [0, stop]; logs is the block's log table.  Between blocks
+    the loop holds only the carries.
     """
     carries = [0.0] * len(cols)
-    j_max = max(jj for _, jj in cols)
     for lo in range(1, stop + 1, BLOCK):
-        vals = _mu_block(table, lo, min(lo + BLOCK, stop + 1), q)
-        hi = lo + vals.size
-        if support:
-            idx = np.flatnonzero(vals != 0.0)
-            vals = vals[idx]
-            idx += lo
-            kk = idx.astype(np.float64)
-        else:
-            idx = None
-            kk = np.arange(lo, hi, dtype=np.float64)
-        logs = [1.0] + ([np.log(kk)] if j_max else [])
-        logs += [logs[1] ** jj for jj in range(2, j_max + 1)]
-        # (sigma, j % 2) -> (-1)^j mu(i) i^-sigma in [1:]; [0] takes a column's carry
-        signed = {}
-        runs = []
-        for c, (s, jj) in enumerate(cols):
-            if (s, 0) not in signed:
-                signed[s, 0] = np.empty(kk.size + 1)
-                np.power(kk, -s, out=signed[s, 0][1:])
-                signed[s, 0][1:] *= vals
-            if jj % 2 and (s, 1) not in signed:
-                signed[s, 1] = np.negative(signed[s, 0])
-            run = np.empty(kk.size + 1)
-            terms = signed[s, jj % 2]
-            if jj:
-                np.multiply(terms[1:], logs[jj], out=run[1:])
-                terms = run
-            terms[0] = carries[c]
-            np.cumsum(terms, out=run)
-            carries[c] = run[-1]
-            runs.append(run)
-        yield lo, hi, runs, idx, logs
+        hi = min(lo + BLOCK, stop + 1)
+        i = np.arange(lo, hi, dtype=np.float64)
+        runs, logs = _prefix_terms(i, _mu_block(table, lo, hi, q), cols)
+        for c, run in enumerate(runs):
+            carries[c] = _run_from(carries[c], run)
+        yield lo, hi, runs, logs
+        del i, runs, logs, run  # let the block go before the next is formed
 
 
 def sweep_min(n: int, margins_of, floors_of=None) -> list[tuple[float, int]]:
@@ -757,14 +779,13 @@ def sweep_prefix_min(
     block is let go before the next one is formed.
     """
     n, q, cols = _prefix_request(table, n, q, sigma, j)
-    runs = _prefix_runs(table, n, q, cols, support=False)
+    runs = _prefix_runs(table, n, q, cols)
     held = [None, None]  # lo, and (cols, logs), of the sweep block in hand
 
     def block(lo: int):
         if held[0] != lo:
             held[1] = None  # let the last block go before the next one is formed
-            _, _, block_runs, _, logs = next(runs)
-            held[:] = lo, ([run[1:] for run in block_runs], logs)
+            held[:] = lo, next(runs)[2:]
         return held[1]
 
     floors = None if floors_of is None else lambda lo, hi: floors_of(lo, hi, *block(lo))

@@ -11,10 +11,11 @@ L_k(X; sigma) through its one column form (_log_moment), at every integer
 of a range or, for the eps families, on one log grid of SCAN_POINTS points
 (_scan_grid).  The full-range sweeps hand their prefix request to
 sweep_prefix_min, which reads the prefixes one block at a time, and the eps
-families read running sums at the grid's floors only: mcheckqeps_scan the
-log moment columns (prefix_log_moment with at=), mqeps_scan the two sums
-of the scaled defect's kernel sum (support_prefix; delta_sign.IntervalKernel
-and main_term are its one evaluator, as for verify_mqeps).  So no scan
+families read running sums at the grid's floors only, both through
+arith.support_prefix, the one sampled read: mcheckqeps_scan the log moment
+columns (prefix_log_moment with at=), mqeps_scan the two sums of the
+scaled defect's kernel sum (delta_sign.IntervalKernel and main_term are its
+one evaluator, as for verify_mqeps).  So no scan
 builds an array of length n_max, and the prefix values are those of the
 full prefix arrays, bit for bit; easy_scan and special_scan read log X and
 its powers from the prefix block's log table.  small_m_scan also bounds
@@ -309,8 +310,12 @@ def mqeps_scan(
     qm = Modulus.coerce(q)
     xs, lxs, idx = _scan_grid(n_max, 2.0)
     kernel = IntervalKernel(None, None, 0.0, qm)
-    c, m = support_prefix(table, n_max, qm, idx,
-                          lambda k, w: (kernel.terms(eps, w, np.log(k)), w))
+
+    def columns(k, mu):
+        w = mu / k
+        return kernel.terms(eps, w, np.log(k)), w
+
+    c, m = support_prefix(table, n_max, qm, idx, columns)
     quotient = np.expm1(-eps * lxs) / eps if eps else -lxs
     delta = c - m * quotient - main_term(qm, eps)
     margin = mqeps_bound(xs, qm, eps) - np.abs(delta)
@@ -479,8 +484,8 @@ def integral_abs_mq(table: ArithmeticTable, X: float, q: Modulus | int = 1) -> f
         return 0.0
     n, qm, cols = _prefix_request(table, floor_int(X), q, 1.0, 0)
     total = ExactSum()
-    for lo, _, (run,), _, _ in _prefix_runs(table, n, qm, cols, support=False):
-        pref = np.abs(run[1:])  # |P| at lo .. hi - 1
+    for lo, _, (run,), _ in _prefix_runs(table, n, qm, cols):
+        pref = np.abs(run)  # |P| at lo .. hi - 1
         total.add(pref[: n - lo])
     return float(total) + float(pref[-1]) * (X - n)
 

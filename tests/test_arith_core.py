@@ -12,6 +12,7 @@ from mobius_bounds import bounds, harmonic
 from mobius_bounds.arith import (
     BLOCK,
     LIMIT_BUDGET,
+    ONE,
     SEGMENT,
     Modulus,
     build_table,
@@ -21,9 +22,11 @@ from mobius_bounds.arith import (
     m_check_q_s,
     m_q,
     m_q_s,
+    mu_support,
     prefix_log_moment,
     prefix_m_q,
     sieve_blocks,
+    support_prefix,
     sweep_min,
     sweep_prefix_min,
 )
@@ -883,6 +886,53 @@ def test_prefix_kernel_rejects_bad_requests(table_small):
             with pytest.raises(TypeError, match="j must be an integer"):
                 prefix_log_moment(table_small, n, 1, sigma, j, at=at)
     assert prefix_log_moment(table_small, n, 1, 1.0, 0, at=[]).size == 0
+    # support_prefix, the one sampled read, checks at as prefix_log_moment's
+    # at= did, for any columns: unsorted, past n or not integers all raise
+    for at in ([3, 2], [-1, 5], [0, n + 1], [[1, 2]], [0.0, 1.0], [5, 50], [50, 5]):
+        with pytest.raises(ValueError):
+            support_prefix(table_small, 10 if 50 in at else n, ONE, np.array(at), _w_column)
+    assert [c.size for c in support_prefix(table_small, n, ONE, [], _w_column)] == [0]
+    zeros = support_prefix(table_small, n, ONE, [0, 0, 1], _w_column)[0]
+    assert zeros.tolist() == [0.0, 0.0, 1.0]
+
+
+def _w_column(k, mu):
+    """One support_prefix column: w = mu(k)/k, so it reads m_q."""
+    return [mu / k]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+@pytest.mark.parametrize("q", [1, 6, 65537])
+def test_support_prefix_reads_one_cumsum_over_the_support(table_mid, q, eps):
+    """support_prefix's reads at sorted indices, with duplicates, equal one
+    np.cumsum over the whole support of the same columns, read at the same
+    indices (0.0 where no k <= at[m]), bit for bit.  The columns are
+    mqeps_scan's: the defect kernel's terms and w = mu(k)/k.  The indices
+    take each side of the block edges, the table top and a draw of 60; the
+    prime q = 65537 = 2 BLOCK + 1 removes the first entry of the third
+    block, so the reads from 2 BLOCK + 1 on start from the carry."""
+    from mobius_bounds.delta_sign import IntervalKernel
+
+    qm, n = Modulus(q), table_mid.limit
+    kernel = IntervalKernel(None, None, 0.0, qm)
+
+    def columns(k, mu):
+        w = mu / k
+        return kernel.terms(eps, w, np.log(k)), w
+
+    k, _ = mu_support(table_mid, n, qm)
+    if q == 2 * BLOCK + 1:
+        assert table_mid.mu[q] != 0 and k[np.searchsorted(k, q)] > q
+    edges = [0, 1, 2, n - 1, n] + [m * BLOCK + d for m in (1, 2, 3) for d in (-1, 0, 1, 2)]
+    rng = np.random.default_rng(q)
+    for top in (n, 2 * BLOCK + 5):
+        at = np.sort(np.concatenate([edges, edges, rng.integers(0, n + 1, 60)]))
+        at = at[at <= top]
+        got = support_prefix(table_mid, n, qm, at, columns)
+        reads = np.searchsorted(k, at, "right")  # the support entries <= at[m]
+        for col, terms in zip(got, columns(k, table_mid.mu[k].astype(np.float64))):
+            want = np.concatenate(([0.0], np.cumsum(terms)))[reads]
+            assert col.tobytes() == want.tobytes(), (q, eps, top)
 
 
 # tuple and scalar column requests: (sigma, j)

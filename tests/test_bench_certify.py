@@ -4,11 +4,12 @@ perfbench/run.py certifies, writes, parses back and replays each claim, and
 judges the round trip by equality and the replay by its problems.  Its scan
 pass judges every sweep by the acceptance predicates and charges prefix
 builds to the traced boundaries bounds.prefix_m_q and
-bounds.prefix_log_moment.  Only the at= reads of the eps scans and dense
-builds reach those boundaries; the full-range sweeps draw their prefix
-blocks inside sweep_prefix_min, whose time falls in each scan's own span.  Running the tiny
-traced passes here makes a change that breaks a judge, drops a boundary or
-moves the eps scans' reads off it fail the tests instead of the benchmark.
+bounds.prefix_log_moment.  Only dense builds and mcheckqeps_scan's at=
+reads reach those boundaries (mqeps_scan reads bounds.support_prefix); the
+full-range sweeps draw their prefix blocks inside sweep_prefix_min, whose
+time falls in each scan's own span.  Running the tiny traced passes here
+makes a change that breaks a judge, drops a boundary or moves
+mcheckqeps_scan's reads off it fail the tests instead of the benchmark.
 """
 
 import importlib.util
