@@ -144,7 +144,9 @@ class Modulus:
     def coprime_mask(self, n: int) -> np.ndarray:
         """Boolean array of length n+1; entry k is True iff gcd(k, q) = 1.
 
-        Index 0 is False by convention.
+        Index 0 is False by convention.  The sums read the coprime filter
+        through _mu_block; the tests read this mask as its independent
+        oracle.
         """
         mask = np.ones(n + 1, dtype=bool)
         mask[0] = False

@@ -9,9 +9,11 @@ the accumulated evaluation error, fail only when the violation does.  The
 *_scan sweeps evaluate the left side from cumsum prefixes, each log moment
 L_k(X; sigma) through its one column form (_log_moment), at every integer
 of a range or, for the eps families, on one log grid of SCAN_POINTS points
-(_scan_grid).  The full-range sweeps hand their prefix request to
-sweep_prefix_min, which reads the prefixes one block at a time, and the eps
-families read running sums at the grid's floors only, both through
+(_scan_grid, which reads [X] by util's snapped floor, as the point
+checkers do, so its top point reads the sums at n_max).  The full-range
+sweeps hand their prefix request to sweep_prefix_min, which reads the
+prefixes one block at a time, and the eps families read running sums at
+the grid's floors only, both through
 arith.support_prefix, the one sampled read: mcheckqeps_scan the log moment
 columns (prefix_log_moment with at=), mqeps_scan the two sums of the
 scaled defect's kernel sum (delta_sign.IntervalKernel and main_term are its
@@ -70,6 +72,7 @@ from .util import (
     Approx,
     BracketError,
     ExactSum,
+    _floor_array,
     as_approx,
     cert_le,
     combine_verdicts,
@@ -150,9 +153,10 @@ def _log_moment(k: int, lx, cols):
 
 def _scan_grid(n_max: int, x_lo: float):
     """(X, log X, [X]) on the log grid of SCAN_POINTS values of X in
-    [x_lo, n_max]."""
+    [x_lo, n_max], [X] read by floor_int's snap, as the point checkers read
+    it: the top X, exp(log n_max) a few ulps off n_max, reads n_max."""
     xs = np.exp(np.linspace(math.log(x_lo), math.log(float(n_max)), SCAN_POINTS))
-    return xs, np.log(xs), np.minimum(np.floor(xs).astype(np.int64), n_max)
+    return xs, np.log(xs), np.minimum(_floor_array(xs), n_max)
 
 
 # ----------------------------------------------------------------------

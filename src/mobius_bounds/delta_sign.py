@@ -27,6 +27,17 @@ and one within ten budgets of the cap aborts as inconclusive rather than
 certifying on noise.  A certificate serializes to one line of JSON whose
 floats are plain numbers (Python writes each by repr and reads it back bit
 for bit), so a checker can re-derive every step.
+
+certify_sign, caps_scan and replay_certificate read each rule on a claim
+from one helper: the X-range rule (_check_x_range: 1 < x0 <= limit + 1)
+and the claim rule (_claim_problem: error_budget in [MIN_BUDGET,
+MAX_BUDGET], eps_max in (0, 1], a finite cap), which returns the rule a
+claim breaks.  The two walkers raise it; replay reports it as its one
+problem before any interval is built, so a document that states a budget
+of 1e20 or an eps_max of 0 replays as broken, not as checked.
+MAX_BUDGET's comment states why the budget is bounded above.  The
+kernel's terms at eps > 0 are formed by one function, _expm1_terms, for one
+eps and for a column of eps.
 """
 
 from __future__ import annotations
@@ -52,6 +63,20 @@ FAILED = "fail"
 UNDECIDED = "inconclusive"
 
 CERT_VERSION = 3
+# the smallest error_budget a claim may state, and certify_sign's default;
+# caps_scan pads its grid by it
+MIN_BUDGET = 1e-9
+# The largest error_budget a claim may state.  A comparison with the budget
+# (cap - t >= budget in the walk and in replay, |replayed - recorded| <=
+# budget in replay) is tight where the difference it forms is about one
+# budget, and there that difference rounds by at most u·budget (u = EPS/2),
+# so the two comparisons a replayed value meets err by about 2u·budget =
+# EPS·budget together.  That must stay far below r_S = 16 EPS L (1 + L),
+# the kernel sum's radius that every proven bound carries: at 1e-3 it is
+# under 1e-4 of r_S wherever L = log y >= log 2, so on every interval of a
+# range with x0 >= 2.  With no bound, a budget of 1e20 lets a recorded step
+# value of -1e20 replay as any value at all.
+MAX_BUDGET = 1e-3
 _STEP_CAP = 200_000
 # share of the room below cap - budget that a proposed step's pair bound
 # may use if the far value comes out as its slope predicts
@@ -278,11 +303,7 @@ class IntervalKernel:
         bits do not depend on the block that holds it."""
         if eps == 0.0:
             return w * (self.log_y - ln)
-        r = np.expm1(-eps * ln)
-        r -= math.expm1(-eps * self.log_y)
-        r /= eps
-        r *= w
-        return r
+        return _expm1_terms(eps, math.expm1(-eps * self.log_y), w, ln)
 
     def sum_at(self, eps: float) -> float:
         """S(eps), one exactly rounded sum."""
@@ -302,12 +323,9 @@ class IntervalKernel:
         for lo in range(0, len(eps), rows):
             e = eps[lo : lo + rows]
             d = np.array([x or 1.0 for x in e])[:, None]  # eps = 0 rows take sum_at(0.0)
-            r = np.expm1(-d * self.ln)
-            r -= np.array([math.expm1(-x * self.log_y) for x in e])[:, None]
-            r /= d
-            r *= self.w
-            out += [self.sum_at(0.0) if x == 0.0 else math.fsum(row)
-                    for row, x in zip(r.tolist(), e)]
+            ys = np.array([math.expm1(-x * self.log_y) for x in e])[:, None]
+            r = _expm1_terms(d, ys, self.w, self.ln).tolist()
+            out += [self.sum_at(0.0) if x == 0.0 else math.fsum(row) for row, x in zip(r, e)]
         return out
 
     def sum_radius(self, eps: float) -> float:
@@ -321,6 +339,20 @@ class IntervalKernel:
     def at_each(self, eps: list[float]) -> list[float]:
         """[at(e) for e in eps], bit for bit: sum_each less main_term."""
         return [s - main_term(self.qm, x) for s, x in zip(self.sum_each(eps), eps)]
+
+
+def _expm1_terms(eps, y_terms, w: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """The kernel's terms at eps > 0, w (expm1(-eps ln) - y_term)/eps, with
+    y_term = math.expm1(-eps log y): a float eps with its float y_term
+    (IntervalKernel.terms), or a column of eps with its column of y_terms,
+    one row per eps (IntervalKernel.sum_each).  Each entry meets the same
+    operations in the same order whatever the shape, so a row equals the
+    float form at its eps, bit for bit."""
+    r = np.expm1(-eps * ln)
+    r -= y_terms
+    r /= eps
+    r *= w
+    return r
 
 
 def _interval_invariants(
@@ -447,6 +479,29 @@ def _value_status(t: float, cap: float, budget: float, N: int, eps: float):
     return CERTIFIED, ""
 
 
+def _check_x_range(table: ArithmeticTable, name: str, x: float) -> None:
+    """The X-range rule, 1 < x <= table.limit + 1 for the range [1, x]:
+    ValueError for x <= 1 (NaN too), CapacityError past the table (inf
+    too)."""
+    if not x > 1.0:
+        raise ValueError(f"{name} must exceed 1, got {x!r}")
+    if not x <= table.limit + 1.0:
+        raise CapacityError(f"{name}={x!r} needs sieve data past the table's {table.limit}")
+
+
+def _claim_problem(eps_max: float, error_budget: float, cap: float) -> str | None:
+    """The claim rule: the rule that a claim's eps_max, error_budget and cap
+    break, or None.  The budget lies in [MIN_BUDGET, MAX_BUDGET], eps_max
+    in (0, 1] and the cap is finite; NaN breaks each (no step value
+    compares with a NaN budget)."""
+    if not MIN_BUDGET <= error_budget <= MAX_BUDGET:
+        return f"error_budget must lie in [{MIN_BUDGET:g}, {MAX_BUDGET:g}], got {error_budget!r}"
+    if not 0.0 < eps_max <= 1.0:
+        return "eps_max must lie in (0, 1]"
+    if not math.isfinite(cap):
+        return f"cap must be finite, got {cap!r}"
+
+
 def _step_length(room: float, slope: float, m2: float) -> float:
     """Largest h with max(slope, 0) h + m2 h^2 / 8 <= room."""
     s = max(slope, 0.0)
@@ -457,7 +512,7 @@ def certify_sign(
     table: ArithmeticTable,
     q: Modulus | int,
     x0: float,
-    error_budget: float = 1e-9,
+    error_budget: float = MIN_BUDGET,
     eps_max: float = 1.0,
     cap: float = 0.0,
 ) -> DeltaCertificate:
@@ -475,16 +530,9 @@ def certify_sign(
     within ten budgets of the cap aborts as "inconclusive" instead of
     certifying a margin thinner than the arithmetic deserves.
     """
-    if not x0 > 1.0:
-        raise ValueError("x0 must exceed 1")
-    if not x0 <= table.limit + 1.0:
-        raise CapacityError(f"x0={x0!r} needs sieve data past the table's {table.limit}")
-    if not error_budget >= 1e-9:  # NaN too: no step value compares with it
-        raise ValueError(f"error_budget must be at least 1e-9, got {error_budget!r}")
-    if not 0.0 < eps_max <= 1.0:
-        raise ValueError("eps_max must lie in (0, 1]")
-    if not math.isfinite(cap):
-        raise ValueError(f"cap must be finite, got {cap!r}")
+    _check_x_range(table, "x0", x0)
+    if problem := _claim_problem(eps_max, error_budget, cap):
+        raise ValueError(problem)
     qm = Modulus.coerce(q)
     records: list[IntervalRecord] = []
     status, reason = CERTIFIED, ""
@@ -615,15 +663,26 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     certificate that is not certified (the value that stopped it) is exempt
     from the value and pair rules; on a "fail" certificate that step is the
     witness, and its re-derived value must lie within two budgets of the
-    cap.  A step outside the certified range is a problem, not an error,
-    and so is an x0 that the table does not reach, reported before any
-    interval is built.  A record's step values come from one
-    IntervalKernel.at_each call, which equals the walk's at(), value for
-    value.
+    cap.  A step outside the certified range is a problem, not an error.
+    So is an x0 that breaks the X-range rule (one the table does not reach,
+    say) or a claim that breaks the claim rule (a budget past MAX_BUDGET,
+    an eps_max outside (0, 1]), each read through the helper that
+    certify_sign reads and reported alone, before any interval is built.
+    A record's step values come from one IntervalKernel.at_each call, which
+    equals the walk's at(), value for value.
+
+    The value and pair rules read the recorded values, which may lie up to
+    one budget below the re-derived ones, so a clean replay proves the
+    defect at most cap + r_S, where the walk itself proves cap - budget +
+    r_S.
     """
     budget, cap, x0 = cert.error_budget, cert.cap, cert.x0
-    if not 1.0 < x0 <= table.limit + 1.0:
-        return [f"X range [1, {x0!r}] needs 1 < X0 <= {table.limit + 1}"]
+    try:
+        _check_x_range(table, "x0", x0)
+    except ValueError as exc:  # CapacityError too
+        return [f"X range [1, {x0!r}]: {exc}"]
+    if problem := _claim_problem(cert.eps_max, budget, cap):
+        return [problem]
     problems: list[str] = []
     qm = Modulus.coerce(cert.q)
     n_last = _last_interval(x0)
@@ -712,12 +771,9 @@ def caps_scan(
     an eps_max outside (0, 1] (NaN too) raises ValueError, as in
     certify_sign.  All before any interval.
     """
-    if not x_max > 1.0:
-        raise ValueError(f"x_max must exceed 1, got {x_max!r}")
-    if not x_max <= table.limit + 1.0:
-        raise CapacityError(f"x_max={x_max!r} needs sieve data past the table's {table.limit}")
-    if not 0.0 < eps_max <= 1.0:
-        raise ValueError("eps_max must lie in (0, 1]")
+    _check_x_range(table, "x_max", x_max)
+    if problem := _claim_problem(eps_max, MIN_BUDGET, 0.0):
+        raise ValueError(problem)
     qm = Modulus.coerce(q)
     grid = np.arange(0.0, eps_max, CAPS_EPS_STEP).tolist() + [eps_max]
     steps = [e1 - e0 for e0, e1 in zip(grid, grid[1:])]
@@ -740,7 +796,7 @@ def caps_scan(
         grid_max=best,
         arg_n=arg_n,
         arg_eps=arg_eps,
-        rigorous_cap=pad + 1e-9,
+        rigorous_cap=pad + MIN_BUDGET,
     )
 
 

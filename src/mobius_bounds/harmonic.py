@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .arith import ArithmeticTable, _integer, chebyshev_psi, merge_runs, sweep_min
+from .arith import ArithmeticTable, _integer, _run_from, chebyshev_psi, merge_runs, sweep_min
 from .reports import BoundRow, bound_row
 from .util import (
     BLOCK,
@@ -344,7 +344,9 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
     with the least slack.
 
     The scan reads the prime powers N <= x_max only, one BLOCK of them at a
-    time, with its cumsum S of Lambda(N)/N carried from block to block.  It
+    time, with its cumsum S of Lambda(N)/N carried from block to block by
+    arith._run_from, the carry of the prefix kernel, so S is one
+    left-to-right sum over the prime powers.  It
     finds the first minimum of the float margin log N - S(N) over every
     integer N in [2, x_max], bit for bit: the dense cumsum adds +0.0 between
     prime powers to a positive sum, which leaves it unchanged, so S is the
@@ -372,9 +374,7 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
             nonlocal carry
             nn = powers[lo:hi].astype(np.float64)
             csum = logs[lo:hi] / nn
-            csum[0] += carry
-            np.cumsum(csum, out=csum)
-            carry = csum[-1]
+            carry = _run_from(carry, csum)
             return (np.log(nn) - csum,)
 
         worst = int(powers[sweep_min(powers.size, margins)[0][1]])

@@ -30,6 +30,11 @@ printed form.  So a catalog check holds one window of pieces and two
 float64 arrays of [X] + 1 entries: f and S_f over the left side, S_f and at
 most one lookup over the grid.
 
+The engine states no arithmetic rule of its own: [X/t], [t] and [X/n] are
+util's snapped floor (floor_int, and _floor_array on an array), and the
+values of mu, for mobius_coprime zeroed where gcd(n, q) > 1, are those of
+arith._mu_block, the coprime filter of every other sum over n.
+
 Every sum is an util.ExactSum, fed one window at a time and rounded once at
 the end, so the result does not depend on the window and equals one fsum of
 all its terms, bit for bit.  Every log of a cut point or of X/n is libm's,
@@ -55,12 +60,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithmeticTable, Modulus, m_check_q, m_q, merge_runs
+from .arith import ONE, ArithmeticTable, Modulus, _mu_block, m_check_q, m_q, merge_runs
 from .util import (
     EPS,
     GAMMA,
     CapacityError,
     ExactSum,
+    _floor_array,
     block_entries,
     expm1c,
     floor_int,
@@ -150,23 +156,17 @@ class OfdResult:
 
 
 def _f_values(table: ArithmeticTable, spec: IdentitySpec, n: int) -> np.ndarray:
-    if spec.f_id.endswith("_over_id"):
-        idx = np.arange(n + 1, dtype=np.float64)
-        idx[0] = 1.0  # dummy to avoid 0-division; slot 0 never used
-    if spec.f_id == "mobius":
-        return table.mu[: n + 1].astype(np.float64)
-    if spec.f_id == "mobius_coprime":
-        mask = Modulus.coerce(spec.q).coprime_mask(n)
-        return np.where(mask, table.mu[: n + 1], 0).astype(np.float64)
-    if spec.f_id == "mobius_over_id":
-        return table.mu[: n + 1] / idx
-    if spec.f_id == "liouville":
-        return table.liouville(0, n + 1).astype(np.float64)
-    if spec.f_id == "liouville_over_id":
-        return table.liouville(0, n + 1) / idx
+    """f(k) for 0 <= k <= n as float64; slot 0 is never read."""
     if spec.f_id == "mangoldt":
         return table.mangoldt(0, n + 1)
-    raise AssertionError(spec.f_id)
+    if spec.f_id.startswith("mobius"):
+        q = Modulus.coerce(spec.q) if spec.f_id == "mobius_coprime" else ONE
+        f = _mu_block(table, 0, n + 1, q)
+    else:
+        f = table.liouville(0, n + 1).astype(np.float64)
+    if spec.f_id.endswith("_over_id"):
+        f[1:] /= np.arange(1.0, n + 1.0)
+    return f
 
 
 def _g_values(g_id: str, lo: int, hi: int) -> np.ndarray:
@@ -233,14 +233,6 @@ def convolution_prefix(table: ArithmeticTable, spec: IdentitySpec, n: int):
 
 # ----------------------------------------------------------------------
 # Exact piecewise integration.
-
-
-def _floor_array(v: np.ndarray) -> np.ndarray:
-    """floor_int element by element: values within 32 EPS (relative above
-    1) of an integer snap to it, the rest floor."""
-    r = np.rint(v)
-    snap = np.abs(v - r) <= 32.0 * EPS * np.maximum(1.0, np.abs(v))
-    return np.where(snap, r, np.floor(v)).astype(np.int64)
 
 
 def _libm(fn, a: np.ndarray, dtype=np.float64) -> np.ndarray:

@@ -4,6 +4,11 @@ constants.
 Everything here is plain float64 arithmetic.  Error control is by construction
 (expm1/log1p style reformulations) rather than by interval arithmetic; the
 certified comparisons elsewhere attach explicit error budgets on top.
+
+The snapped floor is one rule with one tolerance, SNAP, in two forms:
+floor_int for a float and _floor_array for a float64 array, equal entry for
+entry.  The array form uses the array's own methods, so this module imports
+no numpy.
 """
 from __future__ import annotations
 
@@ -43,19 +48,36 @@ class NearZeroError(ArithmeticError):
     """A denominator is smaller than its own evaluation error."""
 
 
+# The floors' snap: a value within SNAP of an integer r, relative to
+# max(1, |value|), counts as r.  That is 32 to 64 ulps of r, far above the
+# few roundings that put a product such as 0.1*30 next to an integer.
+SNAP = 32.0 * EPS
+
+
 def floor_int(x: float) -> int:
     """Floor of a real input with an exactness guard.
 
-    Values within a few ulp of an integer are snapped to that integer, so
+    Values within SNAP of an integer are snapped to that integer, so
     that e.g. 0.1*30 = 2.9999999999999996 counts as 3 while a deliberate
     2.999 still floors to 2.
     """
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"floor_int: non-finite input {x!r}")
     r = round(x)
-    if abs(x - r) <= 32.0 * EPS * max(1.0, abs(x)):
+    if abs(x - r) <= SNAP * max(1.0, abs(x)):
         return int(r)
     return math.floor(x)
+
+
+def _floor_array(v):
+    """floor_int element by element over a float64 array v of finite values,
+    as int64, by the array's own methods (this module imports no numpy).
+    r = v.round() rounds half to even, as round(x) does, and lies within 1/2
+    of v, so r is the snapped value where |v - r| <= SNAP max(1, |v|), and
+    the floor is r where r <= v and r - 1 where r > v; r - 1 is exact there,
+    as a v that is no integer lies below 2^52 in size."""
+    r = v.round()
+    return (r - ((r > v) & (abs(v - r) > SNAP * abs(v).clip(1.0)))).astype("int64")
 
 
 def block_entries(arrays):

@@ -35,7 +35,9 @@ from mobius_bounds.util import (
     FSUM_LIST_MAX,
     CapacityError,
     ExactSum,
+    _floor_array,
     block_entries,
+    floor_int,
     fsum_blocks,
 )
 
@@ -1170,3 +1172,29 @@ def test_pointwise_sums_hold_no_list_of_their_terms(table_big):
             assert peak <= per_n * (n + 1), (i, peak / (n + 1))
     finally:
         tracemalloc.stop()
+
+
+def test_floor_array_equals_floor_int():
+    """util's two forms of the snapped floor agree entry for entry.  About
+    each m in +-{1, 2^20, 2^40}, m + k s for |k| <= 40, s the spacing of
+    the floats just above |m|, crosses the snap's edge: 32 EPS |m| is 32
+    such spacings, and the floats just below a power of two are s/2 apart,
+    so each value is a float and the ones on the side of m that floors to
+    m - 1 read m within 32 spacings and m - 1 beyond.  The same steps about
+    m - 1 and m + 1, seeded values and the quotients X/n that the identity
+    grid floors add the rest."""
+    powers = np.array([1.0, 2.0**20, 2.0**40])
+    ints = np.concatenate((powers, -powers, powers - 1.0, powers + 1.0, 1.0 - powers))
+    near = ints[:, None] + np.arange(-40, 41)[None, :] * np.spacing(np.abs(ints))[:, None]
+    floors = _floor_array(near.ravel())
+    assert floors.tolist() == [floor_int(x) for x in near.ravel().tolist()]
+    for m, row in zip(ints[:6].tolist(), floors.reshape(near.shape)[:6].tolist()):
+        assert set(row[:40]) == {int(m) - 1, int(m)}, m  # k < 0: both sides of the edge
+    rng = np.random.default_rng(49)
+    seeded = np.concatenate((
+        rng.uniform(-10.0, 10.0, 2000),
+        rng.uniform(0.0, 2.0**40, 2000),
+        np.round(rng.uniform(-1e6, 1e6, 2000)) + rng.uniform(-1e-9, 1e-9, 2000),
+        1e6 / np.arange(1.0, 1e4 + 1.0),
+    ))
+    assert _floor_array(seeded).tolist() == [floor_int(x) for x in seeded.tolist()]

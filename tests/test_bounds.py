@@ -31,6 +31,7 @@ from mobius_bounds.util import (
     approx_div,
     approx_mul,
     cert_le,
+    floor_int,
     fsum_blocks,
 )
 
@@ -287,6 +288,17 @@ def test_mqeps_scan_grid_stays_in_range(table_small):
     _, arg, floor_slack = bounds.mqeps_scan(table_small, 2, 1, 0.0)
     assert arg == pytest.approx(2.0, abs=1e-12)
     assert floor_slack == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("n_max", [1000, 32768, 10**6])
+def test_scan_grid_reads_floor_int_of_each_x(n_max):
+    """The eps scans' grid reads [X] as the point checkers do, by
+    floor_int's snap: its top X, exp(log n_max), lies a few ulps below
+    n_max at these n_max and reads n_max, not n_max - 1."""
+    for x_lo in (2.0, 15.0):
+        xs, _, idx = bounds._scan_grid(n_max, x_lo)
+        assert idx.tolist() == [min(floor_int(x), n_max) for x in xs.tolist()]
+        assert idx[-1] == n_max
 
 
 def test_integral_envelope(table_small):

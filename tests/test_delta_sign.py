@@ -696,6 +696,54 @@ def test_caps_scan_checks_eps_max_before_any_interval(monkeypatch):
     assert caps_scan(table, 1, 100.0, 1e-3).eps_max == 1e-3
 
 
+def _forged_documents(table):
+    """Four v3 documents that break the claim rule, each otherwise built to
+    pass every per-record check: a certified (1, 11) claim, which is false
+    (test_certify_failure_at_eleven), with budget 1e20 and steps
+    (0, -1e20), (1, -1e20), whose fl(|replayed - recorded|) rounds to the
+    budget; the same with budget and steps infinite; and a genuine (1, 10.8)
+    certificate at eps_max -1 and 0 with each record cut to its first step."""
+    def forged(budget, t):
+        records = [{"N": n, "M2": 1e3, "steps": [[0.0, t], [1.0, t]]} for n in range(1, 11)]
+        return json.dumps({"version": 3, "q": 1, "x0": 11.0, "eps_max": 1.0,
+                           "error_budget": budget, "cap": 0.0, "status": CERTIFIED,
+                           "records": records, "reason": ""})
+
+    docs = [forged(1e20, -1e20), forged(math.inf, -math.inf)]
+    genuine = json.loads(certificate_to_json(certify_sign(table, 1, 10.8)))
+    for eps_max in (-1.0, 0.0):
+        records = [dict(rec, steps=rec["steps"][:1]) for rec in genuine["records"]]
+        docs.append(json.dumps(dict(genuine, eps_max=eps_max, records=records)))
+    return docs
+
+
+def test_replay_rejects_claims_that_certify_refuses(table_small, monkeypatch):
+    """Replay reads certify_sign's claim rule: each forged document reports
+    the rule it breaks, before any interval is built, and certify_sign
+    refuses the same budgets and eps_max with the same message."""
+    docs = _forged_documents(table_small)
+
+    def no_interval(*args):
+        raise AssertionError("an interval was built")
+
+    monkeypatch.setattr(delta_sign, "_interval_invariants", no_interval)
+    rules = ("error_budget must lie in", "error_budget must lie in",
+             "eps_max must lie in", "eps_max must lie in")
+    for doc, rule in zip(docs, rules):
+        cert = certificate_from_json(doc)
+        problems = replay_certificate(table_small, cert)
+        assert len(problems) == 1 and problems[0].startswith(rule), problems
+        with pytest.raises(ValueError) as refused:
+            certify_sign(table_small, cert.q, cert.x0, cert.error_budget, cert.eps_max)
+        assert str(refused.value) == problems[0]
+    monkeypatch.undo()
+    # the largest budget a claim may state is accepted: (1, 10.8) reads
+    # inconclusive there, as at 1e-5 (test_certify_inconclusive_on_coarse_budget)
+    cert = certify_sign(table_small, 1, 10.8, error_budget=delta_sign.MAX_BUDGET)
+    assert cert.status == UNDECIDED
+    assert replay_certificate(table_small, cert) == []
+
+
 def test_mean_value_soundness(table_small):
     # between recorded steps the chained slope bound must keep t <= 0
     cert = certify_sign(table_small, 1, 10.8)
