@@ -240,16 +240,16 @@ def _defect_domain(X: float, eps: float) -> None:
 
 def _defect_sum(table: ArithmeticTable, X: float, qm: Modulus, eps: float):
     """(S(eps), r_S) of the delta_sign.IntervalKernel of Delta_q(X, eps)/X^eps
-    at this X, the counting sums at [X] read at y = X.  The kernel holds no
-    support: its terms are formed one block of support_blocks at a time
-    into one exactly rounded sum, so S is the held kernel's sum_at, bit for
-    bit, and the sum holds one block whatever X."""
-    from .delta_sign import IntervalKernel
+    at this X, the counting sums at [X] read at y = X.  No support is held:
+    delta_sign.kernel_terms forms the terms one block of support_blocks at
+    a time into one exactly rounded sum, so S is the held kernel's sum_at,
+    bit for bit, and the sum holds one block whatever X."""
+    from .delta_sign import kernel_terms, sum_radius
 
-    kernel = IntervalKernel(None, None, math.log(X), qm)
+    log_y = math.log(X)
     blocks = support_blocks(table, floor_int(X), qm)
-    s = fsum_stream(kernel.terms(eps, w, np.log(k)) for k, w in blocks)
-    return s, kernel.sum_radius(eps)
+    s = fsum_stream(kernel_terms(eps, log_y, w, np.log(k)) for k, w in blocks)
+    return s, sum_radius(eps, log_y)
 
 
 def mqeps_bound(X, q: Modulus | int, eps: float):
@@ -306,18 +306,17 @@ def mqeps_scan(
     log y = 0, w_n expm1(-eps log n)/eps (-w_n log n at eps = 0, where
     -log X stands for the quotient).  Both are running sums over the
     support read at [X] (support_prefix), so no 1/eps difference cancels."""
-    from .delta_sign import IntervalKernel, main_term
+    from .delta_sign import kernel_terms, main_term
 
     _defect_domain(float(n_max), eps)
     if n_max < 2:
         raise ValueError(f"the grid runs over X in [2, n_max], got n_max = {n_max}")
     qm = Modulus.coerce(q)
     xs, lxs, idx = _scan_grid(n_max, 2.0)
-    kernel = IntervalKernel(None, None, 0.0, qm)
 
     def columns(k, mu):
         w = mu / k
-        return kernel.terms(eps, w, np.log(k)), w
+        return kernel_terms(eps, 0.0, w, np.log(k)), w
 
     c, m = support_prefix(table, n_max, qm, idx, columns)
     quotient = np.expm1(-eps * lxs) / eps if eps else -lxs

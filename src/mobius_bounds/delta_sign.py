@@ -10,13 +10,18 @@ chain from eps = 0 to eps_max whose pair bounds all stay at or below
 cap - error_budget proves Delta_q(X, eps)/X^eps <= cap on the interval;
 cap = 0 is the sign claim.  caps_scan reads the same kernel on a fixed eps
 grid and pads it by the same pair rule, so the readers of IntervalKernel
-share one evaluator of the scaled defect and one pad (pair_bound with
-M2).  The evaluator's value is two parts composed, t = S - M: the kernel
-sum S over the support, which states its rounding radius r_S, and the main
-term M (main_term), which does not depend on the interval; caps_scan forms
-M once per grid point, bounds.verify_mqeps reads S, r_S and M from one
-kernel, and bounds.mqeps_scan forms S at each grid X from running sums of
-w_n and of the kernel's terms at log y = 0.
+share one evaluator of the scaled defect and one pair-bound chain
+(_pair_bounds: pair_bound with M2 over consecutive steps), which serves a
+certificate's proven bound, replay's pair rule and caps_scan's pad.  The
+walk, replay and caps_scan set up each interval through one helper,
+_interval, which returns the kernel and its M2.  The evaluator's value is
+two parts composed, t = S - M: the kernel sum S over the support, whose
+terms kernel_terms forms and whose rounding radius r_S sum_radius states,
+both as functions of (eps, log y), and the main term M (main_term), which
+does not depend on the interval; caps_scan forms M once per grid point,
+bounds.verify_mqeps reads S through kernel_terms one support block at a
+time with sum_radius and M, and bounds.mqeps_scan forms S at each grid X
+from running sums of w_n and of kernel_terms at log y = 0.
 
 The main term's share of M2 is a closed form: interval arithmetic on
 enclosures of eps·zeta(1+eps) and its first two derivatives over
@@ -26,7 +31,9 @@ error_budget: a value at or above cap - error_budget is a failure witness,
 and one within ten budgets of the cap aborts as inconclusive rather than
 certifying on noise.  A certificate serializes to one line of JSON whose
 floats are plain numbers (Python writes each by repr and reads it back bit
-for bit), so a checker can re-derive every step.
+for bit), so a checker can re-derive every step.  Replay applies the
+value and pair rules to the larger of each recorded value and its
+re-derived one, so it decides on the values the walk proved.
 
 certify_sign, caps_scan and replay_certificate read each rule on a claim
 from one helper: the X-range rule (_check_x_range: 1 < x0 <= limit + 1)
@@ -42,13 +49,12 @@ eps and for a column of eps.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -233,17 +239,6 @@ def curvature_bound(
 # Exact supremum over one unit interval in X.
 
 
-def interval_weights(
-    table: ArithmeticTable, N: int, qm: Modulus
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mu(n)/n, log n) on the support: the n <= N with mu(n) != 0 and
-    gcd(n, q) = 1, in increasing order.  Off the support a term is an exact
-    +-0.0, so every exactly rounded sum over the support is the sum over
-    all n <= N, bit for bit."""
-    k, w = mu_support(table, N, qm)
-    return w, np.log(k)
-
-
 def main_term(qm: Modulus, eps: float) -> float:
     """M(eps) = q^s/(phi_s(q) eps zeta(s)) at s = 1+eps, and q/phi(q) at
     eps = 0: the main term of the scaled defect, within MAIN_TERM_REL_ERR
@@ -263,32 +258,13 @@ class IntervalKernel:
 
         S(eps) = sum_n w_n (n^(-eps) - y^(-eps))/eps,   M = main_term(q, eps),
 
-    w and ln = log n as from interval_weights.  S is assembled through
-    expm1 so the 1/eps pieces never cancel in floats; at eps = 0 it is
-    sum_n w_n log(y/n), and small eps > 0 stays on the expm1 route, so each
-    value is the defect at its own eps rather than a copy of the eps = 0
-    value.  eps·S = m_q(y; 1+eps) - m_q(y) y^(-eps) exactly.
-
-    sum_radius states S's rounding radius r_S.  It assumes that np.log,
-    np.expm1, math.log and math.expm1 are each within 2 ulps (2 EPS
-    relative) of the true value; numpy's own accuracy tests hold its
-    float64 log and expm1 to 1 ulp of the correctly rounded value.  With
-    l = log n <= L = log y and u = EPS/2, per term: log n errs by 2 EPS l;
-    the product -eps·l adds u, so it errs by 2.6 EPS eps l; expm1 is
-    1-Lipschitz for arguments <= 0 and adds 2 EPS |expm1| <= 2 EPS eps l,
-    4.7 EPS eps l in all, and the y-term 4.7 EPS eps L likewise (log_y
-    taken as log y within 2 ulps); their difference rounds by u eps L; so
-    the numerator errs by 9.91 EPS eps L, and after /eps and *w, each
-    rounding u of a value below L (and w = mu(n)/n's own rounding u),
-    the term errs by 11.5 EPS |w| L.  The exactly rounded sum adds
-    u |S| <= u L sum|w|, and sum|w| <= sum_{n<=N} 1/n <= 1 + L.  At
-    eps = 0 the term w (log y - log n) errs by 5.6 EPS |w| L.  In all
-    under 12.1 EPS L (1 + L), so r_S = 16 EPS L (1 + L) in the normal
-    range.  Where a product -eps·l underflows, it rounds by at most
-    2^-1075 and its expm1 by 2 ulps of 2^-1074, and the subtraction of
-    subnormals is exact: under 2^-1071 a term, so r_S adds
-    (1 + L) 2^-1070/eps at eps > 0.  At y = 1 (L = 0) every term is an
-    exact 0, and so is r_S.
+    w = mu(n)/n and ln = log n on the support (arith.mu_support), and S's
+    terms those of kernel_terms at log y, so the kernel's rounding radius
+    r_S is sum_radius(eps, log y).  S is assembled through expm1 so the
+    1/eps pieces never cancel in floats; at eps = 0 it is sum_n w_n
+    log(y/n), and small eps > 0 stays on the expm1 route, so each value is
+    the defect at its own eps rather than a copy of the eps = 0 value.
+    eps·S = m_q(y; 1+eps) - m_q(y) y^(-eps) exactly.
     """
 
     __slots__ = ("w", "ln", "log_y", "qm")
@@ -296,18 +272,9 @@ class IntervalKernel:
     def __init__(self, w: np.ndarray, ln: np.ndarray, log_y: float, qm: Modulus):
         self.w, self.ln, self.log_y, self.qm = w, ln, log_y, qm
 
-    def terms(self, eps: float, w: np.ndarray, ln: np.ndarray) -> np.ndarray:
-        """The terms of S(eps) at the support entries with weights w and logs
-        ln: the kernel's own, or one block of a support that is read block by
-        block (bounds.verify_mqeps).  Each is formed entry by entry, so its
-        bits do not depend on the block that holds it."""
-        if eps == 0.0:
-            return w * (self.log_y - ln)
-        return _expm1_terms(eps, math.expm1(-eps * self.log_y), w, ln)
-
     def sum_at(self, eps: float) -> float:
         """S(eps), one exactly rounded sum."""
-        return fsum_blocks(self.terms(eps, self.w, self.ln))
+        return fsum_blocks(kernel_terms(eps, self.log_y, self.w, self.ln))
 
     def sum_each(self, eps: list[float]) -> list[float]:
         """[sum_at(e) for e in eps], bit for bit, in 2-D batches of at most
@@ -328,11 +295,6 @@ class IntervalKernel:
             out += [self.sum_at(0.0) if x == 0.0 else math.fsum(row) for row, x in zip(r, e)]
         return out
 
-    def sum_radius(self, eps: float) -> float:
-        """r_S at eps: |sum_at(eps) - S(eps)| <= r_S, as derived above."""
-        ly = self.log_y
-        return (1.0 + ly) * (16.0 * EPS * ly + (2.0**-1070 / eps if eps and ly else 0.0))
-
     def at(self, eps: float) -> float:
         return self.sum_at(eps) - main_term(self.qm, eps)
 
@@ -341,11 +303,49 @@ class IntervalKernel:
         return [s - main_term(self.qm, x) for s, x in zip(self.sum_each(eps), eps)]
 
 
+def kernel_terms(eps: float, log_y: float, w: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """The terms w_n (n^(-eps) - y^(-eps))/eps of the kernel sum S(eps) at
+    log y, for the support entries with weights w and logs ln: an interval's
+    whole support (IntervalKernel), one block of a support read block by
+    block (bounds.verify_mqeps), or the running sums' columns at log y = 0
+    (bounds.mqeps_scan).  Each is formed entry by entry, so its bits do not
+    depend on the block that holds it."""
+    if eps == 0.0:
+        return w * (log_y - ln)
+    return _expm1_terms(eps, math.expm1(-eps * log_y), w, ln)
+
+
+def sum_radius(eps: float, log_y: float) -> float:
+    """r_S at eps: |S(eps) - fl S(eps)| <= r_S for S summed exactly rounded
+    from kernel_terms(eps, log y, ...) over the support at N <= y.
+
+    It assumes that np.log, np.expm1, math.log and math.expm1 are each
+    within 2 ulps (2 EPS relative) of the true value; numpy's own accuracy
+    tests hold its float64 log and expm1 to 1 ulp of the correctly rounded
+    value.  With l = log n <= L = log y and u = EPS/2, per term: log n errs
+    by 2 EPS l; the product -eps·l adds u, so it errs by 2.6 EPS eps l;
+    expm1 is 1-Lipschitz for arguments <= 0 and adds 2 EPS |expm1| <=
+    2 EPS eps l, 4.7 EPS eps l in all, and the y-term 4.7 EPS eps L likewise
+    (log_y taken as log y within 2 ulps); their difference rounds by u eps
+    L; so the numerator errs by 9.91 EPS eps L, and after /eps and *w, each
+    rounding u of a value below L (and w = mu(n)/n's own rounding u), the
+    term errs by 11.5 EPS |w| L.  The exactly rounded sum adds u |S| <=
+    u L sum|w|, and sum|w| <= sum_{n<=N} 1/n <= 1 + L.  At eps = 0 the term
+    w (log y - log n) errs by 5.6 EPS |w| L.  In all under 12.1 EPS L
+    (1 + L), so r_S = 16 EPS L (1 + L) in the normal range.  Where a product
+    -eps·l underflows, it rounds by at most 2^-1075 and its expm1 by 2 ulps
+    of 2^-1074, and the subtraction of subnormals is exact: under 2^-1071 a
+    term, so r_S adds (1 + L) 2^-1070/eps at eps > 0.  At y = 1 (L = 0)
+    every term is an exact 0, and so is r_S.
+    """
+    return (1.0 + log_y) * (16.0 * EPS * log_y + (2.0**-1070 / eps if eps and log_y else 0.0))
+
+
 def _expm1_terms(eps, y_terms, w: np.ndarray, ln: np.ndarray) -> np.ndarray:
     """The kernel's terms at eps > 0, w (expm1(-eps ln) - y_term)/eps, with
     y_term = math.expm1(-eps log y): a float eps with its float y_term
-    (IntervalKernel.terms), or a column of eps with its column of y_terms,
-    one row per eps (IntervalKernel.sum_each).  Each entry meets the same
+    (kernel_terms), or a column of eps with its column of y_terms, one row
+    per eps (IntervalKernel.sum_each).  Each entry meets the same
     operations in the same order whatever the shape, so a row equals the
     float form at its eps, bit for bit."""
     r = np.expm1(-eps * ln)
@@ -358,15 +358,26 @@ def _expm1_terms(eps, y_terms, w: np.ndarray, ln: np.ndarray) -> np.ndarray:
 def _interval_invariants(
     table: ArithmeticTable, N: int, qm: Modulus, x_hi: float
 ) -> IntervalKernel:
-    """The kernel for N <= X <= x_hi: the interval_weights and the log of
-    the endpoint y where the defect peaks, since within the interval only
-    -m_q(N) X^(-eps)/eps varies with X."""
+    """The kernel for N <= X <= x_hi: mu(n)/n and log n on the support (the
+    n <= N with mu(n) != 0 and gcd(n, q) = 1, in increasing order, as
+    arith.mu_support selects them) and the log of the endpoint y where the
+    defect peaks, since within the interval only -m_q(N) X^(-eps)/eps
+    varies with X.  Off the support a term is an exact +-0.0, so every
+    exactly rounded sum over the support is the sum over all n <= N, bit
+    for bit."""
     if N < 1:
         raise ValueError("interval index must be >= 1")
     if not N < x_hi <= N + 1.0:
         raise ValueError("x_hi must lie in (N, N+1]")
-    w, ln = interval_weights(table, N, qm)
-    return IntervalKernel(w, ln, math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N)), qm)
+    k, w = mu_support(table, N, qm)
+    return IntervalKernel(w, np.log(k), math.log(x_hi if fsum_blocks(w) >= 0.0 else float(N)), qm)
+
+
+def _interval(table: ArithmeticTable, N: int, qm: Modulus, x_hi: float):
+    """(kernel, M2): the kernel for N <= X <= x_hi (_interval_invariants)
+    and its curvature_bound, as the walk, replay and caps_scan read them."""
+    kernel = _interval_invariants(table, N, qm, x_hi)
+    return kernel, curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
 
 
 # no src caller: kept while perfbench/tracer.py names it as a boundary, and for its tests
@@ -441,17 +452,22 @@ class DeltaCertificate:
         """Largest pair bound max(t_k, t_{k+1}) + M2 h_k^2 / 8 over all
         recorded steps (-inf if none): on a certified range the defect
         stays below it, up to the rounding the budget absorbs."""
-        worst = -math.inf
-        for rec in self.records:
-            for (e0, t0), (e1, t1) in zip(rec.steps, rec.steps[1:]):
-                worst = max(worst, pair_bound(t0, t1, e1 - e0, rec.M2))
-        return worst
+        chain = (b for rec in self.records for b in _pair_bounds(rec.steps, rec.M2))
+        return reduce(max, chain, -math.inf)
 
 
 def pair_bound(t0: float, t1: float, h: float, m2: float) -> float:
     """Upper bound over a step of length h with end values t0, t1 for a
     function with |t''| <= m2: the chord plus its error m2 h^2 / 8."""
     return max(t0, t1) + m2 * h * h / 8.0
+
+
+def _pair_bounds(steps, m2: float) -> Iterator[float]:
+    """The pair_bound of each consecutive pair of (eps, t) steps, in order:
+    the chain that a certificate's proven bound, replay's pair rule and
+    caps_scan's pad each read."""
+    for (e0, t0), (e1, t1) in zip(steps, steps[1:]):
+        yield pair_bound(t0, t1, e1 - e0, m2)
 
 
 def _last_interval(x0: float) -> int:
@@ -537,8 +553,7 @@ def certify_sign(
     records: list[IntervalRecord] = []
     status, reason = CERTIFIED, ""
     for N, x_hi in _interval_schedule(x0):
-        kernel = _interval_invariants(table, N, qm, x_hi)
-        m2 = curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
+        kernel, m2 = _interval(table, N, qm, x_hi)
         eps, slope = 0.0, 0.0
         t = kernel.at(eps)
         steps = [(eps, t)]
@@ -671,10 +686,11 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     A record's step values come from one IntervalKernel.at_each call, which
     equals the walk's at(), value for value.
 
-    The value and pair rules read the recorded values, which may lie up to
-    one budget below the re-derived ones, so a clean replay proves the
-    defect at most cap + r_S, where the walk itself proves cap - budget +
-    r_S.
+    The value and pair rules read, at each step in [0, 1], the larger of
+    the recorded and the re-derived value (the recorded value elsewhere),
+    so a recorded value up to one budget below the re-derived one proves
+    nothing the walk did not: a clean replay proves the defect at most
+    cap - budget + r_S, as the walk does.
     """
     budget, cap, x0 = cert.error_budget, cert.cap, cert.x0
     try:
@@ -696,9 +712,8 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
         if not 1 <= rec.N <= n_last:
             problems.append(f"N={rec.N}: interval outside the X range")
             continue
-        kernel = _interval_invariants(table, rec.N, qm, min(rec.N + 1.0, x0))
+        kernel, m2 = _interval(table, rec.N, qm, min(rec.N + 1.0, x0))
         # an understated bound widens every step past what it covers
-        m2 = curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
         if not rec.M2 >= m2:
             problems.append(f"N={rec.N}: recorded M2={rec.M2!r} is below {m2!r}")
         if not rec.steps:
@@ -707,20 +722,22 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
         if rec.steps[0][0] != 0.0:
             problems.append(f"N={rec.N}: chain does not start at eps = 0")
         fresh = iter(kernel.at_each([e for e, _ in rec.steps if 0.0 <= e <= 1.0]))
+        proved = []  # (eps, max(recorded, re-derived)) per step, the recorded t out of range
         for k, (eps, t) in enumerate(rec.steps):
             if not 0.0 <= eps <= 1.0:
                 problems.append(f"N={rec.N}: step {k} has eps={eps!r} outside [0, 1]")
                 last = None
             elif not abs((last := next(fresh)) - t) <= budget:  # NaN too
                 problems.append(f"N={rec.N}, eps={eps!r}: recorded {t!r} vs replay {last!r}")
+            proved.append((eps, t if last is None else max(t, last)))
         is_last_bad = cert.status != CERTIFIED and rec.N == cert.records[-1].N
         # the step that stopped a run (its witness, say) meets no rule
-        kept = rec.steps[:-1] if is_last_bad else rec.steps
+        kept = proved[:-1] if is_last_bad else proved
         for eps, t in kept:
             if not cap - t >= budget:
                 problems.append(f"N={rec.N}, eps={eps!r}: value {t!r} above cap - budget")
-        for k, ((e0, t0), (e1, t1)) in enumerate(zip(kept, kept[1:])):
-            if not cap - pair_bound(t0, t1, e1 - e0, rec.M2) >= budget:
+        for k, bound in enumerate(_pair_bounds(kept, rec.M2)):
+            if not cap - bound >= budget:
                 problems.append(f"N={rec.N}: steps {k}, {k + 1} break the pair rule")
         if not is_last_bad and not rec.steps[-1][0] >= cert.eps_max:
             problems.append(f"N={rec.N}: coverage stops short of eps_max")
@@ -776,18 +793,16 @@ def caps_scan(
         raise ValueError(problem)
     qm = Modulus.coerce(q)
     grid = np.arange(0.0, eps_max, CAPS_EPS_STEP).tolist() + [eps_max]
-    steps = [e1 - e0 for e0, e1 in zip(grid, grid[1:])]
     mains = [main_term(qm, e) for e in grid]  # the same at every N
     best, pad = -math.inf, -math.inf
     arg_n, arg_eps = 0, 0.0
     for N, x_hi in _interval_schedule(x_max):
-        kernel = _interval_invariants(table, N, qm, x_hi)
-        m2 = curvature_bound(kernel.w, kernel.ln, qm, kernel.log_y)
+        kernel, m2 = _interval(table, N, qm, x_hi)
         t = [s - m for s, m in zip(kernel.sum_each(grid), mains)]  # at_each(grid)
         i = max(range(len(t)), key=t.__getitem__)  # the first of equal maxima
         if t[i] > best:
             best, arg_n, arg_eps = t[i], N, grid[i]
-        pad = max(pad, *map(pair_bound, t, t[1:], steps, itertools.repeat(m2)))
+        pad = max(pad, *_pair_bounds(list(zip(grid, t)), m2))
     return CapsScan(
         q=qm.q,
         x_max=x_max,

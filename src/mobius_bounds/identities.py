@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ONE, ArithmeticTable, Modulus, _mu_block, m_check_q, m_q, merge_runs
+from .arith import ArithmeticTable, Modulus, _mu_block, m_check_q, m_q, merge_runs
 from .util import (
     EPS,
     GAMMA,
@@ -102,7 +102,11 @@ WINDOW = 1 << 12
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """A catalog choice of (f, g, h, H) with optional exponent and modulus."""
+    """A catalog choice of (f, g, h, H) with optional exponent and modulus.
+
+    It states only what the evaluation reads: a q other than 1 only with
+    f_id "mobius_coprime" (and one that Modulus accepts), and an s only
+    with a power-type h or H, which then needs one."""
 
     f_id: str
     g_id: str
@@ -121,8 +125,12 @@ class IdentitySpec:
         if self.H_id not in H_BIG_IDS:
             raise ValueError(f"unknown H_id {self.H_id!r}")
         needs_s = self.h_id == "power" or self.H_id in ("power", "power_log")
-        if needs_s and self.s is None:
-            raise ValueError("power-type choices need the exponent s")
+        if needs_s != (self.s is not None):
+            raise ValueError("power-type choices need the exponent s" if needs_s
+                             else f"s={self.s!r} is read only by a power-type h or H")
+        if self.q != 1 and self.f_id != "mobius_coprime":
+            raise ValueError(f"q={self.q!r} is read only by f_id 'mobius_coprime'")
+        Modulus(self.q)  # a q that is not a positive integer raises
         if self.s is not None and not cmath.isfinite(self.s):
             raise ValueError(f"s must be finite, got {self.s!r}")
 
@@ -160,7 +168,7 @@ def _f_values(table: ArithmeticTable, spec: IdentitySpec, n: int) -> np.ndarray:
     if spec.f_id == "mangoldt":
         return table.mangoldt(0, n + 1)
     if spec.f_id.startswith("mobius"):
-        q = Modulus.coerce(spec.q) if spec.f_id == "mobius_coprime" else ONE
+        q = Modulus.coerce(spec.q)  # 1 unless f_id is mobius_coprime
         f = _mu_block(table, 0, n + 1, q)
     else:
         f = table.liouville(0, n + 1).astype(np.float64)

@@ -913,14 +913,13 @@ def test_support_prefix_reads_one_cumsum_over_the_support(table_mid, q, eps):
     take each side of the block edges, the table top and a draw of 60; the
     prime q = 65537 = 2 BLOCK + 1 removes the first entry of the third
     block, so the reads from 2 BLOCK + 1 on start from the carry."""
-    from mobius_bounds.delta_sign import IntervalKernel
+    from mobius_bounds.delta_sign import kernel_terms
 
     qm, n = Modulus(q), table_mid.limit
-    kernel = IntervalKernel(None, None, 0.0, qm)
 
     def columns(k, mu):
         w = mu / k
-        return kernel.terms(eps, w, np.log(k)), w
+        return kernel_terms(eps, 0.0, w, np.log(k)), w
 
     k, _ = mu_support(table_mid, n, qm)
     if q == 2 * BLOCK + 1:

@@ -26,7 +26,6 @@ from mobius_bounds.delta_sign import (
     curvature_bound,
     derivative_bound,
     interval_max,
-    interval_weights,
     pair_bound,
     replay_certificate,
 )
@@ -201,7 +200,8 @@ def _dense_weights(table, N, q):
 def test_defect_on_the_support_is_the_dense_defect_bit_for_bit(table_mid, N):
     for q in (1, 2, 30, 2310, 30030):
         qm = Modulus.coerce(q)
-        w, ln = interval_weights(table_mid, N, qm)
+        k, w = mu_support(table_mid, N, qm)
+        ln = np.log(k)
         n = np.rint(np.exp(ln)).astype(np.int64)
         assert n[0] == 1 and np.all(np.diff(n) > 0)
         assert np.all(w != 0.0) and all(math.gcd(int(k), q) == 1 for k in n)
@@ -386,6 +386,52 @@ def test_replay_rejects_a_gap_in_the_chain(table_small):
         table_small, _with_record(cert, 9, dataclasses.replace(rec, steps=steps))
     )
     assert problems == ["N=10: steps 4, 5 break the pair rule"]
+
+
+def test_replay_decides_on_the_values_the_walk_proved():
+    """Every recorded value lowered by 0.99 budgets still matches its
+    re-derived value within the budget, and the lowered chain clears a cap
+    half a budget above the genuine proven bound; but the walk's own values
+    break the pair rule there, and replay applies its rules to the larger
+    of the recorded and the re-derived value."""
+    table = build_table(1000)
+    cert = certify_sign(table, 1, 10.8)
+    low = 0.99 * cert.error_budget
+    records = tuple(
+        dataclasses.replace(rec, steps=tuple((e, t - low) for e, t in rec.steps))
+        for rec in cert.records
+    )
+    cap = cert.proven_bound() + 0.5 * cert.error_budget
+    lowered = dataclasses.replace(cert, records=records, cap=cap)
+    assert replay_certificate(table, lowered) == ["N=10: steps 122, 123 break the pair rule"]
+
+
+def test_replay_accepts_every_certificate_that_certify_makes():
+    """Seeded claims on a 1e3 table, certified, failed and inconclusive
+    alike: each certificate round-trips through JSON and replays with no
+    problem.  The draws hold no inconclusive claim, so one is added: the
+    sign claim for q = 1 passes at x0 = 10.8 and fails at 11, and a
+    bisection between them finds an x0 whose largest value lies within ten
+    budgets of 0."""
+    table = build_table(1000)
+    rng = random.Random(50)
+    certs = [
+        certify_sign(table, q, 1.0 + 46.0 * (1.0 - rng.random()), cap=cap)
+        for q in (1, 2, 6, 11, 13, 17, 30)
+        for _ in range(3)
+        for cap in (0.0, 0.014, 5e-5)
+    ]
+    lo, hi = 10.8, 11.0
+    for _ in range(60):
+        certs.append(cert := certify_sign(table, 1, (lo + hi) / 2.0))
+        if cert.status == UNDECIDED:
+            break
+        lo, hi = (cert.x0, hi) if cert.certified else (lo, cert.x0)
+    assert {c.status for c in certs} == {CERTIFIED, FAILED, UNDECIDED}
+    for cert in certs:
+        back = certificate_from_json(certificate_to_json(cert))
+        assert back == cert
+        assert replay_certificate(table, back) == [], (cert.q, cert.x0, cert.cap)
 
 
 def test_replay_rejects_short_coverage(table_small):
@@ -809,7 +855,8 @@ def test_curvature_bound_against_mpmath(table_small):
         eps = rng.choice((0.0, 1.0, rng.random(), rng.random() * 1e-3))
         points.append((rng.choice((1, 2, 6, 11, 30, 2310)), rng.randint(1, 46), eps))
     for q, N, eps in points:
-        w, ln = interval_weights(table_small, N, Modulus.coerce(q))
+        k, w = mu_support(table_small, N, Modulus.coerce(q))
+        ln = np.log(k)
         for x_hi in (N + 1.0, N + 0.5):
             log_y = delta_sign._interval_invariants(
                 table_small, N, Modulus.coerce(q), x_hi

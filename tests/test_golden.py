@@ -191,12 +191,16 @@ OFD_GRID = "ec381e72ac95beabfcd2ea4c8fe5e7c322586973c2f9ab56b69bfc20f143f750"
 
 
 def _ofd_spec_grid():
-    """Every (h, H) pair with a real and a complex s; f and g rotate."""
+    """Every (h, H) pair with a real and a complex s; f and g rotate.  Each
+    spec states only what it reads: q = 6 with mobius_coprime, and s with
+    a power-type h or H (a pair with neither is listed twice, s = None)."""
     specs = []
     for i, (h, H) in enumerate(product(H_SMALL_IDS, H_BIG_IDS)):
         f, g = F_IDS[i % len(F_IDS)], G_IDS[(i // len(F_IDS)) % len(G_IDS)]
+        q = 6 if f == "mobius_coprime" else 1
+        power = h == "power" or H in ("power", "power_log")
         for s in (1.5, 0.5 + 14j):
-            specs.append(IdentitySpec(f, g, h, H, s=s, q=6))
+            specs.append(IdentitySpec(f, g, h, H, s=s if power else None, q=q))
     return specs
 
 

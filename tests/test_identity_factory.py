@@ -118,6 +118,20 @@ def test_ofd_check_fails_on_a_corrupted_mu(name, arg):
     assert abs(wrong) > 1e6 * radius, wrong
 
 
+def test_spec_refuses_what_no_choice_reads():
+    """A q other than 1 is read only by mobius_coprime, and there it must
+    be one Modulus accepts; an s is read only by a power-type h or H."""
+    with pytest.raises(ValueError, match="read only by f_id 'mobius_coprime'"):
+        IdentitySpec("mobius", "one", "one", "id", q=6)
+    with pytest.raises(ValueError, match="read only by a power-type h or H"):
+        IdentitySpec("mobius", "one", "one", "id", s=2)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        IdentitySpec("mobius_coprime", "one", "one", "id", q=0)
+    with pytest.raises(TypeError, match="modulus must be an integer"):
+        IdentitySpec("mobius_coprime", "one", "one", "id", q=6.0)
+    assert IdentitySpec("mobius_coprime", "one", "power", "id", s=2, q=6).q == 6
+
+
 def test_catalog_guards(table_small):
     with pytest.raises(ValueError):
         catalog_check(table_small, "nope", 10.0)
