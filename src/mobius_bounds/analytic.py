@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import Modulus, _integer
+from .arith import Modulus, _integer, s_domain
 from .util import (
     EPS,
     GAMMA,
@@ -56,6 +56,7 @@ from .util import (
     cert_le,
     combine_verdicts,
     expm1c,
+    x_domain,
 )
 
 # Acceleration depth cap, so |Im s| <= 310.  Past about |Im s| = 450 the
@@ -134,9 +135,7 @@ def _eta_pair(s: complex) -> tuple[Approx, Approx]:
     With A and B from _alt_accel, C errs by at most γA + 3u|s|B + T, and C'
     by (γ + 3u|s| log N)B + T/ρ, as log(k+1) < log N.
     """
-    s = complex(s)
-    if not (cmath.isfinite(s) and s.real > 0.0):
-        raise ValueError(f"alternating series needs finite s with Re s > 0, got {s!r}")
+    s = s_domain(s)
     depth = 38 + math.ceil(abs(s.imag))
     if depth > _N_CAP:
         cap = f"the acceleration cap |Im s| <= {_N_CAP - 38}"
@@ -391,8 +390,7 @@ class AnalyticConstants:
 
 def constants(p: ComplexParameter, X: float) -> AnalyticConstants:
     """Populate every envelope ingredient at s = p.s for threshold X >= 1."""
-    if not X >= 1.0:  # NaN too
-        raise ValueError("X must be >= 1")
+    x_domain("X", X)
     s = p.s
     w = s - 1.0
     sigma = s.real

@@ -49,21 +49,21 @@ one sum over the whole support, bit for bit.  The relative error budget of
 bit-identical to the plain harmonic-weighted sum.
 
 The scans read prefix sums instead: the cumsum P of mu(k) (-log k)^j /
-k^sigma over coprime k.  Its terms have one formula, _prefix_terms, which
-builds several (sigma, j) columns of a block from one log table (log k and
-its powers) and one mu(k) k^-sigma per sigma, and each block's running
-sums continue the last block's carry (_run_from).  The dense loop,
-_prefix_runs, forms them at every k of each BLOCK-entry block:
-sweep_prefix_min draws a full-range sweep's P from it one block at a time,
-with the table for its margins, so no scan holds a full-length prefix or
-forms log X again; a sweep given floors skips the margins of a block that
-cannot hold a new first minimum (sweep_min).  support_prefix is the one
-sampled read: it forms any columns' terms on the support of mu alone and
-reads their running sums at sorted indices.  prefix_log_moment returns P
-whole, or with at= only at the given indices through support_prefix; the
-terms the support skips are +-0.0, and adding +-0.0 to a running sum that
-is nonzero or +0.0 leaves it unchanged, so the values are those of the
-full cumsum, bit for bit.
+k^sigma over coprime k.  A request names one sigma and one j or a tuple of
+j.  Its terms have one formula, _prefix_terms, which builds the request's
+columns of a block from one log table (log k and its powers) and one mu(k)
+k^-sigma, and each block's running sums continue the last block's carry
+(_run_from).  The dense loop, _prefix_runs, forms them at every k of each
+BLOCK-entry block: sweep_prefix_min draws a full-range sweep's P from it
+one block at a time, with the table for its margins, so no scan holds a
+full-length prefix or forms log X again; a sweep given floors skips the
+margins of a block that cannot hold a new first minimum (sweep_min).
+support_prefix is the one sampled read: it forms any columns' terms on
+the support of mu alone and reads their running sums at sorted indices.
+prefix_log_moment returns P whole, or with at= only at the given indices
+through support_prefix; the terms the support skips are +-0.0, and adding
++-0.0 to a running sum that is nonzero or +0.0 leaves it unchanged, so
+the values are those of the full cumsum, bit for bit.
 
 merge_runs merges ascending runs of floats into windows of the smallest
 distinct points; the identity grid and the alpha-kernel cuts of harmonic
@@ -533,14 +533,19 @@ def _point_blocks(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int)
         yield terms
 
 
+def s_domain(s) -> complex:
+    """complex(s), refused by a ValueError unless it is finite with Re s > 0:
+    the domain of the point sums at s and of the alternating zeta series."""
+    s = complex(s)
+    if not (cmath.isfinite(s) and s.real > 0.0):
+        raise ValueError(f"s must be finite with Re s > 0, got {s!r}")
+    return s
+
+
 def _complex_sum(table: ArithmeticTable, x: float, q: Modulus | int, s, j: int) -> complex:
     """The exactly rounded sum of the _point_blocks terms at s, finite with
     Re s > 0, each part summed apart; at s = 1 the terms are real."""
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise ValueError(f"s must be finite, got {s!r}")
-    if s.real <= 0.0:
-        raise ValueError(f"requires Re s > 0, got s = {s}")
+    s = s_domain(s)
     re, im = ExactSum(), ExactSum()
     for terms in _point_blocks(table, x, q, s, j):
         re.add(terms.real)
@@ -619,16 +624,16 @@ def prefix_log_moment(
     table: ArithmeticTable,
     n: int,
     q: Modulus | int,
-    sigma: float | tuple[float, ...],
+    sigma: float,
     j: int | tuple[int, ...],
     at=None,
 ) -> np.ndarray | list[np.ndarray]:
     """Cumsum P with P[k] = sum over coprime i <= k of mu(i) (-log i)^j / i^sigma.
 
-    Columns: sigma and j may each be a tuple (a scalar pairs with every
-    entry); the call then returns one array per column.  Both forms take
-    their terms from _prefix_terms, so every prefix is the same
-    left-to-right sum as one np.cumsum over [0, n], bit for bit.
+    Columns: j may be a tuple, and the call then returns one array per
+    entry, all at the one sigma.  Both forms take their terms from
+    _prefix_terms, so every prefix is the same left-to-right sum as one
+    np.cumsum over [0, n], bit for bit.
 
     at: sorted indices in [0, n], duplicates allowed, read by support_prefix
     (which checks them) from the terms of the support alone (i with mu(i) !=
@@ -638,68 +643,60 @@ def prefix_log_moment(
     x + y is -0.0 only for two -0.0), which returns that sum unchanged, so
     each value equals P[at[m]] bit for bit.
     """
-    n, q, cols = _prefix_request(table, n, q, sigma, j)
+    n, q, sigma, js = _prefix_request(table, n, q, sigma, j)
     if at is None:
         # zeros: P[0] is the empty sum
-        outs = [np.zeros(n + 1) for _ in cols]
-        for lo, hi, runs, _ in _prefix_runs(table, n, q, cols):
+        outs = [np.zeros(n + 1) for _ in js]
+        for lo, hi, runs, _ in _prefix_runs(table, n, q, sigma, js):
             for out, run in zip(outs, runs):
                 out[lo:hi] = run
     else:
         outs = support_prefix(table, n, q, at,
-                              lambda k, mu: _prefix_terms(k.astype(np.float64), mu, cols)[0])
-    return outs if isinstance(sigma, tuple) or isinstance(j, tuple) else outs[0]
+                              lambda k, mu: _prefix_terms(k.astype(np.float64), mu, sigma, js)[0])
+    return outs if isinstance(j, tuple) else outs[0]
 
 
 def _prefix_request(table: ArithmeticTable, n, q, sigma, j):
-    """(n, Modulus, columns) of a prefix request, checked: n is an integer
-    (not a bool) in [0, table.limit], and the (sigma, j) columns are well
-    formed (a scalar pairs with every entry of a tuple), each with a finite
-    sigma and an integer j >= 0 (not a bool)."""
+    """(n, Modulus, sigma, js) of a prefix request, checked: n is an integer
+    (not a bool) in [0, table.limit], sigma one finite float (a tuple is
+    refused), and j an integer >= 0 (not a bool) or a nonempty tuple of
+    them, listed as js."""
     n = _integer("n", n)
     if n < 0:
         raise ValueError(f"prefix length must be >= 0, got n = {n}")
     table._check_range(n)
-    widths = {len(v) for v in (sigma, j) if isinstance(v, tuple)}
-    if len(widths) > 1:
-        raise ValueError(f"sigma and j tuples differ in length: {sigma!r}, {j!r}")
-    width = widths.pop() if widths else 1
-    if width == 0:
+    if isinstance(sigma, tuple) or not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, one float per request, got {sigma!r}")
+    js = [_integer("j", jj) for jj in (j if isinstance(j, tuple) else (j,))]
+    if not js:
         raise ValueError("no columns requested")
-    sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * width
-    js = j if isinstance(j, tuple) else (j,) * width
-    cols = [(s, _integer("j", jj)) for s, jj in zip(sigmas, js)]
-    if not all(math.isfinite(s) for s, _ in cols):
-        raise ValueError(f"sigma must be finite, got {sigma!r}")
-    if any(jj < 0 for _, jj in cols):
+    if min(js) < 0:
         raise ValueError(f"j must be >= 0, got {j!r}")
-    return n, Modulus.coerce(q), cols
+    return n, Modulus.coerce(q), sigma, js
 
 
-def _prefix_terms(i: np.ndarray, mu: np.ndarray, cols):
+def _prefix_terms(i: np.ndarray, mu: np.ndarray, sigma: float, js):
     """The prefix kernel's terms at the float64 i, with mu(i) as float64:
-    (terms, logs), where terms[c] holds column c's mu(i) (-log i)^j /
-    i^sigma in a fresh array of its own, and logs is the log table, logs[j]
-    = (log i)^j up to the largest j (logs[0] = 1.0).
+    (terms, logs), where terms[c] holds mu(i) (-log i)^js[c] / i^sigma in a
+    fresh array of its own, and logs is the log table, logs[j] = (log i)^j
+    up to the largest j (logs[0] = 1.0).
 
-    mu(i) i^-sigma is formed once per sigma and negated once for the odd j,
-    as (-a) b = -(a b) under rounding to nearest; a column with j > 0 is
-    then one product with logs[j], and one with j = 0 takes mu(i) i^-sigma
+    mu(i) i^-sigma is formed once, and negated once if some j is odd, as
+    (-a) b = -(a b) under rounding to nearest; a column with j > 0 is then
+    one product with logs[j], and one with j = 0 takes mu(i) i^-sigma
     itself, or a copy if an earlier column took it.  Each term is formed
     entry by entry, so its bits do not depend on the block that holds it.
     """
-    j_max = max(jj for _, jj in cols)
+    j_max = max(js)
     logs = [1.0] + ([np.log(i)] if j_max else [])
     logs += [logs[1] ** jj for jj in range(2, j_max + 1)]
-    signed = {}  # (sigma, j % 2) -> (-1)^j mu(i) i^-sigma
+    signed = [np.power(i, -sigma), None]  # [j % 2] -> (-1)^j mu(i) i^-sigma
+    signed[0] *= mu
     terms = []
-    for s, jj in cols:
-        if (s, 0) not in signed:
-            signed[s, 0] = np.power(i, -s)
-            signed[s, 0] *= mu
-        if jj % 2 and (s, 1) not in signed:
-            signed[s, 1] = np.negative(signed[s, 0])
-        col = signed[s, jj % 2]
+    for jj in js:
+        if jj % 2 and signed[1] is None:
+            signed[1] = np.negative(signed[0])
+        col = signed[jj % 2]
         if jj:
             col = col * logs[jj]
         elif any(col is t for t in terms):
@@ -708,7 +705,7 @@ def _prefix_terms(i: np.ndarray, mu: np.ndarray, cols):
     return terms, logs
 
 
-def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols):
+def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, sigma: float, js):
     """The dense prefix loop: (lo, hi, runs, logs) for each BLOCK [lo, hi) of [1, stop].
 
     runs[c] holds column c's running sums after each i of the block: its
@@ -717,11 +714,11 @@ def _prefix_runs(table: ArithmeticTable, stop: int, q: Modulus, cols):
     np.cumsum over [0, stop]; logs is the block's log table.  Between blocks
     the loop holds only the carries.
     """
-    carries = [0.0] * len(cols)
+    carries = [0.0] * len(js)
     for lo in range(1, stop + 1, BLOCK):
         hi = min(lo + BLOCK, stop + 1)
         i = np.arange(lo, hi, dtype=np.float64)
-        runs, logs = _prefix_terms(i, _mu_block(table, lo, hi, q), cols)
+        runs, logs = _prefix_terms(i, _mu_block(table, lo, hi, q), sigma, js)
         for c, run in enumerate(runs):
             carries[c] = _run_from(carries[c], run)
         yield lo, hi, runs, logs
@@ -771,7 +768,7 @@ def sweep_prefix_min(
     floors_of(lo, hi, cols, logs) if given.
 
     cols[c] is column c's prefix P[lo + 1 : hi + 1], with P and the columns
-    as in prefix_log_moment (a scalar sigma and j give one column), so
+    as in prefix_log_moment (a scalar j gives one column), so
     entry i of a sweep reads P[i + 1], and logs is the prefix block's log
     table, logs[j] = (log X)^j at X = lo + 1 .. hi (_prefix_runs).  The
     request is checked before the first block.  The prefix block is drawn
@@ -780,8 +777,8 @@ def sweep_prefix_min(
     through, floors_of and margins_of see the same block, and the last
     block is let go before the next one is formed.
     """
-    n, q, cols = _prefix_request(table, n, q, sigma, j)
-    runs = _prefix_runs(table, n, q, cols)
+    n, q, sigma, js = _prefix_request(table, n, q, sigma, j)
+    runs = _prefix_runs(table, n, q, sigma, js)
     held = [None, None]  # lo, and (cols, logs), of the sweep block in hand
 
     def block(lo: int):

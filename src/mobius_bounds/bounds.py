@@ -79,6 +79,7 @@ from .util import (
     expm1c,
     floor_int,
     fsum_stream,
+    x_domain,
 )
 
 # points of the log grid of X that the eps-family scans sweep
@@ -173,8 +174,7 @@ def _easy_domain(X: float, k: int, sigma: float, spread: int) -> None:
     at most 2^k (log X)^k (1 + log X) (spread = 2).  k is refused unless
     spread^k max(1, log X)^k (1 + log X) < 2^1023, half the largest double,
     which leaves room for rounding and keeps each C(k,j) a finite float."""
-    if not X >= 1.0:  # NaN too
-        raise ValueError("X must be >= 1")
+    x_domain("X", X)
     if _integer("k", k) < 1:
         raise ValueError("k must be >= 1")
     if not 1.0 <= sigma < math.inf:  # NaN fails too
@@ -234,8 +234,7 @@ def easy_scan(
 def _defect_domain(X: float, eps: float) -> None:
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    if not X >= 1.0:  # NaN too
-        raise ValueError("X must be >= 1")
+    x_domain("X", X)
 
 
 def _defect_sum(table: ArithmeticTable, X: float, qm: Modulus, eps: float):
@@ -485,9 +484,9 @@ def integral_abs_mq(table: ArithmeticTable, X: float, q: Modulus | int = 1) -> f
     bit, and the n < [X] go into one exactly rounded sum."""
     if X < 1.0:
         return 0.0
-    n, qm, cols = _prefix_request(table, floor_int(X), q, 1.0, 0)
+    n, qm, sigma, js = _prefix_request(table, floor_int(X), q, 1.0, 0)
     total = ExactSum()
-    for lo, _, (run,), _ in _prefix_runs(table, n, qm, cols):
+    for lo, _, (run,), _ in _prefix_runs(table, n, qm, sigma, js):
         pref = np.abs(run)  # |P| at lo .. hi - 1
         total.add(pref[: n - lo])
     return float(total) + float(pref[-1]) * (X - n)
@@ -505,20 +504,11 @@ def integral_abs_mq_bound(X: float, q: Modulus | int = 1) -> float:
 
 def verify_integral(table: ArithmeticTable, X: float, q: Modulus | int) -> BoundRow:
     """int_1^X |m_q(t)| dt against integral_abs_mq_bound, for X >= 1."""
-    if not X >= 1.0:  # NaN too
-        raise ValueError("X must be >= 1")
+    x_domain("X", X)
     qm = Modulus.coerce(q)
     val = integral_abs_mq(table, X, qm)
-    return bound_row(
-        "integral-abs-mq",
-        X,
-        qm.q,
-        "",
-        lhs=val,
-        bound=integral_abs_mq_bound(X, qm),
-        lhs_err=32.0 * EPS * (1.0 + val),
-        bound_err=0.0,
-    )
+    bound = integral_abs_mq_bound(X, qm)
+    return _row("integral-abs-mq", X, qm.q, "", val, bound, 32.0 * EPS * (1.0 + val))
 
 
 def verify_dex(
@@ -540,8 +530,7 @@ def verify_dex(
 
     if which not in ("mqdex", "mcheckqdex"):
         raise ValueError("which must be mqdex or mcheckqdex")
-    if not X >= 1.0:  # NaN too
-        raise ValueError("X must be >= 1")
+    x_domain("X", X)
     qm = Modulus.coerce(q)
     s, sigma0 = p.s, p.sigma0
     if qm.q > 1 and s.real == sigma0:
@@ -719,8 +708,7 @@ def small_m_bounds(
     table: ArithmeticTable, X: float, q: Modulus | int
 ) -> list[BoundRow]:
     """Every published |m_q(X)| envelope applicable at (X, q)."""
-    if not X >= 1.0:  # NaN too
-        raise ValueError("X must be >= 1")
+    x_domain("X", X)
     qm = Modulus.coerce(q)
     val = abs(m_q(table, X, qm))
     lx = math.log(X)

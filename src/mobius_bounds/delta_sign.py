@@ -682,7 +682,8 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
     So is an x0 that breaks the X-range rule (one the table does not reach,
     say) or a claim that breaks the claim rule (a budget past MAX_BUDGET,
     an eps_max outside (0, 1]), each read through the helper that
-    certify_sign reads and reported alone, before any interval is built.
+    certify_sign reads and reported alone, before any interval is built,
+    and so is a q that Modulus refuses (q = 0, say).
     A record's step values come from one IntervalKernel.at_each call, which
     equals the walk's at(), value for value.
 
@@ -699,8 +700,11 @@ def replay_certificate(table: ArithmeticTable, cert: DeltaCertificate) -> list[s
         return [f"X range [1, {x0!r}]: {exc}"]
     if problem := _claim_problem(cert.eps_max, budget, cap):
         return [problem]
+    try:
+        qm = Modulus.coerce(cert.q)
+    except (TypeError, ValueError) as exc:
+        return [f"q={cert.q!r}: {exc}"]
     problems: list[str] = []
-    qm = Modulus.coerce(cert.q)
     n_last = _last_interval(x0)
     if cert.status == CERTIFIED and (
         len(cert.records) != n_last

@@ -41,6 +41,7 @@ from .util import (
     ExactSum,
     floor_int,
     fsum_stream,
+    x_domain,
 )
 
 LOG3 = math.log(3.0)
@@ -56,13 +57,6 @@ _PIECE_CAP = 4_000_000
 # points that a window of the alpha-kernel cuts takes from each of its runs, so
 # that the window's raw points fit one BLOCK
 _RUN_WINDOW = BLOCK // 4
-
-
-def _domain(name: str, value: float) -> None:
-    """ValueError naming the argument unless 1 <= value < inf (NaN fails
-    the comparison too), before any arithmetic on it."""
-    if not 1.0 <= value < math.inf:
-        raise ValueError(f"{name} must be >= 1 and finite, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +109,7 @@ def stirling_eps(t: float) -> float:
     """Remainder of sum_{n<=t} log n against
     t log t - t + (1/2 - {t}) log t + log(2 pi)/2; satisfies
     |stirling_eps(t)| <= 1/(8t)."""
-    _domain("t", t)
+    x_domain("t", t)
     n = math.floor(t)
     lt = math.log(t)
     main = t * lt - t + (0.5 - (t - n)) * lt + LOG_2PI_HALF
@@ -131,7 +125,7 @@ def sawtooth_log_integral(X: float) -> float:
     periods m = 11 .. [X] - 1 are formed one BLOCK of m at a time.  The
     result stays within log(X)/8 in absolute value.
     """
-    _domain("X", X)
+    x_domain("X", X)
     m_top = math.floor(X)
     parts = []
     for m in range(1, min(m_top, 10) + 1):
@@ -235,7 +229,7 @@ def _alpha_kernel_integral(X, start, jumps, steps):
 def psi_alpha_integral(table: ArithmeticTable, X: float) -> float:
     """int_0^X psi(t) alpha(X/t) dt/t^2, exact piecewise; psi steps at the
     prime powers and vanishes below 2, and psi_prefix holds its values."""
-    _domain("X", X)
+    x_domain("X", X)
     powers = table.prime_powers_upto(floor_int(X))[0]
     return _alpha_kernel_integral(X, 2.0, powers, table.psi_prefix)
 
@@ -253,7 +247,7 @@ def _prime_power_sum(table: ArithmeticTable, n: int, term) -> float:
 
 def lambda_harmonic_sum(table: ArithmeticTable, X: float) -> float:
     """sum_{n<=X} Lambda(n)/n."""
-    _domain("X", X)
+    x_domain("X", X)
     return _prime_power_sum(table, floor_int(X), lambda powers, logs: logs / powers)
 
 
@@ -267,7 +261,7 @@ def kernel_identity_check(table: ArithmeticTable, X: float, kind: str = "psi") -
     for which it is [t].  Both routes are closed-form; the residual should
     sit at float noise (<= 1e-9).
     """
-    _domain("X", X)
+    x_domain("X", X)
     n = floor_int(X)
     if kind == "psi":
         lhs = _prime_power_sum(table, n, lambda pk, logs: logs * (1.0 / pk - 1.0 / X))
@@ -300,7 +294,7 @@ def f_of(table: ArithmeticTable, X: float) -> float:
 
     with eps = stirling_eps.  Matches the direct sum to float noise.
     """
-    _domain("X", X)
+    x_domain("X", X)
     u = X - math.floor(X)
     return math.fsum(
         [
@@ -320,7 +314,7 @@ def g_of(X: float) -> float:
     """Decreasing envelope of the defect:
     log 3 - 3/2 + (1 - gamma) log(3)/2 + log(2 pi)/X + log(X)/(4 X^2);
     negative from X = 12 on."""
-    _domain("X", X)
+    x_domain("X", X)
     return math.fsum(
         [
             LOG3 - 1.5,
@@ -355,7 +349,7 @@ def verify_harmonic(table: ArithmeticTable, x_max: float) -> list[BoundRow]:
     log(N + 1) - log N >= 1/(N + 1) at these N), so on each such stretch,
     and 2 starts the first, the first minimum lies at the prime power.
     """
-    _domain("x_max", x_max)
+    x_domain("x_max", x_max)
     n = floor_int(x_max)
     table._check_range(n)
     rows = []

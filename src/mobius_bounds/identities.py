@@ -70,6 +70,8 @@ from .util import (
     block_entries,
     expm1c,
     floor_int,
+    fsum_stream,
+    x_domain,
 )
 
 F_IDS = (
@@ -377,10 +379,9 @@ def _power_prefix(g_id: str, a: complex, n: int):
 
 
 def _grid_size(table: ArithmeticTable, X: float) -> int:
-    """[X], after checking that X >= 1, that the table reaches [X] and that
+    """[X], after checking that 1 <= X < inf, that the table reaches [X] and that
     the grid of [1, X] stays within _PIECE_CAP pieces."""
-    if X < 1.0:
-        raise ValueError("X must be >= 1")
+    x_domain("X", X)
     n = floor_int(X)
     table._check_range(n)
     if 2 * n + 2 > _PIECE_CAP:
@@ -575,11 +576,8 @@ def _liouville_integrals(X: float, frac: ExactSum, lam: ExactSum, floor: ExactSu
 def _sum_over_n(n: int, term) -> float:
     """The exact sum over 1 <= j <= n of term(j, sl), where j is a float
     array of the indices in the slice sl, one WINDOW slice at a time."""
-    total = ExactSum()
-    for lo in range(1, n + 1, WINDOW):
-        sl = slice(lo, min(lo + WINDOW, n + 1))
-        total.add(term(np.arange(sl.start, sl.stop, dtype=np.float64), sl))
-    return float(total)
+    slices = (slice(lo, min(lo + WINDOW, n + 1)) for lo in range(1, n + 1, WINDOW))
+    return fsum_stream(term(np.arange(sl.start, sl.stop, dtype=np.float64), sl) for sl in slices)
 
 
 def catalog_check(

@@ -54,6 +54,13 @@ class NearZeroError(ArithmeticError):
 SNAP = 32.0 * EPS
 
 
+def x_domain(name: str, value: float) -> None:
+    """ValueError naming the argument unless 1 <= value < inf (NaN fails
+    the comparison too), before any arithmetic on it."""
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 1 and finite, got {value!r}")
+
+
 def floor_int(x: float) -> int:
     """Floor of a real input with an exactness guard.
 

@@ -822,7 +822,7 @@ def test_third_log_moment_within_summation_bound(table_mid, q, sigma):
         assert abs(got[k] - old[k]) <= (2.0 * _gamma(k) + 2.0 * EPS) * mass, k
 
 
-# (sigma, j) pairs a fused call draws its columns from
+# (sigma, j) pairs a fused call draws its columns from, one sigma per call
 KERNEL_COLUMNS = [(s, j) for s in (1.0, 1.01, 1.5, 2.0) for j in range(4)]
 
 
@@ -842,30 +842,37 @@ def _one_cumsum(table, n, q, sigma, j):
 @pytest.mark.parametrize("q", [1, 2, 30030])
 @pytest.mark.parametrize("n", [0, 1, 16, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_fused_and_sampled_prefixes_are_bit_identical(table_mid, q, n):
-    """Columns of one fused call, and reads at sampled indices, equal the
-    single-column arrays and one plain cumsum byte for byte."""
+    """Columns of one fused call at each sigma, and reads at sampled
+    indices, equal the single-column arrays and one plain cumsum byte for
+    byte."""
     rng = np.random.default_rng([q, n])
-    picks = rng.choice(len(KERNEL_COLUMNS), size=6)  # repeats allowed
-    sigmas = tuple(KERNEL_COLUMNS[i][0] for i in picks)
-    js = tuple(KERNEL_COLUMNS[i][1] for i in picks)
     edges = [e for e in (0, 1, n, n, BLOCK, BLOCK + 1) if e <= n]
     at = np.sort(np.concatenate([edges, rng.integers(0, n + 1, 40)]))
-    singles = [prefix_log_moment(table_mid, n, q, s, j) for s, j in zip(sigmas, js)]
-    fused = prefix_log_moment(table_mid, n, q, sigmas, js)
-    sampled = prefix_log_moment(table_mid, n, q, sigmas, js, at=at)
-    assert len(fused) == len(sampled) == len(picks)
-    for (s, j), single, whole, part in zip(zip(sigmas, js), singles, fused, sampled):
-        assert single.tobytes() == _one_cumsum(table_mid, n, q, s, j).tobytes()
-        assert whole.tobytes() == single.tobytes(), (s, j)
-        assert part.tobytes() == single[at].tobytes(), (s, j)
-    # a scalar pairs with every entry of the other tuple
-    sigma, j = sigmas[0], js[0]
-    by_j = prefix_log_moment(table_mid, n, q, sigma, (0, 3), at=at)
-    by_sigma = prefix_log_moment(table_mid, n, q, (1.0, 2.0), j, at=at)
-    pairs = [(sigma, 0), (sigma, 3), (1.0, j), (2.0, j)]
-    for got, (s, jj) in zip(by_j + by_sigma, pairs):
-        want = prefix_log_moment(table_mid, n, q, s, jj)[at]
-        assert got.tobytes() == want.tobytes(), (s, jj)
+    for sigma in dict.fromkeys(s for s, _ in KERNEL_COLUMNS):
+        choices = [j for s, j in KERNEL_COLUMNS if s == sigma]
+        js = tuple(int(j) for j in rng.choice(choices, size=6))  # repeats allowed
+        singles = [prefix_log_moment(table_mid, n, q, sigma, j) for j in js]
+        fused = prefix_log_moment(table_mid, n, q, sigma, js)
+        sampled = prefix_log_moment(table_mid, n, q, sigma, js, at=at)
+        assert len(fused) == len(sampled) == len(js)
+        for j, single, whole, part in zip(js, singles, fused, sampled):
+            assert single.tobytes() == _one_cumsum(table_mid, n, q, sigma, j).tobytes()
+            assert whole.tobytes() == single.tobytes(), (sigma, j)
+            assert part.tobytes() == single[at].tobytes(), (sigma, j)
+
+
+def test_prefix_requests_take_one_sigma(table_small):
+    """A tuple of sigma is refused by the dense read, the at= read and
+    sweep_prefix_min alike, before any block."""
+    def no_margin(lo, hi, cols, logs):
+        raise AssertionError("a margin was formed")
+
+    for sigma, j in (((1.0,), 0), ((1.0, 1.5), 0), ((1.0, 1.5), (0, 1)), ((1.0, 1.0), (0, 1))):
+        for at in (None, [5, 50]):
+            with pytest.raises(ValueError, match="one float per request"):
+                prefix_log_moment(table_small, 100, 1, sigma, j, at=at)
+        with pytest.raises(ValueError, match="one float per request"):
+            sweep_prefix_min(table_small, 100, 1, sigma, j, no_margin)
 
 
 def test_prefix_kernel_rejects_bad_requests(table_small):
@@ -881,10 +888,10 @@ def test_prefix_kernel_rejects_bad_requests(table_small):
         prefix_log_moment(table_small, n, 6, (1.0, math.nan), 0, at=[5, 50])
     # j is an integer >= 0 (not a bool), in the dense and the at= reads alike
     for at in (None, [5, 50]):
-        for sigma, j in ((1.0, -1), ((1.0, 1.5), (0, -2))):
+        for sigma, j in ((1.0, -1), (1.5, (0, -2))):
             with pytest.raises(ValueError, match="j must be >= 0"):
                 prefix_log_moment(table_small, n, 1, sigma, j, at=at)
-        for sigma, j in ((1.0, 1.5), (1.0, True), ((1.0, 1.5), (1, 2.0)), (1.0, (0, False))):
+        for sigma, j in ((1.0, 1.5), (1.0, True), (1.5, (1, 2.0)), (1.0, (0, False))):
             with pytest.raises(TypeError, match="j must be an integer"):
                 prefix_log_moment(table_small, n, 1, sigma, j, at=at)
     assert prefix_log_moment(table_small, n, 1, 1.0, 0, at=[]).size == 0
@@ -936,11 +943,11 @@ def test_support_prefix_reads_one_cumsum_over_the_support(table_mid, q, eps):
             assert col.tobytes() == want.tobytes(), (q, eps, top)
 
 
-# tuple and scalar column requests: (sigma, j)
+# tuple and scalar column requests, one sigma each: (sigma, j)
 BLOCK_REQUESTS = [
-    ((1.0, 1.01, 1.5, 2.0), (0, 1, 2, 3)),
+    (1.01, (0, 1, 2, 3)),
     (1.2, (0, 3)),
-    ((1.0, 2.0), 1),
+    (2.0, (0, 1, 0)),
     (1.5, 2),
 ]
 
@@ -968,13 +975,12 @@ def test_prefix_blocks_concatenate_to_the_dense_prefix(table_mid, q, n):
         assert [b[:2] for b in blocks] == [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
         dense = prefix_log_moment(table_mid, n, q, sigma, j)
         dense = dense if isinstance(dense, list) else [dense]
-        sigmas = sigma if isinstance(sigma, tuple) else (sigma,) * len(dense)
-        js = j if isinstance(j, tuple) else (j,) * len(dense)
+        js = j if isinstance(j, tuple) else (j,)
         assert all(len(cols) == len(dense) for _, _, cols in blocks)
-        for c, (want, s, jj) in enumerate(zip(dense, sigmas, js)):
+        for c, (want, jj) in enumerate(zip(dense, js)):
             got = np.concatenate([cols[c] for _, _, cols in blocks])
             assert got.tobytes() == want[1:].tobytes(), (sigma, j, c)
-            assert got.tobytes() == _one_cumsum(table_mid, n, q, s, jj)[1:].tobytes()
+            assert got.tobytes() == _one_cumsum(table_mid, n, q, sigma, jj)[1:].tobytes()
     with pytest.raises(ValueError):
         _swept_blocks(table_mid, 0, q, 1.0, 0)  # an empty sweep
 
@@ -993,7 +999,7 @@ def test_prefix_blocks_check_on_the_call(table_small):
         (ValueError, (100, 1, math.nan, 0)),
         (ValueError, (100, 1, (1.0, math.inf), (0, 1))),
         (ValueError, (100, 1, 1.0, -1)),
-        (ValueError, (100, 1, (1.0, 1.5), (2, -1))),
+        (ValueError, (100, 1, 1.5, (2, -1))),
     ]
 
     def no_margin(lo, hi, cols, logs):
@@ -1002,12 +1008,12 @@ def test_prefix_blocks_check_on_the_call(table_small):
     for err, args in bad:
         with pytest.raises(err):
             sweep_prefix_min(table_small, *args, no_margin)
-    for sigma, j in ((1.0, 1.5), (1.0, True), ((1.0, 1.5), (0, 1.0))):
+    for sigma, j in ((1.0, 1.5), (1.0, True), (1.5, (0, 1.0))):
         with pytest.raises(TypeError, match="j must be an integer"):
             sweep_prefix_min(table_small, 100, 1, sigma, j, no_margin)
 
 
-@pytest.mark.parametrize("sigma,j", [(1.2, (0, 1, 2, 3)), ((1.0, 2.0), (3, 0)), (1.5, 0)])
+@pytest.mark.parametrize("sigma,j", [(1.2, (0, 1, 2, 3)), (2.0, (3, 0)), (1.5, 0)])
 def test_sweeps_get_the_blocks_log_table(table_mid, sigma, j):
     """Each block's logs hold (log X)^j at X = lo + 1 .. hi for j up to the
     largest j asked, formed as np.log of the float64 X and its ** j; the
@@ -1054,7 +1060,7 @@ def test_prefix_sweeps_hold_no_full_length_temporaries(table_big):
         (0, lambda: bounds.special_scan(table_big, n, 1.01)),
         (0, lambda: bounds.mqeps_scan(table_big, n, 6, 0.5)),
         (0, lambda: bounds.mcheckqeps_scan(table_big, n, 6, 0.05)),
-        (0, lambda: prefix_log_moment(table_big, n, 6, (1.0, 1.2), (0, 3), at=samples)),
+        (0, lambda: prefix_log_moment(table_big, n, 6, 1.2, (0, 3), at=samples)),
         (0, lambda: harmonic.hanson_scan(table_big, n)),
         (0, lambda: harmonic.verify_harmonic(table_big, float(n))),
         (0, lambda: harmonic.neg_alpha_integral(n)),

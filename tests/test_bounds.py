@@ -10,6 +10,7 @@ import pytest
 
 from mobius_bounds import analytic, arith, bounds, delta_sign
 from mobius_bounds.analytic import ComplexParameter, constants
+from mobius_bounds.identities import CATALOG_SPECS, catalog_check, evaluate_ofd
 from mobius_bounds.arith import (
     Modulus,
     build_table,
@@ -148,19 +149,25 @@ def test_verify_integral_guards(table_small):
             bounds.verify_integral(table_small, X, 1)
 
 
-# each domain check refuses a NaN X with its own message, before any sum
+# each domain check refuses a NaN X with its own message, before any sum;
+# those that read util.x_domain refuse X = inf too
 _NAN_X_CALLS = {
-    "constants": (lambda t: constants(ComplexParameter(1.5, 0.5), math.nan), "X must be >= 1"),
-    "verify_easy": (lambda t: bounds.verify_easy(t, math.nan, 1, 1, 1.0), "X must be >= 1"),
-    "verify_mqeps": (lambda t: bounds.verify_mqeps(t, math.nan, 1, 0.05), "X must be >= 1"),
-    "mqeps_scan": (lambda t: bounds.mqeps_scan(t, math.nan, 1, 0.05), "X must be >= 1"),
+    "constants": (lambda t, X: constants(ComplexParameter(1.5, 0.5), X), "X must be >= 1"),
+    "verify_easy": (lambda t, X: bounds.verify_easy(t, X, 1, 1, 1.0), "X must be >= 1"),
+    "verify_mqeps": (lambda t, X: bounds.verify_mqeps(t, X, 1, 0.05), "X must be >= 1"),
+    "mqeps_scan": (lambda t, X: bounds.mqeps_scan(t, X, 1, 0.05), "X must be >= 1"),
     "verify_mcheckqeps": (
-        lambda t: bounds.verify_mcheckqeps(t, math.nan, 1, 0.05), "starts at X = 15"
+        lambda t, X: bounds.verify_mcheckqeps(t, X, 1, 0.05), "starts at X = 15"
     ),
-    "small_m_bounds": (lambda t: bounds.small_m_bounds(t, math.nan, 1), "X must be >= 1"),
+    "small_m_bounds": (lambda t, X: bounds.small_m_bounds(t, X, 1), "X must be >= 1"),
     "verify_dex": (
-        lambda t: bounds.verify_dex(t, math.nan, 1, ComplexParameter(1.5, 0.5), "mqdex"),
+        lambda t, X: bounds.verify_dex(t, X, 1, ComplexParameter(1.5, 0.5), "mqdex"),
         "X must be >= 1",
+    ),
+    "verify_integral": (lambda t, X: bounds.verify_integral(t, X, 1), "X must be >= 1"),
+    "catalog_check": (lambda t, X: catalog_check(t, "meissel", X), "X must be >= 1"),
+    "evaluate_ofd": (
+        lambda t, X: evaluate_ofd(t, CATALOG_SPECS["meissel"], X), "X must be >= 1"
     ),
 }
 
@@ -168,8 +175,18 @@ _NAN_X_CALLS = {
 @pytest.mark.parametrize("name", _NAN_X_CALLS)
 def test_domain_checks_refuse_a_nan_X(table_small, name):
     call, message = _NAN_X_CALLS[name]
-    with pytest.raises(ValueError, match=message):
-        call(table_small)
+    for X in (math.nan, math.inf) if message == "X must be >= 1" else (math.nan,):
+        with pytest.raises(ValueError, match=message):
+            call(table_small, X)
+
+
+def test_verify_integral_decides_within_the_envelopes_rounding(table_small, monkeypatch):
+    """verify_integral's row is a closed-form row: its envelope carries the
+    8 EPS |bound| radius of _row, so a value 36 EPS past the bound, within
+    the two radii (32 EPS (1 + val) and 8 EPS bound), is inconclusive."""
+    bound = bounds.integral_abs_mq_bound(100.0, 1)
+    monkeypatch.setattr(bounds, "integral_abs_mq", lambda *args: bound * (1.0 + 36.0 * EPS))
+    assert bounds.verify_integral(table_small, 100.0, 1).verdict == INCONCLUSIVE
 
 
 def test_defect_guards(table_small):

@@ -790,6 +790,21 @@ def test_replay_rejects_claims_that_certify_refuses(table_small, monkeypatch):
     assert replay_certificate(table_small, cert) == []
 
 
+def test_replay_reports_a_refused_modulus(table_small, monkeypatch):
+    """A parsed document whose q Modulus refuses reads that refusal as its
+    one problem, before any interval is built, and raises nothing."""
+    genuine = json.loads(certificate_to_json(certify_sign(table_small, 1, 10.8)))
+
+    def no_interval(*args):
+        raise AssertionError("an interval was built")
+
+    monkeypatch.setattr(delta_sign, "_interval", no_interval)
+    for q in (0, -6):
+        cert = certificate_from_json(json.dumps(dict(genuine, q=q)))
+        problems = replay_certificate(table_small, cert)
+        assert problems == [f"q={q}: modulus must be positive, got {q}"], problems
+
+
 def test_mean_value_soundness(table_small):
     # between recorded steps the chained slope bound must keep t <= 0
     cert = certify_sign(table_small, 1, 10.8)

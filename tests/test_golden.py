@@ -299,8 +299,8 @@ def _scan_outputs(group, table):
 
 def _kernel_outputs(table, n):
     """The prefix kernel past the "prefix" and "easy" groups: dense columns at
-    j = 3..5, one request mixing sigma and the parity of j, at= reads at
-    j = 3 on the block edges, and easy_scan's arrays at k = 2..5."""
+    j = 3..5, one call per column of a set mixing sigma and the parity of j,
+    at= reads at j = 3 on the block edges, and easy_scan's arrays at k = 2..5."""
 
     def digest(arr):
         return hashlib.sha256(arr.tobytes()).hexdigest()
@@ -310,8 +310,8 @@ def _kernel_outputs(table, n):
     for q in (1, 2, 30030):
         for sigma, j in product((1.0, 1.5, 2.0), (3, 4, 5)):
             yield digest(arith.prefix_log_moment(table, n, q, sigma, j))
-        for arr in arith.prefix_log_moment(table, n, q, (1.0, 1.5, 1.5, 2.0), (1, 0, 3, 2)):
-            yield digest(arr)
+        for sigma, j in zip((1.0, 1.5, 1.5, 2.0), (1, 0, 3, 2)):
+            yield digest(arith.prefix_log_moment(table, n, q, sigma, j))
         for sigma in (1.0, 1.5, 2.0):
             yield digest(arith.prefix_log_moment(table, n, q, sigma, 3, at=at))
     for q, k, sigma in product((1, 6, 30030), (2, 3, 4, 5), (1.0, 1.5, 2.0)):

@@ -154,8 +154,8 @@ def _family_calls(family: str, arith, bounds):
     elif family == "prefix":
         for q, sigma, j in product(strata, (1.0, 1.5, 2.0), range(6)):
             yield arith.prefix_log_moment, (FAMILY_LIMIT, q, sigma, j)
-        for q in strata:
-            yield arith.prefix_log_moment, (FAMILY_LIMIT, q, (1.0, 1.5, 1.5, 2.0), (1, 0, 3, 2))
+        for q, (sigma, j) in product(strata, ((1.0, 1), (1.5, (0, 3)), (2.0, 2))):
+            yield arith.prefix_log_moment, (FAMILY_LIMIT, q, sigma, j)
 
 
 def family_digests(src: str) -> dict[str, str]:
