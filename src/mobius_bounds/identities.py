@@ -379,8 +379,8 @@ def _power_prefix(g_id: str, a: complex, n: int):
 
 
 def _grid_size(table: ArithmeticTable, X: float) -> int:
-    """[X], after checking that 1 <= X < inf, that the table reaches [X] and that
-    the grid of [1, X] stays within _PIECE_CAP pieces."""
+    """[X], after checking that 1 <= X < inf, that the table reaches [X]
+    and that the grid of [1, X] stays within _PIECE_CAP pieces."""
     x_domain("X", X)
     n = floor_int(X)
     table._check_range(n)

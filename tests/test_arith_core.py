@@ -864,6 +864,7 @@ def test_fused_and_sampled_prefixes_are_bit_identical(table_mid, q, n):
 def test_prefix_requests_take_one_sigma(table_small):
     """A tuple of sigma is refused by the dense read, the at= read and
     sweep_prefix_min alike, before any block."""
+
     def no_margin(lo, hi, cols, logs):
         raise AssertionError("a margin was formed")
 
